@@ -39,7 +39,7 @@ int Main() {
     Database db(&env, InstanceProfile::M5ad24xlarge(), WithNdp(options));
     TpchGenerator gen(scale);
 
-    CostMeter& meter = env.cost_meter();
+    const CostLedger& ledger = env.telemetry().ledger();
     TpchLoadOptions load_options;
     Result<TpchLoadResult> load = LoadTpch(&db, &gen, load_options);
     if (!load.ok()) {
@@ -47,7 +47,8 @@ int Main() {
                    load.status().ToString().c_str());
       return 1;
     }
-    double load_requests_usd = meter.S3RequestUsd();
+    double load_requests_usd =
+        ledger.GrandTotal().RequestUsd(ledger.prices());
     double load_usd = load->seconds / 3600.0 * hourly + load_requests_usd;
 
     SimTime query_start = db.node().clock().now();
@@ -55,7 +56,8 @@ int Main() {
         RunQueriesOnly(&db);
     if (!queries.ok()) return 1;
     double query_seconds = db.node().clock().now() - query_start;
-    double query_requests_usd = meter.S3RequestUsd() - load_requests_usd;
+    double query_requests_usd =
+        ledger.GrandTotal().RequestUsd(ledger.prices()) - load_requests_usd;
     double query_usd = query_seconds / 3600.0 * hourly + query_requests_usd;
 
     std::printf("%-9s %14.4f %14.4f   (load: %.1fs EC2 + $%.4f req; "

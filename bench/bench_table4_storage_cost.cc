@@ -33,7 +33,7 @@ int Main() {
     return 1;
   }
   double gb = load->bytes_at_rest / 1e9;
-  CostMeter& meter = env.cost_meter();
+  const CloudPrices& prices = env.telemetry().ledger().prices();
 
   std::printf("Compressed user dbspace: %.3f GB (raw input %.3f GB, "
               "compression %.2fx)\n\n",
@@ -42,14 +42,14 @@ int Main() {
                   load->bytes_at_rest);
   std::printf("%-9s %28s\n", "Volume", "Monthly storage cost (USD)");
   Hr();
-  std::printf("%-9s %28.4f\n", "AWS S3", meter.S3MonthlyUsd(gb));
-  std::printf("%-9s %28.4f\n", "AWS EBS", meter.EbsMonthlyUsd(gb));
-  std::printf("%-9s %28.4f\n", "AWS EFS", meter.EfsMonthlyUsd(gb));
+  std::printf("%-9s %28.4f\n", "AWS S3", prices.S3MonthlyUsd(gb));
+  std::printf("%-9s %28.4f\n", "AWS EBS", prices.EbsMonthlyUsd(gb));
+  std::printf("%-9s %28.4f\n", "AWS EFS", prices.EfsMonthlyUsd(gb));
   Hr();
   std::printf("Ratios: EBS/S3 = %.2fx, EFS/S3 = %.2fx "
               "(paper: 51.80/12.05 = 4.30x, 155.40/12.05 = 12.9x)\n",
-              meter.EbsMonthlyUsd(gb) / meter.S3MonthlyUsd(gb),
-              meter.EfsMonthlyUsd(gb) / meter.S3MonthlyUsd(gb));
+              prices.EbsMonthlyUsd(gb) / prices.S3MonthlyUsd(gb),
+              prices.EfsMonthlyUsd(gb) / prices.S3MonthlyUsd(gb));
   MaybeReportTelemetry(&db);
   return 0;
 }

@@ -304,19 +304,12 @@ inline void MaybeWriteReport(SimEnvironment* env, double sim_seconds) {
   const TelemetryOptions& options = Telemetry();
   if (options.report_path.empty()) return;
   PublishPredictionStats(env);
-  const CostMeter& meter = env->cost_meter();
   RunReportInfo info;
   info.bench = options.bench_name;
   info.scale_factor = options.scale_factor;
   info.sim_seconds = sim_seconds;
-  info.s3_puts = meter.s3_puts();
-  info.s3_gets = meter.s3_gets();
-  info.s3_deletes = meter.s3_deletes();
-  info.s3_ranged_gets = meter.s3_ranged_gets();
-  info.request_usd = meter.S3RequestUsd();
-  info.ec2_usd = meter.Ec2Usd();
-  info.storage_usd_month =
-      meter.S3MonthlyUsd(env->object_store().LiveBytes() / 1e9);
+  info.storage_usd_month = env->telemetry().ledger().prices().S3MonthlyUsd(
+      env->object_store().LiveBytes() / 1e9);
   Status st = WriteRunReport(info, env->telemetry().stats(),
                              env->telemetry().ledger(),
                              env->telemetry().profiler(),
@@ -429,14 +422,12 @@ inline void MaybeReportTelemetry(SimEnvironment* env) {
   MaybeWriteReport(env, /*sim_seconds=*/0);
 }
 
-// Bills `seconds` of this node's instance time both globally (CostMeter)
-// and to `who` in the attribution ledger — the same rate and duration, so
-// the ledger's USD sums to the meter's.
+// Bills `seconds` of this node's instance time to `who` in the cost
+// ledger, at the node's hourly rate.
 inline void ChargePhase(Database* db, const AttributionContext& who,
                         double seconds) {
-  double hourly = db->node().profile().hourly_usd;
-  db->env().cost_meter().AddEc2Hours(seconds / 3600.0, hourly);
-  db->env().telemetry().ledger().ChargeCompute(who, seconds, hourly);
+  db->env().telemetry().ledger().ChargeCompute(
+      who, seconds, db->node().profile().hourly_usd);
 }
 
 // Default scale factor for the reproduction benches. The paper ran SF

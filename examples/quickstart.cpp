@@ -116,10 +116,11 @@ int main() {
                 static_cast<unsigned long long>(db.ocm()->stats().hits),
                 static_cast<unsigned long long>(db.ocm()->stats().misses));
   }
+  const CloudPrices& prices = cloud.telemetry().ledger().prices();
   std::printf("monthly storage cost of the data at rest: $%.4f on S3 vs "
               "$%.4f on EBS\n",
-              cloud.cost_meter().S3MonthlyUsd(db.UserBytesAtRest() / 1e9),
-              cloud.cost_meter().EbsMonthlyUsd(db.UserBytesAtRest() / 1e9));
+              prices.S3MonthlyUsd(db.UserBytesAtRest() / 1e9),
+              prices.EbsMonthlyUsd(db.UserBytesAtRest() / 1e9));
 
   // 7. Audit: every reachable page reads back, nothing leaked.
   Result<ConsistencyReport> audit = CheckConsistency(&db);

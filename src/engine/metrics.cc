@@ -53,12 +53,13 @@ MetricsSnapshot CollectMetrics(Database* db) {
   m.snapshots = db->snapshot_mgr()->ListSnapshots().size();
   m.retained_pages = db->snapshot_mgr()->retained_page_count();
 
-  m.s3_requests = db->env().cost_meter().S3Requests();
-  m.s3_request_usd = db->env().cost_meter().S3RequestUsd();
-  m.ec2_usd = db->env().cost_meter().Ec2Usd();
-  m.total_compute_usd = db->env().cost_meter().TotalComputeUsd();
-  m.s3_monthly_storage_usd =
-      db->env().cost_meter().S3MonthlyUsd(m.live_bytes / 1e9);
+  const CostLedger& ledger = db->env().telemetry().ledger();
+  CostLedger::Entry bill = ledger.GrandTotal();
+  m.s3_requests = bill.Requests();
+  m.s3_request_usd = bill.RequestUsd(ledger.prices());
+  m.ec2_usd = bill.ec2_usd;
+  m.total_compute_usd = bill.TotalUsd(ledger.prices());
+  m.s3_monthly_storage_usd = ledger.prices().S3MonthlyUsd(m.live_bytes / 1e9);
   m.sim_seconds = db->node().clock().now();
 
   const StatsRegistry& registry = db->env().telemetry().stats();

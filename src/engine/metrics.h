@@ -59,8 +59,8 @@ struct MetricsSnapshot {
   uint64_t snapshots = 0;
   uint64_t retained_pages = 0;
 
-  // Money. Request/EC2 USD come from the global CostMeter; the total is
-  // the run's compute-side bill (storage-at-rest is reported per month).
+  // Money. Request/EC2 USD are the cost ledger's grand total; the total
+  // is the run's compute-side bill (storage-at-rest is reported per month).
   uint64_t s3_requests = 0;
   double s3_request_usd = 0;
   double ec2_usd = 0;

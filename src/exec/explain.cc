@@ -22,7 +22,7 @@ const char* TopWaitName(const StallProfiler::Entry& e) {
 
 std::string FormatExplainAnalyze(QueryContext* ctx) {
   const CostLedger& ledger = ctx->ledger();
-  const LedgerPrices& prices = ledger.prices();
+  const CloudPrices& prices = ledger.prices();
   const AttributionContext& attr = ctx->attribution();
   const StallProfiler& profiler = ctx->node()->telemetry().profiler();
 
@@ -73,7 +73,7 @@ std::string FormatExplainAnalyze(QueryContext* ctx) {
 
   // Query total across operators AND query-level entries (commit-time
   // flushes, background uploads, compute charged by the harness) on every
-  // node — the number that must sum to the global CostMeter.
+  // node — the query's share of the ledger's grand total.
   CostLedger::Entry total = ledger.QueryTotal(attr.query_id);
   std::snprintf(buf, sizeof(buf),
                 "%-32s %10s %7s %11.4f %8llu %7.0f%% %10.6f\n",

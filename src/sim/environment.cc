@@ -47,20 +47,7 @@ int NodeContext::IoWidth() const {
 
 SimEnvironment::SimEnvironment(ObjectStoreOptions store_options)
     : object_store_(store_options) {
-  object_store_.set_cost_meter(&cost_meter_);
   object_store_.set_telemetry(&telemetry_);
-  // Keep the ledger's request pricing in lockstep with the meter's, so
-  // per-query USD sums to the global total (telemetry cannot see
-  // CloudPrices itself; see LedgerPrices).
-  LedgerPrices ledger_prices;
-  ledger_prices.put_per_1k = cost_meter_.prices().s3_put_per_1k;
-  ledger_prices.get_per_1k = cost_meter_.prices().s3_get_per_1k;
-  ledger_prices.select_per_1k = cost_meter_.prices().s3_select_per_1k;
-  ledger_prices.select_scanned_per_gb =
-      cost_meter_.prices().s3_select_scanned_per_gb;
-  ledger_prices.select_returned_per_gb =
-      cost_meter_.prices().s3_select_returned_per_gb;
-  telemetry_.ledger().set_prices(ledger_prices);
   telemetry_.tracer().SetProcessName(kClusterPid, "cluster");
   telemetry_.tracer().SetTrackName(kClusterPid, kTrackObjectStore,
                                    "object store (S3)");

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "sim/block_volume.h"
-#include "sim/cost_model.h"
 #include "sim/instance_profile.h"
 #include "sim/io_scheduler.h"
 #include "sim/local_ssd.h"
@@ -23,7 +22,7 @@ class SimEnvironment;
 
 // All simulated resources owned by one compute node: its own virtual
 // timeline, NIC, local SSDs and background executor. Cluster-shared
-// resources (the object store, network block volumes, the cost meter) live
+// resources (the object store, network block volumes, telemetry) live
 // in SimEnvironment and are referenced from here.
 class NodeContext {
  public:
@@ -59,13 +58,13 @@ class NodeContext {
 };
 
 // The simulated cloud: one object store, any number of network block
-// volumes, a cluster cost meter, and the compute nodes.
+// volumes, cluster telemetry (whose cost ledger is the run's bill), and
+// the compute nodes.
 class SimEnvironment {
  public:
   explicit SimEnvironment(ObjectStoreOptions store_options = {});
 
   SimObjectStore& object_store() { return object_store_; }
-  CostMeter& cost_meter() { return cost_meter_; }
   Telemetry& telemetry() { return telemetry_; }
 
   // Creates (or returns the existing) named block volume.
@@ -81,7 +80,6 @@ class SimEnvironment {
  private:
   Telemetry telemetry_;  // before the object store, which points into it
   SimObjectStore object_store_;
-  CostMeter cost_meter_;
   std::map<std::string, std::unique_ptr<SimBlockVolume>> volumes_;
   std::vector<std::unique_ptr<NodeContext>> nodes_;
 };

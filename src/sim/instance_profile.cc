@@ -1,6 +1,6 @@
 #include "sim/instance_profile.h"
 
-#include "sim/cost_model.h"
+#include "common/cloud_prices.h"
 
 namespace cloudiq {
 

@@ -32,7 +32,9 @@ std::string SimObjectStore::PrefixOf(const std::string& key) {
 }
 
 SimTime SimObjectStore::ServiceRequest(const std::string& key, bool is_put,
-                                       uint64_t bytes, SimTime arrival) {
+                                       uint64_t bytes, SimTime arrival,
+                                       double base_latency, WaitClass wait,
+                                       double server_seconds) {
   // Per-prefix request-rate pacing (the S3 "optimizing performance"
   // limits the paper works around with hashed prefixes).
   std::string prefix = PrefixOf(key);
@@ -65,20 +67,104 @@ SimTime SimObjectStore::ServiceRequest(const std::string& key, bool is_put,
     pacers.insert(std::move(hot));
   }
 
-  double base =
-      is_put ? options_.put_base_latency : options_.get_base_latency;
   double transfer = static_cast<double>(bytes) / options_.stream_bandwidth;
   // Mild deterministic-seeded jitter so request times are not lockstep.
-  double jitter = rng_.Exponential(base * 0.15);
-  SimTime completion = streams_.Submit(admitted, transfer, base + jitter);
+  double jitter = rng_.Exponential(base_latency * 0.15);
+  SimTime completion = streams_.Submit(
+      admitted, transfer, base_latency + server_seconds + jitter);
   // Tile the request's window into the stall ledger: pacer stall first,
-  // the rest (queueing behind other streams + base + transfer) is the
-  // network transfer.
+  // the rest (queueing behind other streams + latency + transfer) is the
+  // request's own wait class.
   if (profiler_ != nullptr) {
     profiler_->Charge(WaitClass::kThrottleBackoff, arrival, admitted);
-    profiler_->Charge(WaitClass::kNetworkTransfer, admitted, completion);
+    profiler_->Charge(wait, admitted, completion);
   }
   return completion;
+}
+
+void SimObjectStore::BookLocked(Op op, SimTime arrival, SimTime completion,
+                                const std::string& what, uint64_t bytes,
+                                uint64_t returned) {
+  const char* verb = nullptr;
+  Histogram* latency = nullptr;
+  CostLedger::Request kind = CostLedger::Request::kGet;  // unused by SELECT
+  switch (op) {
+    case Op::kPut:
+      ++stats_.puts;
+      stats_.put_bytes += bytes;
+      kind = CostLedger::Request::kPut;
+      verb = "PUT";
+      latency = put_latency_;
+      break;
+    case Op::kGet:
+      ++stats_.gets;
+      stats_.get_bytes += bytes;
+      kind = CostLedger::Request::kGet;
+      verb = "GET";
+      latency = get_latency_;
+      break;
+    case Op::kHead:
+      ++stats_.gets;  // HEAD is billed like GET
+      kind = CostLedger::Request::kHead;
+      break;
+    case Op::kDelete:
+      ++stats_.deletes;  // billed at the PUT rate
+      kind = CostLedger::Request::kDelete;
+      verb = "DELETE";
+      latency = delete_latency_;
+      break;
+    case Op::kRangedGet:
+      ++stats_.ranged_gets;
+      stats_.get_bytes += bytes;
+      kind = CostLedger::Request::kRangedGet;
+      verb = "ranged GET";
+      latency = get_latency_;
+      break;
+    case Op::kSelect:
+      ++stats_.selects;
+      stats_.select_scanned_bytes += bytes;
+      stats_.select_returned_bytes += returned;
+      verb = "SELECT";
+      latency = select_latency_;
+      break;
+  }
+  if (ledger_ != nullptr) {
+    if (op == Op::kSelect) {
+      ledger_->RecordSelect(bytes, returned);
+    } else {
+      ledger_->RecordRequest(kind, bytes);
+    }
+  }
+  if (latency != nullptr) latency->Record(completion - arrival);
+  if (verb != nullptr && telemetry_ != nullptr &&
+      telemetry_->tracer().enabled()) {
+    telemetry_->tracer().CompleteSpan(kClusterPid, kTrackObjectStore, "s3",
+                                      std::string(verb) + " " + what,
+                                      arrival, completion);
+  }
+}
+
+const SimObjectStore::Version* SimObjectStore::VisibleLocked(
+    const std::string& key, SimTime at, const Version** newest) const {
+  *newest = nullptr;
+  const Version* newest_visible = nullptr;
+  auto it = objects_.find(key);
+  if (it == objects_.end()) return nullptr;
+  for (const Version& v : it->second.versions) {
+    *newest = &v;
+    if (v.visible_at <= at) newest_visible = &v;
+  }
+  return newest_visible;
+}
+
+void SimObjectStore::NoteMissLocked(const std::string& key,
+                                    const Version* newest, SimTime arrival) {
+  if (newest == nullptr || newest->is_delete) return;
+  ++stats_.not_found_races;
+  if (telemetry_ != nullptr && telemetry_->tracer().enabled()) {
+    telemetry_->tracer().Instant(kClusterPid, kTrackObjectStore, "s3",
+                                 "visibility race " + key, arrival);
+  }
 }
 
 Status SimObjectStore::Put(const std::string& key,
@@ -92,18 +178,9 @@ Status SimObjectStore::Put(const std::string& key,
     // the §3 eventual-consistency scenarios the keygen design rules out).
     return Status::AlreadyExists("never-write-twice violation: " + key);
   }
-  *completion = ServiceRequest(key, /*is_put=*/true, value.size(), arrival);
-  ++stats_.puts;
-  stats_.put_bytes += value.size();
-  if (cost_meter_ != nullptr) cost_meter_->AddS3Put();
-  if (ledger_ != nullptr) {
-    ledger_->RecordRequest(CostLedger::Request::kPut, value.size());
-  }
-  if (put_latency_ != nullptr) put_latency_->Record(*completion - arrival);
-  if (telemetry_ != nullptr && telemetry_->tracer().enabled()) {
-    telemetry_->tracer().CompleteSpan(kClusterPid, kTrackObjectStore, "s3",
-                                      "PUT " + key, arrival, *completion);
-  }
+  *completion = ServiceRequest(key, /*is_put=*/true, value.size(), arrival,
+                               options_.put_base_latency);
+  BookLocked(Op::kPut, arrival, *completion, key, value.size());
   if (options_.transient_error_rate > 0 &&
       rng_.Bernoulli(options_.transient_error_rate)) {
     return Status::IoError("simulated transient PUT failure");
@@ -126,41 +203,16 @@ Result<std::vector<uint8_t>> SimObjectStore::Get(const std::string& key,
                                                  SimTime arrival,
                                                  SimTime* completion) {
   MutexLock lock(&mu_);
-  ++stats_.gets;
-  if (cost_meter_ != nullptr) cost_meter_->AddS3Get();
-
-  auto it = objects_.find(key);
   const Version* newest = nullptr;
-  const Version* newest_visible = nullptr;
-  if (it != objects_.end()) {
-    for (const Version& v : it->second.versions) {
-      newest = &v;
-      if (v.visible_at <= arrival) newest_visible = &v;
-    }
-  }
+  const Version* newest_visible = VisibleLocked(key, arrival, &newest);
 
   if (newest_visible == nullptr || newest_visible->is_delete) {
     // Nothing visible: either the key truly does not exist, or we raced
     // eventual consistency (scenario 3).
-    *completion =
-        ServiceRequest(key, /*is_put=*/false, /*bytes=*/0, arrival);
-    if (ledger_ != nullptr) {
-      ledger_->RecordRequest(CostLedger::Request::kGet, 0);
-    }
-    if (get_latency_ != nullptr) {
-      get_latency_->Record(*completion - arrival);
-    }
-    bool raced = newest != nullptr && !newest->is_delete;
-    if (raced) ++stats_.not_found_races;
-    if (telemetry_ != nullptr && telemetry_->tracer().enabled()) {
-      telemetry_->tracer().CompleteSpan(
-          kClusterPid, kTrackObjectStore, "s3",
-          "GET " + key + " -> NOT_FOUND", arrival, *completion);
-      if (raced) {
-        telemetry_->tracer().Instant(kClusterPid, kTrackObjectStore, "s3",
-                                     "visibility race " + key, arrival);
-      }
-    }
+    *completion = ServiceRequest(key, /*is_put=*/false, /*bytes=*/0, arrival,
+                                 options_.get_base_latency);
+    BookLocked(Op::kGet, arrival, *completion, key + " -> NOT_FOUND");
+    NoteMissLocked(key, newest, arrival);
     if (options_.transient_error_rate > 0 &&
         rng_.Bernoulli(options_.transient_error_rate)) {
       return Status::IoError("simulated transient GET failure");
@@ -168,18 +220,10 @@ Result<std::vector<uint8_t>> SimObjectStore::Get(const std::string& key,
     return Status::NotFound(key);
   }
 
-  *completion = ServiceRequest(key, /*is_put=*/false,
-                               newest_visible->value.size(), arrival);
-  stats_.get_bytes += newest_visible->value.size();
-  if (ledger_ != nullptr) {
-    ledger_->RecordRequest(CostLedger::Request::kGet,
-                           newest_visible->value.size());
-  }
-  if (get_latency_ != nullptr) get_latency_->Record(*completion - arrival);
-  if (telemetry_ != nullptr && telemetry_->tracer().enabled()) {
-    telemetry_->tracer().CompleteSpan(kClusterPid, kTrackObjectStore, "s3",
-                                      "GET " + key, arrival, *completion);
-  }
+  uint64_t size = newest_visible->value.size();
+  *completion = ServiceRequest(key, /*is_put=*/false, size, arrival,
+                               options_.get_base_latency);
+  BookLocked(Op::kGet, arrival, *completion, key, size);
   if (newest_visible != newest) ++stats_.stale_reads;  // scenario 2
   if (options_.transient_error_rate > 0 &&
       rng_.Bernoulli(options_.transient_error_rate)) {
@@ -191,38 +235,20 @@ Result<std::vector<uint8_t>> SimObjectStore::Get(const std::string& key,
 bool SimObjectStore::Exists(const std::string& key, SimTime arrival,
                             SimTime* completion) {
   MutexLock lock(&mu_);
-  ++stats_.gets;  // HEAD is billed like GET
-  if (cost_meter_ != nullptr) cost_meter_->AddS3Get();
-  if (ledger_ != nullptr) {
-    ledger_->RecordRequest(CostLedger::Request::kHead, 0);
-  }
-  *completion = ServiceRequest(key, /*is_put=*/false, /*bytes=*/0, arrival);
-  auto it = objects_.find(key);
-  if (it == objects_.end()) return false;
-  const Version* newest_visible = nullptr;
-  for (const Version& v : it->second.versions) {
-    if (v.visible_at <= arrival) newest_visible = &v;
-  }
+  *completion = ServiceRequest(key, /*is_put=*/false, /*bytes=*/0, arrival,
+                               options_.get_base_latency);
+  BookLocked(Op::kHead, arrival, *completion, key);
+  const Version* newest = nullptr;
+  const Version* newest_visible = VisibleLocked(key, arrival, &newest);
   return newest_visible != nullptr && !newest_visible->is_delete;
 }
 
 Status SimObjectStore::Delete(const std::string& key, SimTime arrival,
                               SimTime* completion) {
   MutexLock lock(&mu_);
-  *completion = ServiceRequest(key, /*is_put=*/true, /*bytes=*/0, arrival);
-  ++stats_.deletes;
-  if (cost_meter_ != nullptr) cost_meter_->AddS3Delete();  // put-rate billing
-  if (ledger_ != nullptr) {
-    ledger_->RecordRequest(CostLedger::Request::kDelete, 0);
-  }
-  if (delete_latency_ != nullptr) {
-    delete_latency_->Record(*completion - arrival);
-  }
-  if (telemetry_ != nullptr && telemetry_->tracer().enabled()) {
-    telemetry_->tracer().CompleteSpan(kClusterPid, kTrackObjectStore, "s3",
-                                      "DELETE " + key, arrival,
-                                      *completion);
-  }
+  *completion = ServiceRequest(key, /*is_put=*/true, /*bytes=*/0, arrival,
+                               options_.put_base_latency);
+  BookLocked(Op::kDelete, arrival, *completion, key);
   auto it = objects_.find(key);
   if (it == objects_.end()) return Status::Ok();  // idempotent
   SimTime visible_at = *completion;
@@ -235,14 +261,6 @@ Status SimObjectStore::Delete(const std::string& key, SimTime arrival,
 
 // Every SELECT is billed — even one that loses the §3 visibility race
 // or fails server-side (the server still parsed and dispatched it).
-void SimObjectStore::BillSelectLocked(uint64_t scanned, uint64_t returned) {
-  ++stats_.selects;
-  stats_.select_scanned_bytes += scanned;
-  stats_.select_returned_bytes += returned;
-  if (cost_meter_ != nullptr) cost_meter_->AddS3Select(scanned, returned);
-  if (ledger_ != nullptr) ledger_->RecordSelect(scanned, returned);
-}
-
 Result<std::vector<uint8_t>> SimObjectStore::Select(
     const std::vector<uint8_t>& request, SimTime arrival,
     SimTime* completion, uint64_t* bytes_scanned, uint64_t* bytes_returned) {
@@ -258,6 +276,7 @@ Result<std::vector<uint8_t>> SimObjectStore::Select(
   if (keys.value().empty()) {
     return Status::InvalidArgument("NDP request references no pages");
   }
+  const std::string& first_key = keys.value().front();
 
   // Resolve every referenced page to its newest visible version. A
   // single invisible page fails the whole request: the consumer retries
@@ -266,33 +285,13 @@ Result<std::vector<uint8_t>> SimObjectStore::Select(
   pages.reserve(keys.value().size());
   uint64_t scanned = 0;
   for (const std::string& key : keys.value()) {
-    auto it = objects_.find(key);
     const Version* newest = nullptr;
-    const Version* newest_visible = nullptr;
-    if (it != objects_.end()) {
-      for (const Version& v : it->second.versions) {
-        newest = &v;
-        if (v.visible_at <= arrival) newest_visible = &v;
-      }
-    }
+    const Version* newest_visible = VisibleLocked(key, arrival, &newest);
     if (newest_visible == nullptr || newest_visible->is_delete) {
-      *completion = ServiceRequest(keys.value().front(), /*is_put=*/false,
-                                   /*bytes=*/0, arrival);
-      BillSelectLocked(/*scanned=*/0, /*returned=*/0);
-      bool raced = newest != nullptr && !newest->is_delete;
-      if (raced) ++stats_.not_found_races;
-      if (select_latency_ != nullptr) {
-        select_latency_->Record(*completion - arrival);
-      }
-      if (telemetry_ != nullptr && telemetry_->tracer().enabled()) {
-        telemetry_->tracer().CompleteSpan(
-            kClusterPid, kTrackObjectStore, "s3",
-            "SELECT " + key + " -> NOT_FOUND", arrival, *completion);
-        if (raced) {
-          telemetry_->tracer().Instant(kClusterPid, kTrackObjectStore, "s3",
-                                       "visibility race " + key, arrival);
-        }
-      }
+      *completion = ServiceRequest(first_key, /*is_put=*/false, /*bytes=*/0,
+                                   arrival, options_.get_base_latency);
+      BookLocked(Op::kSelect, arrival, *completion, key + " -> NOT_FOUND");
+      NoteMissLocked(key, newest, arrival);
       return Status::NotFound(key);
     }
     scanned += newest_visible->value.size();
@@ -301,9 +300,9 @@ Result<std::vector<uint8_t>> SimObjectStore::Select(
 
   Result<std::vector<uint8_t>> result = ndp_engine_->Execute(request, pages);
   if (!result.ok()) {
-    *completion = ServiceRequest(keys.value().front(), /*is_put=*/false,
-                                 /*bytes=*/0, arrival);
-    BillSelectLocked(/*scanned=*/0, /*returned=*/0);
+    *completion = ServiceRequest(first_key, /*is_put=*/false, /*bytes=*/0,
+                                 arrival, options_.get_base_latency);
+    BookLocked(Op::kSelect, arrival, *completion, first_key + " -> FAILED");
     return result.status();
   }
   uint64_t returned = result.value().size();
@@ -311,47 +310,22 @@ Result<std::vector<uint8_t>> SimObjectStore::Select(
   // Latency: per-prefix GET pacing on the first page's prefix, a SELECT
   // time-to-first-byte, the server-side scan at select_scan_bandwidth,
   // then only the result bytes transferred through a connection stream.
-  std::string prefix = PrefixOf(keys.value().front());
-  auto [pit, inserted] =
-      get_pacers_.try_emplace(prefix, options_.per_prefix_get_rate);
-  SimTime admitted = pit->second.Admit(arrival);
-  bool throttled = admitted > arrival + 1e-12;
-  double stall = throttled ? admitted - arrival : 0;
-  if (throttled) ++stats_.throttle_events;
-  if (ledger_ != nullptr) {
-    ledger_->RecordPrefix(prefix, throttled, stall);
-    if (throttled) ledger_->RecordThrottle(stall);
-  }
-  double scan_time =
-      static_cast<double>(scanned) / options_.select_scan_bandwidth;
-  double transfer =
-      static_cast<double>(returned) / options_.stream_bandwidth;
-  double jitter = rng_.Exponential(options_.select_base_latency * 0.15);
-  *completion = streams_.Submit(
-      admitted, transfer, options_.select_base_latency + scan_time + jitter);
   // A pushed-down SELECT's post-pacer window is server-side scan plus the
   // (much smaller) result transfer; the whole of it is the price of
   // choosing pushdown, so it books as kNdpSelect rather than splitting
   // hairs between scan and result bytes.
-  if (profiler_ != nullptr) {
-    profiler_->Charge(WaitClass::kThrottleBackoff, arrival, admitted);
-    profiler_->Charge(WaitClass::kNdpSelect, admitted, *completion);
-  }
-
-  BillSelectLocked(scanned, returned);
+  double scan_time =
+      static_cast<double>(scanned) / options_.select_scan_bandwidth;
+  *completion = ServiceRequest(first_key, /*is_put=*/false, returned,
+                               arrival, options_.select_base_latency,
+                               WaitClass::kNdpSelect, scan_time);
+  BookLocked(Op::kSelect, arrival, *completion,
+             "(" + std::to_string(pages.size()) + " pages, " +
+                 std::to_string(scanned) + " -> " +
+                 std::to_string(returned) + " B)",
+             scanned, returned);
   if (bytes_scanned != nullptr) *bytes_scanned = scanned;
   if (bytes_returned != nullptr) *bytes_returned = returned;
-  if (select_latency_ != nullptr) {
-    select_latency_->Record(*completion - arrival);
-  }
-  if (telemetry_ != nullptr && telemetry_->tracer().enabled()) {
-    telemetry_->tracer().CompleteSpan(
-        kClusterPid, kTrackObjectStore, "s3",
-        "SELECT (" + std::to_string(pages.size()) + " pages, " +
-            std::to_string(scanned) + " -> " + std::to_string(returned) +
-            " B)",
-        arrival, *completion);
-  }
   if (options_.transient_error_rate > 0 &&
       rng_.Bernoulli(options_.transient_error_rate)) {
     return Status::IoError("simulated transient SELECT failure");
@@ -367,21 +341,11 @@ SimTime SimObjectStore::ExternalRead(uint64_t bytes, SimTime arrival) {
   SimTime done = arrival;
   for (uint64_t i = 0; i < parts; ++i) {
     uint64_t part = std::min(kPartBytes, bytes - i * kPartBytes);
-    ++stats_.ranged_gets;
-    stats_.get_bytes += part;
-    if (cost_meter_ != nullptr) cost_meter_->AddS3RangedGet();
-    if (ledger_ != nullptr) {
-      ledger_->RecordRequest(CostLedger::Request::kRangedGet, part);
-    }
     double transfer = static_cast<double>(part) / options_.stream_bandwidth;
     SimTime part_done = streams_.Submit(arrival, transfer,
                                         options_.get_base_latency);
-    if (get_latency_ != nullptr) get_latency_->Record(part_done - arrival);
-    if (telemetry_ != nullptr && telemetry_->tracer().enabled()) {
-      telemetry_->tracer().CompleteSpan(
-          kClusterPid, kTrackObjectStore, "s3",
-          "ranged GET (" + std::to_string(part) + " B)", arrival, part_done);
-    }
+    BookLocked(Op::kRangedGet, arrival, part_done,
+               "(" + std::to_string(part) + " B)", part);
     done = std::max(done, part_done);
   }
   // The parts stream concurrently; charge the covering window once.

@@ -11,7 +11,6 @@
 #include "common/thread_annotations.h"
 #include "common/result.h"
 #include "common/status.h"
-#include "sim/cost_model.h"
 #include "sim/device.h"
 #include "sim/sim_clock.h"
 #include "telemetry/telemetry.h"
@@ -191,18 +190,12 @@ class SimObjectStore {
     stats_ = Stats();
   }
 
-  // Wires a cost meter; when set, every PUT/GET is billed.
-  void set_cost_meter(CostMeter* meter) EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    cost_meter_ = meter;
-  }
-
   // Wires telemetry: request latencies land in the "s3.get"/"s3.put"/
-  // "s3.delete" histograms; throttle events and visibility races become
-  // instant trace events; every request becomes a span when tracing is
-  // enabled. Every request, throttle stall and per-prefix hit is also
-  // charged to the telemetry's cost ledger under whatever attribution
-  // context is current.
+  // "s3.delete"/"s3.select" histograms; throttle events and visibility
+  // races become instant trace events; every request becomes a span when
+  // tracing is enabled. Every request, throttle stall and per-prefix hit
+  // is also charged to the telemetry's cost ledger — the run's only bill —
+  // under whatever attribution context is current.
   void set_telemetry(Telemetry* telemetry);
 
   const ObjectStoreOptions& options() const { return options_; }
@@ -217,13 +210,37 @@ class SimObjectStore {
     std::vector<Version> versions;  // ascending by visible_at
   };
 
-  // Applies pacing + bandwidth + latency for one request; returns
-  // completion time.
-  SimTime ServiceRequest(const std::string& key, bool is_put, uint64_t bytes,
-                         SimTime arrival) REQUIRES(mu_);
+  // The request kinds BookLocked() counts.
+  enum class Op { kPut, kGet, kHead, kDelete, kRangedGet, kSelect };
 
-  // Bills one SELECT to stats, meter and ledger.
-  void BillSelectLocked(uint64_t scanned, uint64_t returned) REQUIRES(mu_);
+  // Applies per-prefix pacing (the PUT or GET pacer), stream queueing,
+  // `base_latency` plus seeded jitter, `server_seconds` of unjittered
+  // server-side work and the transfer of `bytes`. Tiles the window into
+  // the stall profiler (pacer stall as throttle backoff, the rest as
+  // `wait`) and returns the completion time.
+  SimTime ServiceRequest(const std::string& key, bool is_put, uint64_t bytes,
+                         SimTime arrival, double base_latency,
+                         WaitClass wait = WaitClass::kNetworkTransfer,
+                         double server_seconds = 0) REQUIRES(mu_);
+
+  // Books one served request everywhere it is counted: the store's
+  // stats, the cost ledger, the kind's latency histogram and (when
+  // tracing) a span named "<verb> <what>". `bytes` is the payload moved;
+  // for a SELECT it is the bytes scanned and `returned` the result
+  // shipped back. HEAD has no histogram and no span.
+  void BookLocked(Op op, SimTime arrival, SimTime completion,
+                  const std::string& what, uint64_t bytes = 0,
+                  uint64_t returned = 0) REQUIRES(mu_);
+
+  // Newest version of `key` visible at `at` (nullptr if none); `*newest`
+  // receives the newest version regardless of visibility.
+  const Version* VisibleLocked(const std::string& key, SimTime at,
+                               const Version** newest) const REQUIRES(mu_);
+
+  // Counts a read that found nothing visible: a visibility race (§3
+  // scenario 3) when a live version exists but is not visible yet.
+  void NoteMissLocked(const std::string& key, const Version* newest,
+                      SimTime arrival) REQUIRES(mu_);
 
   static std::string PrefixOf(const std::string& key);
 
@@ -240,7 +257,6 @@ class SimObjectStore {
   std::unordered_map<std::string, RatePacer> get_pacers_ GUARDED_BY(mu_);
   std::unordered_map<std::string, Object> objects_ GUARDED_BY(mu_);
   Stats stats_ GUARDED_BY(mu_);
-  CostMeter* cost_meter_ GUARDED_BY(mu_) = nullptr;
   Telemetry* telemetry_ GUARDED_BY(mu_) = nullptr;
   CostLedger* ledger_ GUARDED_BY(mu_) = nullptr;
   StallProfiler* profiler_ GUARDED_BY(mu_) = nullptr;

@@ -70,11 +70,6 @@ void CostLedger::RecordRequest(Request kind, uint64_t bytes) {
     case Request::kHead:
       ++e->heads;
       break;
-    case Request::kSelect:
-      // SELECTs carry two byte dimensions; use RecordSelect instead.
-      ++e->selects;
-      e->select_returned_bytes += bytes;
-      break;
   }
 }
 

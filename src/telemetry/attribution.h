@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/cloud_prices.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 
@@ -27,25 +28,11 @@ struct AttributionContext {
   std::string tag;           // human label ("load", "Q7", ...)
 };
 
-// Request price points the ledger uses to turn attributed requests into
-// USD. Mirrors the request rates of CloudPrices (sim/cost_model.h)
-// without depending on it — telemetry sits below sim in the layering, so
-// SimEnvironment copies its meter's rates in at construction.
-struct LedgerPrices {
-  double put_per_1k = 0.005;   // PUT and DELETE requests
-  double get_per_1k = 0.0004;  // GET (plain, ranged parts, HEAD)
-  // NDP SELECT: per-request rate plus per-byte scanned/returned rates
-  // (mirrors CloudPrices::s3_select_*).
-  double select_per_1k = 0.0004;
-  double select_scanned_per_gb = 0.002;
-  double select_returned_per_gb = 0.0007;
-};
-
 // Per-query cost and causality ledger. Aggregates every attributed event
 // by (query, operator, node) and every object-store request by key
-// prefix, and prices the result through LedgerPrices — the per-query
-// counterpart of the global CostMeter (the two see the same event stream,
-// so their totals must agree; tests assert it).
+// prefix, and prices the result through CloudPrices. It is the run's only
+// request and compute bill: every cost figure — per operator, per query,
+// per tenant or for the whole run (GrandTotal()) — is read from here.
 //
 // The "current" context is one slot, swapped by ScopedAttribution; the
 // fiber handoff serializes the swappers. mu_ guards the slot, the
@@ -54,7 +41,7 @@ struct LedgerPrices {
 // every other manager's critical sections.
 class CostLedger {
  public:
-  enum class Request { kGet, kPut, kDelete, kRangedGet, kHead, kSelect };
+  enum class Request { kGet, kPut, kDelete, kRangedGet, kHead };
 
   struct Key {
     uint64_t query_id = 0;
@@ -119,14 +106,14 @@ class CostLedger {
     uint64_t Requests() const {
       return gets + puts + deletes + ranged_gets + heads + selects;
     }
-    double RequestUsd(const LedgerPrices& prices) const {
-      return (puts + deletes) / 1000.0 * prices.put_per_1k +
-             (gets + ranged_gets + heads) / 1000.0 * prices.get_per_1k +
-             selects / 1000.0 * prices.select_per_1k +
-             select_scanned_bytes / 1e9 * prices.select_scanned_per_gb +
-             select_returned_bytes / 1e9 * prices.select_returned_per_gb;
+    double RequestUsd(const CloudPrices& prices) const {
+      return (puts + deletes) / 1000.0 * prices.s3_put_per_1k +
+             (gets + ranged_gets + heads) / 1000.0 * prices.s3_get_per_1k +
+             selects / 1000.0 * prices.s3_select_per_1k +
+             select_scanned_bytes / 1e9 * prices.s3_select_scanned_per_gb +
+             select_returned_bytes / 1e9 * prices.s3_select_returned_per_gb;
     }
-    double TotalUsd(const LedgerPrices& prices) const {
+    double TotalUsd(const CloudPrices& prices) const {
       return RequestUsd(prices) + ec2_usd;
     }
     double OcmHitRate() const {
@@ -249,10 +236,9 @@ class CostLedger {
   // Distinct query ids seen, ascending, with the first non-empty tag.
   std::vector<std::pair<uint64_t, std::string>> Queries() const;
 
-  // Prices are wired once at environment construction (setup time) and
-  // read-only afterwards, so they are deliberately unguarded.
-  const LedgerPrices& prices() const { return prices_; }
-  void set_prices(const LedgerPrices& prices) { prices_ = prices; }
+  // The published rates every entry is priced with; constant, so
+  // deliberately unguarded.
+  const CloudPrices& prices() const { return prices_; }
 
   void Reset() EXCLUDES(mu_);
 
@@ -264,7 +250,7 @@ class CostLedger {
 
   mutable Mutex mu_{lockrank::kCostLedger};
   AttributionContext current_ GUARDED_BY(mu_);
-  LedgerPrices prices_;
+  const CloudPrices prices_;
   uint64_t last_query_id_ GUARDED_BY(mu_) = 0;
   std::map<Key, Entry> entries_ GUARDED_BY(mu_);
   std::map<std::string, PrefixStats> prefixes_ GUARDED_BY(mu_);

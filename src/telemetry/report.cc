@@ -67,7 +67,7 @@ void AppendField(std::string* out, const char* name, uint64_t v,
 // One ledger entry as a JSON object body (no braces), so callers can
 // prepend identity fields.
 void AppendEntryFields(std::string* out, const CostLedger::Entry& e,
-                       const LedgerPrices& prices, bool* first) {
+                       const CloudPrices& prices, bool* first) {
   AppendField(out, "gets", e.gets, first);
   AppendField(out, "puts", e.puts, first);
   AppendField(out, "deletes", e.deletes, first);
@@ -119,37 +119,22 @@ std::string BuildRunReportJson(const RunReportInfo& info,
                                const StatsRegistry& stats,
                                const CostLedger& ledger,
                                const StallProfiler& profiler) {
-  const LedgerPrices& prices = ledger.prices();
+  const CloudPrices& prices = ledger.prices();
   std::string out;
   out.reserve(1 << 16);
-  out.append("{\n\"schema_version\":1,\n\"bench\":");
+  out.append("{\n\"schema_version\":2,\n\"bench\":");
   AppendEscaped(&out, info.bench);
   out.append(",\n\"scale_factor\":");
   AppendNumber(&out, info.scale_factor);
   out.append(",\n\"sim_seconds\":");
   AppendNumber(&out, info.sim_seconds);
 
-  // Global meter view plus the ledger's grand total: the two price the
-  // same request stream, so "requests_usd" and "ledger".request_usd must
-  // agree within rounding (check.sh's smoke step asserts this).
+  // The ledger's grand total is the run's whole request + compute bill;
+  // storage at rest is priced per month beside it.
   CostLedger::Entry grand = ledger.GrandTotal();
-  out.append(",\n\"cost\":{\"meter\":{");
-  {
-    bool first = true;
-    AppendField(&out, "s3_puts", info.s3_puts, &first);
-    AppendField(&out, "s3_gets", info.s3_gets, &first);
-    AppendField(&out, "s3_deletes", info.s3_deletes, &first);
-    AppendField(&out, "s3_ranged_gets", info.s3_ranged_gets, &first);
-    AppendField(&out, "s3_selects", info.s3_selects, &first);
-    AppendField(&out, "select_scanned_bytes", info.select_scanned_bytes,
-                &first);
-    AppendField(&out, "select_returned_bytes", info.select_returned_bytes,
-                &first);
-    AppendField(&out, "request_usd", info.request_usd, &first);
-    AppendField(&out, "ec2_usd", info.ec2_usd, &first);
-    AppendField(&out, "storage_usd_month", info.storage_usd_month, &first);
-  }
-  out.append("},\"ledger\":{");
+  out.append(",\n\"cost\":{\"storage_usd_month\":");
+  AppendNumber(&out, info.storage_usd_month);
+  out.append(",\"ledger\":{");
   {
     bool first = true;
     AppendEntryFields(&out, grand, prices, &first);

@@ -11,29 +11,16 @@
 
 namespace cloudiq {
 
-// Global totals the harness folds into the run report alongside the
-// ledger. Carried as plain numbers (not a CostMeter) so the report
-// builder stays below sim in the layering; the bench harness copies the
-// meter's totals in.
+// Run-level facts the harness folds into the report alongside the
+// ledger, which carries every request and compute dollar itself.
 struct RunReportInfo {
   std::string bench;        // binary name, e.g. "tpch_power_run"
   double scale_factor = 0;  // TPC-H SF the run used (0 = not applicable)
   double sim_seconds = 0;   // simulated end time of the run
-
-  // Global CostMeter view, for cross-checking against the ledger.
-  uint64_t s3_puts = 0;
-  uint64_t s3_gets = 0;
-  uint64_t s3_deletes = 0;
-  uint64_t s3_ranged_gets = 0;
-  uint64_t s3_selects = 0;
-  uint64_t select_scanned_bytes = 0;
-  uint64_t select_returned_bytes = 0;
-  double request_usd = 0;
-  double ec2_usd = 0;
-  double storage_usd_month = 0;
+  double storage_usd_month = 0;  // live object-store bytes priced at rest
 };
 
-// Builds the structured run report: global cost, the attribution ledger
+// Builds the structured run report: run cost, the attribution ledger
 // broken down by query / node / key prefix (the throttle heatmap), the
 // stall profiler's wait-class breakdown (integer nanoseconds, so the
 // conservation invariant survives serialization exactly), and every

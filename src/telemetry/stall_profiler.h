@@ -57,7 +57,7 @@ const char* WaitClassName(WaitClass cls);
 // windows of a scope can never sum past the scope's own elapsed
 // nanoseconds, residuals are non-negative by construction, and integer
 // addition makes the invariant equality exact rather than within an
-// epsilon (the ledger==meter analogue for time).
+// epsilon.
 //
 // Structure mirrors how the simulator spends time:
 //   * Scopes bracket foreground regions (a query, an operator, a buffer

@@ -400,11 +400,9 @@ void WorkloadEngine::Complete(Job* job) {
   TenantState& ts = TenantFor(job->tenant);
   CostLedger& ledger = env_->telemetry().ledger();
 
-  // Bill the job's *active* node time both globally and to the query —
-  // the same seconds at the same rate, so the ledger's USD keeps summing
-  // to the meter's even though wall spans of co-resident jobs overlap.
+  // Bill the job's *active* node time to the query, not its wall span:
+  // wall spans of co-resident jobs overlap.
   double hourly = job->db->node().profile().hourly_usd;
-  env_->cost_meter().AddEc2Hours(job->active_seconds / 3600.0, hourly);
   ledger.ChargeCompute(job->query_attr, job->active_seconds, hourly);
 
   double latency = finish - job->arrival;

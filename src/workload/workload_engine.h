@@ -43,7 +43,7 @@ namespace cloudiq {
 //  * completions feed latency/queue-wait histograms and SLO met/missed
 //    counters into the StatsRegistry (workload.<tenant>.*), per-tenant
 //    cost into the CostLedger rollups, and each job's *active* node time
-//    into the CostMeter — ledger and meter stay equal by construction.
+//    into the ledger as compute charged to its query.
 //
 // Locking: mu_ guards the engine's own leaf state (job maps, engine clock,
 // node occupancy, tenant table). The admission controller, scheduler and

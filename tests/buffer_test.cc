@@ -1,13 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "buffer/buffer_manager.h"
-#include "buffer/prefetcher.h"
-#include "tests/test_util.h"
 
 namespace cloudiq {
 namespace {
-
-using testing_util::SingleNodeHarness;
 
 BufferManager::FlushBatchFn NoopFlush() {
   return [](uint64_t, std::vector<BufferManager::DirtyPage>&&, bool) {
@@ -148,35 +144,6 @@ TEST(BufferManagerTest, DropTxnDiscardsWithoutFlushing) {
   EXPECT_EQ(buffer.dirty_bytes(), 0u);
   ASSERT_TRUE(buffer.FlushTxn(3).ok());
   EXPECT_EQ(flushes, 0);
-}
-
-TEST(PrefetcherTest, BatchFetchPopulatesCache) {
-  SingleNodeHarness h;
-  BufferManager buffer({.capacity_bytes = 64 << 20}, NoopFlush());
-  Prefetcher prefetcher(h.storage.get(), &buffer);
-
-  std::vector<PhysicalLoc> locs;
-  for (int i = 0; i < 32; ++i) {
-    Result<PhysicalLoc> loc = h.storage->WritePage(
-        h.cloud_space, h.MakePayload(1024, static_cast<uint8_t>(i)),
-        CloudCache::WriteMode::kWriteThrough, 1);
-    ASSERT_TRUE(loc.ok());
-    locs.push_back(*loc);
-  }
-  SimTime before = h.node->clock().now();
-  ASSERT_TRUE(prefetcher.PrefetchLocs(h.cloud_space, locs).ok());
-  SimTime elapsed = h.node->clock().now() - before;
-  EXPECT_EQ(prefetcher.stats().fetched, 32u);
-  for (PhysicalLoc loc : locs) {
-    EXPECT_TRUE(buffer.Cached(h.cloud_space->id, loc));
-  }
-  // Prefetch of 32 pages ran in parallel: far faster than 32 serial
-  // object-store round trips (~12 ms each).
-  EXPECT_LT(elapsed, 32 * 0.012 / 2);
-
-  // A second prefetch is free.
-  ASSERT_TRUE(prefetcher.PrefetchLocs(h.cloud_space, locs).ok());
-  EXPECT_EQ(prefetcher.stats().already_cached, 32u);
 }
 
 }  // namespace

@@ -37,7 +37,7 @@ using costopt::WhatIfScan;
 // --- cost model: the same pricing tables the ledger bills with ----------
 
 TEST(CostModelTest, PullChargesColdGetsOnly) {
-  LedgerPrices prices;
+  CloudPrices prices;
   CostModel model(prices);
   NodeResources node;
   ScanWork work;
@@ -51,7 +51,7 @@ TEST(CostModelTest, PullChargesColdGetsOnly) {
   EXPECT_EQ(est.cold_pages, 50u);
   // GETs have no per-byte charge: 50 cold pages is 50 requests, the 50
   // warm pages are free — the exact asymmetry the legacy planner missed.
-  EXPECT_DOUBLE_EQ(est.usd, 50.0 / 1000.0 * prices.get_per_1k);
+  EXPECT_DOUBLE_EQ(est.usd, 50.0 / 1000.0 * prices.s3_get_per_1k);
   EXPECT_GT(est.network_seconds, 0);
   EXPECT_GT(est.ocm_fetch_seconds, 0);
   EXPECT_GT(est.cpu_seconds, 0);
@@ -71,7 +71,7 @@ TEST(CostModelTest, PullChargesColdGetsOnly) {
 }
 
 TEST(CostModelTest, PushPricesRequestsScannedAndReturned) {
-  LedgerPrices prices;
+  CloudPrices prices;
   CostModel model(prices);
   NodeResources node;
   ScanWork work;
@@ -82,9 +82,9 @@ TEST(CostModelTest, PushPricesRequestsScannedAndReturned) {
 
   PlanEstimate est = model.PricePush(work, node);
   EXPECT_EQ(est.name, "push");
-  EXPECT_DOUBLE_EQ(est.usd, 4.0 / 1000.0 * prices.select_per_1k +
-                                2.0 * prices.select_scanned_per_gb +
-                                0.01 * prices.select_returned_per_gb);
+  EXPECT_DOUBLE_EQ(est.usd, 4.0 / 1000.0 * prices.s3_select_per_1k +
+                                2.0 * prices.s3_select_scanned_per_gb +
+                                0.01 * prices.s3_select_returned_per_gb);
   // 4 sequential SELECT round-trips plus the scan through the store-side
   // bandwidth: the ndp_select stall class.
   EXPECT_NEAR(est.ndp_select_seconds,
@@ -99,7 +99,7 @@ TEST(CostModelTest, PushPricesRequestsScannedAndReturned) {
 }
 
 TEST(CostModelTest, PlacementAddsComputeTimeAtNodeRate) {
-  CostModel model(LedgerPrices{});
+  CostModel model(CloudPrices{});
   NodeResources node;
   node.hourly_usd = 2.0;
   ScanWork work;
@@ -193,7 +193,7 @@ TEST(SpendPredictorTest, MeansWithTenantAndPriorFallback) {
 // --- what-if log: predicted vs. billed ----------------------------------
 
 TEST(WhatIfTest, ComparePredictionsMatchesLedgerKeys) {
-  LedgerPrices prices;
+  CloudPrices prices;
   WhatIfLog log;
   WhatIfScan scan;
   scan.op = "scan t";
@@ -218,10 +218,10 @@ TEST(WhatIfTest, ComparePredictionsMatchesLedgerKeys) {
       costopt::ComparePredictions(log, entries, 7, prices);
   EXPECT_EQ(acc.scans, 1u);
   EXPECT_DOUBLE_EQ(acc.predicted_usd, 0.0005);
-  EXPECT_DOUBLE_EQ(acc.billed_usd, prices.get_per_1k);
-  EXPECT_NEAR(acc.abs_error_usd, 0.0005 - prices.get_per_1k, 1e-12);
+  EXPECT_DOUBLE_EQ(acc.billed_usd, prices.s3_get_per_1k);
+  EXPECT_NEAR(acc.abs_error_usd, 0.0005 - prices.s3_get_per_1k, 1e-12);
   EXPECT_NEAR(acc.RelativeError(),
-              (0.0005 - prices.get_per_1k) / prices.get_per_1k, 1e-9);
+              (0.0005 - prices.s3_get_per_1k) / prices.s3_get_per_1k, 1e-9);
 
   // A different query's entries never match.
   PredictionAccuracy other =
@@ -321,7 +321,7 @@ TEST(CostOptExecTest, WarmScanNotPushedRegression) {
   ASSERT_TRUE(ctx.ok()) << ctx.status().ToString();
   EXPECT_EQ(env.telemetry().stats().counter("ndp.pushdown_scans").value(),
             0u);
-  EXPECT_EQ(env.cost_meter().s3_selects(), 0u);
+  EXPECT_EQ(env.object_store().stats().selects, 0u);
   ASSERT_FALSE(ctx.value().whatif().empty());
   const WhatIfScan& scan = ctx.value().whatif().scans().back();
   EXPECT_EQ(scan.candidates[scan.chosen].name, "pull");
@@ -339,7 +339,7 @@ TEST(CostOptExecTest, WarmScanNotPushedRegression) {
   EXPECT_GE(
       legacy_env.telemetry().stats().counter("ndp.pushdown_scans").value(),
       1u);
-  EXPECT_GT(legacy_env.cost_meter().s3_selects(), 0u);
+  EXPECT_GT(legacy_env.object_store().stats().selects, 0u);
 }
 
 TEST(CostOptExecTest, PolicyChoosesCheapestAndExplainCitesIt) {

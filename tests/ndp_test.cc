@@ -11,6 +11,7 @@
 #include "ndp/ndp_engine.h"
 #include "ndp/ndp_protocol.h"
 #include "store/page_codec.h"
+#include "tests/test_util.h"
 
 namespace cloudiq {
 namespace {
@@ -255,7 +256,7 @@ TEST(NdpEngineTest, RejectsShapeMismatchAndBadPayloads) {
   EXPECT_FALSE(NdpEngine::Evaluate(g.req, pages).ok());
 }
 
-// --- store-side Select: latency, billing, ledger == meter -----------------
+// --- store-side Select: latency, billing, ledger == store stats -----------
 
 TEST(NdpStoreTest, SelectBillsMeterAndLedger) {
   SimEnvironment env;
@@ -299,19 +300,24 @@ TEST(NdpStoreTest, SelectBillsMeterAndLedger) {
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().rows_matched, 20u);
 
-  // Meter and ledger agree on the new request class.
-  const CostMeter& meter = env.cost_meter();
-  EXPECT_EQ(meter.s3_selects(), 1u);
-  EXPECT_EQ(meter.select_scanned_bytes(), scanned);
-  EXPECT_EQ(meter.select_returned_bytes(), returned);
-  CostLedger& ledger = env.telemetry().ledger();
+  // The store's own request counters (its meter) and the ledger agree on
+  // the SELECT and on the PUTs before it.
+  EXPECT_EQ(store.stats().selects, 1u);
+  EXPECT_EQ(store.stats().select_scanned_bytes, scanned);
+  EXPECT_EQ(store.stats().select_returned_bytes, returned);
+  const CostLedger& ledger = env.telemetry().ledger();
   CostLedger::Entry total = ledger.GrandTotal();
   EXPECT_EQ(total.selects, 1u);
   EXPECT_EQ(total.select_scanned_bytes, scanned);
   EXPECT_EQ(total.select_returned_bytes, returned);
-  // Puts and the select are both mirrored into the ledger, so the two
-  // accountings of request dollars agree to the cent and beyond.
-  EXPECT_NEAR(total.RequestUsd(ledger.prices()), meter.S3RequestUsd(), 1e-9);
+  testing_util::ExpectLedgerMatchesStoreStats(&env);
+  // Four PUTs plus one SELECT at S3-Select rates.
+  const CloudPrices& p = ledger.prices();
+  EXPECT_NEAR(total.RequestUsd(p),
+              4 * p.s3_put_per_1k / 1000 + p.s3_select_per_1k / 1000 +
+                  scanned / 1e9 * p.s3_select_scanned_per_gb +
+                  returned / 1e9 * p.s3_select_returned_per_gb,
+              1e-15);
 }
 
 // --- executor pushdown -----------------------------------------------------
@@ -407,19 +413,14 @@ TEST(NdpExecTest, PushdownMatchesPullExactly) {
   EXPECT_GE(on_stats.counter("ndp.pushdown_scans").value(), 1u);
   EXPECT_GT(on_stats.counter("ndp.bytes_scanned").value(), 0u);
   EXPECT_GT(on_stats.counter("ndp.bytes_saved").value(), 0u);
-  EXPECT_GT(env_on.cost_meter().s3_selects(), 0u);
-  EXPECT_EQ(env_off.cost_meter().s3_selects(), 0u);
+  EXPECT_GT(env_on.object_store().stats().selects, 0u);
+  EXPECT_EQ(env_off.object_store().stats().selects, 0u);
   EXPECT_EQ(env_off.telemetry().stats().counter("ndp.pushdown_scans")
                 .value(),
             0u);
 
-  // Ledger mirrors the meter for the new request class.
-  CostLedger::Entry total = env_on.telemetry().ledger().GrandTotal();
-  EXPECT_EQ(total.selects, env_on.cost_meter().s3_selects());
-  EXPECT_EQ(total.select_scanned_bytes,
-            env_on.cost_meter().select_scanned_bytes());
-  EXPECT_EQ(total.select_returned_bytes,
-            env_on.cost_meter().select_returned_bytes());
+  // The ledger bills every SELECT the store served.
+  testing_util::ExpectLedgerMatchesStoreStats(&env_on);
 }
 
 TEST(NdpExecTest, AutoModePicksSidesByBytesMoved) {
@@ -457,7 +458,7 @@ TEST(NdpExecTest, EncryptedPagesFallBackToPull) {
   EXPECT_EQ(result.value().rows(), 100u);
   EXPECT_EQ(env.telemetry().stats().counter("ndp.pushdown_scans").value(),
             0u);
-  EXPECT_EQ(env.cost_meter().s3_selects(), 0u);
+  EXPECT_EQ(env.object_store().stats().selects, 0u);
 }
 
 TEST(NdpExecTest, MissingEngineFallsBackToPull) {
@@ -478,7 +479,7 @@ TEST(NdpExecTest, MissingEngineFallsBackToPull) {
       ScanTable(&ctx, &reader.value(), {"v"}, ScanRange{"k", 100, 199});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().rows(), 100u);
-  EXPECT_EQ(env.cost_meter().s3_selects(), 0u);
+  EXPECT_EQ(env.object_store().stats().selects, 0u);
   ASSERT_TRUE(db.Commit(txn).ok());
 }
 

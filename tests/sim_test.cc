@@ -9,6 +9,7 @@
 #include "sim/object_store.h"
 #include "sim/sim_clock.h"
 #include "sim/sim_executor.h"
+#include "tests/test_util.h"
 
 namespace cloudiq {
 namespace {
@@ -193,9 +194,12 @@ TEST(ObjectStoreTest, ExternalReadBillsAndPaces) {
   // store's parallel streams.
   SimTime done = env.object_store().ExternalRead(100 << 20, 0.0);
   EXPECT_GT(done, 0.0);
-  EXPECT_EQ(env.cost_meter().s3_ranged_gets(), (100 + 7) / 8);
-  EXPECT_EQ(env.cost_meter().s3_gets(), 0u);
+  CostLedger::Entry bill = env.telemetry().ledger().GrandTotal();
+  EXPECT_EQ(bill.ranged_gets, (100u + 7) / 8);
+  EXPECT_EQ(bill.gets, 0u);
+  EXPECT_EQ(bill.get_bytes, 100u << 20);
   EXPECT_EQ(env.object_store().stats().ranged_gets, (100u + 7) / 8);
+  testing_util::ExpectLedgerMatchesStoreStats(&env);
   // With thousands of streams the parts run in parallel: ~one part's
   // transfer time, not thirteen.
   EXPECT_LT(done, 0.5);
@@ -209,30 +213,34 @@ TEST(NicTest, TraceResolutionConfigurable) {
   EXPECT_NEAR(nic.trace()[0] / nic.trace_resolution(), 1e9, 5e7);
 }
 
-TEST(ObjectStoreTest, CostMeterBillsRequests) {
+TEST(ObjectStoreTest, LedgerBillsRequests) {
   SimEnvironment env;
+  const CostLedger& ledger = env.telemetry().ledger();
+  // One PUT-rate plus one GET-rate request.
+  const double pair_usd =
+      (ledger.prices().s3_put_per_1k + ledger.prices().s3_get_per_1k) / 1000;
   SimTime done = 0;
   ASSERT_TRUE(env.object_store().Put("a/b", Bytes(10), 0.0, &done).ok());
   (void)env.object_store().Get("a/b", done + 10, &done);  // billing only
-  EXPECT_EQ(env.cost_meter().s3_puts(), 1u);
-  EXPECT_EQ(env.cost_meter().s3_gets(), 1u);
-  EXPECT_GT(env.cost_meter().S3RequestUsd(), 0.0);
+  EXPECT_EQ(ledger.GrandTotal().puts, 1u);
+  EXPECT_EQ(ledger.GrandTotal().gets, 1u);
+  double before_usd = ledger.GrandTotal().RequestUsd(ledger.prices());
+  EXPECT_NEAR(before_usd, pair_usd, 1e-15);
 
-  // DELETE and HEAD are billed too (DELETE at the PUT rate).
-  double before_usd = env.cost_meter().S3RequestUsd();
+  // DELETE and HEAD are billed too (DELETE at the PUT rate, HEAD at the
+  // GET rate).
   (void)env.object_store().Exists("a/b", done + 10, &done);
   ASSERT_TRUE(env.object_store().Delete("a/b", done + 10, &done).ok());
-  EXPECT_EQ(env.cost_meter().s3_deletes(), 1u);
-  EXPECT_EQ(env.cost_meter().S3Requests(), 4u);
-  EXPECT_GT(env.cost_meter().S3RequestUsd(), before_usd);
+  CostLedger::Entry grand = ledger.GrandTotal();
+  EXPECT_EQ(grand.heads, 1u);
+  EXPECT_EQ(grand.deletes, 1u);
+  EXPECT_EQ(grand.Requests(), 4u);
+  EXPECT_NEAR(grand.RequestUsd(ledger.prices()) - before_usd, pair_usd,
+              1e-15);
 
-  // Every metered request was also attributed (to the default context
-  // here), so the cluster ledger agrees with the meter request-for-
-  // request and dollar-for-dollar.
-  CostLedger::Entry grand = env.telemetry().ledger().GrandTotal();
-  EXPECT_EQ(grand.Requests(), env.cost_meter().S3Requests());
-  EXPECT_NEAR(grand.RequestUsd(env.telemetry().ledger().prices()),
-              env.cost_meter().S3RequestUsd(), 1e-12);
+  // Every request the store served was billed once (to the default
+  // context here), kind for kind.
+  testing_util::ExpectLedgerMatchesStoreStats(&env);
 }
 
 TEST(BlockVolumeTest, StrongConsistencyReadAfterWrite) {
@@ -401,13 +409,13 @@ TEST(NodeContextTest, IoWidthCapped) {
   EXPECT_EQ(small.IoWidth(), 32);
 }
 
-TEST(CostMeterTest, MonthlyStorageRelativeCosts) {
-  CostMeter meter;
+TEST(CloudPricesTest, MonthlyStorageRelativeCosts) {
+  CloudPrices prices;
   // The paper's Table 4 ordering: S3 ~4x cheaper than EBS, ~13x than EFS.
   double gb = 518;
-  EXPECT_NEAR(meter.EbsMonthlyUsd(gb), 51.80, 0.01);
-  EXPECT_NEAR(meter.EfsMonthlyUsd(gb), 155.40, 0.01);
-  EXPECT_LT(meter.S3MonthlyUsd(gb), meter.EbsMonthlyUsd(gb) / 4);
+  EXPECT_NEAR(prices.EbsMonthlyUsd(gb), 51.80, 0.01);
+  EXPECT_NEAR(prices.EfsMonthlyUsd(gb), 155.40, 0.01);
+  EXPECT_LT(prices.S3MonthlyUsd(gb), prices.EbsMonthlyUsd(gb) / 4);
 }
 
 }  // namespace

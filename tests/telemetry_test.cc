@@ -434,10 +434,7 @@ TEST(CostLedgerTest, ScopedAttributionChargesAndRestores) {
 
 TEST(CostLedgerTest, RequestPricingMatchesRates) {
   CostLedger ledger;
-  LedgerPrices prices;
-  prices.put_per_1k = 0.005;
-  prices.get_per_1k = 0.0004;
-  ledger.set_prices(prices);
+  const CloudPrices& prices = ledger.prices();
   {
     ScopedAttribution q(&ledger, Attr(3, -1, 1, "priced"));
     for (int i = 0; i < 1000; ++i) {
@@ -465,7 +462,7 @@ TEST(CostLedgerTest, RequestPricingMatchesRates) {
 
 TEST(CostLedgerTest, SelectPricingAndFold) {
   CostLedger ledger;
-  LedgerPrices prices;  // defaults mirror CloudPrices::s3_select_*
+  const CloudPrices& prices = ledger.prices();
   {
     ScopedAttribution q(&ledger, Attr(4, -1, 1, "ndp"));
     for (int i = 0; i < 1000; ++i) {
@@ -620,8 +617,7 @@ TEST(RunReportTest, EmitsExpectedTopLevelKeys) {
   info.bench = "unit \"bench\"";  // quote must be escaped
   info.scale_factor = 0.01;
   info.sim_seconds = 123.5;
-  info.s3_gets = 1;
-  info.request_usd = 4e-7;
+  info.storage_usd_month = 0.25;
 
   StallProfiler profiler(&ledger, /*tracer=*/nullptr);
   {
@@ -631,13 +627,16 @@ TEST(RunReportTest, EmitsExpectedTopLevelKeys) {
   std::string json = BuildRunReportJson(info, stats, ledger, profiler);
   for (const char* key :
        {"\"schema_version\"", "\"bench\"", "\"scale_factor\"",
-        "\"sim_seconds\"", "\"cost\"", "\"meter\"", "\"ledger\"",
-        "\"queries\"", "\"nodes\"", "\"stalls\"", "\"window_nanos\"",
-        "\"network_transfer\"", "\"prefixes\"", "\"histograms\"",
-        "\"counters\"", "\"gauges\""}) {
+        "\"sim_seconds\"", "\"cost\"", "\"storage_usd_month\"",
+        "\"ledger\"", "\"queries\"", "\"nodes\"", "\"stalls\"",
+        "\"window_nanos\"", "\"network_transfer\"", "\"prefixes\"",
+        "\"histograms\"", "\"counters\"", "\"gauges\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
   EXPECT_NE(json.find("unit \\\"bench\\\""), std::string::npos);
+  // The ledger is the only bill: no second (meter) copy of the costs.
+  EXPECT_NE(json.find("\"schema_version\":2,"), std::string::npos);
+  EXPECT_EQ(json.find("\"meter\""), std::string::npos);
   EXPECT_NE(json.find("\"tag\":\"Q1\""), std::string::npos);
   EXPECT_NE(json.find("\"ab12\""), std::string::npos);
   EXPECT_NE(json.find("s3.get.latency"), std::string::npos);

@@ -5,6 +5,8 @@
 #include <memory>
 #include <vector>
 
+#include <gtest/gtest.h>
+
 #include "keygen/object_key_generator.h"
 #include "sim/environment.h"
 #include "store/storage.h"
@@ -60,6 +62,23 @@ struct SingleNodeHarness {
   ObjectKeyGenerator keygen;
   std::unique_ptr<NodeKeyCache> key_cache;
 };
+
+// The cost ledger bills exactly the requests the object store served:
+// its grand total matches the store's own counters kind by kind (the
+// store counts a HEAD as a GET; the ledger keeps them apart).
+inline void ExpectLedgerMatchesStoreStats(SimEnvironment* env) {
+  SimObjectStore::Stats s3 = env->object_store().stats();
+  CostLedger::Entry bill = env->telemetry().ledger().GrandTotal();
+  EXPECT_EQ(bill.gets + bill.heads, s3.gets);
+  EXPECT_EQ(bill.puts, s3.puts);
+  EXPECT_EQ(bill.deletes, s3.deletes);
+  EXPECT_EQ(bill.ranged_gets, s3.ranged_gets);
+  EXPECT_EQ(bill.get_bytes, s3.get_bytes);
+  EXPECT_EQ(bill.put_bytes, s3.put_bytes);
+  EXPECT_EQ(bill.selects, s3.selects);
+  EXPECT_EQ(bill.select_scanned_bytes, s3.select_scanned_bytes);
+  EXPECT_EQ(bill.select_returned_bytes, s3.select_returned_bytes);
+}
 
 }  // namespace testing_util
 }  // namespace cloudiq

@@ -406,6 +406,14 @@ TEST_F(TxnTest, PrefetchAcceleratesScan) {
   // remaining cost here is the one-time serial faulting of blockmap nodes
   // (fanout 4 -> ~21 nodes).
   EXPECT_LT(with_prefetch, 0.6);
+
+  // A second prefetch finds every page cached: no GETs, no sim time.
+  const CostLedger& ledger = h_.env.telemetry().ledger();
+  uint64_t gets = ledger.GrandTotal().gets;
+  SimTime after_scan = h_.node->clock().now();
+  ASSERT_TRUE((*obj)->PrefetchAll().ok());
+  EXPECT_EQ(ledger.GrandTotal().gets, gets);
+  EXPECT_EQ(h_.node->clock().now(), after_scan);
   ASSERT_TRUE(txn_mgr_->Commit(reader).ok());
 }
 

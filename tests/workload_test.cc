@@ -15,6 +15,7 @@
 #include "engine/session.h"
 #include "telemetry/report.h"
 #include "telemetry/stall_profiler.h"
+#include "tests/test_util.h"
 #include "workload/admission.h"
 #include "workload/fair_scheduler.h"
 #include "workload/step_fiber.h"
@@ -520,17 +521,13 @@ TEST(WorkloadCostTest, LedgerMatchesMeterWithInterleavedTenants) {
   }
   ASSERT_TRUE(engine.RunUntilIdle().ok());
 
+  // Grand total == the store's own request counters (its meter), kind
+  // by kind, under interleaving; the engine bills per-job active seconds
+  // as compute.
+  testing_util::ExpectLedgerMatchesStoreStats(&env);
   CostLedger& ledger = env.telemetry().ledger();
-  const CostMeter& meter = env.cost_meter();
-  // Grand total == meter: requests...
   CostLedger::Entry total = ledger.GrandTotal();
-  EXPECT_EQ(total.gets, meter.s3_gets());
-  EXPECT_EQ(total.puts, meter.s3_puts());
-  EXPECT_EQ(total.ranged_gets, meter.s3_ranged_gets());
-  // ...and USD (the engine bills per-job active seconds to both sides).
-  EXPECT_NEAR(total.TotalUsd(ledger.prices()),
-              meter.S3RequestUsd() + meter.Ec2Usd(), 1e-9);
-  EXPECT_GT(meter.Ec2Usd(), 0.0);
+  EXPECT_GT(total.ec2_usd, 0.0);
 
   // Per-tenant rollups: every mapped tenant saw work, and tenant totals
   // plus the unattributed remainder ("") reconstruct the grand total.
@@ -559,9 +556,9 @@ TEST(WorkloadCostTest, LedgerMatchesMeterWithInterleavedTenants) {
 }
 
 // With NDP on, concurrent tenants issue SELECTs instead of page GETs for
-// their range scans; the ledger must mirror the meter on the new request
-// class and its two byte dimensions, and the USD invariant must keep
-// holding with the select terms in play.
+// their range scans; the ledger must match the store's own counters (its
+// meter) on the new request class and its two byte dimensions, and the
+// tenant rollups must keep summing to the total with select terms in play.
 TEST(WorkloadCostTest, LedgerMatchesMeterWithNdpSelects) {
   SimEnvironment env;
   Database::Options db_options = SmallDbOptions();
@@ -603,17 +600,12 @@ TEST(WorkloadCostTest, LedgerMatchesMeterWithNdpSelects) {
   }
   ASSERT_TRUE(engine.RunUntilIdle().ok());
 
-  const CostMeter& meter = env.cost_meter();
-  ASSERT_GT(meter.s3_selects(), 0u);  // pushdown actually happened
+  // pushdown actually happened
+  ASSERT_GT(env.object_store().stats().selects, 0u);
+  testing_util::ExpectLedgerMatchesStoreStats(&env);
   CostLedger& ledger = env.telemetry().ledger();
   CostLedger::Entry total = ledger.GrandTotal();
-  EXPECT_EQ(total.selects, meter.s3_selects());
-  EXPECT_EQ(total.select_scanned_bytes, meter.select_scanned_bytes());
-  EXPECT_EQ(total.select_returned_bytes, meter.select_returned_bytes());
-  EXPECT_EQ(total.gets, meter.s3_gets());
-  EXPECT_EQ(total.puts, meter.s3_puts());
-  EXPECT_NEAR(total.TotalUsd(ledger.prices()),
-              meter.S3RequestUsd() + meter.Ec2Usd(), 1e-9);
+  EXPECT_GT(total.ec2_usd, 0.0);
 
   // Tenant rollups still reconstruct the grand total, selects included.
   CostLedger::Entry sum;
