@@ -30,7 +30,7 @@ void BM_NBitPack(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * values.size());
 }
-BENCHMARK(BM_NBitPack)->Arg(4)->Arg(13)->Arg(32);
+BENCHMARK(BM_NBitPack)->Arg(4)->Arg(13)->Arg(20)->Arg(32)->Arg(64);
 
 void BM_NBitUnpack(benchmark::State& state) {
   int width = static_cast<int>(state.range(0));
@@ -45,7 +45,7 @@ void BM_NBitUnpack(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * values.size());
 }
-BENCHMARK(BM_NBitUnpack)->Arg(4)->Arg(13)->Arg(32);
+BENCHMARK(BM_NBitUnpack)->Arg(4)->Arg(13)->Arg(20)->Arg(32)->Arg(64);
 
 void BM_EncodeIntColumnPage(benchmark::State& state) {
   ColumnVector col;
@@ -79,6 +79,45 @@ void BM_DecodeIntColumnPage(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * col.ints.size());
 }
 BENCHMARK(BM_DecodeIntColumnPage);
+
+// A sorted key column: EncodeColumnPage takes the delta + n-bit path.
+void BM_DecodeDeltaColumnPage(benchmark::State& state) {
+  ColumnVector col;
+  col.type = ColumnType::kInt64;
+  Rng rng(4);
+  int64_t key = 1;
+  for (int i = 0; i < 8192; ++i) {
+    key += 1 + static_cast<int64_t>(rng.Uniform(7));
+    col.ints.push_back(key);
+  }
+  ZoneMapEntry zone;
+  std::vector<uint8_t> page = EncodeColumnPage(col, 0, col.ints.size(),
+                                               &zone);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(DecodeColumnPage(page));
+  }
+  state.SetItemsProcessed(state.iterations() * col.ints.size());
+}
+BENCHMARK(BM_DecodeDeltaColumnPage);
+
+// A low-cardinality string column (l_shipmode-like): dictionary + n-bit
+// codes, decoded back to strings.
+void BM_DecodeDictStringPage(benchmark::State& state) {
+  ColumnVector col;
+  col.type = ColumnType::kString;
+  const char* modes[7] = {"AIR", "FOB", "MAIL", "RAIL",
+                          "REG AIR", "SHIP", "TRUCK"};
+  Rng rng(5);
+  for (int i = 0; i < 8192; ++i) col.strings.push_back(modes[rng.Uniform(7)]);
+  ZoneMapEntry zone;
+  std::vector<uint8_t> page = EncodeColumnPage(col, 0, col.strings.size(),
+                                               &zone);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(DecodeColumnPage(page));
+  }
+  state.SetItemsProcessed(state.iterations() * col.strings.size());
+}
+BENCHMARK(BM_DecodeDictStringPage);
 
 void BM_PageCodecRle(benchmark::State& state) {
   std::vector<uint8_t> payload(512 * 1024, 0);

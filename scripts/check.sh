@@ -35,6 +35,9 @@
 #                               # with the observer force-enabled, and a
 #                               # double-run byte-compare proving the
 #                               # tripwire never perturbs the simulation
+#   scripts/check.sh fuzz       # seeded mutation fuzz of the column-page
+#                               # and page-codec decoders under ASan and
+#                               # UBSan (UB is fatal)
 #   scripts/check.sh parallel   # morsel-executor gate: scale-up bench
 #                               # --report byte-identical across double
 #                               # runs and across --workers=1 vs 8,
@@ -425,6 +428,27 @@ parallel_pass() {
   echo "=== parallel: OK ==="
 }
 
+# Decoder fuzz gate: codec_fuzz_test feeds DecodeColumnPage and
+# DecodePage truncated, bit-flipped and header-overwritten pages from a
+# fixed seed. Every call must return a value or Corruption; ASan catches
+# overreads and oversized allocations, UBSan (halting on the first
+# report) catches shifts by a corrupt width.
+fuzz_pass() {
+  echo "=== fuzz: decoder mutation fuzz under ASan + UBSan ==="
+  local pass sanitize dir
+  for pass in address:build-asan undefined:build-ubsan; do
+    sanitize="${pass%%:*}" dir="${pass#*:}"
+    echo "--- fuzz (${sanitize}): build + run codec_fuzz_test"
+    cmake -B "${dir}" -S . -DCLOUDIQ_SANITIZE="${sanitize}" \
+      > "${dir}-configure.log" 2>&1 || {
+        cat "${dir}-configure.log"; return 1; }
+    cmake --build "${dir}" -j "${JOBS}" --target codec_fuzz_test
+    UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+      "./${dir}/tests/codec_fuzz_test"
+  done
+  echo "=== fuzz: OK ==="
+}
+
 what="${1:-all}"
 case "${what}" in
   plain)  run_pass "plain" build "" ;;
@@ -441,6 +465,7 @@ case "${what}" in
   costopt) costopt_pass ;;
   locks) locks_pass ;;
   parallel) parallel_pass ;;
+  fuzz) fuzz_pass ;;
   all)
     lint_pass
     locks_pass
@@ -451,6 +476,7 @@ case "${what}" in
     profile_pass
     costopt_pass
     parallel_pass
+    fuzz_pass
     tidy_pass
     run_pass "ASan"  build-asan address
     run_pass "UBSan" build-ubsan undefined
@@ -458,7 +484,7 @@ case "${what}" in
     stress_smoke
     ;;
   *)
-    echo "usage: $0 [all|plain|asan|ubsan|tsan|report|stress|lint|tidy|determinism|ndp|profile|costopt|locks|parallel]" >&2
+    echo "usage: $0 [all|plain|asan|ubsan|tsan|report|stress|lint|tidy|determinism|ndp|profile|costopt|locks|parallel|fuzz]" >&2
     exit 2
     ;;
 esac

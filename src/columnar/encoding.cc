@@ -1,7 +1,9 @@
 #include "columnar/encoding.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstring>
 #include <map>
 
 #include "common/coding.h"
@@ -26,35 +28,112 @@ int BitWidthFor(uint64_t max_value) {
   return width;
 }
 
+namespace {
+
+static_assert(std::endian::native == std::endian::little,
+              "the n-bit kernels load and store little-endian words");
+
+uint64_t LowBits(int bit_width) {
+  return bit_width >= 64 ? ~uint64_t{0} : (uint64_t{1} << bit_width) - 1;
+}
+
+// Frame-of-reference offsets and deltas are int64 differences taken
+// modulo 2^64, which is what the page stores. Unsigned arithmetic keeps a
+// full-range column, or a corrupt page's base, clear of signed overflow.
+uint64_t WrappingSub(int64_t a, int64_t b) {
+  return static_cast<uint64_t>(a) - static_cast<uint64_t>(b);
+}
+int64_t WrappingAdd(int64_t a, uint64_t d) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) + d);
+}
+
+size_t PackedBytes(size_t count, int bit_width) {
+  return (count * static_cast<size_t>(bit_width) + 7) / 8;
+}
+
+// Appends `count` values, value(i) for i in [0, count), packed at
+// `bit_width` bits each to `out`. Bits accumulate in a 64-bit word that
+// is stored whole each time it fills; the last partial word stores only
+// its live bytes.
+template <typename ValueAt>
+void AppendPacked(std::vector<uint8_t>& out, size_t count, int bit_width,
+                  ValueAt value) {
+  size_t offset = out.size();
+  out.resize(offset + PackedBytes(count, bit_width));
+  uint8_t* dst = out.data() + offset;
+  const uint64_t mask = LowBits(bit_width);
+  uint64_t acc = 0;
+  int filled = 0;  // live bits in acc, always < 64 between values
+  for (size_t i = 0; i < count; ++i) {
+    uint64_t v = static_cast<uint64_t>(value(i)) & mask;
+    acc |= v << filled;
+    filled += bit_width;
+    if (filled >= 64) {
+      std::memcpy(dst, &acc, 8);
+      dst += 8;
+      filled -= 64;
+      // The bits of v that did not fit; filled > 0 implies the shift is
+      // in 1..63.
+      acc = filled > 0 ? v >> (bit_width - filled) : 0;
+    }
+  }
+  if (filled > 0) std::memcpy(dst, &acc, (filled + 7) / 8);
+}
+
+// Unpacks `count` values of `bit_width` bits from `src[0, size)`, calling
+// emit(i, value) in order. Each value costs one unaligned 8-byte load, a
+// shift and a mask; a value 58 or more bits wide can straddle into a
+// ninth byte, which a second load supplies. Bits past `size` read as 0: the
+// values whose 9-byte window would run off the end go through a
+// zero-padded copy. `bit_width` must be in 1..64.
+template <typename Emit>
+void UnpackBits(const uint8_t* src, size_t size, int bit_width,
+                size_t count, Emit emit) {
+  const uint64_t mask = LowBits(bit_width);
+  const size_t width = static_cast<size_t>(bit_width);
+  // Values whose window src[byte, byte + 9) lies inside the buffer.
+  size_t direct = 0;
+  if (size >= 9) {
+    direct = std::min(count, ((size - 9) * 8 + 7) / width + 1);
+  }
+  auto extract = [&](const uint8_t* p, int shift) {
+    uint64_t word = 0;
+    std::memcpy(&word, p, 8);
+    uint64_t v = word >> shift;
+    if (shift + bit_width > 64) v |= uint64_t{p[8]} << (64 - shift);
+    return v & mask;
+  };
+  size_t bit_pos = 0;
+  for (size_t i = 0; i < direct; ++i, bit_pos += width) {
+    emit(i, extract(src + bit_pos / 8, static_cast<int>(bit_pos % 8)));
+  }
+  for (size_t i = direct; i < count; ++i, bit_pos += width) {
+    uint8_t window[9] = {};
+    size_t byte = bit_pos / 8;
+    if (byte < size) {
+      std::memcpy(window, src + byte, std::min<size_t>(9, size - byte));
+    }
+    emit(i, extract(window, static_cast<int>(bit_pos % 8)));
+  }
+}
+
+}  // namespace
+
 std::vector<uint8_t> NBitPack(const std::vector<uint64_t>& values,
                               int bit_width) {
   assert(bit_width >= 1 && bit_width <= 64);
-  std::vector<uint8_t> out((values.size() * bit_width + 7) / 8, 0);
-  size_t bit_pos = 0;
-  for (uint64_t v : values) {
-    for (int b = 0; b < bit_width; ++b, ++bit_pos) {
-      if ((v >> b) & 1) {
-        out[bit_pos / 8] |= static_cast<uint8_t>(1u << (bit_pos % 8));
-      }
-    }
-  }
+  std::vector<uint8_t> out;
+  AppendPacked(out, values.size(), bit_width,
+               [&](size_t i) { return values[i]; });
   return out;
 }
 
 std::vector<uint64_t> NBitUnpack(const std::vector<uint8_t>& bytes,
                                  int bit_width, size_t count) {
   std::vector<uint64_t> out(count, 0);
-  size_t bit_pos = 0;
-  for (size_t i = 0; i < count; ++i) {
-    uint64_t v = 0;
-    for (int b = 0; b < bit_width; ++b, ++bit_pos) {
-      if (bit_pos / 8 < bytes.size() &&
-          (bytes[bit_pos / 8] >> (bit_pos % 8)) & 1) {
-        v |= uint64_t{1} << b;
-      }
-    }
-    out[i] = v;
-  }
+  if (bit_width < 1 || bit_width > 64) return out;
+  UnpackBits(bytes.data(), bytes.size(), bit_width, count,
+             [&](size_t i, uint64_t v) { out[i] = v; });
   return out;
 }
 
@@ -91,35 +170,28 @@ std::vector<uint8_t> EncodeColumnPage(const ColumnVector& values,
         }
         max_step = std::max(
             max_step,
-            static_cast<uint64_t>(values.ints[i] - values.ints[i - 1]));
+            WrappingSub(values.ints[i], values.ints[i - 1]));
       }
       int for_width =
-          BitWidthFor(static_cast<uint64_t>(max_v - min_v));
+          BitWidthFor(WrappingSub(max_v, min_v));
       int delta_width = BitWidthFor(max_step);
       if (sorted && count > 1 && delta_width < for_width) {
-        std::vector<uint64_t> deltas;
-        deltas.reserve(count - 1);
-        for (size_t i = begin + 1; i < end; ++i) {
-          deltas.push_back(
-              static_cast<uint64_t>(values.ints[i] - values.ints[i - 1]));
-        }
         out.push_back(kEncodingDeltaNBit);
         out.push_back(static_cast<uint8_t>(delta_width));
         PutI64(out, values.ints[begin]);  // first value, raw
-        std::vector<uint8_t> packed = NBitPack(deltas, delta_width);
-        PutBytes(out, packed.data(), packed.size());
+        const int64_t* run = values.ints.data() + begin;
+        AppendPacked(out, count - 1, delta_width, [run](size_t i) {
+          return WrappingSub(run[i + 1], run[i]);
+        });
         break;
-      }
-      std::vector<uint64_t> deltas;
-      deltas.reserve(count);
-      for (size_t i = begin; i < end; ++i) {
-        deltas.push_back(static_cast<uint64_t>(values.ints[i] - min_v));
       }
       out.push_back(kEncodingNBit);
       out.push_back(static_cast<uint8_t>(for_width));
       PutI64(out, min_v);
-      std::vector<uint8_t> packed = NBitPack(deltas, for_width);
-      PutBytes(out, packed.data(), packed.size());
+      const int64_t* run = values.ints.data() + begin;
+      AppendPacked(out, count, for_width, [run, min_v](size_t i) {
+        return WrappingSub(run[i], min_v);
+      });
       break;
     }
     case ColumnType::kDouble: {
@@ -161,13 +233,9 @@ std::vector<uint8_t> EncodeColumnPage(const ColumnVector& values,
         out.push_back(static_cast<uint8_t>(width));
         PutU32(out, static_cast<uint32_t>(dict.size()));
         for (const auto& [s, code] : dict) PutString(out, s);
-        std::vector<uint64_t> codes;
-        codes.reserve(count);
-        for (size_t i = begin; i < end; ++i) {
-          codes.push_back(dict[values.strings[i]]);
-        }
-        std::vector<uint8_t> packed = NBitPack(codes, width);
-        PutBytes(out, packed.data(), packed.size());
+        AppendPacked(out, count, width, [&](size_t i) {
+          return uint64_t{dict.find(values.strings[begin + i])->second};
+        });
       } else {
         out.push_back(kEncodingRawString);
         for (size_t i = begin; i < end; ++i) {
@@ -183,72 +251,114 @@ std::vector<uint8_t> EncodeColumnPage(const ColumnVector& values,
 Result<ColumnVector> DecodeColumnPage(const std::vector<uint8_t>& bytes) {
   ByteReader reader(bytes);
   ColumnVector out;
-  out.type = static_cast<ColumnType>(reader.GetU32());
+  uint32_t type = reader.GetU32();
   uint32_t count = reader.GetU32();
-  if (reader.remaining() < 1) return Status::Corruption("column page");
-  uint8_t encoding = reader.GetBytes(1)[0];
+  uint8_t encoding = reader.GetU8();
+  if (reader.overflow()) return Status::Corruption("column page truncated");
+  if (type > static_cast<uint32_t>(ColumnType::kDecimal)) {
+    return Status::Corruption("unknown column type");
+  }
+  // The type decides which vector the caller reads, so an encoding that
+  // fills a different one would hide the page's values.
+  out.type = static_cast<ColumnType>(type);
+  switch (out.type) {
+    case ColumnType::kInt64:
+    case ColumnType::kDate:
+    case ColumnType::kDecimal:
+      if (encoding != kEncodingNBit && encoding != kEncodingDeltaNBit) {
+        return Status::Corruption("integer column page not n-bit encoded");
+      }
+      break;
+    case ColumnType::kDouble:
+      if (encoding != kEncodingRawDouble) {
+        return Status::Corruption("double column page not raw encoded");
+      }
+      break;
+    case ColumnType::kString:
+      if (encoding != kEncodingDictString && encoding != kEncodingRawString) {
+        return Status::Corruption("string column page not string encoded");
+      }
+      break;
+  }
 
+  // Every length below is checked against the bytes left before anything
+  // is sized from it, so a corrupt count cannot drive an allocation.
+  auto packed_run = [&](int width, size_t n) -> const uint8_t* {
+    if (width < 1 || width > 64) return nullptr;
+    return reader.Skip(PackedBytes(n, width));
+  };
   switch (encoding) {
     case kEncodingNBit: {
-      int width = reader.GetBytes(1)[0];
+      int width = reader.GetU8();
       int64_t base = reader.GetI64();
-      std::vector<uint8_t> packed =
-          reader.GetBytes((static_cast<size_t>(count) * width + 7) / 8);
-      std::vector<uint64_t> deltas = NBitUnpack(packed, width, count);
-      out.ints.reserve(count);
-      for (uint64_t d : deltas) {
-        out.ints.push_back(base + static_cast<int64_t>(d));
-      }
+      const uint8_t* packed = packed_run(width, count);
+      if (packed == nullptr) return Status::Corruption("bad n-bit run");
+      out.ints.resize(count);
+      int64_t* dst = out.ints.data();
+      UnpackBits(packed, PackedBytes(count, width), width, count,
+                 [dst, base](size_t i, uint64_t d) {
+                   dst[i] = WrappingAdd(base, d);
+                 });
       break;
     }
     case kEncodingDeltaNBit: {
-      int width = reader.GetBytes(1)[0];
+      int width = reader.GetU8();
       int64_t value = reader.GetI64();
       size_t n_deltas = count > 0 ? count - 1 : 0;
-      std::vector<uint8_t> packed =
-          reader.GetBytes((n_deltas * width + 7) / 8);
-      std::vector<uint64_t> deltas = NBitUnpack(packed, width, n_deltas);
-      out.ints.reserve(count);
-      if (count > 0) out.ints.push_back(value);
-      for (uint64_t d : deltas) {
-        value += static_cast<int64_t>(d);
-        out.ints.push_back(value);
-      }
+      const uint8_t* packed = packed_run(width, n_deltas);
+      if (packed == nullptr) return Status::Corruption("bad delta run");
+      out.ints.resize(count);
+      int64_t* dst = out.ints.data();
+      if (count > 0) dst[0] = value;
+      UnpackBits(packed, PackedBytes(n_deltas, width), width, n_deltas,
+                 [dst, &value](size_t i, uint64_t d) {
+                   value = WrappingAdd(value, d);
+                   dst[i + 1] = value;
+                 });
       break;
     }
     case kEncodingRawDouble: {
-      out.doubles.reserve(count);
-      for (uint32_t i = 0; i < count; ++i) {
-        out.doubles.push_back(reader.GetDouble());
-      }
+      const uint8_t* raw = reader.Skip(8 * size_t{count});
+      if (raw == nullptr) return Status::Corruption("double page truncated");
+      out.doubles.resize(count);
+      if (count > 0) std::memcpy(out.doubles.data(), raw, 8 * size_t{count});
       break;
     }
     case kEncodingDictString: {
-      int width = reader.GetBytes(1)[0];
+      int width = reader.GetU8();
       uint32_t dict_size = reader.GetU32();
+      if (reader.remaining() / 4 < dict_size) {
+        return Status::Corruption("dictionary truncated");
+      }
       std::vector<std::string> dict(dict_size);
       for (uint32_t i = 0; i < dict_size; ++i) dict[i] = reader.GetString();
-      std::vector<uint8_t> packed =
-          reader.GetBytes((static_cast<size_t>(count) * width + 7) / 8);
-      std::vector<uint64_t> codes = NBitUnpack(packed, width, count);
+      const uint8_t* packed = packed_run(width, count);
+      if (packed == nullptr) return Status::Corruption("bad dictionary codes");
+      bool code_in_range = true;
       out.strings.reserve(count);
-      for (uint64_t code : codes) {
-        if (code >= dict.size()) {
-          return Status::Corruption("dictionary code out of range");
-        }
-        out.strings.push_back(dict[code]);
+      UnpackBits(packed, PackedBytes(count, width), width, count,
+                 [&](size_t, uint64_t code) {
+                   if (code < dict.size()) {
+                     out.strings.push_back(dict[code]);
+                   } else {
+                     code_in_range = false;
+                   }
+                 });
+      if (!code_in_range) {
+        return Status::Corruption("dictionary code out of range");
       }
       break;
     }
     case kEncodingRawString: {
+      if (reader.remaining() / 4 < count) {
+        return Status::Corruption("string page truncated");
+      }
       out.strings.reserve(count);
-      for (uint32_t i = 0; i < count; ++i) {
+      for (uint32_t i = 0; i < count && !reader.overflow(); ++i) {
         out.strings.push_back(reader.GetString());
       }
       break;
     }
-    default:
-      return Status::Corruption("unknown column encoding");
   }
   if (reader.overflow()) return Status::Corruption("column page truncated");
   return out;

@@ -20,9 +20,12 @@ namespace cloudiq {
 // Doubles are stored raw. Every page additionally passes through the
 // generic page codec (store/page_codec.h) for page-level compression.
 
-// Packs `values` at `bit_width` bits each (little-endian bit order).
+// Packs the low `bit_width` (1..64) bits of each of `values`, little-
+// endian bit order.
 std::vector<uint8_t> NBitPack(const std::vector<uint64_t>& values,
                               int bit_width);
+// Unpacks `count` values of `bit_width` bits. Bits past the end of
+// `bytes` read as 0, and a width outside 1..64 reads every value as 0.
 std::vector<uint64_t> NBitUnpack(const std::vector<uint8_t>& bytes,
                                  int bit_width, size_t count);
 
@@ -48,7 +51,9 @@ std::vector<uint8_t> EncodeColumnPage(const ColumnVector& values,
                                       size_t begin, size_t end,
                                       ZoneMapEntry* zone);
 
-// Decodes a column page produced by EncodeColumnPage.
+// Decodes a column page produced by EncodeColumnPage. Any other input
+// yields Corruption: the decoder checks the type against the encoding and
+// every count against the bytes present before allocating.
 Result<ColumnVector> DecodeColumnPage(const std::vector<uint8_t>& bytes);
 
 }  // namespace cloudiq

@@ -71,6 +71,11 @@ class ByteReader {
     std::memcpy(&v, &bits, sizeof(v));
     return v;
   }
+  uint8_t GetU8() {
+    uint8_t v = 0;
+    Read(&v, sizeof(v));
+    return v;
+  }
   std::vector<uint8_t> GetBytes(size_t n) {
     if (pos_ + n > size_) {
       overflow_ = true;
@@ -79,6 +84,18 @@ class ByteReader {
     std::vector<uint8_t> out(data_ + pos_, data_ + pos_ + n);
     pos_ += n;
     return out;
+  }
+
+  // Advances past `n` bytes without copying them and returns where they
+  // start, or nullptr (latching overflow) when fewer than `n` remain.
+  const uint8_t* Skip(size_t n) {
+    if (n > size_ - pos_) {
+      overflow_ = true;
+      return nullptr;
+    }
+    const uint8_t* p = data_ + pos_;
+    pos_ += n;
+    return p;
   }
 
   std::string GetString() {

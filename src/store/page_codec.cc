@@ -51,35 +51,59 @@ std::vector<uint8_t> RleCompress(const std::vector<uint8_t>& in) {
   return out;
 }
 
-Result<std::vector<uint8_t>> RleDecompress(const std::vector<uint8_t>& in,
-                                           uint64_t expected_size) {
-  std::vector<uint8_t> out;
-  out.reserve(expected_size);
+namespace {
+
+// Walks the RLE token stream, calling on_run(byte, len) for each run and
+// on_literal(bytes, len) for each literal chunk; stops at the first
+// malformed token.
+template <typename OnRun, typename OnLiteral>
+Status ForEachRleToken(const std::vector<uint8_t>& in, OnRun on_run,
+                       OnLiteral on_literal) {
   size_t i = 0;
   while (i < in.size()) {
     uint8_t marker = in[i++];
+    uint32_t len = 0;
     if (marker == 0x00) {
       if (i + 5 > in.size()) return Status::Corruption("truncated RLE run");
       uint8_t value = in[i++];
-      uint32_t len;
       std::memcpy(&len, in.data() + i, 4);
       i += 4;
-      out.insert(out.end(), len, value);
+      on_run(value, len);
     } else if (marker == 0x01) {
       if (i + 4 > in.size()) return Status::Corruption("truncated literal");
-      uint32_t len;
       std::memcpy(&len, in.data() + i, 4);
       i += 4;
-      if (i + len > in.size()) return Status::Corruption("literal overrun");
-      out.insert(out.end(), in.begin() + i, in.begin() + i + len);
+      if (len > in.size() - i) return Status::Corruption("literal overrun");
+      on_literal(in.data() + i, len);
       i += len;
     } else {
       return Status::Corruption("bad RLE marker");
     }
   }
-  if (out.size() != expected_size) {
+  return Status::Ok();
+}
+
+}  // namespace
+
+Result<std::vector<uint8_t>> RleDecompress(const std::vector<uint8_t>& in,
+                                           uint64_t expected_size) {
+  // Size the output from the tokens before allocating it, so a corrupt
+  // run length or expected size cannot drive a huge allocation.
+  uint64_t total = 0;
+  CLOUDIQ_RETURN_IF_ERROR(ForEachRleToken(
+      in, [&](uint8_t, uint32_t len) { total += len; },
+      [&](const uint8_t*, uint32_t len) { total += len; }));
+  if (total != expected_size) {
     return Status::Corruption("RLE size mismatch");
   }
+  std::vector<uint8_t> out;
+  out.reserve(total);
+  CLOUDIQ_RETURN_IF_ERROR(ForEachRleToken(
+      in,
+      [&](uint8_t value, uint32_t len) { out.insert(out.end(), len, value); },
+      [&](const uint8_t* bytes, uint32_t len) {
+        out.insert(out.end(), bytes, bytes + len);
+      }));
   return out;
 }
 

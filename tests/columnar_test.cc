@@ -1,3 +1,8 @@
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "columnar/date_index.h"
@@ -7,6 +12,8 @@
 #include "columnar/table_reader.h"
 #include "columnar/text_index.h"
 #include "columnar/value.h"
+#include "common/coding.h"
+#include "common/random.h"
 #include "exec/batch.h"
 #include "tests/test_util.h"
 #include "txn/transaction_manager.h"
@@ -120,6 +127,23 @@ TEST(EncodingTest, SingleValueAndEmptyPages) {
   EXPECT_TRUE(none->ints.empty());
 }
 
+TEST(EncodingTest, FullRangeIntsRoundTrip) {
+  // max - min spans all 64 bits: a width-64 frame-of-reference page, and
+  // a width-64 delta page once sorted.
+  ColumnVector col;
+  col.type = ColumnType::kInt64;
+  col.ints = {INT64_MAX, 0, INT64_MIN, -1, 1, INT64_MIN + 1};
+  ZoneMapEntry zone;
+  Result<ColumnVector> back = DecodeColumnPage(
+      EncodeColumnPage(col, 0, col.size(), &zone));
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->ints, col.ints);
+  std::sort(col.ints.begin(), col.ints.end());
+  back = DecodeColumnPage(EncodeColumnPage(col, 0, col.size(), &zone));
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->ints, col.ints);
+}
+
 TEST(EncodingTest, StringDictionaryWhenLowCardinality) {
   ColumnVector col;
   col.type = ColumnType::kString;
@@ -174,6 +198,240 @@ TEST(EncodingTest, SubrangeEncoding) {
   EXPECT_EQ(back->ints.back(), 39);
   EXPECT_EQ(zone.min_int, 20);
   EXPECT_EQ(zone.max_int, 39);
+}
+
+// The original bit-at-a-time kernels, kept as the oracle the
+// word-at-a-time NBitPack / NBitUnpack must match bit for bit.
+std::vector<uint8_t> ReferenceNBitPack(const std::vector<uint64_t>& values,
+                                       int bit_width) {
+  std::vector<uint8_t> out((values.size() * bit_width + 7) / 8, 0);
+  size_t bit_pos = 0;
+  for (uint64_t v : values) {
+    for (int b = 0; b < bit_width; ++b, ++bit_pos) {
+      if ((v >> b) & 1) {
+        out[bit_pos / 8] |= static_cast<uint8_t>(1u << (bit_pos % 8));
+      }
+    }
+  }
+  return out;
+}
+
+std::vector<uint64_t> ReferenceNBitUnpack(const std::vector<uint8_t>& bytes,
+                                          int bit_width, size_t count) {
+  std::vector<uint64_t> out(count, 0);
+  size_t bit_pos = 0;
+  for (size_t i = 0; i < count; ++i) {
+    uint64_t v = 0;
+    for (int b = 0; b < bit_width; ++b, ++bit_pos) {
+      if (bit_pos / 8 < bytes.size() &&
+          (bytes[bit_pos / 8] >> (bit_pos % 8)) & 1) {
+        v |= uint64_t{1} << b;
+      }
+    }
+    out[i] = v;
+  }
+  return out;
+}
+
+// Every width 1..64 at lengths around word boundaries, on unmasked
+// inputs (pack must drop the high bits) and on full, half and one-byte-
+// short buffers (unpack must read missing bits as 0).
+TEST(NBitOracleTest, MatchesBitAtATimeReference) {
+  const size_t kLengths[] = {0, 1, 7, 8, 9, 63, 64, 65, 1000};
+  for (int width = 1; width <= 64; ++width) {
+    for (size_t n : kLengths) {
+      SCOPED_TRACE("width " + std::to_string(width) + " n " +
+                   std::to_string(n));
+      Rng rng(width * 1000 + n);
+      std::vector<uint64_t> values(n);
+      for (uint64_t& v : values) v = rng.Next();
+      std::vector<uint8_t> packed = NBitPack(values, width);
+      ASSERT_EQ(packed, ReferenceNBitPack(values, width));
+      std::vector<std::vector<uint8_t>> buffers = {
+          packed,
+          std::vector<uint8_t>(packed.begin(),
+                               packed.begin() + packed.size() / 2)};
+      if (!packed.empty()) {
+        buffers.emplace_back(packed.begin(), packed.end() - 1);
+      }
+      for (const std::vector<uint8_t>& buf : buffers) {
+        ASSERT_EQ(NBitUnpack(buf, width, n),
+                  ReferenceNBitUnpack(buf, width, n))
+            << "buffer of " << buf.size() << " bytes";
+      }
+    }
+  }
+}
+
+TEST(NBitOracleTest, WidthOutsideRangeReadsZeros) {
+  std::vector<uint8_t> bytes(16, 0xff);
+  for (int width : {-1, 0, 65, 255}) {
+    EXPECT_EQ(NBitUnpack(bytes, width, 3), std::vector<uint64_t>(3, 0));
+  }
+}
+
+// Byte offsets inside a column page: [type u32][count u32][encoding u8]
+// [width u8][...].
+constexpr size_t kCountOffset = 4;
+constexpr size_t kEncodingOffset = 8;
+constexpr size_t kWidthOffset = 9;
+
+// Pins the encoded bytes of each column-page encoding. A change to the
+// page format (which would also change every sim byte count and the
+// bytes at rest) fails here first.
+TEST(EncodingGoldenTest, PageBytesArePinned) {
+  // Digest of the page, after checking it took the expected encoding.
+  auto digest = [](const ColumnVector& col, uint8_t encoding) {
+    ZoneMapEntry zone;
+    std::vector<uint8_t> page = EncodeColumnPage(col, 0, col.size(), &zone);
+    EXPECT_EQ(page[kEncodingOffset], encoding);
+    return Checksum64(page.data(), page.size());
+  };
+  Rng rng(2021);
+  ColumnVector for_col;
+  for_col.type = ColumnType::kDecimal;
+  for (int i = 0; i < 3000; ++i) {
+    for_col.ints.push_back(-500000 + static_cast<int64_t>(rng.Uniform(90001)));
+  }
+  ColumnVector delta_col;
+  delta_col.type = ColumnType::kDate;
+  int64_t day = 8000;
+  for (int i = 0; i < 3000; ++i) {
+    day += static_cast<int64_t>(rng.Uniform(4));
+    delta_col.ints.push_back(day);
+  }
+  ColumnVector double_col;
+  double_col.type = ColumnType::kDouble;
+  for (int i = 0; i < 500; ++i) {
+    double_col.doubles.push_back(rng.NextDouble() * 1e4 - 5e3);
+  }
+  ColumnVector dict_col;
+  dict_col.type = ColumnType::kString;
+  const char* modes[7] = {"AIR", "FOB", "MAIL", "RAIL",
+                          "REG AIR", "SHIP", "TRUCK"};
+  for (int i = 0; i < 3000; ++i) {
+    dict_col.strings.push_back(modes[rng.Uniform(7)]);
+  }
+  ColumnVector raw_col;
+  raw_col.type = ColumnType::kString;
+  for (int i = 0; i < 400; ++i) {
+    raw_col.strings.push_back("comment " + std::to_string(rng.Next()));
+  }
+  EXPECT_EQ(digest(for_col, 1), 0xec99a4e94bf29a02ull);
+  EXPECT_EQ(digest(delta_col, 5), 0x062ef097cc97345bull);
+  EXPECT_EQ(digest(double_col, 2), 0x07da000589a45aa3ull);
+  EXPECT_EQ(digest(dict_col, 3), 0x5907326fcc3dbafaull);
+  EXPECT_EQ(digest(raw_col, 4), 0x3111212ed6ceef26ull);
+}
+
+// --- DecodeColumnPage on corrupt input: Corruption, never an abort ------
+
+std::vector<uint8_t> IntPage(ColumnType type, int n) {
+  ColumnVector col;
+  col.type = type;
+  for (int i = 0; i < n; ++i) col.ints.push_back(100 + (i * 37) % 1000);
+  ZoneMapEntry zone;
+  return EncodeColumnPage(col, 0, col.size(), &zone);
+}
+
+void SetU32(std::vector<uint8_t>& page, size_t offset, uint32_t v) {
+  std::memcpy(page.data() + offset, &v, sizeof(v));
+}
+
+TEST(DecodeCorruptionTest, RawDoubleCountBeyondPayload) {
+  ColumnVector col;
+  col.type = ColumnType::kDouble;
+  ZoneMapEntry zone;
+  std::vector<uint8_t> page = EncodeColumnPage(col, 0, 0, &zone);
+  SetU32(page, kCountOffset, 0xFFFFFFF0u);
+  Result<ColumnVector> r = DecodeColumnPage(page);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsCorruption());
+}
+
+TEST(DecodeCorruptionTest, TypeEncodingMismatch) {
+  std::vector<uint8_t> page = IntPage(ColumnType::kInt64, 10);
+  ASSERT_TRUE(DecodeColumnPage(page).ok());
+  // An int page relabelled as double (or string) would otherwise decode
+  // as an empty column with its ten ints hidden in the wrong vector.
+  for (ColumnType relabel : {ColumnType::kDouble, ColumnType::kString}) {
+    std::vector<uint8_t> bad = page;
+    SetU32(bad, 0, static_cast<uint32_t>(relabel));
+    Result<ColumnVector> r = DecodeColumnPage(bad);
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.status().IsCorruption());
+  }
+  ColumnVector strings;
+  strings.type = ColumnType::kString;
+  strings.strings = {"a", "b", "a"};
+  ZoneMapEntry zone;
+  std::vector<uint8_t> string_page = EncodeColumnPage(strings, 0, 3, &zone);
+  SetU32(string_page, 0, static_cast<uint32_t>(ColumnType::kDate));
+  EXPECT_TRUE(DecodeColumnPage(string_page).status().IsCorruption());
+  SetU32(string_page, 0, 7);  // not a ColumnType at all
+  EXPECT_TRUE(DecodeColumnPage(string_page).status().IsCorruption());
+}
+
+TEST(DecodeCorruptionTest, WidthOutsideRange) {
+  std::vector<uint8_t> page = IntPage(ColumnType::kInt64, 10);
+  for (uint8_t width : {0, 65, 200}) {
+    std::vector<uint8_t> bad = page;
+    bad[kWidthOffset] = width;
+    EXPECT_TRUE(DecodeColumnPage(bad).status().IsCorruption())
+        << "width " << int{width};
+  }
+}
+
+TEST(DecodeCorruptionTest, NBitCountBeyondPayload) {
+  std::vector<uint8_t> page = IntPage(ColumnType::kDate, 10);
+  SetU32(page, kCountOffset, 0xFFFFFFF0u);
+  EXPECT_TRUE(DecodeColumnPage(page).status().IsCorruption());
+}
+
+TEST(DecodeCorruptionTest, DeltaCountBeyondPayload) {
+  ColumnVector col;
+  col.type = ColumnType::kInt64;
+  for (int64_t i = 0; i < 50; ++i) col.ints.push_back(i * 1000);
+  ZoneMapEntry zone;
+  std::vector<uint8_t> page = EncodeColumnPage(col, 0, 50, &zone);
+  ASSERT_EQ(page[kEncodingOffset], 5);  // delta + n-bit
+  SetU32(page, kCountOffset, 0xFFFFFFF0u);
+  EXPECT_TRUE(DecodeColumnPage(page).status().IsCorruption());
+}
+
+TEST(DecodeCorruptionTest, RawStringCountBeyondPayload) {
+  ColumnVector col;
+  col.type = ColumnType::kString;
+  col.strings = {"unique-1", "unique-2"};
+  ZoneMapEntry zone;
+  std::vector<uint8_t> page = EncodeColumnPage(col, 0, 2, &zone);
+  ASSERT_EQ(page[kEncodingOffset], 4);  // raw strings
+  SetU32(page, kCountOffset, 0xFFFFFFF0u);
+  EXPECT_TRUE(DecodeColumnPage(page).status().IsCorruption());
+}
+
+TEST(DecodeCorruptionTest, DictionarySizeBeyondPayload) {
+  ColumnVector col;
+  col.type = ColumnType::kString;
+  for (int i = 0; i < 100; ++i) col.strings.push_back(i % 2 ? "x" : "y");
+  ZoneMapEntry zone;
+  std::vector<uint8_t> page = EncodeColumnPage(col, 0, 100, &zone);
+  ASSERT_EQ(page[kEncodingOffset], 3);  // dictionary
+  std::vector<uint8_t> big_dict = page;
+  SetU32(big_dict, kWidthOffset + 1, 0xFFFFFFF0u);
+  EXPECT_TRUE(DecodeColumnPage(big_dict).status().IsCorruption());
+  std::vector<uint8_t> big_count = page;
+  SetU32(big_count, kCountOffset, 0xFFFFFFF0u);
+  EXPECT_TRUE(DecodeColumnPage(big_count).status().IsCorruption());
+}
+
+TEST(DecodeCorruptionTest, TruncatedPages) {
+  std::vector<uint8_t> page = IntPage(ColumnType::kInt64, 100);
+  for (size_t len = 0; len < page.size(); ++len) {
+    std::vector<uint8_t> cut(page.begin(), page.begin() + len);
+    EXPECT_TRUE(DecodeColumnPage(cut).status().IsCorruption())
+        << "length " << len;
+  }
 }
 
 class TableStoreTest : public ::testing::Test {
