@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for CloudIQ's hot primitives:
 // n-bit packing, column-page encode/decode, RLE page compression, object
-// key generation, bitmap and interval-set operations. These measure real
+// key generation, bitmap and interval-set operations, and the executor's
+// row-key hash table. These measure real
 // CPU time (not simulated time) and guard against regressions in the
 // encode/decode paths that the simulated CPU-cost model abstracts.
 
@@ -11,6 +12,7 @@
 #include "common/interval_set.h"
 #include "common/random.h"
 #include "engine/database.h"
+#include "exec/row_key_table.h"
 #include "keygen/object_key_generator.h"
 #include "store/page_codec.h"
 #include "store/physical_loc.h"
@@ -162,6 +164,126 @@ void BM_BitmapSetRange(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BitmapSetRange);
+
+// --- row-key hash table (exec/row_key_table.h) ------------------------
+// The table alone, as HashJoin and HashAggregate drive it: hash a key
+// column, then map each row to a dense id, comparing candidate keys
+// against the id's representative row. Reported per row (`time_per_row`,
+// in seconds; the console prints it as e.g. "5.8ns").
+
+void SetTimePerRow(benchmark::State& state, size_t rows) {
+  state.SetItemsProcessed(state.iterations() * rows);
+  state.counters["time_per_row"] = benchmark::Counter(
+      static_cast<double>(rows),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
+// `distinct` int keys, each once, in random order.
+std::vector<int64_t> ShuffledKeys(size_t distinct, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<int64_t> keys(distinct);
+  for (size_t i = 0; i < distinct; ++i) {
+    keys[i] = static_cast<int64_t>(i * 2654435761u) - 7;
+  }
+  for (size_t i = distinct; i > 1; --i) {
+    std::swap(keys[i - 1], keys[rng.Uniform(i)]);
+  }
+  return keys;
+}
+
+// Inserts every row of `keys`; returns the representative row per id.
+std::vector<size_t> BuildRowKeys(const std::vector<int64_t>& keys,
+                                 RowKeyTable* table) {
+  std::vector<size_t> first_row;
+  for (size_t r = 0; r < keys.size(); ++r) {
+    bool inserted = false;
+    table->FindOrInsert(
+        HashKey(keys[r]),
+        [&](uint32_t id) { return keys[first_row[id]] == keys[r]; },
+        &inserted);
+    if (inserted) first_row.push_back(r);
+  }
+  return first_row;
+}
+
+void BM_RowKeyBuild(benchmark::State& state) {
+  std::vector<int64_t> keys =
+      ShuffledKeys(static_cast<size_t>(state.range(0)), 11);
+  for (auto _ : state) {
+    RowKeyTable table;
+    std::vector<size_t> first_row = BuildRowKeys(keys, &table);
+    benchmark::DoNotOptimize(first_row.data());
+    benchmark::ClobberMemory();
+  }
+  SetTimePerRow(state, keys.size());
+}
+BENCHMARK(BM_RowKeyBuild)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
+
+void BM_RowKeyProbe(benchmark::State& state) {
+  std::vector<int64_t> keys =
+      ShuffledKeys(static_cast<size_t>(state.range(0)), 11);
+  RowKeyTable table;
+  std::vector<size_t> first_row = BuildRowKeys(keys, &table);
+  std::vector<int64_t> probes = ShuffledKeys(keys.size(), 12);
+  for (auto _ : state) {
+    uint64_t found = 0;
+    for (int64_t key : probes) {
+      found += table.Find(HashKey(key), [&](uint32_t id) {
+        return keys[first_row[id]] == key;
+      });
+    }
+    benchmark::DoNotOptimize(found);
+  }
+  SetTimePerRow(state, probes.size());
+}
+BENCHMARK(BM_RowKeyProbe)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
+
+// Groups 64K rows into 1K groups, keyed by one int column (arg 0) or by
+// two string columns (arg 1): per-column hash pass, then one table pass.
+void BM_RowKeyGroup(benchmark::State& state) {
+  constexpr size_t kRows = 1 << 16;
+  constexpr uint64_t kGroups = 1 << 10;
+  const bool two_strings = state.range(0) == 1;
+  Rng rng(13);
+  std::vector<int64_t> ints(kRows);
+  std::vector<std::string> brand(kRows);
+  std::vector<std::string> type(kRows);
+  for (size_t r = 0; r < kRows; ++r) {
+    uint64_t g = rng.Uniform(kGroups);
+    ints[r] = static_cast<int64_t>(g * 7919);
+    brand[r] = "Brand#" + std::to_string(g % 32);
+    type[r] = "MEDIUM POLISHED TIN " + std::to_string(g / 32);
+  }
+  std::vector<uint64_t> hashes(kRows);
+  std::vector<uint32_t> group(kRows);
+  for (auto _ : state) {
+    for (size_t r = 0; r < kRows; ++r) {
+      hashes[r] = two_strings
+                      ? HashCombine(HashCombine(0, HashKey(brand[r])),
+                                    HashKey(type[r]))
+                      : HashCombine(0, HashKey(ints[r]));
+    }
+    RowKeyTable table;
+    std::vector<size_t> first_row;
+    for (size_t r = 0; r < kRows; ++r) {
+      bool inserted = false;
+      group[r] = table.FindOrInsert(
+          hashes[r],
+          [&](uint32_t id) {
+            size_t f = first_row[id];
+            return two_strings ? brand[f] == brand[r] && type[f] == type[r]
+                               : ints[f] == ints[r];
+          },
+          &inserted);
+      if (inserted) first_row.push_back(r);
+    }
+    benchmark::DoNotOptimize(group.data());
+    benchmark::ClobberMemory();
+  }
+  SetTimePerRow(state, kRows);
+}
+BENCHMARK(BM_RowKeyGroup)->ArgName("two_strings")->Arg(0)->Arg(1);
 
 // --- morsel executor: native-mode full scan -------------------------------
 // Host wall time of ScanTable at 1/2/4/8 executor workers over a wide

@@ -43,8 +43,10 @@
 #                               # runs and across --workers=1 vs 8,
 #                               # stall conservation (incl. per-entry
 #                               # telescoping) on the parallel report,
-#                               # stall_top fixture tests, and the
-#                               # native worker sweep under TSan
+#                               # stall_top fixture tests, the
+#                               # native worker sweep under TSan, and
+#                               # the parallel-executor and hash-table
+#                               # oracle tests under TSan
 #
 # Each pass uses its own build tree (build/, build-asan/, build-ubsan/,
 # build-tsan/) so the sweeps never poison the primary build's cache.
@@ -380,7 +382,10 @@ locks_pass() {
 #      section's lane totals must sum to each entry's declared total);
 #   3. the checker's own fixture tests (stall_top_test.py);
 #   4. TSan — the native-mode worker sweep under ThreadSanitizer, the
-#      one place real threads race over morsel queues and fragments.
+#      one place real threads race over morsel queues and fragments, plus
+#      exec_test's native-vs-sim cases (ParallelExecTest, the join and
+#      aggregate oracles at 1/2/4 workers, the row-key table) on small
+#      inputs.
 parallel_pass() {
   echo "=== parallel: morsel executor determinism + conservation + TSan ==="
   cmake -B build -S . > build-configure.log 2>&1 || {
@@ -425,6 +430,10 @@ parallel_pass() {
   cmake --build build-tsan -j "${JOBS}" --target bench_fig7_scale_up
   CLOUDIQ_BENCH_SF=0.005 ./build-tsan/bench/bench_fig7_scale_up --quick \
     --exec=native > /dev/null
+  echo "--- parallel: TSan exec_test native-vs-sim and oracle cases"
+  cmake --build build-tsan -j "${JOBS}" --target exec_test
+  ./build-tsan/tests/exec_test \
+    --gtest_filter='ParallelExecTest.*:ExecOracleTest.*:RowKeyTableTest.*'
   echo "=== parallel: OK ==="
 }
 

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <unordered_map>
 #include <utility>
 
 #include "columnar/encoding.h"
 #include "costopt/cost_model.h"
+#include "exec/row_key_table.h"
 #include "exec/task_pool.h"
 
 namespace cloudiq {
@@ -806,6 +806,156 @@ Batch FilterBatch(QueryContext* ctx, const Batch& in,
   return out;
 }
 
+namespace {
+
+// Writes src[rows[i]] to (*dst)[at + i], one typed loop per column. The
+// caller resized `dst` and gave each task a disjoint slot range.
+void GatherColumn(const ColumnVector& src, const std::vector<size_t>& rows,
+                  size_t at, ColumnVector* dst) {
+  switch (src.type) {
+    case ColumnType::kDouble:
+      for (size_t i = 0; i < rows.size(); ++i) {
+        dst->doubles[at + i] = src.doubles[rows[i]];
+      }
+      break;
+    case ColumnType::kString:
+      for (size_t i = 0; i < rows.size(); ++i) {
+        dst->strings[at + i] = src.strings[rows[i]];
+      }
+      break;
+    default:
+      for (size_t i = 0; i < rows.size(); ++i) {
+        dst->ints[at + i] = src.ints[rows[i]];
+      }
+  }
+}
+
+// One probe chunk's output rows, in emit order: the left row of each, and
+// for an inner join the matching right row.
+struct JoinMatches {
+  std::vector<size_t> left_rows;
+  std::vector<size_t> right_rows;
+};
+
+// HashJoin's build and probe over one key type (int64 or string). `out`
+// already has the output shape; `right_cols` are the emitted right
+// columns.
+template <typename Key>
+void JoinOnKeys(QueryContext* ctx, const Batch& left,
+                const std::vector<Key>& lkeys, const Batch& right,
+                const std::vector<Key>& rkeys, JoinType type,
+                const std::vector<int>& right_cols, Batch* out) {
+  TaskPool& pool = TaskPool::Global();
+  const ExecMode mode = ctx->options().exec_mode;
+  const int workers = ctx->options().exec_workers;
+  auto& stats = ctx->node()->telemetry().stats();
+
+  // Build side: chunk tasks hash the right keys; the coordinator then
+  // assigns dense ids in ascending row order and lays each key's rows
+  // out as one CSR run, rows[offsets[id] .. offsets[id + 1]), so every
+  // key's rows stay ascending — exactly the serial build's match order.
+  RowKeyTable table;
+  std::vector<size_t> offsets(1, 0);
+  std::vector<size_t> rows;
+  std::vector<RowChunk> build_chunks =
+      MakeRowChunks(right.rows(), ctx->options().morsel_rows);
+  if (!build_chunks.empty()) {
+    stats.counter("exec.parallel_sections").Add(1);
+    stats.counter("exec.morsels").Add(build_chunks.size());
+    std::vector<uint64_t> hashes(right.rows());
+    ScopedParallelSection section(ctx);
+    pool.RunIndexed(mode, workers, build_chunks.size(), [&](size_t i) {
+      for (size_t r = build_chunks[i].begin; r < build_chunks[i].end;
+           ++r) {
+        hashes[r] = HashKey(rkeys[r]);
+      }
+    });
+    std::vector<size_t> first_row;  // per id
+    std::vector<uint32_t> id_of(right.rows());
+    for (size_t r = 0; r < right.rows(); ++r) {
+      bool inserted = false;
+      uint32_t id = table.FindOrInsert(
+          hashes[r],
+          [&](uint32_t k) { return rkeys[first_row[k]] == rkeys[r]; },
+          &inserted);
+      if (inserted) {
+        first_row.push_back(r);
+        offsets.push_back(0);
+      }
+      id_of[r] = id;
+      ++offsets[id + 1];
+    }
+    for (size_t id = 0; id < first_row.size(); ++id) {
+      offsets[id + 1] += offsets[id];
+    }
+    std::vector<size_t> next(offsets.begin(), offsets.end() - 1);
+    rows.resize(right.rows());
+    for (size_t r = 0; r < right.rows(); ++r) rows[next[id_of[r]]++] = r;
+    for (const RowChunk& chunk : build_chunks) {
+      ctx->ChargeMorselValues(chunk.end - chunk.begin);
+    }
+    section.Finish();
+  }
+
+  // Probe side: each left chunk records its matches as row-index pairs
+  // (probe order, each key's matches ascending); every output column is
+  // then gathered once into the chunk's disjoint slot range of `out`.
+  std::vector<RowChunk> probe_chunks =
+      MakeRowChunks(left.rows(), ctx->options().morsel_rows);
+  if (!probe_chunks.empty()) {
+    stats.counter("exec.parallel_sections").Add(1);
+    stats.counter("exec.morsels").Add(probe_chunks.size());
+    std::vector<JoinMatches> matches(probe_chunks.size());
+    ScopedParallelSection section(ctx);
+    pool.RunIndexed(mode, workers, probe_chunks.size(), [&](size_t i) {
+      JoinMatches& m = matches[i];
+      for (size_t r = probe_chunks[i].begin; r < probe_chunks[i].end;
+           ++r) {
+        uint32_t id = table.Find(HashKey(lkeys[r]), [&](uint32_t k) {
+          return rkeys[rows[offsets[k]]] == lkeys[r];
+        });
+        switch (type) {
+          case JoinType::kLeftSemi:
+            if (id != RowKeyTable::kNone) m.left_rows.push_back(r);
+            break;
+          case JoinType::kLeftAnti:
+            if (id == RowKeyTable::kNone) m.left_rows.push_back(r);
+            break;
+          case JoinType::kInner:
+            if (id == RowKeyTable::kNone) break;
+            for (size_t k = offsets[id]; k < offsets[id + 1]; ++k) {
+              m.left_rows.push_back(r);
+              m.right_rows.push_back(rows[k]);
+            }
+            break;
+        }
+      }
+    });
+    std::vector<size_t> at(probe_chunks.size() + 1, 0);
+    for (size_t i = 0; i < probe_chunks.size(); ++i) {
+      at[i + 1] = at[i] + matches[i].left_rows.size();
+    }
+    for (ColumnVector& col : out->columns) ResizeColumn(&col, at.back());
+    pool.RunIndexed(mode, workers, probe_chunks.size(), [&](size_t i) {
+      for (size_t c = 0; c < left.columns.size(); ++c) {
+        GatherColumn(left.columns[c], matches[i].left_rows, at[i],
+                     &out->columns[c]);
+      }
+      for (size_t rc = 0; rc < right_cols.size(); ++rc) {
+        GatherColumn(right.columns[right_cols[rc]], matches[i].right_rows,
+                     at[i], &out->columns[left.columns.size() + rc]);
+      }
+    });
+    for (const RowChunk& chunk : probe_chunks) {
+      ctx->ChargeMorselValues((chunk.end - chunk.begin) *
+                              (1 + out->columns.size()));
+    }
+    section.Finish();
+  }
+}
+
+}  // namespace
+
 Result<Batch> HashJoin(QueryContext* ctx, const Batch& left,
                        const std::string& left_key, const Batch& right,
                        const std::string& right_key, JoinType type) {
@@ -816,59 +966,12 @@ Result<Batch> HashJoin(QueryContext* ctx, const Batch& left,
   int lk = left.Col(left_key);
   int rk = right.Col(right_key);
   if (lk < 0 || rk < 0) return Status::InvalidArgument("bad join key");
-  if (left.columns[lk].type == ColumnType::kDouble ||
-      right.columns[rk].type == ColumnType::kDouble) {
-    return Status::InvalidArgument("join keys must be int or string");
-  }
-  bool string_key = left.columns[lk].type == ColumnType::kString;
-
-  TaskPool& pool = TaskPool::Global();
-  const ExecMode mode = ctx->options().exec_mode;
-  const int workers = ctx->options().exec_workers;
-  auto& stats = ctx->node()->telemetry().stats();
-
-  // Build side: the right batch, chunked into thread-local hash tables
-  // merged in chunk order — chunk c's rows all precede chunk c+1's, and
-  // each local chunk appends its ascending row ids, so every key's row
-  // list comes out exactly as a serial build produces it.
-  std::unordered_map<int64_t, std::vector<size_t>> int_build;
-  std::unordered_map<std::string, std::vector<size_t>> str_build;
-  std::vector<RowChunk> build_chunks =
-      MakeRowChunks(right.rows(), ctx->options().morsel_rows);
-  if (!build_chunks.empty()) {
-    stats.counter("exec.parallel_sections").Add(1);
-    stats.counter("exec.morsels").Add(build_chunks.size());
-    std::vector<std::unordered_map<int64_t, std::vector<size_t>>>
-        int_locals(string_key ? 0 : build_chunks.size());
-    std::vector<std::unordered_map<std::string, std::vector<size_t>>>
-        str_locals(string_key ? build_chunks.size() : 0);
-    ScopedParallelSection section(ctx);
-    pool.RunIndexed(mode, workers, build_chunks.size(), [&](size_t i) {
-      for (size_t r = build_chunks[i].begin; r < build_chunks[i].end;
-           ++r) {
-        if (string_key) {
-          str_locals[i][right.columns[rk].strings[r]].push_back(r);
-        } else {
-          int_locals[i][right.columns[rk].ints[r]].push_back(r);
-        }
-      }
-    });
-    for (size_t i = 0; i < build_chunks.size(); ++i) {
-      if (string_key) {
-        for (auto& [key, rows_list] : str_locals[i]) {
-          std::vector<size_t>& dst = str_build[key];
-          dst.insert(dst.end(), rows_list.begin(), rows_list.end());
-        }
-      } else {
-        for (auto& [key, rows_list] : int_locals[i]) {
-          std::vector<size_t>& dst = int_build[key];
-          dst.insert(dst.end(), rows_list.begin(), rows_list.end());
-        }
-      }
-      ctx->ChargeMorselValues(build_chunks[i].end -
-                              build_chunks[i].begin);
-    }
-    section.Finish();
+  ColumnType lt = left.columns[lk].type;
+  ColumnType rt = right.columns[rk].type;
+  bool string_key = lt == ColumnType::kString && rt == ColumnType::kString;
+  if (!string_key && !(IsIntFamily(lt) && IsIntFamily(rt))) {
+    return Status::InvalidArgument(
+        "join keys must both be int-family or both be string");
   }
 
   // Output shape.
@@ -885,82 +988,12 @@ Result<Batch> HashJoin(QueryContext* ctx, const Batch& left,
     }
   }
 
-  // Probe side: left chunks emit into private fragments (same per-row
-  // semantics as the serial probe), placed into `out` in chunk order.
-  auto append_left_row = [&](size_t r, Batch* frag) {
-    for (size_t c = 0; c < left.columns.size(); ++c) {
-      const ColumnVector& src = left.columns[c];
-      ColumnVector& dst = frag->columns[c];
-      switch (src.type) {
-        case ColumnType::kDouble:
-          dst.doubles.push_back(src.doubles[r]);
-          break;
-        case ColumnType::kString:
-          dst.strings.push_back(src.strings[r]);
-          break;
-        default:
-          dst.ints.push_back(src.ints[r]);
-      }
-    }
-  };
-  std::vector<RowChunk> probe_chunks =
-      MakeRowChunks(left.rows(), ctx->options().morsel_rows);
-  if (!probe_chunks.empty()) {
-    stats.counter("exec.parallel_sections").Add(1);
-    stats.counter("exec.morsels").Add(probe_chunks.size());
-    std::vector<Batch> frags(probe_chunks.size());
-    ScopedParallelSection section(ctx);
-    pool.RunIndexed(mode, workers, probe_chunks.size(), [&](size_t i) {
-      Batch frag = out.EmptyLike();
-      for (size_t r = probe_chunks[i].begin; r < probe_chunks[i].end;
-           ++r) {
-        const std::vector<size_t>* matches = nullptr;
-        if (string_key) {
-          auto it = str_build.find(left.columns[lk].strings[r]);
-          if (it != str_build.end()) matches = &it->second;
-        } else {
-          auto it = int_build.find(left.columns[lk].ints[r]);
-          if (it != int_build.end()) matches = &it->second;
-        }
-        switch (type) {
-          case JoinType::kLeftSemi:
-            if (matches != nullptr) append_left_row(r, &frag);
-            break;
-          case JoinType::kLeftAnti:
-            if (matches == nullptr) append_left_row(r, &frag);
-            break;
-          case JoinType::kInner:
-            if (matches != nullptr) {
-              for (size_t m : *matches) {
-                append_left_row(r, &frag);
-                for (size_t rc = 0; rc < right_cols.size(); ++rc) {
-                  const ColumnVector& src = right.columns[right_cols[rc]];
-                  ColumnVector& dst =
-                      frag.columns[left.columns.size() + rc];
-                  switch (src.type) {
-                    case ColumnType::kDouble:
-                      dst.doubles.push_back(src.doubles[m]);
-                      break;
-                    case ColumnType::kString:
-                      dst.strings.push_back(src.strings[m]);
-                      break;
-                    default:
-                      dst.ints.push_back(src.ints[m]);
-                  }
-                }
-              }
-            }
-            break;
-        }
-      }
-      frags[i] = std::move(frag);
-    });
-    PlaceFragments(mode, workers, &frags, &out);
-    for (const RowChunk& chunk : probe_chunks) {
-      ctx->ChargeMorselValues((chunk.end - chunk.begin) *
-                              (1 + out.columns.size()));
-    }
-    section.Finish();
+  if (string_key) {
+    JoinOnKeys(ctx, left, left.columns[lk].strings, right,
+               right.columns[rk].strings, type, right_cols, &out);
+  } else {
+    JoinOnKeys(ctx, left, left.columns[lk].ints, right,
+               right.columns[rk].ints, type, right_cols, &out);
   }
   op.AddRows(out.rows());
   return out;
@@ -981,68 +1014,93 @@ struct AggState {
   bool has_value = false;
 };
 
-// Composite group key of row `r` ('\x1f'-joined, type-agnostic).
-std::string CompositeKey(const Batch& in, const std::vector<int>& key_cols,
-                         size_t r) {
-  std::string composite;
+// Folds the hash of each key cell vals[chunk.begin + i] into hashes[i].
+template <typename T>
+void CombineKeyHashes(const std::vector<T>& vals, const RowChunk& chunk,
+                      std::vector<uint64_t>* hashes) {
+  for (size_t r = chunk.begin; r < chunk.end; ++r) {
+    uint64_t& h = (*hashes)[r - chunk.begin];
+    h = HashCombine(h, HashKey(vals[r]));
+  }
+}
+
+// Hashes the key cells of rows [chunk.begin, chunk.end) into `hashes`,
+// one typed pass per key column. With no key columns every row hashes
+// alike: one global group.
+void HashRowKeys(const Batch& in, const std::vector<int>& key_cols,
+                 const RowChunk& chunk, std::vector<uint64_t>* hashes) {
+  hashes->assign(chunk.end - chunk.begin, 0);
   for (int c : key_cols) {
     const ColumnVector& col = in.columns[c];
     switch (col.type) {
       case ColumnType::kDouble:
-        composite += std::to_string(col.doubles[r]);
+        CombineKeyHashes(col.doubles, chunk, hashes);
         break;
       case ColumnType::kString:
-        composite += col.strings[r];
+        CombineKeyHashes(col.strings, chunk, hashes);
         break;
       default:
-        composite += std::to_string(col.ints[r]);
+        CombineKeyHashes(col.ints, chunk, hashes);
     }
-    composite += '\x1f';
   }
-  return composite;
 }
 
-// Folds row `r` into one group's per-aggregate states.
-void UpdateAggStates(const Batch& in, const std::vector<AggSpec>& aggs,
-                     const std::vector<int>& agg_cols, size_t r,
-                     std::vector<AggState>* st) {
-  for (size_t a = 0; a < aggs.size(); ++a) {
-    AggState& s = (*st)[a];
-    ++s.count;
-    if (agg_cols[a] < 0) continue;
-    const ColumnVector& col = in.columns[agg_cols[a]];
-    double v = 0;
-    int64_t iv = 0;
-    const std::string* sv = nullptr;
-    switch (col.type) {
-      case ColumnType::kDouble:
-        v = col.doubles[r];
-        iv = static_cast<int64_t>(v);
-        break;
-      case ColumnType::kString:
-        sv = &col.strings[r];
-        break;
-      default:
-        iv = col.ints[r];
-        v = static_cast<double>(iv);
+// Folds one input value into an aggregate state. `sv` is the value of a
+// string column, else null.
+inline void FoldValue(double v, int64_t iv, const std::string* sv,
+                      AggState* s) {
+  ++s->count;
+  if (!s->has_value) {
+    s->min = s->max = v;
+    s->imin = s->imax = iv;
+    if (sv != nullptr) s->smin = s->smax = *sv;
+    s->has_value = true;
+  } else {
+    s->min = std::min(s->min, v);
+    s->max = std::max(s->max, v);
+    s->imin = std::min(s->imin, iv);
+    s->imax = std::max(s->imax, iv);
+    if (sv != nullptr) {
+      if (*sv < s->smin) s->smin = *sv;
+      if (*sv > s->smax) s->smax = *sv;
     }
-    if (!s.has_value) {
-      s.min = s.max = v;
-      s.imin = s.imax = iv;
-      if (sv != nullptr) s.smin = s.smax = *sv;
-      s.has_value = true;
-    } else {
-      s.min = std::min(s.min, v);
-      s.max = std::max(s.max, v);
-      s.imin = std::min(s.imin, iv);
-      s.imax = std::max(s.imax, iv);
-      if (sv != nullptr) {
-        if (*sv < s.smin) s.smin = *sv;
-        if (*sv > s.smax) s.smax = *sv;
+  }
+  s->sum += v;
+  s->isum += iv;
+}
+
+// Folds aggregate `a`'s input column (null: count only) over rows
+// [chunk.begin, chunk.end) into the states of their groups, `group[i]`
+// for row chunk.begin + i. One typed loop per column; each group still
+// sees its rows in row order, so sums associate exactly as in a
+// row-at-a-time pass.
+void FoldAggColumn(const ColumnVector* col, size_t a, const RowChunk& chunk,
+                   const std::vector<uint32_t>& group,
+                   std::vector<std::vector<AggState>>* states) {
+  auto state = [&](size_t r) -> AggState& {
+    return (*states)[group[r - chunk.begin]][a];
+  };
+  if (col == nullptr) {
+    for (size_t r = chunk.begin; r < chunk.end; ++r) ++state(r).count;
+    return;
+  }
+  switch (col->type) {
+    case ColumnType::kDouble:
+      for (size_t r = chunk.begin; r < chunk.end; ++r) {
+        double v = col->doubles[r];
+        FoldValue(v, static_cast<int64_t>(v), nullptr, &state(r));
       }
-    }
-    s.sum += v;
-    s.isum += iv;
+      break;
+    case ColumnType::kString:
+      for (size_t r = chunk.begin; r < chunk.end; ++r) {
+        FoldValue(0, 0, &col->strings[r], &state(r));
+      }
+      break;
+    default:
+      for (size_t r = chunk.begin; r < chunk.end; ++r) {
+        int64_t iv = col->ints[r];
+        FoldValue(static_cast<double>(iv), iv, nullptr, &state(r));
+      }
   }
 }
 
@@ -1104,20 +1162,25 @@ Result<Batch> HashAggregate(QueryContext* ctx, const Batch& in,
     agg_cols.push_back(c);
   }
 
-  // Group rows by a composite string key (simple and type-agnostic).
-  // Chunked: each chunk accumulates into a thread-local table (the
-  // agg_merge idiom), then chunks merge serially in chunk order — the
-  // first chunk containing a group also contains its globally first row,
-  // so the global insertion order and representative rows match a serial
-  // pass exactly.
-  std::unordered_map<std::string, size_t> groups;
+  // Group rows by typed key cells. Chunked: each chunk accumulates into
+  // a thread-local table (the agg_merge idiom), then chunks merge serially
+  // in chunk order — the first chunk containing a group also contains its
+  // globally first row, so the global group order and representative
+  // rows match a serial pass exactly.
+  auto keys_equal = [&](size_t a, size_t b) {
+    for (int c : key_cols) {
+      if (!CellsEqual(in.columns[c], a, b)) return false;
+    }
+    return true;
+  };
+  RowKeyTable groups;
   std::vector<size_t> group_of_first_row;  // representative row per group
   std::vector<std::vector<AggState>> states;
 
   struct LocalGroups {
-    std::unordered_map<std::string, size_t> index;
-    std::vector<std::string> order;  // composite keys, insertion order
-    std::vector<size_t> first_row;   // global row ids
+    RowKeyTable index;
+    std::vector<uint64_t> hash;     // key hash, insertion order
+    std::vector<size_t> first_row;  // global row ids
     std::vector<std::vector<AggState>> states;
   };
   std::vector<RowChunk> chunks =
@@ -1133,28 +1196,43 @@ Result<Batch> HashAggregate(QueryContext* ctx, const Batch& in,
     ScopedParallelSection section(ctx);
     pool.RunIndexed(mode, workers, chunks.size(), [&](size_t i) {
       LocalGroups& lg = locals[i];
-      for (size_t r = chunks[i].begin; r < chunks[i].end; ++r) {
-        std::string composite = CompositeKey(in, key_cols, r);
-        auto [it, inserted] =
-            lg.index.try_emplace(std::move(composite), lg.order.size());
+      const RowChunk& chunk = chunks[i];
+      std::vector<uint64_t> hashes;
+      HashRowKeys(in, key_cols, chunk, &hashes);
+      std::vector<uint32_t> group(chunk.end - chunk.begin);
+      for (size_t r = chunk.begin; r < chunk.end; ++r) {
+        uint64_t h = hashes[r - chunk.begin];
+        bool inserted = false;
+        uint32_t g = lg.index.FindOrInsert(
+            h, [&](uint32_t k) { return keys_equal(lg.first_row[k], r); },
+            &inserted);
         if (inserted) {
-          lg.order.push_back(it->first);
+          lg.hash.push_back(h);
           lg.first_row.push_back(r);
           lg.states.emplace_back(aggs.size());
         }
-        UpdateAggStates(in, aggs, agg_cols, r, &lg.states[it->second]);
+        group[r - chunk.begin] = g;
+      }
+      for (size_t a = 0; a < aggs.size(); ++a) {
+        FoldAggColumn(agg_cols[a] < 0 ? nullptr : &in.columns[agg_cols[a]],
+                      a, chunk, group, &lg.states);
       }
     });
     for (size_t i = 0; i < chunks.size(); ++i) {
       LocalGroups& lg = locals[i];
-      for (size_t g = 0; g < lg.order.size(); ++g) {
-        auto [it, inserted] =
-            groups.try_emplace(lg.order[g], groups.size());
+      for (size_t g = 0; g < lg.first_row.size(); ++g) {
+        bool inserted = false;
+        uint32_t id = groups.FindOrInsert(
+            lg.hash[g],
+            [&](uint32_t k) {
+              return keys_equal(group_of_first_row[k], lg.first_row[g]);
+            },
+            &inserted);
         if (inserted) {
           group_of_first_row.push_back(lg.first_row[g]);
           states.push_back(std::move(lg.states[g]));
         } else {
-          MergeAggStates(lg.states[g], &states[it->second]);
+          MergeAggStates(lg.states[g], &states[id]);
         }
       }
       ctx->ChargeMorselValues((chunks[i].end - chunks[i].begin) *

@@ -287,9 +287,12 @@ Batch FilterBatch(QueryContext* ctx, const Batch& in,
 
 enum class JoinType { kInner, kLeftSemi, kLeftAnti };
 
-// Hash join on int64 keys. Inner joins emit left columns followed by the
-// right batch's non-key columns (right key dropped; name collisions keep
-// the left column). Semi/anti joins emit left columns only.
+// Hash join on one key column per side; both keys must be int-family
+// (INT64 / DATE / DECIMAL) or both string, else InvalidArgument. Inner
+// joins emit left columns followed by the right batch's non-key columns
+// (right key dropped; name collisions keep the left column), in probe
+// order with each left row's matches in ascending right-row order.
+// Semi/anti joins emit left columns only.
 Result<Batch> HashJoin(QueryContext* ctx, const Batch& left,
                        const std::string& left_key, const Batch& right,
                        const std::string& right_key, JoinType type);
@@ -302,7 +305,9 @@ struct AggSpec {
   std::string as;
 };
 
-// Hash aggregate grouped by `keys` (empty = single global group).
+// Hash aggregate grouped by `keys` (empty = single global group). Keys
+// compare by typed value: doubles by value with -0.0 == 0.0 and all NaNs
+// one group. Groups come out in order of their first row.
 Result<Batch> HashAggregate(QueryContext* ctx, const Batch& in,
                             const std::vector<std::string>& keys,
                             const std::vector<AggSpec>& aggs);

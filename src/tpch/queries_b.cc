@@ -2,6 +2,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "exec/row_key_table.h"
 #include "tpch/queries.h"
 #include "tpch/queries_internal.h"
 
@@ -463,17 +464,51 @@ Result<Batch> Q21(QueryContext* ctx) {
     return b.Int("l_receiptdate", r) > b.Int("l_commitdate", r);
   });
 
-  // Per order: number of distinct suppliers, and of distinct late
-  // suppliers.
-  std::unordered_map<int64_t, std::unordered_set<int64_t>> supps_by_order;
+  // Per order: its first supplier, and whether a second, distinct one
+  // appears — over all lines and over late lines. Late lines are a
+  // subset of all lines, so one order-key table indexes both.
+  struct Suppliers {
+    int64_t first = 0;
+    bool any = false;
+    bool multi = false;
+    void Add(int64_t supp) {
+      if (!any) {
+        first = supp;
+        any = true;
+      } else if (supp != first) {
+        multi = true;
+      }
+    }
+  };
+  const std::vector<int64_t>& item_order = items.column("l_orderkey").ints;
+  const std::vector<int64_t>& item_supp = items.column("l_suppkey").ints;
+  RowKeyTable order_ids;
+  std::vector<int64_t> order_keys;  // per id
+  std::vector<Suppliers> all;       // per id
+  auto order_id = [&](int64_t order) {
+    return order_ids.Find(HashKey(order), [&](uint32_t id) {
+      return order_keys[id] == order;
+    });
+  };
   for (size_t r = 0; r < items.rows(); ++r) {
-    supps_by_order[items.Int("l_orderkey", r)].insert(
-        items.Int("l_suppkey", r));
+    int64_t order = item_order[r];
+    bool inserted = false;
+    uint32_t id = order_ids.FindOrInsert(
+        HashKey(order), [&](uint32_t k) { return order_keys[k] == order; },
+        &inserted);
+    if (inserted) {
+      order_keys.push_back(order);
+      all.emplace_back();
+    }
+    all[id].Add(item_supp[r]);
   }
-  std::unordered_map<int64_t, std::unordered_set<int64_t>> late_by_order;
-  for (size_t r = 0; r < late.rows(); ++r) {
-    late_by_order[late.Int("l_orderkey", r)].insert(
-        late.Int("l_suppkey", r));
+  std::vector<Suppliers> late_supps(all.size());
+  {
+    const std::vector<int64_t>& order = late.column("l_orderkey").ints;
+    const std::vector<int64_t>& supp = late.column("l_suppkey").ints;
+    for (size_t r = 0; r < late.rows(); ++r) {
+      late_supps[order_id(order[r])].Add(supp[r]);
+    }
   }
   ctx->ChargeValues(items.rows() + late.rows());
 
@@ -492,10 +527,10 @@ Result<Batch> Q21(QueryContext* ctx) {
     int64_t order = b.Int("l_orderkey", r);
     int64_t supp = b.Int("l_suppkey", r);
     if (f_orders.count(order) == 0) return false;
-    const auto& all = supps_by_order[order];
-    const auto& late_set = late_by_order[order];
-    return all.size() > 1 && late_set.size() == 1 &&
-           *late_set.begin() == supp;
+    uint32_t id = order_id(order);
+    const Suppliers& late_of = late_supps[id];
+    return all[id].multi && late_of.any && !late_of.multi &&
+           late_of.first == supp;
   });
 
   CLOUDIQ_ASSIGN_OR_RETURN(Batch nations,

@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <map>
+#include <variant>
 
 #include "columnar/table_loader.h"
+#include "common/random.h"
 #include "exec/executor.h"
 #include "exec/explain.h"
 #include "exec/morsel.h"
+#include "exec/row_key_table.h"
 #include "exec/task_pool.h"
 #include "tests/test_util.h"
 
@@ -659,6 +666,544 @@ TEST_F(ExecTest, UnattributedWorkStaysOffQueryLedgers) {
   for (const auto& [key, entry] : ledger.entries()) {
     EXPECT_TRUE(key.query_id == query_id || key.query_id == 0)
         << "unexpected query " << key.query_id;
+  }
+}
+
+// --- row-key table -------------------------------------------------------
+
+uint32_t InsertInt(RowKeyTable* table, std::vector<int64_t>* keys,
+                   int64_t key, bool* inserted) {
+  uint32_t id = table->FindOrInsert(
+      HashKey(key), [&](uint32_t k) { return (*keys)[k] == key; }, inserted);
+  if (*inserted) keys->push_back(key);
+  return id;
+}
+
+uint32_t FindInt(const RowKeyTable& table, const std::vector<int64_t>& keys,
+                 int64_t key) {
+  return table.Find(HashKey(key),
+                    [&](uint32_t k) { return keys[k] == key; });
+}
+
+TEST(RowKeyTableTest, EmptyTableFindsNothing) {
+  RowKeyTable table;
+  std::vector<int64_t> keys;
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(FindInt(table, keys, 0), RowKeyTable::kNone);
+  EXPECT_EQ(FindInt(table, keys, -1), RowKeyTable::kNone);
+}
+
+TEST(RowKeyTableTest, SingleEntry) {
+  RowKeyTable table;
+  std::vector<int64_t> keys;
+  bool inserted = false;
+  EXPECT_EQ(InsertInt(&table, &keys, 42, &inserted), 0u);
+  EXPECT_TRUE(inserted);
+  EXPECT_EQ(InsertInt(&table, &keys, 42, &inserted), 0u);
+  EXPECT_FALSE(inserted);
+  EXPECT_EQ(table.size(), 1u);
+  EXPECT_EQ(FindInt(table, keys, 42), 0u);
+  EXPECT_EQ(FindInt(table, keys, 43), RowKeyTable::kNone);
+}
+
+TEST(RowKeyTableTest, GrowsAcrossResizesKeepingDenseIds) {
+  RowKeyTable table;
+  std::vector<int64_t> keys;
+  const int64_t n = 20000;
+  size_t capacity = table.capacity();
+  int resizes = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    bool inserted = false;
+    ASSERT_EQ(InsertInt(&table, &keys, i * 7919 - n, &inserted),
+              static_cast<uint32_t>(i));
+    ASSERT_TRUE(inserted);
+    ASSERT_LE(2 * table.size(), table.capacity());  // load factor <= 1/2
+    if (table.capacity() != capacity) {
+      ++resizes;
+      capacity = table.capacity();
+    }
+  }
+  EXPECT_GE(resizes, 5);
+  for (int64_t i = 0; i < n; ++i) {
+    EXPECT_EQ(FindInt(table, keys, i * 7919 - n), static_cast<uint32_t>(i));
+  }
+  EXPECT_EQ(FindInt(table, keys, n * 7919), RowKeyTable::kNone);
+}
+
+TEST(RowKeyTableTest, KeysDifferingOnlyInHighBitsStayDistinct) {
+  RowKeyTable table;
+  std::vector<int64_t> keys;
+  bool inserted = false;
+  InsertInt(&table, &keys, 5, &inserted);
+  for (int bit = 32; bit < 64; ++bit) {
+    int64_t key = static_cast<int64_t>((uint64_t{1} << bit) | 5);
+    InsertInt(&table, &keys, key, &inserted);
+    EXPECT_TRUE(inserted) << "bit " << bit;
+  }
+  EXPECT_EQ(table.size(), 33u);
+  for (size_t id = 0; id < keys.size(); ++id) {
+    EXPECT_EQ(FindInt(table, keys, keys[id]), id);
+  }
+}
+
+TEST(RowKeyTableTest, EqualityDecidesWhenHashesCollide) {
+  // Every key shares one hash, so only the caller's equality tells them
+  // apart.
+  RowKeyTable table;
+  std::vector<std::string> distinct;
+  for (const char* key : {"a", "b", "c", "a", "b", "d"}) {
+    bool inserted = false;
+    table.FindOrInsert(
+        7, [&](uint32_t k) { return distinct[k] == key; }, &inserted);
+    if (inserted) distinct.push_back(key);
+  }
+  EXPECT_EQ(distinct, (std::vector<std::string>{"a", "b", "c", "d"}));
+  EXPECT_EQ(table.Find(7, [&](uint32_t k) { return distinct[k] == "c"; }),
+            2u);
+  EXPECT_EQ(table.Find(7, [&](uint32_t k) { return distinct[k] == "e"; }),
+            RowKeyTable::kNone);
+}
+
+TEST(RowKeyTableTest, DoubleKeysFoldNegativeZeroAndNaN) {
+  double nan1 = std::nan("1");
+  double nan2 = -std::nan("2");
+  EXPECT_EQ(HashKey(0.0), HashKey(-0.0));
+  EXPECT_EQ(HashKey(nan1), HashKey(nan2));
+  EXPECT_NE(HashKey(1e-7), HashKey(2e-7));
+  ColumnVector col{ColumnType::kDouble, {}, {0.0, -0.0, nan1, nan2, 1e-7},
+                   {}};
+  EXPECT_TRUE(CellsEqual(col, 0, 1));
+  EXPECT_TRUE(CellsEqual(col, 2, 3));
+  EXPECT_FALSE(CellsEqual(col, 0, 2));
+  EXPECT_FALSE(CellsEqual(col, 0, 4));
+}
+
+// --- typed keys through the operators -----------------------------------
+
+TEST_F(ExecTest, JoinRejectsMismatchedKeyTypes) {
+  Batch strings;
+  strings.AddColumn("k", {ColumnType::kString, {}, {}, {"a", "b", "c"}});
+  Batch ints;
+  ints.AddColumn("k", {ColumnType::kInt64, {0, 1, 2, 3, 4, 5, 6, 7}, {}, {}});
+  for (JoinType type :
+       {JoinType::kInner, JoinType::kLeftSemi, JoinType::kLeftAnti}) {
+    Result<Batch> str_int =
+        HashJoin(ctx_.get(), strings, "k", ints, "k", type);
+    EXPECT_TRUE(str_int.status().IsInvalidArgument());
+    Result<Batch> int_str =
+        HashJoin(ctx_.get(), ints, "k", strings, "k", type);
+    EXPECT_TRUE(int_str.status().IsInvalidArgument());
+  }
+  // Int-family keys of different column types still join by value.
+  Batch dates;
+  dates.AddColumn("d", {ColumnType::kDate, {3, 9}, {}, {}});
+  Result<Batch> joined =
+      HashJoin(ctx_.get(), dates, "d", ints, "k", JoinType::kInner);
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+  EXPECT_EQ(joined->column("d").ints, std::vector<int64_t>{3});
+}
+
+TEST_F(ExecTest, AggregateKeepsStringKeysContainingSeparatorsApart) {
+  Batch in;
+  in.AddColumn("a", {ColumnType::kString, {}, {}, {"x\x1fy", "x"}});
+  in.AddColumn("b", {ColumnType::kString, {}, {}, {"z", "y\x1fz"}});
+  Result<Batch> agg =
+      HashAggregate(ctx_.get(), in, {"a", "b"}, {{AggOp::kCount, "", "n"}});
+  ASSERT_TRUE(agg.ok());
+  ASSERT_EQ(agg->rows(), 2u);
+  EXPECT_EQ(agg->column("a").strings,
+            (std::vector<std::string>{"x\x1fy", "x"}));
+  EXPECT_EQ(agg->column("n").ints, (std::vector<int64_t>{1, 1}));
+}
+
+TEST_F(ExecTest, AggregateKeepsDoubleKeysThatPrintAlikeApart) {
+  Batch in;
+  in.AddColumn("d", {ColumnType::kDouble, {}, {1e-7, 2e-7, 1e-7}, {}});
+  Result<Batch> agg =
+      HashAggregate(ctx_.get(), in, {"d"}, {{AggOp::kCount, "", "n"}});
+  ASSERT_TRUE(agg.ok());
+  EXPECT_EQ(agg->column("d").doubles, (std::vector<double>{1e-7, 2e-7}));
+  EXPECT_EQ(agg->column("n").ints, (std::vector<int64_t>{2, 1}));
+}
+
+TEST_F(ExecTest, AggregateFoldsNegativeZeroAndNaNKeys) {
+  Batch in;
+  in.AddColumn("d", {ColumnType::kDouble,
+                     {},
+                     {-0.0, 0.0, std::nan("1"), -std::nan("2"), 0.0},
+                     {}});
+  Result<Batch> agg =
+      HashAggregate(ctx_.get(), in, {"d"}, {{AggOp::kCount, "", "n"}});
+  ASSERT_TRUE(agg.ok());
+  ASSERT_EQ(agg->rows(), 2u);
+  // The group's representative is its first row.
+  EXPECT_TRUE(std::signbit(agg->column("d").doubles[0]));
+  EXPECT_TRUE(std::isnan(agg->column("d").doubles[1]));
+  EXPECT_EQ(agg->column("n").ints, (std::vector<int64_t>{3, 2}));
+}
+
+// --- oracle: join and aggregate against std::map references -------------
+
+// `rows` keys of `type` drawn from `distinct` values. Int keys also differ
+// in high bits; string lengths straddle the hash's 8-byte words; double
+// keys include both zeros and values that print alike.
+ColumnVector RandomKeys(ColumnType type, size_t rows, uint64_t distinct,
+                        Rng* rng) {
+  ColumnVector col;
+  col.type = type;
+  for (size_t r = 0; r < rows; ++r) {
+    uint64_t v = rng->Uniform(distinct);
+    switch (type) {
+      case ColumnType::kInt64:
+        col.ints.push_back(static_cast<int64_t>(v << 36) - 7);
+        break;
+      case ColumnType::kDate:
+        col.ints.push_back(8000 + static_cast<int64_t>(v));
+        break;
+      case ColumnType::kDecimal:
+        col.ints.push_back(static_cast<int64_t>(v) * 100 - 5000);
+        break;
+      case ColumnType::kString:
+        col.strings.push_back(std::string(v % 20, 'p') + std::to_string(v));
+        break;
+      case ColumnType::kDouble:
+        col.doubles.push_back(v == 0 ? (rng->Bernoulli(0.5) ? 0.0 : -0.0)
+                                     : static_cast<double>(v) * 1e-7);
+        break;
+    }
+  }
+  return col;
+}
+
+ColumnVector OfType(ColumnType type) {
+  ColumnVector col;
+  col.type = type;
+  return col;
+}
+
+using RefCell = std::variant<int64_t, double, std::string>;
+
+RefCell Cell(const ColumnVector& col, size_t r) {
+  switch (col.type) {
+    case ColumnType::kDouble:
+      return col.doubles[r];
+    case ColumnType::kString:
+      return col.strings[r];
+    default:
+      return col.ints[r];
+  }
+}
+
+void AppendCell(const ColumnVector& src, size_t r, ColumnVector* dst) {
+  switch (src.type) {
+    case ColumnType::kDouble:
+      dst->doubles.push_back(src.doubles[r]);
+      break;
+    case ColumnType::kString:
+      dst->strings.push_back(src.strings[r]);
+      break;
+    default:
+      dst->ints.push_back(src.ints[r]);
+  }
+}
+
+// Like ExpectBatchesIdentical, but doubles compare bit for bit.
+void ExpectBatchesBitwise(const Batch& expected, const Batch& actual) {
+  ExpectBatchesIdentical(expected, actual);
+  for (size_t c = 0;
+       c < expected.columns.size() && c < actual.columns.size(); ++c) {
+    const std::vector<double>& a = expected.columns[c].doubles;
+    const std::vector<double>& b = actual.columns[c].doubles;
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_TRUE(a.empty() ||
+                std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) ==
+                    0)
+        << expected.names[c];
+  }
+}
+
+// Plain nested-map join: probe order, each key's right rows ascending.
+Batch ReferenceJoin(const Batch& left, int lk, const Batch& right, int rk,
+                    JoinType type) {
+  std::map<RefCell, std::vector<size_t>> build;
+  for (size_t r = 0; r < right.rows(); ++r) {
+    build[Cell(right.columns[rk], r)].push_back(r);
+  }
+  Batch out = left.EmptyLike();
+  std::vector<int> right_cols;
+  if (type == JoinType::kInner) {
+    for (size_t c = 0; c < right.columns.size(); ++c) {
+      if (static_cast<int>(c) == rk || out.Col(right.names[c]) >= 0) {
+        continue;
+      }
+      right_cols.push_back(static_cast<int>(c));
+      out.AddColumn(right.names[c], OfType(right.columns[c].type));
+    }
+  }
+  for (size_t l = 0; l < left.rows(); ++l) {
+    auto it = build.find(Cell(left.columns[lk], l));
+    bool found = it != build.end();
+    if (type != JoinType::kInner) {
+      if (found == (type == JoinType::kLeftSemi)) left.AppendRowTo(&out, l);
+      continue;
+    }
+    if (!found) continue;
+    for (size_t r : it->second) {
+      left.AppendRowTo(&out, l);
+      for (size_t rc = 0; rc < right_cols.size(); ++rc) {
+        AppendCell(right.columns[right_cols[rc]], r,
+                   &out.columns[left.columns.size() + rc]);
+      }
+    }
+  }
+  return out;
+}
+
+// Plain map aggregate with the executor's documented arithmetic: groups in
+// first-row order, keyed by typed value; a group's double sum folds its
+// per-chunk partial sums (chunk = row / morsel_rows) in chunk order.
+Batch ReferenceAggregate(const Batch& in, const std::vector<int>& key_cols,
+                         const std::vector<std::string>& key_names,
+                         uint64_t morsel_rows) {
+  struct Group {
+    size_t first_row = 0;
+    int64_t count = 0;
+    int64_t qty_sum = 0;
+    int64_t qty_min = 0;
+    int64_t qty_max = 0;
+    double price_sum = 0;
+    double price_partial = 0;
+    size_t partial_chunk = 0;
+    bool started = false;  // price_sum holds a folded partial
+    double price_min = 0;
+    double price_max = 0;
+    std::string name_min;
+    std::string name_max;
+  };
+  const ColumnVector& qty = in.column("qty");
+  const ColumnVector& price = in.column("price");
+  const ColumnVector& name = in.column("name");
+  std::map<std::vector<RefCell>, size_t> index;
+  std::vector<Group> groups;
+  auto flush = [](Group* g) {
+    g->price_sum = g->started ? g->price_sum + g->price_partial
+                              : g->price_partial;
+    g->started = true;
+    g->price_partial = 0;
+  };
+  for (size_t r = 0; r < in.rows(); ++r) {
+    std::vector<RefCell> key;
+    for (int c : key_cols) key.push_back(Cell(in.columns[c], r));
+    auto [it, inserted] = index.emplace(key, groups.size());
+    size_t chunk = r / morsel_rows;
+    if (inserted) {
+      Group g;
+      g.first_row = r;
+      g.qty_min = g.qty_max = qty.ints[r];
+      g.price_min = g.price_max = price.doubles[r];
+      g.name_min = g.name_max = name.strings[r];
+      g.partial_chunk = chunk;
+      groups.push_back(g);
+    }
+    Group& g = groups[it->second];
+    if (g.partial_chunk != chunk) {
+      flush(&g);
+      g.partial_chunk = chunk;
+    }
+    ++g.count;
+    g.qty_sum += qty.ints[r];
+    g.qty_min = std::min(g.qty_min, qty.ints[r]);
+    g.qty_max = std::max(g.qty_max, qty.ints[r]);
+    g.price_partial += price.doubles[r];
+    g.price_min = std::min(g.price_min, price.doubles[r]);
+    g.price_max = std::max(g.price_max, price.doubles[r]);
+    g.name_min = std::min(g.name_min, name.strings[r]);
+    g.name_max = std::max(g.name_max, name.strings[r]);
+  }
+  Batch out;
+  for (size_t k = 0; k < key_cols.size(); ++k) {
+    out.AddColumn(key_names[k], OfType(in.columns[key_cols[k]].type));
+  }
+  for (const char* n : {"n", "qty_sum", "qty_min", "qty_max"}) {
+    out.AddColumn(n, OfType(ColumnType::kInt64));
+  }
+  for (const char* n : {"price_sum", "price_avg", "price_min", "price_max"}) {
+    out.AddColumn(n, OfType(ColumnType::kDouble));
+  }
+  for (const char* n : {"name_min", "name_max"}) {
+    out.AddColumn(n, OfType(ColumnType::kString));
+  }
+  for (Group& g : groups) {
+    flush(&g);
+    size_t k = key_cols.size();
+    for (size_t i = 0; i < k; ++i) {
+      AppendCell(in.columns[key_cols[i]], g.first_row, &out.columns[i]);
+    }
+    out.columns[k].ints.push_back(g.count);
+    out.columns[k + 1].ints.push_back(g.qty_sum);
+    out.columns[k + 2].ints.push_back(g.qty_min);
+    out.columns[k + 3].ints.push_back(g.qty_max);
+    out.columns[k + 4].doubles.push_back(g.price_sum);
+    out.columns[k + 5].doubles.push_back(g.price_sum / g.count);
+    out.columns[k + 6].doubles.push_back(g.price_min);
+    out.columns[k + 7].doubles.push_back(g.price_max);
+    out.columns[k + 8].strings.push_back(g.name_min);
+    out.columns[k + 9].strings.push_back(g.name_max);
+  }
+  return out;
+}
+
+const std::vector<AggSpec>& OracleAggs() {
+  static const std::vector<AggSpec> aggs = {
+      {AggOp::kCount, "", "n"},
+      {AggOp::kSum, "qty", "qty_sum"},
+      {AggOp::kMin, "qty", "qty_min"},
+      {AggOp::kMax, "qty", "qty_max"},
+      {AggOp::kSum, "price", "price_sum"},
+      {AggOp::kAvg, "price", "price_avg"},
+      {AggOp::kMin, "price", "price_min"},
+      {AggOp::kMax, "price", "price_max"},
+      {AggOp::kMin, "name", "name_min"},
+      {AggOp::kMax, "name", "name_max"}};
+  return aggs;
+}
+
+// Runs each operator on a sim context and on native contexts at 1, 2 and
+// 4 workers, all at one morsel size: the sim output must equal the
+// reference, and every native output must equal the sim output.
+class ExecOracleTest : public ExecTest {
+ protected:
+  std::unique_ptr<QueryContext> Context(ExecMode mode, int workers,
+                                        uint64_t morsel_rows) {
+    QueryContext::Options opts;
+    opts.exec_mode = mode;
+    opts.exec_workers = workers;
+    opts.morsel_rows = morsel_rows;
+    return std::make_unique<QueryContext>(txn_mgr_.get(), txn_, &h_.system,
+                                          opts);
+  }
+
+  template <typename Op>
+  void ExpectAllModes(uint64_t morsel_rows, const Batch& expected, Op op) {
+    Result<Batch> sim = op(Context(ExecMode::kSim, 1, morsel_rows).get());
+    ASSERT_TRUE(sim.ok()) << sim.status().ToString();
+    ExpectBatchesBitwise(expected, *sim);
+    for (int workers : {1, 2, 4}) {
+      Result<Batch> native =
+          op(Context(ExecMode::kNative, workers, morsel_rows).get());
+      ASSERT_TRUE(native.ok()) << native.status().ToString();
+      ExpectBatchesBitwise(*sim, *native);
+    }
+  }
+};
+
+struct JoinCase {
+  ColumnType left_type;
+  ColumnType right_type;  // an int-family type retags the left values
+  size_t left_rows;
+  size_t right_rows;
+  uint64_t distinct;
+};
+
+TEST_F(ExecOracleTest, HashJoinMatchesMapReference) {
+  const std::vector<JoinCase> cases = {
+      {ColumnType::kInt64, ColumnType::kInt64, 400, 200, 50},  // heavy dups
+      {ColumnType::kDate, ColumnType::kDate, 300, 300, 500},
+      {ColumnType::kDecimal, ColumnType::kDecimal, 300, 250, 5000},
+      {ColumnType::kString, ColumnType::kString, 300, 150, 40},
+      {ColumnType::kDate, ColumnType::kInt64, 200, 100, 60},  // mixed types
+      {ColumnType::kInt64, ColumnType::kInt64, 60, 30, 1},    // one key
+      {ColumnType::kString, ColumnType::kString, 50, 20, 1},
+      {ColumnType::kInt64, ColumnType::kInt64, 0, 100, 10},   // empty probe
+      {ColumnType::kString, ColumnType::kString, 100, 0, 10}, // empty build
+      {ColumnType::kInt64, ColumnType::kInt64, 0, 0, 10},
+  };
+  Rng rng(1515);
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const JoinCase& jc = cases[i];
+    SCOPED_TRACE("case " + std::to_string(i));
+    Batch left;
+    left.AddColumn("lid", OfType(ColumnType::kInt64));
+    left.AddColumn("lkey", RandomKeys(jc.left_type, jc.left_rows,
+                                      jc.distinct, &rng));
+    left.AddColumn("tag", OfType(ColumnType::kString));
+    left.AddColumn("lval", OfType(ColumnType::kDouble));
+    for (size_t r = 0; r < jc.left_rows; ++r) {
+      left.columns[0].ints.push_back(static_cast<int64_t>(r));
+      left.columns[2].strings.push_back("L" + std::to_string(r));
+      left.columns[3].doubles.push_back(rng.NextDouble());
+    }
+    Batch right;
+    right.AddColumn("rkey", RandomKeys(jc.left_type, jc.right_rows,
+                                       jc.distinct, &rng));
+    right.columns[0].type = jc.right_type;
+    right.AddColumn("tag", OfType(ColumnType::kString));
+    right.AddColumn("rid", OfType(ColumnType::kInt64));
+    right.AddColumn("rval", OfType(ColumnType::kDouble));
+    for (size_t r = 0; r < jc.right_rows; ++r) {
+      right.columns[1].strings.push_back("R" + std::to_string(r));
+      right.columns[2].ints.push_back(static_cast<int64_t>(r));
+      right.columns[3].doubles.push_back(rng.NextDouble());
+    }
+    for (JoinType type :
+         {JoinType::kInner, JoinType::kLeftSemi, JoinType::kLeftAnti}) {
+      Batch expected = ReferenceJoin(left, 1, right, 0, type);
+      for (uint64_t morsel_rows : {7u, 64u, 16384u}) {
+        ExpectAllModes(morsel_rows, expected, [&](QueryContext* ctx) {
+          return HashJoin(ctx, left, "lkey", right, "rkey", type);
+        });
+      }
+    }
+  }
+}
+
+struct AggCase {
+  std::vector<ColumnType> key_types;
+  size_t rows;
+  uint64_t distinct;
+};
+
+TEST_F(ExecOracleTest, HashAggregateMatchesMapReference) {
+  const std::vector<AggCase> cases = {
+      {{ColumnType::kInt64}, 2000, 30},  // heavy dups
+      {{ColumnType::kDate}, 1500, 400},
+      {{ColumnType::kDecimal}, 1500, 5000},
+      {{ColumnType::kString}, 1500, 60},
+      {{ColumnType::kString, ColumnType::kInt64}, 1500, 12},
+      {{ColumnType::kDouble}, 1000, 20},
+      {{ColumnType::kString}, 500, 1},  // one key
+      {{}, 700, 1},                     // global group
+      {{ColumnType::kInt64}, 0, 10},    // empty input
+  };
+  Rng rng(2626);
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const AggCase& ac = cases[i];
+    SCOPED_TRACE("case " + std::to_string(i));
+    Batch in;
+    std::vector<std::string> keys;
+    std::vector<int> key_cols;
+    for (size_t k = 0; k < ac.key_types.size(); ++k) {
+      keys.push_back("k" + std::to_string(k));
+      key_cols.push_back(static_cast<int>(k));
+      in.AddColumn(keys.back(),
+                   RandomKeys(ac.key_types[k], ac.rows, ac.distinct, &rng));
+    }
+    in.AddColumn("qty", OfType(ColumnType::kDecimal));
+    in.AddColumn("price", OfType(ColumnType::kDouble));
+    in.AddColumn("name", OfType(ColumnType::kString));
+    size_t base = ac.key_types.size();
+    for (size_t r = 0; r < ac.rows; ++r) {
+      in.columns[base].ints.push_back(rng.UniformRange(-500, 500));
+      in.columns[base + 1].doubles.push_back(rng.NextDouble() * 100 - 50);
+      in.columns[base + 2].strings.push_back(
+          "n" + std::to_string(rng.Uniform(1000)));
+    }
+    for (uint64_t morsel_rows : {7u, 64u, 16384u}) {
+      Batch expected = ReferenceAggregate(in, key_cols, keys, morsel_rows);
+      ExpectAllModes(morsel_rows, expected, [&](QueryContext* ctx) {
+        return HashAggregate(ctx, in, keys, OracleAggs());
+      });
+    }
   }
 }
 
