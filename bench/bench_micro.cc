@@ -382,6 +382,53 @@ void BM_IntervalSetInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_IntervalSetInsert);
 
+// A posting-list shape: about 25% of `rows` row ids as mostly singleton
+// runs, the density of one TEXT token over o_comment.
+IntervalSet SparseRows(uint64_t seed, uint64_t rows) {
+  Rng rng(seed);
+  IntervalSet set;
+  for (uint64_t r = 0; r < rows; ++r) {
+    if (rng.Bernoulli(0.25)) set.Insert(r);
+  }
+  return set;
+}
+
+// The loader's and keygen's pattern: ascending inserts, each at or past
+// the last run.
+void BM_IntervalSetAppend(benchmark::State& state) {
+  for (auto _ : state) {
+    IntervalSet set;
+    for (uint64_t r = 0; r < 30000; ++r) set.Insert(4 * r + (r & 1));
+    benchmark::DoNotOptimize(set.IntervalCount());
+  }
+  state.SetItemsProcessed(state.iterations() * 30000);
+}
+BENCHMARK(BM_IntervalSetAppend);
+
+// LookupAllWords' conjunction: two 25%-density postings over 30k rows.
+void BM_IntervalSetIntersect(benchmark::State& state) {
+  IntervalSet a = SparseRows(5, 30000);
+  IntervalSet b = SparseRows(6, 30000);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(IntervalSet::Intersect(a, b).IntervalCount());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          (a.IntervalCount() + b.IntervalCount()));
+}
+BENCHMARK(BM_IntervalSetIntersect);
+
+// Decoding one such posting from its page bytes.
+void BM_IntervalSetDeserialize(benchmark::State& state) {
+  std::vector<uint8_t> bytes = SparseRows(7, 30000).Serialize();
+  for (auto _ : state) {
+    Result<IntervalSet> set =
+        IntervalSet::Deserialize(bytes.data(), bytes.size());
+    benchmark::DoNotOptimize(set.ok());
+  }
+  state.SetBytesProcessed(state.iterations() * bytes.size());
+}
+BENCHMARK(BM_IntervalSetDeserialize);
+
 }  // namespace
 }  // namespace cloudiq
 

@@ -86,8 +86,14 @@ int Main() {
   Row(110, "Coordinator crashes", "", "(empty)");
 
   // Clock 120: coordinator recovers from checkpoint + log replay.
-  ObjectKeyGenerator recovered =
+  Result<ObjectKeyGenerator> recovered_or =
       ObjectKeyGenerator::Recover(checkpoint, replay_log, opts);
+  if (!recovered_or.ok()) {
+    std::printf("recovery failed: %s\n",
+                recovered_or.status().ToString().c_str());
+    return 1;
+  }
+  ObjectKeyGenerator recovered = std::move(recovered_or).value();
   Row(120, "Coordinator recovers", "active set recovered",
       ActiveSetString(recovered, 1));
 

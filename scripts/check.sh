@@ -35,9 +35,12 @@
 #                               # with the observer force-enabled, and a
 #                               # double-run byte-compare proving the
 #                               # tripwire never perturbs the simulation
-#   scripts/check.sh fuzz       # seeded mutation fuzz of the column-page
-#                               # and page-codec decoders under ASan and
-#                               # UBSan (UB is fatal)
+#   scripts/check.sh fuzz       # seeded mutation fuzz of the persisted-
+#                               # byte decoders (column pages, page-codec
+#                               # frames, interval sets, RF/RB page sets,
+#                               # txn-log records, the keygen checkpoint,
+#                               # HG/DATE/TEXT index pages) under ASan
+#                               # and UBSan (UB is fatal)
 #   scripts/check.sh parallel   # morsel-executor gate: scale-up bench
 #                               # --report byte-identical across double
 #                               # runs and across --workers=1 vs 8,
@@ -437,11 +440,13 @@ parallel_pass() {
   echo "=== parallel: OK ==="
 }
 
-# Decoder fuzz gate: codec_fuzz_test feeds DecodeColumnPage and
-# DecodePage truncated, bit-flipped and header-overwritten pages from a
-# fixed seed. Every call must return a value or Corruption; ASan catches
-# overreads and oversized allocations, UBSan (halting on the first
-# report) catches shifts by a corrupt width.
+# Decoder fuzz gate: codec_fuzz_test feeds DecodeColumnPage, DecodePage,
+# IntervalSet::Deserialize, PageSet::Deserialize,
+# TxnLogRecord::Deserialize, ObjectKeyGenerator::Recover and the HG /
+# DATE / TEXT posting-page walker and lookups truncated, bit-flipped and
+# count-overwritten bytes from a fixed seed. Every call must return a
+# value or Corruption; ASan catches overreads and oversized allocations,
+# UBSan (halting on the first report) catches shifts by a corrupt width.
 fuzz_pass() {
   echo "=== fuzz: decoder mutation fuzz under ASan + UBSan ==="
   local pass sanitize dir

@@ -1,105 +1,24 @@
 #include "columnar/date_index.h"
 
 #include "columnar/value.h"
-#include "common/coding.h"
 
 namespace cloudiq {
-namespace {
-
-// Page format mirrors the HG index: [count u32]{ [month key i64]
-// [len u64][intervalset bytes] }*.
-std::vector<uint8_t> EncodePage(
-    const std::vector<std::pair<int64_t, const IntervalSet*>>& entries) {
-  std::vector<uint8_t> out;
-  PutU32(out, static_cast<uint32_t>(entries.size()));
-  for (const auto& [key, set] : entries) {
-    PutI64(out, key);
-    std::vector<uint8_t> bytes = set->Serialize();
-    PutU64(out, bytes.size());
-    PutBytes(out, bytes.data(), bytes.size());
-  }
-  return out;
-}
-
-Result<std::vector<std::pair<int64_t, IntervalSet>>> DecodePage(
-    const std::vector<uint8_t>& bytes) {
-  ByteReader reader(bytes);
-  uint32_t count = reader.GetU32();
-  std::vector<std::pair<int64_t, IntervalSet>> entries;
-  entries.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    int64_t key = reader.GetI64();
-    uint64_t len = reader.GetU64();
-    entries.emplace_back(key,
-                         IntervalSet::Deserialize(reader.GetBytes(len)));
-  }
-  if (reader.overflow()) return Status::Corruption("DATE index page");
-  return entries;
-}
-
-Result<IntervalSet> LookupKeyRange(
-    StorageObject* object,
-    const std::vector<std::pair<int64_t, int64_t>>& page_ranges,
-    int64_t lo, int64_t hi) {
-  IntervalSet rows;
-  std::vector<uint64_t> pages;
-  for (size_t p = 0; p < page_ranges.size(); ++p) {
-    if (page_ranges[p].second >= lo && page_ranges[p].first <= hi) {
-      pages.push_back(p);
-    }
-  }
-  CLOUDIQ_RETURN_IF_ERROR(object->Prefetch(pages));
-  for (uint64_t p : pages) {
-    CLOUDIQ_ASSIGN_OR_RETURN(BufferManager::PageData data,
-                             object->ReadPage(p));
-    CLOUDIQ_ASSIGN_OR_RETURN(auto entries, DecodePage(*data));
-    for (const auto& [key, set] : entries) {
-      if (key >= lo && key <= hi) {
-        for (const auto& iv : set.Intervals()) {
-          rows.InsertRange(iv.begin, iv.end);
-        }
-      }
-    }
-  }
-  return rows;
-}
-
-}  // namespace
 
 void DateIndex::Builder::Add(int64_t days, uint64_t row_id) {
   int year, month, day;
   CivilFromDays(days, &year, &month, &day);
-  postings_[MonthKey(year, month)].Insert(row_id);
+  postings_.Add(MonthKey(year, month), row_id);
 }
 
 Result<std::vector<std::pair<int64_t, int64_t>>> DateIndex::Build(
     TransactionManager* txn_mgr, Transaction* txn, uint64_t object_id,
-    DbSpace* space, const Builder& builder,
-    uint64_t page_payload_target) {
+    DbSpace* space, Builder* builder, uint64_t page_payload_target) {
   CLOUDIQ_ASSIGN_OR_RETURN(StorageObject * object,
                            txn_mgr->CreateObject(txn, object_id, space));
-  std::vector<std::pair<int64_t, int64_t>> page_ranges;
-  std::vector<std::pair<int64_t, const IntervalSet*>> pending;
-  uint64_t pending_bytes = 0;
-  auto flush_page = [&]() -> Status {
-    if (pending.empty()) return Status::Ok();
-    CLOUDIQ_RETURN_IF_ERROR(object->AppendPage(EncodePage(pending)).status());
-    page_ranges.emplace_back(pending.front().first, pending.back().first);
-    pending.clear();
-    pending_bytes = 0;
-    return Status::Ok();
-  };
-  for (const auto& [key, set] : builder.postings()) {
-    uint64_t entry_bytes = 24 + 16 * set.IntervalCount();
-    if (!pending.empty() &&
-        pending_bytes + entry_bytes > page_payload_target) {
-      CLOUDIQ_RETURN_IF_ERROR(flush_page());
-    }
-    pending.emplace_back(key, &set);
-    pending_bytes += entry_bytes;
-  }
-  CLOUDIQ_RETURN_IF_ERROR(flush_page());
-  return page_ranges;
+  PostingPageWriter<int64_t> writer(object, page_payload_target);
+  CLOUDIQ_RETURN_IF_ERROR(builder->postings_.Drain(
+      [&](int64_t key, IntervalSet&& rows) { return writer.Add(key, rows); }));
+  return writer.Finish();
 }
 
 Result<IntervalSet> DateIndex::LookupMonth(
@@ -107,15 +26,16 @@ Result<IntervalSet> DateIndex::LookupMonth(
     const std::vector<std::pair<int64_t, int64_t>>& page_ranges, int year,
     int month) {
   int64_t key = MonthKey(year, month);
-  return LookupKeyRange(object, page_ranges, key, key);
+  return LookupPostings<int64_t>(object, page_ranges, key, key,
+                                 "DATE index page");
 }
 
 Result<IntervalSet> DateIndex::LookupYearRange(
     StorageObject* object,
     const std::vector<std::pair<int64_t, int64_t>>& page_ranges,
     int year_lo, int year_hi) {
-  return LookupKeyRange(object, page_ranges, MonthKey(year_lo, 1),
-                        MonthKey(year_hi, 12));
+  return LookupPostings<int64_t>(object, page_ranges, MonthKey(year_lo, 1),
+                                 MonthKey(year_hi, 12), "DATE index page");
 }
 
 }  // namespace cloudiq

@@ -2,9 +2,9 @@
 #define CLOUDIQ_COLUMNAR_DATE_INDEX_H_
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
+#include "columnar/posting_page.h"
 #include "common/interval_set.h"
 #include "common/result.h"
 #include "txn/transaction_manager.h"
@@ -18,9 +18,9 @@ namespace cloudiq {
 // year(col)=1995` (Q14's shape) or `year(col) BETWEEN 1995 AND 1996`
 // (Q7/Q8) resolve to row-id interval sets without scanning the column.
 //
-// Storage mirrors the HG index: postings packed into pages of a
-// dedicated storage object, with per-page (year*12+month) key ranges in
-// the table metadata acting as the inner levels.
+// Storage is the HG index's (posting_page.h): postings packed into pages
+// of a dedicated storage object, with per-page (year*12+month) key ranges
+// in the table metadata acting as the inner levels.
 class DateIndex {
  public:
   // Months are keyed as year*12 + (month-1).
@@ -28,24 +28,23 @@ class DateIndex {
     return static_cast<int64_t>(year) * 12 + (month - 1);
   }
 
+  // Accumulates (month key, row id) postings during load.
   class Builder {
    public:
     // Adds a row whose date-typed value is `days` since epoch.
     void Add(int64_t days, uint64_t row_id);
-    const std::map<int64_t, IntervalSet>& postings() const {
-      return postings_;
-    }
     bool empty() const { return postings_.empty(); }
 
    private:
-    std::map<int64_t, IntervalSet> postings_;  // month key -> rows
+    friend class DateIndex;
+    PostingBuilder<int64_t> postings_;
   };
 
-  // Writes the builder's postings into storage object `object_id`.
+  // Drains the builder's postings into storage object `object_id`.
   // Returns per-page [min,max] month-key ranges for the table metadata.
   static Result<std::vector<std::pair<int64_t, int64_t>>> Build(
       TransactionManager* txn_mgr, Transaction* txn, uint64_t object_id,
-      DbSpace* space, const Builder& builder, uint64_t page_payload_target);
+      DbSpace* space, Builder* builder, uint64_t page_payload_target);
 
   // Rows whose value falls in calendar month (year, month).
   static Result<IntervalSet> LookupMonth(

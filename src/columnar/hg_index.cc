@@ -1,73 +1,18 @@
 #include "columnar/hg_index.h"
 
-#include "common/coding.h"
-
 namespace cloudiq {
-namespace {
-
-// Page format: [count u32]{ [value i64][len u64][intervalset bytes] }*
-std::vector<uint8_t> EncodeIndexPage(
-    const std::vector<std::pair<int64_t, const IntervalSet*>>& entries) {
-  std::vector<uint8_t> out;
-  PutU32(out, static_cast<uint32_t>(entries.size()));
-  for (const auto& [value, set] : entries) {
-    PutI64(out, value);
-    std::vector<uint8_t> bytes = set->Serialize();
-    PutU64(out, bytes.size());
-    PutBytes(out, bytes.data(), bytes.size());
-  }
-  return out;
-}
-
-Result<std::vector<std::pair<int64_t, IntervalSet>>> DecodeIndexPage(
-    const std::vector<uint8_t>& bytes) {
-  ByteReader reader(bytes);
-  uint32_t count = reader.GetU32();
-  std::vector<std::pair<int64_t, IntervalSet>> entries;
-  entries.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    int64_t value = reader.GetI64();
-    uint64_t len = reader.GetU64();
-    entries.emplace_back(value,
-                         IntervalSet::Deserialize(reader.GetBytes(len)));
-  }
-  if (reader.overflow()) return Status::Corruption("HG index page");
-  return entries;
-}
-
-}  // namespace
 
 Result<std::vector<std::pair<int64_t, int64_t>>> HgIndex::Build(
     TransactionManager* txn_mgr, Transaction* txn, uint64_t object_id,
-    DbSpace* space, const Builder& builder,
-    uint64_t page_payload_target) {
+    DbSpace* space, Builder* builder, uint64_t page_payload_target) {
   CLOUDIQ_ASSIGN_OR_RETURN(StorageObject * object,
                            txn_mgr->CreateObject(txn, object_id, space));
-  std::vector<std::pair<int64_t, int64_t>> page_ranges;
-
-  std::vector<std::pair<int64_t, const IntervalSet*>> pending;
-  uint64_t pending_bytes = 0;
-  auto flush_page = [&]() -> Status {
-    if (pending.empty()) return Status::Ok();
-    CLOUDIQ_RETURN_IF_ERROR(
-        object->AppendPage(EncodeIndexPage(pending)).status());
-    page_ranges.emplace_back(pending.front().first, pending.back().first);
-    pending.clear();
-    pending_bytes = 0;
-    return Status::Ok();
-  };
-
-  for (const auto& [value, set] : builder.postings()) {
-    uint64_t entry_bytes = 8 + 8 + 8 + 16 * set.IntervalCount();
-    if (!pending.empty() &&
-        pending_bytes + entry_bytes > page_payload_target) {
-      CLOUDIQ_RETURN_IF_ERROR(flush_page());
-    }
-    pending.emplace_back(value, &set);
-    pending_bytes += entry_bytes;
-  }
-  CLOUDIQ_RETURN_IF_ERROR(flush_page());
-  return page_ranges;
+  PostingPageWriter<int64_t> writer(object, page_payload_target);
+  CLOUDIQ_RETURN_IF_ERROR(builder->Drain(
+      [&](int64_t value, IntervalSet&& rows) {
+        return writer.Add(value, rows);
+      }));
+  return writer.Finish();
 }
 
 Result<IntervalSet> HgIndex::Lookup(
@@ -81,29 +26,8 @@ Result<IntervalSet> HgIndex::LookupRange(
     StorageObject* object,
     const std::vector<std::pair<int64_t, int64_t>>& page_ranges,
     int64_t lo, int64_t hi) {
-  IntervalSet rows;
-  // The per-page key ranges are the "inner nodes": only overlapping
-  // pages are read.
-  std::vector<uint64_t> pages;
-  for (size_t p = 0; p < page_ranges.size(); ++p) {
-    if (page_ranges[p].second >= lo && page_ranges[p].first <= hi) {
-      pages.push_back(p);
-    }
-  }
-  CLOUDIQ_RETURN_IF_ERROR(object->Prefetch(pages));
-  for (uint64_t p : pages) {
-    CLOUDIQ_ASSIGN_OR_RETURN(BufferManager::PageData data,
-                             object->ReadPage(p));
-    CLOUDIQ_ASSIGN_OR_RETURN(auto entries, DecodeIndexPage(*data));
-    for (const auto& [value, set] : entries) {
-      if (value >= lo && value <= hi) {
-        for (const auto& iv : set.Intervals()) {
-          rows.InsertRange(iv.begin, iv.end);
-        }
-      }
-    }
-  }
-  return rows;
+  return LookupPostings<int64_t>(object, page_ranges, lo, hi,
+                                 "HG index page");
 }
 
 }  // namespace cloudiq

@@ -2,9 +2,9 @@
 #define CLOUDIQ_COLUMNAR_HG_INDEX_H_
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
+#include "columnar/posting_page.h"
 #include "common/interval_set.h"
 #include "common/result.h"
 #include "txn/transaction_manager.h"
@@ -20,27 +20,15 @@ namespace cloudiq {
 // reads only the page whose range covers the probe key.
 class HgIndex {
  public:
-  // Accumulates value -> row-id postings during load.
-  class Builder {
-   public:
-    void Add(int64_t value, uint64_t row_id) {
-      postings_[value].Insert(row_id);
-    }
-    const std::map<int64_t, IntervalSet>& postings() const {
-      return postings_;
-    }
-    bool empty() const { return postings_.empty(); }
+  // Accumulates (value, row id) postings during load.
+  using Builder = PostingBuilder<int64_t>;
 
-   private:
-    std::map<int64_t, IntervalSet> postings_;
-  };
-
-  // Writes the builder's postings into a new storage object `object_id`
+  // Drains the builder's postings into a new storage object `object_id`
   // owned by `txn`. Returns the per-page [min,max] key ranges for the
   // table metadata.
   static Result<std::vector<std::pair<int64_t, int64_t>>> Build(
       TransactionManager* txn_mgr, Transaction* txn, uint64_t object_id,
-      DbSpace* space, const Builder& builder, uint64_t page_payload_target);
+      DbSpace* space, Builder* builder, uint64_t page_payload_target);
 
   // Probes the index for `value`: reads only the page whose key range
   // covers it. Returns an empty set when the value is absent.

@@ -170,7 +170,7 @@ Result<TableMeta> TableLoader::Finish(SystemStore* system) {
       CLOUDIQ_ASSIGN_OR_RETURN(
           auto ranges,
           HgIndex::Build(txn_mgr_, txn_, index_object, space_,
-                         part.index_builders[s], index_page_target));
+                         &part.index_builders[s], index_page_target));
       pm.index_objects.push_back(index_object);
       pm.index_page_ranges.push_back(std::move(ranges));
     }
@@ -185,7 +185,7 @@ Result<TableMeta> TableLoader::Finish(SystemStore* system) {
       CLOUDIQ_ASSIGN_OR_RETURN(
           auto ranges,
           DateIndex::Build(txn_mgr_, txn_, index_object, space_,
-                           part.date_index_builders[s],
+                           &part.date_index_builders[s],
                            index_page_target));
       pm.date_index_objects.push_back(index_object);
       pm.date_index_ranges.push_back(std::move(ranges));
@@ -201,7 +201,7 @@ Result<TableMeta> TableLoader::Finish(SystemStore* system) {
       CLOUDIQ_ASSIGN_OR_RETURN(
           auto ranges,
           TextIndex::Build(txn_mgr_, txn_, index_object, space_,
-                           part.text_index_builders[s],
+                           &part.text_index_builders[s],
                            index_page_target));
       pm.text_index_objects.push_back(index_object);
       pm.text_index_ranges.push_back(std::move(ranges));

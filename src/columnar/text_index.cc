@@ -1,44 +1,12 @@
 #include "columnar/text_index.h"
 
+#include <algorithm>
 #include <cctype>
+#include <numeric>
 
-#include "common/coding.h"
+#include "columnar/posting_page.h"
 
 namespace cloudiq {
-namespace {
-
-// Page format: [count u32]{ [token str][len u64][intervalset bytes] }*.
-std::vector<uint8_t> EncodePage(
-    const std::vector<std::pair<std::string, const IntervalSet*>>&
-        entries) {
-  std::vector<uint8_t> out;
-  PutU32(out, static_cast<uint32_t>(entries.size()));
-  for (const auto& [token, set] : entries) {
-    PutString(out, token);
-    std::vector<uint8_t> bytes = set->Serialize();
-    PutU64(out, bytes.size());
-    PutBytes(out, bytes.data(), bytes.size());
-  }
-  return out;
-}
-
-Result<std::vector<std::pair<std::string, IntervalSet>>> DecodePage(
-    const std::vector<uint8_t>& bytes) {
-  ByteReader reader(bytes);
-  uint32_t count = reader.GetU32();
-  std::vector<std::pair<std::string, IntervalSet>> entries;
-  entries.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    std::string token = reader.GetString();
-    uint64_t len = reader.GetU64();
-    entries.emplace_back(std::move(token),
-                         IntervalSet::Deserialize(reader.GetBytes(len)));
-  }
-  if (reader.overflow()) return Status::Corruption("TEXT index page");
-  return entries;
-}
-
-}  // namespace
 
 std::vector<std::string> TextIndex::Tokenize(const std::string& text) {
   std::vector<std::string> tokens;
@@ -57,66 +25,42 @@ std::vector<std::string> TextIndex::Tokenize(const std::string& text) {
 }
 
 void TextIndex::Builder::Add(const std::string& text, uint64_t row_id) {
-  for (const std::string& token : Tokenize(text)) {
-    postings_[token].Insert(row_id);
+  for (std::string& token : Tokenize(text)) {
+    auto [it, fresh] = ids_.try_emplace(std::move(token),
+                                        static_cast<uint32_t>(tokens_.size()));
+    if (fresh) {
+      tokens_.push_back(it->first);
+      rows_.emplace_back();
+    }
+    rows_[it->second].Insert(row_id);
   }
 }
 
 Result<std::vector<std::pair<std::string, std::string>>> TextIndex::Build(
     TransactionManager* txn_mgr, Transaction* txn, uint64_t object_id,
-    DbSpace* space, const Builder& builder,
-    uint64_t page_payload_target) {
+    DbSpace* space, Builder* builder, uint64_t page_payload_target) {
   CLOUDIQ_ASSIGN_OR_RETURN(StorageObject * object,
                            txn_mgr->CreateObject(txn, object_id, space));
-  std::vector<std::pair<std::string, std::string>> page_ranges;
-  std::vector<std::pair<std::string, const IntervalSet*>> pending;
-  uint64_t pending_bytes = 0;
-  auto flush_page = [&]() -> Status {
-    if (pending.empty()) return Status::Ok();
-    CLOUDIQ_RETURN_IF_ERROR(object->AppendPage(EncodePage(pending)).status());
-    page_ranges.emplace_back(pending.front().first, pending.back().first);
-    pending.clear();
-    pending_bytes = 0;
-    return Status::Ok();
-  };
-  for (const auto& [token, set] : builder.postings()) {
-    uint64_t entry_bytes = token.size() + 28 + 16 * set.IntervalCount();
-    if (!pending.empty() &&
-        pending_bytes + entry_bytes > page_payload_target) {
-      CLOUDIQ_RETURN_IF_ERROR(flush_page());
-    }
-    pending.emplace_back(token, &set);
-    pending_bytes += entry_bytes;
+  std::vector<uint32_t> order(builder->tokens_.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return builder->tokens_[a] < builder->tokens_[b];
+  });
+  PostingPageWriter<std::string> writer(object, page_payload_target);
+  for (uint32_t id : order) {
+    CLOUDIQ_RETURN_IF_ERROR(
+        writer.Add(builder->tokens_[id], builder->rows_[id]));
   }
-  CLOUDIQ_RETURN_IF_ERROR(flush_page());
-  return page_ranges;
+  *builder = Builder();
+  return writer.Finish();
 }
 
 Result<IntervalSet> TextIndex::LookupWord(
     StorageObject* object,
     const std::vector<std::pair<std::string, std::string>>& page_ranges,
     const std::string& word) {
-  IntervalSet rows;
-  std::vector<uint64_t> pages;
-  for (size_t p = 0; p < page_ranges.size(); ++p) {
-    if (page_ranges[p].second >= word && page_ranges[p].first <= word) {
-      pages.push_back(p);
-    }
-  }
-  CLOUDIQ_RETURN_IF_ERROR(object->Prefetch(pages));
-  for (uint64_t p : pages) {
-    CLOUDIQ_ASSIGN_OR_RETURN(BufferManager::PageData data,
-                             object->ReadPage(p));
-    CLOUDIQ_ASSIGN_OR_RETURN(auto entries, DecodePage(*data));
-    for (const auto& [token, set] : entries) {
-      if (token == word) {
-        for (const auto& iv : set.Intervals()) {
-          rows.InsertRange(iv.begin, iv.end);
-        }
-      }
-    }
-  }
-  return rows;
+  return LookupPostings<std::string>(object, page_ranges, word, word,
+                                     "TEXT index page");
 }
 
 Result<IntervalSet> TextIndex::LookupAllWords(
@@ -128,19 +72,8 @@ Result<IntervalSet> TextIndex::LookupAllWords(
   for (const std::string& word : words) {
     CLOUDIQ_ASSIGN_OR_RETURN(IntervalSet rows,
                              LookupWord(object, page_ranges, word));
-    if (first) {
-      result = std::move(rows);
-      first = false;
-    } else {
-      // Intersect: keep only values present in both.
-      IntervalSet intersection;
-      for (const auto& iv : result.Intervals()) {
-        for (uint64_t v = iv.begin; v < iv.end; ++v) {
-          if (rows.Contains(v)) intersection.Insert(v);
-        }
-      }
-      result = std::move(intersection);
-    }
+    result = first ? std::move(rows) : IntervalSet::Intersect(result, rows);
+    first = false;
     if (result.empty()) break;
   }
   return result;

@@ -1,8 +1,8 @@
 #ifndef CLOUDIQ_COLUMNAR_TEXT_INDEX_H_
 #define CLOUDIQ_COLUMNAR_TEXT_INDEX_H_
 
-#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/interval_set.h"
@@ -18,29 +18,34 @@ namespace cloudiq {
 // of the "special" and "requests" posting lists followed by an exact
 // check of the candidates — instead of scanning every comment.
 //
-// Storage mirrors the other index types: postings packed into pages of a
-// dedicated storage object; per-page [first token, last token] ranges in
-// the table metadata prune the pages a probe reads.
+// Storage is the other index types' (posting_page.h): postings packed
+// into pages of a dedicated storage object; per-page [first token, last
+// token] ranges in the table metadata prune the pages a probe reads.
 class TextIndex {
  public:
   // Splits on non-alphanumeric characters, lower-cases ASCII.
   static std::vector<std::string> Tokenize(const std::string& text);
 
+  // Accumulates token postings during load. Tokens get dense ids in
+  // first-seen order and each id's rows grow by append (rows arrive
+  // ascending); Build orders the tokens once.
   class Builder {
    public:
     void Add(const std::string& text, uint64_t row_id);
-    const std::map<std::string, IntervalSet>& postings() const {
-      return postings_;
-    }
-    bool empty() const { return postings_.empty(); }
+    bool empty() const { return tokens_.empty(); }
 
    private:
-    std::map<std::string, IntervalSet> postings_;
+    friend class TextIndex;
+    std::unordered_map<std::string, uint32_t> ids_;  // token -> id
+    std::vector<std::string> tokens_;                 // id -> token
+    std::vector<IntervalSet> rows_;                   // id -> rows
   };
 
+  // Drains the builder's postings, in token order, into storage object
+  // `object_id`. Returns per-page [first, last] token ranges.
   static Result<std::vector<std::pair<std::string, std::string>>> Build(
       TransactionManager* txn_mgr, Transaction* txn, uint64_t object_id,
-      DbSpace* space, const Builder& builder, uint64_t page_payload_target);
+      DbSpace* space, Builder* builder, uint64_t page_payload_target);
 
   // Rows containing `word` (exact token match).
   static Result<IntervalSet> LookupWord(

@@ -77,7 +77,7 @@ class ByteReader {
     return v;
   }
   std::vector<uint8_t> GetBytes(size_t n) {
-    if (pos_ + n > size_) {
+    if (n > size_ - pos_) {
       overflow_ = true;
       return {};
     }

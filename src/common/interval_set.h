@@ -3,8 +3,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <vector>
+
+#include "common/result.h"
 
 namespace cloudiq {
 
@@ -15,6 +16,12 @@ namespace cloudiq {
 // bitmap entries for cloud keys, post-restore garbage-collection sets) can
 // be represented as a handful of intervals instead of millions of singleton
 // bits. This container is that representation.
+//
+// The runs live in one flat vector, sorted, non-overlapping and
+// non-adjacent (canonical). Inserting at or past the last run — the
+// loader's, the key generator's and PageSet's pattern — appends or extends
+// in O(1); anything else binary-searches and splices in place. DESIGN.md
+// §5l lists the cost of every operation.
 class IntervalSet {
  public:
   struct Interval {
@@ -27,13 +34,13 @@ class IntervalSet {
 
   IntervalSet() = default;
 
-  bool empty() const { return intervals_.empty(); }
+  bool empty() const { return runs_.empty(); }
 
   // Total number of contained values.
   uint64_t Count() const;
 
   // Number of maximal intervals (bookkeeping footprint).
-  size_t IntervalCount() const { return intervals_.size(); }
+  size_t IntervalCount() const { return runs_.size(); }
 
   void Insert(uint64_t value) { InsertRange(value, value + 1); }
   void InsertRange(uint64_t begin, uint64_t end);
@@ -48,25 +55,35 @@ class IntervalSet {
   uint64_t Max() const;
 
   // All maximal intervals in ascending order.
-  std::vector<Interval> Intervals() const;
+  const std::vector<Interval>& Intervals() const { return runs_; }
 
   // All contained values in ascending order (use only for small sets,
   // e.g. in tests and garbage-collection polls).
   std::vector<uint64_t> Values() const;
 
-  void Clear() { intervals_.clear(); }
+  void Clear() { runs_.clear(); }
 
-  // Flat serialization: [count][begin,end]... little-endian.
+  // Values in both `a` and `b`: one linear merge of the two run lists.
+  static IntervalSet Intersect(const IntervalSet& a, const IntervalSet& b);
+
+  // Values in any of `sets`: one sort of all their runs and one coalescing
+  // pass, so interleaved postings cost O(R log R), not a splice per run.
+  static IntervalSet Union(std::vector<IntervalSet> sets);
+
+  // Flat serialization: [count][begin,end]... little-endian u64s.
   std::vector<uint8_t> Serialize() const;
-  static IntervalSet Deserialize(const std::vector<uint8_t>& bytes);
+
+  // Reads a serialized set in place. Corruption unless `size` is exactly
+  // 8 + 16 * count and the runs are canonical (each non-empty, each
+  // starting past the previous run's end).
+  static Result<IntervalSet> Deserialize(const uint8_t* data, size_t size);
 
   bool operator==(const IntervalSet& other) const {
-    return intervals_ == other.intervals_;
+    return runs_ == other.runs_;
   }
 
  private:
-  // begin -> end, non-overlapping, non-adjacent.
-  std::map<uint64_t, uint64_t> intervals_;
+  std::vector<Interval> runs_;
 };
 
 }  // namespace cloudiq

@@ -211,7 +211,8 @@ Status Database::RecoverKeygen(bool collect_active_sets) {
       log.push_back(std::move(k));
     }
   }
-  keygen_ = ObjectKeyGenerator::Recover(checkpoint, log);
+  CLOUDIQ_ASSIGN_OR_RETURN(keygen_,
+                           ObjectKeyGenerator::Recover(checkpoint, log));
   key_cache_->DiscardCachedRange();
 
   if (collect_active_sets) {

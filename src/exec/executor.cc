@@ -93,19 +93,19 @@ bool PartitionMayMatch(const TableSchema& schema, size_t partition,
   return range->hi >= part_lo && range->lo <= part_hi;
 }
 
-// Pages of (partition, column) that contain any row in `rows`.
+// Pages of (partition, column) that contain any row in `rows`: one merge
+// walk over the page boundaries and the runs.
 std::vector<uint64_t> PagesForRows(const SegmentMeta& seg,
                                    const IntervalSet& rows) {
   std::vector<uint64_t> pages;
+  const std::vector<IntervalSet::Interval>& runs = rows.Intervals();
+  size_t run = 0;  // first run ending past `first`
   uint64_t first = 0;
   for (size_t page = 0; page < seg.page_rows.size(); ++page) {
     uint64_t last = first + seg.page_rows[page];  // exclusive
-    for (const auto& iv : rows.Intervals()) {
-      if (iv.begin < last && iv.end > first) {
-        pages.push_back(page);
-        break;
-      }
-    }
+    while (run < runs.size() && runs[run].end <= first) ++run;
+    if (run == runs.size()) break;
+    if (runs[run].begin < last) pages.push_back(page);
     first = last;
   }
   return pages;
@@ -114,8 +114,8 @@ std::vector<uint64_t> PagesForRows(const SegmentMeta& seg,
 // Appends the values of `col_ids` for the ascending row ids in `rows` of
 // one partition to `out`. Column segments page independently (each column
 // fills its pages to capacity), so each column walks its own page
-// boundaries; appending in ascending row order keeps the output columns
-// row-aligned.
+// boundaries, merging them with the runs; appending in ascending row
+// order keeps the output columns row-aligned.
 Status ReadRowSet(QueryContext* ctx, TableReader* reader, size_t partition,
                   const std::vector<int>& col_ids, const IntervalSet& rows,
                   Batch* out) {
@@ -129,35 +129,46 @@ Status ReadRowSet(QueryContext* ctx, TableReader* reader, size_t partition,
     CLOUDIQ_RETURN_IF_ERROR(
         reader->Prefetch(partition, col_ids[i], pages[i]));
   }
+  const std::vector<IntervalSet::Interval>& runs = rows.Intervals();
   uint64_t values = 0;
   for (size_t i = 0; i < col_ids.size(); ++i) {
     const SegmentMeta& seg =
         reader->meta().partitions[partition].columns[col_ids[i]];
     ColumnVector& dst = out->columns[i];
+    size_t run = 0;         // first run ending past `page_first`
+    size_t next_page = 0;   // the page that starts at `page_first`
+    uint64_t page_first = 0;
     for (uint64_t page : pages[i]) {
       CLOUDIQ_ASSIGN_OR_RETURN(
           ColumnVector decoded, reader->ReadPage(partition, col_ids[i],
                                                  page));
-      uint64_t page_first = reader->PageFirstRow(partition, col_ids[i],
-                                                 page);
+      for (; next_page < page; ++next_page) {
+        page_first += seg.page_rows[next_page];
+      }
       uint64_t page_end = page_first + seg.page_rows[page];
-      for (const auto& iv : rows.Intervals()) {
-        uint64_t begin = std::max(iv.begin, page_first);
-        uint64_t end = std::min(iv.end, page_end);
-        for (uint64_t r = begin; r < end; ++r) {
-          size_t off = static_cast<size_t>(r - page_first);
-          switch (decoded.type) {
-            case ColumnType::kDouble:
-              dst.doubles.push_back(decoded.doubles[off]);
-              break;
-            case ColumnType::kString:
-              dst.strings.push_back(decoded.strings[off]);
-              break;
-            default:
-              dst.ints.push_back(decoded.ints[off]);
-          }
-          ++values;
+      while (run < runs.size() && runs[run].end <= page_first) ++run;
+      for (size_t r = run; r < runs.size() && runs[r].begin < page_end;
+           ++r) {
+        size_t begin = static_cast<size_t>(
+            std::max(runs[r].begin, page_first) - page_first);
+        size_t end = static_cast<size_t>(
+            std::min(runs[r].end, page_end) - page_first);
+        switch (decoded.type) {
+          case ColumnType::kDouble:
+            dst.doubles.insert(dst.doubles.end(),
+                               decoded.doubles.begin() + begin,
+                               decoded.doubles.begin() + end);
+            break;
+          case ColumnType::kString:
+            dst.strings.insert(dst.strings.end(),
+                               decoded.strings.begin() + begin,
+                               decoded.strings.begin() + end);
+            break;
+          default:
+            dst.ints.insert(dst.ints.end(), decoded.ints.begin() + begin,
+                            decoded.ints.begin() + end);
         }
+        values += end - begin;
       }
     }
   }

@@ -26,24 +26,29 @@ bool ParseExecMode(const std::string& text, ExecMode* mode) {
 
 namespace {
 
-// Candidate rows of `rows` that fall inside [first, last).
-uint64_t CandidateRowsIn(const IntervalSet& rows, uint64_t first,
+using Runs = std::vector<IntervalSet::Interval>;
+
+// Candidate rows of `runs` that fall inside [first, last). `*run` is the
+// merge cursor: windows arrive ascending, so runs that end at or before
+// `first` are never looked at again.
+uint64_t CandidateRowsIn(const Runs& runs, size_t* run, uint64_t first,
                          uint64_t last) {
+  while (*run < runs.size() && runs[*run].end <= first) ++*run;
   uint64_t count = 0;
-  for (const IntervalSet::Interval& iv : rows.Intervals()) {
-    uint64_t begin = std::max(iv.begin, first);
-    uint64_t end = std::min(iv.end, last);
-    if (end > begin) count += end - begin;
+  for (size_t r = *run; r < runs.size() && runs[r].begin < last; ++r) {
+    count += std::min(runs[r].end, last) - std::max(runs[r].begin, first);
   }
   return count;
 }
 
-// Clips `rows` to the morsel's [row_begin, row_end) window.
-void FillMorselRows(const IntervalSet& rows, Morsel* morsel) {
-  for (const IntervalSet::Interval& iv : rows.Intervals()) {
-    uint64_t begin = std::max(iv.begin, morsel->row_begin);
-    uint64_t end = std::min(iv.end, morsel->row_end);
-    if (end > begin) morsel->rows.InsertRange(begin, end);
+// Clips `runs` to the morsel's [row_begin, row_end) window, with the same
+// kind of cursor as CandidateRowsIn.
+void FillMorselRows(const Runs& runs, size_t* run, Morsel* morsel) {
+  while (*run < runs.size() && runs[*run].end <= morsel->row_begin) ++*run;
+  for (size_t r = *run; r < runs.size() && runs[r].begin < morsel->row_end;
+       ++r) {
+    morsel->rows.InsertRange(std::max(runs[r].begin, morsel->row_begin),
+                             std::min(runs[r].end, morsel->row_end));
   }
 }
 
@@ -54,12 +59,15 @@ void AppendMorsels(const SegmentMeta& align_seg, size_t partition,
                    std::vector<Morsel>* out) {
   if (rows.empty()) return;
   if (target_rows == 0) target_rows = 1;
+  const Runs& runs = rows.Intervals();
+  size_t count_run = 0;
+  size_t fill_run = 0;
   Morsel cur;
   bool open = false;
   uint64_t first = 0;
   for (size_t page = 0; page < align_seg.page_rows.size(); ++page) {
     uint64_t last = first + align_seg.page_rows[page];  // exclusive
-    uint64_t candidates = CandidateRowsIn(rows, first, last);
+    uint64_t candidates = CandidateRowsIn(runs, &count_run, first, last);
     if (candidates > 0) {
       if (!open) {
         cur = Morsel{};
@@ -70,7 +78,7 @@ void AppendMorsels(const SegmentMeta& align_seg, size_t partition,
       cur.row_end = last;
       cur.row_count += candidates;
       if (cur.row_count >= target_rows) {
-        FillMorselRows(rows, &cur);
+        FillMorselRows(runs, &fill_run, &cur);
         out->push_back(std::move(cur));
         open = false;
       }
@@ -79,7 +87,7 @@ void AppendMorsels(const SegmentMeta& align_seg, size_t partition,
   }
   if (open) {
     // Remainder morsel: the candidate tail that never reached target.
-    FillMorselRows(rows, &cur);
+    FillMorselRows(runs, &fill_run, &cur);
     out->push_back(std::move(cur));
   }
 }

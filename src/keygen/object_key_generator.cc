@@ -101,44 +101,54 @@ std::vector<uint8_t> ObjectKeyGenerator::Checkpoint() {
   return out;
 }
 
-ObjectKeyGenerator ObjectKeyGenerator::Recover(
+Result<ObjectKeyGenerator> ObjectKeyGenerator::Recover(
     const std::vector<uint8_t>& checkpoint,
     const std::vector<KeygenLogRecord>& log) {
   return Recover(checkpoint, log, Options());
 }
 
-ObjectKeyGenerator ObjectKeyGenerator::Recover(
+Result<ObjectKeyGenerator> ObjectKeyGenerator::Recover(
     const std::vector<uint8_t>& checkpoint,
     const std::vector<KeygenLogRecord>& log, Options options) {
   ObjectKeyGenerator gen(options);
-  MutexLock lock(&gen.mu_);
-  if (!checkpoint.empty()) {
-    ByteReader reader(checkpoint);
-    gen.next_key_ = reader.GetU64();
-    uint64_t n = reader.GetU64();
-    for (uint64_t i = 0; i < n; ++i) {
-      NodeId node = reader.GetU32();
-      uint64_t len = reader.GetU64();
-      std::vector<uint8_t> set_bytes = reader.GetBytes(len);
-      gen.active_sets_[node] = IntervalSet::Deserialize(set_bytes);
-    }
-  }
-  // Replay the transaction log in order, as the coordinator does after the
-  // checkpointed state is loaded (Table 1, clock 120).
-  for (const KeygenLogRecord& rec : log) {
-    switch (rec.type) {
-      case KeygenLogRecord::Type::kAllocate:
-        gen.active_sets_[rec.node].InsertRange(rec.begin, rec.end);
-        gen.next_key_ = std::max(gen.next_key_, rec.end);
-        break;
-      case KeygenLogRecord::Type::kCommit: {
-        auto it = gen.active_sets_.find(rec.node);
-        if (it != gen.active_sets_.end()) {
-          for (const auto& iv : rec.committed.Intervals()) {
-            it->second.EraseRange(iv.begin, iv.end);
-          }
+  {
+    MutexLock lock(&gen.mu_);
+    if (!checkpoint.empty()) {
+      ByteReader reader(checkpoint);
+      gen.next_key_ = reader.GetU64();
+      uint64_t n = reader.GetU64();
+      // Each active set takes at least a u32 node id and a u64 length.
+      if (reader.overflow() || n > reader.remaining() / 12) {
+        return Status::Corruption("keygen checkpoint: active-set count");
+      }
+      for (uint64_t i = 0; i < n; ++i) {
+        NodeId node = reader.GetU32();
+        uint64_t len = reader.GetU64();
+        const uint8_t* set_bytes = reader.Skip(len);
+        if (set_bytes == nullptr) {
+          return Status::Corruption("keygen checkpoint: active set");
         }
-        break;
+        CLOUDIQ_ASSIGN_OR_RETURN(gen.active_sets_[node],
+                                 IntervalSet::Deserialize(set_bytes, len));
+      }
+    }
+    // Replay the transaction log in order, as the coordinator does after
+    // the checkpointed state is loaded (Table 1, clock 120).
+    for (const KeygenLogRecord& rec : log) {
+      switch (rec.type) {
+        case KeygenLogRecord::Type::kAllocate:
+          gen.active_sets_[rec.node].InsertRange(rec.begin, rec.end);
+          gen.next_key_ = std::max(gen.next_key_, rec.end);
+          break;
+        case KeygenLogRecord::Type::kCommit: {
+          auto it = gen.active_sets_.find(rec.node);
+          if (it != gen.active_sets_.end()) {
+            for (const auto& iv : rec.committed.Intervals()) {
+              it->second.EraseRange(iv.begin, iv.end);
+            }
+          }
+          break;
+        }
       }
     }
   }

@@ -120,12 +120,14 @@ class ObjectKeyGenerator {
 
   // Rebuilds the generator from the last checkpoint plus the replayed
   // transaction log — the coordinator-crash recovery walk-through of
-  // Table 1 (clock 110–120).
-  static ObjectKeyGenerator Recover(const std::vector<uint8_t>& checkpoint,
-                                    const std::vector<KeygenLogRecord>& log);
-  static ObjectKeyGenerator Recover(const std::vector<uint8_t>& checkpoint,
-                                    const std::vector<KeygenLogRecord>& log,
-                                    Options options);
+  // Table 1 (clock 110–120). Corruption when the checkpoint bytes do not
+  // decode (a bad active set, or a set count the bytes cannot hold).
+  static Result<ObjectKeyGenerator> Recover(
+      const std::vector<uint8_t>& checkpoint,
+      const std::vector<KeygenLogRecord>& log);
+  static Result<ObjectKeyGenerator> Recover(
+      const std::vector<uint8_t>& checkpoint,
+      const std::vector<KeygenLogRecord>& log, Options options);
 
  private:
   Options options_;

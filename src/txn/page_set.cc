@@ -35,13 +35,21 @@ std::vector<uint8_t> PageSet::Serialize() const {
   return out;
 }
 
-PageSet PageSet::Deserialize(const std::vector<uint8_t>& bytes) {
+Result<PageSet> PageSet::Deserialize(const uint8_t* data, size_t size) {
   PageSet set;
-  ByteReader reader(bytes);
+  ByteReader reader(data, size);
   uint64_t cloud_len = reader.GetU64();
-  std::vector<uint8_t> cloud = reader.GetBytes(cloud_len);
-  set.cloud_keys_ = IntervalSet::Deserialize(cloud);
+  const uint8_t* cloud = reader.Skip(cloud_len);
+  if (cloud == nullptr) return Status::Corruption("page set: cloud keys");
+  CLOUDIQ_ASSIGN_OR_RETURN(set.cloud_keys_,
+                           IntervalSet::Deserialize(cloud, cloud_len));
   uint64_t n = reader.GetU64();
+  // Each block entry is a u32 dbspace id and a u64 location: a count the
+  // remaining bytes cannot hold is corrupt, not a loop bound.
+  if (reader.overflow() || n > reader.remaining() / 12) {
+    return Status::Corruption("page set: block count");
+  }
+  set.block_locs_.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     uint32_t space = reader.GetU32();
     uint64_t encoded = reader.GetU64();

@@ -7,6 +7,7 @@
 
 #include "common/bitmap.h"
 #include "common/interval_set.h"
+#include "common/result.h"
 #include "store/physical_loc.h"
 
 namespace cloudiq {
@@ -45,7 +46,9 @@ class PageSet {
   Bitmap BlockBitmap(uint32_t dbspace_id) const;
 
   std::vector<uint8_t> Serialize() const;
-  static PageSet Deserialize(const std::vector<uint8_t>& bytes);
+  // Corruption when the cloud keys do not decode or the block count
+  // exceeds what the bytes hold.
+  static Result<PageSet> Deserialize(const uint8_t* data, size_t size);
 
   bool operator==(const PageSet& o) const {
     return cloud_keys_ == o.cloud_keys_ && block_locs_ == o.block_locs_;

@@ -675,6 +675,11 @@ Status TransactionManager::RecoverAfterCrash() {
   if (chain_bytes.ok()) {
     ByteReader reader(chain_bytes.value());
     uint64_t n = reader.GetU64();
+    // An entry takes at least 32 bytes (two u64s, two string lengths and
+    // the RF length).
+    if (n > reader.remaining() / 32) {
+      return Status::Corruption("commit chain: entry count");
+    }
     for (uint64_t i = 0; i < n; ++i) {
       CommittedTxn entry;
       entry.txn_id = reader.GetU64();
@@ -682,9 +687,12 @@ Status TransactionManager::RecoverAfterCrash() {
       entry.rf_name = reader.GetString();
       entry.rb_name = reader.GetString();
       uint64_t rf_len = reader.GetU64();
-      entry.rf = PageSet::Deserialize(reader.GetBytes(rf_len));
+      const uint8_t* rf = reader.Skip(rf_len);
+      if (rf == nullptr) return Status::Corruption("commit chain: RF set");
+      CLOUDIQ_ASSIGN_OR_RETURN(entry.rf, PageSet::Deserialize(rf, rf_len));
       chain_.push_back(std::move(entry));
     }
+    if (reader.overflow()) return Status::Corruption("commit chain");
   }
 
   // Replay the transaction log from the checkpoint: commits re-apply
@@ -707,7 +715,8 @@ Status TransactionManager::RecoverAfterCrash() {
         system_->Get(rec.rb_name, clock.now(), &done);
     clock.AdvanceTo(done);
     if (rb_bytes.ok()) {
-      PageSet rb = PageSet::Deserialize(rb_bytes.value());
+      CLOUDIQ_ASSIGN_OR_RETURN(
+          PageSet rb, PageSet::Deserialize(rb_bytes->data(), rb_bytes->size()));
       for (const auto& [dbspace_id, loc] : rb.block_locs()) {
         DbSpace* space = storage_->dbspace(dbspace_id);
         if (space != nullptr) {
@@ -724,7 +733,9 @@ Status TransactionManager::RecoverAfterCrash() {
           system_->Get(rec.rf_name, clock.now(), &done);
       clock.AdvanceTo(done);
       if (rf_bytes.ok()) {
-        PageSet rf = PageSet::Deserialize(rf_bytes.value());
+        CLOUDIQ_ASSIGN_OR_RETURN(
+            PageSet rf,
+            PageSet::Deserialize(rf_bytes->data(), rf_bytes->size()));
         for (const auto& [dbspace_id, loc] : rf.block_locs()) {
           DbSpace* space = storage_->dbspace(dbspace_id);
           if (space != nullptr) {

@@ -27,24 +27,44 @@ std::vector<uint8_t> TxnLogRecord::Serialize() const {
   return out;
 }
 
-TxnLogRecord TxnLogRecord::Deserialize(ByteReader& reader) {
+Result<TxnLogRecord> TxnLogRecord::Deserialize(ByteReader& reader) {
   TxnLogRecord rec;
-  rec.type = static_cast<Type>(reader.GetU32());
+  uint32_t type = reader.GetU32();
+  if (type > static_cast<uint32_t>(Type::kCheckpoint)) {
+    return Status::Corruption("txn log record: type");
+  }
+  rec.type = static_cast<Type>(type);
   rec.node = reader.GetU32();
   rec.range_begin = reader.GetU64();
   rec.range_end = reader.GetU64();
   uint64_t keys_len = reader.GetU64();
-  rec.committed_keys = IntervalSet::Deserialize(reader.GetBytes(keys_len));
+  const uint8_t* keys = reader.Skip(keys_len);
+  if (keys == nullptr) return Status::Corruption("txn log record: keys");
+  CLOUDIQ_ASSIGN_OR_RETURN(rec.committed_keys,
+                           IntervalSet::Deserialize(keys, keys_len));
   rec.txn_id = reader.GetU64();
   rec.commit_seq = reader.GetU64();
   rec.rf_name = reader.GetString();
   rec.rb_name = reader.GetString();
+  // Every update and every dropped id takes at least 8 bytes, so a count
+  // past remaining() / 8 is corrupt.
   uint64_t n_updates = reader.GetU64();
+  if (reader.overflow() || n_updates > reader.remaining() / 8) {
+    return Status::Corruption("txn log record: update count");
+  }
   for (uint64_t i = 0; i < n_updates; ++i) {
     uint64_t len = reader.GetU64();
-    rec.identity_updates.push_back(reader.GetBytes(len));
+    const uint8_t* update = reader.Skip(len);
+    if (update == nullptr || reader.overflow()) {
+      return Status::Corruption("txn log record: update");
+    }
+    rec.identity_updates.emplace_back(update, update + len);
   }
   uint64_t n_dropped = reader.GetU64();
+  if (reader.overflow() || n_dropped > reader.remaining() / 8) {
+    return Status::Corruption("txn log record: dropped count");
+  }
+  rec.dropped_objects.reserve(n_dropped);
   for (uint64_t i = 0; i < n_dropped; ++i) {
     rec.dropped_objects.push_back(reader.GetU64());
   }
@@ -89,13 +109,20 @@ Status TxnLog::Load(SimTime now, SimTime* completion) {
   }
   ByteReader reader(bytes.value());
   uint64_t n = reader.GetU64();
+  if (reader.overflow() || n > reader.remaining() / 8) {
+    return Status::Corruption("transaction log: record count");
+  }
   for (uint64_t i = 0; i < n; ++i) {
     uint64_t len = reader.GetU64();
-    std::vector<uint8_t> rec_bytes = reader.GetBytes(len);
-    ByteReader rec_reader(rec_bytes);
-    records_.push_back(TxnLogRecord::Deserialize(rec_reader));
+    const uint8_t* rec_bytes = reader.Skip(len);
+    if (rec_bytes == nullptr || reader.overflow()) {
+      return Status::Corruption("transaction log");
+    }
+    ByteReader rec_reader(rec_bytes, len);
+    CLOUDIQ_ASSIGN_OR_RETURN(TxnLogRecord rec,
+                             TxnLogRecord::Deserialize(rec_reader));
+    records_.push_back(std::move(rec));
   }
-  if (reader.overflow()) return Status::Corruption("transaction log");
   return Status::Ok();
 }
 

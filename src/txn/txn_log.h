@@ -48,7 +48,9 @@ struct TxnLogRecord {
   std::vector<uint64_t> dropped_objects;
 
   std::vector<uint8_t> Serialize() const;
-  static TxnLogRecord Deserialize(ByteReader& reader);
+  // Corruption on an unknown type, undecodable keys, or a count the
+  // remaining bytes cannot hold.
+  static Result<TxnLogRecord> Deserialize(ByteReader& reader);
 };
 
 // The durable transaction log, persisted through the system store.

@@ -1,20 +1,37 @@
-// Seeded mutation fuzz of the two decoders that read persisted page bytes:
-// DecodeColumnPage (column-page encodings) and DecodePage (page-codec
-// frames). Each starts from valid pages and is fed truncations, bit flips
-// and overwritten header fields; every call must return a value or
-// Corruption, never crash, abort or allocate from a corrupt count.
-// scripts/check.sh fuzz runs this binary under ASan and UBSan.
+// Seeded mutation fuzz of the decoders that read persisted bytes:
+// DecodeColumnPage (column-page encodings), DecodePage (page-codec
+// frames), IntervalSet::Deserialize, PageSet::Deserialize (RF/RB sets),
+// TxnLogRecord::Deserialize, the key generator's checkpoint (through
+// ObjectKeyGenerator::Recover) and the HG, DATE and TEXT posting pages
+// (through the shared page walker and through each index's lookup). Each
+// starts from valid bytes and is fed truncations, bit flips and
+// overwritten counts; every call must return a value or Corruption, never
+// crash, abort or allocate from a corrupt count. scripts/check.sh fuzz
+// runs this binary under ASan and UBSan.
 
 #include <cstring>
+#include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "columnar/date_index.h"
 #include "columnar/encoding.h"
+#include "columnar/hg_index.h"
+#include "columnar/posting_page.h"
+#include "columnar/text_index.h"
 #include "columnar/value.h"
+#include "common/coding.h"
+#include "common/interval_set.h"
 #include "common/random.h"
+#include "keygen/object_key_generator.h"
 #include "store/page_codec.h"
+#include "tests/test_util.h"
+#include "txn/page_set.h"
+#include "txn/transaction_manager.h"
+#include "txn/txn_log.h"
 
 namespace cloudiq {
 namespace {
@@ -183,6 +200,349 @@ TEST(CodecFuzzTest, PageFramesDecodeOrReportCorruption) {
     }
   }
   EXPECT_GT(corrupt, kIterations / 4);
+}
+
+// --- persisted bookkeeping: interval sets, page sets, log records,
+// --- the key generator's checkpoint -------------------------------------
+
+// Valid bytes plus the offsets of their count / length fields; a count
+// overwrite writes a fuzzed u32 into either half of one of them.
+struct Seed {
+  std::vector<uint8_t> bytes;
+  std::vector<size_t> u64_fields;
+};
+
+std::vector<size_t> Halves(const std::vector<size_t>& u64_fields) {
+  std::vector<size_t> out;
+  for (size_t at : u64_fields) {
+    out.push_back(at);
+    out.push_back(at + 4);
+  }
+  return out;
+}
+
+// Runs `decode` (returning true on success, false on Corruption; anything
+// else must fail the test) over mutations of `seeds`, and checks the
+// mutations reached the error paths.
+template <typename Decode>
+void FuzzSeeds(uint64_t seed, int iterations, const std::vector<Seed>& seeds,
+               Decode decode) {
+  Rng rng(seed);
+  int corrupt = 0;
+  for (int it = 0; it < iterations; ++it) {
+    const Seed& base = seeds[rng.Uniform(seeds.size())];
+    std::vector<uint8_t> bytes = base.bytes;
+    std::vector<size_t> fields = Halves(base.u64_fields);
+    Mutate(rng, bytes, fields, {0});
+    if (rng.Bernoulli(0.25)) Mutate(rng, bytes, fields, {0});
+    if (!decode(bytes, it)) ++corrupt;
+  }
+  EXPECT_GT(corrupt, iterations / 4);
+}
+
+IntervalSet RangesAt(uint64_t base, std::vector<std::pair<uint64_t, uint64_t>>
+                                        ranges) {
+  IntervalSet set;
+  for (const auto& [b, e] : ranges) set.InsertRange(base + b, base + e);
+  return set;
+}
+
+std::vector<IntervalSet> SeedSets() {
+  const uint64_t key = uint64_t{1} << 63;
+  return {IntervalSet(), RangesAt(0, {{0, 1}}),
+          RangesAt(key, {{0, 100}, {200, 201}, {300, 4000}}),
+          RangesAt(5, {{0, 2}, {4, 6}, {8, 10}, {12, 14}, {16, 18}})};
+}
+
+TEST(CodecFuzzTest, IntervalSetFramesDecodeOrReportCorruption) {
+  std::vector<Seed> seeds;
+  for (const IntervalSet& set : SeedSets()) {
+    seeds.push_back({set.Serialize(), {0, 8, 16}});
+  }
+  FuzzSeeds(kSeed + 2, kIterations, seeds,
+            [](const std::vector<uint8_t>& bytes, int it) {
+              Result<IntervalSet> set =
+                  IntervalSet::Deserialize(bytes.data(), bytes.size());
+              if (!set.ok()) {
+                EXPECT_TRUE(set.status().IsCorruption()) << it;
+                return false;
+              }
+              // Whatever decodes is canonical: it re-encodes to itself.
+              EXPECT_EQ(set->Serialize(), bytes) << it;
+              return true;
+            });
+}
+
+TEST(CodecFuzzTest, PageSetsDecodeOrReportCorruption) {
+  std::vector<Seed> seeds;
+  PageSet empty;
+  seeds.push_back({empty.Serialize(), {0, 8, 16}});
+  PageSet mixed;
+  for (uint64_t k = 0; k < 40; k += 1 + k % 3) {
+    mixed.Add(1, PhysicalLoc::ForCloudKey(kCloudKeyBase + k));
+  }
+  mixed.Add(2, PhysicalLoc::ForBlocks(100, 4));
+  mixed.Add(3, PhysicalLoc::ForBlocks(7, 1));
+  std::vector<uint8_t> bytes = mixed.Serialize();
+  uint64_t cloud_len = 0;
+  std::memcpy(&cloud_len, bytes.data(), sizeof(cloud_len));
+  seeds.push_back({bytes, {0, 8, 8 + cloud_len}});
+  FuzzSeeds(kSeed + 3, kIterations, seeds,
+            [](const std::vector<uint8_t>& b, int it) {
+              Result<PageSet> set = PageSet::Deserialize(b.data(), b.size());
+              if (!set.ok()) {
+                EXPECT_TRUE(set.status().IsCorruption()) << it;
+                return false;
+              }
+              EXPECT_LE(set->block_locs().size(), b.size() / 12) << it;
+              return true;
+            });
+}
+
+TEST(CodecFuzzTest, TxnLogRecordsDecodeOrReportCorruption) {
+  std::vector<Seed> seeds;
+  TxnLogRecord commit;
+  commit.type = TxnLogRecord::Type::kCommit;
+  commit.txn_id = 12;
+  commit.commit_seq = 3;
+  commit.rf_name = "txn/rf/12";
+  commit.rb_name = "txn/rb/12";
+  commit.identity_updates = {{1, 2, 3, 4}, {}, {9}};
+  commit.dropped_objects = {5, 6, 7};
+  TxnLogRecord keygen_commit;
+  keygen_commit.type = TxnLogRecord::Type::kKeygenCommit;
+  keygen_commit.node = 2;
+  keygen_commit.committed_keys =
+      RangesAt(kCloudKeyBase, {{0, 10}, {20, 30}});
+  TxnLogRecord allocate;
+  allocate.type = TxnLogRecord::Type::kKeygenAllocate;
+  allocate.range_begin = kCloudKeyBase;
+  allocate.range_end = kCloudKeyBase + 128;
+  for (const TxnLogRecord& rec : {commit, keygen_commit, allocate}) {
+    // Field offsets: keys length at 24 and the keys' count at 32; the
+    // update count follows the two ids and two names.
+    size_t keys_len = rec.committed_keys.Serialize().size();
+    size_t updates_at = 32 + keys_len + 16 + 4 + rec.rf_name.size() + 4 +
+                        rec.rb_name.size();
+    size_t dropped_at = updates_at + 8;
+    std::vector<size_t> fields = {24, 32, updates_at, updates_at + 8};
+    for (const std::vector<uint8_t>& u : rec.identity_updates) {
+      dropped_at += 8 + u.size();
+    }
+    fields.push_back(dropped_at);
+    seeds.push_back({rec.Serialize(), fields});
+  }
+  FuzzSeeds(kSeed + 4, kIterations, seeds,
+            [](const std::vector<uint8_t>& b, int it) {
+              ByteReader reader(b);
+              Result<TxnLogRecord> rec = TxnLogRecord::Deserialize(reader);
+              if (!rec.ok()) {
+                EXPECT_TRUE(rec.status().IsCorruption()) << it;
+                return false;
+              }
+              EXPECT_LE(rec->identity_updates.size() +
+                            rec->dropped_objects.size(),
+                        b.size() / 8)
+                  << it;
+              return true;
+            });
+}
+
+TEST(CodecFuzzTest, KeygenCheckpointsRecoverOrReportCorruption) {
+  ObjectKeyGenerator gen;
+  gen.AllocateRange(1, 64);
+  KeyRange r = gen.AllocateRange(2, 256);
+  gen.AllocateRange(3, 16);
+  IntervalSet used;
+  used.InsertRange(r.begin + 10, r.begin + 20);
+  used.InsertRange(r.begin + 40, r.begin + 41);
+  gen.OnTransactionCommitted(2, used);
+  // [next key][set count]{[node u32][set length][set bytes]}*: the first
+  // set's length sits at 20 and its interval count at 28.
+  std::vector<Seed> seeds = {{gen.Checkpoint(), {0, 8, 20, 28}}};
+  FuzzSeeds(kSeed + 5, kIterations / 5, seeds,
+            [](const std::vector<uint8_t>& b, int it) {
+              Result<ObjectKeyGenerator> recovered =
+                  ObjectKeyGenerator::Recover(b, {});
+              if (!recovered.ok()) {
+                EXPECT_TRUE(recovered.status().IsCorruption()) << it;
+                return false;
+              }
+              return true;
+            });
+}
+
+// --- index posting pages -------------------------------------------------
+
+constexpr int64_t kMinKey = std::numeric_limits<int64_t>::min();
+constexpr int64_t kMaxKey = std::numeric_limits<int64_t>::max();
+const std::string kLastToken(8, '\xff');
+
+// Builds one HG, one DATE and one TEXT index in a transaction and keeps
+// their encoded pages as fuzz seeds; the mutated pages are then decoded
+// by the shared page walker and, appended to fresh objects, through each
+// index's own lookup.
+class IndexPageFuzzTest : public ::testing::Test {
+ protected:
+  IndexPageFuzzTest() {
+    TransactionManager::Options opts;
+    opts.buffer_capacity_bytes = 16 << 20;
+    txn_mgr_ = std::make_unique<TransactionManager>(h_.storage.get(),
+                                                    &h_.system, opts);
+    txn_ = txn_mgr_->Begin();
+  }
+  ~IndexPageFuzzTest() override { (void)txn_mgr_->Rollback(txn_); }
+
+  // The encoded pages of object `id`.
+  std::vector<std::vector<uint8_t>> PagesOf(uint64_t id) {
+    Result<StorageObject*> object = txn_mgr_->OpenForWrite(txn_, id);
+    EXPECT_TRUE(object.ok()) << object.status().ToString();
+    std::vector<std::vector<uint8_t>> pages;
+    for (uint64_t p = 0; p < (*object)->page_count(); ++p) {
+      Result<BufferManager::PageData> data = (*object)->ReadPage(p);
+      EXPECT_TRUE(data.ok()) << data.status().ToString();
+      pages.push_back(**data);
+    }
+    return pages;
+  }
+
+  // A fresh object holding just `page`.
+  StorageObject* ObjectWith(const std::vector<uint8_t>& page) {
+    Result<StorageObject*> object =
+        txn_mgr_->CreateObject(txn_, next_object_++, h_.cloud_space);
+    EXPECT_TRUE(object.ok()) << object.status().ToString();
+    EXPECT_TRUE((*object)->AppendPage(page).ok());
+    return *object;
+  }
+
+  // Offsets of the count fields of a page's first entry, whose key takes
+  // `key_bytes`: the page count, the posting length and its run count.
+  static std::vector<size_t> FirstEntryFields(size_t key_bytes) {
+    return {0, 4 + key_bytes, 4 + key_bytes + 8};
+  }
+
+  testing_util::SingleNodeHarness h_;
+  std::unique_ptr<TransactionManager> txn_mgr_;
+  Transaction* txn_ = nullptr;
+  uint64_t next_object_ = 1000;
+};
+
+bool LookupOk(const Result<IntervalSet>& rows, int it) {
+  if (!rows.ok()) {
+    EXPECT_TRUE(rows.status().IsCorruption()) << it << " "
+                                              << rows.status().ToString();
+    return false;
+  }
+  return true;
+}
+
+TEST_F(IndexPageFuzzTest, PostingPagesDecodeOrReportCorruption) {
+  Rng rng(kSeed + 6);
+  HgIndex::Builder hg;
+  DateIndex::Builder date;
+  TextIndex::Builder text;
+  const char* words[6] = {"alpha", "beta", "gamma", "delta", "special",
+                          "requests"};
+  for (uint64_t row = 0; row < 3000; ++row) {
+    hg.Add(static_cast<int64_t>(rng.Uniform(200)), row);
+    date.Add(DaysFromCivil(1994, 1, 1) + static_cast<int64_t>(
+                                             rng.Uniform(5 * 365)),
+             row);
+    text.Add(std::string(words[rng.Uniform(6)]) + " " + words[rng.Uniform(6)],
+             row);
+  }
+  const uint64_t target = 2048;
+  ASSERT_TRUE(HgIndex::Build(txn_mgr_.get(), txn_, 1, h_.cloud_space, &hg,
+                             target)
+                  .ok());
+  ASSERT_TRUE(DateIndex::Build(txn_mgr_.get(), txn_, 2, h_.cloud_space,
+                               &date, target)
+                  .ok());
+  ASSERT_TRUE(TextIndex::Build(txn_mgr_.get(), txn_, 3, h_.cloud_space,
+                               &text, target)
+                  .ok());
+  std::vector<Seed> int_seeds;
+  for (const std::vector<uint8_t>& page : PagesOf(1)) {
+    int_seeds.push_back({page, {}});
+  }
+  for (const std::vector<uint8_t>& page : PagesOf(2)) {
+    int_seeds.push_back({page, {}});
+  }
+  std::vector<Seed> text_seeds;
+  for (const std::vector<uint8_t>& page : PagesOf(3)) {
+    text_seeds.push_back({page, {}});
+  }
+  ASSERT_GT(int_seeds.size(), 4u);
+  ASSERT_GT(text_seeds.size(), 1u);
+
+  // Page walker, every posting decoded: u32 fields are the page count and
+  // the first entry's posting length and run count.
+  auto fuzz_walker = [&](uint64_t seed, const std::vector<Seed>& seeds,
+                         auto collect, size_t first_key_bytes) {
+    Rng r(seed);
+    int corrupt = 0;
+    std::vector<size_t> fields = FirstEntryFields(first_key_bytes);
+    fields.push_back(fields[1] + 4);
+    fields.push_back(fields[2] + 4);
+    for (int it = 0; it < kIterations / 2; ++it) {
+      std::vector<uint8_t> bytes = seeds[r.Uniform(seeds.size())].bytes;
+      Mutate(r, bytes, fields, {0});
+      if (r.Bernoulli(0.25)) Mutate(r, bytes, fields, {0});
+      std::vector<IntervalSet> out;
+      Status s = collect(bytes, &out);
+      if (!s.ok()) {
+        ASSERT_TRUE(s.IsCorruption()) << it;
+        ++corrupt;
+      }
+    }
+    EXPECT_GT(corrupt, kIterations / 8);
+  };
+  fuzz_walker(kSeed + 7, int_seeds,
+              [](const std::vector<uint8_t>& b, std::vector<IntervalSet>* out) {
+                return CollectPostings<int64_t>(b.data(), b.size(), kMinKey,
+                                                kMaxKey, "fuzz", out);
+              },
+              8);
+  // Text keys are [len u32][bytes]; the first token is one of `words`.
+  uint32_t first_len = 0;
+  std::memcpy(&first_len, text_seeds[0].bytes.data() + 4, sizeof(first_len));
+  fuzz_walker(kSeed + 8, text_seeds,
+              [](const std::vector<uint8_t>& b, std::vector<IntervalSet>* out) {
+                return CollectPostings<std::string>(b.data(), b.size(), "",
+                                                    kLastToken, "fuzz", out);
+              },
+              4 + first_len);
+
+  // Through each index's lookup: one mutated page per fresh object.
+  Rng r(kSeed + 9);
+  int corrupt = 0;
+  const int lookups = 600;
+  for (int it = 0; it < lookups; ++it) {
+    int kind = static_cast<int>(r.Uniform(3));
+    const std::vector<Seed>& seeds = kind == 2 ? text_seeds : int_seeds;
+    std::vector<uint8_t> bytes = seeds[r.Uniform(seeds.size())].bytes;
+    Mutate(r, bytes, FirstEntryFields(kind == 2 ? 4 + first_len : 8), {0});
+    StorageObject* object = ObjectWith(bytes);
+    bool ok = true;
+    switch (kind) {
+      case 0:
+        ok = LookupOk(HgIndex::LookupRange(object, {{kMinKey, kMaxKey}},
+                                           kMinKey, kMaxKey),
+                      it);
+        break;
+      case 1:
+        ok = LookupOk(DateIndex::LookupYearRange(
+                          object, {{kMinKey, kMaxKey}}, 1900, 2100),
+                      it);
+        break;
+      default:
+        ok = LookupOk(TextIndex::LookupAllWords(object, {{"", kLastToken}},
+                                                {"special", "requests"}),
+                      it);
+    }
+    if (!ok) ++corrupt;
+  }
+  EXPECT_GT(corrupt, lookups / 8);
 }
 
 }  // namespace

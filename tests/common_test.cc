@@ -185,8 +185,11 @@ TEST(IntervalSetTest, SerializeRoundTrip) {
   IntervalSet set;
   set.InsertRange(uint64_t{1} << 63, (uint64_t{1} << 63) + 100);
   set.InsertRange((uint64_t{1} << 63) + 200, (uint64_t{1} << 63) + 250);
-  IntervalSet back = IntervalSet::Deserialize(set.Serialize());
-  EXPECT_TRUE(set == back);
+  std::vector<uint8_t> bytes = set.Serialize();
+  Result<IntervalSet> back = IntervalSet::Deserialize(bytes.data(),
+                                                      bytes.size());
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_TRUE(set == *back);
 }
 
 TEST(IntervalSetTest, HighRangeKeys) {

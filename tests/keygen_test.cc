@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "common/coding.h"
 #include "keygen/object_key_generator.h"
 
 namespace cloudiq {
@@ -85,8 +86,10 @@ TEST(ObjectKeyGeneratorTest, Table1CoordinatorCrashRecovery) {
   ASSERT_EQ(log.size(), 2u);
 
   // Clock 110-120: coordinator crashes and recovers from checkpoint+log.
-  ObjectKeyGenerator recovered =
+  Result<ObjectKeyGenerator> recovered_or =
       ObjectKeyGenerator::Recover(checkpoint, log, opts);
+  ASSERT_TRUE(recovered_or.ok()) << recovered_or.status().ToString();
+  ObjectKeyGenerator recovered = std::move(recovered_or).value();
 
   // Active set is exactly {begin+30 .. end}: committed range gone,
   // rolled-back and unconsumed keys still tracked.
@@ -122,7 +125,10 @@ TEST(ObjectKeyGeneratorTest, RecoverFromCheckpointWithActiveSets) {
   gen.AllocateRange(2, 64);
   std::vector<uint8_t> checkpoint = gen.Checkpoint();
 
-  ObjectKeyGenerator recovered = ObjectKeyGenerator::Recover(checkpoint, {});
+  Result<ObjectKeyGenerator> recovered_or =
+      ObjectKeyGenerator::Recover(checkpoint, {});
+  ASSERT_TRUE(recovered_or.ok()) << recovered_or.status().ToString();
+  ObjectKeyGenerator recovered = std::move(recovered_or).value();
   EXPECT_EQ(recovered.ActiveSet(1).Count(), 64u);
   EXPECT_EQ(recovered.ActiveSet(2).Count(), 64u);
   EXPECT_EQ(recovered.max_allocated(), gen.max_allocated());
@@ -195,6 +201,33 @@ TEST(ObjectKeyGeneratorTest, ExhaustionTimescale) {
   double keys_per_year = 10000.0 * 20 * 86400 * 365;
   double years = static_cast<double>(uint64_t{1} << 63) / keys_per_year;
   EXPECT_GT(years, 1.4e6);
+}
+
+TEST(ObjectKeyGeneratorTest, RecoverRejectsACorruptCheckpoint) {
+  ObjectKeyGenerator gen;
+  gen.AllocateRange(1, 64);
+  std::vector<uint8_t> checkpoint = gen.Checkpoint();
+  // [next key][set count][node u32][set length][set bytes...]
+  auto with_u64 = [&](size_t at, uint64_t v) {
+    std::vector<uint8_t> b = checkpoint;
+    std::memcpy(b.data() + at, &v, sizeof(v));
+    return b;
+  };
+  for (uint64_t sets : {uint64_t{2}, uint64_t{20000000}, uint64_t{1} << 40}) {
+    EXPECT_TRUE(ObjectKeyGenerator::Recover(with_u64(8, sets), {})
+                    .status()
+                    .IsCorruption())
+        << sets;
+  }
+  // A set length past the bytes, and an interval count past the set.
+  EXPECT_TRUE(ObjectKeyGenerator::Recover(with_u64(20, 1000), {})
+                  .status()
+                  .IsCorruption());
+  EXPECT_TRUE(ObjectKeyGenerator::Recover(with_u64(28, 2), {})
+                  .status()
+                  .IsCorruption());
+  std::vector<uint8_t> cut(checkpoint.begin(), checkpoint.end() - 1);
+  EXPECT_TRUE(ObjectKeyGenerator::Recover(cut, {}).status().IsCorruption());
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include "common/coding.h"
 #include "tests/test_util.h"
 #include "txn/page_set.h"
 #include "txn/transaction_manager.h"
+#include "txn/txn_log.h"
 
 namespace cloudiq {
 namespace {
@@ -76,8 +78,81 @@ TEST(PageSetTest, SerializeRoundTrip) {
   PageSet set;
   set.Add(1, PhysicalLoc::ForCloudKey(kCloudKeyBase + 5));
   set.Add(3, PhysicalLoc::ForBlocks(7, 2));
-  PageSet back = PageSet::Deserialize(set.Serialize());
-  EXPECT_TRUE(set == back);
+  std::vector<uint8_t> bytes = set.Serialize();
+  Result<PageSet> back = PageSet::Deserialize(bytes.data(), bytes.size());
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_TRUE(set == *back);
+}
+
+// [cloud keys length 8][empty interval set][block count]: 24 bytes whose
+// count claims `blocks` entries.
+std::vector<uint8_t> PageSetFrame(uint64_t blocks) {
+  std::vector<uint8_t> bytes;
+  PutU64(bytes, 8);
+  PutU64(bytes, 0);
+  PutU64(bytes, blocks);
+  return bytes;
+}
+
+TEST(PageSetTest, DeserializeRejectsCountsPastTheBytes) {
+  for (uint64_t blocks : {uint64_t{1}, uint64_t{20000000}, uint64_t{1} << 40,
+                          ~uint64_t{0}}) {
+    std::vector<uint8_t> bytes = PageSetFrame(blocks);
+    EXPECT_TRUE(PageSet::Deserialize(bytes.data(), bytes.size())
+                    .status()
+                    .IsCorruption())
+        << blocks;
+  }
+  std::vector<uint8_t> empty = PageSetFrame(0);
+  EXPECT_TRUE(PageSet::Deserialize(empty.data(), empty.size()).ok());
+  // Cloud keys whose interval count runs past their bytes.
+  std::vector<uint8_t> keys;
+  PutU64(keys, 24);
+  PutU64(keys, 5);
+  PutU64(keys, kCloudKeyBase);
+  PutU64(keys, kCloudKeyBase + 1);
+  PutU64(keys, 0);
+  EXPECT_TRUE(
+      PageSet::Deserialize(keys.data(), keys.size()).status().IsCorruption());
+}
+
+TEST(TxnLogRecordTest, DeserializeRejectsCountsPastTheBytes) {
+  TxnLogRecord rec;
+  rec.type = TxnLogRecord::Type::kCommit;
+  rec.rf_name = "rf";
+  rec.rb_name = "rb";
+  rec.identity_updates = {{1, 2, 3}};
+  rec.dropped_objects = {7, 8};
+  rec.committed_keys.InsertRange(kCloudKeyBase, kCloudKeyBase + 4);
+  std::vector<uint8_t> bytes = rec.Serialize();
+  auto decode = [](const std::vector<uint8_t>& b) {
+    ByteReader reader(b);
+    return TxnLogRecord::Deserialize(reader);
+  };
+  Result<TxnLogRecord> back = decode(bytes);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->identity_updates, rec.identity_updates);
+  EXPECT_EQ(back->dropped_objects, rec.dropped_objects);
+  EXPECT_TRUE(back->committed_keys == rec.committed_keys);
+
+  // Field offsets: type, node, range, keys (length + one run), txn id,
+  // commit seq, the two names, then the update and dropped counts.
+  const size_t keys_count_at = 4 + 4 + 8 + 8 + 8;
+  const size_t updates_at = keys_count_at + 24 + 8 + 8 + 6 + 6;
+  const size_t dropped_at = updates_at + 8 + 8 + 3;
+  auto with_u64 = [&](size_t at, uint64_t v) {
+    std::vector<uint8_t> b = bytes;
+    std::memcpy(b.data() + at, &v, sizeof(v));
+    return b;
+  };
+  EXPECT_TRUE(decode(with_u64(updates_at, 20000000)).status().IsCorruption());
+  EXPECT_TRUE(decode(with_u64(dropped_at, uint64_t{1} << 40))
+                  .status()
+                  .IsCorruption());
+  EXPECT_TRUE(decode(with_u64(keys_count_at, 3)).status().IsCorruption());
+  std::vector<uint8_t> bad_type = bytes;
+  bad_type[0] = 9;
+  EXPECT_TRUE(decode(bad_type).status().IsCorruption());
 }
 
 TEST_F(TxnTest, CommitPublishesNewVersion) {
@@ -301,6 +376,25 @@ TEST_F(TxnTest, DropObjectCollectsEverything) {
   ASSERT_TRUE(txn_mgr_->RunGarbageCollection().ok());
   EXPECT_EQ(h_.env.object_store().LiveObjectCount(), 0u);
   EXPECT_FALSE(txn_mgr_->catalog().Contains(130));
+}
+
+TEST_F(TxnTest, RecoveryReportsACorruptPersistedPageSet) {
+  LoadObject(150, 3, 5, h_.block_space);
+  std::string rb_name;
+  for (const TxnLogRecord& rec : txn_mgr_->log().records()) {
+    if (rec.type == TxnLogRecord::Type::kCommit) rb_name = rec.rb_name;
+  }
+  ASSERT_FALSE(rb_name.empty());
+  // Recovery reads the RB set back to re-mark its blocks in use; a count
+  // the bytes cannot hold must fail recovery, not expand.
+  SimTime done = 0;
+  ASSERT_TRUE(h_.system
+                  .Put(rb_name, PageSetFrame(20000000),
+                       h_.node->clock().now(), &done)
+                  .ok());
+  txn_mgr_->SimulateCrash();
+  Status recovered = txn_mgr_->RecoverAfterCrash();
+  EXPECT_TRUE(recovered.IsCorruption()) << recovered.ToString();
 }
 
 TEST_F(TxnTest, CrashRecoveryRestoresCommittedState) {
