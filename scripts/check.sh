@@ -36,9 +36,10 @@
 #                               # double-run byte-compare proving the
 #                               # tripwire never perturbs the simulation
 #   scripts/check.sh fuzz       # seeded mutation fuzz of the persisted-
-#                               # byte decoders (column pages, page-codec
-#                               # frames, interval sets, RF/RB page sets,
-#                               # txn-log records, the keygen checkpoint,
+#                               # and wire-byte decoders (column pages,
+#                               # page-codec frames, interval sets, RF/RB
+#                               # page sets, txn-log records, the keygen
+#                               # checkpoint, NDP request/result frames,
 #                               # HG/DATE/TEXT index pages) under ASan
 #                               # and UBSan (UB is fatal)
 #   scripts/check.sh parallel   # morsel-executor gate: scale-up bench
@@ -442,10 +443,11 @@ parallel_pass() {
 
 # Decoder fuzz gate: codec_fuzz_test feeds DecodeColumnPage, DecodePage,
 # IntervalSet::Deserialize, PageSet::Deserialize,
-# TxnLogRecord::Deserialize, ObjectKeyGenerator::Recover and the HG /
-# DATE / TEXT posting-page walker and lookups truncated, bit-flipped and
+# TxnLogRecord::Deserialize, ObjectKeyGenerator::Recover,
+# NdpRequest::Deserialize, NdpResult::Deserialize and the HG / DATE /
+# TEXT posting-page walker and lookups truncated, bit-flipped and
 # count-overwritten bytes from a fixed seed. Every call must return a
-# value or Corruption; ASan catches overreads and oversized allocations,
+# value or Corruption (InvalidArgument for an NDP request); ASan catches overreads and oversized allocations,
 # UBSan (halting on the first report) catches shifts by a corrupt width.
 fuzz_pass() {
   echo "=== fuzz: decoder mutation fuzz under ASan + UBSan ==="

@@ -9,25 +9,7 @@ namespace cloudiq {
 namespace {
 
 uint64_t ValueBytes(const ColumnVector& col, size_t i) {
-  switch (col.type) {
-    case ColumnType::kString:
-      return col.strings[i].size() + 4;
-    default:
-      return 8;
-  }
-}
-
-void AppendValue(ColumnVector* dst, const ColumnVector& src, size_t i) {
-  switch (src.type) {
-    case ColumnType::kDouble:
-      dst->doubles.push_back(src.doubles[i]);
-      break;
-    case ColumnType::kString:
-      dst->strings.push_back(src.strings[i]);
-      break;
-    default:
-      dst->ints.push_back(src.ints[i]);
-  }
+  return col.type == ColumnType::kString ? col.strings[i].size() + 4 : 8;
 }
 
 }  // namespace
@@ -87,7 +69,7 @@ Status TableLoader::Append(const std::vector<ColumnVector>& batch) {
     // Each column's staged footprint is tracked independently; a column
     // cuts a page as soon as *its* bytes near the page size.
     for (size_t c = 0; c < batch.size(); ++c) {
-      AppendValue(&part.staging[c], batch[c], i);
+      part.staging[c].AppendRange(batch[c], i, i + 1);
       uint64_t bytes = ValueBytes(batch[c], i);
       cpu_seconds_ += options_.encode_cpu_per_byte * bytes;
       part.staged_col_bytes[c] += bytes;

@@ -49,18 +49,7 @@ struct Batch {
   // Copies row `row` of every column into `dst` (columns must align).
   void AppendRowTo(Batch* dst, size_t row) const {
     for (size_t c = 0; c < columns.size(); ++c) {
-      const ColumnVector& src = columns[c];
-      ColumnVector& out = dst->columns[c];
-      switch (src.type) {
-        case ColumnType::kDouble:
-          out.doubles.push_back(src.doubles[row]);
-          break;
-        case ColumnType::kString:
-          out.strings.push_back(src.strings[row]);
-          break;
-        default:
-          out.ints.push_back(src.ints[row]);
-      }
+      dst->columns[c].AppendRange(columns[c], row, row + 1);
     }
   }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <type_traits>
 #include <utility>
 
 #include "columnar/encoding.h"
@@ -111,6 +112,16 @@ std::vector<uint64_t> PagesForRows(const SegmentMeta& seg,
   return pages;
 }
 
+// A decoded page must match its segment's type and row count, or the
+// typed appends that read it would run past its values.
+Status CheckDecodedPage(const ColumnVector& page, ColumnType type,
+                        uint64_t rows) {
+  if (page.type != type || page.size() != rows) {
+    return Status::Corruption("column page disagrees with its segment");
+  }
+  return Status::Ok();
+}
+
 // Appends the values of `col_ids` for the ascending row ids in `rows` of
 // one partition to `out`. Column segments page independently (each column
 // fills its pages to capacity), so each column walks its own page
@@ -142,6 +153,8 @@ Status ReadRowSet(QueryContext* ctx, TableReader* reader, size_t partition,
       CLOUDIQ_ASSIGN_OR_RETURN(
           ColumnVector decoded, reader->ReadPage(partition, col_ids[i],
                                                  page));
+      CLOUDIQ_RETURN_IF_ERROR(
+          CheckDecodedPage(decoded, dst.type, seg.page_rows[page]));
       for (; next_page < page; ++next_page) {
         page_first += seg.page_rows[next_page];
       }
@@ -153,21 +166,7 @@ Status ReadRowSet(QueryContext* ctx, TableReader* reader, size_t partition,
             std::max(runs[r].begin, page_first) - page_first);
         size_t end = static_cast<size_t>(
             std::min(runs[r].end, page_end) - page_first);
-        switch (decoded.type) {
-          case ColumnType::kDouble:
-            dst.doubles.insert(dst.doubles.end(),
-                               decoded.doubles.begin() + begin,
-                               decoded.doubles.begin() + end);
-            break;
-          case ColumnType::kString:
-            dst.strings.insert(dst.strings.end(),
-                               decoded.strings.begin() + begin,
-                               decoded.strings.begin() + end);
-            break;
-          default:
-            dst.ints.insert(dst.ints.end(), decoded.ints.begin() + begin,
-                            decoded.ints.begin() + end);
-        }
+        dst.AppendRange(decoded, begin, end);
         values += end - begin;
       }
     }
@@ -222,101 +221,73 @@ struct ColumnSlice {
   std::vector<DecodedPage> pages;
 };
 
-// Forward cursor over a ColumnSlice: resolves ascending row ids to
-// (page values, offset) with an amortized-O(1) walk. Valid only for rows
+// Forward cursor over a ColumnSlice: resolves ascending row ids to the
+// page holding them with an amortized-O(1) walk. Valid only for rows
 // covered by a fetched page — which every candidate row is, because the
 // pages were chosen by PagesForRows over the candidate set.
 struct SliceCursor {
   const ColumnSlice* slice;
   size_t page = 0;
 
-  const ColumnVector& At(uint64_t row, size_t* offset) {
+  const DecodedPage& PageOf(uint64_t row) {
     while (row >=
            slice->pages[page].first_row + slice->pages[page].row_count) {
       ++page;
     }
-    *offset = static_cast<size_t>(row - slice->pages[page].first_row);
-    return slice->pages[page].values;
+    return slice->pages[page];
   }
 };
 
 // Materializes one morsel's candidate rows into a private fragment with
-// `shape`'s columns, applying the exact range filter in-morsel. Pure
-// host CPU.
+// `shape`'s columns, applying the exact range filter in-morsel: the
+// surviving runs come from one pass over the range column, then each
+// column appends each run page by page. Pure host CPU.
 Batch MaterializeScanMorsel(const Batch& shape,
                             const std::vector<ColumnSlice>& cols,
                             const Morsel& morsel,
                             const std::optional<ScanRange>& range,
                             size_t range_pos) {
-  Batch frag = shape.EmptyLike();
-  std::vector<SliceCursor> cursors;
-  cursors.reserve(cols.size());
-  for (const ColumnSlice& slice : cols) {
-    cursors.push_back(SliceCursor{&slice, 0});
-  }
-  for (const IntervalSet::Interval& iv : morsel.rows.Intervals()) {
-    for (uint64_t r = iv.begin; r < iv.end; ++r) {
-      if (range.has_value()) {
-        size_t off;
-        const ColumnVector& vals = cursors[range_pos].At(r, &off);
-        if (vals.ints[off] < range->lo || vals.ints[off] > range->hi) {
-          continue;
+  std::vector<IntervalSet::Interval> runs;
+  if (range.has_value()) {
+    SliceCursor cursor{&cols[range_pos], 0};
+    for (const IntervalSet::Interval& iv : morsel.rows.Intervals()) {
+      for (uint64_t r = iv.begin; r < iv.end; ++r) {
+        const DecodedPage& page = cursor.PageOf(r);
+        int64_t v = page.values.ints[r - page.first_row];
+        if (v < range->lo || v > range->hi) continue;
+        if (!runs.empty() && runs.back().end == r) {
+          ++runs.back().end;
+        } else {
+          runs.push_back({r, r + 1});
         }
       }
-      for (size_t c = 0; c < cols.size(); ++c) {
-        size_t off;
-        const ColumnVector& vals = cursors[c].At(r, &off);
-        ColumnVector& dst = frag.columns[c];
-        switch (dst.type) {
-          case ColumnType::kDouble:
-            dst.doubles.push_back(vals.doubles[off]);
-            break;
-          case ColumnType::kString:
-            dst.strings.push_back(vals.strings[off]);
-            break;
-          default:
-            dst.ints.push_back(vals.ints[off]);
-        }
+    }
+  } else {
+    runs = morsel.rows.Intervals();
+  }
+  size_t rows = 0;
+  for (const IntervalSet::Interval& run : runs) rows += run.end - run.begin;
+
+  Batch frag = shape.EmptyLike();
+  for (size_t c = 0; c < cols.size(); ++c) {
+    ColumnVector& dst = frag.columns[c];
+    dst.reserve(rows);
+    SliceCursor cursor{&cols[c], 0};
+    for (const IntervalSet::Interval& run : runs) {
+      for (uint64_t r = run.begin; r < run.end;) {
+        const DecodedPage& page = cursor.PageOf(r);
+        uint64_t end = std::min(run.end, page.first_row + page.row_count);
+        dst.AppendRange(page.values, r - page.first_row,
+                        end - page.first_row);
+        r = end;
       }
     }
   }
   return frag;
 }
 
-void ResizeColumn(ColumnVector* col, size_t rows) {
-  switch (col->type) {
-    case ColumnType::kDouble:
-      col->doubles.resize(rows);
-      break;
-    case ColumnType::kString:
-      col->strings.resize(rows);
-      break;
-    default:
-      col->ints.resize(rows);
-  }
-}
-
-// Writes `src`'s values into `dst` starting at row `at`. The caller
-// resized `dst` and assigned each fragment a disjoint slot range, so
-// concurrent placements never overlap.
-void PlaceColumn(ColumnVector* dst, ColumnVector* src, size_t at) {
-  switch (dst->type) {
-    case ColumnType::kDouble:
-      std::copy(src->doubles.begin(), src->doubles.end(),
-                dst->doubles.begin() + at);
-      break;
-    case ColumnType::kString:
-      std::move(src->strings.begin(), src->strings.end(),
-                dst->strings.begin() + at);
-      break;
-    default:
-      std::copy(src->ints.begin(), src->ints.end(),
-                dst->ints.begin() + at);
-  }
-}
-
 // Phase D of every parallel operator: prefix-sums fragment sizes,
-// resizes `out` to the total, and places each fragment into its disjoint
+// resizes `out` to the total, and moves each fragment into its disjoint
 // slot range (in parallel in native mode).
 void PlaceFragments(ExecMode mode, int workers, std::vector<Batch>* frags,
                     Batch* out) {
@@ -324,14 +295,15 @@ void PlaceFragments(ExecMode mode, int workers, std::vector<Batch>* frags,
   for (size_t i = 0; i < frags->size(); ++i) {
     offsets[i + 1] = offsets[i] + (*frags)[i].rows();
   }
-  for (ColumnVector& col : out->columns) {
-    ResizeColumn(&col, offsets.back());
-  }
+  for (ColumnVector& col : out->columns) col.Resize(offsets.back());
   TaskPool::Global().RunIndexed(
       mode, workers, frags->size(), [&](size_t i) {
         Batch& frag = (*frags)[i];
         for (size_t c = 0; c < out->columns.size(); ++c) {
-          PlaceColumn(&out->columns[c], &frag.columns[c], offsets[i]);
+          VisitValues(frag.columns[c], [&](auto& src) {
+            std::move(src.begin(), src.end(),
+                      ValuesLike(out->columns[c], src).begin() + offsets[i]);
+          });
         }
       });
 }
@@ -343,7 +315,9 @@ void PlaceFragments(ExecMode mode, int workers, std::vector<Batch>* frags,
 // only the ratio (driven by selectivity and projection width) matters.
 double EncodedWidth(ColumnType type) {
   switch (type) {
+    // NOLINT(cloudiq-column-switch): a planner weight, not a value copy.
     case ColumnType::kDouble: return 8.0;
+    // NOLINT(cloudiq-column-switch): a planner weight, not a value copy.
     case ColumnType::kString: return 16.0;
     default: return 4.0;
   }
@@ -574,6 +548,12 @@ Result<Batch> ScanTable(QueryContext* ctx, TableReader* reader,
   if (range.has_value() && range_col < 0) {
     return Status::InvalidArgument("unknown range column");
   }
+  // Zone maps and the exact filter compare ints; other types carry no
+  // int bounds to prune or filter on.
+  if (range.has_value() && !IsIntFamily(schema.columns[range_col].type)) {
+    return Status::InvalidArgument("range column " + range->column +
+                                   " is not int-family");
+  }
   // Read the range column too (for the exact post-filter), dropping it at
   // the end if the caller did not ask for it.
   std::vector<std::string> read_columns = columns;
@@ -641,16 +621,11 @@ Result<Batch> ScanTable(QueryContext* ctx, TableReader* reader,
       }
       for (size_t c = 0; c < result.columns.size(); ++c) {
         ColumnVector& dst = pushed.columns[c];
-        ColumnVector& src = result.columns[c];
+        const ColumnVector& src = result.columns[c];
         if (src.type != dst.type) {
           return Status::Corruption("NDP result type mismatch");
         }
-        dst.ints.insert(dst.ints.end(), src.ints.begin(), src.ints.end());
-        dst.doubles.insert(dst.doubles.end(), src.doubles.begin(),
-                           src.doubles.end());
-        dst.strings.insert(dst.strings.end(),
-                           std::make_move_iterator(src.strings.begin()),
-                           std::make_move_iterator(src.strings.end()));
+        dst.AppendRange(src, 0, src.size());
       }
       // Client work: decode the (compressed) result and materialize it.
       ctx->ChargeDecodedBytes(result_bytes.size());
@@ -740,20 +715,24 @@ Result<Batch> ScanTable(QueryContext* ctx, TableReader* reader,
 
     ScopedParallelSection section(ctx);
     // Phase B (workers, host CPU): decode each fetched frame once.
-    std::vector<DecodedPage*> decode_tasks;
+    std::vector<std::pair<DecodedPage*, ColumnType>> decode_tasks;
     for (std::vector<ColumnSlice>& slices : parts) {
-      for (ColumnSlice& slice : slices) {
-        for (DecodedPage& dp : slice.pages) decode_tasks.push_back(&dp);
+      for (size_t i = 0; i < slices.size(); ++i) {
+        for (DecodedPage& dp : slices[i].pages) {
+          decode_tasks.emplace_back(&dp, out.columns[i].type);
+        }
       }
     }
     std::vector<Status> decode_status(decode_tasks.size(), Status::Ok());
     pool.RunIndexed(mode, workers, decode_tasks.size(), [&](size_t t) {
-      DecodedPage* dp = decode_tasks[t];
+      auto [dp, type] = decode_tasks[t];
       Result<ColumnVector> decoded = DecodeColumnPage(*dp->frame);
       if (!decoded.ok()) {
         decode_status[t] = decoded.status();
         return;
       }
+      decode_status[t] = CheckDecodedPage(*decoded, type, dp->row_count);
+      if (!decode_status[t].ok()) return;
       dp->values = std::move(decoded).value();
       dp->frame.reset();
     });
@@ -805,41 +784,34 @@ Result<Batch> ScanRowIds(QueryContext* ctx, TableReader* reader,
   return out;
 }
 
+namespace {
+
+// The rows `rows` of `in`, in that order: one typed gather per column.
+Batch GatherRows(const Batch& in, const std::vector<size_t>& rows) {
+  Batch out = in.EmptyLike();
+  for (size_t c = 0; c < in.columns.size(); ++c) {
+    out.columns[c].Resize(rows.size());
+    out.columns[c].Gather(in.columns[c], rows, 0);
+  }
+  return out;
+}
+
+}  // namespace
+
 Batch FilterBatch(QueryContext* ctx, const Batch& in,
                   const std::function<bool(const Batch&, size_t)>& keep) {
   OperatorScope op(ctx, "filter");
-  Batch out = in.EmptyLike();
+  std::vector<size_t> kept;
   for (size_t r = 0; r < in.rows(); ++r) {
-    if (keep(in, r)) in.AppendRowTo(&out, r);
+    if (keep(in, r)) kept.push_back(r);
   }
+  Batch out = GatherRows(in, kept);
   ctx->ChargeValues(in.rows());
   op.AddRows(out.rows());
   return out;
 }
 
 namespace {
-
-// Writes src[rows[i]] to (*dst)[at + i], one typed loop per column. The
-// caller resized `dst` and gave each task a disjoint slot range.
-void GatherColumn(const ColumnVector& src, const std::vector<size_t>& rows,
-                  size_t at, ColumnVector* dst) {
-  switch (src.type) {
-    case ColumnType::kDouble:
-      for (size_t i = 0; i < rows.size(); ++i) {
-        dst->doubles[at + i] = src.doubles[rows[i]];
-      }
-      break;
-    case ColumnType::kString:
-      for (size_t i = 0; i < rows.size(); ++i) {
-        dst->strings[at + i] = src.strings[rows[i]];
-      }
-      break;
-    default:
-      for (size_t i = 0; i < rows.size(); ++i) {
-        dst->ints[at + i] = src.ints[rows[i]];
-      }
-  }
-}
 
 // One probe chunk's output rows, in emit order: the left row of each, and
 // for an inner join the matching right row.
@@ -946,15 +918,14 @@ void JoinOnKeys(QueryContext* ctx, const Batch& left,
     for (size_t i = 0; i < probe_chunks.size(); ++i) {
       at[i + 1] = at[i] + matches[i].left_rows.size();
     }
-    for (ColumnVector& col : out->columns) ResizeColumn(&col, at.back());
+    for (ColumnVector& col : out->columns) col.Resize(at.back());
     pool.RunIndexed(mode, workers, probe_chunks.size(), [&](size_t i) {
       for (size_t c = 0; c < left.columns.size(); ++c) {
-        GatherColumn(left.columns[c], matches[i].left_rows, at[i],
-                     &out->columns[c]);
+        out->columns[c].Gather(left.columns[c], matches[i].left_rows, at[i]);
       }
       for (size_t rc = 0; rc < right_cols.size(); ++rc) {
-        GatherColumn(right.columns[right_cols[rc]], matches[i].right_rows,
-                     at[i], &out->columns[left.columns.size() + rc]);
+        out->columns[left.columns.size() + rc].Gather(
+            right.columns[right_cols[rc]], matches[i].right_rows, at[i]);
       }
     });
     for (const RowChunk& chunk : probe_chunks) {
@@ -1042,17 +1013,9 @@ void HashRowKeys(const Batch& in, const std::vector<int>& key_cols,
                  const RowChunk& chunk, std::vector<uint64_t>* hashes) {
   hashes->assign(chunk.end - chunk.begin, 0);
   for (int c : key_cols) {
-    const ColumnVector& col = in.columns[c];
-    switch (col.type) {
-      case ColumnType::kDouble:
-        CombineKeyHashes(col.doubles, chunk, hashes);
-        break;
-      case ColumnType::kString:
-        CombineKeyHashes(col.strings, chunk, hashes);
-        break;
-      default:
-        CombineKeyHashes(col.ints, chunk, hashes);
-    }
+    VisitValues(in.columns[c], [&](const auto& vals) {
+      CombineKeyHashes(vals, chunk, hashes);
+    });
   }
 }
 
@@ -1095,24 +1058,20 @@ void FoldAggColumn(const ColumnVector* col, size_t a, const RowChunk& chunk,
     for (size_t r = chunk.begin; r < chunk.end; ++r) ++state(r).count;
     return;
   }
-  switch (col->type) {
-    case ColumnType::kDouble:
-      for (size_t r = chunk.begin; r < chunk.end; ++r) {
-        double v = col->doubles[r];
-        FoldValue(v, static_cast<int64_t>(v), nullptr, &state(r));
+  VisitValues(*col, [&](const auto& vals) {
+    using T = ElementOf<decltype(vals)>;
+    for (size_t r = chunk.begin; r < chunk.end; ++r) {
+      if constexpr (std::is_same_v<T, double>) {
+        FoldValue(vals[r], static_cast<int64_t>(vals[r]), nullptr,
+                  &state(r));
+      } else if constexpr (std::is_same_v<T, std::string>) {
+        FoldValue(0, 0, &vals[r], &state(r));
+      } else {
+        FoldValue(static_cast<double>(vals[r]), vals[r], nullptr,
+                  &state(r));
       }
-      break;
-    case ColumnType::kString:
-      for (size_t r = chunk.begin; r < chunk.end; ++r) {
-        FoldValue(0, 0, &col->strings[r], &state(r));
-      }
-      break;
-    default:
-      for (size_t r = chunk.begin; r < chunk.end; ++r) {
-        int64_t iv = col->ints[r];
-        FoldValue(static_cast<double>(iv), iv, nullptr, &state(r));
-      }
-  }
+    }
+  });
 }
 
 // Merges a later chunk's partial states for one group into the global
@@ -1281,22 +1240,11 @@ Result<Batch> HashAggregate(QueryContext* ctx, const Batch& in,
     out.AddColumn(spec.as, std::move(vec));
   }
 
+  for (size_t k = 0; k < key_cols.size(); ++k) {
+    out.columns[k].Resize(states.size());
+    out.columns[k].Gather(in.columns[key_cols[k]], group_of_first_row, 0);
+  }
   for (size_t g = 0; g < states.size(); ++g) {
-    size_t rep = group_of_first_row[g];
-    for (size_t k = 0; k < key_cols.size(); ++k) {
-      const ColumnVector& src = in.columns[key_cols[k]];
-      ColumnVector& dst = out.columns[k];
-      switch (src.type) {
-        case ColumnType::kDouble:
-          dst.doubles.push_back(src.doubles[rep]);
-          break;
-        case ColumnType::kString:
-          dst.strings.push_back(src.strings[rep]);
-          break;
-        default:
-          dst.ints.push_back(src.ints[rep]);
-      }
-    }
     for (size_t a = 0; a < aggs.size(); ++a) {
       const AggState& s = states[g][a];
       ColumnVector& dst = out.columns[key_cols.size() + a];
@@ -1347,36 +1295,31 @@ Batch SortBatch(QueryContext* ctx, Batch in,
   std::vector<size_t> order(in.rows());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
 
+  // Key columns resolved once; unknown keys are skipped.
+  std::vector<std::pair<const ColumnVector*, bool>> keys;
+  for (const SortKey& key : sort_keys) {
+    int c = in.Col(key.column);
+    if (c >= 0) keys.emplace_back(&in.columns[c], key.ascending);
+  }
   auto compare = [&](size_t a, size_t b) {
-    for (const SortKey& key : sort_keys) {
-      int c = in.Col(key.column);
-      if (c < 0) continue;
-      const ColumnVector& col = in.columns[c];
-      int cmp = 0;
-      switch (col.type) {
-        case ColumnType::kDouble:
-          cmp = col.doubles[a] < col.doubles[b]
-                    ? -1
-                    : (col.doubles[a] > col.doubles[b] ? 1 : 0);
-          break;
-        case ColumnType::kString:
-          cmp = col.strings[a].compare(col.strings[b]);
-          cmp = cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
-          break;
-        default:
-          cmp = col.ints[a] < col.ints[b]
-                    ? -1
-                    : (col.ints[a] > col.ints[b] ? 1 : 0);
-      }
-      if (cmp != 0) return key.ascending ? cmp < 0 : cmp > 0;
+    for (const auto& [col, ascending] : keys) {
+      int cmp = VisitValues(*col, [&](const auto& vals) {
+        if constexpr (std::is_same_v<ElementOf<decltype(vals)>,
+                                     std::string>) {
+          int c = vals[a].compare(vals[b]);
+          return c < 0 ? -1 : (c > 0 ? 1 : 0);
+        } else {
+          return vals[a] < vals[b] ? -1 : (vals[a] > vals[b] ? 1 : 0);
+        }
+      });
+      if (cmp != 0) return ascending ? cmp < 0 : cmp > 0;
     }
     return false;
   };
   std::stable_sort(order.begin(), order.end(), compare);
   if (limit > 0 && order.size() > limit) order.resize(limit);
 
-  Batch out = in.EmptyLike();
-  for (size_t r : order) in.AppendRowTo(&out, r);
+  Batch out = GatherRows(in, order);
   // n log n comparisons, each touching the sort-key values.
   double n = static_cast<double>(in.rows());
   ctx->ChargeValues(static_cast<uint64_t>(

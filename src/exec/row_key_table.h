@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -87,17 +88,15 @@ inline bool IsIntFamily(ColumnType type) {
 // value (-0.0 equals 0.0) and all NaNs are one key, matching
 // HashKey(double).
 inline bool CellsEqual(const ColumnVector& col, size_t a, size_t b) {
-  switch (col.type) {
-    case ColumnType::kDouble: {
-      double x = col.doubles[a];
-      double y = col.doubles[b];
+  return VisitValues(col, [&](const auto& vals) {
+    if constexpr (std::is_same_v<ElementOf<decltype(vals)>, double>) {
+      double x = vals[a];
+      double y = vals[b];
       return x == y || (std::isnan(x) && std::isnan(y));
+    } else {
+      return vals[a] == vals[b];
     }
-    case ColumnType::kString:
-      return col.strings[a] == col.strings[b];
-    default:
-      return col.ints[a] == col.ints[b];
-  }
+  });
 }
 
 // --- the table -------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <type_traits>
 #include <utility>
 
 #include "columnar/encoding.h"
@@ -104,26 +105,11 @@ bool EvalExpr(const NdpExpr& e, std::vector<DecodedColumn>& cols,
   return false;
 }
 
-void AppendValue(const ColumnVector& src, size_t offset, ColumnVector* dst) {
-  switch (src.type) {
-    case ColumnType::kDouble:
-      dst->doubles.push_back(src.doubles[offset]);
-      break;
-    case ColumnType::kString:
-      dst->strings.push_back(src.strings[offset]);
-      break;
-    default:
-      dst->ints.push_back(src.ints[offset]);
-  }
-}
-
 // Running state for one aggregate.
 struct AggState {
   bool seen = false;
   int64_t count = 0;
-  int64_t int_acc = 0;
-  double double_acc = 0;
-  std::string string_acc;
+  ColumnVector acc;  // one value of the input column's type: sum/min/max
 };
 
 }  // namespace
@@ -191,6 +177,10 @@ Result<NdpResult> NdpEngine::Evaluate(
     }
   }
   std::vector<AggState> agg_states(req.aggregates.size());
+  for (size_t a = 0; a < req.aggregates.size(); ++a) {
+    agg_states[a].acc.type = req.columns[req.aggregates[a].column].type;
+    agg_states[a].acc.Resize(1);
+  }
 
   // Drive the scan by the first column's pages; a row qualifies only if
   // every request column covers it (each cursor moves forward once per
@@ -214,8 +204,9 @@ Result<NdpResult> NdpEngine::Evaluate(
       if (!result.is_aggregate) {
         for (size_t i = 0; i < projected.size(); ++i) {
           size_t c = projected[i];
-          AppendValue(cols[c].pages[where[c].first], where[c].second,
-                      &result.columns[i]);
+          size_t offset = where[c].second;
+          result.columns[i].AppendRange(cols[c].pages[where[c].first],
+                                        offset, offset + 1);
         }
         continue;
       }
@@ -224,39 +215,22 @@ Result<NdpResult> NdpEngine::Evaluate(
         AggState& st = agg_states[a];
         ++st.count;
         if (agg.op == AggOp::kCount) continue;
-        const DecodedColumn& col = cols[agg.column];
-        const ColumnVector& vals = col.pages[where[agg.column].first];
+        const ColumnVector& vals =
+            cols[agg.column].pages[where[agg.column].first];
         size_t offset = where[agg.column].second;
-        switch (vals.type) {
-          case ColumnType::kDouble: {
-            double v = vals.doubles[offset];
-            if (agg.op == AggOp::kSum) {
-              st.double_acc += v;
-            } else if (!st.seen ||
-                       (agg.op == AggOp::kMin ? v < st.double_acc
-                                              : v > st.double_acc)) {
-              st.double_acc = v;
+        VisitValues(st.acc, [&](auto& acc) {
+          const auto& v = ValuesLike(vals, acc)[offset];
+          if (agg.op == AggOp::kSum) {
+            // Validated above: SUM never sees a string column.
+            if constexpr (!std::is_same_v<ElementOf<decltype(acc)>,
+                                          std::string>) {
+              acc[0] += v;
             }
-            break;
+          } else if (!st.seen ||
+                     (agg.op == AggOp::kMin ? v < acc[0] : v > acc[0])) {
+            acc[0] = v;
           }
-          case ColumnType::kString: {
-            const std::string& v = vals.strings[offset];
-            if (!st.seen || (agg.op == AggOp::kMin ? v < st.string_acc
-                                                   : v > st.string_acc)) {
-              st.string_acc = v;
-            }
-            break;
-          }
-          default: {
-            int64_t v = vals.ints[offset];
-            if (agg.op == AggOp::kSum) {
-              st.int_acc += v;
-            } else if (!st.seen || (agg.op == AggOp::kMin ? v < st.int_acc
-                                                          : v > st.int_acc)) {
-              st.int_acc = v;
-            }
-          }
-        }
+        });
         st.seen = true;
       }
     }
@@ -265,38 +239,21 @@ Result<NdpResult> NdpEngine::Evaluate(
   if (result.is_aggregate) {
     for (size_t a = 0; a < req.aggregates.size(); ++a) {
       const NdpAggregate& agg = req.aggregates[a];
-      const AggState& st = agg_states[a];
+      AggState& st = agg_states[a];
       ColumnVector out;
-      ColumnType col_type = req.columns[agg.column].type;
       switch (agg.op) {
         case AggOp::kCount:
           out.type = ColumnType::kInt64;
           out.ints.push_back(st.count);
           break;
         case AggOp::kSum:
-          out.type = col_type;
-          if (col_type == ColumnType::kDouble) {
-            out.doubles.push_back(st.double_acc);
-          } else {
-            out.ints.push_back(st.int_acc);
-          }
+          out = std::move(st.acc);
           break;
         case AggOp::kMin:
         case AggOp::kMax:
-          out.type = col_type;
+          out = std::move(st.acc);
           // No matching rows: an empty (zero-row) result column.
-          if (st.seen) {
-            AppendValue(
-                [&] {
-                  ColumnVector v;
-                  v.type = col_type;
-                  v.ints.push_back(st.int_acc);
-                  v.doubles.push_back(st.double_acc);
-                  v.strings.push_back(st.string_acc);
-                  return v;
-                }(),
-                0, &out);
-          }
+          if (!st.seen) out.Resize(0);
           break;
       }
       result.columns.push_back(std::move(out));

@@ -17,6 +17,11 @@ constexpr uint32_t kMaxPagesPerColumn = 1u << 20;
 constexpr uint32_t kMaxExprDepth = 64;
 constexpr uint32_t kMaxExprChildren = 256;
 constexpr uint32_t kMaxAggregates = 64;
+// Smallest encodings, so a count never allocates past what the frame can
+// hold: a page ref is a non-empty key (u32 length + 1 byte), first_row
+// and row_count; a filter node is at least its op.
+constexpr size_t kMinPageRefBytes = 4 + 1 + 8 + 4;
+constexpr size_t kMinExprBytes = 4;
 
 bool ValidType(uint32_t t) {
   return t <= static_cast<uint32_t>(ColumnType::kDecimal);
@@ -78,6 +83,7 @@ Status GetExpr(ByteReader& r, uint32_t depth, NdpExpr* out) {
     case ExprOp::kNot: {
       uint32_t n = r.GetU32();
       if (n == 0 || n > kMaxExprChildren ||
+          n > r.remaining() / kMinExprBytes ||
           (out->op == ExprOp::kNot && n != 1)) {
         return Status::InvalidArgument("bad NDP filter arity");
       }
@@ -183,7 +189,8 @@ Result<NdpRequest> NdpRequest::Deserialize(
     col.type = static_cast<ColumnType>(type);
     col.projected = r.GetU32() != 0;
     uint32_t n_pages = r.GetU32();
-    if (n_pages > kMaxPagesPerColumn || r.overflow()) {
+    if (n_pages > kMaxPagesPerColumn || r.overflow() ||
+        n_pages > r.remaining() / kMinPageRefBytes) {
       return Status::InvalidArgument("bad NDP page count");
     }
     col.pages.resize(n_pages);
@@ -254,31 +261,38 @@ Result<NdpResult> NdpResult::Deserialize(const std::vector<uint8_t>& bytes) {
   res.rows_matched = r.GetU64();
   uint32_t n_columns = r.GetU32();
   if (n_columns > kMaxColumns || r.overflow()) {
-    return Status::InvalidArgument("bad NDP result column count");
+    return Status::Corruption("bad NDP result column count");
   }
   res.columns.resize(n_columns);
   for (ColumnVector& col : res.columns) {
     uint32_t type = r.GetU32();
     if (!ValidType(type)) {
-      return Status::InvalidArgument("bad NDP result column type");
+      return Status::Corruption("bad NDP result column type");
     }
     col.type = static_cast<ColumnType>(type);
     uint64_t rows = r.GetU64();
     if (rows == 0) continue;
     uint32_t len = r.GetU32();
     if (r.overflow() || len > r.remaining()) {
-      return Status::InvalidArgument("truncated NDP result");
+      return Status::Corruption("truncated NDP result");
     }
     std::vector<uint8_t> encoded = r.GetBytes(len);
     CLOUDIQ_ASSIGN_OR_RETURN(ColumnVector decoded,
                              DecodeColumnPage(encoded));
     if (decoded.size() != rows || decoded.type != col.type) {
-      return Status::InvalidArgument("NDP result column mismatch");
+      return Status::Corruption("NDP result column mismatch");
     }
     col = std::move(decoded);
   }
   if (r.overflow() || r.remaining() != 0) {
-    return Status::InvalidArgument("malformed NDP result");
+    return Status::Corruption("malformed NDP result");
+  }
+  // A projection returns rows_matched rows in every column; an aggregate
+  // returns at most one value per column.
+  for (const ColumnVector& col : res.columns) {
+    if (res.is_aggregate ? col.size() > 1 : col.size() != res.rows_matched) {
+      return Status::Corruption("ragged NDP result");
+    }
   }
   return res;
 }

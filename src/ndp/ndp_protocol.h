@@ -86,6 +86,8 @@ struct NdpRequest {
   std::vector<NdpAggregate> aggregates;  // empty = row mode
 
   std::vector<uint8_t> Serialize() const;
+  // InvalidArgument on malformed bytes: the server cannot evaluate the
+  // request, which the client must not retry.
   static Result<NdpRequest> Deserialize(const std::vector<uint8_t>& bytes);
 };
 
@@ -102,6 +104,8 @@ struct NdpResult {
   std::vector<ColumnVector> columns;
 
   std::vector<uint8_t> Serialize() const;
+  // Corruption on malformed bytes, including row-mode columns whose
+  // lengths differ from rows_matched or aggregate columns of 2+ rows.
   static Result<NdpResult> Deserialize(const std::vector<uint8_t>& bytes);
 };
 

@@ -30,7 +30,9 @@ Result<Batch> ScanByMonth(QueryContext* ctx, TableReader* reader,
       out = std::move(part);
       first = false;
     } else {
-      for (size_t r = 0; r < part.rows(); ++r) part.AppendRowTo(&out, r);
+      for (size_t c = 0; c < part.columns.size(); ++c) {
+        out.columns[c].AppendRange(part.columns[c], 0, part.rows());
+      }
     }
   }
   if (first) {

@@ -1,13 +1,15 @@
-// Seeded mutation fuzz of the decoders that read persisted bytes:
+// Seeded mutation fuzz of the decoders that read persisted or wire bytes:
 // DecodeColumnPage (column-page encodings), DecodePage (page-codec
 // frames), IntervalSet::Deserialize, PageSet::Deserialize (RF/RB sets),
 // TxnLogRecord::Deserialize, the key generator's checkpoint (through
-// ObjectKeyGenerator::Recover) and the HG, DATE and TEXT posting pages
-// (through the shared page walker and through each index's lookup). Each
-// starts from valid bytes and is fed truncations, bit flips and
-// overwritten counts; every call must return a value or Corruption, never
-// crash, abort or allocate from a corrupt count. scripts/check.sh fuzz
-// runs this binary under ASan and UBSan.
+// ObjectKeyGenerator::Recover), the NDP request and result frames, and
+// the HG, DATE and TEXT posting pages (through the shared page walker and
+// through each index's lookup). Each starts from valid bytes and is fed
+// truncations, bit flips and overwritten counts; every call must return a
+// value or Corruption (InvalidArgument for an NDP request, the store's
+// "cannot evaluate" answer), never crash, abort or allocate from a
+// corrupt count. scripts/check.sh fuzz runs this binary under ASan and
+// UBSan.
 
 #include <cstring>
 #include <limits>
@@ -27,6 +29,7 @@
 #include "common/interval_set.h"
 #include "common/random.h"
 #include "keygen/object_key_generator.h"
+#include "ndp/ndp_protocol.h"
 #include "store/page_codec.h"
 #include "tests/test_util.h"
 #include "txn/page_set.h"
@@ -367,6 +370,148 @@ TEST(CodecFuzzTest, KeygenCheckpointsRecoverOrReportCorruption) {
               if (!recovered.ok()) {
                 EXPECT_TRUE(recovered.status().IsCorruption()) << it;
                 return false;
+              }
+              return true;
+            });
+}
+
+// --- NDP wire frames ----------------------------------------------------
+
+ndp::NdpRequest SeedRequest(bool aggregate) {
+  ndp::NdpRequest req;
+  ndp::NdpColumn k;
+  k.name = "k";
+  k.type = ColumnType::kDate;
+  k.projected = false;
+  k.pages = {{"data/00/1", 0, 100}, {"data/00/2", 100, 50}};
+  ndp::NdpColumn v;
+  v.name = "note";
+  v.type = ColumnType::kString;
+  v.pages = {{"data/01/1", 0, 150}};
+  req.columns = {k, v};
+  ndp::NdpExpr like;
+  like.op = ndp::ExprOp::kCmp;
+  like.cmp = ndp::CmpOp::kNe;
+  like.column = 1;
+  like.literal_type = ColumnType::kString;
+  like.string_literal = "promo";
+  ndp::NdpExpr negated;
+  negated.op = ndp::ExprOp::kNot;
+  negated.children = {like};
+  req.filter = ndp::NdpExpr::And(
+      {ndp::NdpExpr::CmpInt(0, ndp::CmpOp::kGe, 10),
+       ndp::NdpExpr::CmpInt(0, ndp::CmpOp::kLe, 90), negated});
+  if (aggregate) {
+    req.aggregates = {{ndp::AggOp::kCount, 0}, {ndp::AggOp::kMin, 1}};
+  }
+  return req;
+}
+
+// Offsets of a request's counts: columns, each column's pages, the
+// filter root's children and the aggregates.
+std::vector<size_t> RequestCountFields(const ndp::NdpRequest& req) {
+  std::vector<size_t> fields = {0};
+  size_t at = 4;
+  for (const ndp::NdpColumn& col : req.columns) {
+    at += 4 + col.name.size() + 4 + 4;
+    fields.push_back(at);
+    at += 4;
+    for (const ndp::NdpPageRef& page : col.pages) {
+      at += 4 + page.key.size() + 8 + 4;
+    }
+  }
+  fields.push_back(at + 4);
+  fields.push_back(req.Serialize().size() - 4 - 8 * req.aggregates.size());
+  return fields;
+}
+
+TEST(CodecFuzzTest, NdpRequestsDecodeOrReject) {
+  std::vector<Seed> seeds;
+  for (bool aggregate : {false, true}) {
+    ndp::NdpRequest req = SeedRequest(aggregate);
+    seeds.push_back({req.Serialize(), RequestCountFields(req)});
+  }
+  FuzzSeeds(kSeed + 7, kIterations, seeds,
+            [](const std::vector<uint8_t>& b, int it) {
+              Result<ndp::NdpRequest> req = ndp::NdpRequest::Deserialize(b);
+              if (!req.ok()) {
+                // The server's "cannot evaluate" answer, not retried.
+                EXPECT_TRUE(req.status().IsInvalidArgument()) << it;
+                return false;
+              }
+              size_t pages = 0;
+              for (const ndp::NdpColumn& col : req->columns) {
+                pages += col.pages.size();
+              }
+              EXPECT_LE(pages, b.size() / 17) << it;
+              return true;
+            });
+}
+
+// Offsets of a result's counts: rows_matched, columns, and each column's
+// row count and encoded length.
+std::vector<size_t> ResultCountFields(const std::vector<uint8_t>& bytes) {
+  std::vector<size_t> fields = {4, 12};
+  uint32_t columns = 0;
+  std::memcpy(&columns, bytes.data() + 12, sizeof(columns));
+  size_t at = 16;
+  for (uint32_t c = 0; c < columns; ++c) {
+    uint64_t rows = 0;
+    std::memcpy(&rows, bytes.data() + at + 4, sizeof(rows));
+    fields.push_back(at + 4);
+    at += 12;
+    if (rows == 0) continue;
+    uint32_t len = 0;
+    std::memcpy(&len, bytes.data() + at, sizeof(len));
+    fields.push_back(at);
+    at += 4 + len;
+  }
+  return fields;
+}
+
+TEST(CodecFuzzTest, NdpResultsDecodeOrReportCorruption) {
+  Rng rng(kSeed + 8);
+  ndp::NdpResult rows;
+  rows.rows_matched = 120;
+  ColumnVector ints;
+  ints.type = ColumnType::kDecimal;
+  ColumnVector doubles;
+  doubles.type = ColumnType::kDouble;
+  ColumnVector strings;
+  strings.type = ColumnType::kString;
+  for (uint64_t r = 0; r < rows.rows_matched; ++r) {
+    ints.ints.push_back(static_cast<int64_t>(rng.Uniform(1 << 16)));
+    doubles.doubles.push_back(rng.NextDouble());
+    strings.strings.push_back(r % 3 ? "regular" : "promo sale");
+  }
+  rows.columns = {ints, doubles, strings};
+  ndp::NdpResult agg;
+  agg.is_aggregate = true;
+  agg.rows_matched = 7;
+  ColumnVector count;
+  count.type = ColumnType::kInt64;
+  count.ints = {7};
+  ColumnVector empty_min;
+  empty_min.type = ColumnType::kString;
+  agg.columns = {count, empty_min};
+  std::vector<Seed> seeds;
+  for (const ndp::NdpResult* res : {&rows, &agg}) {
+    std::vector<uint8_t> bytes = res->Serialize();
+    seeds.push_back({bytes, ResultCountFields(bytes)});
+  }
+  FuzzSeeds(kSeed + 9, kIterations, seeds,
+            [](const std::vector<uint8_t>& b, int it) {
+              Result<ndp::NdpResult> res = ndp::NdpResult::Deserialize(b);
+              if (!res.ok()) {
+                EXPECT_TRUE(res.status().IsCorruption()) << it;
+                return false;
+              }
+              for (const ColumnVector& col : res->columns) {
+                if (res->is_aggregate) {
+                  EXPECT_LE(col.size(), 1u) << it;
+                } else {
+                  EXPECT_EQ(col.size(), res->rows_matched) << it;
+                }
               }
               return true;
             });

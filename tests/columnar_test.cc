@@ -40,6 +40,131 @@ TEST(ValueTest, DecimalScaling) {
   EXPECT_EQ(DecimalFromDouble(-1.005), -100);  // rounds toward nearest
 }
 
+// --- the typed column primitive over every ColumnType -------------------
+
+constexpr ColumnType kAllTypes[] = {ColumnType::kInt64, ColumnType::kDouble,
+                                    ColumnType::kString, ColumnType::kDate,
+                                    ColumnType::kDecimal};
+
+// `n` distinct values of `type`, starting from `seed`. Strings are long
+// enough to live on the heap, so a moved-from source would show.
+ColumnVector SampleColumn(ColumnType type, size_t n, int seed) {
+  ColumnVector col;
+  col.type = type;
+  for (size_t i = 0; i < n; ++i) {
+    int64_t v = seed * 100 + static_cast<int64_t>(i);
+    switch (type) {
+      case ColumnType::kDouble:
+        col.doubles.push_back(v * 0.25 - 3);
+        break;
+      case ColumnType::kString:
+        col.strings.push_back("value number " + std::to_string(v) +
+                              " padded past the small-string buffer");
+        break;
+      default:
+        col.ints.push_back(v * 7 - 11);
+    }
+  }
+  return col;
+}
+
+// Row-at-a-time reference: push src[row] onto the matching vector.
+void PushCell(const ColumnVector& src, size_t row, ColumnVector* dst) {
+  switch (src.type) {
+    case ColumnType::kDouble:
+      dst->doubles.push_back(src.doubles[row]);
+      break;
+    case ColumnType::kString:
+      dst->strings.push_back(src.strings[row]);
+      break;
+    default:
+      dst->ints.push_back(src.ints[row]);
+  }
+}
+
+void ExpectSameColumn(const ColumnVector& expected,
+                      const ColumnVector& actual) {
+  EXPECT_EQ(actual.type, expected.type);
+  EXPECT_EQ(actual.ints, expected.ints);
+  EXPECT_EQ(actual.doubles, expected.doubles);
+  EXPECT_EQ(actual.strings, expected.strings);
+}
+
+TEST(ColumnPrimitiveTest, SizeReserveAndResizeUseTheTypedVector) {
+  for (ColumnType type : kAllTypes) {
+    SCOPED_TRACE(ColumnTypeName(type));
+    ColumnVector col = SampleColumn(type, 5, 1);
+    EXPECT_EQ(col.size(), 5u);
+    col.reserve(64);
+    EXPECT_EQ(col.size(), 5u);
+    ColumnVector expected = SampleColumn(type, 3, 1);
+    col.Resize(3);
+    ExpectSameColumn(expected, col);
+    col.Resize(6);
+    EXPECT_EQ(col.size(), 6u);
+    // New rows are value-initialized: 0, 0.0 or "".
+    const ColumnVector zero{type, {0}, {0.0}, {""}};
+    for (int i = 0; i < 3; ++i) PushCell(zero, 0, &expected);
+    ExpectSameColumn(expected, col);
+    col.Resize(0);
+    EXPECT_EQ(col.size(), 0u);
+  }
+}
+
+TEST(ColumnPrimitiveTest, AppendRangeMatchesRowwiseCopy) {
+  for (ColumnType type : kAllTypes) {
+    SCOPED_TRACE(ColumnTypeName(type));
+    const ColumnVector src = SampleColumn(type, 10, 2);
+    const ColumnVector before = src;
+    ColumnVector dst = SampleColumn(type, 2, 3);
+    ColumnVector expected = dst;
+    dst.AppendRange(src, 4, 4);  // empty range
+    dst.AppendRange(src, 10, 10);
+    ExpectSameColumn(expected, dst);
+    dst.AppendRange(src, 3, 7);
+    for (size_t r = 3; r < 7; ++r) PushCell(src, r, &expected);
+    dst.AppendRange(src, 0, src.size());  // the whole vector
+    for (size_t r = 0; r < src.size(); ++r) PushCell(src, r, &expected);
+    ExpectSameColumn(expected, dst);
+    ExpectSameColumn(before, src);  // copied, never moved from
+  }
+}
+
+TEST(ColumnPrimitiveTest, AppendRangeAcrossIntFamilyTypes) {
+  // DATE and DECIMAL share INT64's storage, so values move between them.
+  ColumnVector dates = SampleColumn(ColumnType::kDate, 4, 4);
+  ColumnVector out;
+  out.type = ColumnType::kDecimal;
+  out.AppendRange(dates, 1, 3);
+  EXPECT_EQ(out.ints,
+            (std::vector<int64_t>{dates.ints[1], dates.ints[2]}));
+}
+
+TEST(ColumnPrimitiveTest, GatherWritesRowsInAnyOrderAtAnOffset) {
+  for (ColumnType type : kAllTypes) {
+    SCOPED_TRACE(ColumnTypeName(type));
+    const ColumnVector src = SampleColumn(type, 10, 5);
+    const ColumnVector before = src;
+    const std::vector<size_t> rows = {9, 0, 4, 4, 7, 0, 2};
+    const size_t at = 3;
+    ColumnVector dst = SampleColumn(type, at + rows.size() + 2, 6);
+    ColumnVector expected;
+    expected.type = type;
+    for (size_t r = 0; r < at; ++r) PushCell(dst, r, &expected);
+    for (size_t r : rows) PushCell(src, r, &expected);
+    for (size_t r = at + rows.size(); r < dst.size(); ++r) {
+      PushCell(dst, r, &expected);
+    }
+    dst.Gather(src, rows, at);
+    ExpectSameColumn(expected, dst);
+    ExpectSameColumn(before, src);  // copied, never moved from
+
+    // No rows: nothing changes, even at the end of the column.
+    dst.Gather(src, {}, dst.size());
+    ExpectSameColumn(expected, dst);
+  }
+}
+
 // Property sweep: n-bit packing round-trips at every width.
 class NBitPackTest : public ::testing::TestWithParam<int> {};
 

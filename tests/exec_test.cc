@@ -287,6 +287,43 @@ TEST_F(ExecTest, PartitionPruningOnPartitionColumn) {
   EXPECT_EQ(batch->rows(), 400u);
 }
 
+TEST_F(ExecTest, RangeOnNonIntColumnIsRejected) {
+  Result<TableReader> reader = ctx_->OpenTable(10);
+  ASSERT_TRUE(reader.ok());
+  // String pages carry no int zone bounds, so nothing would prune them
+  // and the exact filter would read a string column as ints.
+  Result<Batch> batch =
+      ScanTable(ctx_.get(), &*reader, {"id"}, ScanRange{"note", 0, 0});
+  EXPECT_TRUE(batch.status().IsInvalidArgument());
+  // DECIMAL is int-family: its range scan still works.
+  Result<Batch> amounts = ScanTable(ctx_.get(), &*reader, {"id"},
+                                    ScanRange{"amount", 100, 100});
+  ASSERT_TRUE(amounts.ok()) << amounts.status().ToString();
+  EXPECT_EQ(amounts->rows(), 100u);
+}
+
+TEST_F(ExecTest, PagesDisagreeingWithTheirSegmentAreCorruption) {
+  Result<TableReader> good = ctx_->OpenTable(10);
+  ASSERT_TRUE(good.ok());
+  IntervalSet rows;
+  rows.InsertRange(0, 10);
+  // Metadata that calls the string `note` pages INT64, or promises one
+  // row more than `id`'s first page holds: both scan paths must refuse
+  // the pages instead of reading past their values.
+  TableMeta wrong_type = good->meta();
+  wrong_type.schema.columns[4].type = ColumnType::kInt64;
+  TableMeta wrong_rows = good->meta();
+  wrong_rows.partitions[0].columns[0].page_rows[0] += 1;
+  for (const TableMeta& meta : {wrong_type, wrong_rows}) {
+    TableReader bad(txn_mgr_.get(), txn_, meta);
+    Result<Batch> scan = ScanTable(ctx_.get(), &bad, {"id", "note"});
+    EXPECT_TRUE(scan.status().IsCorruption()) << scan.status().ToString();
+    Result<Batch> by_id =
+        ScanRowIds(ctx_.get(), &bad, 0, {"id", "note"}, rows);
+    EXPECT_TRUE(by_id.status().IsCorruption()) << by_id.status().ToString();
+  }
+}
+
 TEST_F(ExecTest, FilterBatchRowwise) {
   Result<TableReader> reader = ctx_->OpenTable(10);
   ASSERT_TRUE(reader.ok());
@@ -1205,6 +1242,123 @@ TEST_F(ExecOracleTest, HashAggregateMatchesMapReference) {
       });
     }
   }
+}
+
+// --- FilterBatch / SortBatch / aggregate keys over every column type ----
+
+// 240 rows of every ColumnType, with repeats so sort keys tie and
+// aggregate keys group; the doubles include -0.0 next to 0.0.
+Batch AllTypesBatch() {
+  Batch in;
+  in.AddColumn("i", OfType(ColumnType::kInt64));
+  in.AddColumn("d", OfType(ColumnType::kDouble));
+  in.AddColumn("s", OfType(ColumnType::kString));
+  in.AddColumn("day", OfType(ColumnType::kDate));
+  in.AddColumn("dec", OfType(ColumnType::kDecimal));
+  Rng rng(77);
+  for (int r = 0; r < 240; ++r) {
+    in.columns[0].ints.push_back(static_cast<int64_t>(rng.Uniform(5)) - 2);
+    uint64_t d = rng.Uniform(4);
+    in.columns[1].doubles.push_back(d == 0   ? (r % 2 ? 0.0 : -0.0)
+                                    : d == 1 ? -1.5
+                                             : d * 0.25);
+    in.columns[2].strings.push_back(
+        std::string(rng.Uniform(3) * 9, 'x') +
+        std::to_string(rng.Uniform(3)));
+    in.columns[3].ints.push_back(9000 + static_cast<int64_t>(rng.Uniform(2)));
+    in.columns[4].ints.push_back(static_cast<int64_t>(rng.Uniform(3)) * 100);
+  }
+  return in;
+}
+
+// Row-at-a-time reference: the rows `rows` of `in`, in order.
+Batch ReferenceRows(const Batch& in, const std::vector<size_t>& rows) {
+  Batch out = in.EmptyLike();
+  for (size_t r : rows) {
+    for (size_t c = 0; c < in.columns.size(); ++c) {
+      AppendCell(in.columns[c], r, &out.columns[c]);
+    }
+  }
+  return out;
+}
+
+TEST_F(ExecTest, FilterBatchMatchesRowwiseOverEveryType) {
+  Batch in = AllTypesBatch();
+  auto keep = [](const Batch& b, size_t r) {
+    return b.columns[0].ints[r] != 0 && b.columns[2].strings[r].size() > 1;
+  };
+  std::vector<size_t> rows;
+  for (size_t r = 0; r < in.rows(); ++r) {
+    if (keep(in, r)) rows.push_back(r);
+  }
+  ASSERT_GT(rows.size(), 0u);
+  ASSERT_LT(rows.size(), in.rows());
+  ExpectBatchesBitwise(ReferenceRows(in, rows),
+                       FilterBatch(ctx_.get(), in, keep));
+  ExpectBatchesBitwise(
+      in.EmptyLike(),
+      FilterBatch(ctx_.get(), in, [](const Batch&, size_t) { return false; }));
+}
+
+TEST_F(ExecTest, SortBatchMatchesRowwiseOverEveryType) {
+  Batch in = AllTypesBatch();
+  const std::vector<std::vector<SortKey>> cases = {
+      {{"d", false}, {"s", true}},
+      {{"s", true}, {"missing", true}, {"day", false}},
+      {{"dec", true}, {"i", false}, {"d", true}},
+      {{"missing", false}},
+      {}};
+  for (size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    const std::vector<SortKey>& keys = cases[i];
+    std::vector<size_t> rows(in.rows());
+    for (size_t r = 0; r < rows.size(); ++r) rows[r] = r;
+    std::stable_sort(rows.begin(), rows.end(), [&](size_t a, size_t b) {
+      for (const SortKey& key : keys) {
+        int c = in.Col(key.column);
+        if (c < 0) continue;  // unknown keys are skipped
+        RefCell x = Cell(in.columns[c], a);
+        RefCell y = Cell(in.columns[c], b);
+        if (x < y) return key.ascending;
+        if (y < x) return !key.ascending;
+      }
+      return false;
+    });
+    ExpectBatchesBitwise(ReferenceRows(in, rows),
+                         SortBatch(ctx_.get(), in, keys));
+    rows.resize(17);
+    ExpectBatchesBitwise(ReferenceRows(in, rows),
+                         SortBatch(ctx_.get(), in, keys, 17));
+  }
+}
+
+TEST_F(ExecTest, AggregateKeyOutputMatchesRowwiseOverEveryType) {
+  Batch in = AllTypesBatch();
+  const std::vector<std::string> keys = in.names;
+  // Groups in first-row order, keyed by typed value (-0.0 == 0.0); each
+  // key column shows its group's first row.
+  std::map<std::vector<RefCell>, size_t> index;
+  std::vector<size_t> first_rows;
+  std::vector<int64_t> counts;
+  for (size_t r = 0; r < in.rows(); ++r) {
+    std::vector<RefCell> key;
+    for (const ColumnVector& col : in.columns) key.push_back(Cell(col, r));
+    auto [it, inserted] = index.emplace(key, first_rows.size());
+    if (inserted) {
+      first_rows.push_back(r);
+      counts.push_back(0);
+    }
+    ++counts[it->second];
+  }
+  ASSERT_GT(first_rows.size(), 1u);
+  ASSERT_LT(first_rows.size(), in.rows());
+  Batch expected = ReferenceRows(in, first_rows);
+  expected.AddColumn("n", OfType(ColumnType::kInt64));
+  expected.columns.back().ints = counts;
+  Result<Batch> agg =
+      HashAggregate(ctx_.get(), in, keys, {{AggOp::kCount, "", "n"}});
+  ASSERT_TRUE(agg.ok()) << agg.status().ToString();
+  ExpectBatchesBitwise(expected, *agg);
 }
 
 }  // namespace

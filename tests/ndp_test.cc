@@ -155,6 +155,34 @@ TEST(NdpProtocolTest, ResultRoundTripAggregateAndEmpty) {
   EXPECT_EQ(round.value().columns[1].doubles.size(), 0u);
 }
 
+TEST(NdpProtocolTest, RejectsRaggedResults) {
+  ColumnVector three;
+  three.type = ColumnType::kInt64;
+  three.ints = {1, 2, 3};
+  ColumnVector none;
+  none.type = ColumnType::kString;
+  ColumnVector two;
+  two.type = ColumnType::kDouble;
+  two.doubles = {0.5, 1.5};
+
+  // Row mode: every column has exactly rows_matched rows.
+  NdpResult res;
+  res.rows_matched = 3;
+  res.columns = {three, none};
+  Result<NdpResult> ragged = NdpResult::Deserialize(res.Serialize());
+  EXPECT_TRUE(ragged.status().IsCorruption()) << ragged.status().ToString();
+  res.columns = {two};
+  EXPECT_TRUE(NdpResult::Deserialize(res.Serialize()).status().IsCorruption());
+  res.columns = {three, three};
+  EXPECT_TRUE(NdpResult::Deserialize(res.Serialize()).ok());
+
+  // Aggregate mode: at most one value per column.
+  res.is_aggregate = true;
+  res.rows_matched = 2;
+  res.columns = {two};
+  EXPECT_TRUE(NdpResult::Deserialize(res.Serialize()).status().IsCorruption());
+}
+
 // --- engine ----------------------------------------------------------------
 
 // Encodes `values[begin, end)` the way stored cloud pages are framed.

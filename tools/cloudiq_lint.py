@@ -60,6 +60,14 @@ level. Rules:
                           predicted-vs-billed accounting that EXPLAIN
                           WHATIF and costopt.prediction_error promise.
                           src/costopt/ itself (the mechanism) is exempt.
+  cloudiq-column-switch   No `case ColumnType::` label under src/exec/.
+                          Operators move typed values through the one
+                          column primitive (VisitValues and the
+                          AppendRange / Gather / Resize operations in
+                          src/columnar/value.h), so a new storage kind
+                          is one more case there, not one per operator.
+                          A label that is not a value copy (a per-type
+                          planner weight) justifies a NOLINT.
 
 Escape hatch: `// NOLINT(cloudiq-<rule>): <justification>` on the
 offending line (or the line above) suppresses that rule there. The
@@ -132,6 +140,8 @@ COSTOPT_EVIDENCE_RE = re.compile(
     r"WhatIfScan|WhatIfLog|whatif\s*\(|\.Observe\s*\(|predicted_usd|"
     r"SpendPredictor|predictor|PredictionStats")
 COSTOPT_EVIDENCE_WINDOW = 10
+
+COLUMN_SWITCH_RE = re.compile(r"\bcase\s+ColumnType\s*::")
 
 
 class Violation:
@@ -262,6 +272,11 @@ def costopt_evidence_applies(path):
     if not (p.startswith("src/") or "/src/" in p):
         return False
     return not (p.startswith("src/costopt/") or "/src/costopt/" in p)
+
+
+def column_switch_applies(path):
+    p = norm(path)
+    return p.startswith("src/exec/") or "/src/exec/" in p
 
 
 def unordered_names(stripped_text):
@@ -471,6 +486,16 @@ def check_costopt_evidence(ctx, report):
                "Observe) so predicted-vs-billed accounting sees it")
 
 
+def check_column_switch(ctx, report):
+    for idx, line in enumerate(ctx.stripped_lines):
+        if COLUMN_SWITCH_RE.search(line):
+            report(idx, "column-switch",
+                   "`case ColumnType::` in an operator; move values "
+                   "through VisitValues / AppendRange / Gather / Resize "
+                   "(columnar/value.h) instead of a per-operator type "
+                   "switch")
+
+
 def check_direct_put(ctx, report):
     names = store_var_names(ctx.stripped_text)
     sib = sibling_path(ctx.path)
@@ -513,6 +538,7 @@ RULES = [
          check_costopt_evidence),
     Rule("direct-put", lambda p: not direct_put_exempt(p),
          check_direct_put),
+    Rule("column-switch", column_switch_applies, check_column_switch),
 ]
 
 

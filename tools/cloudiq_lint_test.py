@@ -194,6 +194,52 @@ class LintFixtureTest(unittest.TestCase):
         )
         self.assertEqual(self.lint("src/ndp/notes.h", code), [])
 
+    # --- cloudiq-column-switch ----------------------------------------------
+
+    def test_column_switch_flagged_in_exec(self):
+        code = (
+            "switch (col.type) {\n"
+            "  case ColumnType::kDouble:\n"
+            "    break;\n"
+            "  case  ColumnType :: kString:\n"
+            "    break;\n"
+            "  default:\n"
+            "    break;\n"
+            "}\n"
+        )
+        violations = self.lint("src/exec/operator.cc", code)
+        self.assertEqual(self.rules(violations), ["column-switch"] * 2)
+        self.assertEqual([v.line for v in violations], [2, 4])
+        self.assertEqual(
+            self.rules(self.lint("src/exec/batch.h", code)),
+            ["column-switch"] * 2)
+
+    def test_column_switch_scoped_to_exec(self):
+        code = "switch (t) {\n  case ColumnType::kDouble: return 8;\n}\n"
+        for path in ("src/columnar/value.h", "src/columnar/encoding.cc",
+                     "src/ndp/ndp_engine.cc", "tests/exec_test.cc"):
+            self.assertEqual(self.lint(path, code), [], path)
+
+    def test_column_switch_ignores_comparisons_and_comments(self):
+        code = (
+            "// case ColumnType::kString: used to be a switch here\n"
+            "bool s = col.type == ColumnType::kString;\n"
+            "const char* n = \"case ColumnType::kDate\";\n"
+        )
+        self.assertEqual(self.lint("src/exec/executor.cc", code), [])
+
+    def test_column_switch_nolint_with_justification(self):
+        code = (
+            "switch (type) {\n"
+            "  // NOLINT(cloudiq-column-switch): a planner weight.\n"
+            "  case ColumnType::kDouble: return 8.0;\n"
+            "  case ColumnType::kString: return 16.0;\n"
+            "}\n"
+        )
+        violations = self.lint("src/exec/executor.cc", code)
+        self.assertEqual(self.rules(violations), ["column-switch"])
+        self.assertEqual(violations[0].line, 4)
+
     # --- cloudiq-stall-report -----------------------------------------------
 
     def test_unreported_wait_and_backoff_flagged(self):
