@@ -50,7 +50,8 @@
 #                               # stall_top fixture tests, the
 #                               # native worker sweep under TSan, and
 #                               # the parallel-executor and hash-table
-#                               # oracle tests under TSan
+#                               # oracle tests and the coded-vs-
+#                               # plain column tests under TSan
 #
 # Each pass uses its own build tree (build/, build-asan/, build-ubsan/,
 # build-tsan/) so the sweeps never poison the primary build's cache.
@@ -437,18 +438,22 @@ parallel_pass() {
   echo "--- parallel: TSan exec_test native-vs-sim and oracle cases"
   cmake --build build-tsan -j "${JOBS}" --target exec_test
   ./build-tsan/tests/exec_test \
-    --gtest_filter='ParallelExecTest.*:ExecOracleTest.*:RowKeyTableTest.*'
+    --gtest_filter='ParallelExecTest.*:ExecOracleTest.*:RowKeyTableTest.*:CodedColumnTest.*'
   echo "=== parallel: OK ==="
 }
 
-# Decoder fuzz gate: codec_fuzz_test feeds DecodeColumnPage, DecodePage,
-# IntervalSet::Deserialize, PageSet::Deserialize,
-# TxnLogRecord::Deserialize, ObjectKeyGenerator::Recover,
-# NdpRequest::Deserialize, NdpResult::Deserialize and the HG / DATE /
-# TEXT posting-page walker and lookups truncated, bit-flipped and
-# count-overwritten bytes from a fixed seed. Every call must return a
-# value or Corruption (InvalidArgument for an NDP request); ASan catches overreads and oversized allocations,
-# UBSan (halting on the first report) catches shifts by a corrupt width.
+# Decoder fuzz gate: codec_fuzz_test feeds DecodeColumnPage and
+# DecodeColumnPageCoded, DecodePage, IntervalSet::Deserialize,
+# PageSet::Deserialize, TxnLogRecord::Deserialize,
+# ObjectKeyGenerator::Recover, NdpRequest::Deserialize,
+# NdpResult::Deserialize and the HG / DATE / TEXT posting-page walker and
+# lookups truncated, bit-flipped and count-overwritten bytes from a fixed
+# seed, plus dictionary pages with swapped and duplicated entries. Every
+# call must return a value or Corruption (InvalidArgument for an NDP
+# request), and the two column-page decoders must agree: both Corruption,
+# or the coded result expands to the plain one. ASan catches overreads and
+# oversized allocations, UBSan (halting on the first report) catches
+# shifts by a corrupt width.
 fuzz_pass() {
   echo "=== fuzz: decoder mutation fuzz under ASan + UBSan ==="
   local pass sanitize dir

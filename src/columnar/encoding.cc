@@ -7,6 +7,7 @@
 #include <map>
 
 #include "common/coding.h"
+#include "common/key_hash.h"
 
 namespace cloudiq {
 namespace {
@@ -248,7 +249,20 @@ std::vector<uint8_t> EncodeColumnPage(const ColumnVector& values,
   return out;
 }
 
+bool IsDictionaryPage(const std::vector<uint8_t>& bytes) {
+  constexpr size_t kEncodingOffset = 8;  // after [type u32][count u32]
+  return bytes.size() > kEncodingOffset &&
+         bytes[kEncodingOffset] == kEncodingDictString;
+}
+
 Result<ColumnVector> DecodeColumnPage(const std::vector<uint8_t>& bytes) {
+  CLOUDIQ_ASSIGN_OR_RETURN(ColumnVector out, DecodeColumnPageCoded(bytes));
+  out.ExpandStrings();
+  return out;
+}
+
+Result<ColumnVector> DecodeColumnPageCoded(
+    const std::vector<uint8_t>& bytes) {
   ByteReader reader(bytes);
   ColumnVector out;
   uint32_t type = reader.GetU32();
@@ -330,16 +344,23 @@ Result<ColumnVector> DecodeColumnPage(const std::vector<uint8_t>& bytes) {
       if (reader.remaining() / 4 < dict_size) {
         return Status::Corruption("dictionary truncated");
       }
-      std::vector<std::string> dict(dict_size);
-      for (uint32_t i = 0; i < dict_size; ++i) dict[i] = reader.GetString();
+      auto dict = std::make_shared<StringDict>();
+      dict->strings.resize(dict_size);
+      for (uint32_t i = 0; i < dict_size; ++i) {
+        dict->strings[i] = reader.GetString();
+        if (i > 0 && !(dict->strings[i - 1] < dict->strings[i])) {
+          return Status::Corruption("dictionary not strictly ascending");
+        }
+      }
       const uint8_t* packed = packed_run(width, count);
       if (packed == nullptr) return Status::Corruption("bad dictionary codes");
       bool code_in_range = true;
-      out.strings.reserve(count);
+      out.codes.resize(count);
+      uint32_t* dst = out.codes.data();
       UnpackBits(packed, PackedBytes(count, width), width, count,
-                 [&](size_t, uint64_t code) {
-                   if (code < dict.size()) {
-                     out.strings.push_back(dict[code]);
+                 [&](size_t i, uint64_t code) {
+                   if (code < dict_size) {
+                     dst[i] = static_cast<uint32_t>(code);
                    } else {
                      code_in_range = false;
                    }
@@ -347,6 +368,11 @@ Result<ColumnVector> DecodeColumnPage(const std::vector<uint8_t>& bytes) {
       if (!code_in_range) {
         return Status::Corruption("dictionary code out of range");
       }
+      dict->hash.reserve(dict_size);
+      for (const std::string& s : dict->strings) {
+        dict->hash.push_back(HashKey(s));
+      }
+      out.dict = std::move(dict);
       break;
     }
     case kEncodingRawString: {

@@ -51,10 +51,23 @@ std::vector<uint8_t> EncodeColumnPage(const ColumnVector& values,
                                       size_t begin, size_t end,
                                       ZoneMapEntry* zone);
 
-// Decodes a column page produced by EncodeColumnPage. Any other input
-// yields Corruption: the decoder checks the type against the encoding and
-// every count against the bytes present before allocating.
+// Decodes a column page produced by EncodeColumnPage, keeping the codes
+// of a dictionary page: it decodes to a coded kString column whose
+// dictionary is the page's own (entries ascending, hashes computed);
+// every other page decodes plain. Any other input yields Corruption: the
+// decoder checks the type against the encoding, every count against the
+// bytes present before allocating, every code against the dictionary, and
+// that the dictionary is strictly ascending, as the encoder writes it, so
+// its entries are distinct and equal codes mean equal strings.
+Result<ColumnVector> DecodeColumnPageCoded(const std::vector<uint8_t>& bytes);
+
+// DecodeColumnPageCoded followed by ExpandStrings: every page decodes
+// plain.
 Result<ColumnVector> DecodeColumnPage(const std::vector<uint8_t>& bytes);
+
+// Whether the header of `bytes` names the dictionary string encoding. The
+// page is not otherwise checked; decoding it may still fail.
+bool IsDictionaryPage(const std::vector<uint8_t>& bytes);
 
 }  // namespace cloudiq
 

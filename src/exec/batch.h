@@ -37,8 +37,9 @@ struct Batch {
   double Double(const std::string& name, size_t row) const {
     return column(name).doubles[row];
   }
+  // Either form of a string column.
   const std::string& Str(const std::string& name, size_t row) const {
-    return column(name).strings[row];
+    return column(name).StringAt(row);
   }
 
   void AddColumn(std::string name, ColumnVector column_data) {
@@ -53,13 +54,14 @@ struct Batch {
     }
   }
 
-  // An empty batch with the same shape.
+  // An empty batch with the same shape; coded columns share their
+  // dictionaries.
   Batch EmptyLike() const {
     Batch out;
     out.names = names;
-    out.columns.resize(columns.size());
-    for (size_t c = 0; c < columns.size(); ++c) {
-      out.columns[c].type = columns[c].type;
+    out.columns.reserve(columns.size());
+    for (const ColumnVector& col : columns) {
+      out.columns.push_back(col.EmptyLike());
     }
     return out;
   }

@@ -238,6 +238,37 @@ struct SliceCursor {
   }
 };
 
+// Merges the page dictionaries of one coded read column, in page order,
+// into one scan dictionary, and rewrites each page's codes through a
+// per-page remap so every page shares it. A string already in the scan
+// dictionary is found by its stored hash; the page dictionaries' entries
+// are distinct, so the merged ones are too.
+std::shared_ptr<const StringDict> MergePageDictionaries(
+    const std::vector<DecodedPage*>& pages) {
+  auto merged = std::make_shared<StringDict>();
+  RowKeyTable index;
+  std::vector<uint32_t> remap;
+  for (DecodedPage* dp : pages) {
+    const StringDict& page = *dp->values.dict;
+    remap.resize(page.strings.size());
+    for (size_t j = 0; j < page.strings.size(); ++j) {
+      bool inserted = false;
+      remap[j] = index.FindOrInsert(
+          page.hash[j],
+          [&](uint32_t k) { return merged->strings[k] == page.strings[j]; },
+          &inserted);
+      if (inserted) {
+        merged->strings.push_back(page.strings[j]);
+        merged->hash.push_back(page.hash[j]);
+      }
+    }
+    for (uint32_t& code : dp->values.codes) code = remap[code];
+  }
+  std::shared_ptr<const StringDict> dict = std::move(merged);
+  for (DecodedPage* dp : pages) dp->values.dict = dict;
+  return dict;
+}
+
 // Materializes one morsel's candidate rows into a private fragment with
 // `shape`'s columns, applying the exact range filter in-morsel: the
 // surviving runs come from one pass over the range column, then each
@@ -714,30 +745,55 @@ Result<Batch> ScanTable(QueryContext* ctx, TableReader* reader,
     stats.counter("exec.morsels").Add(morsels.size());
 
     ScopedParallelSection section(ctx);
-    // Phase B (workers, host CPU): decode each fetched frame once.
-    std::vector<std::pair<DecodedPage*, ColumnType>> decode_tasks;
+    // Each read column's pages, partition by partition.
+    std::vector<std::vector<DecodedPage*>> pages_of(col_ids.size());
     for (std::vector<ColumnSlice>& slices : parts) {
       for (size_t i = 0; i < slices.size(); ++i) {
-        for (DecodedPage& dp : slices[i].pages) {
-          decode_tasks.emplace_back(&dp, out.columns[i].type);
-        }
+        for (DecodedPage& dp : slices[i].pages) pages_of[i].push_back(&dp);
+      }
+    }
+    // Phase B (workers, host CPU): decode each fetched frame once. A read
+    // column stays dictionary-coded iff every fetched page of it is a
+    // dictionary page; the others decode plain.
+    struct DecodeTask {
+      DecodedPage* page;
+      ColumnType type;
+      bool coded;
+    };
+    std::vector<bool> coded(col_ids.size());
+    std::vector<DecodeTask> decode_tasks;
+    for (size_t i = 0; i < col_ids.size(); ++i) {
+      coded[i] = std::all_of(
+          pages_of[i].begin(), pages_of[i].end(),
+          [](const DecodedPage* dp) { return IsDictionaryPage(*dp->frame); });
+      for (DecodedPage* dp : pages_of[i]) {
+        decode_tasks.push_back({dp, out.columns[i].type, coded[i]});
       }
     }
     std::vector<Status> decode_status(decode_tasks.size(), Status::Ok());
     pool.RunIndexed(mode, workers, decode_tasks.size(), [&](size_t t) {
-      auto [dp, type] = decode_tasks[t];
-      Result<ColumnVector> decoded = DecodeColumnPage(*dp->frame);
+      const DecodeTask& task = decode_tasks[t];
+      DecodedPage* dp = task.page;
+      Result<ColumnVector> decoded = DecodeColumnPageCoded(*dp->frame);
       if (!decoded.ok()) {
         decode_status[t] = decoded.status();
         return;
       }
-      decode_status[t] = CheckDecodedPage(*decoded, type, dp->row_count);
+      decode_status[t] =
+          CheckDecodedPage(*decoded, task.type, dp->row_count);
       if (!decode_status[t].ok()) return;
       dp->values = std::move(decoded).value();
+      if (!task.coded) dp->values.ExpandStrings();
       dp->frame.reset();
     });
     for (const Status& st : decode_status) {
       CLOUDIQ_RETURN_IF_ERROR(st);
+    }
+    // One scan dictionary per coded column, taken by `out` before the
+    // fragments are built from it, so materialize, placement and every
+    // operator downstream move 4-byte codes.
+    for (size_t i = 0; i < col_ids.size(); ++i) {
+      if (coded[i]) out.columns[i].dict = MergePageDictionaries(pages_of[i]);
     }
     // Phase C (workers): per-morsel materialize + exact range filter.
     std::vector<Batch> frags(morsels.size());
@@ -820,13 +876,45 @@ struct JoinMatches {
   std::vector<size_t> right_rows;
 };
 
-// HashJoin's build and probe over one key type (int64 or string). `out`
-// already has the output shape; `right_cols` are the emitted right
-// columns.
-template <typename Key>
-void JoinOnKeys(QueryContext* ctx, const Batch& left,
-                const std::vector<Key>& lkeys, const Batch& right,
-                const std::vector<Key>& rkeys, JoinType type,
+// Int-family join keys: hash and compare the int64 cells.
+struct IntJoinKeys {
+  const std::vector<int64_t>& left;
+  const std::vector<int64_t>& right;
+
+  uint64_t LeftHash(size_t r) const { return HashKey(left[r]); }
+  uint64_t RightHash(size_t r) const { return HashKey(right[r]); }
+  bool RightEq(size_t a, size_t b) const { return right[a] == right[b]; }
+  bool Match(size_t l, size_t r) const { return left[l] == right[r]; }
+};
+
+// String join keys, each side plain or coded. A coded cell hashes to its
+// dictionary's stored HashKey, the plain string's own hash, so the two
+// forms join; keys under one shared dictionary compare by code.
+struct StringJoinKeys {
+  const ColumnVector& left;
+  const ColumnVector& right;
+
+  static uint64_t Hash(const ColumnVector& col, size_t r) {
+    return col.dict != nullptr ? col.dict->hash[col.codes[r]]
+                               : HashKey(col.strings[r]);
+  }
+  uint64_t LeftHash(size_t r) const { return Hash(left, r); }
+  uint64_t RightHash(size_t r) const { return Hash(right, r); }
+  bool RightEq(size_t a, size_t b) const { return CellsEqual(right, a, b); }
+  bool Match(size_t l, size_t r) const {
+    if (left.dict != nullptr && left.dict == right.dict) {
+      return left.codes[l] == right.codes[r];
+    }
+    return left.StringAt(l) == right.StringAt(r);
+  }
+};
+
+// HashJoin's build and probe over one key kind (IntJoinKeys or
+// StringJoinKeys). `out` already has the output shape; `right_cols` are
+// the emitted right columns.
+template <typename Keys>
+void JoinOnKeys(QueryContext* ctx, const Batch& left, const Batch& right,
+                const Keys& keys, JoinType type,
                 const std::vector<int>& right_cols, Batch* out) {
   TaskPool& pool = TaskPool::Global();
   const ExecMode mode = ctx->options().exec_mode;
@@ -850,7 +938,7 @@ void JoinOnKeys(QueryContext* ctx, const Batch& left,
     pool.RunIndexed(mode, workers, build_chunks.size(), [&](size_t i) {
       for (size_t r = build_chunks[i].begin; r < build_chunks[i].end;
            ++r) {
-        hashes[r] = HashKey(rkeys[r]);
+        hashes[r] = keys.RightHash(r);
       }
     });
     std::vector<size_t> first_row;  // per id
@@ -859,7 +947,7 @@ void JoinOnKeys(QueryContext* ctx, const Batch& left,
       bool inserted = false;
       uint32_t id = table.FindOrInsert(
           hashes[r],
-          [&](uint32_t k) { return rkeys[first_row[k]] == rkeys[r]; },
+          [&](uint32_t k) { return keys.RightEq(first_row[k], r); },
           &inserted);
       if (inserted) {
         first_row.push_back(r);
@@ -894,8 +982,8 @@ void JoinOnKeys(QueryContext* ctx, const Batch& left,
       JoinMatches& m = matches[i];
       for (size_t r = probe_chunks[i].begin; r < probe_chunks[i].end;
            ++r) {
-        uint32_t id = table.Find(HashKey(lkeys[r]), [&](uint32_t k) {
-          return rkeys[rows[offsets[k]]] == lkeys[r];
+        uint32_t id = table.Find(keys.LeftHash(r), [&](uint32_t k) {
+          return keys.Match(r, rows[offsets[k]]);
         });
         switch (type) {
           case JoinType::kLeftSemi:
@@ -964,18 +1052,18 @@ Result<Batch> HashJoin(QueryContext* ctx, const Batch& left,
       if (static_cast<int>(c) == rk) continue;
       if (out.Col(right.names[c]) >= 0) continue;  // left name wins
       right_cols.push_back(static_cast<int>(c));
-      ColumnVector vec;
-      vec.type = right.columns[c].type;
-      out.AddColumn(right.names[c], std::move(vec));
+      out.AddColumn(right.names[c], right.columns[c].EmptyLike());
     }
   }
 
   if (string_key) {
-    JoinOnKeys(ctx, left, left.columns[lk].strings, right,
-               right.columns[rk].strings, type, right_cols, &out);
+    JoinOnKeys(ctx, left, right,
+               StringJoinKeys{left.columns[lk], right.columns[rk]}, type,
+               right_cols, &out);
   } else {
-    JoinOnKeys(ctx, left, left.columns[lk].ints, right,
-               right.columns[rk].ints, type, right_cols, &out);
+    JoinOnKeys(ctx, left, right,
+               IntJoinKeys{left.columns[lk].ints, right.columns[rk].ints},
+               type, right_cols, &out);
   }
   op.AddRows(out.rows());
   return out;
@@ -996,51 +1084,66 @@ struct AggState {
   bool has_value = false;
 };
 
-// Folds the hash of each key cell vals[chunk.begin + i] into hashes[i].
-template <typename T>
-void CombineKeyHashes(const std::vector<T>& vals, const RowChunk& chunk,
-                      std::vector<uint64_t>* hashes) {
-  for (size_t r = chunk.begin; r < chunk.end; ++r) {
-    uint64_t& h = (*hashes)[r - chunk.begin];
-    h = HashCombine(h, HashKey(vals[r]));
-  }
-}
-
 // Hashes the key cells of rows [chunk.begin, chunk.end) into `hashes`,
-// one typed pass per key column. With no key columns every row hashes
-// alike: one global group.
+// one typed pass per key column (a coded column reads its dictionary's
+// stored hashes). With no key columns every row hashes alike: one global
+// group.
 void HashRowKeys(const Batch& in, const std::vector<int>& key_cols,
                  const RowChunk& chunk, std::vector<uint64_t>* hashes) {
   hashes->assign(chunk.end - chunk.begin, 0);
   for (int c : key_cols) {
-    VisitValues(in.columns[c], [&](const auto& vals) {
-      CombineKeyHashes(vals, chunk, hashes);
+    const ColumnVector& col = in.columns[c];
+    VisitValues(col, [&](const auto& vals) {
+      for (size_t r = chunk.begin; r < chunk.end; ++r) {
+        uint64_t& h = (*hashes)[r - chunk.begin];
+        if constexpr (std::is_same_v<ElementOf<decltype(vals)>, uint32_t>) {
+          h = HashCombine(h, col.dict->hash[vals[r]]);
+        } else {
+          h = HashCombine(h, HashKey(vals[r]));
+        }
+      }
     });
   }
 }
 
-// Folds one input value into an aggregate state. `sv` is the value of a
-// string column, else null.
-inline void FoldValue(double v, int64_t iv, const std::string* sv,
-                      AggState* s) {
+// Folds one input value into an aggregate state, by input type. Each
+// type fills only the fields its outputs read: doubles sum/min/max,
+// int-family values isum/imin/imax plus the double sum (for AVG), strings
+// smin/smax.
+inline void FoldValue(double v, AggState* s) {
   ++s->count;
   if (!s->has_value) {
     s->min = s->max = v;
-    s->imin = s->imax = iv;
-    if (sv != nullptr) s->smin = s->smax = *sv;
     s->has_value = true;
   } else {
     s->min = std::min(s->min, v);
     s->max = std::max(s->max, v);
-    s->imin = std::min(s->imin, iv);
-    s->imax = std::max(s->imax, iv);
-    if (sv != nullptr) {
-      if (*sv < s->smin) s->smin = *sv;
-      if (*sv > s->smax) s->smax = *sv;
-    }
   }
   s->sum += v;
-  s->isum += iv;
+}
+
+inline void FoldValue(int64_t v, AggState* s) {
+  ++s->count;
+  if (!s->has_value) {
+    s->imin = s->imax = v;
+    s->has_value = true;
+  } else {
+    s->imin = std::min(s->imin, v);
+    s->imax = std::max(s->imax, v);
+  }
+  s->sum += static_cast<double>(v);
+  s->isum += v;
+}
+
+inline void FoldValue(const std::string& v, AggState* s) {
+  ++s->count;
+  if (!s->has_value) {
+    s->smin = s->smax = v;
+    s->has_value = true;
+  } else {
+    if (v < s->smin) s->smin = v;
+    if (v > s->smax) s->smax = v;
+  }
 }
 
 // Folds aggregate `a`'s input column (null: count only) over rows
@@ -1059,16 +1162,11 @@ void FoldAggColumn(const ColumnVector* col, size_t a, const RowChunk& chunk,
     return;
   }
   VisitValues(*col, [&](const auto& vals) {
-    using T = ElementOf<decltype(vals)>;
     for (size_t r = chunk.begin; r < chunk.end; ++r) {
-      if constexpr (std::is_same_v<T, double>) {
-        FoldValue(vals[r], static_cast<int64_t>(vals[r]), nullptr,
-                  &state(r));
-      } else if constexpr (std::is_same_v<T, std::string>) {
-        FoldValue(0, 0, &vals[r], &state(r));
+      if constexpr (std::is_same_v<ElementOf<decltype(vals)>, uint32_t>) {
+        FoldValue(col->dict->strings[vals[r]], &state(r));
       } else {
-        FoldValue(static_cast<double>(vals[r]), vals[r], nullptr,
-                  &state(r));
+        FoldValue(vals[r], &state(r));
       }
     }
   });
@@ -1184,8 +1282,10 @@ Result<Batch> HashAggregate(QueryContext* ctx, const Batch& in,
         group[r - chunk.begin] = g;
       }
       for (size_t a = 0; a < aggs.size(); ++a) {
-        FoldAggColumn(agg_cols[a] < 0 ? nullptr : &in.columns[agg_cols[a]],
-                      a, chunk, group, &lg.states);
+        // COUNT reads no values.
+        bool count_only = aggs[a].op == AggOp::kCount || agg_cols[a] < 0;
+        FoldAggColumn(count_only ? nullptr : &in.columns[agg_cols[a]], a,
+                      chunk, group, &lg.states);
       }
     });
     for (size_t i = 0; i < chunks.size(); ++i) {
@@ -1214,9 +1314,7 @@ Result<Batch> HashAggregate(QueryContext* ctx, const Batch& in,
   // Materialize output: group keys, then aggregates.
   Batch out;
   for (size_t k = 0; k < keys.size(); ++k) {
-    ColumnVector vec;
-    vec.type = in.columns[key_cols[k]].type;
-    out.AddColumn(keys[k], std::move(vec));
+    out.AddColumn(keys[k], in.columns[key_cols[k]].EmptyLike());
   }
   for (size_t a = 0; a < aggs.size(); ++a) {
     ColumnVector vec;
@@ -1304,9 +1402,11 @@ Batch SortBatch(QueryContext* ctx, Batch in,
   auto compare = [&](size_t a, size_t b) {
     for (const auto& [col, ascending] : keys) {
       int cmp = VisitValues(*col, [&](const auto& vals) {
-        if constexpr (std::is_same_v<ElementOf<decltype(vals)>,
-                                     std::string>) {
-          int c = vals[a].compare(vals[b]);
+        using T = ElementOf<decltype(vals)>;
+        if constexpr (std::is_same_v<T, std::string> ||
+                      std::is_same_v<T, uint32_t>) {
+          // Dictionary codes are not in string order: compare strings.
+          int c = col->StringAt(a).compare(col->StringAt(b));
           return c < 0 ? -1 : (c > 0 ? 1 : 0);
         } else {
           return vals[a] < vals[b] ? -1 : (vals[a] > vals[b] ? 1 : 0);

@@ -3,81 +3,15 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <limits>
-#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "columnar/value.h"
+#include "common/key_hash.h"
 
 namespace cloudiq {
-
-// --- typed key hashing -----------------------------------------------------
-//
-// Hashes of one key cell, by value. Int-family cells (INT64 / DATE /
-// DECIMAL) hash as int64; strings hash their bytes in place; doubles hash
-// by value with -0.0 folded to 0.0 and every NaN treated as one key, so
-// that hash equality agrees with CellsEqual below.
-
-// murmur3's 64-bit finalizer: a bijection, so distinct int64 keys never
-// share a hash.
-inline uint64_t MixHash(uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ULL;
-  x ^= x >> 33;
-  return x;
-}
-
-inline uint64_t HashKey(int64_t v) {
-  return MixHash(static_cast<uint64_t>(v));
-}
-
-inline uint64_t HashKey(double v) {
-  if (v == 0) v = 0;  // -0.0 == 0.0: one key
-  if (std::isnan(v)) v = std::numeric_limits<double>::quiet_NaN();
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return MixHash(bits);
-}
-
-inline uint64_t HashKey(const std::string& s) {
-  constexpr uint64_t kMul = 0x9e3779b97f4a7c15ULL;
-  const char* p = s.data();
-  size_t n = s.size();
-  uint64_t h = n * kMul;
-  for (; n >= 8; p += 8, n -= 8) {
-    uint64_t w = 0;
-    std::memcpy(&w, p, 8);
-    h = (h ^ w) * kMul;
-    h ^= h >> 32;
-  }
-  // The last 0..7 bytes, read with fixed-size loads (two overlapping
-  // 4-byte words, or first / middle / last byte); the length is already
-  // in `h`.
-  uint64_t tail = 0;
-  if (n >= 4) {
-    uint32_t lo = 0;
-    uint32_t hi = 0;
-    std::memcpy(&lo, p, 4);
-    std::memcpy(&hi, p + n - 4, 4);
-    tail = lo | (uint64_t{hi} << 32);
-  } else if (n > 0) {
-    tail = uint64_t{static_cast<uint8_t>(p[0])} |
-           uint64_t{static_cast<uint8_t>(p[n / 2])} << 8 |
-           uint64_t{static_cast<uint8_t>(p[n - 1])} << 16;
-  }
-  return MixHash(h ^ tail);
-}
-
-// Folds the next cell's (already mixed) hash into a multi-column key
-// hash.
-inline uint64_t HashCombine(uint64_t h, uint64_t cell) {
-  return (h ^ cell) * 0x9e3779b97f4a7c15ULL;
-}
 
 inline bool IsIntFamily(ColumnType type) {
   return type == ColumnType::kInt64 || type == ColumnType::kDate ||
@@ -86,7 +20,8 @@ inline bool IsIntFamily(ColumnType type) {
 
 // Typed key equality of rows `a` and `b` of `col`. Doubles compare by
 // value (-0.0 equals 0.0) and all NaNs are one key, matching
-// HashKey(double).
+// HashKey(double). Coded strings compare by code: a dictionary's entries
+// are distinct.
 inline bool CellsEqual(const ColumnVector& col, size_t a, size_t b) {
   return VisitValues(col, [&](const auto& vals) {
     if constexpr (std::is_same_v<ElementOf<decltype(vals)>, double>) {

@@ -659,7 +659,9 @@ Result<Batch> Q11(QueryContext* ctx) {
 
 }  // namespace tpch_internal
 
-Result<Batch> RunTpchQuery(QueryContext* ctx, int query_number) {
+namespace {
+
+Result<Batch> RunQuery(QueryContext* ctx, int query_number) {
   using namespace tpch_internal;
   switch (query_number) {
     case 1: return Q1(ctx);
@@ -687,6 +689,16 @@ Result<Batch> RunTpchQuery(QueryContext* ctx, int query_number) {
     default:
       return Status::InvalidArgument("TPC-H query number out of range");
   }
+}
+
+}  // namespace
+
+Result<Batch> RunTpchQuery(QueryContext* ctx, int query_number) {
+  CLOUDIQ_ASSIGN_OR_RETURN(Batch result, RunQuery(ctx, query_number));
+  // The expansion boundary: operators carry dictionary codes; the few
+  // result rows get their strings here.
+  for (ColumnVector& col : result.columns) col.ExpandStrings();
+  return result;
 }
 
 const char* TpchQueryDescription(int query_number) {

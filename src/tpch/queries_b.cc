@@ -22,9 +22,12 @@ Result<Batch> Q12(QueryContext* ctx) {
                 {"l_orderkey", "l_shipmode", "l_commitdate", "l_shipdate",
                  "l_receiptdate"},
                 ScanRange{"l_receiptdate", lo, hi}));
-  items = FilterBatch(ctx, items, [](const Batch& b, size_t r) {
-    const std::string& mode = b.Str("l_shipmode", r);
-    return (mode == "MAIL" || mode == "SHIP") &&
+  std::vector<uint8_t> mail_or_ship =
+      StringMask(items.column("l_shipmode"), [](const std::string& mode) {
+        return mode == "MAIL" || mode == "SHIP";
+      });
+  items = FilterBatch(ctx, items, [&](const Batch& b, size_t r) {
+    return mail_or_ship[r] &&
            b.Int("l_commitdate", r) < b.Int("l_receiptdate", r) &&
            b.Int("l_shipdate", r) < b.Int("l_commitdate", r);
   });
@@ -357,10 +360,16 @@ Result<Batch> Q19(QueryContext* ctx) {
       ScanTable(ctx, &lineitem,
                 {"l_partkey", "l_quantity", "l_extendedprice",
                  "l_discount", "l_shipmode", "l_shipinstruct"}));
-  items = FilterBatch(ctx, items, [](const Batch& b, size_t r) {
-    const std::string& mode = b.Str("l_shipmode", r);
-    return (mode == "AIR" || mode == "REG AIR") &&
-           b.Str("l_shipinstruct", r) == "DELIVER IN PERSON";
+  std::vector<uint8_t> by_air =
+      StringMask(items.column("l_shipmode"), [](const std::string& mode) {
+        return mode == "AIR" || mode == "REG AIR";
+      });
+  std::vector<uint8_t> in_person = StringMask(
+      items.column("l_shipinstruct"), [](const std::string& instruct) {
+        return instruct == "DELIVER IN PERSON";
+      });
+  items = FilterBatch(ctx, items, [&](const Batch&, size_t r) {
+    return by_air[r] && in_person[r];
   });
   CLOUDIQ_ASSIGN_OR_RETURN(items, HashJoin(ctx, items, "l_partkey", parts,
                                            "p_partkey", JoinType::kInner));

@@ -1,5 +1,6 @@
 // Seeded mutation fuzz of the decoders that read persisted or wire bytes:
-// DecodeColumnPage (column-page encodings), DecodePage (page-codec
+// DecodeColumnPage and the code-preserving DecodeColumnPageCoded (column-
+// page encodings; the two must agree on every input), DecodePage (page-codec
 // frames), IntervalSet::Deserialize, PageSet::Deserialize (RF/RB sets),
 // TxnLogRecord::Deserialize, the key generator's checkpoint (through
 // ObjectKeyGenerator::Recover), the NDP request and result frames, and
@@ -27,6 +28,7 @@
 #include "columnar/value.h"
 #include "common/coding.h"
 #include "common/interval_set.h"
+#include "common/key_hash.h"
 #include "common/random.h"
 #include "keygen/object_key_generator.h"
 #include "ndp/ndp_protocol.h"
@@ -170,6 +172,117 @@ TEST(CodecFuzzTest, ColumnPagesDecodeOrReportCorruption) {
     }
   }
   // The mutations must actually reach the error paths.
+  EXPECT_GT(corrupt, kIterations / 4);
+}
+
+// A dictionary string page written field by field, so its entries need
+// not be the encoder's ascending, distinct set.
+std::vector<uint8_t> DictPage(const std::vector<std::string>& dict,
+                              const std::vector<uint64_t>& codes) {
+  constexpr uint8_t kDictionaryEncoding = 3;
+  int width = BitWidthFor(dict.empty() ? 0 : dict.size() - 1);
+  std::vector<uint8_t> out;
+  PutU32(out, static_cast<uint32_t>(ColumnType::kString));
+  PutU32(out, static_cast<uint32_t>(codes.size()));
+  out.push_back(kDictionaryEncoding);
+  out.push_back(static_cast<uint8_t>(width));
+  PutU32(out, static_cast<uint32_t>(dict.size()));
+  for (const std::string& entry : dict) PutString(out, entry);
+  std::vector<uint8_t> packed = NBitPack(codes, width);
+  out.insert(out.end(), packed.begin(), packed.end());
+  return out;
+}
+
+// Both decoders reject `bytes` as Corruption, or the coded result
+// satisfies the coded-column invariants and expands to the plain one.
+// Returns whether the page decoded.
+bool ExpectDecodersAgree(const std::vector<uint8_t>& bytes) {
+  Result<ColumnVector> coded = DecodeColumnPageCoded(bytes);
+  Result<ColumnVector> plain = DecodeColumnPage(bytes);
+  EXPECT_EQ(coded.ok(), plain.ok());
+  if (!coded.ok() || !plain.ok()) {
+    EXPECT_TRUE(coded.ok() || coded.status().IsCorruption());
+    EXPECT_TRUE(plain.ok() || plain.status().IsCorruption());
+    return false;
+  }
+  EXPECT_EQ(plain->dict, nullptr);
+  if (coded->dict != nullptr) {
+    const StringDict& dict = *coded->dict;
+    EXPECT_EQ(dict.hash.size(), dict.strings.size());
+    for (size_t i = 0; i < dict.strings.size(); ++i) {
+      if (i > 0) {
+        EXPECT_LT(dict.strings[i - 1], dict.strings[i]);
+      }
+      EXPECT_EQ(dict.hash[i], HashKey(dict.strings[i]));
+    }
+    for (uint32_t code : coded->codes) EXPECT_LT(code, dict.strings.size());
+  }
+  ColumnVector expanded = std::move(coded).value();
+  expanded.ExpandStrings();
+  EXPECT_EQ(expanded.type, plain->type);
+  EXPECT_EQ(expanded.ints, plain->ints);
+  EXPECT_EQ(expanded.doubles, plain->doubles);
+  EXPECT_EQ(expanded.strings, plain->strings);
+  EXPECT_TRUE(expanded.codes.empty());
+  EXPECT_EQ(expanded.dict, nullptr);
+  return true;
+}
+
+TEST(CodecFuzzTest, CodedDecoderAgreesWithPlainDecoder) {
+  // The hand-written layout is the encoder's.
+  ColumnVector flags;
+  flags.type = ColumnType::kString;
+  flags.strings = {"N", "A", "R", "A"};
+  ASSERT_EQ(DictPage({"A", "N", "R"}, {1, 0, 2, 0}), Encode(flags));
+  // Out-of-order or repeated entries would let equal codes stand for
+  // different strings, or equal strings carry different codes.
+  for (const std::vector<std::string>& dict :
+       std::vector<std::vector<std::string>>{
+           {"N", "A", "R"}, {"A", "A", "R"}, {"A", "R", "R"}, {"", ""}}) {
+    std::vector<uint8_t> page = DictPage(dict, {0, 1, 1, 0});
+    EXPECT_TRUE(DecodeColumnPageCoded(page).status().IsCorruption());
+    EXPECT_TRUE(DecodeColumnPage(page).status().IsCorruption());
+  }
+
+  std::vector<std::vector<uint8_t>> pages = SeedPages();
+  Rng rng(kSeed + 2);
+  int corrupt = 0;
+  for (int it = 0; it < kIterations; ++it) {
+    std::vector<uint8_t> bytes;
+    if (rng.Bernoulli(0.25)) {
+      // A fresh ascending dictionary, then maybe one entry swapped with
+      // another or overwritten by its neighbour.
+      size_t entries = 1 + rng.Uniform(12);
+      std::vector<std::string> dict;
+      for (size_t i = 0; i < entries; ++i) {
+        dict.push_back("entry " + std::to_string(10 + i));
+      }
+      std::vector<uint64_t> codes(rng.Uniform(40));
+      for (uint64_t& code : codes) code = rng.Uniform(entries);
+      if (entries > 1) {
+        size_t i = rng.Uniform(entries - 1);
+        switch (rng.Uniform(3)) {
+          case 0:
+            std::swap(dict[i], dict[i + 1 + rng.Uniform(entries - i - 1)]);
+            break;
+          case 1:
+            dict[i + 1] = dict[i];
+            break;
+          default:
+            break;
+        }
+      }
+      bytes = DictPage(dict, codes);
+    } else {
+      bytes = pages[rng.Uniform(pages.size())];
+    }
+    Mutate(rng, bytes, {kTypeOffset, kCountOffset}, {kWidthOffset});
+    if (rng.Bernoulli(0.25)) {
+      Mutate(rng, bytes, {kTypeOffset, kCountOffset}, {kWidthOffset});
+    }
+    if (!ExpectDecodersAgree(bytes)) ++corrupt;
+    if (::testing::Test::HasFailure()) FAIL() << "iteration " << it;
+  }
   EXPECT_GT(corrupt, kIterations / 4);
 }
 

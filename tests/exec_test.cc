@@ -5,8 +5,11 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <memory>
+#include <set>
 #include <variant>
 
+#include "columnar/encoding.h"
 #include "columnar/table_loader.h"
 #include "common/random.h"
 #include "exec/executor.h"
@@ -235,7 +238,7 @@ TEST_F(ExecTest, FullScan) {
       ScanTable(ctx_.get(), &*reader, {"id", "amount", "note"});
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   EXPECT_EQ(batch->rows(), 1000u);
-  EXPECT_EQ(batch->column("note").strings[0], "promo sale");
+  EXPECT_EQ(batch->column("note").StringAt(0), "promo sale");
   EXPECT_GT(ctx_->node()->clock().now(), 0.0);  // scan consumed sim time
 }
 
@@ -559,7 +562,9 @@ TEST_F(ExecTest, ExplainAnalyzeOperatorRowsSumToQueryLedger) {
 
 // --- parallel executor: native output == serial output -----------------
 
-void ExpectBatchesIdentical(const Batch& a, const Batch& b) {
+void ExpectBatchesIdentical(const Batch& coded_a, const Batch& coded_b) {
+  Batch a = testing_util::Expanded(coded_a);
+  Batch b = testing_util::Expanded(coded_b);
   ASSERT_EQ(a.columns.size(), b.columns.size());
   EXPECT_EQ(a.names, b.names);
   EXPECT_EQ(a.rows(), b.rows());
@@ -879,6 +884,37 @@ TEST_F(ExecTest, AggregateFoldsNegativeZeroAndNaNKeys) {
   EXPECT_EQ(agg->column("n").ints, (std::vector<int64_t>{3, 2}));
 }
 
+// Double inputs fold into the double sum/min/max only: NaN, infinities
+// and values past the int64 range must never be cast to an integer.
+TEST_F(ExecTest, AggregateFoldsNonFiniteAndHugeDoubles) {
+  const double inf = std::numeric_limits<double>::infinity();
+  Batch in;
+  in.AddColumn("k", {ColumnType::kInt64, {1, 1, 1, 1, 2, 2, 2}, {}, {}});
+  in.AddColumn("d", {ColumnType::kDouble,
+                     {},
+                     {std::nan(""), inf, -inf, 1e300, 1e300, -inf, inf},
+                     {}});
+  Result<Batch> agg = HashAggregate(ctx_.get(), in, {"k"},
+                                    {{AggOp::kSum, "d", "sum"},
+                                     {AggOp::kMin, "d", "lo"},
+                                     {AggOp::kMax, "d", "hi"},
+                                     {AggOp::kAvg, "d", "avg"}});
+  ASSERT_TRUE(agg.ok());
+  ASSERT_EQ(agg->rows(), 2u);
+  for (const char* name : {"sum", "lo", "hi", "avg"}) {
+    EXPECT_EQ(agg->column(name).type, ColumnType::kDouble) << name;
+  }
+  // Group 1 starts at NaN, which no later comparison displaces.
+  EXPECT_TRUE(std::isnan(agg->Double("sum", 0)));
+  EXPECT_TRUE(std::isnan(agg->Double("lo", 0)));
+  EXPECT_TRUE(std::isnan(agg->Double("hi", 0)));
+  EXPECT_TRUE(std::isnan(agg->Double("avg", 0)));
+  // Group 2: 1e300 + -inf + inf.
+  EXPECT_TRUE(std::isnan(agg->Double("sum", 1)));
+  EXPECT_EQ(agg->Double("lo", 1), -inf);
+  EXPECT_EQ(agg->Double("hi", 1), inf);
+}
+
 // --- oracle: join and aggregate against std::map references -------------
 
 // `rows` keys of `type` drawn from `distinct` values. Int keys also differ
@@ -925,7 +961,7 @@ RefCell Cell(const ColumnVector& col, size_t r) {
     case ColumnType::kDouble:
       return col.doubles[r];
     case ColumnType::kString:
-      return col.strings[r];
+      return col.StringAt(r);
     default:
       return col.ints[r];
   }
@@ -937,7 +973,7 @@ void AppendCell(const ColumnVector& src, size_t r, ColumnVector* dst) {
       dst->doubles.push_back(src.doubles[r]);
       break;
     case ColumnType::kString:
-      dst->strings.push_back(src.strings[r]);
+      dst->strings.push_back(src.StringAt(r));
       break;
     default:
       dst->ints.push_back(src.ints[r]);
@@ -1038,7 +1074,7 @@ Batch ReferenceAggregate(const Batch& in, const std::vector<int>& key_cols,
       g.first_row = r;
       g.qty_min = g.qty_max = qty.ints[r];
       g.price_min = g.price_max = price.doubles[r];
-      g.name_min = g.name_max = name.strings[r];
+      g.name_min = g.name_max = name.StringAt(r);
       g.partial_chunk = chunk;
       groups.push_back(g);
     }
@@ -1054,8 +1090,8 @@ Batch ReferenceAggregate(const Batch& in, const std::vector<int>& key_cols,
     g.price_partial += price.doubles[r];
     g.price_min = std::min(g.price_min, price.doubles[r]);
     g.price_max = std::max(g.price_max, price.doubles[r]);
-    g.name_min = std::min(g.name_min, name.strings[r]);
-    g.name_max = std::max(g.name_max, name.strings[r]);
+    g.name_min = std::min(g.name_min, name.StringAt(r));
+    g.name_max = std::max(g.name_max, name.StringAt(r));
   }
   Batch out;
   for (size_t k = 0; k < key_cols.size(); ++k) {
@@ -1359,6 +1395,354 @@ TEST_F(ExecTest, AggregateKeyOutputMatchesRowwiseOverEveryType) {
       HashAggregate(ctx_.get(), in, keys, {{AggOp::kCount, "", "n"}});
   ASSERT_TRUE(agg.ok()) << agg.status().ToString();
   ExpectBatchesBitwise(expected, *agg);
+}
+
+// --- dictionary-coded string columns: coded == plain -------------------
+//
+// Every operator must give the same batch, after expansion, on a coded
+// string column as on its plain copy, and keep the codes (share the input
+// dictionary) where its output is built from an input column.
+
+// `plain` (a kString column) coded against a fresh dictionary whose
+// entries come in first-appearance order.
+ColumnVector Coded(const ColumnVector& plain) {
+  auto dict = std::make_shared<StringDict>();
+  std::map<std::string, uint32_t> index;
+  ColumnVector out = OfType(ColumnType::kString);
+  for (const std::string& s : plain.strings) {
+    auto [it, inserted] = index.emplace(
+        s, static_cast<uint32_t>(dict->strings.size()));
+    if (inserted) {
+      dict->strings.push_back(s);
+      dict->hash.push_back(HashKey(s));
+    }
+    out.codes.push_back(it->second);
+  }
+  out.dict = std::move(dict);
+  return out;
+}
+
+// `b` with every string column coded, each against its own dictionary.
+Batch CodedCopy(const Batch& b) {
+  Batch out = b;
+  for (ColumnVector& col : out.columns) {
+    if (col.type == ColumnType::kString) col = Coded(col);
+  }
+  return out;
+}
+
+// (id, tag, name, qty): two string columns over small vocabularies whose
+// lengths straddle the hash's 8-byte words, one with a shared prefix.
+Batch CodedFixture(size_t rows, uint64_t seed) {
+  const char* tags[] = {"", "A", "REG AIR", "AIR", "DELIVER IN PERSON"};
+  Rng rng(seed);
+  Batch b;
+  b.AddColumn("id", OfType(ColumnType::kInt64));
+  b.AddColumn("tag", OfType(ColumnType::kString));
+  b.AddColumn("name", OfType(ColumnType::kString));
+  b.AddColumn("qty", OfType(ColumnType::kDecimal));
+  for (size_t r = 0; r < rows; ++r) {
+    b.columns[0].ints.push_back(static_cast<int64_t>(r));
+    b.columns[1].strings.push_back(tags[rng.Uniform(5)]);
+    b.columns[2].strings.push_back("name#" +
+                                   std::to_string(rng.Uniform(13)));
+    b.columns[3].ints.push_back(static_cast<int64_t>(rng.Uniform(50)));
+  }
+  return b;
+}
+
+void ExpectSharesDictionaries(const Batch& coded_out) {
+  for (size_t c = 0; c < coded_out.columns.size(); ++c) {
+    if (coded_out.columns[c].type != ColumnType::kString) continue;
+    EXPECT_NE(coded_out.columns[c].dict, nullptr) << coded_out.names[c];
+  }
+}
+
+class CodedColumnTest : public ParallelExecTest {};
+
+TEST_F(CodedColumnTest, FilterKeepsCodes) {
+  Batch plain = CodedFixture(500, 1);
+  Batch coded = CodedCopy(plain);
+  auto keep = [](const Batch& b, size_t r) {
+    return b.Str("tag", r).size() > 1 && b.Str("name", r) != "name#3";
+  };
+  for (QueryContext* ctx : {ctx_.get(), par_ctx_.get()}) {
+    Batch want = FilterBatch(ctx, plain, keep);
+    Batch got = FilterBatch(ctx, coded, keep);
+    ASSERT_GT(want.rows(), 0u);
+    ExpectSharesDictionaries(got);
+    EXPECT_EQ(got.columns[1].dict, coded.columns[1].dict);
+    ExpectBatchesIdentical(want, got);
+  }
+}
+
+TEST_F(CodedColumnTest, StringMaskMatchesPerRowPredicate) {
+  Batch plain = CodedFixture(300, 2);
+  Batch coded = CodedCopy(plain);
+  auto by_air = [](const std::string& s) {
+    return s == "AIR" || s == "REG AIR";
+  };
+  std::vector<uint8_t> want = StringMask(plain.column("tag"), by_air);
+  EXPECT_EQ(StringMask(coded.column("tag"), by_air), want);
+  for (size_t r = 0; r < plain.rows(); ++r) {
+    EXPECT_EQ(want[r] != 0, by_air(plain.Str("tag", r))) << r;
+  }
+}
+
+TEST_F(CodedColumnTest, SortOnStringKeysMatchesPlain) {
+  Batch plain = CodedFixture(400, 3);
+  Batch coded = CodedCopy(plain);
+  std::vector<SortKey> keys = {{"tag", true}, {"name", false}, {"id", true}};
+  Batch want = SortBatch(ctx_.get(), plain, keys);
+  Batch got = SortBatch(ctx_.get(), coded, keys);
+  ExpectSharesDictionaries(got);
+  ExpectBatchesIdentical(want, got);
+  Batch top = SortBatch(ctx_.get(), coded, {{"name", true}}, 7);
+  Batch top_want = SortBatch(ctx_.get(), plain, {{"name", true}}, 7);
+  ExpectBatchesIdentical(top_want, top);
+}
+
+TEST_F(CodedColumnTest, AggregateOnStringKeysMatchesPlain) {
+  Batch plain = CodedFixture(600, 4);
+  Batch coded = CodedCopy(plain);
+  std::vector<AggSpec> aggs = {{AggOp::kSum, "qty", "sum_qty"},
+                               {AggOp::kMin, "name", "min_name"},
+                               {AggOp::kMax, "name", "max_name"},
+                               {AggOp::kCount, "", "n"}};
+  for (QueryContext* ctx : {ctx_.get(), par_ctx_.get()}) {
+    for (const std::vector<std::string>& keys :
+         {std::vector<std::string>{"tag"},
+          std::vector<std::string>{"tag", "name"},
+          std::vector<std::string>{}}) {
+      Result<Batch> want = HashAggregate(ctx, plain, keys, aggs);
+      Result<Batch> got = HashAggregate(ctx, coded, keys, aggs);
+      ASSERT_TRUE(want.ok() && got.ok());
+      ASSERT_GT(got->rows(), 0u);
+      for (size_t k = 0; k < keys.size(); ++k) {
+        EXPECT_EQ(got->columns[k].dict, coded.column(keys[k]).dict);
+      }
+      ExpectBatchesIdentical(*want, *got);
+    }
+  }
+}
+
+TEST_F(CodedColumnTest, StringKeyJoinsMatchPlainInEveryForm) {
+  Batch left_plain = CodedFixture(400, 5);
+  Batch right_plain = CodedFixture(60, 6);
+  right_plain.names = {"rid", "rtag", "name", "rqty"};
+  Batch left_coded = CodedCopy(left_plain);
+  Batch right_coded = CodedCopy(right_plain);
+  // The right side filtered keeps the left's dictionary: one shared
+  // dictionary, compared by code.
+  Batch right_shared = FilterBatch(
+      ctx_.get(), left_coded, [](const Batch&, size_t r) { return r < 50; });
+  right_shared.names = {"rid", "rtag", "name", "rqty"};
+  Batch right_shared_plain = testing_util::Expanded(right_shared);
+  struct Case {
+    const Batch* left;
+    const Batch* right;
+    const Batch* right_plain;
+    const char* what;
+  };
+  std::vector<Case> cases = {
+      {&left_coded, &right_coded, &right_plain, "coded x coded"},
+      {&left_coded, &right_plain, &right_plain, "coded x plain"},
+      {&left_plain, &right_coded, &right_plain, "plain x coded"},
+      {&left_coded, &right_shared, &right_shared_plain, "shared dict"},
+  };
+  for (QueryContext* ctx : {ctx_.get(), par_ctx_.get()}) {
+    for (const Case& c : cases) {
+      for (JoinType type :
+           {JoinType::kInner, JoinType::kLeftSemi, JoinType::kLeftAnti}) {
+        for (const char* key : {"tag", "name"}) {
+          std::string rkey = std::string(key) == "tag" ? "rtag" : "name";
+          Result<Batch> want = HashJoin(ctx, left_plain, key, *c.right_plain,
+                                        rkey, type);
+          Result<Batch> got = HashJoin(ctx, *c.left, key, *c.right, rkey,
+                                       type);
+          ASSERT_TRUE(want.ok() && got.ok()) << c.what;
+          if (type != JoinType::kLeftAnti) {
+            ASSERT_GT(want->rows(), 0u) << c.what << " " << key;
+          }
+          SCOPED_TRACE(std::string(c.what) + " on " + key);
+          ExpectBatchesIdentical(*want, *got);
+        }
+      }
+    }
+  }
+}
+
+TEST_F(CodedColumnTest, AppendRangeAcrossDictionariesExpands) {
+  Batch a = CodedFixture(40, 7);
+  Batch b = CodedFixture(30, 8);
+  ColumnVector dst = Coded(a.column("name"));
+  ColumnVector src = Coded(b.column("name"));
+  // Same dictionary: codes append, the column stays coded.
+  ColumnVector same = dst;
+  same.AppendRange(dst, 5, 15);
+  EXPECT_EQ(same.dict, dst.dict);
+  EXPECT_EQ(same.size(), 50u);
+  // A different dictionary, or a plain source, expands the destination.
+  std::vector<std::string> want = a.column("name").strings;
+  want.insert(want.end(), b.column("name").strings.begin() + 3,
+              b.column("name").strings.begin() + 20);
+  for (const ColumnVector* from :
+       {static_cast<const ColumnVector*>(&src), &b.column("name")}) {
+    ColumnVector out = dst;
+    out.AppendRange(*from, 3, 20);
+    EXPECT_EQ(out.dict, nullptr);
+    EXPECT_EQ(out.strings, want);
+  }
+  // A coded source appended to a plain column arrives as strings.
+  ColumnVector plain = a.column("name");
+  plain.AppendRange(src, 3, 20);
+  EXPECT_EQ(plain.strings, want);
+}
+
+TEST_F(CodedColumnTest, GatherMatchesPlain) {
+  Batch a = CodedFixture(50, 9);
+  ColumnVector coded = Coded(a.column("tag"));
+  std::vector<size_t> rows = {7, 7, 0, 49, 3, 12};
+  ColumnVector out = coded.EmptyLike();
+  out.Resize(rows.size() + 2);
+  out.Gather(coded, rows, 2);
+  EXPECT_EQ(out.dict, coded.dict);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(out.StringAt(2 + i), a.Str("tag", rows[i])) << i;
+  }
+  // Into a plain column: the strings.
+  ColumnVector plain = OfType(ColumnType::kString);
+  plain.Resize(rows.size());
+  plain.Gather(coded, rows, 0);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(plain.strings[i], a.Str("tag", rows[i])) << i;
+  }
+}
+
+// The all-dictionary `note` column scans coded at every worker count,
+// with one scan dictionary of distinct entries; expanded, it is the
+// loaded data.
+TEST_F(CodedColumnTest, ScanCodesAllDictionaryColumnAtAnyWorkerCount) {
+  for (int workers : {1, 2, 4}) {
+    QueryContext::Options opts;
+    opts.exec_mode = ExecMode::kNative;
+    opts.exec_workers = workers;
+    opts.morsel_rows = 64;
+    QueryContext ctx(txn_mgr_.get(), txn_, &h_.system, opts);
+    Result<TableReader> reader = ctx.OpenTable(10);
+    ASSERT_TRUE(reader.ok());
+    Result<Batch> scan = ScanTable(&ctx, &*reader, {"id", "note"});
+    ASSERT_TRUE(scan.ok());
+    ASSERT_EQ(scan->rows(), 1000u);
+    const ColumnVector& note = scan->column("note");
+    ASSERT_NE(note.dict, nullptr) << workers;
+    std::set<std::string> entries(note.dict->strings.begin(),
+                                  note.dict->strings.end());
+    EXPECT_EQ(entries.size(), note.dict->strings.size());
+    EXPECT_EQ(entries, (std::set<std::string>{"promo sale", "regular"}));
+    for (size_t i = 0; i < note.dict->strings.size(); ++i) {
+      EXPECT_EQ(note.dict->hash[i], HashKey(note.dict->strings[i]));
+    }
+    for (size_t r = 0; r < scan->rows(); ++r) {
+      int64_t id = scan->Int("id", r);
+      EXPECT_EQ(scan->Str("note", r), id % 7 == 0 ? "promo sale" : "regular")
+          << "row " << r << " at " << workers << " workers";
+    }
+    Result<Batch> serial = ScanTable(ctx_.get(), &*reader, {"id", "note"});
+    ASSERT_TRUE(serial.ok());
+    ExpectBatchesIdentical(*serial, *scan);
+  }
+}
+
+// A column whose pages mix raw and dictionary encodings scans plain. An
+// all-dictionary column whose pages hold different dictionaries scans
+// coded against their merge, at any worker count.
+TEST_F(CodedColumnTest, ScanMergesPageDictionariesAndLeavesMixedPlain) {
+  TableSchema schema;
+  schema.name = "mixed";
+  schema.table_id = 12;
+  schema.columns = {{"id", ColumnType::kInt64},
+                    {"s", ColumnType::kString},
+                    {"t", ColumnType::kString}};
+  const char* words[] = {"zeta", "alpha", "mid", "beta", "omega", "kappa"};
+  std::vector<std::string> want_s;
+  std::vector<std::string> want_t;
+  {
+    Transaction* txn = txn_mgr_->Begin();
+    TableLoader loader(txn_mgr_.get(), txn, h_.cloud_space, schema);
+    Batch batch;
+    batch.AddColumn("id", OfType(ColumnType::kInt64));
+    batch.AddColumn("s", OfType(ColumnType::kString));
+    batch.AddColumn("t", OfType(ColumnType::kString));
+    for (int64_t i = 0; i < 2000; ++i) {
+      // s: distinct strings first (raw pages), then two values
+      // (dictionary pages). t: a few words, a different few per page.
+      want_s.push_back(i < 300 ? "unique comment number " + std::to_string(i)
+                               : (i % 2 == 0 ? "even" : "odd"));
+      want_t.push_back(words[(i / 500 + (i % 2) * 3) % 6]);
+      batch.columns[0].ints.push_back(i);
+      batch.columns[1].strings.push_back(want_s.back());
+      batch.columns[2].strings.push_back(want_t.back());
+    }
+    ASSERT_TRUE(loader.Append(batch.columns).ok());
+    ASSERT_TRUE(loader.Finish(&h_.system).ok());
+    ASSERT_TRUE(txn_mgr_->Commit(txn).ok());
+  }
+  Transaction* txn = txn_mgr_->Begin();
+  QueryContext ctx(txn_mgr_.get(), txn, &h_.system);
+  Result<TableReader> reader = ctx.OpenTable(12);
+  ASSERT_TRUE(reader.ok());
+  // Page encodings as the scan sees them.
+  auto page_frames = [&](int column) {
+    std::vector<BufferManager::PageData> frames;
+    size_t pages =
+        reader->meta().partitions[0].columns[column].page_rows.size();
+    for (size_t page = 0; page < pages; ++page) {
+      Result<BufferManager::PageData> frame =
+          reader->FetchPage(0, column, page);
+      EXPECT_TRUE(frame.ok());
+      if (frame.ok()) frames.push_back(*frame);
+    }
+    return frames;
+  };
+  size_t s_dict_pages = 0;
+  std::vector<BufferManager::PageData> s_frames = page_frames(1);
+  for (const BufferManager::PageData& frame : s_frames) {
+    s_dict_pages += IsDictionaryPage(*frame) ? 1 : 0;
+  }
+  ASSERT_GT(s_dict_pages, 0u);
+  ASSERT_LT(s_dict_pages, s_frames.size());
+  std::set<std::vector<std::string>> t_page_dicts;
+  for (const BufferManager::PageData& frame : page_frames(2)) {
+    ASSERT_TRUE(IsDictionaryPage(*frame));
+    Result<ColumnVector> page = DecodeColumnPageCoded(*frame);
+    ASSERT_TRUE(page.ok());
+    t_page_dicts.insert(page->dict->strings);
+  }
+  ASSERT_GT(t_page_dicts.size(), 1u);
+
+  for (int workers : {0, 1, 2, 4}) {
+    QueryContext::Options opts;
+    if (workers > 0) {
+      opts.exec_mode = ExecMode::kNative;
+      opts.exec_workers = workers;
+      opts.morsel_rows = 64;
+    }
+    QueryContext scan_ctx(txn_mgr_.get(), txn, &h_.system, opts);
+    Result<Batch> scan = ScanTable(&scan_ctx, &*reader, {"id", "s", "t"});
+    ASSERT_TRUE(scan.ok());
+    EXPECT_EQ(scan->column("s").dict, nullptr) << workers;
+    EXPECT_EQ(scan->column("s").strings, want_s) << workers;
+    const ColumnVector& t = scan->column("t");
+    ASSERT_NE(t.dict, nullptr) << workers;
+    EXPECT_EQ(std::set<std::string>(t.dict->strings.begin(),
+                                    t.dict->strings.end())
+                  .size(),
+              t.dict->strings.size());
+    EXPECT_EQ(testing_util::Expanded(*scan).column("t").strings, want_t)
+        << workers;
+  }
+  ASSERT_TRUE(txn_mgr_->Commit(txn).ok());
 }
 
 }  // namespace

@@ -399,7 +399,9 @@ Result<Batch> RangeScan(Database* db, std::vector<std::string> columns,
   return out;
 }
 
-void ExpectSameBatch(const Batch& a, const Batch& b) {
+void ExpectSameBatch(const Batch& coded_a, const Batch& coded_b) {
+  Batch a = testing_util::Expanded(coded_a);
+  Batch b = testing_util::Expanded(coded_b);
   ASSERT_EQ(a.names, b.names);
   ASSERT_EQ(a.columns.size(), b.columns.size());
   for (size_t c = 0; c < a.columns.size(); ++c) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/batch.h"
 #include "keygen/object_key_generator.h"
 #include "sim/environment.h"
 #include "store/storage.h"
@@ -14,6 +15,13 @@
 
 namespace cloudiq {
 namespace testing_util {
+
+// `b` with every dictionary-coded string column expanded to plain, so
+// operator outputs compare by value through their `strings`.
+inline Batch Expanded(Batch b) {
+  for (ColumnVector& col : b.columns) col.ExpandStrings();
+  return b;
+}
 
 // A single-node simulated deployment used across test suites: one compute
 // node, the shared object store, an EBS-like system volume with a

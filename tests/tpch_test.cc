@@ -429,6 +429,93 @@ TEST_F(TpchTest, Q22AntiJoinProducesCountryGroups) {
   }
 }
 
+// --- golden answers --------------------------------------------------------
+
+// Order-sensitive digest of a query result, column by column: name, type
+// byte, then every value (ints and doubles by bytes, strings as length
+// then bytes), folded with 64-bit FNV-1a.
+uint64_t DigestBatch(const Batch& b) {
+  uint64_t h = 1469598103934665603ull;
+  auto fold = [&h](const void* data, size_t n) {
+    const auto* p = static_cast<const uint8_t*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      h ^= p[i];
+      h *= 1099511628211ull;
+    }
+  };
+  for (size_t c = 0; c < b.columns.size(); ++c) {
+    fold(b.names[c].data(), b.names[c].size());
+    const ColumnVector& col = b.columns[c];
+    uint8_t type = static_cast<uint8_t>(col.type);
+    fold(&type, 1);
+    for (int64_t v : col.ints) fold(&v, sizeof(v));
+    for (double v : col.doubles) fold(&v, sizeof(v));
+    for (const std::string& s : col.strings) {
+      uint64_t len = s.size();
+      fold(&len, sizeof(len));
+      fold(s.data(), s.size());
+    }
+  }
+  return h;
+}
+
+// Every query's answer at SF 0.002 with the generator's seed fixed, as
+// digests. Any change to what a query returns (a value, a row's order, a
+// column's type or the plain strings a result carries) changes its digest.
+class TpchGoldenTest : public ::testing::Test {
+ protected:
+  static constexpr double kScale = 0.002;
+  static constexpr uint64_t kSeed = 20210620;
+
+  static void SetUpTestSuite() {
+    env_ = new SimEnvironment();
+    db_ = new Database(env_, InstanceProfile::M5ad4xlarge(),
+                       TestDbOptions());
+    TpchGenerator gen(kScale, kSeed);
+    TpchLoadOptions load;
+    load.partitions = 4;
+    Result<TpchLoadResult> result = LoadTpch(db_, &gen, load);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+  }
+
+  static void TearDownTestSuite() {
+    delete db_;
+    delete env_;
+    db_ = nullptr;
+    env_ = nullptr;
+  }
+
+  static SimEnvironment* env_;
+  static Database* db_;
+};
+
+SimEnvironment* TpchGoldenTest::env_ = nullptr;
+Database* TpchGoldenTest::db_ = nullptr;
+
+TEST_F(TpchGoldenTest, AllQueriesMatchPinnedDigests) {
+  const uint64_t kGolden[kTpchQueryCount] = {
+      0xc79fd4d1b64ced66ull, 0x767fd8ee242242c2ull, 0x0b9ca412bb6f7998ull,
+      0x91b99f331ec23a48ull, 0xf6911fcfd117a028ull, 0x574f08ff0d4cca47ull,
+      0x2a15994a5cabd33eull, 0xb46db4c38a91d6f4ull, 0x1b0a4af88f126127ull,
+      0x0bba1d509874db77ull, 0xe328c821688662cfull, 0x7ace44349742fbf7ull,
+      0x26032b89baa7a289ull, 0x9a02d7b0b4b90facull, 0xd38ec06a54c92037ull,
+      0xd9a15887a5328efcull, 0xcd13b71cbeaeae43ull, 0x3cdfb2e5eee38c44ull,
+      0xaddd58153f95bcc4ull, 0x16ddf2f5d9551a6bull, 0xf825d0640c4ddbefull,
+      0x5c7c069bc38994ecull};
+  for (int q = 1; q <= kTpchQueryCount; ++q) {
+    Transaction* txn = db_->Begin();
+    QueryContext ctx(&db_->txn_mgr(), txn, db_->system());
+    Result<Batch> result = RunTpchQuery(&ctx, q);
+    ASSERT_TRUE(db_->Commit(txn).ok());
+    ASSERT_TRUE(result.ok()) << "Q" << q << ": "
+                             << result.status().ToString();
+    uint64_t digest = DigestBatch(*result);
+    EXPECT_EQ(digest, kGolden[q - 1])
+        << "Q" << q << " digest 0x" << std::hex << digest << std::dec
+        << " (" << result->rows() << " rows)";
+  }
+}
+
 // Every query must run clean and cost simulated time.
 class TpchAllQueriesTest : public TpchTest,
                            public ::testing::WithParamInterface<int> {};
