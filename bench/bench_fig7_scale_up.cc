@@ -9,15 +9,17 @@
 // scaling but the load's I/O leg does not. Skipped under --quick.
 //
 // Part 2 — morsel-executor worker sweep: Q1 and Q6 on one instance class
-// at 1/2/4/8 executor workers (or just --workers=N when given). In sim
-// mode (default) the simulated query times must be bitwise identical
-// across worker counts — the executor charges morsels to the simulated
-// clock in a fixed order regardless of how many host threads ran them —
-// and this binary fails if they are not. In native mode (--exec=native)
-// each sweep point is also wall-clock timed (warmup + min over reps) and
-// the host-time speedup over one worker is reported, plus published as
-// parallel.bench.* gauges in --report. Wall speedup saturates at the
-// host's core count: a 1-core container shows ~1.0x at every width.
+// at 1/2/4/8 executor workers (or just --workers=N when given); more
+// than one worker runs morsels on real threads. The simulated query
+// times must be bitwise identical across worker counts — the executor
+// charges morsels to the simulated clock in a fixed order regardless of
+// how many host threads ran them — and this binary fails if they are
+// not. Each sweep point is also wall-clock timed (warmup + min over
+// reps) and the host-time speedup over the first point is printed to
+// stdout only: --report carries just the parallel.bench.sim.* gauges, so
+// it stays byte-identical across runs and worker counts. Wall speedup
+// saturates at the host's core count: a 1-core container shows ~1.0x at
+// every width.
 //
 // Each sweep point rebuilds the database from scratch so its simulated
 // trajectory is identical run-to-run: same load, same warmup, same query
@@ -35,11 +37,12 @@ namespace bench {
 namespace {
 
 // Host wall-clock reading. Sim benches are banned from wall time by the
-// determinism lint; native-mode wall speedup is the one measurement that
-// *is* host time, so this is the sanctioned escape hatch.
+// determinism lint; the worker sweep's wall speedup is the one
+// measurement that *is* host time, so this is the sanctioned escape
+// hatch. It goes to stdout, never into --report.
 double WallNow() {
   return std::chrono::duration<double>(
-             std::chrono::steady_clock::now()  // NOLINT(cloudiq-wall-clock): native-mode wall speedup is itself the measurement
+             std::chrono::steady_clock::now()  // NOLINT(cloudiq-wall-clock): the worker sweep's wall speedup is itself the measurement
                  .time_since_epoch())
       .count();
 }
@@ -105,33 +108,21 @@ int InstanceSweep(double scale) {
 }
 
 int WorkerSweep(double scale, bool workers_pinned) {
-  const ExecMode mode = Exec().mode;
   const int kReps = 3;
   std::vector<int> widths;
   if (workers_pinned) {
-    widths.push_back(Exec().workers);
+    widths.push_back(WorkersFlag());
   } else {
     widths = {1, 2, 4, 8};
   }
-  std::printf("=== Figure 7 (part 2): morsel worker sweep "
-              "(exec=%s, SF=%g, reps=%d)\n",
-              ExecModeName(mode), scale, kReps);
-  std::printf("%-8s %12s %12s", "Workers", "Q1 sim(s)", "Q6 sim(s)");
-  if (mode == ExecMode::kNative) {
-    std::printf(" %13s %13s %9s %9s", "Q1 wall(s)", "Q6 wall(s)",
-                "Q1 spd", "Q6 spd");
-  }
-  std::printf("\n");
+  std::printf("=== Figure 7 (part 2): morsel worker sweep (SF=%g, reps=%d)\n",
+              scale, kReps);
+  std::printf("%-8s %12s %12s %13s %13s %9s %9s\n", "Workers", "Q1 sim(s)",
+              "Q6 sim(s)", "Q1 wall(s)", "Q6 wall(s)", "Q1 spd", "Q6 spd");
   Hr();
 
   double q1_sim_base = -1, q6_sim_base = -1;
   double q1_wall_base = 0, q6_wall_base = 0;
-  struct WallPoint {
-    int workers;
-    double q1;
-    double q6;
-  };
-  std::vector<WallPoint> walls;
   for (size_t i = 0; i < widths.size(); ++i) {
     int w = widths[i];
     SimEnvironment env;
@@ -139,7 +130,7 @@ int WorkerSweep(double scale, bool workers_pinned) {
     options.user_storage = UserStorage::kObjectStore;
     Database db(&env, InstanceProfile::M5ad4xlarge(),
                 WithExec(WithNdp(options)));
-    db.SetExecOptions(mode, w);
+    db.SetExecWorkers(w);
     TpchGenerator gen(scale);
     Status st = LoadForSweep(&db, &gen);
     if (!st.ok()) {
@@ -149,7 +140,7 @@ int WorkerSweep(double scale, bool workers_pinned) {
     MaybeEnableTracing(&db);
     double q1_sim = 0, q6_sim = 0;
     double q1_wall = 0, q6_wall = 0;
-    // Warmup rep primes the buffer pool (and, native, the host caches);
+    // Warmup rep primes the buffer pool (and the host caches);
     // timed reps then see identical cache state, and min-of-reps damps
     // scheduler noise in the wall numbers.
     for (int rep = 0; rep <= kReps; ++rep) {
@@ -167,7 +158,7 @@ int WorkerSweep(double scale, bool workers_pinned) {
       if (rep == 1 || t2 - t1 < q6_wall) q6_wall = t2 - t1;
     }
     // The determinism contract: simulated time may not depend on the
-    // worker count (nor, by the same construction, on the mode).
+    // worker count.
     if (i == 0) {
       q1_sim_base = q1_sim;
       q6_sim_base = q6_sim;
@@ -180,50 +171,28 @@ int WorkerSweep(double scale, bool workers_pinned) {
                    w, q1_sim, q1_sim_base, q6_sim, q6_sim_base);
       return 1;
     }
-    std::printf("%-8d %12.6f %12.6f", w, q1_sim, q6_sim);
-    if (mode == ExecMode::kNative) {
-      std::printf(" %13.6f %13.6f %8.2fx %8.2fx", q1_wall, q6_wall,
-                  q1_wall_base / q1_wall, q6_wall_base / q6_wall);
-      walls.push_back({w, q1_wall, q6_wall});
-    }
+    std::printf("%-8d %12.6f %12.6f %13.6f %13.6f %8.2fx %8.2fx\n", w,
+                q1_sim, q6_sim, q1_wall, q6_wall, q1_wall_base / q1_wall,
+                q6_wall_base / q6_wall);
     // Every sweep point rebuilds its environment, and the exported
-    // report holds the last point's telemetry — so the whole sweep's
+    // report holds the last point's telemetry — so the sweep's sim
     // gauges are emitted into that final environment here. Sim seconds
-    // are deterministic (identical across runs, modes and worker
-    // counts), so publishing them keeps sim reports byte-identical;
-    // wall gauges ride into --report only in native mode.
+    // are deterministic (identical across runs and worker counts), so
+    // publishing them keeps reports byte-identical; wall numbers never
+    // enter the report.
     if (i + 1 == widths.size()) {
       StatsRegistry& stats = env.telemetry().stats();
       stats.gauge("parallel.bench.sim.q1_seconds").Set(q1_sim);
       stats.gauge("parallel.bench.sim.q6_seconds").Set(q6_sim);
-      if (mode == ExecMode::kNative) {
-        stats.gauge("parallel.bench.hw_cores")
-            .Set(static_cast<double>(std::thread::hardware_concurrency()));
-        for (const WallPoint& point : walls) {
-          std::string prefix =
-              "parallel.bench.native.w" + std::to_string(point.workers);
-          stats.gauge(prefix + ".q1_wall_seconds").Set(point.q1);
-          stats.gauge(prefix + ".q6_wall_seconds").Set(point.q6);
-          stats.gauge(prefix + ".q1_speedup")
-              .Set(walls.front().q1 / point.q1);
-          stats.gauge(prefix + ".q6_speedup")
-              .Set(walls.front().q6 / point.q6);
-        }
-      }
     }
-    std::printf("\n");
     // Several configurations: the exported trace/report holds the most
     // recent sweep point (the bench_util contract).
     MaybeReportTelemetry(&db);
   }
   Hr();
-  if (mode == ExecMode::kSim) {
-    std::printf("sim times identical across worker counts (deterministic "
-                "mode holds)\n");
-  } else {
-    std::printf("native wall speedup saturates at the host's %u cores\n",
-                std::thread::hardware_concurrency());
-  }
+  std::printf("sim times identical across worker counts; wall speedup "
+              "saturates at the host's %u cores\n",
+              std::thread::hardware_concurrency());
   return 0;
 }
 

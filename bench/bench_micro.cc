@@ -285,7 +285,7 @@ void BM_RowKeyGroup(benchmark::State& state) {
 }
 BENCHMARK(BM_RowKeyGroup)->ArgName("two_strings")->Arg(0)->Arg(1);
 
-// --- morsel executor: native-mode full scan -------------------------------
+// --- morsel executor: multi-worker full scan ------------------------------
 // Host wall time of ScanTable at 1/2/4/8 executor workers over a wide
 // synthetic table. The per-iteration work is fetch + page decode +
 // materialize — exactly what the morsel executor fans out — so the
@@ -341,8 +341,7 @@ ScanFixture* GlobalScanFixture() {
 
 void BM_ParallelScanDecode(benchmark::State& state) {
   ScanFixture* f = GlobalScanFixture();
-  f->db->SetExecOptions(ExecMode::kNative,
-                        static_cast<int>(state.range(0)));
+  f->db->SetExecWorkers(static_cast<int>(state.range(0)));
   Transaction* txn = f->db->Begin();
   QueryContext ctx = f->db->NewQueryContext(txn, "bm_scan");
   Result<TableReader> reader = ctx.OpenTable(kScanFixtureTableId);

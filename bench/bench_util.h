@@ -113,29 +113,18 @@ inline Database::Options WithNdp(Database::Options options) {
   return options;
 }
 
-// Shared executor mode for the morsel-driven parallel executor:
-//   --exec=MODE      (or CLOUDIQ_EXEC=MODE)          sim|native — sim charges
-//                                                    morsels to the simulated
-//                                                    clock in fixed order
-//                                                    (deterministic reports);
-//                                                    native runs them on the
-//                                                    TaskPool's real threads
-//   --workers=N      (or CLOUDIQ_EXEC_WORKERS=N)     worker count per query
-// Defaults reproduce the seed exactly: sim mode, one worker.
-struct ExecFlags {
-  ExecMode mode = ExecMode::kSim;
-  int workers = 1;
-};
-
-inline ExecFlags& Exec() {
-  static ExecFlags flags;
-  return flags;
+// Shared worker count for the morsel-driven parallel executor
+// (--workers=N or CLOUDIQ_EXEC_WORKERS=N). One worker (the default) runs
+// morsels inline in order; more run them on the TaskPool's real threads.
+// The simulated report is the same either way.
+inline int& WorkersFlag() {
+  static int workers = 1;
+  return workers;
 }
 
-// Stamps the shared executor mode into a database's options, like WithNdp.
+// Stamps the shared worker count into a database's options, like WithNdp.
 inline Database::Options WithExec(Database::Options options) {
-  options.exec_mode = Exec().mode;
-  options.exec_workers = Exec().workers;
+  options.exec_workers = WorkersFlag();
   return options;
 }
 
@@ -198,18 +187,10 @@ inline void InitTelemetry(int argc, char** argv) {
                    env_ndp);
     }
   }
-  ExecFlags& exec = Exec();
-  const char* env_exec = std::getenv("CLOUDIQ_EXEC");
-  if (env_exec != nullptr && env_exec[0] != '\0') {
-    if (!ParseExecMode(env_exec, &exec.mode)) {
-      std::fprintf(stderr, "ignoring CLOUDIQ_EXEC=%s (want sim|native)\n",
-                   env_exec);
-    }
-  }
   const char* env_workers = std::getenv("CLOUDIQ_EXEC_WORKERS");
   if (env_workers != nullptr && env_workers[0] != '\0') {
     int workers = std::atoi(env_workers);
-    if (workers > 0) exec.workers = workers;
+    if (workers > 0) WorkersFlag() = workers;
   }
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--metrics") == 0) {
@@ -238,14 +219,9 @@ inline void InitTelemetry(int argc, char** argv) {
         std::fprintf(stderr, "ignoring %s (want --ndp=off|on|auto)\n",
                      argv[i]);
       }
-    } else if (std::strncmp(argv[i], "--exec=", 7) == 0) {
-      if (!ParseExecMode(argv[i] + 7, &exec.mode)) {
-        std::fprintf(stderr, "ignoring %s (want --exec=sim|native)\n",
-                     argv[i]);
-      }
     } else if (std::strncmp(argv[i], "--workers=", 10) == 0) {
       int workers = std::atoi(argv[i] + 10);
-      if (workers > 0) exec.workers = workers;
+      if (workers > 0) WorkersFlag() = workers;
     }
   }
 }

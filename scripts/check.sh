@@ -24,7 +24,7 @@
 #                               # byte-compare with stalls included, and
 #                               # a --profile run under ASan
 #   scripts/check.sh costopt    # bench_costopt smoke: cost-aware planning
-#                               # dominates cost-blind, predictive
+#                               # dominates always-push, predictive
 #                               # admission holds the budget, double-run
 #                               # --report byte-identical, and a run
 #                               # under ASan
@@ -40,16 +40,18 @@
 #                               # page-codec frames, interval sets, RF/RB
 #                               # page sets, txn-log records, the keygen
 #                               # checkpoint, NDP request/result frames,
-#                               # HG/DATE/TEXT index pages) under ASan
+#                               # HG/DATE/TEXT index pages, the freelist
+#                               # bitmap) under ASan
 #                               # and UBSan (UB is fatal)
 #   scripts/check.sh parallel   # morsel-executor gate: scale-up bench
 #                               # --report byte-identical across double
-#                               # runs and across --workers=1 vs 8,
+#                               # runs and across --workers=1 vs 8
+#                               # (8 real threads race the inline run),
 #                               # stall conservation (incl. per-entry
 #                               # telescoping) on the parallel report,
-#                               # stall_top fixture tests, the
-#                               # native worker sweep under TSan, and
-#                               # the parallel-executor and hash-table
+#                               # stall_top fixture tests, the 1/2/4/8
+#                               # worker sweep under TSan, and the
+#                               # parallel-executor and hash-table
 #                               # oracle tests and the coded-vs-
 #                               # plain column tests under TSan
 #
@@ -298,8 +300,8 @@ profile_pass() {
 }
 
 # Cost-intelligent planning smoke: bench_costopt's own exit status
-# enforces the headline claims (cost-aware strictly dominates the
-# cost-blind cold-pricing planner on the warm-rescan mix, predictive
+# enforces the headline claims (cost-aware strictly dominates always-push
+# on the warm-rescan mix and keeps every warm scan local, predictive
 # admission defers instead of overshooting the budget); on top of that
 # the --report JSON — which carries the costopt.prediction_error gauge
 # and the whole decision trail — must be byte-identical across double
@@ -379,16 +381,17 @@ locks_pass() {
 # Morsel-executor gate. Four legs:
 #   1. sim determinism — the scale-up bench's --report (stalls included)
 #      must be byte-identical across double runs AND across executor
-#      worker counts (--workers=1 vs --workers=8), since sim mode charges
-#      morsels to the simulated clock in a fixed order regardless of
-#      parallel width;
+#      worker counts (--workers=1 runs morsels inline, --workers=8 on
+#      real pool threads), since the executor charges morsels to the
+#      simulated clock in a fixed order regardless of how many threads
+#      ran them;
 #   2. conservation — tools/stall_top.py --check on the parallel report,
 #      now including the per-entry telescoping check (a parallel
 #      section's lane totals must sum to each entry's declared total);
 #   3. the checker's own fixture tests (stall_top_test.py);
-#   4. TSan — the native-mode worker sweep under ThreadSanitizer, the
-#      one place real threads race over morsel queues and fragments, plus
-#      exec_test's native-vs-sim cases (ParallelExecTest, the join and
+#   4. TSan — the 1/2/4/8 worker sweep under ThreadSanitizer, the one
+#      place real threads race over morsel queues and fragments, plus
+#      exec_test's multi-worker cases (ParallelExecTest, the join and
 #      aggregate oracles at 1/2/4 workers, the row-key table) on small
 #      inputs.
 parallel_pass() {
@@ -428,14 +431,14 @@ parallel_pass() {
   rm -f "${out1}" "${out2}" "${w1}" "${w8}"
   echo "--- parallel: stall_top checker fixture tests"
   python3 tools/stall_top_test.py
-  echo "--- parallel: TSan native worker sweep"
+  echo "--- parallel: TSan worker sweep"
   cmake -B build-tsan -S . -DCLOUDIQ_SANITIZE=thread \
     > build-tsan-configure.log 2>&1 || {
       cat build-tsan-configure.log; return 1; }
   cmake --build build-tsan -j "${JOBS}" --target bench_fig7_scale_up
   CLOUDIQ_BENCH_SF=0.005 ./build-tsan/bench/bench_fig7_scale_up --quick \
-    --exec=native > /dev/null
-  echo "--- parallel: TSan exec_test native-vs-sim and oracle cases"
+    > /dev/null
+  echo "--- parallel: TSan exec_test multi-worker and oracle cases"
   cmake --build build-tsan -j "${JOBS}" --target exec_test
   ./build-tsan/tests/exec_test \
     --gtest_filter='ParallelExecTest.*:ExecOracleTest.*:RowKeyTableTest.*:CodedColumnTest.*'
@@ -444,7 +447,7 @@ parallel_pass() {
 
 # Decoder fuzz gate: codec_fuzz_test feeds DecodeColumnPage and
 # DecodeColumnPageCoded, DecodePage, IntervalSet::Deserialize,
-# PageSet::Deserialize, TxnLogRecord::Deserialize,
+# Bitmap::Deserialize, PageSet::Deserialize, TxnLogRecord::Deserialize,
 # ObjectKeyGenerator::Recover, NdpRequest::Deserialize,
 # NdpResult::Deserialize and the HG / DATE / TEXT posting-page walker and
 # lookups truncated, bit-flipped and count-overwritten bytes from a fixed

@@ -100,17 +100,27 @@ std::vector<uint8_t> Bitmap::Serialize() const {
   return out;
 }
 
-Bitmap Bitmap::Deserialize(const std::vector<uint8_t>& bytes) {
-  Bitmap bm;
-  if (bytes.size() < sizeof(uint64_t)) return bm;
+Result<Bitmap> Bitmap::Deserialize(const std::vector<uint8_t>& bytes) {
+  if (bytes.size() < sizeof(uint64_t) ||
+      (bytes.size() - sizeof(uint64_t)) % sizeof(uint64_t) != 0) {
+    return Status::Corruption("bitmap: bad frame size");
+  }
   uint64_t num_bits = 0;
   std::memcpy(&num_bits, bytes.data(), sizeof(uint64_t));
+  // Word count without the overflow of num_bits + kWordBits - 1.
+  uint64_t words = num_bits / kWordBits + (num_bits % kWordBits != 0);
+  if (words != (bytes.size() - sizeof(uint64_t)) / sizeof(uint64_t)) {
+    return Status::Corruption("bitmap: bit count does not match size");
+  }
+  Bitmap bm;
   bm.Resize(num_bits);
-  uint64_t payload_words = (bytes.size() - sizeof(uint64_t)) / sizeof(uint64_t);
-  uint64_t n = std::min<uint64_t>(payload_words, bm.words_.size());
-  if (n > 0) {
+  if (words > 0) {
     std::memcpy(bm.words_.data(), bytes.data() + sizeof(uint64_t),
-                n * sizeof(uint64_t));
+                words * sizeof(uint64_t));
+    uint64_t tail = num_bits % kWordBits;
+    if (tail != 0 && (bm.words_.back() >> tail) != 0) {
+      return Status::Corruption("bitmap: bit set past the end");
+    }
   }
   return bm;
 }

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/result.h"
+
 namespace cloudiq {
 
 // Dense, dynamically sized bitmap.
@@ -47,9 +49,11 @@ class Bitmap {
   void SubtractFrom(const Bitmap& other);
 
   // Flat serialization: [num_bits][words...]. Used when bitmaps are flushed
-  // to the system dbspace at commit time.
+  // to the system dbspace at commit time. Deserialize returns Corruption
+  // unless the frame is exactly 8 * (1 + ceil(num_bits / 64)) bytes and
+  // sets no bit at or past num_bits.
   std::vector<uint8_t> Serialize() const;
-  static Bitmap Deserialize(const std::vector<uint8_t>& bytes);
+  static Result<Bitmap> Deserialize(const std::vector<uint8_t>& bytes);
 
   bool operator==(const Bitmap& other) const;
 

@@ -76,23 +76,19 @@ class Database {
     // Near-data processing: installs an NDP engine on the environment's
     // object store (idempotent across nodes sharing the environment) and
     // stamps query contexts with the mode, so eligible range scans can be
-    // evaluated server-side (kAuto: per-scan bytes-moved heuristic).
+    // evaluated server-side (kAuto: ChoosePlan picks per scan).
     ndp::NdpMode ndp_mode = ndp::NdpMode::kOff;
     // Cost-intelligent planning defaults stamped onto every query context
-    // (src/costopt/): the plan-choice policy, a node-wide latency SLO for
-    // kMinCostUnderSlo, and the cold-pricing regression switch. The
-    // workload engine overrides these per tenant at dispatch time via
-    // QueryContext::SetCostConstraints.
+    // (src/costopt/): the plan-choice policy and a node-wide latency SLO
+    // for kMinCostUnderSlo. The workload engine overrides these per
+    // tenant at dispatch time via QueryContext::SetCostConstraints.
     costopt::PlanPolicy cost_policy = costopt::PlanPolicy::kCostBlind;
     double cost_slo_seconds = 0;
-    bool ndp_assume_cold = false;
-    // Morsel-driven executor defaults stamped onto every query context
-    // (src/exec/morsel.h): kSim keeps deterministic in-order morsels,
-    // kNative drains them on exec_workers real threads. Either way the
-    // simulated run is identical; only host wall time differs.
-    ExecMode exec_mode = ExecMode::kSim;
+    // Morsel-driven executor default stamped onto every query context
+    // (src/exec/morsel.h): one worker runs morsels inline in order, more
+    // drain them on exec_workers real threads. Either way the simulated
+    // run is identical; only host wall time differs.
     int exec_workers = 1;
-    uint64_t exec_morsel_rows = 16384;
     // Reader node of a multiplex: modifications are rejected (§2).
     bool read_only = false;
     // Multiplex: name of the shared system-dbspace volume ("" = private
@@ -134,10 +130,7 @@ class Database {
     qopts.ndp_mode = options_.ndp_mode;
     qopts.cost_policy = options_.cost_policy;
     qopts.slo_seconds = options_.cost_slo_seconds;
-    qopts.ndp_assume_cold = options_.ndp_assume_cold;
-    qopts.exec_mode = options_.exec_mode;
     qopts.exec_workers = options_.exec_workers;
-    qopts.morsel_rows = options_.exec_morsel_rows;
     QueryContext ctx(txn_mgr_.get(), txn, &system_, qopts);
     ctx.set_meta_provider(
         [this](uint64_t table_id) { return TableMetaFor(table_id); });
@@ -145,13 +138,10 @@ class Database {
     return ctx;
   }
 
-  // Re-points the executor defaults stamped by NewQueryContext. The
-  // scale-up bench sweeps modes and worker counts over one loaded
-  // database instead of reloading per configuration.
-  void SetExecOptions(ExecMode mode, int workers) {
-    options_.exec_mode = mode;
-    options_.exec_workers = workers;
-  }
+  // Re-points the worker count stamped by NewQueryContext. The scale-up
+  // bench sweeps worker counts over one loaded database instead of
+  // reloading per configuration.
+  void SetExecWorkers(int workers) { options_.exec_workers = workers; }
 
   // A tenant-scoped session on this node (defined in engine/session.h):
   // queries opened through it are registered under `tenant` in the

@@ -8,6 +8,7 @@
 
 #include "columnar/encoding.h"
 #include "costopt/cost_model.h"
+#include "exec/morsel.h"
 #include "exec/row_key_table.h"
 #include "exec/task_pool.h"
 
@@ -201,10 +202,9 @@ Batch MakeOutputShape(const TableSchema& schema,
 //     accumulate, placement) and touch no simulator state, writing only
 //     their own index's output slot;
 //   * the coordinator then charges sim-time in a fixed loop over the
-//     same indices, in order, in both modes.
-// The AddCpuWork / profiler call sequence is therefore identical in sim
-// and native mode and across worker counts — which is the whole
-// determinism contract (DESIGN.md §5j).
+//     same indices, in order, whatever the worker count.
+// The AddCpuWork / profiler call sequence is therefore identical across
+// worker counts — which is the whole determinism contract (DESIGN.md §5j).
 
 // One fetched page of a read column: the encoded frame (phase A, on the
 // coordinator — all simulated I/O happens there) and its decoded values
@@ -319,24 +319,22 @@ Batch MaterializeScanMorsel(const Batch& shape,
 
 // Phase D of every parallel operator: prefix-sums fragment sizes,
 // resizes `out` to the total, and moves each fragment into its disjoint
-// slot range (in parallel in native mode).
-void PlaceFragments(ExecMode mode, int workers, std::vector<Batch>* frags,
-                    Batch* out) {
+// slot range (in parallel with more than one worker).
+void PlaceFragments(int workers, std::vector<Batch>* frags, Batch* out) {
   std::vector<size_t> offsets(frags->size() + 1, 0);
   for (size_t i = 0; i < frags->size(); ++i) {
     offsets[i + 1] = offsets[i] + (*frags)[i].rows();
   }
   for (ColumnVector& col : out->columns) col.Resize(offsets.back());
-  TaskPool::Global().RunIndexed(
-      mode, workers, frags->size(), [&](size_t i) {
-        Batch& frag = (*frags)[i];
-        for (size_t c = 0; c < out->columns.size(); ++c) {
-          VisitValues(frag.columns[c], [&](auto& src) {
-            std::move(src.begin(), src.end(),
-                      ValuesLike(out->columns[c], src).begin() + offsets[i]);
-          });
-        }
+  TaskPool::Global().RunIndexed(workers, frags->size(), [&](size_t i) {
+    Batch& frag = (*frags)[i];
+    for (size_t c = 0; c < out->columns.size(); ++c) {
+      VisitValues(frag.columns[c], [&](auto& src) {
+        std::move(src.begin(), src.end(),
+                  ValuesLike(out->columns[c], src).begin() + offsets[i]);
       });
+    }
+  });
 }
 
 // --- near-data processing --------------------------------------------------
@@ -359,8 +357,6 @@ struct NdpScanPlan {
   bool considered = false; // planning ran (mode on/auto and scan eligible)
   std::vector<size_t> partitions;              // partitions with candidates
   std::vector<std::vector<uint8_t>> requests;  // parallel to partitions
-  double est_pull_bytes = 0;  // encoded bytes a pull would move over the NIC
-  double est_push_bytes = 0;  // requests + estimated result bytes
   costopt::ScanWork work;     // what the cost model prices either way
 };
 
@@ -489,25 +485,6 @@ NdpScanPlan PlanNdpScan(QueryContext* ctx, TableReader* reader,
     return plan;
   }
 
-  // Regression/bench switch: reprice the pull as if every page were a
-  // cold GET — the pre-costopt bug this planner used to have.
-  if (ctx->options().ndp_assume_cold) {
-    plan.work.pull_pages_buffer = 0;
-    plan.work.pull_pages_ocm = 0;
-  }
-  uint64_t cold_pages = plan.work.pull_pages - plan.work.pull_pages_buffer -
-                        plan.work.pull_pages_ocm;
-  double cold_frac =
-      plan.work.pull_pages == 0
-          ? 1.0
-          : static_cast<double>(cold_pages) / plan.work.pull_pages;
-  // The bytes-moved heuristic now compares against the bytes a pull
-  // would actually move over the NIC: warm pages (buffer or OCM) never
-  // cross it, so a warm scan is no longer pushed down at a loss.
-  plan.est_pull_bytes = plan.work.pull_bytes * cold_frac;
-  plan.est_push_bytes =
-      plan.work.push_request_bytes + plan.work.push_return_bytes;
-
   // Price both shapes with the ledger's own tables — the prediction that
   // EXPLAIN WHATIF shows and that the run report scores against billing.
   costopt::CostModel model(ctx->ledger().prices());
@@ -518,30 +495,16 @@ NdpScanPlan PlanNdpScan(QueryContext* ctx, TableReader* reader,
   candidates.push_back(model.PricePush(plan.work, local));
 
   costopt::PlanPolicy policy = ctx->options().cost_policy;
-  int chosen;
-  std::string reason;
+  costopt::PlanChoice choice;
   if (mode == ndp::NdpMode::kOn) {
-    chosen = 1;
-    reason = "ndp=on: pushdown forced";
-  } else if (policy == costopt::PlanPolicy::kCostBlind) {
-    bool push_wins = plan.est_push_bytes <
-                     ctx->options().ndp_auto_threshold * plan.est_pull_bytes;
-    chosen = push_wins ? 1 : 0;
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "cost_blind: est push %.6g B vs cold pull %.6g B "
-                  "(threshold %.3g, %s)",
-                  plan.est_push_bytes, plan.est_pull_bytes,
-                  ctx->options().ndp_auto_threshold,
-                  candidates[0].detail.c_str());
-    reason = buf;
+    choice.index = 1;
+    choice.reason = "ndp=on: pushdown forced";
   } else {
-    costopt::PlanChoice choice =
-        costopt::ChoosePlan(candidates, policy, ctx->options().slo_seconds,
-                            ctx->options().budget_left_usd);
-    chosen = choice.index;
-    reason = std::move(choice.reason);
+    choice = costopt::ChoosePlan(candidates, policy,
+                                 ctx->options().slo_seconds,
+                                 ctx->options().budget_left_usd);
   }
+  const int chosen = choice.index;
   plan.use = chosen == 1;
 
   // Record the decision trail. op_id anticipates the scan's OperatorScope,
@@ -553,7 +516,7 @@ NdpScanPlan PlanNdpScan(QueryContext* ctx, TableReader* reader,
   record.policy = costopt::PolicyName(policy);
   record.candidates = candidates;
   record.chosen = chosen;
-  record.reason = std::move(reason);
+  record.reason = std::move(choice.reason);
   // Reader-node placement, advisory: the chosen shape re-priced on every
   // node in the environment with compute-time USD at its hourly rate.
   SimEnvironment& env = ctx->node()->env();
@@ -739,7 +702,6 @@ Result<Batch> ScanTable(QueryContext* ctx, TableReader* reader,
 
   if (!morsels.empty()) {
     TaskPool& pool = TaskPool::Global();
-    const ExecMode mode = ctx->options().exec_mode;
     const int workers = ctx->options().exec_workers;
     stats.counter("exec.parallel_sections").Add(1);
     stats.counter("exec.morsels").Add(morsels.size());
@@ -771,7 +733,7 @@ Result<Batch> ScanTable(QueryContext* ctx, TableReader* reader,
       }
     }
     std::vector<Status> decode_status(decode_tasks.size(), Status::Ok());
-    pool.RunIndexed(mode, workers, decode_tasks.size(), [&](size_t t) {
+    pool.RunIndexed(workers, decode_tasks.size(), [&](size_t t) {
       const DecodeTask& task = decode_tasks[t];
       DecodedPage* dp = task.page;
       Result<ColumnVector> decoded = DecodeColumnPageCoded(*dp->frame);
@@ -797,12 +759,12 @@ Result<Batch> ScanTable(QueryContext* ctx, TableReader* reader,
     }
     // Phase C (workers): per-morsel materialize + exact range filter.
     std::vector<Batch> frags(morsels.size());
-    pool.RunIndexed(mode, workers, morsels.size(), [&](size_t m) {
+    pool.RunIndexed(workers, morsels.size(), [&](size_t m) {
       frags[m] = MaterializeScanMorsel(out, parts[morsel_slice[m]],
                                        morsels[m], range, range_pos);
     });
     // Phase D (workers): place fragments into disjoint slots of `out`.
-    PlaceFragments(mode, workers, &frags, &out);
+    PlaceFragments(workers, &frags, &out);
     // The coordinator's fixed charge loop: each candidate row costs one
     // touch per read column plus (with a predicate) the exact filter
     // touch — the same totals the serial executor charged, attributed
@@ -917,7 +879,6 @@ void JoinOnKeys(QueryContext* ctx, const Batch& left, const Batch& right,
                 const Keys& keys, JoinType type,
                 const std::vector<int>& right_cols, Batch* out) {
   TaskPool& pool = TaskPool::Global();
-  const ExecMode mode = ctx->options().exec_mode;
   const int workers = ctx->options().exec_workers;
   auto& stats = ctx->node()->telemetry().stats();
 
@@ -935,7 +896,7 @@ void JoinOnKeys(QueryContext* ctx, const Batch& left, const Batch& right,
     stats.counter("exec.morsels").Add(build_chunks.size());
     std::vector<uint64_t> hashes(right.rows());
     ScopedParallelSection section(ctx);
-    pool.RunIndexed(mode, workers, build_chunks.size(), [&](size_t i) {
+    pool.RunIndexed(workers, build_chunks.size(), [&](size_t i) {
       for (size_t r = build_chunks[i].begin; r < build_chunks[i].end;
            ++r) {
         hashes[r] = keys.RightHash(r);
@@ -978,7 +939,7 @@ void JoinOnKeys(QueryContext* ctx, const Batch& left, const Batch& right,
     stats.counter("exec.morsels").Add(probe_chunks.size());
     std::vector<JoinMatches> matches(probe_chunks.size());
     ScopedParallelSection section(ctx);
-    pool.RunIndexed(mode, workers, probe_chunks.size(), [&](size_t i) {
+    pool.RunIndexed(workers, probe_chunks.size(), [&](size_t i) {
       JoinMatches& m = matches[i];
       for (size_t r = probe_chunks[i].begin; r < probe_chunks[i].end;
            ++r) {
@@ -1007,7 +968,7 @@ void JoinOnKeys(QueryContext* ctx, const Batch& left, const Batch& right,
       at[i + 1] = at[i] + matches[i].left_rows.size();
     }
     for (ColumnVector& col : out->columns) col.Resize(at.back());
-    pool.RunIndexed(mode, workers, probe_chunks.size(), [&](size_t i) {
+    pool.RunIndexed(workers, probe_chunks.size(), [&](size_t i) {
       for (size_t c = 0; c < left.columns.size(); ++c) {
         out->columns[c].Gather(left.columns[c], matches[i].left_rows, at[i]);
       }
@@ -1255,14 +1216,13 @@ Result<Batch> HashAggregate(QueryContext* ctx, const Batch& in,
       MakeRowChunks(in.rows(), ctx->options().morsel_rows);
   if (!chunks.empty()) {
     TaskPool& pool = TaskPool::Global();
-    const ExecMode mode = ctx->options().exec_mode;
     const int workers = ctx->options().exec_workers;
     auto& stats = ctx->node()->telemetry().stats();
     stats.counter("exec.parallel_sections").Add(1);
     stats.counter("exec.morsels").Add(chunks.size());
     std::vector<LocalGroups> locals(chunks.size());
     ScopedParallelSection section(ctx);
-    pool.RunIndexed(mode, workers, chunks.size(), [&](size_t i) {
+    pool.RunIndexed(workers, chunks.size(), [&](size_t i) {
       LocalGroups& lg = locals[i];
       const RowChunk& chunk = chunks[i];
       std::vector<uint64_t> hashes;

@@ -11,7 +11,6 @@
 #include "costopt/chooser.h"
 #include "costopt/whatif.h"
 #include "exec/batch.h"
-#include "exec/morsel.h"
 #include "ndp/ndp_protocol.h"
 #include "sim/environment.h"
 #include "txn/transaction_manager.h"
@@ -28,31 +27,21 @@ class QueryContext {
     double cpu_per_value = 1.2e-9;       // seconds per value touched
     double cpu_per_decoded_byte = 2e-9;  // decode/decompress cost
     // Near-data processing: whether range scans may be evaluated inside
-    // the object store (kAuto picks per scan with a bytes-moved
-    // estimate; see PlanNdpScan in executor.cc).
+    // the object store (kOn always pushes; kAuto lets ChoosePlan pick per
+    // scan under cost_policy; see PlanNdpScan in executor.cc).
     ndp::NdpMode ndp_mode = ndp::NdpMode::kOff;
-    // kAuto pushes down when the estimated bytes returned by the store
-    // are below this fraction of the bytes a pull would move — the
-    // margin covers the per-request surcharge and estimate error.
-    double ndp_auto_threshold = 0.5;
     // Cost-intelligent planning (src/costopt/). kCostBlind keeps the
-    // bytes-moved heuristic in charge; the other policies hand the
+    // bytes-moved rule in charge; the other policies hand the
     // pushdown-vs-pull decision to the cost model's USD/latency
     // estimates under the SLO / budget below.
     costopt::PlanPolicy cost_policy = costopt::PlanPolicy::kCostBlind;
     double slo_seconds = 0;       // <= 0: no latency SLO
     double budget_left_usd = -1;  // < 0: unlimited remaining budget
-    // Regression/bench switch: reprice pulls as if every page were a
-    // cold object-store GET — the pre-costopt planner bug (warm scans
-    // pushed down at a loss). Kept so bench_costopt can quantify the
-    // fix and tests can pin the old behaviour down.
-    bool ndp_assume_cold = false;
-    // Morsel-driven parallelism (src/exec/morsel.h): execution mode,
-    // worker-thread count for kNative, and target candidate rows per
-    // morsel / row chunk. The *simulated* run — clock, ledger, stall
-    // profile, results — is identical across modes and worker counts;
-    // only host wall time differs (see DESIGN.md §5j).
-    ExecMode exec_mode = ExecMode::kSim;
+    // Morsel-driven parallelism (src/exec/morsel.h): worker threads per
+    // parallel section (<= 1 runs morsels inline, in ascending order) and
+    // target candidate rows per morsel / row chunk. The *simulated* run —
+    // clock, ledger, stall profile, results — is identical across worker
+    // counts; only host wall time differs (see DESIGN.md §5j).
     int exec_workers = 1;
     uint64_t morsel_rows = 16384;
   };

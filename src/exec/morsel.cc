@@ -4,26 +4,6 @@
 
 namespace cloudiq {
 
-const char* ExecModeName(ExecMode mode) {
-  switch (mode) {
-    case ExecMode::kSim: return "sim";
-    case ExecMode::kNative: return "native";
-  }
-  return "unknown";
-}
-
-bool ParseExecMode(const std::string& text, ExecMode* mode) {
-  if (text == "sim") {
-    *mode = ExecMode::kSim;
-    return true;
-  }
-  if (text == "native") {
-    *mode = ExecMode::kNative;
-    return true;
-  }
-  return false;
-}
-
 namespace {
 
 using Runs = std::vector<IntervalSet::Interval>;

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "columnar/schema.h"
@@ -11,22 +10,18 @@
 
 namespace cloudiq {
 
-// How the executor runs the morsels of a parallel section.
+// How the executor runs the morsels of a parallel section is decided by
+// the worker count alone (QueryContext::Options::exec_workers):
 //
-//  * kSim (default): morsels run inline on the calling thread in
-//    ascending index order. Combined with the work-then-charge split in
-//    executor.cc (task lambdas touch no simulator state; all CPU charges
-//    happen afterwards in a fixed coordinator loop), a sim run's clock,
-//    ledger and stall profile are byte-identical across worker counts.
-//  * kNative: morsels are drained from a shared counter by real worker
-//    threads (TaskPool) for wall-clock speedup. The charge loop is the
-//    same fixed sequence, so the *simulated* report stays identical to a
-//    sim run — only host wall time changes.
-enum class ExecMode { kSim, kNative };
-
-const char* ExecModeName(ExecMode mode);
-// Parses "sim" / "native" (as accepted by --exec= and CLOUDIQ_EXEC).
-bool ParseExecMode(const std::string& text, ExecMode* mode);
+//  * workers <= 1 (default): morsels run inline on the calling thread in
+//    ascending index order.
+//  * workers > 1: morsels are drained from a shared counter by real
+//    worker threads (TaskPool) for wall-clock speedup.
+//
+// Either way the work-then-charge split in executor.cc holds (task
+// lambdas touch no simulator state; all CPU charges happen afterwards in
+// a fixed coordinator loop), so a run's clock, ledger and stall profile
+// are byte-identical across worker counts — only host wall time changes.
 
 // One unit of parallel scan work: a page-aligned row range of one
 // partition plus the candidate row set inside it (the zone-map

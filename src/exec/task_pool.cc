@@ -36,10 +36,10 @@ void TaskPool::EnsureThreadsLocked(int want) {
   }
 }
 
-void TaskPool::RunIndexed(ExecMode mode, int workers, size_t count,
+void TaskPool::RunIndexed(int workers, size_t count,
                           const std::function<void(size_t)>& fn) {
   if (count == 0) return;
-  if (mode == ExecMode::kSim || workers <= 1 || count <= 1) {
+  if (workers <= 1 || count <= 1) {
     // Deterministic path: ascending order, no pool involvement at all.
     for (size_t i = 0; i < count; ++i) fn(i);
     return;

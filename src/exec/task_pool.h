@@ -10,21 +10,21 @@
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "exec/morsel.h"
 
 namespace cloudiq {
 
-// Worker pool for the morsel-driven executor's native mode.
+// Worker pool for the morsel-driven executor's multi-worker sections.
 //
 // Design constraints, in order:
-//  1. Sim determinism is untouchable: in kSim mode (or with one worker)
+//  1. Sim determinism is untouchable: with one worker (or one index)
 //     RunIndexed degrades to a plain inline loop — no lock is taken, no
 //     thread is spawned, and indices run in ascending order.
 //  2. Task bodies are *pure host CPU*. They must not touch the sim
 //     clock, the ledger, the stall profiler, or any other simulator
 //     state — all simulated accounting happens in the caller's fixed
 //     coordinator loop after (or before) the parallel region, which is
-//     what keeps a native run's report byte-identical to a sim run's.
+//     what keeps a multi-worker run's report byte-identical to a
+//     one-worker run's.
 //  3. The pool's one mutex (kTaskPool, rank 15) is held only around job
 //     hand-off and join/leave bookkeeping, never while a task body runs,
 //     so it can never participate in an inversion with the locks a
@@ -32,7 +32,7 @@ namespace cloudiq {
 //
 // One job runs at a time (queries are single-threaded coordinators; a
 // second concurrent caller parks on done_cv_ until the pool frees).
-// Workers are spawned lazily on first native use and joined in the
+// Workers are spawned lazily on first multi-worker use and joined in the
 // destructor. Work distribution is a shared atomic index counter —
 // morsel-driven scheduling in the Leis et al. sense, degenerated to one
 // global queue because a query's morsels already share one NUMA domain
@@ -52,11 +52,11 @@ class TaskPool {
 
   // Runs fn(0) .. fn(count - 1) to completion before returning.
   //
-  // kSim, workers <= 1 or count <= 1: inline on the caller, ascending
-  // order. kNative: the caller plus up to workers - 1 pool threads drain
+  // workers <= 1 or count <= 1: inline on the caller, ascending order.
+  // Otherwise the caller plus up to workers - 1 pool threads drain
   // indices from a shared counter; completion order is arbitrary, so fn
   // must write only its own index's output slot.
-  void RunIndexed(ExecMode mode, int workers, size_t count,
+  void RunIndexed(int workers, size_t count,
                   const std::function<void(size_t)>& fn) EXCLUDES(mu_);
 
   // Pool threads spawned so far (tests / diagnostics).

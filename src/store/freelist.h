@@ -34,9 +34,10 @@ class Freelist {
   // Serialized size is what a checkpoint must write; on cloud-only
   // databases this stays tiny, which §5 exploits.
   std::vector<uint8_t> Serialize() const { return bitmap_.Serialize(); }
-  static Freelist Deserialize(const std::vector<uint8_t>& bytes) {
+  // Corruption when the bitmap frame is (see Bitmap::Deserialize).
+  static Result<Freelist> Deserialize(const std::vector<uint8_t>& bytes) {
     Freelist fl;
-    fl.bitmap_ = Bitmap::Deserialize(bytes);
+    CLOUDIQ_ASSIGN_OR_RETURN(fl.bitmap_, Bitmap::Deserialize(bytes));
     return fl;
   }
 

@@ -664,7 +664,8 @@ Status TransactionManager::RecoverAfterCrash() {
         options_.name_prefix + "freelist/" + std::to_string(space->id), clock.now(), &done);
     clock.AdvanceTo(done);
     if (bytes.ok()) {
-      space->freelist = Freelist::Deserialize(bytes.value());
+      CLOUDIQ_ASSIGN_OR_RETURN(space->freelist,
+                               Freelist::Deserialize(bytes.value()));
     }
   }
 

@@ -1,9 +1,10 @@
 // Seeded mutation fuzz of the decoders that read persisted or wire bytes:
 // DecodeColumnPage and the code-preserving DecodeColumnPageCoded (column-
 // page encodings; the two must agree on every input), DecodePage (page-codec
-// frames), IntervalSet::Deserialize, PageSet::Deserialize (RF/RB sets),
-// TxnLogRecord::Deserialize, the key generator's checkpoint (through
-// ObjectKeyGenerator::Recover), the NDP request and result frames, and
+// frames), IntervalSet::Deserialize, Bitmap::Deserialize (the freelist
+// frame), PageSet::Deserialize (RF/RB sets), TxnLogRecord::Deserialize, the
+// key generator's checkpoint (through ObjectKeyGenerator::Recover), the
+// NDP request and result frames, and
 // the HG, DATE and TEXT posting pages (through the shared page walker and
 // through each index's lookup). Each starts from valid bytes and is fed
 // truncations, bit flips and overwritten counts; every call must return a
@@ -26,6 +27,7 @@
 #include "columnar/posting_page.h"
 #include "columnar/text_index.h"
 #include "columnar/value.h"
+#include "common/bitmap.h"
 #include "common/coding.h"
 #include "common/interval_set.h"
 #include "common/key_hash.h"
@@ -385,6 +387,32 @@ TEST(CodecFuzzTest, IntervalSetFramesDecodeOrReportCorruption) {
               }
               // Whatever decodes is canonical: it re-encodes to itself.
               EXPECT_EQ(set->Serialize(), bytes) << it;
+              return true;
+            });
+}
+
+TEST(CodecFuzzTest, BitmapFramesDecodeOrReportCorruption) {
+  std::vector<Seed> seeds;
+  seeds.push_back({Bitmap().Serialize(), {0}});
+  Bitmap one(1);
+  one.Set(0);
+  seeds.push_back({one.Serialize(), {0, 8}});
+  Bitmap sparse;
+  for (uint64_t bit = 3; bit < 700; bit += 1 + bit % 11) sparse.Set(bit);
+  seeds.push_back({sparse.Serialize(), {0, 8, 16}});
+  FuzzSeeds(kSeed + 10, kIterations, seeds,
+            [](const std::vector<uint8_t>& bytes, int it) {
+              Result<Bitmap> bm = Bitmap::Deserialize(bytes);
+              if (!bm.ok()) {
+                EXPECT_TRUE(bm.status().IsCorruption()) << it;
+                return false;
+              }
+              // Whatever decodes is canonical: it re-encodes to itself,
+              // and every set bit is inside the bitmap.
+              EXPECT_EQ(bm->Serialize(), bytes) << it;
+              std::vector<uint64_t> bits = bm->SetBits();
+              EXPECT_TRUE(bits.empty() || bits.back() < bm->size_bits())
+                  << it;
               return true;
             });
 }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
+#include <vector>
 
 #include "common/bitmap.h"
 #include "common/coding.h"
@@ -105,9 +107,68 @@ TEST(BitmapTest, SerializeRoundTrip) {
   bm.Set(63);
   bm.Set(64);
   bm.Set(1000);
-  Bitmap back = Bitmap::Deserialize(bm.Serialize());
-  EXPECT_TRUE(bm == back);
-  EXPECT_EQ(back.CountSet(), 4u);
+  Result<Bitmap> back = Bitmap::Deserialize(bm.Serialize());
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_TRUE(bm == *back);
+  EXPECT_EQ(back->CountSet(), 4u);
+  EXPECT_EQ(back->size_bits(), bm.size_bits());
+  EXPECT_EQ(back->Serialize(), bm.Serialize());
+  // The empty bitmap is just its zero bit count.
+  Result<Bitmap> empty = Bitmap::Deserialize(Bitmap().Serialize());
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty->size_bits(), 0u);
+}
+
+// [num_bits][words...] with the given bit count and word payload.
+std::vector<uint8_t> BitmapFrame(uint64_t num_bits,
+                                 const std::vector<uint64_t>& words) {
+  std::vector<uint8_t> out(sizeof(uint64_t) * (1 + words.size()));
+  std::memcpy(out.data(), &num_bits, sizeof(num_bits));
+  if (!words.empty()) {
+    std::memcpy(out.data() + sizeof(uint64_t), words.data(),
+                words.size() * sizeof(uint64_t));
+  }
+  return out;
+}
+
+TEST(BitmapTest, DeserializeRejectsShortFrames) {
+  for (size_t size = 0; size < sizeof(uint64_t); ++size) {
+    std::vector<uint8_t> bytes(size, 0);
+    EXPECT_TRUE(Bitmap::Deserialize(bytes).status().IsCorruption()) << size;
+  }
+  // A valid frame cut mid-word.
+  std::vector<uint8_t> cut = BitmapFrame(100, {1, 2});
+  cut.pop_back();
+  EXPECT_TRUE(Bitmap::Deserialize(cut).status().IsCorruption());
+}
+
+TEST(BitmapTest, DeserializeRejectsSizeMismatch) {
+  // 100 bits need exactly two words.
+  EXPECT_TRUE(Bitmap::Deserialize(BitmapFrame(100, {1, 2})).ok());
+  EXPECT_TRUE(
+      Bitmap::Deserialize(BitmapFrame(100, {1})).status().IsCorruption());
+  EXPECT_TRUE(Bitmap::Deserialize(BitmapFrame(100, {1, 2, 3}))
+                  .status()
+                  .IsCorruption());
+  EXPECT_TRUE(
+      Bitmap::Deserialize(BitmapFrame(0, {0})).status().IsCorruption());
+  // A bit at or past num_bits is not a bit of this bitmap.
+  EXPECT_TRUE(Bitmap::Deserialize(BitmapFrame(100, {0, uint64_t{1} << 36}))
+                  .status()
+                  .IsCorruption());
+  EXPECT_TRUE(Bitmap::Deserialize(BitmapFrame(100, {0, uint64_t{1} << 35}))
+                  .ok());
+}
+
+TEST(BitmapTest, DeserializeRejectsHugeBitCountWithoutAllocating) {
+  // One payload word claiming 2^62 bits would resize to 2^56 words.
+  EXPECT_TRUE(Bitmap::Deserialize(BitmapFrame(uint64_t{1} << 62, {0}))
+                  .status()
+                  .IsCorruption());
+  // The word count must not wrap for bit counts near 2^64.
+  EXPECT_TRUE(Bitmap::Deserialize(BitmapFrame(~uint64_t{0}, {0}))
+                  .status()
+                  .IsCorruption());
 }
 
 TEST(BitmapTest, UnionAndSubtract) {

@@ -168,11 +168,52 @@ TEST(ChooserTest, MinLatencyUnderBudgetFiltersThenTakesFastest) {
             std::string::npos);
 }
 
-TEST(ChooserTest, CostBlindDelegatesToCallerHeuristic) {
-  PlanChoice blind =
-      ChoosePlan(TwoCandidates(), PlanPolicy::kCostBlind, 0, -1);
-  EXPECT_EQ(blind.index, 0);
-  EXPECT_NE(blind.reason.find("cost_blind"), std::string::npos);
+// Pull first, push second, differing only in NIC bytes.
+std::vector<PlanEstimate> ByteCandidates(double pull_bytes,
+                                         double push_bytes) {
+  PlanEstimate pull;
+  pull.name = "pull";
+  pull.nic_bytes = pull_bytes;
+  pull.detail = "0/4 pages warm (buffer 0, ocm 0)";
+  PlanEstimate push;
+  push.name = "push";
+  push.nic_bytes = push_bytes;
+  return {pull, push};
+}
+
+TEST(ChooserTest, CostBlindPushesOnlyBelowHalfThePullBytes) {
+  struct Case {
+    double pull_bytes;
+    double push_bytes;
+    int want;
+    const char* cites_push;
+    const char* cites_pull;
+  };
+  const Case cases[] = {
+      // Just under the threshold: push.
+      {1000, std::nextafter(500.0, 0.0), 1, "est push 500 B",
+       "cold pull 1000 B"},
+      {1000, 499, 1, "est push 499 B", "cold pull 1000 B"},
+      // Exactly the threshold is not below it: pull.
+      {1000, 500, 0, "est push 500 B", "cold pull 1000 B"},
+      // A fully warm pull moves nothing; no push can undercut it.
+      {0, 0, 0, "est push 0 B", "cold pull 0 B"},
+      {0, 10, 0, "est push 10 B", "cold pull 0 B"},
+  };
+  ASSERT_EQ(costopt::kCostBlindPushThreshold, 0.5);
+  for (const Case& c : cases) {
+    PlanChoice blind =
+        ChoosePlan(ByteCandidates(c.pull_bytes, c.push_bytes),
+                   PlanPolicy::kCostBlind, 0, -1);
+    EXPECT_EQ(blind.index, c.want) << blind.reason;
+    EXPECT_EQ(blind.reason.rfind("cost_blind: ", 0), 0u) << blind.reason;
+    EXPECT_NE(blind.reason.find(c.cites_push), std::string::npos)
+        << blind.reason;
+    EXPECT_NE(blind.reason.find(c.cites_pull), std::string::npos)
+        << blind.reason;
+    EXPECT_NE(blind.reason.find("0/4 pages warm"), std::string::npos)
+        << blind.reason;
+  }
 }
 
 // --- spend predictor ----------------------------------------------------
@@ -286,8 +327,8 @@ void LoadNarrow(Database* db) {
 }
 
 // Warms every page of k and v via a rangeless pull scan (never planned
-// as pushdown), then runs the selective range scan that the legacy
-// cold-pricing planner used to push at a loss.
+// as pushdown), then runs the selective range scan that a planner
+// pricing every pull as cold would push at a loss.
 Result<QueryContext> WarmThenRangeScan(Database* db) {
   {
     Transaction* txn = db->Begin();
@@ -326,20 +367,6 @@ TEST(CostOptExecTest, WarmScanNotPushedRegression) {
   const WhatIfScan& scan = ctx.value().whatif().scans().back();
   EXPECT_EQ(scan.candidates[scan.chosen].name, "pull");
   EXPECT_EQ(scan.candidates[0].cold_pages, 0u);  // probe saw warm pages
-
-  // The regression switch reproduces the old bug: same warm cache, but
-  // priced as cold, so the same scan goes server-side at a loss.
-  SimEnvironment legacy_env;
-  Database::Options legacy = CostOptDbOptions();
-  legacy.ndp_assume_cold = true;
-  Database legacy_db(&legacy_env, InstanceProfile::M5ad4xlarge(), legacy);
-  LoadNarrow(&legacy_db);
-  Result<QueryContext> legacy_ctx = WarmThenRangeScan(&legacy_db);
-  ASSERT_TRUE(legacy_ctx.ok()) << legacy_ctx.status().ToString();
-  EXPECT_GE(
-      legacy_env.telemetry().stats().counter("ndp.pushdown_scans").value(),
-      1u);
-  EXPECT_GT(legacy_env.object_store().stats().selects, 0u);
 }
 
 TEST(CostOptExecTest, PolicyChoosesCheapestAndExplainCitesIt) {

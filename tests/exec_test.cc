@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <thread>
 #include <variant>
 
 #include "columnar/encoding.h"
@@ -125,31 +126,30 @@ TEST(MorselTest, RowChunksCoverRangeInOrder) {
   EXPECT_EQ(MakeRowChunks(3, 0).size(), 3u);  // target 0 -> 1
 }
 
-TEST(MorselTest, ParseExecModeRoundTrips) {
-  ExecMode mode = ExecMode::kSim;
-  EXPECT_TRUE(ParseExecMode("native", &mode));
-  EXPECT_EQ(mode, ExecMode::kNative);
-  EXPECT_TRUE(ParseExecMode("sim", &mode));
-  EXPECT_EQ(mode, ExecMode::kSim);
-  EXPECT_FALSE(ParseExecMode("turbo", &mode));
-  EXPECT_STREQ(ExecModeName(ExecMode::kNative), "native");
-}
-
 TEST(TaskPoolTest, NativeRunsEveryIndexExactlyOnce) {
   constexpr size_t kCount = 257;
   std::vector<std::atomic<int>> hits(kCount);
-  TaskPool::Global().RunIndexed(ExecMode::kNative, 4, kCount,
+  TaskPool::Global().RunIndexed(4, kCount,
                                 [&hits](size_t i) { hits[i].fetch_add(1); });
   for (size_t i = 0; i < kCount; ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
+  // More than one worker means real threads, not an inline loop.
+  EXPECT_GE(TaskPool::Global().thread_count(), 1);
 }
 
-TEST(TaskPoolTest, SimModeRunsInlineInAscendingOrder) {
+TEST(TaskPoolTest, OneWorkerRunsInlineInAscendingOrder) {
+  const int threads_before = TaskPool::Global().thread_count();
+  const std::thread::id caller = std::this_thread::get_id();
   std::vector<size_t> order;
-  TaskPool::Global().RunIndexed(ExecMode::kSim, 8, 5,
-                                [&order](size_t i) { order.push_back(i); });
+  bool all_on_caller = true;
+  TaskPool::Global().RunIndexed(1, 5, [&](size_t i) {
+    order.push_back(i);
+    all_on_caller = all_on_caller && std::this_thread::get_id() == caller;
+  });
   EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
+  EXPECT_TRUE(all_on_caller);
+  EXPECT_EQ(TaskPool::Global().thread_count(), threads_before);
 }
 
 class ExecTest : public ::testing::Test {
@@ -560,7 +560,7 @@ TEST_F(ExecTest, ExplainAnalyzeOperatorRowsSumToQueryLedger) {
   EXPECT_NE(text.find("total (incl. query-level work)"), std::string::npos);
 }
 
-// --- parallel executor: native output == serial output -----------------
+// --- parallel executor: multi-worker output == serial output -----------
 
 void ExpectBatchesIdentical(const Batch& coded_a, const Batch& coded_b) {
   Batch a = testing_util::Expanded(coded_a);
@@ -576,7 +576,7 @@ void ExpectBatchesIdentical(const Batch& coded_a, const Batch& coded_b) {
   }
 }
 
-// ExecTest with a second context in native mode at 4 workers and a tiny
+// ExecTest with a second context at 4 workers and a tiny
 // morsel target, so even the 1000-row fixture fans out across many
 // morsels/chunks. Output must be bitwise identical to the default serial
 // context: same row order, same group order, same strings.
@@ -584,7 +584,6 @@ class ParallelExecTest : public ExecTest {
  protected:
   ParallelExecTest() {
     QueryContext::Options opts;
-    opts.exec_mode = ExecMode::kNative;
     opts.exec_workers = 4;
     opts.morsel_rows = 64;
     par_ctx_ = std::make_unique<QueryContext>(txn_mgr_.get(), txn_,
@@ -1141,15 +1140,13 @@ const std::vector<AggSpec>& OracleAggs() {
   return aggs;
 }
 
-// Runs each operator on a sim context and on native contexts at 1, 2 and
-// 4 workers, all at one morsel size: the sim output must equal the
-// reference, and every native output must equal the sim output.
+// Runs each operator at 1, 2 and 4 workers, all at one morsel size: the
+// one-worker output must equal the reference, and every multi-worker
+// output must equal the one-worker output.
 class ExecOracleTest : public ExecTest {
  protected:
-  std::unique_ptr<QueryContext> Context(ExecMode mode, int workers,
-                                        uint64_t morsel_rows) {
+  std::unique_ptr<QueryContext> Context(int workers, uint64_t morsel_rows) {
     QueryContext::Options opts;
-    opts.exec_mode = mode;
     opts.exec_workers = workers;
     opts.morsel_rows = morsel_rows;
     return std::make_unique<QueryContext>(txn_mgr_.get(), txn_, &h_.system,
@@ -1158,14 +1155,13 @@ class ExecOracleTest : public ExecTest {
 
   template <typename Op>
   void ExpectAllModes(uint64_t morsel_rows, const Batch& expected, Op op) {
-    Result<Batch> sim = op(Context(ExecMode::kSim, 1, morsel_rows).get());
-    ASSERT_TRUE(sim.ok()) << sim.status().ToString();
-    ExpectBatchesBitwise(expected, *sim);
-    for (int workers : {1, 2, 4}) {
-      Result<Batch> native =
-          op(Context(ExecMode::kNative, workers, morsel_rows).get());
-      ASSERT_TRUE(native.ok()) << native.status().ToString();
-      ExpectBatchesBitwise(*sim, *native);
+    Result<Batch> one = op(Context(1, morsel_rows).get());
+    ASSERT_TRUE(one.ok()) << one.status().ToString();
+    ExpectBatchesBitwise(expected, *one);
+    for (int workers : {2, 4}) {
+      Result<Batch> many = op(Context(workers, morsel_rows).get());
+      ASSERT_TRUE(many.ok()) << many.status().ToString();
+      ExpectBatchesBitwise(*one, *many);
     }
   }
 };
@@ -1625,7 +1621,6 @@ TEST_F(CodedColumnTest, GatherMatchesPlain) {
 TEST_F(CodedColumnTest, ScanCodesAllDictionaryColumnAtAnyWorkerCount) {
   for (int workers : {1, 2, 4}) {
     QueryContext::Options opts;
-    opts.exec_mode = ExecMode::kNative;
     opts.exec_workers = workers;
     opts.morsel_rows = 64;
     QueryContext ctx(txn_mgr_.get(), txn_, &h_.system, opts);
@@ -1724,7 +1719,6 @@ TEST_F(CodedColumnTest, ScanMergesPageDictionariesAndLeavesMixedPlain) {
   for (int workers : {0, 1, 2, 4}) {
     QueryContext::Options opts;
     if (workers > 0) {
-      opts.exec_mode = ExecMode::kNative;
       opts.exec_workers = workers;
       opts.morsel_rows = 64;
     }

@@ -107,9 +107,13 @@ TEST(FreelistTest, SerializationRoundTrip) {
   Freelist fl;
   fl.AllocateRun(10);
   fl.MarkUsed(100, 5);
-  Freelist back = Freelist::Deserialize(fl.Serialize());
-  EXPECT_EQ(back.UsedBlocks(), 15u);
-  EXPECT_TRUE(back.IsUsed(104));
+  Result<Freelist> back = Freelist::Deserialize(fl.Serialize());
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->UsedBlocks(), 15u);
+  EXPECT_TRUE(back->IsUsed(104));
+  std::vector<uint8_t> cut = fl.Serialize();
+  cut.pop_back();
+  EXPECT_TRUE(Freelist::Deserialize(cut).status().IsCorruption());
 }
 
 TEST(ObjectStoreIoTest, RetriesNotFoundUntilVisible) {

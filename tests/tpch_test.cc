@@ -531,8 +531,8 @@ TEST_P(TpchAllQueriesTest, RunsClean) {
 INSTANTIATE_TEST_SUITE_P(AllQueries, TpchAllQueriesTest,
                          ::testing::Range(1, kTpchQueryCount + 1));
 
-// Every query must produce bitwise-identical output under the native
-// parallel executor: same rows, same order, same doubles. The morsel
+// Every query must produce bitwise-identical output on four worker
+// threads: same rows, same order, same doubles. The morsel
 // target is identical in both runs, so chunked double accumulation
 // reassociates identically and even floating-point columns match
 // exactly.
@@ -541,7 +541,6 @@ class TpchParallelEqualityTest : public TpchTest,
  protected:
   Result<Batch> RunNative(int q) {
     QueryContext::Options opts;
-    opts.exec_mode = ExecMode::kNative;
     opts.exec_workers = 4;
     Transaction* txn = db_->Begin();
     QueryContext ctx(&db_->txn_mgr(), txn, db_->system(), opts);

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "common/coding.h"
 #include "tests/test_util.h"
 #include "txn/page_set.h"
@@ -391,6 +395,23 @@ TEST_F(TxnTest, RecoveryReportsACorruptPersistedPageSet) {
   ASSERT_TRUE(h_.system
                   .Put(rb_name, PageSetFrame(20000000),
                        h_.node->clock().now(), &done)
+                  .ok());
+  txn_mgr_->SimulateCrash();
+  Status recovered = txn_mgr_->RecoverAfterCrash();
+  EXPECT_TRUE(recovered.IsCorruption()) << recovered.ToString();
+}
+
+TEST_F(TxnTest, RecoveryReportsACorruptFreelist) {
+  LoadObject(151, 3, 5, h_.block_space);
+  // A 16-byte frame claiming 2^62 bits: recovery must report it, not
+  // try to allocate the bitmap it claims.
+  std::vector<uint8_t> frame(2 * sizeof(uint64_t), 0);
+  uint64_t num_bits = uint64_t{1} << 62;
+  std::memcpy(frame.data(), &num_bits, sizeof(num_bits));
+  SimTime done = 0;
+  ASSERT_TRUE(h_.system
+                  .Put("freelist/" + std::to_string(h_.block_space->id),
+                       frame, h_.node->clock().now(), &done)
                   .ok());
   txn_mgr_->SimulateCrash();
   Status recovered = txn_mgr_->RecoverAfterCrash();
