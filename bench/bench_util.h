@@ -51,7 +51,8 @@ namespace bench {
 //                                              profile ("stall top") after
 //                                              each run: per-class totals
 //                                              and the top queries by wait
-//                                              time, from the StallProfiler
+//                                              time, from the ledger's
+//                                              wait columns
 //   --whatif         (or CLOUDIQ_WHATIF=1)     print EXPLAIN WHATIF after
 //                                              each TPC-H query: every
 //                                              candidate plan the scan
@@ -304,9 +305,8 @@ inline void MaybeWriteReport(SimEnvironment* env, double sim_seconds) {
 // JSON report.
 inline void MaybePrintStallTop(SimEnvironment* env) {
   if (!Telemetry().profile) return;
-  const StallProfiler& profiler = env->telemetry().profiler();
   const CostLedger& ledger = env->telemetry().ledger();
-  StallProfiler::Entry total = profiler.GrandTotal();
+  CostLedger::Waits total = ledger.GrandTotal().waits;
   double fg = (total.TotalNanos() - total.background) / 1e9;
   double bg = total.background / 1e9;
   std::printf("wait-state profile (foreground %.6fs, background %.6fs)\n",
@@ -329,14 +329,14 @@ inline void MaybePrintStallTop(SimEnvironment* env) {
   struct QueryRow {
     uint64_t id;
     std::string tag;
-    StallProfiler::Entry entry;
+    CostLedger::Waits entry;
     int64_t WaitNanos() const {
       return entry.TotalNanos() - entry.ns[0];  // minus kCpuExec
     }
   };
   std::vector<QueryRow> rows;
   for (const auto& [id, tag] : ledger.Queries()) {
-    QueryRow row{id, tag, profiler.QueryTotal(id)};
+    QueryRow row{id, tag, ledger.QueryTotal(id).waits};
     if (row.entry.TotalNanos() > 0) rows.push_back(std::move(row));
   }
   std::sort(rows.begin(), rows.end(), [](const QueryRow& a,

@@ -39,7 +39,9 @@
 #                               # and wire-byte decoders (column pages,
 #                               # page-codec frames, interval sets, RF/RB
 #                               # page sets, txn-log records, the keygen
-#                               # checkpoint, NDP request/result frames,
+#                               # checkpoint, blockmap nodes, the identity
+#                               # catalog, the system-store directory,
+#                               # NDP request/result frames,
 #                               # HG/DATE/TEXT index pages, the freelist
 #                               # bitmap) under ASan
 #                               # and UBSan (UB is fatal)
@@ -78,7 +80,8 @@ run_pass() {
 # parses, carries the expected top-level keys and bills through the ledger
 # alone (no second "meter" copy of the costs), and that the per-query
 # USD sums to the ledger total. A second run, bench_table5 with NDP
-# forced on, checks that pushed-down SELECTs reach the ledger.
+# forced on, checks that pushed-down SELECTs reach the ledger and that
+# its stall section (the only CI report charging ndp_select) conserves.
 report_smoke() {
   echo "=== report: --report JSON smoke (build) ==="
   cmake -B build -S . > build-configure.log 2>&1 || {
@@ -121,6 +124,7 @@ selects = load(sys.argv[2])["cost"]["ledger"]["selects"]
 assert selects > 0, "NDP run billed no SELECTs"
 print(f"report OK: NDP run billed {selects} SELECTs")
 EOF
+  python3 tools/stall_top.py --check "${ndp_out}"
   rm -f "${out}" "${ndp_out}"
   echo "=== report: OK ==="
 }
@@ -448,7 +452,8 @@ parallel_pass() {
 # Decoder fuzz gate: codec_fuzz_test feeds DecodeColumnPage and
 # DecodeColumnPageCoded, DecodePage, IntervalSet::Deserialize,
 # Bitmap::Deserialize, PageSet::Deserialize, TxnLogRecord::Deserialize,
-# ObjectKeyGenerator::Recover, NdpRequest::Deserialize,
+# ObjectKeyGenerator::Recover, Blockmap::ParseNode,
+# IdentityCatalog::Deserialize, SystemStore::Open, NdpRequest::Deserialize,
 # NdpResult::Deserialize and the HG / DATE / TEXT posting-page walker and
 # lookups truncated, bit-flipped and count-overwritten bytes from a fixed
 # seed, plus dictionary pages with swapped and duplicated entries. Every

@@ -65,25 +65,33 @@ Result<std::vector<uint8_t>> Blockmap::ReadNodeBytes(PhysicalLoc loc) {
   return storage_->ReadPage(space_, loc);
 }
 
+Result<std::unique_ptr<Blockmap::Node>> Blockmap::ParseNode(
+    const std::vector<uint8_t>& bytes, PhysicalLoc loc) {
+  ByteReader reader(bytes);
+  auto node = std::make_unique<Node>();
+  node->leaf = reader.GetU32() != 0;
+  node->stored_loc = loc;
+  uint32_t count = reader.GetU32();
+  // Bound the count by the bytes present before reserving for it.
+  if (reader.overflow() || uint64_t{count} * 8 > reader.remaining()) {
+    return Status::Corruption("blockmap node bytes");
+  }
+  node->entries.reserve(count);
+  for (uint32_t i = 0; i < count; ++i) node->entries.push_back(reader.GetU64());
+  if (!node->leaf) node->children.resize(node->entries.size());
+  return node;
+}
+
 // Reads and parses a blockmap node page. The serialized form is
 // self-describing (leaf flag + entry count), so the caller can sanity-check
 // the level against its expectation.
 Result<Blockmap::Node*> Blockmap::LoadNode(PhysicalLoc loc,
                                            bool expect_leaf) {
   CLOUDIQ_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadNodeBytes(loc));
-  ByteReader reader(bytes);
-  bool stored_leaf = reader.GetU32() != 0;
-  if (stored_leaf != expect_leaf) {
+  CLOUDIQ_ASSIGN_OR_RETURN(std::unique_ptr<Node> node, ParseNode(bytes, loc));
+  if (node->leaf != expect_leaf) {
     return Status::Corruption("blockmap node level mismatch");
   }
-  uint32_t count = reader.GetU32();
-  auto node = std::make_unique<Node>();
-  node->leaf = stored_leaf;
-  node->stored_loc = loc;
-  node->entries.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) node->entries.push_back(reader.GetU64());
-  if (reader.overflow()) return Status::Corruption("blockmap node bytes");
-  if (!stored_leaf) node->children.resize(node->entries.size());
   return node.release();
 }
 
@@ -94,20 +102,9 @@ Result<Blockmap::Node*> Blockmap::FaultIn(Node* parent, size_t slot) {
   if (encoded == kInvalidEncoded) {
     return Status::Corruption("dangling blockmap child");
   }
-  CLOUDIQ_ASSIGN_OR_RETURN(
-      std::vector<uint8_t> bytes,
-      ReadNodeBytes(PhysicalLoc::FromEncoded(encoded)));
-  ByteReader reader(bytes);
-  bool child_is_leaf = reader.GetU32() != 0;
-  uint32_t count = reader.GetU32();
-  auto node = std::make_unique<Node>();
-  node->leaf = child_is_leaf;
-  node->stored_loc = PhysicalLoc::FromEncoded(encoded);
-  node->entries.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) node->entries.push_back(reader.GetU64());
-  if (reader.overflow()) return Status::Corruption("blockmap node bytes");
-  if (!child_is_leaf) node->children.resize(node->entries.size());
-  parent->children[slot] = std::move(node);
+  PhysicalLoc loc = PhysicalLoc::FromEncoded(encoded);
+  CLOUDIQ_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadNodeBytes(loc));
+  CLOUDIQ_ASSIGN_OR_RETURN(parent->children[slot], ParseNode(bytes, loc));
   return parent->children[slot].get();
 }
 

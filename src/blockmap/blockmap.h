@@ -100,7 +100,7 @@ class Blockmap {
   Status CollectReachable(std::vector<PhysicalLoc>* nodes,
                           std::vector<PhysicalLoc>* data_pages);
 
- private:
+  // One tree node, in memory.
   struct Node {
     PhysicalLoc stored_loc;  // invalid if never persisted
     bool dirty = false;
@@ -111,6 +111,13 @@ class Blockmap {
     std::vector<std::unique_ptr<Node>> children;
   };
 
+  // Decodes a node page read from `loc`: [leaf u32][count u32][count x
+  // u64]. Corruption when the page holds fewer than `count` entries, so a
+  // corrupt count never sizes an allocation.
+  static Result<std::unique_ptr<Node>> ParseNode(
+      const std::vector<uint8_t>& bytes, PhysicalLoc loc);
+
+ private:
   // Reads a node page, via the buffer cache when configured.
   Result<std::vector<uint8_t>> ReadNodeBytes(PhysicalLoc loc);
   Result<Node*> FaultIn(Node* parent, size_t slot);

@@ -14,8 +14,11 @@ std::vector<uint8_t> IdentityObject::Serialize() const {
   return bytes;
 }
 
-IdentityObject IdentityObject::Deserialize(
+Result<IdentityObject> IdentityObject::Deserialize(
     const std::vector<uint8_t>& bytes) {
+  if (bytes.size() != kSerializedSize) {
+    return Status::Corruption("identity object size");
+  }
   ByteReader reader(bytes);
   IdentityObject id;
   id.object_id = reader.GetU64();
@@ -53,15 +56,20 @@ std::vector<uint8_t> IdentityCatalog::Serialize() const {
   return bytes;
 }
 
-IdentityCatalog IdentityCatalog::Deserialize(
+Result<IdentityCatalog> IdentityCatalog::Deserialize(
     const std::vector<uint8_t>& bytes) {
   IdentityCatalog catalog;
   ByteReader reader(bytes);
   uint64_t n = reader.GetU64();
+  // Every entry is a u64 length plus the fixed-size object.
+  constexpr size_t kEntrySize = 8 + IdentityObject::kSerializedSize;
+  if (reader.overflow() || n > reader.remaining() / kEntrySize) {
+    return Status::Corruption("identity catalog count");
+  }
   for (uint64_t i = 0; i < n; ++i) {
-    uint64_t len = reader.GetU64();
-    std::vector<uint8_t> entry = reader.GetBytes(len);
-    IdentityObject identity = IdentityObject::Deserialize(entry);
+    std::vector<uint8_t> entry = reader.GetBytes(reader.GetU64());
+    CLOUDIQ_ASSIGN_OR_RETURN(IdentityObject identity,
+                             IdentityObject::Deserialize(entry));
     catalog.identities_[identity.object_id] = identity;
   }
   return catalog;

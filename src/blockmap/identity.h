@@ -25,8 +25,11 @@ struct IdentityObject {
   uint64_t page_count = 0;
   uint64_t version = 0;     // commit sequence number that produced this
 
+  // Serialize() is always exactly this many bytes; Deserialize() returns
+  // Corruption for any other size.
+  static constexpr size_t kSerializedSize = 36;
   std::vector<uint8_t> Serialize() const;
-  static IdentityObject Deserialize(const std::vector<uint8_t>& bytes);
+  static Result<IdentityObject> Deserialize(const std::vector<uint8_t>& bytes);
 };
 
 // The system catalog's identity table: object id -> current committed
@@ -55,7 +58,9 @@ class IdentityCatalog {
                                       SimTime* completion);
 
   std::vector<uint8_t> Serialize() const;
-  static IdentityCatalog Deserialize(const std::vector<uint8_t>& bytes);
+  // Corruption on a count the bytes cannot hold or a malformed entry.
+  static Result<IdentityCatalog> Deserialize(
+      const std::vector<uint8_t>& bytes);
 
  private:
   std::map<uint64_t, IdentityObject> identities_;

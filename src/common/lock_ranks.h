@@ -28,7 +28,6 @@ inline constexpr int kObjectKeyGenerator = 60;
 inline constexpr int kNodeKeyCache = 61;
 inline constexpr int kSimObjectStore = 70;
 inline constexpr int kSpendPredictor = 80;
-inline constexpr int kStallProfiler = 90;
 inline constexpr int kCostLedger = 91;
 inline constexpr int kStatsRegistry = 92;
 inline constexpr int kTracer = 93;
@@ -50,7 +49,6 @@ inline constexpr const char* RankName(int rank) {
     case 61: return "NodeKeyCache";
     case 70: return "SimObjectStore";
     case 80: return "SpendPredictor";
-    case 90: return "StallProfiler";
     case 91: return "CostLedger";
     case 92: return "StatsRegistry";
     case 93: return "Tracer";

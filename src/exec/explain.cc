@@ -2,7 +2,7 @@
 
 #include <cstdio>
 
-#include "telemetry/stall_profiler.h"
+#include "telemetry/attribution.h"
 
 namespace cloudiq {
 
@@ -10,7 +10,7 @@ namespace {
 
 // The operator's heaviest wait class other than kCpuExec ("-" when the
 // operator never waited).
-const char* TopWaitName(const StallProfiler::Entry& e) {
+const char* TopWaitName(const CostLedger::Waits& e) {
   int best = -1;
   for (int i = 1; i < kNumWaitClasses; ++i) {
     if (e.ns[i] > 0 && (best < 0 || e.ns[i] > e.ns[best])) best = i;
@@ -24,7 +24,6 @@ std::string FormatExplainAnalyze(QueryContext* ctx) {
   const CostLedger& ledger = ctx->ledger();
   const CloudPrices& prices = ledger.prices();
   const AttributionContext& attr = ctx->attribution();
-  const StallProfiler& profiler = ctx->node()->telemetry().profiler();
 
   char buf[256];
   std::string out;
@@ -40,9 +39,7 @@ std::string FormatExplainAnalyze(QueryContext* ctx) {
                 "usd", "wait_s", "top_wait");
   out += buf;
 
-  CostLedger::Entry visible_total;
   const auto entries = ledger.entries();
-  const auto stall_entries = profiler.entries();
   const auto& ops = ctx->operators();
   for (size_t id = 0; id < ops.size(); ++id) {
     const QueryContext::OperatorStats& stats = ops[id];
@@ -51,10 +48,7 @@ std::string FormatExplainAnalyze(QueryContext* ctx) {
                         attr.node_id};
     auto it = entries.find(key);
     if (it != entries.end()) entry = it->second;
-    visible_total.Fold(entry);
-    StallProfiler::Entry stall;
-    auto sit = stall_entries.find(key);
-    if (sit != stall_entries.end()) stall = sit->second;
+    const CostLedger::Waits& stall = entry.waits;
     double wait_s =
         (stall.TotalNanos() - stall.ns[static_cast<int>(WaitClass::kCpuExec)]) /
         1e9;
@@ -120,7 +114,7 @@ std::string FormatExplainAnalyze(QueryContext* ctx) {
   // Where the query's sim-time went, by wait class (stall profiler).
   // Classes with no time are omitted; the background tail is deferred
   // OCM work the query enqueued but never waited for.
-  StallProfiler::Entry stall_total = profiler.QueryTotal(attr.query_id);
+  const CostLedger::Waits& stall_total = total.waits;
   if (stall_total.TotalNanos() > 0) {
     out += "    stalls:";
     for (int i = 0; i < kNumWaitClasses; ++i) {

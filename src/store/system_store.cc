@@ -23,6 +23,10 @@ Status SystemStore::RefreshDirectory(SimTime now, SimTime* completion) {
   ByteReader reader(dir.value());
   next_run_ = reader.GetU64();
   uint64_t n = reader.GetU64();
+  // An entry is at least a u32 name length and a u64 run.
+  if (reader.overflow() || n > reader.remaining() / 12) {
+    return Status::Corruption("system directory");
+  }
   for (uint64_t i = 0; i < n; ++i) {
     std::string name = reader.GetString();
     uint64_t run = reader.GetU64();

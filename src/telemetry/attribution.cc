@@ -4,6 +4,30 @@
 
 namespace cloudiq {
 
+const char* WaitClassName(WaitClass cls) {
+  switch (cls) {
+    case WaitClass::kCpuExec:
+      return "cpu_exec";
+    case WaitClass::kLockWait:
+      return "lock_wait";
+    case WaitClass::kAdmissionQueue:
+      return "admission_queue";
+    case WaitClass::kBufferFill:
+      return "buffer_fill";
+    case WaitClass::kOcmFetch:
+      return "ocm_fetch";
+    case WaitClass::kOcmUpload:
+      return "ocm_upload";
+    case WaitClass::kNetworkTransfer:
+      return "network_transfer";
+    case WaitClass::kThrottleBackoff:
+      return "throttle_backoff";
+    case WaitClass::kNdpSelect:
+      return "ndp_select";
+  }
+  return "unknown";
+}
+
 void CostLedger::Entry::Fold(const Entry& other) {
   if (tag.empty()) tag = other.tag;
   gets += other.gets;
@@ -29,6 +53,7 @@ void CostLedger::Entry::Fold(const Entry& other) {
   buffer_flush_pages += other.buffer_flush_pages;
   sim_seconds += other.sim_seconds;
   ec2_usd += other.ec2_usd;
+  waits.Fold(other.waits);
 }
 
 AttributionContext CostLedger::Swap(AttributionContext next) {
@@ -41,8 +66,7 @@ AttributionContext CostLedger::Swap(AttributionContext next) {
 
 CostLedger::Entry* CostLedger::MutableLocked() {
   if (cached_entry_ != nullptr) return cached_entry_;
-  Key key{current_.query_id, current_.operator_id, current_.node_id};
-  Entry& entry = entries_[key];
+  Entry& entry = entries_[CurrentKeyLocked()];
   if (entry.tag.empty()) entry.tag = current_.tag;
   cached_entry_ = &entry;
   return cached_entry_;
@@ -140,21 +164,13 @@ void CostLedger::SetQueryTenant(uint64_t query_id,
   }
 }
 
-std::string CostLedger::QueryTenantLocked(uint64_t query_id) const {
-  auto it = query_tenants_.find(query_id);
-  return it == query_tenants_.end() ? std::string() : it->second;
-}
-
-std::string CostLedger::QueryTenant(uint64_t query_id) const {
-  MutexLock lock(&mu_);
-  return QueryTenantLocked(query_id);
-}
-
 CostLedger::Entry CostLedger::TenantTotal(const std::string& tenant) const {
   MutexLock lock(&mu_);
   Entry total;
   for (const auto& [key, entry] : entries_) {
-    if (QueryTenantLocked(key.query_id) == tenant) total.Fold(entry);
+    auto it = query_tenants_.find(key.query_id);
+    bool mapped = it != query_tenants_.end();
+    if (mapped ? it->second == tenant : tenant.empty()) total.Fold(entry);
   }
   return total;
 }
@@ -208,6 +224,10 @@ void CostLedger::Reset() {
   prefixes_.clear();
   query_tenants_.clear();
   cached_entry_ = nullptr;
+  default_frame_.stack.clear();
+  current_frame_ = nullptr;
+  window_ns_ = 0;
+  background_ns_ = 0;
 }
 
 }  // namespace cloudiq

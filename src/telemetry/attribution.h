@@ -1,6 +1,7 @@
 #ifndef CLOUDIQ_TELEMETRY_ATTRIBUTION_H_
 #define CLOUDIQ_TELEMETRY_ATTRIBUTION_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -28,17 +29,41 @@ struct AttributionContext {
   std::string tag;           // human label ("load", "Q7", ...)
 };
 
+// Where a simulated microsecond went. Every blocking point in the system
+// charges its elapsed sim-time to exactly one of these classes, keyed by
+// the current AttributionContext, so a per-query breakdown answers "what
+// would I have to split / cache / push down to make this query faster".
+enum class WaitClass : int {
+  kCpuExec = 0,       // executing (scan/join/agg CPU, decode) — the residual
+  kLockWait,          // serialized behind another query on the node clock
+  kAdmissionQueue,    // queued in the AdmissionController before dispatch
+  kBufferFill,        // waiting for a buffer-pool miss fill or dirty flush
+  kOcmFetch,          // SSD cache read (hit path) + cache-fill writes
+  kOcmUpload,         // write-back SSD writes + background upload drains
+  kNetworkTransfer,   // object-store transfer time incl. NIC serialization
+  kThrottleBackoff,   // per-prefix pacer stalls + NOT_FOUND retry backoff
+  kNdpSelect,         // server-side scan time of pushed-down Selects
+};
+inline constexpr int kNumWaitClasses = 9;
+
+// Stable lowercase identifier ("cpu_exec", "lock_wait", ...) used in the
+// report JSON, gauges and EXPLAIN output.
+const char* WaitClassName(WaitClass cls);
+
 // Per-query cost and causality ledger. Aggregates every attributed event
 // by (query, operator, node) and every object-store request by key
 // prefix, and prices the result through CloudPrices. It is the run's only
-// request and compute bill: every cost figure — per operator, per query,
-// per tenant or for the whole run (GrandTotal()) — is read from here.
+// attribution table: every cost figure and every wait-class nanosecond —
+// per operator, per query, per tenant or for the whole run (GrandTotal())
+// — is read from here. The StallProfiler decides how much time a charge
+// is worth and books it into the same Entry that holds the key's
+// requests and dollars.
 //
 // The "current" context is one slot, swapped by ScopedAttribution; the
 // fiber handoff serializes the swappers. mu_ guards the slot, the
-// aggregation maps and the one-entry pointer cache. Like the other
-// telemetry locks this is a leaf: recording calls arrive from inside
-// every other manager's critical sections.
+// aggregation maps, the one-entry pointer cache and the StallProfiler's
+// frames. Like the other telemetry locks this is a leaf: recording calls
+// arrive from inside every other manager's critical sections.
 class CostLedger {
  public:
   enum class Request { kGet, kPut, kDelete, kRangedGet, kHead };
@@ -57,6 +82,46 @@ class CostLedger {
       return query_id == o.query_id && operator_id == o.operator_id &&
              node_id == o.node_id;
     }
+  };
+
+  // Simulated nanoseconds charged to one key by the StallProfiler, by
+  // wait class.
+  struct Waits {
+    std::array<int64_t, kNumWaitClasses> ns{};
+    // Portion of the above booked inside background sections (deferred
+    // OCM work the query enqueued but did not wait for). Subtracting it
+    // from TotalNanos() leaves exactly the key's foreground lifetime, so
+    // per-query conservation is checkable: for a workload-engine job,
+    // TotalNanos() - background == finish - arrival in nanoseconds.
+    int64_t background = 0;
+
+    int64_t TotalNanos() const {
+      int64_t total = 0;
+      for (int64_t v : ns) total += v;
+      return total;
+    }
+    void Fold(const Waits& other) {
+      for (int i = 0; i < kNumWaitClasses; ++i) ns[i] += other.ns[i];
+      background += other.background;
+    }
+  };
+
+  // One fiber's (or the harness's) stack of open stall sections. Owned
+  // by the workload engine's jobs; read and written only by the
+  // StallProfiler, under mu_.
+  struct StallFrame {
+    struct Node {
+      enum Kind { kScope, kParallel, kBackground };
+      Kind kind = kScope;
+      WaitClass cls = WaitClass::kCpuExec;  // kScope: residual class
+      bool pinned = false;                  // kScope: residual key pinned?
+      Key key{};                            // kScope: pinned residual key
+      int64_t start_ns = 0;                 // kScope / kParallel
+      int64_t inner_ns = 0;                 // kScope: charges inside
+      // kParallel: raw overlapping lane charges, scaled at section end.
+      std::map<std::pair<Key, int>, int64_t> lanes{};
+    };
+    std::vector<Node> stack;
   };
 
   // Everything charged to one (query, operator, node). Fold() merges
@@ -102,6 +167,9 @@ class CostLedger {
     // so rolled-up USD does not double-count operator time).
     double sim_seconds = 0;
     double ec2_usd = 0;
+
+    // Where the key's simulated time went (see Waits).
+    Waits waits;
 
     uint64_t Requests() const {
       return gets + puts + deletes + ranged_gets + heads + selects;
@@ -162,8 +230,6 @@ class CostLedger {
   // TenantTotal("") plus the mapped tenants always sums to GrandTotal().
   void SetQueryTenant(uint64_t query_id, const std::string& tenant)
       EXCLUDES(mu_);
-  // "" when the query was never mapped.
-  std::string QueryTenant(uint64_t query_id) const EXCLUDES(mu_);
   // Sum of every entry of `tenant`'s queries across operators and nodes
   // ("" sums the unmapped remainder, including unattributed work).
   Entry TenantTotal(const std::string& tenant) const EXCLUDES(mu_);
@@ -240,13 +306,21 @@ class CostLedger {
   // deliberately unguarded.
   const CloudPrices& prices() const { return prices_; }
 
+  // Clears every entry (waits included), the tenant map, and the
+  // StallProfiler's frames and window tallies.
   void Reset() EXCLUDES(mu_);
 
  private:
+  // The StallProfiler books waits into entries_ and keeps its frames
+  // below, all under mu_: one lock per charge.
+  friend class StallProfiler;
+
   // Entry for the current context; one-slot cache keeps the hot path
   // (one ledger update per simulated request) to a pointer bump.
   Entry* MutableLocked() REQUIRES(mu_);
-  std::string QueryTenantLocked(uint64_t query_id) const REQUIRES(mu_);
+  Key CurrentKeyLocked() const REQUIRES(mu_) {
+    return Key{current_.query_id, current_.operator_id, current_.node_id};
+  }
 
   mutable Mutex mu_{lockrank::kCostLedger};
   AttributionContext current_ GUARDED_BY(mu_);
@@ -256,6 +330,13 @@ class CostLedger {
   std::map<std::string, PrefixStats> prefixes_ GUARDED_BY(mu_);
   std::map<uint64_t, std::string> query_tenants_ GUARDED_BY(mu_);
   Entry* cached_entry_ GUARDED_BY(mu_) = nullptr;
+  // StallProfiler state: the built-in frame, the installed one, and the
+  // independent foreground / background tallies its conservation check
+  // compares the entries' waits against.
+  StallFrame default_frame_ GUARDED_BY(mu_);
+  StallFrame* current_frame_ GUARDED_BY(mu_) = nullptr;
+  int64_t window_ns_ GUARDED_BY(mu_) = 0;
+  int64_t background_ns_ GUARDED_BY(mu_) = 0;
 };
 
 // RAII attribution scope: installs `ctx` on construction, restores the

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <set>
 
 namespace cloudiq {
 namespace {
@@ -101,7 +102,7 @@ void AppendEntryFields(std::string* out, const CostLedger::Entry& e,
 // Integer fields keep the conservation invariant checkable on the JSON
 // itself (sum of classes == total_nanos, sums across entries == window +
 // background).
-void AppendStallFields(std::string* out, const StallProfiler::Entry& e,
+void AppendStallFields(std::string* out, const CostLedger::Waits& e,
                        bool* first) {
   for (int i = 0; i < kNumWaitClasses; ++i) {
     AppendField(out, WaitClassName(static_cast<WaitClass>(i)),
@@ -132,6 +133,8 @@ std::string BuildRunReportJson(const RunReportInfo& info,
   // The ledger's grand total is the run's whole request + compute bill;
   // storage at rest is priced per month beside it.
   CostLedger::Entry grand = ledger.GrandTotal();
+  const std::map<CostLedger::Key, CostLedger::Entry> entries =
+      ledger.entries();
   out.append(",\n\"cost\":{\"storage_usd_month\":");
   AppendNumber(&out, info.storage_usd_month);
   out.append(",\"ledger\":{");
@@ -157,7 +160,7 @@ std::string BuildRunReportJson(const RunReportInfo& info,
     AppendEntryFields(&out, total, prices, &first);
     out.append(",\"entries\":[");
     bool first_entry = true;
-    for (const auto& [key, entry] : ledger.entries()) {
+    for (const auto& [key, entry] : entries) {
       if (key.query_id != query_id) continue;
       if (!first_entry) out.push_back(',');
       first_entry = false;
@@ -179,7 +182,7 @@ std::string BuildRunReportJson(const RunReportInfo& info,
 
   // Per-node rollup across all queries.
   std::map<uint32_t, CostLedger::Entry> by_node;
-  for (const auto& [key, entry] : ledger.entries()) {
+  for (const auto& [key, entry] : entries) {
     by_node[key.node_id].Fold(entry);
   }
   out.append(",\n\"nodes\":[");
@@ -209,8 +212,9 @@ std::string BuildRunReportJson(const RunReportInfo& info,
     auto it = histograms.find("workload." + tenant + "." + name);
     return it == histograms.end() ? nullptr : &it->second;
   };
-  std::map<std::string, bool> tenant_names;  // name -> has ledger entry
-  for (const std::string& t : ledger.Tenants()) tenant_names[t] = true;
+  // Mapped tenants plus any the workload counters name.
+  std::vector<std::string> mapped = ledger.Tenants();
+  std::set<std::string> tenant_names(mapped.begin(), mapped.end());
   const std::string kPrefix = "workload.";
   const std::string kSuffix = ".submitted";
   for (const auto& [name, c] : counters) {
@@ -220,14 +224,12 @@ std::string BuildRunReportJson(const RunReportInfo& info,
                      kSuffix) != 0) {
       continue;
     }
-    tenant_names.emplace(
-        name.substr(kPrefix.size(),
-                    name.size() - kPrefix.size() - kSuffix.size()),
-        false);
+    tenant_names.insert(name.substr(
+        kPrefix.size(), name.size() - kPrefix.size() - kSuffix.size()));
   }
   out.append(",\n\"tenants\":[");
   bool first_tenant = true;
-  for (const auto& [tenant, has_ledger] : tenant_names) {
+  for (const std::string& tenant : tenant_names) {
     if (!first_tenant) out.push_back(',');
     first_tenant = false;
     out.append("\n{\"tenant\":");
@@ -257,8 +259,7 @@ std::string BuildRunReportJson(const RunReportInfo& info,
     const Histogram* wait = tenant_hist(tenant, "queue_wait");
     AppendField(&out, "queue_wait_p50", wait ? wait->p50() : 0, &first);
     AppendField(&out, "queue_wait_p95", wait ? wait->p95() : 0, &first);
-    CostLedger::Entry spend =
-        has_ledger ? ledger.TenantTotal(tenant) : CostLedger::Entry{};
+    CostLedger::Entry spend = ledger.TenantTotal(tenant);
     AppendField(&out, "request_usd", spend.RequestUsd(prices), &first);
     AppendField(&out, "ec2_usd", spend.ec2_usd, &first);
     AppendField(&out, "cost_usd", spend.TotalUsd(prices), &first);
@@ -267,7 +268,7 @@ std::string BuildRunReportJson(const RunReportInfo& info,
     // class as a fraction of the tenant's p95 latency budget — "tenant A
     // burns 32% of its SLO on network transfer" is the
     // decide-what-to-fix-next number.
-    StallProfiler::Entry stall = profiler.TenantTotal(tenant);
+    const CostLedger::Waits& stall = spend.waits;
     const uint64_t completed = tenant_count(tenant, "completed");
     double slo_seconds = 0;
     {
@@ -297,9 +298,10 @@ std::string BuildRunReportJson(const RunReportInfo& info,
   }
   out.append("]");
 
-  // The stall profiler's wait-state ledger: where every simulated
-  // nanosecond went, globally and per query / operator / node. All
-  // integer nanos; sum over queries' entries of all classes equals
+  // The ledger's wait columns: where every simulated nanosecond went,
+  // globally and per query / operator / node, for every entry the
+  // StallProfiler charged. All integer nanos; sum over queries' entries
+  // of all classes equals the profiler's independently tallied
   // window_nanos + background_nanos exactly (check.sh profile asserts
   // this on the emitted JSON).
   out.append(",\n\"stalls\":{\"window_nanos\":");
@@ -309,19 +311,19 @@ std::string BuildRunReportJson(const RunReportInfo& info,
   out.append(",\"total\":{");
   {
     bool first = true;
-    AppendStallFields(&out, profiler.GrandTotal(), &first);
+    AppendStallFields(&out, grand.waits, &first);
   }
   out.append("},\"queries\":[");
   {
-    std::map<CostLedger::Key, StallProfiler::Entry> stall_entries =
-        profiler.entries();
     std::map<uint64_t, std::string> query_tags;
     for (const auto& [query_id, tag] : ledger.Queries()) {
       query_tags[query_id] = tag;
     }
-    std::map<uint64_t, StallProfiler::Entry> by_query;
-    for (const auto& [key, entry] : stall_entries) {
-      by_query[key.query_id].Fold(entry);
+    std::map<uint64_t, CostLedger::Waits> by_query;
+    for (const auto& [key, entry] : entries) {
+      if (entry.waits.TotalNanos() > 0) {
+        by_query[key.query_id].Fold(entry.waits);
+      }
     }
     bool first_query = true;
     for (const auto& [query_id, total] : by_query) {
@@ -337,8 +339,11 @@ std::string BuildRunReportJson(const RunReportInfo& info,
       AppendStallFields(&out, total, &first);
       out.append(",\"entries\":[");
       bool first_entry = true;
-      for (const auto& [key, entry] : stall_entries) {
-        if (key.query_id != query_id) continue;
+      for (const auto& [key, entry] : entries) {
+        // Only the entries that were charged any time.
+        if (key.query_id != query_id || entry.waits.TotalNanos() == 0) {
+          continue;
+        }
         if (!first_entry) out.push_back(',');
         first_entry = false;
         out.append("{\"operator_id\":");
@@ -348,7 +353,7 @@ std::string BuildRunReportJson(const RunReportInfo& info,
         out.append(",\"node_id\":");
         AppendCount(&out, key.node_id);
         bool f = false;
-        AppendStallFields(&out, entry, &f);
+        AppendStallFields(&out, entry.waits, &f);
         out.push_back('}');
       }
       out.append("]}");

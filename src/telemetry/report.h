@@ -22,9 +22,9 @@ struct RunReportInfo {
 
 // Builds the structured run report: run cost, the attribution ledger
 // broken down by query / node / key prefix (the throttle heatmap), the
-// stall profiler's wait-class breakdown (integer nanoseconds, so the
-// conservation invariant survives serialization exactly), and every
-// StatsRegistry instrument. Top-level keys:
+// ledger's wait-class breakdown with the stall profiler's window tallies
+// (integer nanoseconds, so the conservation invariant survives
+// serialization exactly), and every StatsRegistry instrument. Top-level keys:
 //   schema_version, bench, cost, queries, nodes, tenants, stalls,
 //   prefixes, histograms, counters, gauges
 std::string BuildRunReportJson(const RunReportInfo& info,

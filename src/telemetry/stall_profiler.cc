@@ -5,37 +5,9 @@
 
 namespace cloudiq {
 
-const char* WaitClassName(WaitClass cls) {
-  switch (cls) {
-    case WaitClass::kCpuExec:
-      return "cpu_exec";
-    case WaitClass::kLockWait:
-      return "lock_wait";
-    case WaitClass::kAdmissionQueue:
-      return "admission_queue";
-    case WaitClass::kBufferFill:
-      return "buffer_fill";
-    case WaitClass::kOcmFetch:
-      return "ocm_fetch";
-    case WaitClass::kOcmUpload:
-      return "ocm_upload";
-    case WaitClass::kNetworkTransfer:
-      return "network_transfer";
-    case WaitClass::kThrottleBackoff:
-      return "throttle_backoff";
-    case WaitClass::kNdpSelect:
-      return "ndp_select";
-  }
-  return "unknown";
-}
-
-StallProfiler::Key StallProfiler::CurrentKey() const {
-  AttributionContext attr = ledger_->current();
-  return Key{attr.query_id, attr.operator_id, attr.node_id};
-}
-
 StallProfiler::Frame* StallProfiler::FrameLocked() {
-  return current_frame_ != nullptr ? current_frame_ : &default_frame_;
+  return ledger_->current_frame_ != nullptr ? ledger_->current_frame_
+                                            : &ledger_->default_frame_;
 }
 
 void StallProfiler::RegisterLocked(const Key& key, WaitClass cls, int64_t n,
@@ -48,65 +20,73 @@ void StallProfiler::RegisterLocked(const Key& key, WaitClass cls, int64_t n,
   }
   // The innermost parallel/background section decides where the charge
   // lands; scopes are transparent for this (they only track inner time).
+  bool background = false;
   for (auto it = frame->stack.rbegin(); it != frame->stack.rend(); ++it) {
     if (it->kind == Frame::Node::kParallel) {
       it->lanes[{key, static_cast<int>(cls)}] += n;
       return;
     }
     if (it->kind == Frame::Node::kBackground) {
-      Entry& entry = entries_[key];
-      entry.ns[static_cast<int>(cls)] += n;
-      entry.background += n;
-      background_ns_ += n;
-      return;
+      background = true;
+      break;
     }
   }
-  entries_[key].ns[static_cast<int>(cls)] += n;
+  // The current key's entry is usually the ledger's cached one.
+  CostLedger::Entry* entry =
+      ledger_->cached_entry_ != nullptr && key == ledger_->CurrentKeyLocked()
+          ? ledger_->cached_entry_
+          : &ledger_->entries_[key];
+  entry->waits.ns[static_cast<int>(cls)] += n;
+  if (background) {
+    entry->waits.background += n;
+    ledger_->background_ns_ += n;
+    return;
+  }
   // Only wall charges outside any section credit the window directly.
   // Inside a foreground scope the outermost scope's elapsed credits it
   // when the scope closes — which also covers the scope's own residual
   // (wall=false), so that must never credit the window a second time.
-  if (wall && frame->stack.empty()) window_ns_ += n;
+  if (wall && frame->stack.empty()) ledger_->window_ns_ += n;
 }
 
 void StallProfiler::Charge(WaitClass cls, double start_seconds,
                            double end_seconds) {
   int64_t n = ToNanos(end_seconds) - ToNanos(start_seconds);
   if (n <= 0) return;
-  Key key = CurrentKey();
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->CompleteSpan(key.node_id, kTrackStall, "stall",
-                          WaitClassName(cls), start_seconds, end_seconds);
+  uint32_t node_id;
+  {
+    MutexLock lock(&ledger_->mu_);
+    Key key = ledger_->CurrentKeyLocked();
+    node_id = key.node_id;
+    RegisterLocked(key, cls, n, /*wall=*/true);
   }
-  MutexLock lock(&mu_);
-  RegisterLocked(key, cls, n, /*wall=*/true);
+  if (tracer_ != nullptr && tracer_->enabled()) {
+    tracer_->CompleteSpan(node_id, kTrackStall, "stall", WaitClassName(cls),
+                          start_seconds, end_seconds);
+  }
 }
 
 void StallProfiler::BeginScope(WaitClass cls, double start_seconds) {
-  MutexLock lock(&mu_);
-  Frame::Node node;
-  node.kind = Frame::Node::kScope;
-  node.cls = cls;
-  node.start_ns = ToNanos(start_seconds);
-  FrameLocked()->stack.push_back(std::move(node));
+  MutexLock lock(&ledger_->mu_);
+  FrameLocked()->stack.push_back({.kind = Frame::Node::kScope,
+                                  .cls = cls,
+                                  .start_ns = ToNanos(start_seconds)});
 }
 
 void StallProfiler::PinScopeAttribution() {
-  Key key = CurrentKey();
-  MutexLock lock(&mu_);
+  MutexLock lock(&ledger_->mu_);
   Frame* frame = FrameLocked();
   for (auto it = frame->stack.rbegin(); it != frame->stack.rend(); ++it) {
     if (it->kind == Frame::Node::kScope) {
       it->pinned = true;
-      it->key = key;
+      it->key = ledger_->CurrentKeyLocked();
       return;
     }
   }
 }
 
 void StallProfiler::EndScope(double end_seconds) {
-  Key current = CurrentKey();
-  MutexLock lock(&mu_);
+  MutexLock lock(&ledger_->mu_);
   Frame* frame = FrameLocked();
   assert(!frame->stack.empty() &&
          frame->stack.back().kind == Frame::Node::kScope);
@@ -125,11 +105,11 @@ void StallProfiler::EndScope(double end_seconds) {
     residual = 0;
     elapsed = scope.inner_ns;
   }
-  const Key& key = scope.pinned ? scope.key : current;
-  RegisterLocked(key, scope.cls, residual, /*wall=*/false);
+  RegisterLocked(scope.pinned ? scope.key : ledger_->CurrentKeyLocked(),
+                 scope.cls, residual, /*wall=*/false);
 
   if (frame->stack.empty()) {
-    window_ns_ += elapsed;
+    ledger_->window_ns_ += elapsed;
   } else if (frame->stack.back().kind == Frame::Node::kScope) {
     frame->stack.back().inner_ns += elapsed;
   }
@@ -138,15 +118,13 @@ void StallProfiler::EndScope(double end_seconds) {
 }
 
 void StallProfiler::BeginParallel(double start_seconds) {
-  MutexLock lock(&mu_);
-  Frame::Node node;
-  node.kind = Frame::Node::kParallel;
-  node.start_ns = ToNanos(start_seconds);
-  FrameLocked()->stack.push_back(std::move(node));
+  MutexLock lock(&ledger_->mu_);
+  FrameLocked()->stack.push_back(
+      {.kind = Frame::Node::kParallel, .start_ns = ToNanos(start_seconds)});
 }
 
 void StallProfiler::EndParallel(double end_seconds) {
-  MutexLock lock(&mu_);
+  MutexLock lock(&ledger_->mu_);
   Frame* frame = FrameLocked();
   assert(!frame->stack.empty() &&
          frame->stack.back().kind == Frame::Node::kParallel);
@@ -206,14 +184,12 @@ void StallProfiler::EndParallel(double end_seconds) {
 }
 
 void StallProfiler::BeginBackground() {
-  MutexLock lock(&mu_);
-  Frame::Node node;
-  node.kind = Frame::Node::kBackground;
-  FrameLocked()->stack.push_back(std::move(node));
+  MutexLock lock(&ledger_->mu_);
+  FrameLocked()->stack.push_back({.kind = Frame::Node::kBackground});
 }
 
 void StallProfiler::EndBackground() {
-  MutexLock lock(&mu_);
+  MutexLock lock(&ledger_->mu_);
   Frame* frame = FrameLocked();
   assert(!frame->stack.empty() &&
          frame->stack.back().kind == Frame::Node::kBackground);
@@ -221,45 +197,10 @@ void StallProfiler::EndBackground() {
 }
 
 StallProfiler::Frame* StallProfiler::SwapFrame(Frame* next) {
-  MutexLock lock(&mu_);
-  Frame* prev = current_frame_;
-  current_frame_ = next;
+  MutexLock lock(&ledger_->mu_);
+  Frame* prev = ledger_->current_frame_;
+  ledger_->current_frame_ = next;
   return prev;
-}
-
-StallProfiler::Entry StallProfiler::QueryTotal(uint64_t query_id) const {
-  Entry total;
-  MutexLock lock(&mu_);
-  for (const auto& [key, entry] : entries_) {
-    if (key.query_id == query_id) total.Fold(entry);
-  }
-  return total;
-}
-
-StallProfiler::Entry StallProfiler::GrandTotal() const {
-  Entry total;
-  MutexLock lock(&mu_);
-  for (const auto& [key, entry] : entries_) total.Fold(entry);
-  return total;
-}
-
-StallProfiler::Entry StallProfiler::TenantTotal(
-    const std::string& tenant) const {
-  Entry total;
-  std::map<Key, Entry> snapshot = entries();
-  for (const auto& [key, entry] : snapshot) {
-    if (ledger_->QueryTenant(key.query_id) == tenant) total.Fold(entry);
-  }
-  return total;
-}
-
-void StallProfiler::Reset() {
-  MutexLock lock(&mu_);
-  entries_.clear();
-  window_ns_ = 0;
-  background_ns_ = 0;
-  default_frame_.stack.clear();
-  current_frame_ = nullptr;
 }
 
 }  // namespace cloudiq

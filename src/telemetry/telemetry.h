@@ -10,12 +10,14 @@ namespace cloudiq {
 
 // One simulation's observability state: the name-keyed stats registry
 // (always on — histogram/counter updates are a few arithmetic ops), the
-// event tracer (off by default; see Tracer), and the per-query cost
-// ledger (always on; see CostLedger), and the wait-state stall profiler
-// (always on; see StallProfiler — its per-charge cost is an integer add
-// under a leaf lock). Owned by SimEnvironment and shared by every node
-// of the cluster, so multi-node runs land on a single timeline with
-// per-node tracks, one cluster-wide ledger, and one stall ledger.
+// event tracer (off by default; see Tracer), the attribution ledger
+// (always on; see CostLedger — the one per-(query, operator, node) table
+// of requests, dollars and wait-class nanoseconds), and the wait-state
+// stall profiler (always on; see StallProfiler — it decides how much
+// time a charge is worth and books it into the ledger, an integer add
+// under the ledger's lock). Owned by SimEnvironment and shared by every
+// node of the cluster, so multi-node runs land on a single timeline with
+// per-node tracks and one cluster-wide ledger.
 class Telemetry {
  public:
   StatsRegistry& stats() { return stats_; }

@@ -340,6 +340,7 @@ Status TransactionManager::Commit(Transaction* txn) {
   // transaction's objects are independent once their locations are
   // assigned, so they are prepared first and executed in one parallel
   // batch.
+  std::vector<IdentityObject> identities;
   std::vector<std::vector<uint8_t>> identity_updates;
   std::vector<IoScheduler::Op> node_ops;
   std::vector<std::shared_ptr<Status>> node_statuses;
@@ -380,6 +381,7 @@ Status TransactionManager::Commit(Transaction* txn) {
     identity.page_count = object->blockmap().page_count();
     identity.version = next_commit_seq;
     identity_updates.push_back(identity.Serialize());
+    identities.push_back(identity);
   }
 
   // (4) Persist the RF/RB page sets; their identities go into the commit
@@ -416,9 +418,7 @@ Status TransactionManager::Commit(Transaction* txn) {
   IdentityCatalog catalog_snapshot;
   {
     MutexLock lock(&mu_);
-    for (const auto& update : rec.identity_updates) {
-      catalog_.Put(IdentityObject::Deserialize(update));
-    }
+    for (const IdentityObject& identity : identities) catalog_.Put(identity);
     for (uint64_t dropped : rec.dropped_objects) catalog_.Remove(dropped);
     catalog_snapshot = catalog_;
   }
@@ -656,6 +656,9 @@ Status TransactionManager::RecoverAfterCrash() {
   Result<IdentityCatalog> catalog =
       IdentityCatalog::Load(system_, kCatalogName, clock.now(), &done);
   clock.AdvanceTo(done);
+  if (!catalog.ok() && catalog.status().IsCorruption()) {
+    return catalog.status();
+  }
   catalog_ = catalog.ok() ? std::move(catalog).value() : IdentityCatalog();
 
   for (DbSpace* space : storage_->AllDbSpaces()) {
@@ -708,7 +711,9 @@ Status TransactionManager::RecoverAfterCrash() {
     if (rec.type != TxnLogRecord::Type::kCommit) continue;
     commit_seq_ = std::max(commit_seq_, rec.commit_seq);
     for (const auto& update : rec.identity_updates) {
-      catalog_.Put(IdentityObject::Deserialize(update));
+      CLOUDIQ_ASSIGN_OR_RETURN(IdentityObject identity,
+                               IdentityObject::Deserialize(update));
+      catalog_.Put(identity);
     }
     for (uint64_t dropped : rec.dropped_objects) catalog_.Remove(dropped);
 

@@ -429,8 +429,7 @@ void WorkloadEngine::Complete(Job* job) {
   }
   // Refresh the tenant's wait-class gauges (cumulative seconds, including
   // background shadow time its queries enqueued).
-  StallProfiler::Entry stall =
-      env_->telemetry().profiler().TenantTotal(job->tenant);
+  CostLedger::Waits stall = ledger.TenantTotal(job->tenant).waits;
   for (int i = 0; i < kNumWaitClasses; ++i) {
     ts.stall[i]->Set(static_cast<double>(stall.ns[i]) * 1e-9);
   }

@@ -4,6 +4,7 @@
 
 #include "blockmap/blockmap.h"
 #include "blockmap/identity.h"
+#include "common/coding.h"
 #include "tests/test_util.h"
 
 namespace cloudiq {
@@ -204,6 +205,59 @@ TEST_F(BlockmapTest, WorksOnBlockDbSpaceToo) {
   EXPECT_EQ(reopened.Lookup(19)->encoded(), map.Lookup(19)->encoded());
 }
 
+// A node page whose u32 entry count exceeds its bytes is Corruption,
+// decided before anything is sized from the count — at the root
+// (LoadNode) and below it (FaultIn) alike.
+TEST_F(BlockmapTest, CorruptNodeCountIsCorruption) {
+  std::vector<uint8_t> huge;
+  PutU32(huge, 1);            // leaf
+  PutU32(huge, 0xFFFFFFFFu);  // 32 GiB worth of entries...
+  PutU64(huge, kCloudKeyBase + 1);  // ...backed by one
+  Result<PhysicalLoc> bad_leaf = h_.storage->WritePage(
+      h_.cloud_space, huge, CloudCache::WriteMode::kWriteThrough, 1);
+  ASSERT_TRUE(bad_leaf.ok());
+
+  Blockmap at_root = Blockmap::Open(h_.storage.get(), h_.cloud_space, 4,
+                                    *bad_leaf, /*page_count=*/1);
+  Result<PhysicalLoc> root_lookup = at_root.Lookup(0);
+  ASSERT_FALSE(root_lookup.ok());
+  EXPECT_TRUE(root_lookup.status().IsCorruption());
+
+  std::vector<uint8_t> parent;
+  PutU32(parent, 0);  // internal
+  PutU32(parent, 1);
+  PutU64(parent, bad_leaf->encoded());
+  Result<PhysicalLoc> root = h_.storage->WritePage(
+      h_.cloud_space, parent, CloudCache::WriteMode::kWriteThrough, 1);
+  ASSERT_TRUE(root.ok());
+  Blockmap below = Blockmap::Open(h_.storage.get(), h_.cloud_space, 4,
+                                  *root, /*page_count=*/2);
+  Result<PhysicalLoc> child_lookup = below.Lookup(1);
+  ASSERT_FALSE(child_lookup.ok());
+  EXPECT_TRUE(child_lookup.status().IsCorruption());
+}
+
+TEST(BlockmapParseTest, ParseNodeBoundsCountByBytes) {
+  std::vector<uint8_t> bytes;
+  PutU32(bytes, 0);
+  PutU32(bytes, 2);
+  PutU64(bytes, 11);
+  PutU64(bytes, 12);
+  PhysicalLoc loc = PhysicalLoc::ForCloudKey(kCloudKeyBase + 9);
+  Result<std::unique_ptr<Blockmap::Node>> node =
+      Blockmap::ParseNode(bytes, loc);
+  ASSERT_TRUE(node.ok());
+  EXPECT_FALSE((*node)->leaf);
+  EXPECT_EQ((*node)->entries, (std::vector<uint64_t>{11, 12}));
+  EXPECT_EQ((*node)->children.size(), 2u);
+  EXPECT_EQ((*node)->stored_loc.encoded(), loc.encoded());
+  // One byte short of the second entry, and a truncated header.
+  bytes.pop_back();
+  EXPECT_TRUE(Blockmap::ParseNode(bytes, loc).status().IsCorruption());
+  bytes.resize(6);
+  EXPECT_TRUE(Blockmap::ParseNode(bytes, loc).status().IsCorruption());
+}
+
 TEST(IdentityTest, SerializeRoundTrip) {
   IdentityObject id;
   id.object_id = 42;
@@ -211,12 +265,50 @@ TEST(IdentityTest, SerializeRoundTrip) {
   id.root = PhysicalLoc::ForCloudKey(kCloudKeyBase + 5);
   id.page_count = 77;
   id.version = 9;
-  IdentityObject back = IdentityObject::Deserialize(id.Serialize());
-  EXPECT_EQ(back.object_id, 42u);
-  EXPECT_EQ(back.dbspace_id, 3u);
-  EXPECT_EQ(back.root.cloud_key(), kCloudKeyBase + 5);
-  EXPECT_EQ(back.page_count, 77u);
-  EXPECT_EQ(back.version, 9u);
+  EXPECT_EQ(id.Serialize().size(), IdentityObject::kSerializedSize);
+  Result<IdentityObject> back = IdentityObject::Deserialize(id.Serialize());
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->object_id, 42u);
+  EXPECT_EQ(back->dbspace_id, 3u);
+  EXPECT_EQ(back->root.cloud_key(), kCloudKeyBase + 5);
+  EXPECT_EQ(back->page_count, 77u);
+  EXPECT_EQ(back->version, 9u);
+  // Anything but exactly 36 bytes is Corruption.
+  std::vector<uint8_t> bytes = id.Serialize();
+  bytes.pop_back();
+  EXPECT_TRUE(IdentityObject::Deserialize(bytes).status().IsCorruption());
+  bytes.resize(IdentityObject::kSerializedSize + 1);
+  EXPECT_TRUE(IdentityObject::Deserialize(bytes).status().IsCorruption());
+}
+
+// A catalog whose u64 count outruns its bytes is Corruption at once, and
+// recovery surfaces it instead of starting from an empty catalog.
+TEST(IdentityTest, CorruptCatalogCountIsCorruption) {
+  IdentityCatalog catalog;
+  IdentityObject id;
+  id.object_id = 5;
+  catalog.Put(id);
+  std::vector<uint8_t> bytes = catalog.Serialize();
+  ASSERT_TRUE(IdentityCatalog::Deserialize(bytes).ok());
+  bytes[0] = 0xFF;  // count 255: one entry's bytes, 255 claimed
+  EXPECT_TRUE(IdentityCatalog::Deserialize(bytes).status().IsCorruption());
+  for (int i = 0; i < 8; ++i) bytes[i] = 0xFF;  // count 2^64 - 1
+  EXPECT_TRUE(IdentityCatalog::Deserialize(bytes).status().IsCorruption());
+  // A right count over a wrong-size entry.
+  std::vector<uint8_t> short_entry;
+  PutU64(short_entry, 1);
+  PutU64(short_entry, 35);
+  short_entry.resize(short_entry.size() + 35);
+  EXPECT_TRUE(
+      IdentityCatalog::Deserialize(short_entry).status().IsCorruption());
+
+  SingleNodeHarness h;
+  SimTime done = 0;
+  ASSERT_TRUE(h.system.Put("catalog", bytes, 0.0, &done).ok());
+  Result<IdentityCatalog> loaded =
+      IdentityCatalog::Load(&h.system, "catalog", done, &done);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsCorruption());
 }
 
 TEST(IdentityTest, CatalogPersistAndLoad) {

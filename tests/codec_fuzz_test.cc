@@ -3,10 +3,11 @@
 // page encodings; the two must agree on every input), DecodePage (page-codec
 // frames), IntervalSet::Deserialize, Bitmap::Deserialize (the freelist
 // frame), PageSet::Deserialize (RF/RB sets), TxnLogRecord::Deserialize, the
-// key generator's checkpoint (through ObjectKeyGenerator::Recover), the
-// NDP request and result frames, and
-// the HG, DATE and TEXT posting pages (through the shared page walker and
-// through each index's lookup). Each starts from valid bytes and is fed
+// key generator's checkpoint (through ObjectKeyGenerator::Recover),
+// Blockmap::ParseNode, IdentityCatalog::Deserialize, the system store's
+// directory (through SystemStore::Open), the NDP request and result
+// frames, and the HG, DATE and TEXT posting pages (through the shared page
+// walker and through each index's lookup). Each starts from valid bytes and is fed
 // truncations, bit flips and overwritten counts; every call must return a
 // value or Corruption (InvalidArgument for an NDP request, the store's
 // "cannot evaluate" answer), never crash, abort or allocate from a
@@ -21,6 +22,8 @@
 
 #include <gtest/gtest.h>
 
+#include "blockmap/blockmap.h"
+#include "blockmap/identity.h"
 #include "columnar/date_index.h"
 #include "columnar/encoding.h"
 #include "columnar/hg_index.h"
@@ -34,7 +37,9 @@
 #include "common/random.h"
 #include "keygen/object_key_generator.h"
 #include "ndp/ndp_protocol.h"
+#include "sim/block_volume.h"
 #include "store/page_codec.h"
+#include "store/system_store.h"
 #include "tests/test_util.h"
 #include "txn/page_set.h"
 #include "txn/transaction_manager.h"
@@ -512,6 +517,93 @@ TEST(CodecFuzzTest, KeygenCheckpointsRecoverOrReportCorruption) {
                 EXPECT_TRUE(recovered.status().IsCorruption()) << it;
                 return false;
               }
+              return true;
+            });
+}
+
+// --- catalog pages: blockmap nodes, the identity catalog, the system
+// --- store's directory ---------------------------------------------------
+
+TEST(CodecFuzzTest, BlockmapNodesDecodeOrReportCorruption) {
+  std::vector<Seed> seeds;
+  for (auto [leaf, count] : {std::pair<uint32_t, uint32_t>{1, 0}, {1, 5},
+                             {0, 3}}) {
+    std::vector<uint8_t> bytes;
+    PutU32(bytes, leaf);
+    PutU32(bytes, count);
+    for (uint32_t i = 0; i < count; ++i) PutU64(bytes, kCloudKeyBase + i);
+    seeds.push_back({bytes, {0}});  // halves: the leaf flag and the count
+  }
+  const PhysicalLoc loc = PhysicalLoc::ForCloudKey(kCloudKeyBase);
+  FuzzSeeds(kSeed + 11, kIterations, seeds,
+            [&loc](const std::vector<uint8_t>& b, int it) {
+              Result<std::unique_ptr<Blockmap::Node>> node =
+                  Blockmap::ParseNode(b, loc);
+              if (!node.ok()) {
+                EXPECT_TRUE(node.status().IsCorruption()) << it;
+                return false;
+              }
+              EXPECT_LE((*node)->entries.size(), b.size() / 8) << it;
+              return true;
+            });
+}
+
+TEST(CodecFuzzTest, IdentityCatalogsDecodeOrReportCorruption) {
+  std::vector<Seed> seeds;
+  for (uint64_t n : {0, 1, 3}) {
+    IdentityCatalog catalog;
+    std::vector<size_t> fields = {0};
+    for (uint64_t i = 0; i < n; ++i) {
+      IdentityObject id;
+      id.object_id = 100 + i;
+      id.dbspace_id = 2;
+      id.root = PhysicalLoc::ForCloudKey(kCloudKeyBase + i);
+      id.page_count = 10 * i;
+      id.version = i;
+      catalog.Put(id);
+      fields.push_back(8 + i * (8 + IdentityObject::kSerializedSize));
+    }
+    seeds.push_back({catalog.Serialize(), fields});
+  }
+  FuzzSeeds(kSeed + 12, kIterations, seeds,
+            [](const std::vector<uint8_t>& b, int it) {
+              Result<IdentityCatalog> catalog = IdentityCatalog::Deserialize(b);
+              if (!catalog.ok()) {
+                EXPECT_TRUE(catalog.status().IsCorruption()) << it;
+                return false;
+              }
+              EXPECT_LE(catalog->identities().size(), b.size() / 44) << it;
+              return true;
+            });
+}
+
+TEST(CodecFuzzTest, SystemDirectoriesOpenOrReportCorruption) {
+  std::vector<Seed> seeds;
+  for (int n : {0, 1, 4}) {
+    std::vector<uint8_t> bytes;
+    PutU64(bytes, 1 + n);  // next run
+    PutU64(bytes, n);
+    std::vector<size_t> fields = {0, 8};
+    for (int i = 0; i < n; ++i) {
+      fields.push_back(bytes.size());  // name length (and its first bytes)
+      PutString(bytes, "name/" + std::to_string(i));
+      PutU64(bytes, 1 + i);
+    }
+    seeds.push_back({bytes, fields});
+  }
+  SimBlockVolume volume(BlockVolumeOptions{});
+  FuzzSeeds(kSeed + 13, kIterations / 5, seeds,
+            [&volume](const std::vector<uint8_t>& b, int it) {
+              SimTime done = 0;
+              // Block 0 is the directory run.
+              EXPECT_TRUE(volume.Write(0, b, 0, &done).ok()) << it;
+              SystemStore store(&volume);
+              Status st = store.Open(0, &done);
+              if (!st.ok()) {
+                EXPECT_TRUE(st.IsCorruption()) << it;
+                return false;
+              }
+              EXPECT_LE(store.List().size(), b.size() / 12) << it;
               return true;
             });
 }

@@ -151,7 +151,7 @@ TEST(LockRankTableTest, RankNamesMatchManifest) {
   EXPECT_LT(lockrank::kWorkloadEngine, lockrank::kAdmissionController);
   EXPECT_LT(lockrank::kAdmissionController, lockrank::kBufferManager);
   EXPECT_LT(lockrank::kBufferManager, lockrank::kSimObjectStore);
-  EXPECT_LT(lockrank::kSimObjectStore, lockrank::kStallProfiler);
+  EXPECT_LT(lockrank::kSimObjectStore, lockrank::kCostLedger);
 }
 
 // --- Mutex::TryLock and the contention counter ---------------------------

@@ -1,7 +1,9 @@
 // Tests for the wait-state stall profiler: integer-nanosecond charges,
 // scope residuals, parallel-lane scaling, background shadow time, frame
 // isolation, and above all the conservation invariant — the sum of every
-// entry's classes equals window_nanos + background_nanos exactly.
+// ledger entry's wait classes equals window_nanos + background_nanos
+// exactly. The profiler books into the CostLedger, so every assertion
+// reads the ledger's entries.
 
 #include "telemetry/stall_profiler.h"
 
@@ -27,16 +29,17 @@ AttributionContext Attr(uint64_t query, int32_t op, uint32_t node,
   return attr;
 }
 
-int64_t EntrySum(const StallProfiler& profiler) {
+int64_t EntrySum(const CostLedger& ledger) {
   int64_t sum = 0;
-  for (const auto& [key, entry] : profiler.entries()) {
-    sum += entry.TotalNanos();
+  for (const auto& [key, entry] : ledger.entries()) {
+    sum += entry.waits.TotalNanos();
   }
   return sum;
 }
 
-void ExpectConserved(const StallProfiler& profiler) {
-  EXPECT_EQ(EntrySum(profiler),
+void ExpectConserved(const CostLedger& ledger,
+                     const StallProfiler& profiler) {
+  EXPECT_EQ(EntrySum(ledger),
             profiler.window_nanos() + profiler.background_nanos());
 }
 
@@ -47,14 +50,14 @@ TEST(StallProfilerTest, DirectChargeBooksEntryAndWindow) {
     ScopedAttribution scope(&ledger, Attr(7, -1, 1, "q"));
     profiler.Charge(WaitClass::kNetworkTransfer, 1.0, 1.25);
   }
-  StallProfiler::Entry entry = profiler.QueryTotal(7);
+  CostLedger::Waits entry = ledger.QueryTotal(7).waits;
   EXPECT_EQ(entry.ns[static_cast<int>(WaitClass::kNetworkTransfer)],
             kSecond / 4);
   EXPECT_EQ(entry.TotalNanos(), kSecond / 4);
   EXPECT_EQ(entry.background, 0);
   EXPECT_EQ(profiler.window_nanos(), kSecond / 4);
   EXPECT_EQ(profiler.background_nanos(), 0);
-  ExpectConserved(profiler);
+  ExpectConserved(ledger, profiler);
 }
 
 TEST(StallProfilerTest, EmptyAndBackwardWindowsChargeNothing) {
@@ -62,7 +65,7 @@ TEST(StallProfilerTest, EmptyAndBackwardWindowsChargeNothing) {
   StallProfiler profiler(&ledger, nullptr);
   profiler.Charge(WaitClass::kLockWait, 2.0, 2.0);
   profiler.Charge(WaitClass::kLockWait, 3.0, 2.5);
-  EXPECT_TRUE(profiler.entries().empty());
+  EXPECT_TRUE(ledger.entries().empty());
   EXPECT_EQ(profiler.window_nanos(), 0);
 }
 
@@ -74,14 +77,14 @@ TEST(StallProfilerTest, ScopeResidualTakesScopeClass) {
   profiler.Charge(WaitClass::kNetworkTransfer, 0.2, 0.45);
   profiler.EndScope(1.0);
 
-  StallProfiler::Entry entry = profiler.QueryTotal(3);
+  CostLedger::Waits entry = ledger.QueryTotal(3).waits;
   EXPECT_EQ(entry.ns[static_cast<int>(WaitClass::kNetworkTransfer)],
             kSecond / 4);
   // Unclaimed remainder of the 1s scope: 0.75s of kCpuExec.
   EXPECT_EQ(entry.ns[static_cast<int>(WaitClass::kCpuExec)],
             3 * kSecond / 4);
   EXPECT_EQ(profiler.window_nanos(), kSecond);
-  ExpectConserved(profiler);
+  ExpectConserved(ledger, profiler);
 }
 
 TEST(StallProfilerTest, NestedScopesPropagateElapsedNotResidual) {
@@ -94,7 +97,7 @@ TEST(StallProfilerTest, NestedScopesPropagateElapsedNotResidual) {
   profiler.EndScope(0.5);  // fill residual 0.2s -> kBufferFill
   profiler.EndScope(1.0);  // operator residual 0.5s -> kCpuExec
 
-  StallProfiler::Entry entry = profiler.QueryTotal(5);
+  CostLedger::Waits entry = ledger.QueryTotal(5).waits;
   EXPECT_EQ(entry.ns[static_cast<int>(WaitClass::kNetworkTransfer)],
             kSecond / 5);
   EXPECT_EQ(entry.ns[static_cast<int>(WaitClass::kBufferFill)],
@@ -105,7 +108,7 @@ TEST(StallProfilerTest, NestedScopesPropagateElapsedNotResidual) {
             6 * kSecond / 10);
   EXPECT_EQ(entry.TotalNanos(), kSecond);
   EXPECT_EQ(profiler.window_nanos(), kSecond);
-  ExpectConserved(profiler);
+  ExpectConserved(ledger, profiler);
 }
 
 TEST(StallProfilerTest, PinnedResidualSurvivesAttributionChange) {
@@ -119,9 +122,9 @@ TEST(StallProfilerTest, PinnedResidualSurvivesAttributionChange) {
   // Attribution has been restored to default; the residual must still
   // land on query 9 because the scope pinned it.
   profiler.EndScope(2.0);
-  StallProfiler::Entry entry = profiler.QueryTotal(9);
+  CostLedger::Waits entry = ledger.QueryTotal(9).waits;
   EXPECT_EQ(entry.ns[static_cast<int>(WaitClass::kCpuExec)], 2 * kSecond);
-  ExpectConserved(profiler);
+  ExpectConserved(ledger, profiler);
 }
 
 TEST(StallProfilerTest, ParallelLanesScaleToElapsedExactly) {
@@ -139,10 +142,10 @@ TEST(StallProfilerTest, ParallelLanesScaleToElapsedExactly) {
   // Two lanes of 0.6s overlapped inside a section that took 0.6s of
   // wall sim-time: each is scaled to half the section.
   profiler.EndParallel(0.6);
-  EXPECT_EQ(profiler.QueryTotal(1).TotalNanos(), 3 * kSecond / 10);
-  EXPECT_EQ(profiler.QueryTotal(2).TotalNanos(), 3 * kSecond / 10);
+  EXPECT_EQ(ledger.QueryTotal(1).waits.TotalNanos(), 3 * kSecond / 10);
+  EXPECT_EQ(ledger.QueryTotal(2).waits.TotalNanos(), 3 * kSecond / 10);
   EXPECT_EQ(profiler.window_nanos(), 6 * kSecond / 10);
-  ExpectConserved(profiler);
+  ExpectConserved(ledger, profiler);
 }
 
 TEST(StallProfilerTest, ParallelScalingIsExactUnderRemainders) {
@@ -157,9 +160,9 @@ TEST(StallProfilerTest, ParallelScalingIsExactUnderRemainders) {
   }
   profiler.EndParallel(1.0 / 3.0);
   int64_t elapsed = StallProfiler::ToNanos(1.0 / 3.0);
-  EXPECT_EQ(EntrySum(profiler), elapsed);
+  EXPECT_EQ(EntrySum(ledger), elapsed);
   EXPECT_EQ(profiler.window_nanos(), elapsed);
-  ExpectConserved(profiler);
+  ExpectConserved(ledger, profiler);
 }
 
 TEST(StallProfilerTest, ParallelUnderfillRegistersRawCharges) {
@@ -173,12 +176,12 @@ TEST(StallProfilerTest, ParallelUnderfillRegistersRawCharges) {
   // the idle tail stays with the enclosing scope's residual.
   profiler.EndParallel(1.0);
   profiler.EndScope(1.0);
-  StallProfiler::Entry entry = profiler.QueryTotal(4);
+  CostLedger::Waits entry = ledger.QueryTotal(4).waits;
   EXPECT_EQ(entry.ns[static_cast<int>(WaitClass::kNetworkTransfer)],
             kSecond / 4);
   EXPECT_EQ(entry.ns[static_cast<int>(WaitClass::kCpuExec)],
             3 * kSecond / 4);
-  ExpectConserved(profiler);
+  ExpectConserved(ledger, profiler);
 }
 
 TEST(StallProfilerTest, BackgroundChargesAreShadowTime) {
@@ -190,12 +193,12 @@ TEST(StallProfilerTest, BackgroundChargesAreShadowTime) {
     profiler.Charge(WaitClass::kOcmUpload, 10.0, 10.5);
     profiler.EndBackground();
   }
-  StallProfiler::Entry entry = profiler.QueryTotal(6);
+  CostLedger::Waits entry = ledger.QueryTotal(6).waits;
   EXPECT_EQ(entry.ns[static_cast<int>(WaitClass::kOcmUpload)], kSecond / 2);
   EXPECT_EQ(entry.background, kSecond / 2);
   EXPECT_EQ(profiler.window_nanos(), 0);
   EXPECT_EQ(profiler.background_nanos(), kSecond / 2);
-  ExpectConserved(profiler);
+  ExpectConserved(ledger, profiler);
 }
 
 TEST(StallProfilerTest, BackgroundInsideScopeLeavesForegroundExact) {
@@ -212,12 +215,12 @@ TEST(StallProfilerTest, BackgroundInsideScopeLeavesForegroundExact) {
     profiler.EndBackground();
   }
   profiler.EndScope(1.0);
-  EXPECT_EQ(profiler.QueryTotal(8).TotalNanos(), kSecond);
-  EXPECT_EQ(profiler.QueryTotal(8).background, 0);
-  EXPECT_EQ(profiler.QueryTotal(11).background, 5 * kSecond);
+  EXPECT_EQ(ledger.QueryTotal(8).waits.TotalNanos(), kSecond);
+  EXPECT_EQ(ledger.QueryTotal(8).waits.background, 0);
+  EXPECT_EQ(ledger.QueryTotal(11).waits.background, 5 * kSecond);
   EXPECT_EQ(profiler.window_nanos(), kSecond);
   EXPECT_EQ(profiler.background_nanos(), 5 * kSecond);
-  ExpectConserved(profiler);
+  ExpectConserved(ledger, profiler);
 }
 
 TEST(StallProfilerTest, FramesIsolateScopeStacks) {
@@ -239,12 +242,12 @@ TEST(StallProfilerTest, FramesIsolateScopeStacks) {
   profiler.EndScope(1.0);
   // Query 1's scope keeps its full residual; query 2's charge was
   // top-level in its own frame, so both credited the window.
-  EXPECT_EQ(profiler.QueryTotal(1).ns[static_cast<int>(WaitClass::kCpuExec)],
+  EXPECT_EQ(ledger.QueryTotal(1).waits.ns[static_cast<int>(WaitClass::kCpuExec)],
             kSecond);
-  EXPECT_EQ(profiler.QueryTotal(2).ns[static_cast<int>(WaitClass::kLockWait)],
+  EXPECT_EQ(ledger.QueryTotal(2).waits.ns[static_cast<int>(WaitClass::kLockWait)],
             kSecond / 2);
   EXPECT_EQ(profiler.window_nanos(), kSecond + kSecond / 2);
-  ExpectConserved(profiler);
+  ExpectConserved(ledger, profiler);
 }
 
 TEST(StallProfilerTest, TenantTotalJoinsLedgerMapping) {
@@ -260,10 +263,73 @@ TEST(StallProfilerTest, TenantTotalJoinsLedgerMapping) {
     ScopedAttribution b(&ledger, Attr(22, -1, 1));
     profiler.Charge(WaitClass::kNetworkTransfer, 0.0, 2.0);
   }
-  EXPECT_EQ(profiler.TenantTotal("red").TotalNanos(), kSecond);
-  EXPECT_EQ(profiler.TenantTotal("blue").TotalNanos(), 2 * kSecond);
-  EXPECT_EQ(profiler.TenantTotal("").TotalNanos(), 0);
+  EXPECT_EQ(ledger.TenantTotal("red").waits.TotalNanos(), kSecond);
+  EXPECT_EQ(ledger.TenantTotal("blue").waits.TotalNanos(), 2 * kSecond);
+  EXPECT_EQ(ledger.TenantTotal("").waits.TotalNanos(), 0);
   EXPECT_EQ(profiler.GrandTotal().TotalNanos(), 3 * kSecond);
+  EXPECT_EQ(ledger.GrandTotal().waits.TotalNanos(), 3 * kSecond);
+}
+
+// Time and money for one key live in one row: a stall charge and a
+// request under the same attribution land in the same ledger entry,
+// whichever comes first, and the entry keeps the attribution's tag.
+TEST(StallProfilerTest, RequestAndStallShareOneLedgerEntry) {
+  CostLedger ledger;
+  StallProfiler profiler(&ledger, nullptr);
+  {
+    ScopedAttribution scope(&ledger, Attr(12, 3, 2, "Q12"));
+    profiler.Charge(WaitClass::kNetworkTransfer, 0.0, 0.5);
+    ledger.RecordRequest(CostLedger::Request::kGet, 4096);
+    profiler.Charge(WaitClass::kThrottleBackoff, 0.5, 0.75);
+  }
+  auto entries = ledger.entries();
+  ASSERT_EQ(entries.size(), 1u);
+  const CostLedger::Key key{12, 3, 2};
+  ASSERT_EQ(entries.count(key), 1u);
+  const CostLedger::Entry& entry = entries.at(key);
+  EXPECT_EQ(entry.tag, "Q12");
+  EXPECT_EQ(entry.gets, 1u);
+  EXPECT_EQ(entry.get_bytes, 4096u);
+  EXPECT_EQ(entry.waits.ns[static_cast<int>(WaitClass::kNetworkTransfer)],
+            kSecond / 2);
+  EXPECT_EQ(entry.waits.ns[static_cast<int>(WaitClass::kThrottleBackoff)],
+            kSecond / 4);
+  EXPECT_EQ(entry.waits.TotalNanos(), 3 * kSecond / 4);
+  ExpectConserved(ledger, profiler);
+}
+
+// The tenant rollup covers waits exactly as it covers dollars: the ""
+// tenant (unmapped queries and unattributed work) plus every mapped
+// tenant sums to the grand total.
+TEST(StallProfilerTest, TenantWaitsSumToGrandTotal) {
+  CostLedger ledger;
+  StallProfiler profiler(&ledger, nullptr);
+  ledger.SetQueryTenant(31, "red");
+  ledger.SetQueryTenant(32, "blue");
+  ledger.SetQueryTenant(33, "red");
+  profiler.Charge(WaitClass::kLockWait, 0.0, 0.125);  // unattributed
+  for (uint64_t q : {31, 32, 33, 34}) {  // 34 is never mapped
+    ScopedAttribution scope(&ledger, Attr(q, -1, 1));
+    ledger.RecordRequest(CostLedger::Request::kPut, 100);
+    profiler.Charge(WaitClass::kNetworkTransfer, 0.0, 0.001 * q);
+    profiler.BeginBackground();
+    profiler.Charge(WaitClass::kOcmUpload, 1.0, 1.0 + 0.002 * q);
+    profiler.EndBackground();
+  }
+  CostLedger::Entry sum;
+  for (const std::string& tenant : ledger.Tenants()) {
+    sum.Fold(ledger.TenantTotal(tenant));
+  }
+  sum.Fold(ledger.TenantTotal(""));
+  CostLedger::Entry grand = ledger.GrandTotal();
+  EXPECT_EQ(sum.waits.ns, grand.waits.ns);
+  EXPECT_EQ(sum.waits.background, grand.waits.background);
+  EXPECT_EQ(sum.puts, grand.puts);
+  EXPECT_NEAR(sum.TotalUsd(ledger.prices()), grand.TotalUsd(ledger.prices()),
+              1e-12);
+  EXPECT_GT(ledger.TenantTotal("").waits.TotalNanos(), kSecond / 8);
+  EXPECT_EQ(grand.waits.TotalNanos(),
+            profiler.window_nanos() + profiler.background_nanos());
 }
 
 TEST(StallProfilerTest, ResetClearsEverything) {
@@ -273,10 +339,41 @@ TEST(StallProfilerTest, ResetClearsEverything) {
   profiler.BeginBackground();
   profiler.Charge(WaitClass::kOcmUpload, 0.0, 1.0);
   profiler.EndBackground();
-  profiler.Reset();
-  EXPECT_TRUE(profiler.entries().empty());
+  ledger.Reset();
+  EXPECT_TRUE(ledger.entries().empty());
   EXPECT_EQ(profiler.window_nanos(), 0);
   EXPECT_EQ(profiler.background_nanos(), 0);
+}
+
+// CostLedger::Reset() is the one reset: it clears the waits with the
+// entries and drops the profiler's frames — open scopes on the default
+// frame and an installed job frame alike.
+TEST(StallProfilerTest, LedgerResetClearsWaitsAndFrames) {
+  CostLedger ledger;
+  StallProfiler profiler(&ledger, nullptr);
+  ScopedAttribution scope(&ledger, Attr(5, -1, 1));
+  profiler.BeginScope(WaitClass::kCpuExec, 0.0);  // left open on purpose
+  auto frame = profiler.NewFrame();
+  profiler.SwapFrame(frame.get());
+  profiler.BeginScope(WaitClass::kCpuExec, 0.0);  // open in the job frame
+  profiler.Charge(WaitClass::kOcmFetch, 0.0, 1.0);
+  ASSERT_GT(ledger.GrandTotal().waits.TotalNanos(), 0);
+
+  ledger.Reset();
+  EXPECT_TRUE(ledger.entries().empty());
+  EXPECT_EQ(ledger.GrandTotal().waits.TotalNanos(), 0);
+  // The default frame is current again: installing a frame hands back
+  // nullptr, and swapping it back out returns the one installed.
+  auto next = profiler.NewFrame();
+  EXPECT_EQ(profiler.SwapFrame(next.get()), nullptr);
+  EXPECT_EQ(profiler.SwapFrame(nullptr), next.get());
+  // No scope survived on the default frame: a charge is top-level and
+  // credits the window directly.
+  ScopedAttribution after(&ledger, Attr(6, -1, 1));
+  profiler.Charge(WaitClass::kLockWait, 2.0, 2.5);
+  EXPECT_EQ(profiler.window_nanos(), kSecond / 2);
+  EXPECT_EQ(ledger.QueryTotal(6).waits.TotalNanos(), kSecond / 2);
+  ExpectConserved(ledger, profiler);
 }
 
 // The morsel executor's shape: a parallel section whose lane charges are
@@ -306,18 +403,18 @@ TEST(StallProfilerTest, MorselLanesInsidePinnedScopeStayExact) {
     profiler.EndScope(1.0);
   }
   int64_t op_ns = 0, query_level_ns = 0;
-  for (const auto& [key, entry] : profiler.entries()) {
+  for (const auto& [key, entry] : ledger.entries()) {
     ASSERT_EQ(key.query_id, 11u);
-    if (key.operator_id == 0) op_ns = entry.TotalNanos();
-    if (key.operator_id == -1) query_level_ns = entry.TotalNanos();
+    if (key.operator_id == 0) op_ns = entry.waits.TotalNanos();
+    if (key.operator_id == -1) query_level_ns = entry.waits.TotalNanos();
   }
   // Operator: 0.5s of unscaled morsel lanes + 0.25s scope residual.
   EXPECT_EQ(op_ns, 3 * kSecond / 4);
   // Pinned query scope keeps only its own residual.
   EXPECT_EQ(query_level_ns, kSecond / 4);
-  EXPECT_EQ(profiler.QueryTotal(11).TotalNanos(), kSecond);
+  EXPECT_EQ(ledger.QueryTotal(11).waits.TotalNanos(), kSecond);
   EXPECT_EQ(profiler.window_nanos(), kSecond);
-  ExpectConserved(profiler);
+  ExpectConserved(ledger, profiler);
 }
 
 // The RAII wrapper the executor-adjacent code uses for parallel
@@ -333,9 +430,9 @@ TEST(StallProfilerTest, ScopedParallelStallBracketsSection) {
     profiler.Charge(WaitClass::kCpuExec, 0.0, 0.125);
     clock.AdvanceTo(0.125);
   }
-  EXPECT_EQ(profiler.QueryTotal(4).TotalNanos(), kSecond / 8);
+  EXPECT_EQ(ledger.QueryTotal(4).waits.TotalNanos(), kSecond / 8);
   EXPECT_EQ(profiler.window_nanos(), kSecond / 8);
-  ExpectConserved(profiler);
+  ExpectConserved(ledger, profiler);
 }
 
 TEST(StallProfilerTest, WaitClassNamesAreStable) {

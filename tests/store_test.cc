@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/coding.h"
 #include "store/freelist.h"
 #include "store/object_store_io.h"
 #include "store/page_codec.h"
@@ -393,6 +394,33 @@ TEST(SystemStoreTest, SurvivesReopen) {
   EXPECT_EQ(r.value(), (std::vector<uint8_t>{9, 9, 9}));
   EXPECT_EQ(reopened.List(),
             (std::vector<std::string>{"catalog", "chain"}));
+}
+
+// A directory whose u64 entry count outruns its bytes is Corruption at
+// once: the count is bounded by the bytes left (an entry is at least a
+// u32 name length and a u64 run), so a corrupt count never drives a loop.
+TEST(SystemStoreTest, CorruptDirectoryCountIsCorruption) {
+  SingleNodeHarness h;
+  SimTime done = 0;
+  ASSERT_TRUE(h.system.Put("a", {1}, 0.0, &done).ok());
+  std::vector<uint8_t> directory;
+  PutU64(directory, 2);                      // next run
+  PutU64(directory, ~uint64_t{0});           // entry count
+  PutString(directory, "a");
+  PutU64(directory, 1);
+  // Block 0 is the directory run.
+  ASSERT_TRUE(h.system_volume->Write(0, directory, done, &done).ok());
+  SystemStore reopened(h.system_volume);
+  Status st = reopened.Open(done, &done);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  // Two claimed entries over the bytes of one.
+  std::vector<uint8_t> two;
+  PutU64(two, 2);
+  PutU64(two, 2);
+  PutString(two, "a");
+  PutU64(two, 1);
+  ASSERT_TRUE(h.system_volume->Write(0, two, done, &done).ok());
+  EXPECT_TRUE(reopened.Open(done, &done).IsCorruption());
 }
 
 TEST(SystemStoreTest, DeleteRemovesDurably) {

@@ -624,6 +624,10 @@ TEST(RunReportTest, EmitsExpectedTopLevelKeys) {
     ScopedAttribution q(&ledger, Attr(1, -1, 4, "Q1"));
     profiler.Charge(WaitClass::kNetworkTransfer, 1.0, 1.5);
   }
+  // The stall charge joined the request's ledger entry: one row.
+  ASSERT_EQ(ledger.entries().size(), 1u);
+  EXPECT_EQ(ledger.QueryTotal(1).waits.TotalNanos(), 500000000);
+  EXPECT_EQ(ledger.QueryTotal(1).gets, 1u);
   std::string json = BuildRunReportJson(info, stats, ledger, profiler);
   for (const char* key :
        {"\"schema_version\"", "\"bench\"", "\"scale_factor\"",
@@ -669,6 +673,36 @@ TEST(RunReportTest, EmitsExpectedTopLevelKeys) {
   EXPECT_EQ(braces, 0);
   EXPECT_EQ(brackets, 0);
   EXPECT_FALSE(in_string);
+}
+
+// The stalls section lists exactly the ledger entries charged any time;
+// an entry with requests but no waits stays out of it.
+TEST(RunReportTest, StallsSectionListsChargedEntriesOnly) {
+  StatsRegistry stats;
+  CostLedger ledger;
+  StallProfiler profiler(&ledger, /*tracer=*/nullptr);
+  {
+    ScopedAttribution q(&ledger, Attr(1, -1, 4, "Q1"));
+    ledger.RecordRequest(CostLedger::Request::kGet, 64);
+    profiler.Charge(WaitClass::kOcmFetch, 0.0, 0.25);
+  }
+  {
+    ScopedAttribution q(&ledger, Attr(2, -1, 4, "Q2"));
+    ledger.RecordRequest(CostLedger::Request::kPut, 64);
+  }
+  RunReportInfo info;
+  info.bench = "stalls-test";
+  std::string json = BuildRunReportJson(info, stats, ledger, profiler);
+  size_t stalls = json.find("\"stalls\"");
+  size_t prefixes = json.find("\"prefixes\"");
+  ASSERT_NE(stalls, std::string::npos);
+  ASSERT_NE(prefixes, std::string::npos);
+  std::string section = json.substr(stalls, prefixes - stalls);
+  EXPECT_NE(section.find("\"query_id\":1,"), std::string::npos);
+  EXPECT_EQ(section.find("\"query_id\":2,"), std::string::npos);
+  EXPECT_NE(section.find("\"ocm_fetch\":250000000"), std::string::npos);
+  // Both queries are billed rows.
+  EXPECT_NE(json.find("\"tag\":\"Q2\""), std::string::npos);
 }
 
 TEST(RunReportTest, WritesFileToDisk) {

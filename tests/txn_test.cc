@@ -418,6 +418,21 @@ TEST_F(TxnTest, RecoveryReportsACorruptFreelist) {
   EXPECT_TRUE(recovered.IsCorruption()) << recovered.ToString();
 }
 
+TEST_F(TxnTest, RecoveryReportsACorruptCatalog) {
+  LoadObject(152, 3, 5, h_.block_space);
+  ASSERT_TRUE(txn_mgr_->Checkpoint().ok());
+  // A 24-byte catalog claiming 2^64 - 1 identities: recovery must report
+  // it rather than loop on the count or start from an empty catalog.
+  std::vector<uint8_t> catalog(3 * sizeof(uint64_t), 0xFF);
+  SimTime done = 0;
+  ASSERT_TRUE(h_.system
+                  .Put("catalog", catalog, h_.node->clock().now(), &done)
+                  .ok());
+  txn_mgr_->SimulateCrash();
+  Status recovered = txn_mgr_->RecoverAfterCrash();
+  EXPECT_TRUE(recovered.IsCorruption()) << recovered.ToString();
+}
+
 TEST_F(TxnTest, CrashRecoveryRestoresCommittedState) {
   LoadObject(140, 6, 3, h_.cloud_space);
   LoadObject(141, 4, 8, h_.block_space);

@@ -548,6 +548,10 @@ TEST(WorkloadCostTest, LedgerMatchesMeterWithInterleavedTenants) {
   EXPECT_NEAR(sum.TotalUsd(ledger.prices()),
               total.TotalUsd(ledger.prices()), 1e-12);
   EXPECT_NEAR(sum.sim_seconds, total.sim_seconds, 1e-9);
+  // Wait nanos roll up the same way, exactly.
+  EXPECT_EQ(sum.waits.ns, total.waits.ns);
+  EXPECT_EQ(sum.waits.background, total.waits.background);
+  EXPECT_GT(total.waits.TotalNanos(), 0);
 
   // Spent tracking feeds budgets from the same rollup.
   for (const std::string& name : tenant_names) {
@@ -617,13 +621,15 @@ TEST(WorkloadCostTest, LedgerMatchesMeterWithNdpSelects) {
   EXPECT_EQ(sum.select_scanned_bytes, total.select_scanned_bytes);
   EXPECT_NEAR(sum.TotalUsd(ledger.prices()),
               total.TotalUsd(ledger.prices()), 1e-12);
+  EXPECT_EQ(sum.waits.ns, total.waits.ns);
+  EXPECT_GT(total.waits.ns[static_cast<int>(WaitClass::kNdpSelect)], 0);
 }
 
 // --- wait-state stall conservation ---------------------------------------
 
 // The tentpole invariant, end to end: for every job the engine completed,
-// the stall profiler's per-query wait classes minus the background shadow
-// time equal finish - arrival exactly, in integer nanoseconds. Jobs are
+// the ledger's per-query wait classes minus the background shadow time
+// equal finish - arrival exactly, in integer nanoseconds. Jobs are
 // matched to query ids through their (unique) tags via the ledger.
 void ExpectStallsConserve(
     SimEnvironment* env,
@@ -639,7 +645,7 @@ void ExpectStallsConserve(
     if (c.shed) continue;
     auto it = query_by_tag.find(c.tag);
     ASSERT_NE(it, query_by_tag.end()) << c.tag;
-    StallProfiler::Entry entry = profiler.QueryTotal(it->second);
+    CostLedger::Waits entry = ledger.QueryTotal(it->second).waits;
     EXPECT_EQ(entry.TotalNanos() - entry.background,
               StallProfiler::ToNanos(c.finish) -
                   StallProfiler::ToNanos(c.arrival))
@@ -651,8 +657,8 @@ void ExpectStallsConserve(
   // Global conservation: every nanosecond booked anywhere is covered by
   // exactly one of the two pools (foreground window, background shadow).
   int64_t sum = 0;
-  for (const auto& [key, entry] : profiler.entries()) {
-    sum += entry.TotalNanos();
+  for (const auto& [key, entry] : ledger.entries()) {
+    sum += entry.waits.TotalNanos();
   }
   EXPECT_EQ(sum, profiler.window_nanos() + profiler.background_nanos());
 }
@@ -678,7 +684,7 @@ TEST(WorkloadStallTest, OpenLoopWaitsSumToLifetime) {
 
   // The backlog was real: some job waited in the admission queue, and
   // every job burned attributed CPU.
-  StallProfiler::Entry grand = h.env.telemetry().profiler().GrandTotal();
+  CostLedger::Waits grand = h.env.telemetry().ledger().GrandTotal().waits;
   EXPECT_GT(grand.ns[static_cast<int>(WaitClass::kAdmissionQueue)], 0);
   EXPECT_GT(grand.ns[static_cast<int>(WaitClass::kCpuExec)], 0);
 }
@@ -733,8 +739,8 @@ TEST(WorkloadStallTest, ClosedLoopScansConserveAndFeedGauges) {
   ExpectStallsConserve(&env, done);
 
   // Real storage waits were attributed, not just CPU.
-  StallProfiler& profiler = env.telemetry().profiler();
-  StallProfiler::Entry grand = profiler.GrandTotal();
+  CostLedger& ledger = env.telemetry().ledger();
+  CostLedger::Waits grand = ledger.GrandTotal().waits;
   EXPECT_GT(grand.ns[static_cast<int>(WaitClass::kNetworkTransfer)] +
                 grand.ns[static_cast<int>(WaitClass::kBufferFill)] +
                 grand.ns[static_cast<int>(WaitClass::kOcmFetch)],
@@ -745,7 +751,7 @@ TEST(WorkloadStallTest, ClosedLoopScansConserveAndFeedGauges) {
   // tenant's background shadow time (deferred uploads draining after its
   // last query finished) — never exceed it.
   for (const std::string& name : tenants) {
-    StallProfiler::Entry total = profiler.TenantTotal(name);
+    CostLedger::Waits total = ledger.TenantTotal(name).waits;
     double lag_budget = static_cast<double>(total.background) * 1e-9;
     for (int i = 0; i < kNumWaitClasses; ++i) {
       double gauge =

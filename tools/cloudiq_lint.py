@@ -41,13 +41,14 @@ level. Rules:
                           backoff application (`+ backoff`, `backoff *=`)
                           needs a profiler Charge / ScopedStall /
                           ScopedBackgroundStall within a few lines, or
-                          that sim-time silently escapes the wait-state
-                          ledger and the per-query conservation
-                          invariant ("every sim-microsecond attributed")
-                          rots. src/common/mutex.h (the primitives
-                          themselves) and src/telemetry/ (the profiler)
-                          are exempt; real-thread handoffs that consume
-                          no sim-time justify a NOLINT instead.
+                          that sim-time silently escapes the ledger's
+                          wait-class columns and the per-query
+                          conservation invariant ("every sim-microsecond
+                          attributed") rots. src/common/mutex.h (the
+                          primitives themselves) and src/telemetry/ (the
+                          profiler and the ledger) are exempt; real-
+                          thread handoffs that consume no sim-time
+                          justify a NOLINT instead.
   cloudiq-costopt-evidence
                           Every cost decision site in src/ — a call to
                           costopt::ChoosePlan or

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """stall_top: render the wait-state stall profile from a --report JSON.
 
-Reads the `stalls` section the StallProfiler emits (integer nanoseconds,
-conservation-exact: per entry the classes sum to total_nanos, and across
-all entries the totals sum to window_nanos + background_nanos) and prints
-a `top`-style view:
+Reads the `stalls` section of a report — the ledger entries the
+StallProfiler charged, in integer nanoseconds, conservation-exact: per
+entry the classes sum to total_nanos, and across all entries the totals
+sum to the profiler's window_nanos + background_nanos — and prints a
+`top`-style view:
 
   * per-class totals for the whole run, sorted by time;
   * the top queries ranked by wait time (everything but cpu_exec), with
@@ -17,7 +18,8 @@ Usage:
   tools/stall_top.py --check REPORT.json   # verify conservation, exit 1 on drift
 
 --check recomputes the invariant from the JSON alone and is what
-scripts/check.sh's `profile` pass runs against the bench reports.
+scripts/check.sh's `profile`, `parallel` and `report` passes run against
+the bench reports.
 
 --locks joins the profile against the lock-rank manifest (LOCKS.md, the
 same file tools/cloudiq_locks.py enforces): each registered lock that
