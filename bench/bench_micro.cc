@@ -1,13 +1,15 @@
 // Micro-benchmarks (google-benchmark) for CloudIQ's hot primitives:
 // n-bit packing, column-page encode/decode, RLE page compression, object
-// key generation, bitmap and interval-set operations, and the executor's
-// row-key hash table. These measure real
-// CPU time (not simulated time) and guard against regressions in the
-// encode/decode paths that the simulated CPU-cost model abstracts.
+// key generation, bitmap and interval-set operations, the executor's
+// row-key hash table, and the load path's page encode, TEXT index and
+// generator. These measure real CPU time (not simulated time) and guard
+// against regressions in the encode/decode paths that the simulated
+// CPU-cost model abstracts.
 
 #include <benchmark/benchmark.h>
 
 #include "columnar/encoding.h"
+#include "columnar/text_index.h"
 #include "common/bitmap.h"
 #include "common/interval_set.h"
 #include "common/random.h"
@@ -16,6 +18,7 @@
 #include "keygen/object_key_generator.h"
 #include "store/page_codec.h"
 #include "store/physical_loc.h"
+#include "tpch/tpch_gen.h"
 
 namespace cloudiq {
 namespace {
@@ -171,12 +174,17 @@ BENCHMARK(BM_BitmapSetRange);
 // against the id's representative row. Reported per row (`time_per_row`,
 // in seconds; the console prints it as e.g. "5.8ns").
 
-void SetTimePerRow(benchmark::State& state, size_t rows) {
-  state.SetItemsProcessed(state.iterations() * rows);
-  state.counters["time_per_row"] = benchmark::Counter(
-      static_cast<double>(rows),
+// Reports items per second and `counter`, the time per item.
+void SetTimePer(benchmark::State& state, const char* counter, size_t items) {
+  state.SetItemsProcessed(state.iterations() * items);
+  state.counters[counter] = benchmark::Counter(
+      static_cast<double>(items),
       benchmark::Counter::kIsIterationInvariantRate |
           benchmark::Counter::kInvert);
+}
+
+void SetTimePerRow(benchmark::State& state, size_t rows) {
+  SetTimePer(state, "time_per_row", rows);
 }
 
 // `distinct` int keys, each once, in random order.
@@ -367,6 +375,81 @@ void BM_ParallelScanDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelScanDecode)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->UseRealTime();
+
+// --- the load path: page encode, frame size, TEXT index, generator ------
+// Over TPC-H SF 0.01 data: one page's worth of a column, as the loader
+// cuts it (about 14 KB of staged values), reported per value or per row.
+
+// The first rows of `column` of `table` whose staged bytes (as the loader
+// counts them) fill a 16 KiB page to 85%.
+ColumnVector OnePage(TpchTable table, size_t column) {
+  TpchGenerator gen(0.01);
+  Batch batch = gen.GenerateBatch(table, 0, 20000);
+  ColumnVector& col = batch.columns[column];
+  size_t bytes = 0;
+  size_t rows = 0;
+  while (rows < col.size() && bytes < 16 * 1024 * 85 / 100) {
+    bytes += col.type == ColumnType::kString ? col.strings[rows].size() + 4
+                                             : 8;
+    ++rows;
+  }
+  col.Resize(rows);
+  return std::move(col);
+}
+
+void EncodePageOf(benchmark::State& state, const ColumnVector& col) {
+  for (auto _ : state) {
+    ZoneMapEntry zone;
+    benchmark::DoNotOptimize(EncodeColumnPage(col, 0, col.size(), &zone));
+  }
+  SetTimePer(state, "time_per_value", col.size());
+}
+
+// l_shipmode: seven distinct strings, dictionary-encoded.
+void BM_EncodeDictStringPage(benchmark::State& state) {
+  EncodePageOf(state, OnePage(kLineitem, 14));
+}
+BENCHMARK(BM_EncodeDictStringPage);
+
+// l_comment: nearly every string distinct, stored raw.
+void BM_EncodeRawStringPage(benchmark::State& state) {
+  EncodePageOf(state, OnePage(kLineitem, 15));
+}
+BENCHMARK(BM_EncodeRawStringPage);
+
+// The stored frame size of an l_comment page, as the loader records it.
+void BM_EncodedPageSize(benchmark::State& state) {
+  ColumnVector col = OnePage(kLineitem, 15);
+  ZoneMapEntry zone;
+  std::vector<uint8_t> payload = EncodeColumnPage(col, 0, col.size(), &zone);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(EncodedPageSize(payload));
+  }
+  SetTimePer(state, "time_per_value", col.size());
+}
+BENCHMARK(BM_EncodedPageSize);
+
+// o_comment rows into a fresh TEXT index builder.
+void BM_TextIndexAdd(benchmark::State& state) {
+  ColumnVector col = OnePage(kOrders, 8);
+  for (auto _ : state) {
+    TextIndex::Builder builder;
+    for (size_t r = 0; r < col.size(); ++r) builder.Add(col.strings[r], r);
+    benchmark::DoNotOptimize(builder.empty());
+  }
+  SetTimePerRow(state, col.size());
+}
+BENCHMARK(BM_TextIndexAdd);
+
+void BM_GenerateLineitem(benchmark::State& state) {
+  TpchGenerator gen(0.01);
+  const uint64_t rows = 4096;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(gen.GenerateBatch(kLineitem, 1000, rows));
+  }
+  SetTimePerRow(state, rows);
+}
+BENCHMARK(BM_GenerateLineitem);
 
 void BM_IntervalSetInsert(benchmark::State& state) {
   Rng rng(4);

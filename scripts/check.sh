@@ -37,13 +37,15 @@
 #                               # tripwire never perturbs the simulation
 #   scripts/check.sh fuzz       # seeded mutation fuzz of the persisted-
 #                               # and wire-byte decoders (column pages,
-#                               # page-codec frames, interval sets, RF/RB
+#                               # page-codec frames, table metadata,
+#                               # interval sets, RF/RB
 #                               # page sets, txn-log records, the keygen
 #                               # checkpoint, blockmap nodes, the identity
 #                               # catalog, the system-store directory,
 #                               # NDP request/result frames,
 #                               # HG/DATE/TEXT index pages, the freelist
-#                               # bitmap) under ASan
+#                               # bitmap), plus the page encoder's size
+#                               # pass and round trip, under ASan
 #                               # and UBSan (UB is fatal)
 #   scripts/check.sh parallel   # morsel-executor gate: scale-up bench
 #                               # --report byte-identical across double
@@ -450,7 +452,8 @@ parallel_pass() {
 }
 
 # Decoder fuzz gate: codec_fuzz_test feeds DecodeColumnPage and
-# DecodeColumnPageCoded, DecodePage, IntervalSet::Deserialize,
+# DecodeColumnPageCoded, DecodePage, TableMeta::Deserialize,
+# IntervalSet::Deserialize,
 # Bitmap::Deserialize, PageSet::Deserialize, TxnLogRecord::Deserialize,
 # ObjectKeyGenerator::Recover, Blockmap::ParseNode,
 # IdentityCatalog::Deserialize, SystemStore::Open, NdpRequest::Deserialize,
@@ -459,9 +462,12 @@ parallel_pass() {
 # seed, plus dictionary pages with swapped and duplicated entries. Every
 # call must return a value or Corruption (InvalidArgument for an NDP
 # request), and the two column-page decoders must agree: both Corruption,
-# or the coded result expands to the plain one. ASan catches overreads and
-# oversized allocations, UBSan (halting on the first report) catches
-# shifts by a corrupt width.
+# or the coded result expands to the plain one. It also feeds seeded and
+# mutated payloads to the page encoder: EncodedPageSize must equal the
+# frame's size and the frame must decode back to the payload, while ASan
+# watches the RLE scanner's word loads near the buffer's end. ASan catches
+# overreads and oversized allocations, UBSan (halting on the first
+# report) catches shifts by a corrupt width.
 fuzz_pass() {
   echo "=== fuzz: decoder mutation fuzz under ASan + UBSan ==="
   local pass sanitize dir

@@ -4,10 +4,12 @@
 #include <bit>
 #include <cassert>
 #include <cstring>
-#include <map>
+#include <numeric>
+#include <string_view>
 
 #include "common/coding.h"
 #include "common/key_hash.h"
+#include "common/row_key_table.h"
 
 namespace cloudiq {
 namespace {
@@ -20,6 +22,10 @@ constexpr uint8_t kEncodingRawString = 4;
 // are tiny even when the value range is wide, so delta + n-bit beats
 // frame-of-reference.
 constexpr uint8_t kEncodingDeltaNBit = 5;
+
+// Distinct strings a page's dictionary table holds before its first
+// rehash.
+constexpr size_t kPresizedEntries = 512;
 
 }  // namespace
 
@@ -52,16 +58,12 @@ size_t PackedBytes(size_t count, int bit_width) {
   return (count * static_cast<size_t>(bit_width) + 7) / 8;
 }
 
-// Appends `count` values, value(i) for i in [0, count), packed at
-// `bit_width` bits each to `out`. Bits accumulate in a 64-bit word that
-// is stored whole each time it fills; the last partial word stores only
-// its live bytes.
+// Writes `count` values, value(i) for i in [0, count), packed at
+// `bit_width` bits each, to dst[0, PackedBytes(count, bit_width)) and
+// returns the end. Bits accumulate in a 64-bit word that is stored whole
+// each time it fills; the last partial word stores only its live bytes.
 template <typename ValueAt>
-void AppendPacked(std::vector<uint8_t>& out, size_t count, int bit_width,
-                  ValueAt value) {
-  size_t offset = out.size();
-  out.resize(offset + PackedBytes(count, bit_width));
-  uint8_t* dst = out.data() + offset;
+uint8_t* PackBits(uint8_t* dst, size_t count, int bit_width, ValueAt value) {
   const uint64_t mask = LowBits(bit_width);
   uint64_t acc = 0;
   int filled = 0;  // live bits in acc, always < 64 between values
@@ -78,8 +80,34 @@ void AppendPacked(std::vector<uint8_t>& out, size_t count, int bit_width,
       acc = filled > 0 ? v >> (bit_width - filled) : 0;
     }
   }
-  if (filled > 0) std::memcpy(dst, &acc, (filled + 7) / 8);
+  if (filled > 0) {
+    std::memcpy(dst, &acc, (filled + 7) / 8);
+    dst += (filled + 7) / 8;
+  }
+  return dst;
 }
+
+// Writes a column page front to back into a buffer sized for it exactly.
+struct PageCursor {
+  uint8_t* p;
+
+  void U8(uint8_t v) { *p++ = v; }
+  template <typename T>
+  void Word(T v) {
+    std::memcpy(p, &v, sizeof(v));
+    p += sizeof(v);
+  }
+  // A u32 length and the bytes, as PutString writes them.
+  void String(std::string_view s) {
+    Word(static_cast<uint32_t>(s.size()));
+    std::memcpy(p, s.data(), s.size());
+    p += s.size();
+  }
+  template <typename ValueAt>
+  void Packed(size_t count, int bit_width, ValueAt value) {
+    p = PackBits(p, count, bit_width, value);
+  }
+};
 
 // Unpacks `count` values of `bit_width` bits from `src[0, size)`, calling
 // emit(i, value) in order. Each value costs one unaligned 8-byte load, a
@@ -123,9 +151,9 @@ void UnpackBits(const uint8_t* src, size_t size, int bit_width,
 std::vector<uint8_t> NBitPack(const std::vector<uint64_t>& values,
                               int bit_width) {
   assert(bit_width >= 1 && bit_width <= 64);
-  std::vector<uint8_t> out;
-  AppendPacked(out, values.size(), bit_width,
-               [&](size_t i) { return values[i]; });
+  std::vector<uint8_t> out(PackedBytes(values.size(), bit_width));
+  PackBits(out.data(), values.size(), bit_width,
+           [&](size_t i) { return values[i]; });
   return out;
 }
 
@@ -143,20 +171,30 @@ std::vector<uint8_t> EncodeColumnPage(const ColumnVector& values,
                                       ZoneMapEntry* zone) {
   assert(end <= values.size() && begin <= end);
   size_t count = end - begin;
-  std::vector<uint8_t> out;
-  PutU32(out, static_cast<uint32_t>(values.type));
-  PutU32(out, static_cast<uint32_t>(count));
   zone->row_count = static_cast<uint32_t>(count);
+  // Each case sizes its page before writing it: this allocates the whole
+  // page, exactly, writes the [type u32][count u32][encoding u8] header
+  // and returns a cursor after it.
+  std::vector<uint8_t> out;
+  auto start_page = [&](uint8_t encoding, size_t body_bytes) {
+    out.resize(4 + 4 + 1 + body_bytes);
+    PageCursor page{out.data()};
+    page.Word(static_cast<uint32_t>(values.type));
+    page.Word(static_cast<uint32_t>(count));
+    page.U8(encoding);
+    return page;
+  };
 
   switch (values.type) {
     case ColumnType::kInt64:
     case ColumnType::kDate:
     case ColumnType::kDecimal: {
-      int64_t min_v = count > 0 ? values.ints[begin] : 0;
+      const int64_t* run = values.ints.data() + begin;
+      int64_t min_v = count > 0 ? run[0] : 0;
       int64_t max_v = min_v;
-      for (size_t i = begin; i < end; ++i) {
-        min_v = std::min(min_v, values.ints[i]);
-        max_v = std::max(max_v, values.ints[i]);
+      for (size_t i = 0; i < count; ++i) {
+        min_v = std::min(min_v, run[i]);
+        max_v = std::max(max_v, run[i]);
       }
       zone->min_int = min_v;
       zone->max_int = max_v;
@@ -164,84 +202,101 @@ std::vector<uint8_t> EncodeColumnPage(const ColumnVector& values,
       // n-bit; everything else frame-of-reference + n-bit.
       bool sorted = true;
       uint64_t max_step = 0;
-      for (size_t i = begin + 1; i < end; ++i) {
-        if (values.ints[i] < values.ints[i - 1]) {
+      for (size_t i = 1; i < count; ++i) {
+        if (run[i] < run[i - 1]) {
           sorted = false;
           break;
         }
-        max_step = std::max(
-            max_step,
-            WrappingSub(values.ints[i], values.ints[i - 1]));
+        max_step = std::max(max_step, WrappingSub(run[i], run[i - 1]));
       }
-      int for_width =
-          BitWidthFor(WrappingSub(max_v, min_v));
+      int for_width = BitWidthFor(WrappingSub(max_v, min_v));
       int delta_width = BitWidthFor(max_step);
       if (sorted && count > 1 && delta_width < for_width) {
-        out.push_back(kEncodingDeltaNBit);
-        out.push_back(static_cast<uint8_t>(delta_width));
-        PutI64(out, values.ints[begin]);  // first value, raw
-        const int64_t* run = values.ints.data() + begin;
-        AppendPacked(out, count - 1, delta_width, [run](size_t i) {
+        PageCursor page = start_page(
+            kEncodingDeltaNBit, 1 + 8 + PackedBytes(count - 1, delta_width));
+        page.U8(static_cast<uint8_t>(delta_width));
+        page.Word(run[0]);  // first value, raw
+        page.Packed(count - 1, delta_width, [run](size_t i) {
           return WrappingSub(run[i + 1], run[i]);
         });
         break;
       }
-      out.push_back(kEncodingNBit);
-      out.push_back(static_cast<uint8_t>(for_width));
-      PutI64(out, min_v);
-      const int64_t* run = values.ints.data() + begin;
-      AppendPacked(out, count, for_width, [run, min_v](size_t i) {
+      PageCursor page =
+          start_page(kEncodingNBit, 1 + 8 + PackedBytes(count, for_width));
+      page.U8(static_cast<uint8_t>(for_width));
+      page.Word(min_v);
+      page.Packed(count, for_width, [run, min_v](size_t i) {
         return WrappingSub(run[i], min_v);
       });
       break;
     }
     case ColumnType::kDouble: {
-      double min_v = count > 0 ? values.doubles[begin] : 0;
+      const double* run = values.doubles.data() + begin;
+      double min_v = count > 0 ? run[0] : 0;
       double max_v = min_v;
-      out.push_back(kEncodingRawDouble);
-      for (size_t i = begin; i < end; ++i) {
-        min_v = std::min(min_v, values.doubles[i]);
-        max_v = std::max(max_v, values.doubles[i]);
-        PutDouble(out, values.doubles[i]);
+      for (size_t i = 0; i < count; ++i) {
+        min_v = std::min(min_v, run[i]);
+        max_v = std::max(max_v, run[i]);
       }
       zone->min_double = min_v;
       zone->max_double = max_v;
+      PageCursor page = start_page(kEncodingRawDouble, 8 * count);
+      if (count > 0) std::memcpy(page.p, run, 8 * count);
       break;
     }
     case ColumnType::kString: {
-      // Page-local dictionary; n-bit codes if it pays, raw otherwise.
-      std::map<std::string, uint32_t> dict;
-      for (size_t i = begin; i < end; ++i) {
-        dict.emplace(values.strings[i], 0);
-      }
-      if (count > 0) {
-        zone->min_string = dict.begin()->first.substr(0, 16);
-        zone->max_string = std::prev(dict.end())->first.substr(0, 16);
-      }
+      // Page-local dictionary: the distinct strings, numbered in first-
+      // seen order through a hash table, and each row's entry. n-bit codes
+      // if the dictionary pays, raw strings otherwise.
+      const std::string* run = values.strings.data() + begin;
+      // Sized for a raw page's distinct strings, which a page of a few
+      // thousand short dictionary strings also fits without a rehash.
+      RowKeyTable table(std::min<size_t>(count, kPresizedEntries));
+      std::vector<std::string_view> entries;
+      std::vector<uint32_t> entry_of(count);
       size_t dict_bytes = 0;
-      for (const auto& [s, code] : dict) dict_bytes += s.size() + 4;
       size_t raw_bytes = 0;
-      for (size_t i = begin; i < end; ++i) {
-        raw_bytes += values.strings[i].size() + 4;
-      }
-      int width =
-          BitWidthFor(dict.empty() ? 0 : dict.size() - 1);
-      size_t dict_total = dict_bytes + (count * width + 7) / 8;
-      if (dict_total < raw_bytes) {
-        uint32_t next = 0;
-        for (auto& [s, code] : dict) code = next++;
-        out.push_back(kEncodingDictString);
-        out.push_back(static_cast<uint8_t>(width));
-        PutU32(out, static_cast<uint32_t>(dict.size()));
-        for (const auto& [s, code] : dict) PutString(out, s);
-        AppendPacked(out, count, width, [&](size_t i) {
-          return uint64_t{dict.find(values.strings[begin + i])->second};
-        });
-      } else {
-        out.push_back(kEncodingRawString);
-        for (size_t i = begin; i < end; ++i) {
-          PutString(out, values.strings[i]);
+      for (size_t i = 0; i < count; ++i) {
+        std::string_view s = run[i];
+        raw_bytes += s.size() + 4;
+        bool inserted = false;
+        entry_of[i] = table.FindOrInsert(
+            HashKey(s), [&](uint32_t e) { return entries[e] == s; },
+            &inserted);
+        if (inserted) {
+          entries.push_back(s);
+          dict_bytes += s.size() + 4;
         }
+      }
+      int width = BitWidthFor(entries.empty() ? 0 : entries.size() - 1);
+      size_t dict_total = dict_bytes + PackedBytes(count, width);
+      if (dict_total < raw_bytes) {
+        // The dictionary is stored ascending; a row's code is its entry's
+        // rank.
+        std::vector<uint32_t> order(entries.size());
+        std::iota(order.begin(), order.end(), 0);
+        std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+          return entries[a] < entries[b];
+        });
+        std::vector<uint32_t> code(entries.size());
+        for (size_t k = 0; k < order.size(); ++k) {
+          code[order[k]] = static_cast<uint32_t>(k);
+        }
+        zone->min_string = entries[order.front()].substr(0, 16);
+        zone->max_string = entries[order.back()].substr(0, 16);
+        PageCursor page = start_page(kEncodingDictString, 1 + 4 + dict_total);
+        page.U8(static_cast<uint8_t>(width));
+        page.Word(static_cast<uint32_t>(entries.size()));
+        for (uint32_t e : order) page.String(entries[e]);
+        page.Packed(count, width, [&](size_t i) { return code[entry_of[i]]; });
+      } else {
+        if (count > 0) {
+          auto [lo, hi] = std::minmax_element(entries.begin(), entries.end());
+          zone->min_string = lo->substr(0, 16);
+          zone->max_string = hi->substr(0, 16);
+        }
+        PageCursor page = start_page(kEncodingRawString, raw_bytes);
+        for (size_t i = 0; i < count; ++i) page.String(run[i]);
       }
       break;
     }

@@ -1,5 +1,8 @@
 #include "columnar/schema.h"
 
+#include <string>
+#include <utility>
+
 namespace cloudiq {
 namespace {
 
@@ -11,6 +14,70 @@ void PutZone(std::vector<uint8_t>& out, const ZoneMapEntry& zone) {
   PutString(out, zone.min_string);
   PutString(out, zone.max_string);
   PutU32(out, zone.row_count);
+}
+
+// Serialized sizes of the smallest element each count below counts: a
+// length-prefixed string is at least its u32 length.
+constexpr size_t kMinColumnDef = 4 + 4;
+constexpr size_t kMinZone = 8 + 8 + 8 + 8 + 4 + 4 + 4;
+constexpr size_t kMinBlob = 8;  // a u64 length prefix
+constexpr size_t kMinRangeList = 4;
+
+// Reads a u32 count of elements that take at least `min_bytes` each;
+// Corruption if the bytes left cannot hold that many, so no corrupt count
+// sizes an allocation or a loop.
+Result<uint32_t> GetCount(ByteReader& reader, size_t min_bytes,
+                          const char* what) {
+  uint32_t n = reader.GetU32();
+  if (reader.overflow() || n > reader.remaining() / min_bytes) {
+    return Status::Corruption(std::string(what) + " count exceeds its bytes");
+  }
+  return n;
+}
+
+// Reads a u64 length and that many bytes, as a reader of their own.
+Result<ByteReader> GetBlob(ByteReader& reader, const char* what) {
+  uint64_t len = reader.GetU64();
+  const uint8_t* bytes = reader.overflow() ? nullptr : reader.Skip(len);
+  if (bytes == nullptr) {
+    return Status::Corruption(std::string(what) + " truncated");
+  }
+  return ByteReader(bytes, len);
+}
+
+// Reads a column number stored as i64; Corruption unless it names one of
+// `columns` columns.
+Result<int> GetColumn(ByteReader& reader, size_t columns, const char* what) {
+  int64_t c = reader.GetI64();
+  if (c < 0 || static_cast<uint64_t>(c) >= columns) {
+    return Status::Corruption(std::string(what) + " column out of range");
+  }
+  return static_cast<int>(c);
+}
+
+template <typename T, typename Get>
+Result<std::vector<std::vector<std::pair<T, T>>>> GetRangeLists(
+    ByteReader& reader, size_t min_range, Get get) {
+  CLOUDIQ_ASSIGN_OR_RETURN(uint32_t n_lists,
+                           GetCount(reader, kMinRangeList, "range list"));
+  std::vector<std::vector<std::pair<T, T>>> lists(n_lists);
+  for (auto& ranges : lists) {
+    CLOUDIQ_ASSIGN_OR_RETURN(uint32_t n, GetCount(reader, min_range, "range"));
+    ranges.reserve(n);
+    for (uint32_t j = 0; j < n; ++j) {
+      T lo = get();
+      T hi = get();
+      ranges.emplace_back(std::move(lo), std::move(hi));
+    }
+  }
+  return lists;
+}
+
+Result<std::vector<uint64_t>> GetObjects(ByteReader& reader) {
+  CLOUDIQ_ASSIGN_OR_RETURN(uint32_t n, GetCount(reader, 8, "index object"));
+  std::vector<uint64_t> ids(n);
+  for (uint64_t& id : ids) id = reader.GetU64();
+  return ids;
 }
 
 ZoneMapEntry GetZone(ByteReader& reader) {
@@ -48,34 +115,41 @@ std::vector<uint8_t> TableSchema::Serialize() const {
   return out;
 }
 
-TableSchema TableSchema::Deserialize(ByteReader& reader) {
+Result<TableSchema> TableSchema::Deserialize(ByteReader& reader) {
   TableSchema schema;
   schema.name = reader.GetString();
   schema.table_id = reader.GetU64();
-  uint32_t n_cols = reader.GetU32();
-  for (uint32_t i = 0; i < n_cols; ++i) {
-    ColumnDef col;
+  CLOUDIQ_ASSIGN_OR_RETURN(uint32_t n_cols,
+                           GetCount(reader, kMinColumnDef, "column"));
+  schema.columns.resize(n_cols);
+  for (ColumnDef& col : schema.columns) {
     col.name = reader.GetString();
-    col.type = static_cast<ColumnType>(reader.GetU32());
-    schema.columns.push_back(col);
+    uint32_t type = reader.GetU32();
+    if (type > static_cast<uint32_t>(ColumnType::kDecimal)) {
+      return Status::Corruption("unknown column type");
+    }
+    col.type = static_cast<ColumnType>(type);
   }
-  schema.partition_column = static_cast<int>(reader.GetI64());
-  uint32_t n_bounds = reader.GetU32();
-  for (uint32_t i = 0; i < n_bounds; ++i) {
-    schema.partition_bounds.push_back(reader.GetI64());
+  int64_t partition_column = reader.GetI64();
+  if (partition_column < -1 ||
+      partition_column >= static_cast<int64_t>(n_cols)) {
+    return Status::Corruption("partition column out of range");
   }
-  uint32_t n_idx = reader.GetU32();
-  for (uint32_t i = 0; i < n_idx; ++i) {
-    schema.hg_index_columns.push_back(static_cast<int>(reader.GetI64()));
+  schema.partition_column = static_cast<int>(partition_column);
+  CLOUDIQ_ASSIGN_OR_RETURN(uint32_t n_bounds,
+                           GetCount(reader, 8, "partition bound"));
+  schema.partition_bounds.resize(n_bounds);
+  for (int64_t& b : schema.partition_bounds) b = reader.GetI64();
+  for (std::vector<int>* list :
+       {&schema.hg_index_columns, &schema.date_index_columns,
+        &schema.text_index_columns}) {
+    CLOUDIQ_ASSIGN_OR_RETURN(uint32_t n, GetCount(reader, 8, "index column"));
+    list->resize(n);
+    for (int& c : *list) {
+      CLOUDIQ_ASSIGN_OR_RETURN(c, GetColumn(reader, n_cols, "index"));
+    }
   }
-  uint32_t n_date = reader.GetU32();
-  for (uint32_t i = 0; i < n_date; ++i) {
-    schema.date_index_columns.push_back(static_cast<int>(reader.GetI64()));
-  }
-  uint32_t n_text = reader.GetU32();
-  for (uint32_t i = 0; i < n_text; ++i) {
-    schema.text_index_columns.push_back(static_cast<int>(reader.GetI64()));
-  }
+  if (reader.overflow()) return Status::Corruption("table schema truncated");
   return schema;
 }
 
@@ -92,19 +166,31 @@ std::vector<uint8_t> SegmentMeta::Serialize() const {
   return out;
 }
 
-SegmentMeta SegmentMeta::Deserialize(ByteReader& reader) {
+Result<SegmentMeta> SegmentMeta::Deserialize(ByteReader& reader) {
   SegmentMeta meta;
   meta.object_id = reader.GetU64();
   meta.row_count = reader.GetU64();
-  uint32_t n_zones = reader.GetU32();
+  CLOUDIQ_ASSIGN_OR_RETURN(uint32_t n_zones,
+                           GetCount(reader, kMinZone, "zone"));
+  meta.zones.reserve(n_zones);
   for (uint32_t i = 0; i < n_zones; ++i) meta.zones.push_back(GetZone(reader));
-  uint32_t n_pages = reader.GetU32();
-  for (uint32_t i = 0; i < n_pages; ++i) {
-    meta.page_rows.push_back(reader.GetU32());
+  CLOUDIQ_ASSIGN_OR_RETURN(uint32_t n_pages, GetCount(reader, 4, "page row"));
+  meta.page_rows.resize(n_pages);
+  for (uint32_t& rows : meta.page_rows) rows = reader.GetU32();
+  CLOUDIQ_ASSIGN_OR_RETURN(uint32_t n_bytes,
+                           GetCount(reader, 4, "page byte"));
+  meta.page_bytes.resize(n_bytes);
+  for (uint32_t& bytes : meta.page_bytes) bytes = reader.GetU32();
+  if (reader.overflow()) return Status::Corruption("segment truncated");
+  // One zone and one row count per page, and one frame size per page
+  // unless the segment predates them.
+  if (n_pages != n_zones || (n_bytes != 0 && n_bytes != n_zones)) {
+    return Status::Corruption("segment page counts differ");
   }
-  uint32_t n_bytes = reader.GetU32();
-  for (uint32_t i = 0; i < n_bytes; ++i) {
-    meta.page_bytes.push_back(reader.GetU32());
+  uint64_t rows = 0;
+  for (uint32_t r : meta.page_rows) rows += r;
+  if (rows != meta.row_count) {
+    return Status::Corruption("segment page rows do not sum to its rows");
   }
   return meta;
 }
@@ -151,61 +237,32 @@ std::vector<uint8_t> PartitionMeta::Serialize() const {
   return out;
 }
 
-PartitionMeta PartitionMeta::Deserialize(ByteReader& reader) {
+Result<PartitionMeta> PartitionMeta::Deserialize(ByteReader& reader) {
   PartitionMeta meta;
   meta.row_count = reader.GetU64();
-  uint32_t n_cols = reader.GetU32();
+  CLOUDIQ_ASSIGN_OR_RETURN(uint32_t n_cols,
+                           GetCount(reader, kMinBlob, "segment"));
+  meta.columns.reserve(n_cols);
   for (uint32_t i = 0; i < n_cols; ++i) {
-    uint64_t len = reader.GetU64();
-    std::vector<uint8_t> bytes = reader.GetBytes(len);
-    ByteReader seg_reader(bytes);
-    meta.columns.push_back(SegmentMeta::Deserialize(seg_reader));
+    CLOUDIQ_ASSIGN_OR_RETURN(ByteReader seg_reader,
+                             GetBlob(reader, "segment"));
+    CLOUDIQ_ASSIGN_OR_RETURN(SegmentMeta seg,
+                             SegmentMeta::Deserialize(seg_reader));
+    meta.columns.push_back(std::move(seg));
   }
-  uint32_t n_idx = reader.GetU32();
-  for (uint32_t i = 0; i < n_idx; ++i) {
-    meta.index_objects.push_back(reader.GetU64());
-  }
-  uint32_t n_ranges = reader.GetU32();
-  for (uint32_t i = 0; i < n_ranges; ++i) {
-    uint32_t n = reader.GetU32();
-    std::vector<std::pair<int64_t, int64_t>> ranges;
-    for (uint32_t j = 0; j < n; ++j) {
-      int64_t lo = reader.GetI64();
-      int64_t hi = reader.GetI64();
-      ranges.emplace_back(lo, hi);
-    }
-    meta.index_page_ranges.push_back(std::move(ranges));
-  }
-  uint32_t n_date_idx = reader.GetU32();
-  for (uint32_t i = 0; i < n_date_idx; ++i) {
-    meta.date_index_objects.push_back(reader.GetU64());
-  }
-  uint32_t n_date_ranges = reader.GetU32();
-  for (uint32_t i = 0; i < n_date_ranges; ++i) {
-    uint32_t n = reader.GetU32();
-    std::vector<std::pair<int64_t, int64_t>> ranges;
-    for (uint32_t j = 0; j < n; ++j) {
-      int64_t lo = reader.GetI64();
-      int64_t hi = reader.GetI64();
-      ranges.emplace_back(lo, hi);
-    }
-    meta.date_index_ranges.push_back(std::move(ranges));
-  }
-  uint32_t n_text_idx = reader.GetU32();
-  for (uint32_t i = 0; i < n_text_idx; ++i) {
-    meta.text_index_objects.push_back(reader.GetU64());
-  }
-  uint32_t n_text_ranges = reader.GetU32();
-  for (uint32_t i = 0; i < n_text_ranges; ++i) {
-    uint32_t n = reader.GetU32();
-    std::vector<std::pair<std::string, std::string>> ranges;
-    for (uint32_t j = 0; j < n; ++j) {
-      std::string lo = reader.GetString();
-      std::string hi = reader.GetString();
-      ranges.emplace_back(std::move(lo), std::move(hi));
-    }
-    meta.text_index_ranges.push_back(std::move(ranges));
-  }
+  auto get_int = [&reader] { return reader.GetI64(); };
+  auto get_string = [&reader] { return reader.GetString(); };
+  CLOUDIQ_ASSIGN_OR_RETURN(meta.index_objects, GetObjects(reader));
+  CLOUDIQ_ASSIGN_OR_RETURN(meta.index_page_ranges,
+                           GetRangeLists<int64_t>(reader, 16, get_int));
+  CLOUDIQ_ASSIGN_OR_RETURN(meta.date_index_objects, GetObjects(reader));
+  CLOUDIQ_ASSIGN_OR_RETURN(meta.date_index_ranges,
+                           GetRangeLists<int64_t>(reader, 16, get_int));
+  CLOUDIQ_ASSIGN_OR_RETURN(meta.text_index_objects, GetObjects(reader));
+  CLOUDIQ_ASSIGN_OR_RETURN(
+      meta.text_index_ranges,
+      GetRangeLists<std::string>(reader, 8, get_string));
+  if (reader.overflow()) return Status::Corruption("partition truncated");
   return meta;
 }
 
@@ -223,19 +280,22 @@ std::vector<uint8_t> TableMeta::Serialize() const {
   return out;
 }
 
-TableMeta TableMeta::Deserialize(const std::vector<uint8_t>& bytes) {
+Result<TableMeta> TableMeta::Deserialize(const std::vector<uint8_t>& bytes) {
   TableMeta meta;
   ByteReader reader(bytes);
-  uint64_t schema_len = reader.GetU64();
-  std::vector<uint8_t> schema_bytes = reader.GetBytes(schema_len);
-  ByteReader schema_reader(schema_bytes);
-  meta.schema = TableSchema::Deserialize(schema_reader);
-  uint32_t n_parts = reader.GetU32();
+  CLOUDIQ_ASSIGN_OR_RETURN(ByteReader schema_reader,
+                           GetBlob(reader, "table schema"));
+  CLOUDIQ_ASSIGN_OR_RETURN(meta.schema,
+                           TableSchema::Deserialize(schema_reader));
+  CLOUDIQ_ASSIGN_OR_RETURN(uint32_t n_parts,
+                           GetCount(reader, kMinBlob, "partition"));
+  meta.partitions.reserve(n_parts);
   for (uint32_t i = 0; i < n_parts; ++i) {
-    uint64_t len = reader.GetU64();
-    std::vector<uint8_t> part_bytes = reader.GetBytes(len);
-    ByteReader part_reader(part_bytes);
-    meta.partitions.push_back(PartitionMeta::Deserialize(part_reader));
+    CLOUDIQ_ASSIGN_OR_RETURN(ByteReader part_reader,
+                             GetBlob(reader, "partition"));
+    CLOUDIQ_ASSIGN_OR_RETURN(PartitionMeta part,
+                             PartitionMeta::Deserialize(part_reader));
+    meta.partitions.push_back(std::move(part));
   }
   return meta;
 }

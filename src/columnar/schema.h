@@ -8,6 +8,7 @@
 #include "columnar/encoding.h"
 #include "columnar/value.h"
 #include "common/coding.h"
+#include "common/result.h"
 
 namespace cloudiq {
 
@@ -49,7 +50,7 @@ struct TableSchema {
   }
 
   std::vector<uint8_t> Serialize() const;
-  static TableSchema Deserialize(ByteReader& reader);
+  static Result<TableSchema> Deserialize(ByteReader& reader);
 };
 
 // Durable per-segment metadata: where a (partition, column) segment's
@@ -67,7 +68,7 @@ struct SegmentMeta {
   std::vector<uint32_t> page_bytes;
 
   std::vector<uint8_t> Serialize() const;
-  static SegmentMeta Deserialize(ByteReader& reader);
+  static Result<SegmentMeta> Deserialize(ByteReader& reader);
 };
 
 // Per-partition metadata: one segment per column plus HG index objects.
@@ -87,7 +88,7 @@ struct PartitionMeta {
       text_index_ranges;
 
   std::vector<uint8_t> Serialize() const;
-  static PartitionMeta Deserialize(ByteReader& reader);
+  static Result<PartitionMeta> Deserialize(ByteReader& reader);
 };
 
 struct TableMeta {
@@ -101,7 +102,11 @@ struct TableMeta {
   }
 
   std::vector<uint8_t> Serialize() const;
-  static TableMeta Deserialize(const std::vector<uint8_t>& bytes);
+  // The decoders are total: bytes that are not a serialized table (a count
+  // beyond the bytes left, an unknown column type, a partition or index
+  // column out of range, a segment whose per-page lists disagree or whose
+  // page rows do not sum to its rows, a truncation) yield Corruption.
+  static Result<TableMeta> Deserialize(const std::vector<uint8_t>& bytes);
 };
 
 }  // namespace cloudiq

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 #include "store/page_codec.h"
 
@@ -10,6 +11,17 @@ namespace {
 
 uint64_t ValueBytes(const ColumnVector& col, size_t i) {
   return col.type == ColumnType::kString ? col.strings[i].size() + 4 : 8;
+}
+
+// Moves src[begin, end) to the end of `dst`, a plain column of src's
+// type: strings move, other values copy.
+void MoveRange(ColumnVector& src, size_t begin, size_t end,
+               ColumnVector* dst) {
+  VisitValues(*dst, [&](auto& to) {
+    auto& from = ValuesLike(src, to);
+    to.insert(to.end(), std::make_move_iterator(from.begin() + begin),
+              std::make_move_iterator(from.begin() + end));
+  });
 }
 
 }  // namespace
@@ -47,9 +59,17 @@ size_t TableLoader::PartitionFor(int64_t value) const {
   return schema_.partition_bounds.size();
 }
 
-Status TableLoader::Append(const std::vector<ColumnVector>& batch) {
+Status TableLoader::Append(std::vector<ColumnVector> batch) {
   if (batch.size() != schema_.columns.size()) {
     return Status::InvalidArgument("batch column count mismatch");
+  }
+  for (size_t c = 0; c < batch.size(); ++c) {
+    if (batch[c].type != schema_.columns[c].type) {
+      return Status::InvalidArgument("batch column type mismatch");
+    }
+    if (batch[c].dict != nullptr) {
+      return Status::InvalidArgument("dictionary-coded batch column");
+    }
   }
   size_t rows = batch.empty() ? 0 : batch[0].size();
   for (const ColumnVector& col : batch) {
@@ -58,6 +78,18 @@ Status TableLoader::Append(const std::vector<ColumnVector>& batch) {
     }
   }
 
+  // Values reach staging in runs. The rows of the batch from moved[c] up
+  // to the current row all route to partition `run`; column c's share of
+  // them moves when the column cuts a page or the run ends.
+  std::vector<size_t> moved(batch.size(), 0);
+  PartitionState* run = nullptr;
+  auto move_run = [&](size_t end) {
+    if (run == nullptr) return;
+    for (size_t c = 0; c < batch.size(); ++c) {
+      MoveRange(batch[c], moved[c], end, &run->staging[c]);
+      moved[c] = end;
+    }
+  };
   uint64_t page_threshold = static_cast<uint64_t>(
       space_->page_size * options_.target_page_fill);
   for (size_t i = 0; i < rows; ++i) {
@@ -66,33 +98,40 @@ Status TableLoader::Append(const std::vector<ColumnVector>& batch) {
       p = PartitionFor(batch[schema_.partition_column].ints[i]);
     }
     PartitionState& part = partitions_[p];
+    if (&part != run) {
+      move_run(i);
+      run = &part;
+    }
+    // The index builders read the row before its strings move.
+    uint64_t row_id = part.row_count++;
+    for (size_t s = 0; s < schema_.hg_index_columns.size(); ++s) {
+      int col = schema_.hg_index_columns[s];
+      part.index_builders[s].Add(batch[col].ints[i], row_id);
+    }
+    for (size_t s = 0; s < schema_.date_index_columns.size(); ++s) {
+      int col = schema_.date_index_columns[s];
+      part.date_index_builders[s].Add(batch[col].ints[i], row_id);
+    }
+    for (size_t s = 0; s < schema_.text_index_columns.size(); ++s) {
+      int col = schema_.text_index_columns[s];
+      part.text_index_builders[s].Add(batch[col].strings[i], row_id);
+    }
     // Each column's staged footprint is tracked independently; a column
-    // cuts a page as soon as *its* bytes near the page size.
+    // cuts a page as soon as *its* bytes near the page size. The encode
+    // CPU adds each cell's bytes, then each cut page's payload, in row
+    // order.
     for (size_t c = 0; c < batch.size(); ++c) {
-      part.staging[c].AppendRange(batch[c], i, i + 1);
       uint64_t bytes = ValueBytes(batch[c], i);
       cpu_seconds_ += options_.encode_cpu_per_byte * bytes;
       part.staged_col_bytes[c] += bytes;
       if (part.staged_col_bytes[c] >= page_threshold) {
+        MoveRange(batch[c], moved[c], i + 1, &part.staging[c]);
+        moved[c] = i + 1;
         CLOUDIQ_RETURN_IF_ERROR(EmitColumnPage(&part, c));
       }
     }
-    ++part.row_count;
-    for (size_t s = 0; s < schema_.hg_index_columns.size(); ++s) {
-      int col = schema_.hg_index_columns[s];
-      part.index_builders[s].Add(batch[col].ints[i], part.row_count - 1);
-    }
-    for (size_t s = 0; s < schema_.date_index_columns.size(); ++s) {
-      int col = schema_.date_index_columns[s];
-      part.date_index_builders[s].Add(batch[col].ints[i],
-                                      part.row_count - 1);
-    }
-    for (size_t s = 0; s < schema_.text_index_columns.size(); ++s) {
-      int col = schema_.text_index_columns[s];
-      part.text_index_builders[s].Add(batch[col].strings[i],
-                                      part.row_count - 1);
-    }
   }
+  move_run(rows);
   rows_appended_ += rows;
   return Status::Ok();
 }
@@ -111,9 +150,10 @@ Status TableLoader::EmitColumnPage(PartitionState* part, size_t c) {
   cpu_seconds_ += options_.encode_cpu_per_byte * payload.size();
   // Record the stored frame size before the payload moves: the flush
   // pipeline wraps it in EncodePage (encryption is size-preserving), so
-  // this is exactly what an S3 SELECT over the page bills as scanned.
+  // this is exactly what an S3 SELECT over the page bills as scanned. The
+  // frame itself is built once, at flush.
   part->segments[c].page_bytes.push_back(
-      static_cast<uint32_t>(EncodePage(payload).size()));
+      static_cast<uint32_t>(EncodedPageSize(payload)));
   CLOUDIQ_RETURN_IF_ERROR(
       part->objects[c]->AppendPage(std::move(payload)).status());
   part->segments[c].zones.push_back(zone);

@@ -40,9 +40,10 @@ class TableLoader {
   TableLoader(TransactionManager* txn_mgr, Transaction* txn, DbSpace* space,
               TableSchema schema, Options options);
 
-  // Appends a columnar batch (all vectors the same length, matching the
-  // schema's column order).
-  Status Append(const std::vector<ColumnVector>& batch);
+  // Appends a columnar batch: plain columns of the schema's types, in its
+  // column order, all the same length; InvalidArgument otherwise. The
+  // batch's values move into the loader.
+  Status Append(std::vector<ColumnVector> batch);
 
   // Flushes remaining staged rows, builds HG indexes and persists the
   // table metadata blob under "tablemeta/<table_id>". The caller commits

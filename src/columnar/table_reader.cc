@@ -21,7 +21,8 @@ Result<TableReader> TableReader::Open(TransactionManager* txn_mgr,
       system->Get("tablemeta/" + std::to_string(table_id), clock.now(),
                   &done));
   clock.AdvanceTo(done);
-  return TableReader(txn_mgr, txn, TableMeta::Deserialize(bytes));
+  CLOUDIQ_ASSIGN_OR_RETURN(TableMeta meta, TableMeta::Deserialize(bytes));
+  return TableReader(txn_mgr, txn, std::move(meta));
 }
 
 Result<StorageObject*> TableReader::ObjectFor(uint64_t object_id) {

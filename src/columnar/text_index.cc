@@ -1,39 +1,64 @@
 #include "columnar/text_index.h"
 
 #include <algorithm>
-#include <cctype>
 #include <numeric>
+#include <string_view>
 
 #include "columnar/posting_page.h"
+#include "common/key_hash.h"
 
 namespace cloudiq {
 
+namespace {
+
+bool IsTokenChar(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+         (c >= '0' && c <= '9');
+}
+
+// The one tokenizer: calls on_token(token) for each maximal run of ASCII
+// letters and digits in `text`, lower-cased into `*token`, which is
+// reused from token to token.
+template <typename OnToken>
+void ForEachToken(const std::string& text, std::string* token,
+                  OnToken on_token) {
+  const size_t n = text.size();
+  size_t i = 0;
+  while (i < n) {
+    while (i < n && !IsTokenChar(text[i])) ++i;
+    size_t start = i;
+    while (i < n && IsTokenChar(text[i])) ++i;
+    if (i == start) break;
+    token->assign(text, start, i - start);
+    for (char& c : *token) {
+      if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+    }
+    on_token(*token);
+  }
+}
+
+}  // namespace
+
 std::vector<std::string> TextIndex::Tokenize(const std::string& text) {
   std::vector<std::string> tokens;
-  std::string current;
-  for (char c : text) {
-    if (std::isalnum(static_cast<unsigned char>(c))) {
-      current.push_back(static_cast<char>(
-          std::tolower(static_cast<unsigned char>(c))));
-    } else if (!current.empty()) {
-      tokens.push_back(std::move(current));
-      current.clear();
-    }
-  }
-  if (!current.empty()) tokens.push_back(std::move(current));
+  std::string token;
+  ForEachToken(text, &token,
+               [&](const std::string& t) { tokens.push_back(t); });
   return tokens;
 }
 
 void TextIndex::Builder::Add(const std::string& text, uint64_t row_id) {
-  for (std::string& token : Tokenize(text)) {
-    auto [it, fresh] = ids_.try_emplace(std::move(token),
-                                        static_cast<uint32_t>(tokens_.size()));
+  ForEachToken(text, &token_, [&](const std::string& token) {
+    bool fresh = false;
+    uint32_t id = ids_.FindOrInsert(
+        HashKey(std::string_view(token)),
+        [&](uint32_t e) { return tokens_[e] == token; }, &fresh);
     if (fresh) {
-      tokens_.push_back(it->first);
+      tokens_.push_back(token);
       rows_.emplace_back();
     }
-    rows_[it->second].Insert(row_id);
-  }
+    rows_[id].Insert(row_id);
+  });
 }
 
 Result<std::vector<std::pair<std::string, std::string>>> TextIndex::Build(

@@ -2,11 +2,11 @@
 #define CLOUDIQ_COLUMNAR_TEXT_INDEX_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/interval_set.h"
 #include "common/result.h"
+#include "common/row_key_table.h"
 #include "txn/transaction_manager.h"
 
 namespace cloudiq {
@@ -27,8 +27,9 @@ class TextIndex {
   static std::vector<std::string> Tokenize(const std::string& text);
 
   // Accumulates token postings during load. Tokens get dense ids in
-  // first-seen order and each id's rows grow by append (rows arrive
-  // ascending); Build orders the tokens once.
+  // first-seen order through a hash table and each id's rows grow by
+  // append (rows arrive ascending); Build orders the tokens once. A token
+  // is copied once, when first seen.
   class Builder {
    public:
     void Add(const std::string& text, uint64_t row_id);
@@ -36,9 +37,10 @@ class TextIndex {
 
    private:
     friend class TextIndex;
-    std::unordered_map<std::string, uint32_t> ids_;  // token -> id
-    std::vector<std::string> tokens_;                 // id -> token
-    std::vector<IntervalSet> rows_;                   // id -> rows
+    RowKeyTable ids_;                  // HashKey(token) -> id
+    std::vector<std::string> tokens_;  // id -> token
+    std::vector<IntervalSet> rows_;    // id -> rows
+    std::string token_;                // the token being scanned
   };
 
   // Drains the builder's postings, in token order, into storage object

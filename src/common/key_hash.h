@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <string_view>
 
 namespace cloudiq {
 
@@ -40,7 +41,7 @@ inline uint64_t HashKey(double v) {
   return MixHash(bits);
 }
 
-inline uint64_t HashKey(const std::string& s) {
+inline uint64_t HashKey(std::string_view s) {
   constexpr uint64_t kMul = 0x9e3779b97f4a7c15ULL;
   const char* p = s.data();
   size_t n = s.size();
@@ -67,6 +68,10 @@ inline uint64_t HashKey(const std::string& s) {
            uint64_t{static_cast<uint8_t>(p[n - 1])} << 16;
   }
   return MixHash(h ^ tail);
+}
+
+inline uint64_t HashKey(const std::string& s) {
+  return HashKey(std::string_view(s));
 }
 
 // Folds the next cell's (already mixed) hash into a multi-column key

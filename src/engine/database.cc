@@ -144,7 +144,7 @@ Result<TableMeta> Database::TableMetaFor(uint64_t table_id) {
       system_.Get("tablemeta/" + std::to_string(table_id),
                   node_->clock().now(), &done));
   node_->clock().AdvanceTo(done);
-  TableMeta meta = TableMeta::Deserialize(bytes);
+  CLOUDIQ_ASSIGN_OR_RETURN(TableMeta meta, TableMeta::Deserialize(bytes));
   table_meta_cache_[table_id] = meta;
   return meta;
 }

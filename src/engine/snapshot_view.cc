@@ -66,8 +66,8 @@ Result<TableReader> SnapshotView::OpenTable(uint64_t table_id) {
       image_system_->Get("tablemeta/" + std::to_string(table_id),
                          db_->node().clock().now(), &done));
   db_->node().clock().AdvanceTo(done);
-  return TableReader(&db_->txn_mgr(), txn_,
-                     TableMeta::Deserialize(bytes));
+  CLOUDIQ_ASSIGN_OR_RETURN(TableMeta meta, TableMeta::Deserialize(bytes));
+  return TableReader(&db_->txn_mgr(), txn_, std::move(meta));
 }
 
 QueryContext SnapshotView::NewQueryContext() {

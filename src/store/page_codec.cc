@@ -1,5 +1,7 @@
 #include "store/page_codec.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "common/coding.h"
@@ -11,43 +13,129 @@ constexpr uint32_t kPageMagic = 0x49515047;  // "IQPG"
 constexpr uint32_t kFlagRle = 1u << 0;
 constexpr size_t kHeaderSize = 4 + 4 + 8 + 8;
 
+static_assert(std::endian::native == std::endian::little,
+              "the RLE scanner reads little-endian words");
+
+constexpr uint64_t kOnes = 0x0101010101010101ULL;
+constexpr uint64_t kHigh = 0x8080808080808080ULL;
+// Longest run one token holds (its length is a u32).
+constexpr size_t kMaxRun = 0xffffffff;
+
+uint64_t LoadWord(const uint8_t* p) {
+  uint64_t w = 0;
+  std::memcpy(&w, p, 8);
+  return w;
+}
+
+// The lowest byte of `x` that is zero has 0x80 set here; bytes above it
+// may be flagged falsely (a borrow), so only the lowest flag is exact.
+uint64_t LowestZeroByte(uint64_t x) { return (x - kOnes) & ~x & kHigh; }
+
+// The first j >= i where in[j..j+4) are four equal bytes, or n. One pass
+// of the loop tests eight starting positions: with w_d the word at j + d,
+// byte k of (w0 ^ w1) | (w1 ^ w2) | (w2 ^ w3) is zero exactly when
+// in[j+k..j+k+4) are equal. The last positions go byte by byte, so no
+// load reads past in[n - 1].
+size_t FindQuad(const uint8_t* in, size_t i, size_t n) {
+  size_t j = i;
+  for (; j + 11 <= n; j += 8) {
+    uint64_t w0 = LoadWord(in + j);
+    uint64_t w1 = LoadWord(in + j + 1);
+    uint64_t w2 = LoadWord(in + j + 2);
+    uint64_t w3 = LoadWord(in + j + 3);
+    uint64_t quad = LowestZeroByte((w0 ^ w1) | (w1 ^ w2) | (w2 ^ w3));
+    if (quad != 0) return j + std::countr_zero(quad) / 8;
+  }
+  for (; j + 3 < n; ++j) {
+    if (in[j] == in[j + 1] && in[j] == in[j + 2] && in[j] == in[j + 3]) {
+      return j;
+    }
+  }
+  return n;
+}
+
+// The end of the run of in[i]: the first k > i with in[k] != in[i], or n.
+size_t RunEnd(const uint8_t* in, size_t i, size_t n) {
+  const uint8_t b = in[i];
+  const uint64_t pattern = b * kOnes;
+  size_t k = i + 1;
+  for (; k + 8 <= n; k += 8) {
+    uint64_t diff = LoadWord(in + k) ^ pattern;
+    if (diff != 0) return k + std::countr_zero(diff) / 8;
+  }
+  while (k < n && in[k] == b) ++k;
+  return k;
+}
+
+// The one RLE tokenizer. A run of >= 4 equal bytes becomes the token
+// [0x00 marker][byte][u32 length], longer runs splitting at kMaxRun;
+// everything between runs is chunked as [0x01 marker][u32 length]
+// [bytes...]. Calls sink.Run(byte, len) and sink.Literal(bytes, len) in
+// stream order.
+template <typename Sink>
+void RleTokens(const std::vector<uint8_t>& payload, Sink& sink) {
+  const uint8_t* in = payload.data();
+  const size_t n = payload.size();
+  size_t i = 0;
+  while (i < n) {
+    size_t quad = FindQuad(in, i, n);
+    if (quad > i) {
+      sink.Literal(in + i, quad - i);
+      i = quad;
+      if (i == n) break;
+    }
+    size_t len = std::min(RunEnd(in, i, n) - i, kMaxRun);
+    sink.Run(in[i], len);
+    i += len;
+  }
+}
+
+// Counts the bytes the tokens take.
+struct RleSizer {
+  uint64_t size = 0;
+  void Run(uint8_t, size_t) { size += 6; }
+  void Literal(const uint8_t*, size_t len) { size += 5 + len; }
+};
+
+// Writes the tokens at `dst`, which has room for them (RleSizer's count).
+struct RleWriter {
+  uint8_t* dst;
+  void Run(uint8_t b, size_t len) {
+    uint32_t n = static_cast<uint32_t>(len);
+    dst[0] = 0x00;
+    dst[1] = b;
+    std::memcpy(dst + 2, &n, 4);
+    dst += 6;
+  }
+  void Literal(const uint8_t* bytes, size_t len) {
+    uint32_t n = static_cast<uint32_t>(len);
+    dst[0] = 0x01;
+    std::memcpy(dst + 1, &n, 4);
+    std::memcpy(dst + 5, bytes, len);
+    dst += 5 + len;
+  }
+};
+
+uint64_t RleSize(const std::vector<uint8_t>& payload) {
+  RleSizer sizer;
+  RleTokens(payload, sizer);
+  return sizer.size;
+}
+
+// Appends the tokens of `payload`, `rle_size` bytes, to `out`.
+void AppendRle(const std::vector<uint8_t>& payload, uint64_t rle_size,
+               std::vector<uint8_t>& out) {
+  size_t offset = out.size();
+  out.resize(offset + rle_size);
+  RleWriter writer{out.data() + offset};
+  RleTokens(payload, writer);
+}
+
 }  // namespace
 
 std::vector<uint8_t> RleCompress(const std::vector<uint8_t>& in) {
-  // Byte-oriented RLE: a run of >= 4 equal bytes becomes
-  // [0x00 marker][byte][u32 length]; literals are chunked as
-  // [0x01 marker][u32 length][bytes...].
   std::vector<uint8_t> out;
-  out.reserve(in.size() / 4 + 16);
-  size_t i = 0;
-  while (i < in.size()) {
-    size_t run = 1;
-    while (i + run < in.size() && in[i + run] == in[i] && run < 0xffffffff) {
-      ++run;
-    }
-    if (run >= 4) {
-      out.push_back(0x00);
-      out.push_back(in[i]);
-      uint32_t len = static_cast<uint32_t>(run);
-      out.insert(out.end(), reinterpret_cast<uint8_t*>(&len),
-                 reinterpret_cast<uint8_t*>(&len) + 4);
-      i += run;
-    } else {
-      // Gather literals until the next long run.
-      size_t lit_start = i;
-      while (i < in.size()) {
-        size_t r = 1;
-        while (i + r < in.size() && in[i + r] == in[i] && r < 4) ++r;
-        if (r >= 4 && i + 3 < in.size() && in[i + 3] == in[i]) break;
-        i += 1;
-      }
-      uint32_t len = static_cast<uint32_t>(i - lit_start);
-      out.push_back(0x01);
-      out.insert(out.end(), reinterpret_cast<uint8_t*>(&len),
-                 reinterpret_cast<uint8_t*>(&len) + 4);
-      out.insert(out.end(), in.begin() + lit_start, in.begin() + i);
-    }
-  }
+  AppendRle(in, RleSize(in), out);
   return out;
 }
 
@@ -107,18 +195,25 @@ Result<std::vector<uint8_t>> RleDecompress(const std::vector<uint8_t>& in,
   return out;
 }
 
+size_t EncodedPageSize(const std::vector<uint8_t>& payload) {
+  return kHeaderSize + std::min<uint64_t>(RleSize(payload), payload.size());
+}
+
 std::vector<uint8_t> EncodePage(const std::vector<uint8_t>& payload) {
-  std::vector<uint8_t> compressed = RleCompress(payload);
-  bool use_rle = compressed.size() < payload.size();
-  const std::vector<uint8_t>& body = use_rle ? compressed : payload;
+  uint64_t rle_size = RleSize(payload);
+  bool use_rle = rle_size < payload.size();
 
   std::vector<uint8_t> frame;
-  frame.reserve(kHeaderSize + body.size());
+  frame.reserve(kHeaderSize + (use_rle ? rle_size : payload.size()));
   PutU32(frame, kPageMagic);
   PutU32(frame, use_rle ? kFlagRle : 0);
   PutU64(frame, payload.size());
   PutU64(frame, Checksum64(payload.data(), payload.size()));
-  PutBytes(frame, body.data(), body.size());
+  if (use_rle) {
+    AppendRle(payload, rle_size, frame);
+  } else {
+    PutBytes(frame, payload.data(), payload.size());
+  }
   return frame;
 }
 

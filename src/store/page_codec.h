@@ -1,6 +1,7 @@
 #ifndef CLOUDIQ_STORE_PAGE_CODEC_H_
 #define CLOUDIQ_STORE_PAGE_CODEC_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -21,6 +22,9 @@ namespace cloudiq {
 
 // Encodes `payload`; the result is self-describing.
 std::vector<uint8_t> EncodePage(const std::vector<uint8_t>& payload);
+
+// EncodePage(payload).size(), computed without building the frame.
+size_t EncodedPageSize(const std::vector<uint8_t>& payload);
 
 // Decodes a frame produced by EncodePage, verifying magic and checksum.
 Result<std::vector<uint8_t>> DecodePage(const std::vector<uint8_t>& frame);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <cstring>
 
 namespace cloudiq {
 namespace {
@@ -48,12 +49,25 @@ const char* kWords[24] = {
     "instructions", "foxes", "pinto", "beans", "dependencies", "platelets",
     "asymptotes"};
 
+constexpr int kMaxCommentWords = 20;
+
+// Draws the words first, so the comment is built at its final size.
 std::string RandomComment(Rng& rng, int min_words, int max_words) {
+  assert(max_words <= kMaxCommentWords);
   int n = static_cast<int>(rng.UniformRange(min_words, max_words));
+  const char* words[kMaxCommentWords];
+  size_t lengths[kMaxCommentWords];
+  size_t size = n > 0 ? n - 1 : 0;  // the spaces
+  for (int i = 0; i < n; ++i) {
+    words[i] = kWords[rng.Uniform(24)];
+    lengths[i] = std::strlen(words[i]);
+    size += lengths[i];
+  }
   std::string out;
+  out.reserve(size);
   for (int i = 0; i < n; ++i) {
     if (i > 0) out += ' ';
-    out += kWords[rng.Uniform(24)];
+    out.append(words[i], lengths[i]);
   }
   return out;
 }
@@ -372,6 +386,16 @@ Batch TpchGenerator::GenerateBatch(TpchTable table, uint64_t first,
   uint64_t customers = RowCount(kCustomer);
   uint64_t parts = RowCount(kPart);
   uint64_t suppliers = RowCount(kSupplier);
+  // Lineitem rows walk their orders in order: the first row's order comes
+  // from the prefix sums, and each order's detail is built once for all
+  // its lines.
+  uint64_t order_index = 0;
+  int linenumber = 0;
+  OrderDetail order{};
+  if (table == kLineitem && count > 0) {
+    OrderForLineRow(first, &order_index, &linenumber);
+    order = MakeOrder(seed_, order_index + 1, customers, parts, suppliers);
+  }
 
   for (uint64_t row = first; row < first + count; ++row) {
     switch (table) {
@@ -485,12 +509,13 @@ Batch TpchGenerator::GenerateBatch(TpchTable table, uint64_t first,
         break;
       }
       case kLineitem: {
-        uint64_t order_index;
-        int linenumber;
-        OrderForLineRow(row, &order_index, &linenumber);
+        if (linenumber == order.line_count) {
+          ++order_index;
+          linenumber = 0;
+          order =
+              MakeOrder(seed_, order_index + 1, customers, parts, suppliers);
+        }
         uint64_t orderkey = order_index + 1;
-        OrderDetail order =
-            MakeOrder(seed_, orderkey, customers, parts, suppliers);
         const LineDetail& line = order.lines[linenumber];
         Rng rng = EntityRng(seed_, table, row + 1);
         int64_t cutoff = DaysFromCivil(1995, 6, 17);
@@ -514,6 +539,7 @@ Batch TpchGenerator::GenerateBatch(TpchTable table, uint64_t first,
             kShipInstructs[rng.Uniform(4)]);
         batch.columns[14].strings.push_back(kShipModes[rng.Uniform(7)]);
         batch.columns[15].strings.push_back(RandomComment(rng, 2, 8));
+        ++linenumber;
         break;
       }
     }

@@ -1,5 +1,7 @@
 #include "tpch/tpch_loader.h"
 
+#include <utility>
+
 namespace cloudiq {
 
 Result<TableMeta> LoadTpchTable(Database* db, TpchGenerator* gen,
@@ -25,7 +27,7 @@ Result<TableMeta> LoadTpchTable(Database* db, TpchGenerator* gen,
     node.clock().AdvanceTo(nic_done);
 
     Batch batch = gen->GenerateBatch(table, first, count);
-    Status st = loader.Append(batch.columns);
+    Status st = loader.Append(std::move(batch.columns));
     if (!st.ok()) {
       (void)db->Rollback(txn);
       return st;

@@ -1,7 +1,7 @@
 // Seeded mutation fuzz of the decoders that read persisted or wire bytes:
 // DecodeColumnPage and the code-preserving DecodeColumnPageCoded (column-
 // page encodings; the two must agree on every input), DecodePage (page-codec
-// frames), IntervalSet::Deserialize, Bitmap::Deserialize (the freelist
+// frames), TableMeta::Deserialize (table metadata), IntervalSet::Deserialize, Bitmap::Deserialize (the freelist
 // frame), PageSet::Deserialize (RF/RB sets), TxnLogRecord::Deserialize, the
 // key generator's checkpoint (through ObjectKeyGenerator::Recover),
 // Blockmap::ParseNode, IdentityCatalog::Deserialize, the system store's
@@ -11,7 +11,10 @@
 // truncations, bit flips and overwritten counts; every call must return a
 // value or Corruption (InvalidArgument for an NDP request, the store's
 // "cannot evaluate" answer), never crash, abort or allocate from a
-// corrupt count. scripts/check.sh fuzz runs this binary under ASan and
+// corrupt count. The page-codec encoder is fuzzed too: on seeded and
+// mutated payloads, EncodedPageSize must equal the frame's size and the
+// frame must decode back to the payload (its RLE scanner reads words near
+// the buffer's end). scripts/check.sh fuzz runs this binary under ASan and
 // UBSan.
 
 #include <cstring>
@@ -28,6 +31,7 @@
 #include "columnar/encoding.h"
 #include "columnar/hg_index.h"
 #include "columnar/posting_page.h"
+#include "columnar/schema.h"
 #include "columnar/text_index.h"
 #include "columnar/value.h"
 #include "common/bitmap.h"
@@ -325,6 +329,43 @@ TEST(CodecFuzzTest, PageFramesDecodeOrReportCorruption) {
   EXPECT_GT(corrupt, kIterations / 4);
 }
 
+// Payloads the RLE scanner sees every branch of: runs of 1..9 bytes of a
+// small alphabet, noise, zero pages with a few marks, and column pages.
+TEST(CodecFuzzTest, EncodedPageSizeMatchesAndFramesRoundTrip) {
+  std::vector<std::vector<uint8_t>> payloads = SeedPages();
+  Rng rng(kSeed + 3);
+  for (int i = 0; i < 8; ++i) {
+    std::vector<uint8_t> runs;
+    while (runs.size() < 64u << i) {
+      runs.insert(runs.end(), 1 + rng.Uniform(9),
+                  static_cast<uint8_t>(rng.Uniform(1 + i)));
+    }
+    payloads.push_back(runs);
+    std::vector<uint8_t> noise(rng.Uniform(512u << i));
+    for (uint8_t& b : noise) b = static_cast<uint8_t>(rng.Next());
+    payloads.push_back(noise);
+    std::vector<uint8_t> sparse(rng.Uniform(512u << i), 0);
+    for (size_t k = 0; k < sparse.size(); k += 1 + rng.Uniform(40)) {
+      sparse[k] = static_cast<uint8_t>(rng.Next());
+    }
+    payloads.push_back(sparse);
+  }
+  for (int it = 0; it < kIterations / 5; ++it) {
+    std::vector<uint8_t> payload = payloads[rng.Uniform(payloads.size())];
+    Mutate(rng, payload, {kTypeOffset, kCountOffset}, {kWidthOffset});
+    if (rng.Bernoulli(0.5)) {
+      // Drop a prefix, so runs and literals end at every alignment.
+      payload.erase(payload.begin(),
+                    payload.begin() + rng.Uniform(payload.size() + 1));
+    }
+    std::vector<uint8_t> frame = EncodePage(payload);
+    ASSERT_EQ(EncodedPageSize(payload), frame.size()) << "iteration " << it;
+    Result<std::vector<uint8_t>> back = DecodePage(frame);
+    ASSERT_TRUE(back.ok()) << "iteration " << it;
+    ASSERT_EQ(*back, payload) << "iteration " << it;
+  }
+}
+
 // --- persisted bookkeeping: interval sets, page sets, log records,
 // --- the key generator's checkpoint -------------------------------------
 
@@ -573,6 +614,86 @@ TEST(CodecFuzzTest, IdentityCatalogsDecodeOrReportCorruption) {
                 return false;
               }
               EXPECT_LE(catalog->identities().size(), b.size() / 44) << it;
+              return true;
+            });
+}
+
+// A table whose metadata exercises every list: two partitions, string
+// and int columns, segments of several pages, and HG, DATE and TEXT
+// index ranges.
+TableMeta SeedTableMeta() {
+  TableMeta meta;
+  meta.schema.name = "fuzz";
+  meta.schema.table_id = 5;
+  meta.schema.columns = {{"k", ColumnType::kInt64},
+                         {"d", ColumnType::kDate},
+                         {"s", ColumnType::kString}};
+  meta.schema.partition_column = 0;
+  meta.schema.partition_bounds = {100};
+  meta.schema.hg_index_columns = {0};
+  meta.schema.date_index_columns = {1};
+  meta.schema.text_index_columns = {2};
+  for (int p = 0; p < 2; ++p) {
+    PartitionMeta part;
+    part.row_count = 30;
+    for (int c = 0; c < 3; ++c) {
+      SegmentMeta seg;
+      seg.object_id = 100 * p + c;
+      seg.row_count = 30;
+      for (uint32_t rows : {10u, 20u}) {
+        ZoneMapEntry zone;
+        zone.min_int = c;
+        zone.max_int = c + rows;
+        zone.min_string = "aa";
+        zone.max_string = "zz";
+        zone.row_count = rows;
+        seg.zones.push_back(zone);
+        seg.page_rows.push_back(rows);
+        seg.page_bytes.push_back(rows * 8);
+      }
+      part.columns.push_back(seg);
+    }
+    part.index_objects = {7};
+    part.index_page_ranges = {{{1, 5}, {6, 9}}};
+    part.date_index_objects = {8};
+    part.date_index_ranges = {{{9000, 9100}}};
+    part.text_index_objects = {9};
+    part.text_index_ranges = {{{"alpha", "beta"}, {"gamma", "omega"}}};
+    meta.partitions.push_back(part);
+  }
+  return meta;
+}
+
+TEST(CodecFuzzTest, TableMetasDecodeOrReportCorruption) {
+  std::vector<Seed> seeds;
+  TableMeta full = SeedTableMeta();
+  TableMeta empty;
+  for (const TableMeta* meta : {&full, &empty}) {
+    Seed seed{meta->Serialize(), {}};
+    // Counts and lengths sit at offsets set by the strings before them;
+    // overwriting at every offset reaches each of them.
+    for (size_t at = 0; at + 8 <= seed.bytes.size(); ++at) {
+      seed.u64_fields.push_back(at);
+    }
+    ASSERT_TRUE(TableMeta::Deserialize(seed.bytes).ok());
+    seeds.push_back(std::move(seed));
+  }
+  FuzzSeeds(kSeed + 4, kIterations, seeds,
+            [](const std::vector<uint8_t>& b, int it) {
+              Result<TableMeta> meta = TableMeta::Deserialize(b);
+              if (!meta.ok()) {
+                EXPECT_TRUE(meta.status().IsCorruption()) << it;
+                return false;
+              }
+              for (const ColumnDef& col : meta->schema.columns) {
+                EXPECT_LE(static_cast<int>(col.type),
+                          static_cast<int>(ColumnType::kDecimal));
+              }
+              for (const PartitionMeta& part : meta->partitions) {
+                for (const SegmentMeta& seg : part.columns) {
+                  EXPECT_EQ(seg.zones.size(), seg.page_rows.size()) << it;
+                }
+              }
               return true;
             });
 }

@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "columnar/text_index.h"
 #include "columnar/value.h"
 #include "common/coding.h"
+#include "common/key_hash.h"
 #include "common/random.h"
 #include "exec/batch.h"
 #include "tests/test_util.h"
@@ -875,6 +877,32 @@ TEST_F(TableStoreTest, PagesRespectPageSizeLimit) {
   EXPECT_GT(meta->partitions[0].columns[1].page_rows.size(), 1u);
 }
 
+// A batch column of the wrong type, or a dictionary-coded one, is
+// rejected before any of its values are read; the loader stays usable.
+TEST_F(TableStoreTest, MistypedBatchIsInvalidArgument) {
+  Transaction* txn = txn_mgr_->Begin();
+  TableLoader loader(txn_mgr_.get(), txn, h_.cloud_space, TestSchema());
+  Batch ints_as_tags = MakeRows(0, 1000);
+  ints_as_tags.columns[2] = ColumnVector{ColumnType::kInt64, {}, {}, {}};
+  ints_as_tags.columns[2].ints.assign(1000, 7);
+  EXPECT_TRUE(loader.Append(ints_as_tags.columns).IsInvalidArgument());
+  Batch coded = MakeRows(0, 1000);
+  auto dict = std::make_shared<StringDict>();
+  dict->strings = {"even", "odd"};
+  dict->hash = {HashKey(dict->strings[0]), HashKey(dict->strings[1])};
+  coded.columns[2].strings.clear();
+  coded.columns[2].codes.assign(1000, 1);
+  coded.columns[2].dict = std::move(dict);
+  EXPECT_TRUE(loader.Append(coded.columns).IsInvalidArgument());
+  EXPECT_EQ(loader.rows_appended(), 0u);
+
+  ASSERT_TRUE(loader.Append(MakeRows(0, 1000).columns).ok());
+  Result<TableMeta> meta = loader.Finish(&h_.system);
+  ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+  EXPECT_EQ(meta->TotalRows(), 1000u);
+  ASSERT_TRUE(txn_mgr_->Commit(txn).ok());
+}
+
 TEST_F(TableStoreTest, SchemaSerializationRoundTrip) {
   TableMeta meta;
   meta.schema = TestSchema();
@@ -896,16 +924,136 @@ TEST_F(TableStoreTest, SchemaSerializationRoundTrip) {
   pm.index_page_ranges.push_back({{1, 9}, {10, 20}});
   meta.partitions.push_back(pm);
 
-  TableMeta back = TableMeta::Deserialize(meta.Serialize());
-  EXPECT_EQ(back.schema.name, "events");
-  EXPECT_EQ(back.schema.table_id, 42u);
-  EXPECT_EQ(back.schema.partition_bounds, std::vector<int64_t>{500});
-  EXPECT_EQ(back.schema.hg_index_columns, std::vector<int>{0});
-  ASSERT_EQ(back.partitions.size(), 1u);
-  EXPECT_EQ(back.partitions[0].columns[0].object_id, 123u);
-  EXPECT_EQ(back.partitions[0].columns[0].zones[0].min_int, -5);
-  EXPECT_EQ(back.partitions[0].columns[0].zones[0].max_string, "zz");
-  EXPECT_EQ(back.partitions[0].index_page_ranges[0][1].second, 20);
+  Result<TableMeta> back = TableMeta::Deserialize(meta.Serialize());
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->schema.name, "events");
+  EXPECT_EQ(back->schema.table_id, 42u);
+  EXPECT_EQ(back->schema.partition_bounds, std::vector<int64_t>{500});
+  EXPECT_EQ(back->schema.hg_index_columns, std::vector<int>{0});
+  ASSERT_EQ(back->partitions.size(), 1u);
+  EXPECT_EQ(back->partitions[0].columns[0].object_id, 123u);
+  EXPECT_EQ(back->partitions[0].columns[0].zones[0].min_int, -5);
+  EXPECT_EQ(back->partitions[0].columns[0].zones[0].max_string, "zz");
+  EXPECT_EQ(back->partitions[0].index_page_ranges[0][1].second, 20);
+}
+
+// --- TableMeta::Deserialize on corrupt input: Corruption, never an abort
+
+// One partition of one INT64 column whose segment has no pages: under 160
+// bytes, with the segment's zone count at a known offset.
+TableMeta TinyMeta() {
+  TableMeta meta;
+  meta.schema.name = "t";
+  meta.schema.table_id = 9;
+  meta.schema.columns = {{"k", ColumnType::kInt64}};
+  meta.partitions.resize(1);
+  meta.partitions[0].columns.resize(1);
+  meta.partitions[0].columns[0].object_id = 900;
+  return meta;
+}
+
+// Offset of the first segment's [object_id u64][row_count u64][zones u32]
+// in TableMeta::Serialize output.
+size_t FirstSegmentOffset(const TableMeta& meta) {
+  size_t schema_bytes = meta.schema.Serialize().size();
+  // [schema len u64][schema][parts u32][part len u64][row_count u64]
+  // [columns u32][segment len u64]
+  return 8 + schema_bytes + 4 + 8 + 8 + 4 + 8;
+}
+
+TEST(TableMetaDecodeTest, ZoneCountBeyondBytesIsCorruption) {
+  TableMeta meta = TinyMeta();
+  std::vector<uint8_t> bytes = meta.Serialize();
+  ASSERT_TRUE(TableMeta::Deserialize(bytes).ok());
+  EXPECT_LT(bytes.size(), 160u);
+  SetU32(bytes, FirstSegmentOffset(meta) + 16, 0xFFFFFFFFu);
+  EXPECT_TRUE(TableMeta::Deserialize(bytes).status().IsCorruption());
+}
+
+TEST(TableMetaDecodeTest, CountsBeyondBytesAreCorruption) {
+  TableMeta meta = TinyMeta();
+  std::vector<uint8_t> bytes = meta.Serialize();
+  size_t seg = FirstSegmentOffset(meta);
+  // The partition count, the segment count and the page-row count.
+  size_t schema_end = 8 + meta.schema.Serialize().size();
+  for (size_t at : {schema_end, seg - 12, seg + 20}) {
+    std::vector<uint8_t> bad = bytes;
+    SetU32(bad, at, 0x10000000u);
+    EXPECT_TRUE(TableMeta::Deserialize(bad).status().IsCorruption())
+        << "count at " << at;
+  }
+}
+
+TEST(TableMetaDecodeTest, EveryTruncationIsCorruption) {
+  TableMeta meta = TinyMeta();
+  meta.schema.hg_index_columns = {0};
+  meta.partitions[0].index_objects = {77};
+  meta.partitions[0].index_page_ranges = {{{1, 2}}};
+  meta.partitions[0].text_index_ranges = {{{"a", "b"}}};
+  std::vector<uint8_t> bytes = meta.Serialize();
+  ASSERT_TRUE(TableMeta::Deserialize(bytes).ok());
+  for (size_t n = 0; n < bytes.size(); ++n) {
+    std::vector<uint8_t> cut(bytes.begin(), bytes.begin() + n);
+    EXPECT_TRUE(TableMeta::Deserialize(cut).status().IsCorruption())
+        << n << " of " << bytes.size() << " bytes";
+  }
+}
+
+TEST(TableMetaDecodeTest, SchemaOutOfDomainIsCorruption) {
+  auto rejects = [](TableMeta meta) {
+    return TableMeta::Deserialize(meta.Serialize()).status().IsCorruption();
+  };
+  TableMeta bad_type = TinyMeta();
+  bad_type.schema.columns[0].type = static_cast<ColumnType>(5);
+  EXPECT_TRUE(rejects(bad_type));
+  TableMeta bad_partition = TinyMeta();
+  bad_partition.schema.partition_column = 1;
+  EXPECT_TRUE(rejects(bad_partition));
+  bad_partition.schema.partition_column = -2;
+  EXPECT_TRUE(rejects(bad_partition));
+  for (std::vector<int> TableSchema::*list :
+       {&TableSchema::hg_index_columns, &TableSchema::date_index_columns,
+        &TableSchema::text_index_columns}) {
+    for (int column : {-1, 1, 1 << 30}) {
+      TableMeta bad_index = TinyMeta();
+      (bad_index.schema.*list) = {column};
+      EXPECT_TRUE(rejects(bad_index)) << column;
+    }
+  }
+  TableMeta ok = TinyMeta();
+  ok.schema.partition_column = 0;
+  ok.schema.hg_index_columns = {0};
+  EXPECT_TRUE(TableMeta::Deserialize(ok.Serialize()).ok());
+}
+
+TEST(TableMetaDecodeTest, InconsistentSegmentIsCorruption) {
+  auto with_segment = [](const SegmentMeta& seg) {
+    TableMeta meta = TinyMeta();
+    meta.partitions[0].columns[0] = seg;
+    return TableMeta::Deserialize(meta.Serialize());
+  };
+  SegmentMeta seg;
+  seg.row_count = 30;
+  seg.zones.resize(2);
+  seg.page_rows = {10, 20};
+  seg.page_bytes = {100, 200};
+  EXPECT_TRUE(with_segment(seg).ok());
+  SegmentMeta unrecorded_frames = seg;
+  unrecorded_frames.page_bytes.clear();
+  EXPECT_TRUE(with_segment(unrecorded_frames).ok());
+
+  SegmentMeta extra_zone = seg;
+  extra_zone.zones.resize(3);
+  EXPECT_TRUE(with_segment(extra_zone).status().IsCorruption());
+  SegmentMeta missing_rows = seg;
+  missing_rows.page_rows = {10};
+  EXPECT_TRUE(with_segment(missing_rows).status().IsCorruption());
+  SegmentMeta extra_frame = seg;
+  extra_frame.page_bytes.push_back(300);
+  EXPECT_TRUE(with_segment(extra_frame).status().IsCorruption());
+  SegmentMeta wrong_sum = seg;
+  wrong_sum.row_count = 31;
+  EXPECT_TRUE(with_segment(wrong_sum).status().IsCorruption());
 }
 
 }  // namespace

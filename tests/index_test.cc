@@ -124,6 +124,38 @@ TEST_F(IndexTest, IndexPagesAndTableMetaAreGolden) {
   EXPECT_EQ(Checksum64(all.data(), all.size()), 0x2bd40f5d00838a53ull);
 }
 
+// Every column-page payload of all eight tables, in (table, partition,
+// column, page) order: pins where the loader cuts pages and how each page
+// encodes, dictionary order included.
+using LoadGoldenTest = IndexTest;
+
+TEST_F(LoadGoldenTest, ColumnPagePayloadsArePinned) {
+  std::vector<uint8_t> all;
+  uint64_t pages = 0;
+  for (TpchTable table : {kRegion, kNation, kSupplier, kCustomer, kPart,
+                          kPartSupp, kOrders, kLineitem}) {
+    TableReader reader = Open(table);
+    for (const PartitionMeta& pm : reader.meta().partitions) {
+      for (const SegmentMeta& seg : pm.columns) {
+        Result<std::unique_ptr<StorageObject>> object =
+            db_->txn_mgr().OpenForRead(txn_, seg.object_id);
+        ASSERT_TRUE(object.ok()) << object.status().ToString();
+        ASSERT_EQ((*object)->page_count(), seg.page_rows.size());
+        for (uint64_t p = 0; p < (*object)->page_count(); ++p) {
+          Result<BufferManager::PageData> page = (*object)->ReadPage(p);
+          ASSERT_TRUE(page.ok()) << page.status().ToString();
+          PutU64(all, (*page)->size());
+          PutBytes(all, (*page)->data(), (*page)->size());
+          ++pages;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(pages, 317u);
+  EXPECT_EQ(all.size(), 1353902u);
+  EXPECT_EQ(Checksum64(all.data(), all.size()), 0x4e7b92c087fc2ad8ull);
+}
+
 TEST_F(IndexTest, HgLookupsMatchColumnScan) {
   for (TpchTable table : {kOrders, kLineitem, kPartSupp, kCustomer}) {
     TableReader reader = Open(table);
