@@ -1,10 +1,13 @@
 // Micro-benchmarks (google-benchmark) for CloudIQ's hot primitives:
-// n-bit packing, column-page encode/decode, RLE page compression, object
+// n-bit packing, column-page encode/decode, RLE page compression, the
+// morsel executor's scan (full and under a range predicate), object
 // key generation, bitmap and interval-set operations, the executor's
 // row-key hash table, and the load path's page encode, TEXT index and
 // generator. These measure real CPU time (not simulated time) and guard
 // against regressions in the encode/decode paths that the simulated
 // CPU-cost model abstracts.
+
+#include <optional>
 
 #include <benchmark/benchmark.h>
 
@@ -22,6 +25,16 @@
 
 namespace cloudiq {
 namespace {
+
+// Reports items per second and `counter`, the time per item (in seconds;
+// the console prints it as e.g. "5.8ns").
+void SetTimePer(benchmark::State& state, const char* counter, size_t items) {
+  state.SetItemsProcessed(state.iterations() * items);
+  state.counters[counter] = benchmark::Counter(
+      static_cast<double>(items),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
 
 void BM_NBitPack(benchmark::State& state) {
   int width = static_cast<int>(state.range(0));
@@ -48,7 +61,7 @@ void BM_NBitUnpack(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(NBitUnpack(packed, width, values.size()));
   }
-  state.SetItemsProcessed(state.iterations() * values.size());
+  SetTimePer(state, "time_per_value", values.size());
 }
 BENCHMARK(BM_NBitUnpack)->Arg(4)->Arg(13)->Arg(20)->Arg(32)->Arg(64);
 
@@ -174,15 +187,6 @@ BENCHMARK(BM_BitmapSetRange);
 // against the id's representative row. Reported per row (`time_per_row`,
 // in seconds; the console prints it as e.g. "5.8ns").
 
-// Reports items per second and `counter`, the time per item.
-void SetTimePer(benchmark::State& state, const char* counter, size_t items) {
-  state.SetItemsProcessed(state.iterations() * items);
-  state.counters[counter] = benchmark::Counter(
-      static_cast<double>(items),
-      benchmark::Counter::kIsIterationInvariantRate |
-          benchmark::Counter::kInvert);
-}
-
 void SetTimePerRow(benchmark::State& state, size_t rows) {
   SetTimePer(state, "time_per_row", rows);
 }
@@ -293,12 +297,12 @@ void BM_RowKeyGroup(benchmark::State& state) {
 }
 BENCHMARK(BM_RowKeyGroup)->ArgName("two_strings")->Arg(0)->Arg(1);
 
-// --- morsel executor: multi-worker full scan ------------------------------
+// --- morsel executor: multi-worker scan -----------------------------------
 // Host wall time of ScanTable at 1/2/4/8 executor workers over a wide
-// synthetic table. The per-iteration work is fetch + page decode +
-// materialize — exactly what the morsel executor fans out — so the
-// items/s ratio between worker counts is the executor's real scale-up on
-// this host (it saturates at the machine's core count).
+// synthetic table. The per-iteration work is fetch + in-place page decode
+// — exactly what the morsel executor fans out — so the items/s ratio
+// between worker counts is the executor's real scale-up on this host (it
+// saturates at the machine's core count).
 
 constexpr uint64_t kScanFixtureTableId = 42;
 constexpr int kScanFixtureCols = 4;
@@ -347,7 +351,10 @@ ScanFixture* GlobalScanFixture() {
   return fixture;
 }
 
-void BM_ParallelScanDecode(benchmark::State& state) {
+// One ScanTable per iteration over the fixture, at state.range(0)
+// workers, reading every column; time_per_value is per candidate value.
+void RunScanBenchmark(benchmark::State& state,
+                      const std::optional<ScanRange>& range) {
   ScanFixture* f = GlobalScanFixture();
   f->db->SetExecWorkers(static_cast<int>(state.range(0)));
   Transaction* txn = f->db->Begin();
@@ -362,18 +369,31 @@ void BM_ParallelScanDecode(benchmark::State& state) {
     cols.push_back("c" + std::to_string(c));
   }
   for (auto _ : state) {
-    Result<Batch> batch = ScanTable(&ctx, &*reader, cols);
+    Result<Batch> batch = ScanTable(&ctx, &*reader, cols, range);
     if (!batch.ok()) {
       state.SkipWithError(batch.status().ToString().c_str());
       return;
     }
     benchmark::DoNotOptimize(batch->rows());
   }
-  state.SetItemsProcessed(state.iterations() * kScanFixtureRows *
-                          kScanFixtureCols);
+  SetTimePer(state, "time_per_value", kScanFixtureRows * kScanFixtureCols);
   (void)f->db->Commit(txn);
 }
+
+void BM_ParallelScanDecode(benchmark::State& state) {
+  RunScanBenchmark(state, std::nullopt);
+}
 BENCHMARK(BM_ParallelScanDecode)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->UseRealTime();
+
+// The same scan under a range predicate on c0 that about 15% of rows pass.
+// The values are uniform, so zone maps prune no page: every page is
+// fetched and checked, the range column decoded whole, and the other
+// columns decode only their surviving rows (late materialization).
+void BM_ParallelScanDecodeRange(benchmark::State& state) {
+  RunScanBenchmark(state, ScanRange{"c0", 0, (1 << 20) * 15 / 100});
+}
+BENCHMARK(BM_ParallelScanDecodeRange)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->UseRealTime();
 
 // --- the load path: page encode, frame size, TEXT index, generator ------

@@ -398,8 +398,9 @@ locks_pass() {
 #   4. TSan — the 1/2/4/8 worker sweep under ThreadSanitizer, the one
 #      place real threads race over morsel queues and fragments, plus
 #      exec_test's multi-worker cases (ParallelExecTest, the join and
-#      aggregate oracles at 1/2/4 workers, the row-key table) on small
-#      inputs.
+#      aggregate oracles at 1/2/4 workers, the row-key table, and the
+#      1-vs-8-worker scans whose tasks decode into disjoint rows of one
+#      output) on small inputs.
 parallel_pass() {
   echo "=== parallel: morsel executor determinism + conservation + TSan ==="
   cmake -B build -S . > build-configure.log 2>&1 || {
@@ -447,12 +448,13 @@ parallel_pass() {
   echo "--- parallel: TSan exec_test multi-worker and oracle cases"
   cmake --build build-tsan -j "${JOBS}" --target exec_test
   ./build-tsan/tests/exec_test \
-    --gtest_filter='ParallelExecTest.*:ExecOracleTest.*:RowKeyTableTest.*:CodedColumnTest.*'
+    --gtest_filter='ParallelExecTest.*:ExecOracleTest.*:RowKeyTableTest.*:CodedColumnTest.*:ScanDecodeTest.*'
   echo "=== parallel: OK ==="
 }
 
-# Decoder fuzz gate: codec_fuzz_test feeds DecodeColumnPage and
-# DecodeColumnPageCoded, DecodePage, TableMeta::Deserialize,
+# Decoder fuzz gate: codec_fuzz_test feeds DecodeColumnPage,
+# DecodeColumnPageCoded and DecodeColumnPageInto (with random run sets),
+# DecodePage, TableMeta::Deserialize,
 # IntervalSet::Deserialize,
 # Bitmap::Deserialize, PageSet::Deserialize, TxnLogRecord::Deserialize,
 # ObjectKeyGenerator::Recover, Blockmap::ParseNode,
@@ -461,8 +463,9 @@ parallel_pass() {
 # lookups truncated, bit-flipped and count-overwritten bytes from a fixed
 # seed, plus dictionary pages with swapped and duplicated entries. Every
 # call must return a value or Corruption (InvalidArgument for an NDP
-# request), and the two column-page decoders must agree: both Corruption,
-# or the coded result expands to the plain one. It also feeds seeded and
+# request), and the column-page decoders must agree: all Corruption, or
+# the coded result expands to the plain one and the in-place decode
+# writes exactly the asked-for rows of it. It also feeds seeded and
 # mutated payloads to the page encoder: EncodedPageSize must equal the
 # frame's size and the frame must decode back to the payload, while ASan
 # watches the RLE scanner's word loads near the buffer's end. ASan catches

@@ -37,8 +37,9 @@ class TableReader {
   // Fetches the *encoded* frame of page `page` without decoding it.
   // All simulated I/O and the decoded_bytes() accounting happen here, so
   // the morsel executor can fetch frames on the (deterministic)
-  // coordinator and hand the pure-CPU DecodeColumnPage calls to native
-  // worker threads. ReadPage == FetchPage + DecodeColumnPage.
+  // coordinator and hand the pure-CPU DecodeColumnPageInto calls, which
+  // decode each page's surviving rows in place, to native worker threads.
+  // ReadPage == FetchPage + DecodeColumnPage.
   Result<BufferManager::PageData> FetchPage(size_t partition, int column,
                                             size_t page);
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <span>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 
@@ -113,21 +115,12 @@ std::vector<uint64_t> PagesForRows(const SegmentMeta& seg,
   return pages;
 }
 
-// A decoded page must match its segment's type and row count, or the
-// typed appends that read it would run past its values.
-Status CheckDecodedPage(const ColumnVector& page, ColumnType type,
-                        uint64_t rows) {
-  if (page.type != type || page.size() != rows) {
-    return Status::Corruption("column page disagrees with its segment");
-  }
-  return Status::Ok();
-}
-
 // Appends the values of `col_ids` for the ascending row ids in `rows` of
 // one partition to `out`. Column segments page independently (each column
 // fills its pages to capacity), so each column walks its own page
-// boundaries, merging them with the runs; appending in ascending row
-// order keeps the output columns row-aligned.
+// boundaries, merging them with the runs, and decodes each page's share
+// of them straight into its next output rows, which keeps the output
+// columns row-aligned. String columns come out plain.
 Status ReadRowSet(QueryContext* ctx, TableReader* reader, size_t partition,
                   const std::vector<int>& col_ids, const IntervalSet& rows,
                   Batch* out) {
@@ -147,15 +140,16 @@ Status ReadRowSet(QueryContext* ctx, TableReader* reader, size_t partition,
     const SegmentMeta& seg =
         reader->meta().partitions[partition].columns[col_ids[i]];
     ColumnVector& dst = out->columns[i];
-    size_t run = 0;         // first run ending past `page_first`
-    size_t next_page = 0;   // the page that starts at `page_first`
+    // Each page's share of the runs, clipped to the page first: `rows`
+    // may come from a stored posting that claims rows past the
+    // partition, so `dst` grows only by the rows its pages hold.
+    std::vector<std::vector<PageRun>> page_runs(pages[i].size());
+    size_t at = dst.size();  // the next output row
+    size_t run = 0;          // first run ending past `page_first`
+    size_t next_page = 0;    // the page that starts at `page_first`
     uint64_t page_first = 0;
-    for (uint64_t page : pages[i]) {
-      CLOUDIQ_ASSIGN_OR_RETURN(
-          ColumnVector decoded, reader->ReadPage(partition, col_ids[i],
-                                                 page));
-      CLOUDIQ_RETURN_IF_ERROR(
-          CheckDecodedPage(decoded, dst.type, seg.page_rows[page]));
+    for (size_t k = 0; k < pages[i].size(); ++k) {
+      const uint64_t page = pages[i][k];
       for (; next_page < page; ++next_page) {
         page_first += seg.page_rows[next_page];
       }
@@ -163,13 +157,22 @@ Status ReadRowSet(QueryContext* ctx, TableReader* reader, size_t partition,
       while (run < runs.size() && runs[run].end <= page_first) ++run;
       for (size_t r = run; r < runs.size() && runs[r].begin < page_end;
            ++r) {
-        size_t begin = static_cast<size_t>(
+        auto begin = static_cast<uint32_t>(
             std::max(runs[r].begin, page_first) - page_first);
-        size_t end = static_cast<size_t>(
+        auto end = static_cast<uint32_t>(
             std::min(runs[r].end, page_end) - page_first);
-        dst.AppendRange(decoded, begin, end);
-        values += end - begin;
+        page_runs[k].push_back({begin, end, at});
+        at += end - begin;
       }
+    }
+    values += at - dst.size();
+    dst.Resize(at);
+    for (size_t k = 0; k < pages[i].size(); ++k) {
+      CLOUDIQ_ASSIGN_OR_RETURN(BufferManager::PageData frame,
+                               reader->FetchPage(partition, col_ids[i],
+                                                 pages[i][k]));
+      CLOUDIQ_RETURN_IF_ERROR(DecodeColumnPageInto(
+          *frame, seg.page_rows[pages[i][k]], page_runs[k], nullptr, &dst));
     }
   }
   ctx->ChargeValues(values);
@@ -198,143 +201,140 @@ Batch MakeOutputShape(const TableSchema& schema,
 // --- morsel-parallel helpers -----------------------------------------------
 //
 // Every parallel region follows the same work-then-charge split:
-//   * task lambdas run pure host CPU (decode, materialize, local build /
-//     accumulate, placement) and touch no simulator state, writing only
-//     their own index's output slot;
+//   * task lambdas run pure host CPU (decode, local build / accumulate,
+//     placement) and touch no simulator state, writing only their own
+//     index's output slot or their own disjoint rows of a presized
+//     output;
 //   * the coordinator then charges sim-time in a fixed loop over the
 //     same indices, in order, whatever the worker count.
 // The AddCpuWork / profiler call sequence is therefore identical across
 // worker counts — which is the whole determinism contract (DESIGN.md §5j).
 
-// One fetched page of a read column: the encoded frame (phase A, on the
-// coordinator — all simulated I/O happens there) and its decoded values
-// (phase B, on workers — each frame decoded exactly once).
-struct DecodedPage {
+// One fetched page of a read column: the encoded frame, fetched in phase
+// A on the coordinator (all simulated I/O happens there), then checked
+// and decoded once by a worker. Only the range column's pages keep their
+// values, which the exact filter reads; every other page is parsed once
+// and decodes straight into its rows of the scan's output.
+struct ScanPage {
   BufferManager::PageData frame;
   uint64_t first_row = 0;
   uint64_t row_count = 0;
-  ColumnVector values;
+  ColumnVector values;      // the range column's pages only, decoded whole
+  ParsedColumnPage parsed;  // every other page, views into `frame`
 };
 
-// Pages of one (partition, read column), ascending by first_row.
-struct ColumnSlice {
-  std::vector<DecodedPage> pages;
+// Partition rows [begin, end) that survive the scan, written to output
+// rows at, at + 1, ...
+struct OutputRun {
+  uint64_t begin = 0;
+  uint64_t end = 0;
+  size_t at = 0;
 };
 
-// Forward cursor over a ColumnSlice: resolves ascending row ids to the
-// page holding them with an amortized-O(1) walk. Valid only for rows
-// covered by a fetched page — which every candidate row is, because the
-// pages were chosen by PagesForRows over the candidate set.
-struct SliceCursor {
-  const ColumnSlice* slice;
-  size_t page = 0;
+// One partition's share of a scan: each read column's fetched pages,
+// ascending by first_row, and the surviving runs in row order.
+struct ScanPartition {
+  std::vector<std::vector<ScanPage>> columns;
+  std::vector<OutputRun> runs;
+};
 
-  const DecodedPage& PageOf(uint64_t row) {
-    while (row >=
-           slice->pages[page].first_row + slice->pages[page].row_count) {
-      ++page;
-    }
-    return slice->pages[page];
+// The surviving runs that fall in `page`, as page-local PageRuns.
+std::vector<PageRun> RunsInPage(const std::vector<OutputRun>& runs,
+                                const ScanPage& page) {
+  const uint64_t first = page.first_row;
+  const uint64_t last = first + page.row_count;  // exclusive
+  std::vector<PageRun> out;
+  auto it = std::partition_point(
+      runs.begin(), runs.end(),
+      [first](const OutputRun& r) { return r.end <= first; });
+  for (; it != runs.end() && it->begin < last; ++it) {
+    uint64_t begin = std::max(it->begin, first);
+    uint64_t end = std::min(it->end, last);
+    out.push_back({static_cast<uint32_t>(begin - first),
+                   static_cast<uint32_t>(end - first),
+                   it->at + static_cast<size_t>(begin - it->begin)});
   }
+  return out;
+}
+
+// The runs of a morsel's candidate rows whose range-column value lies in
+// `range`: one pass over `range_pages`, which cover every candidate row.
+// The pass has no data-dependent branch: it notes every row where the
+// in-range flag flips, and consecutive flips bound a run. Pure host CPU.
+std::vector<IntervalSet::Interval> SurvivingRuns(
+    const Morsel& morsel, const std::vector<ScanPage>& range_pages,
+    const ScanRange& range) {
+  std::vector<IntervalSet::Interval> runs;
+  if (range.lo > range.hi) return runs;
+  // v is in [lo, hi] iff v - lo, taken modulo 2^64, is at most hi - lo.
+  const auto lo = static_cast<uint64_t>(range.lo);
+  const uint64_t span = static_cast<uint64_t>(range.hi) - lo;
+  std::vector<uint64_t> flips;
+  size_t page = 0;
+  for (const IntervalSet::Interval& iv : morsel.rows.Intervals()) {
+    for (uint64_t r = iv.begin; r < iv.end;) {
+      while (r >= range_pages[page].first_row + range_pages[page].row_count) {
+        ++page;
+      }
+      const ScanPage& p = range_pages[page];
+      const uint64_t end = std::min(iv.end, p.first_row + p.row_count);
+      const int64_t* values = p.values.ints.data();
+      if (flips.size() < end - r + 1) flips.resize(end - r + 1);
+      size_t n = 0;
+      bool in = false;
+      for (uint64_t row = r; row < end; ++row) {
+        const bool keep =
+            static_cast<uint64_t>(values[row - p.first_row]) - lo <= span;
+        flips[n] = row;
+        n += keep != in ? 1 : 0;
+        in = keep;
+      }
+      if (in) flips[n++] = end;
+      for (size_t k = 0; k < n; k += 2) {
+        if (!runs.empty() && runs.back().end == flips[k]) {
+          runs.back().end = flips[k + 1];
+        } else {
+          runs.push_back({flips[k], flips[k + 1]});
+        }
+      }
+      r = end;
+    }
+  }
+  return runs;
+}
+
+// The dictionary section of one page of a coded read column.
+struct PageDict {
+  // The parsed page's entries, views into the page's frame.
+  const std::vector<std::string_view>* entries = nullptr;
+  std::vector<uint64_t> hash;   // HashKey of each entry
+  std::vector<uint32_t> remap;  // page code -> scan dictionary code
 };
 
 // Merges the page dictionaries of one coded read column, in page order,
-// into one scan dictionary, and rewrites each page's codes through a
-// per-page remap so every page shares it. A string already in the scan
-// dictionary is found by its stored hash; the page dictionaries' entries
-// are distinct, so the merged ones are too.
+// into one scan dictionary, and fills each page's remap. A string already
+// in the scan dictionary is found by its hash; the page dictionaries'
+// entries are distinct, so the merged ones are too.
 std::shared_ptr<const StringDict> MergePageDictionaries(
-    const std::vector<DecodedPage*>& pages) {
+    std::span<PageDict> pages) {
   auto merged = std::make_shared<StringDict>();
   RowKeyTable index;
-  std::vector<uint32_t> remap;
-  for (DecodedPage* dp : pages) {
-    const StringDict& page = *dp->values.dict;
-    remap.resize(page.strings.size());
-    for (size_t j = 0; j < page.strings.size(); ++j) {
+  for (PageDict& page : pages) {
+    const std::vector<std::string_view>& entries = *page.entries;
+    page.remap.resize(entries.size());
+    for (size_t j = 0; j < entries.size(); ++j) {
       bool inserted = false;
-      remap[j] = index.FindOrInsert(
+      page.remap[j] = index.FindOrInsert(
           page.hash[j],
-          [&](uint32_t k) { return merged->strings[k] == page.strings[j]; },
+          [&](uint32_t e) { return merged->strings[e] == entries[j]; },
           &inserted);
       if (inserted) {
-        merged->strings.push_back(page.strings[j]);
+        merged->strings.emplace_back(entries[j]);
         merged->hash.push_back(page.hash[j]);
       }
     }
-    for (uint32_t& code : dp->values.codes) code = remap[code];
   }
-  std::shared_ptr<const StringDict> dict = std::move(merged);
-  for (DecodedPage* dp : pages) dp->values.dict = dict;
-  return dict;
-}
-
-// Materializes one morsel's candidate rows into a private fragment with
-// `shape`'s columns, applying the exact range filter in-morsel: the
-// surviving runs come from one pass over the range column, then each
-// column appends each run page by page. Pure host CPU.
-Batch MaterializeScanMorsel(const Batch& shape,
-                            const std::vector<ColumnSlice>& cols,
-                            const Morsel& morsel,
-                            const std::optional<ScanRange>& range,
-                            size_t range_pos) {
-  std::vector<IntervalSet::Interval> runs;
-  if (range.has_value()) {
-    SliceCursor cursor{&cols[range_pos], 0};
-    for (const IntervalSet::Interval& iv : morsel.rows.Intervals()) {
-      for (uint64_t r = iv.begin; r < iv.end; ++r) {
-        const DecodedPage& page = cursor.PageOf(r);
-        int64_t v = page.values.ints[r - page.first_row];
-        if (v < range->lo || v > range->hi) continue;
-        if (!runs.empty() && runs.back().end == r) {
-          ++runs.back().end;
-        } else {
-          runs.push_back({r, r + 1});
-        }
-      }
-    }
-  } else {
-    runs = morsel.rows.Intervals();
-  }
-  size_t rows = 0;
-  for (const IntervalSet::Interval& run : runs) rows += run.end - run.begin;
-
-  Batch frag = shape.EmptyLike();
-  for (size_t c = 0; c < cols.size(); ++c) {
-    ColumnVector& dst = frag.columns[c];
-    dst.reserve(rows);
-    SliceCursor cursor{&cols[c], 0};
-    for (const IntervalSet::Interval& run : runs) {
-      for (uint64_t r = run.begin; r < run.end;) {
-        const DecodedPage& page = cursor.PageOf(r);
-        uint64_t end = std::min(run.end, page.first_row + page.row_count);
-        dst.AppendRange(page.values, r - page.first_row,
-                        end - page.first_row);
-        r = end;
-      }
-    }
-  }
-  return frag;
-}
-
-// Phase D of every parallel operator: prefix-sums fragment sizes,
-// resizes `out` to the total, and moves each fragment into its disjoint
-// slot range (in parallel with more than one worker).
-void PlaceFragments(int workers, std::vector<Batch>* frags, Batch* out) {
-  std::vector<size_t> offsets(frags->size() + 1, 0);
-  for (size_t i = 0; i < frags->size(); ++i) {
-    offsets[i + 1] = offsets[i] + (*frags)[i].rows();
-  }
-  for (ColumnVector& col : out->columns) col.Resize(offsets.back());
-  TaskPool::Global().RunIndexed(workers, frags->size(), [&](size_t i) {
-    Batch& frag = (*frags)[i];
-    for (size_t c = 0; c < out->columns.size(); ++c) {
-      VisitValues(frag.columns[c], [&](auto& src) {
-        std::move(src.begin(), src.end(),
-                  ValuesLike(out->columns[c], src).begin() + offsets[i]);
-      });
-    }
-  });
+  return merged;
 }
 
 // --- near-data processing --------------------------------------------------
@@ -644,11 +644,11 @@ Result<Batch> ScanTable(QueryContext* ctx, TableReader* reader,
   // whole partition otherwise), plan page-aligned morsels on the leading
   // read column, prefetch, and fetch every needed page's *encoded*
   // frame. All simulated I/O happens here, in partition/column/page
-  // order — identical in both modes.
+  // order, whatever the worker count.
   uint64_t decoded_before = reader->decoded_bytes();
   std::vector<Morsel> morsels;
-  std::vector<size_t> morsel_slice;  // morsel -> index into `parts`
-  std::vector<std::vector<ColumnSlice>> parts;
+  std::vector<size_t> morsel_part;  // morsel -> index into `parts`
+  std::vector<ScanPartition> parts;
   for (size_t p = 0;
        !col_ids.empty() && p < reader->meta().partitions.size(); ++p) {
     const PartitionMeta& pm = reader->meta().partitions[p];
@@ -673,7 +673,7 @@ Result<Batch> ScanTable(QueryContext* ctx, TableReader* reader,
     AppendMorsels(pm.columns[col_ids[0]], p, rows,
                   ctx->options().morsel_rows, &morsels);
     if (morsels.size() == morsels_before) continue;
-    morsel_slice.resize(morsels.size(), parts.size());
+    morsel_part.resize(morsels.size(), parts.size());
 
     std::vector<std::vector<uint64_t>> pages(col_ids.size());
     for (size_t i = 0; i < col_ids.size(); ++i) {
@@ -682,19 +682,20 @@ Result<Batch> ScanTable(QueryContext* ctx, TableReader* reader,
       CLOUDIQ_RETURN_IF_ERROR(
           reader->Prefetch(p, col_ids[i], pages[i]));
     }
-    std::vector<ColumnSlice> slices(col_ids.size());
+    ScanPartition part;
+    part.columns.resize(col_ids.size());
     for (size_t i = 0; i < col_ids.size(); ++i) {
       const SegmentMeta& seg = pm.columns[col_ids[i]];
       for (uint64_t page : pages[i]) {
-        DecodedPage dp;
+        ScanPage sp;
         CLOUDIQ_ASSIGN_OR_RETURN(
-            dp.frame, reader->FetchPage(p, col_ids[i], page));
-        dp.first_row = reader->PageFirstRow(p, col_ids[i], page);
-        dp.row_count = seg.page_rows[page];
-        slices[i].pages.push_back(std::move(dp));
+            sp.frame, reader->FetchPage(p, col_ids[i], page));
+        sp.first_row = reader->PageFirstRow(p, col_ids[i], page);
+        sp.row_count = seg.page_rows[page];
+        part.columns[i].push_back(std::move(sp));
       }
     }
-    parts.push_back(std::move(slices));
+    parts.push_back(std::move(part));
   }
   // Every fetched frame is decoded exactly once below; charge the decode
   // CPU up front so the parallel section carries only per-morsel values.
@@ -707,64 +708,148 @@ Result<Batch> ScanTable(QueryContext* ctx, TableReader* reader,
     stats.counter("exec.morsels").Add(morsels.size());
 
     ScopedParallelSection section(ctx);
-    // Each read column's pages, partition by partition.
-    std::vector<std::vector<DecodedPage*>> pages_of(col_ids.size());
-    for (std::vector<ColumnSlice>& slices : parts) {
-      for (size_t i = 0; i < slices.size(); ++i) {
-        for (DecodedPage& dp : slices[i].pages) pages_of[i].push_back(&dp);
-      }
-    }
-    // Phase B (workers, host CPU): decode each fetched frame once. A read
-    // column stays dictionary-coded iff every fetched page of it is a
-    // dictionary page; the others decode plain.
-    struct DecodeTask {
-      DecodedPage* page;
-      ColumnType type;
-      bool coded;
+    // Each (read column, fetched page), column by column, then partition
+    // by partition in page order: the order of the decode tasks and of
+    // their errors.
+    struct PageRef {
+      size_t column;
+      size_t part;
+      ScanPage* page;
     };
-    std::vector<bool> coded(col_ids.size());
-    std::vector<DecodeTask> decode_tasks;
+    std::vector<PageRef> page_refs;
     for (size_t i = 0; i < col_ids.size(); ++i) {
-      coded[i] = std::all_of(
-          pages_of[i].begin(), pages_of[i].end(),
-          [](const DecodedPage* dp) { return IsDictionaryPage(*dp->frame); });
-      for (DecodedPage* dp : pages_of[i]) {
-        decode_tasks.push_back({dp, out.columns[i].type, coded[i]});
+      for (size_t k = 0; k < parts.size(); ++k) {
+        for (ScanPage& page : parts[k].columns[i]) {
+          page_refs.push_back({i, k, &page});
+        }
       }
     }
-    std::vector<Status> decode_status(decode_tasks.size(), Status::Ok());
-    pool.RunIndexed(workers, decode_tasks.size(), [&](size_t t) {
-      const DecodeTask& task = decode_tasks[t];
-      DecodedPage* dp = task.page;
-      Result<ColumnVector> decoded = DecodeColumnPageCoded(*dp->frame);
-      if (!decoded.ok()) {
-        decode_status[t] = decoded.status();
+    auto first_error = [](const std::vector<Status>& statuses) {
+      for (const Status& st : statuses) {
+        if (!st.ok()) return st;
+      }
+      return Status::Ok();
+    };
+
+    // Phase B (workers, host CPU): decode the range column's pages whole,
+    // for the exact filter. This is the only column decoded before the
+    // surviving rows are known.
+    if (range.has_value()) {
+      std::vector<ScanPage*> range_pages;
+      for (const PageRef& ref : page_refs) {
+        if (ref.column == range_pos) range_pages.push_back(ref.page);
+      }
+      std::vector<Status> status(range_pages.size());
+      pool.RunIndexed(workers, range_pages.size(), [&](size_t t) {
+        ScanPage* page = range_pages[t];
+        page->values.type = out.columns[range_pos].type;
+        page->values.Resize(page->row_count);
+        status[t] = DecodeColumnPageInto(
+            *page->frame, page->row_count,
+            {PageRun{0, static_cast<uint32_t>(page->row_count), 0}},
+            nullptr, &page->values);
+      });
+      CLOUDIQ_RETURN_IF_ERROR(first_error(status));
+    }
+
+    // Phase C (workers, then coordinator): each morsel's surviving runs,
+    // then a prefix sum over their lengths, in morsel order, places every
+    // run's rows in `out`.
+    std::vector<std::vector<IntervalSet::Interval>> survivors(
+        range.has_value() ? morsels.size() : 0);
+    if (range.has_value()) {
+      pool.RunIndexed(workers, morsels.size(), [&](size_t m) {
+        survivors[m] = SurvivingRuns(
+            morsels[m], parts[morsel_part[m]].columns[range_pos], *range);
+      });
+    }
+    size_t total = 0;
+    for (size_t m = 0; m < morsels.size(); ++m) {
+      std::vector<OutputRun>& runs = parts[morsel_part[m]].runs;
+      for (const IntervalSet::Interval& iv :
+           range.has_value() ? survivors[m] : morsels[m].rows.Intervals()) {
+        runs.push_back({iv.begin, iv.end, total});
+        total += static_cast<size_t>(iv.end - iv.begin);
+      }
+    }
+
+    // Phase D (workers, then coordinator): workers parse every page that
+    // phase E decodes, once, checking all but its dictionary codes, and
+    // hash a dictionary page's entries. A read column stays
+    // dictionary-coded iff every fetched page of it is a dictionary page,
+    // and then gets one scan dictionary, which the coordinator merges
+    // from the page dictionaries in page order. `out` takes it before any
+    // code is written, so every operator downstream moves 4-byte codes.
+    auto is_range = [&](const PageRef& ref) {
+      return range.has_value() && ref.column == range_pos;
+    };
+    std::vector<PageDict> dicts(page_refs.size());
+    std::vector<Status> parse_status(page_refs.size());
+    pool.RunIndexed(workers, page_refs.size(), [&](size_t t) {
+      const PageRef& ref = page_refs[t];
+      if (is_range(ref)) return;
+      ParsedColumnPage& parsed = ref.page->parsed;
+      parse_status[t] = ParseColumnPage(*ref.page->frame, &parsed);
+      if (!parse_status[t].ok() || !parsed.IsDictionary()) return;
+      dicts[t].entries = &parsed.strings;
+      dicts[t].hash.reserve(parsed.strings.size());
+      for (std::string_view e : parsed.strings) {
+        dicts[t].hash.push_back(HashKey(e));
+      }
+    });
+    CLOUDIQ_RETURN_IF_ERROR(first_error(parse_status));
+    std::vector<bool> coded(col_ids.size(), true);
+    for (const PageRef& ref : page_refs) {
+      if (is_range(ref) || !ref.page->parsed.IsDictionary()) {
+        coded[ref.column] = false;
+      }
+    }
+    // remap_of[t]: page_refs[t]'s code remap, for coded columns. Each
+    // column's pages are consecutive in page_refs.
+    std::vector<const std::vector<uint32_t>*> remap_of(page_refs.size(),
+                                                       nullptr);
+    for (size_t t = 0; t < page_refs.size();) {
+      const size_t column = page_refs[t].column;
+      size_t end = t;
+      while (end < page_refs.size() && page_refs[end].column == column) {
+        ++end;
+      }
+      if (!coded[column]) {
+        t = end;
+        continue;
+      }
+      out.columns[column].dict = MergePageDictionaries(
+          std::span<PageDict>(dicts).subspan(t, end - t));
+      for (; t < end; ++t) remap_of[t] = &dicts[t].remap;
+    }
+    for (size_t i = 0; i < col_ids.size(); ++i) {
+      if (!(extra_range_col && i == range_pos)) out.columns[i].Resize(total);
+    }
+
+    // Phase E (workers, host CPU): one task per (column, page) checks the
+    // whole page, even one the filter empties, and writes its surviving
+    // rows into their final slots of `out`: disjoint rows, so tasks never
+    // share one. The range column copies them from its decoded values.
+    std::vector<Status> decode_status(page_refs.size());
+    pool.RunIndexed(workers, page_refs.size(), [&](size_t t) {
+      const PageRef& ref = page_refs[t];
+      if (is_range(ref) && extra_range_col) return;
+      std::vector<PageRun> runs = RunsInPage(parts[ref.part].runs, *ref.page);
+      ColumnVector& dst = out.columns[ref.column];
+      if (is_range(ref)) {
+        const std::vector<int64_t>& from = ref.page->values.ints;
+        for (const PageRun& run : runs) {
+          std::copy(from.begin() + run.begin, from.begin() + run.end,
+                    dst.ints.begin() + static_cast<ptrdiff_t>(run.at));
+        }
         return;
       }
-      decode_status[t] =
-          CheckDecodedPage(*decoded, task.type, dp->row_count);
-      if (!decode_status[t].ok()) return;
-      dp->values = std::move(decoded).value();
-      if (!task.coded) dp->values.ExpandStrings();
-      dp->frame.reset();
+      decode_status[t] = DecodeColumnPageInto(
+          ref.page->parsed, ref.page->row_count, runs, remap_of[t], &dst);
+      ref.page->parsed = {};
+      ref.page->frame.reset();
     });
-    for (const Status& st : decode_status) {
-      CLOUDIQ_RETURN_IF_ERROR(st);
-    }
-    // One scan dictionary per coded column, taken by `out` before the
-    // fragments are built from it, so materialize, placement and every
-    // operator downstream move 4-byte codes.
-    for (size_t i = 0; i < col_ids.size(); ++i) {
-      if (coded[i]) out.columns[i].dict = MergePageDictionaries(pages_of[i]);
-    }
-    // Phase C (workers): per-morsel materialize + exact range filter.
-    std::vector<Batch> frags(morsels.size());
-    pool.RunIndexed(workers, morsels.size(), [&](size_t m) {
-      frags[m] = MaterializeScanMorsel(out, parts[morsel_slice[m]],
-                                       morsels[m], range, range_pos);
-    });
-    // Phase D (workers): place fragments into disjoint slots of `out`.
-    PlaceFragments(workers, &frags, &out);
+    CLOUDIQ_RETURN_IF_ERROR(first_error(decode_status));
     // The coordinator's fixed charge loop: each candidate row costs one
     // touch per read column plus (with a predicate) the exact filter
     // touch — the same totals the serial executor charged, attributed
@@ -886,7 +971,8 @@ void JoinOnKeys(QueryContext* ctx, const Batch& left, const Batch& right,
   // assigns dense ids in ascending row order and lays each key's rows
   // out as one CSR run, rows[offsets[id] .. offsets[id + 1]), so every
   // key's rows stay ascending — exactly the serial build's match order.
-  RowKeyTable table;
+  // Sized for every right row a distinct key, so the build never rehashes.
+  RowKeyTable table(right.rows());
   std::vector<size_t> offsets(1, 0);
   std::vector<size_t> rows;
   std::vector<RowChunk> build_chunks =

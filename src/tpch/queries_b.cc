@@ -491,7 +491,7 @@ Result<Batch> Q21(QueryContext* ctx) {
   };
   const std::vector<int64_t>& item_order = items.column("l_orderkey").ints;
   const std::vector<int64_t>& item_supp = items.column("l_suppkey").ints;
-  RowKeyTable order_ids;
+  RowKeyTable order_ids(items.rows());  // at most one order per item
   std::vector<int64_t> order_keys;  // per id
   std::vector<Suppliers> all;       // per id
   auto order_id = [&](int64_t order) {

@@ -1,6 +1,7 @@
 // Seeded mutation fuzz of the decoders that read persisted or wire bytes:
-// DecodeColumnPage and the code-preserving DecodeColumnPageCoded (column-
-// page encodings; the two must agree on every input), DecodePage (page-codec
+// DecodeColumnPage, the code-preserving DecodeColumnPageCoded and the
+// in-place DecodeColumnPageInto (column-page encodings; all three must
+// agree on every input), DecodePage (page-codec
 // frames), TableMeta::Deserialize (table metadata), IntervalSet::Deserialize, Bitmap::Deserialize (the freelist
 // frame), PageSet::Deserialize (RF/RB sets), TxnLogRecord::Deserialize, the
 // key generator's checkpoint (through ObjectKeyGenerator::Recover),
@@ -293,6 +294,86 @@ TEST(CodecFuzzTest, CodedDecoderAgreesWithPlainDecoder) {
     }
     if (!ExpectDecodersAgree(bytes)) ++corrupt;
     if (::testing::Test::HasFailure()) FAIL() << "iteration " << it;
+  }
+  EXPECT_GT(corrupt, kIterations / 4);
+}
+
+// Ascending, disjoint runs over [0, rows), written back to back from
+// output row 0: none, the whole page, single rows, or random runs.
+std::vector<PageRun> FuzzRuns(Rng& rng, uint32_t rows) {
+  std::vector<PageRun> runs;
+  size_t at = 0;
+  const uint64_t shape = rng.Uniform(4);
+  for (uint32_t r = 0; r < rows && shape > 0;) {
+    uint32_t end = shape == 1   ? rows
+                   : shape == 2 ? r + 1
+                                : std::min<uint32_t>(
+                                      rows, r + 1 + static_cast<uint32_t>(
+                                                        rng.Uniform(30)));
+    if (shape == 1 || rng.Bernoulli(0.5)) {
+      runs.push_back({r, end, at});
+      at += end - r;
+    }
+    r = end;
+  }
+  return runs;
+}
+
+// DecodeColumnPageInto, given the row count and type the segment recorded
+// for the unmutated page, returns Corruption exactly when
+// DecodeColumnPageCoded fails or disagrees with them, and otherwise the
+// runs' rows of its result, into a plain and into a coded column.
+TEST(CodecFuzzTest, PageDecodeIntoAgreesWithCodedDecoder) {
+  std::vector<std::vector<uint8_t>> pages = SeedPages();
+  Rng rng(kSeed + 3);
+  int corrupt = 0;
+  for (int it = 0; it < kIterations; ++it) {
+    const std::vector<uint8_t>& seed = pages[rng.Uniform(pages.size())];
+    Result<ColumnVector> original = DecodeColumnPageCoded(seed);
+    ASSERT_TRUE(original.ok());
+    const ColumnType type = original->type;
+    const auto rows = static_cast<uint32_t>(original->size());
+    std::vector<uint8_t> bytes = seed;
+    Mutate(rng, bytes, {kTypeOffset, kCountOffset}, {kWidthOffset});
+    if (rng.Bernoulli(0.25)) {
+      Mutate(rng, bytes, {kTypeOffset, kCountOffset}, {kWidthOffset});
+    }
+    std::vector<PageRun> runs = FuzzRuns(rng, rows);
+    size_t total = 0;
+    for (const PageRun& r : runs) total += r.end - r.begin;
+
+    Result<ColumnVector> whole = DecodeColumnPageCoded(bytes);
+    ColumnVector plain;
+    plain.type = type;
+    plain.Resize(total);
+    Status st = DecodeColumnPageInto(bytes, rows, runs, nullptr, &plain);
+    if (!whole.ok() || whole->type != type || whole->size() != rows) {
+      ASSERT_TRUE(st.IsCorruption())
+          << "iteration " << it << ": " << st.ToString();
+      ++corrupt;
+      continue;
+    }
+    ASSERT_TRUE(st.ok()) << "iteration " << it << ": " << st.ToString();
+    ColumnVector want = whole->EmptyLike();
+    for (const PageRun& r : runs) want.AppendRange(*whole, r.begin, r.end);
+    if (whole->dict != nullptr) {
+      ColumnVector coded = whole->EmptyLike();
+      coded.Resize(total);
+      ASSERT_TRUE(
+          DecodeColumnPageInto(bytes, rows, runs, nullptr, &coded).ok());
+      ASSERT_EQ(coded.codes, want.codes) << "iteration " << it;
+    }
+    want.ExpandStrings();
+    ASSERT_EQ(plain.ints, want.ints) << "iteration " << it;
+    // Bitwise: a mutated double may be a NaN.
+    ASSERT_EQ(plain.doubles.size(), want.doubles.size());
+    if (!want.doubles.empty()) {
+      ASSERT_EQ(std::memcmp(plain.doubles.data(), want.doubles.data(),
+                            8 * want.doubles.size()),
+                0)
+          << "iteration " << it;
+    }
+    ASSERT_EQ(plain.strings, want.strings) << "iteration " << it;
   }
   EXPECT_GT(corrupt, kIterations / 4);
 }

@@ -390,6 +390,63 @@ TEST(NBitOracleTest, MatchesBitAtATimeReference) {
   }
 }
 
+// A frame-of-reference n-bit page holding base + values[i], written field
+// by field so that any width 1..64 can be chosen.
+std::vector<uint8_t> NBitPage(const std::vector<uint64_t>& values, int width,
+                              int64_t base) {
+  constexpr uint8_t kNBitEncoding = 1;
+  std::vector<uint8_t> out;
+  PutU32(out, static_cast<uint32_t>(ColumnType::kInt64));
+  PutU32(out, static_cast<uint32_t>(values.size()));
+  out.push_back(kNBitEncoding);
+  out.push_back(static_cast<uint8_t>(width));
+  PutU64(out, static_cast<uint64_t>(base));
+  std::vector<uint8_t> packed = NBitPack(values, width);
+  out.insert(out.end(), packed.begin(), packed.end());
+  return out;
+}
+
+// The width-specialized kernels against the bit-at-a-time reference: every
+// width 1..64, every count 0..67, runs starting off a multiple of 8, and
+// the page's last values, whose 9-byte window crosses the end of the
+// buffer (the packed run ends the page).
+TEST(NBitOracleTest, SpecializedKernelsMatchReferenceFromAnyRow) {
+  constexpr int64_t kSentinel = -12345;
+  for (int width = 1; width <= 64; ++width) {
+    for (size_t n = 0; n <= 67; ++n) {
+      SCOPED_TRACE("width " + std::to_string(width) + " n " +
+                   std::to_string(n));
+      Rng rng(width * 100 + n);
+      std::vector<uint64_t> values(n);
+      for (uint64_t& v : values) v = rng.Next();
+      std::vector<uint8_t> packed = NBitPack(values, width);
+      std::vector<uint64_t> want = ReferenceNBitUnpack(packed, width, n);
+      ASSERT_EQ(NBitUnpack(packed, width, n), want);
+      const int64_t base = static_cast<int64_t>(rng.Next());
+      std::vector<uint8_t> page = NBitPage(want, width, base);
+      for (size_t start : {0, 1, 3, 7, 8, 9, 13, 31, 60}) {
+        if (start > n) continue;
+        for (size_t len : {n - start, std::min<size_t>(n - start, 5)}) {
+          ColumnVector dst;
+          dst.ints.assign(len + 2, kSentinel);
+          std::vector<PageRun> runs = {
+              {static_cast<uint32_t>(start),
+               static_cast<uint32_t>(start + len), 1}};
+          ASSERT_TRUE(DecodeColumnPageInto(page, n, runs, nullptr, &dst).ok());
+          EXPECT_EQ(dst.ints.front(), kSentinel);
+          EXPECT_EQ(dst.ints.back(), kSentinel);
+          for (size_t k = 0; k < len; ++k) {
+            ASSERT_EQ(dst.ints[1 + k],
+                      static_cast<int64_t>(static_cast<uint64_t>(base) +
+                                           want[start + k]))
+                << "start " << start << " row " << start + k;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(NBitOracleTest, WidthOutsideRangeReadsZeros) {
   std::vector<uint8_t> bytes(16, 0xff);
   for (int width : {-1, 0, 65, 255}) {
@@ -449,6 +506,254 @@ TEST(EncodingGoldenTest, PageBytesArePinned) {
   EXPECT_EQ(digest(double_col, 2), 0x07da000589a45aa3ull);
   EXPECT_EQ(digest(dict_col, 3), 0x5907326fcc3dbafaull);
   EXPECT_EQ(digest(raw_col, 4), 0x3111212ed6ceef26ull);
+}
+
+// --- DecodeColumnPageInto: the rows asked for, in place ----------------
+
+// A random page's column, in one of the five encodings by `kind`: frame-
+// of-reference ints, sorted (delta) ints, doubles, dictionary strings and
+// raw strings.
+ColumnVector RandomPageColumn(Rng& rng, int kind, size_t rows) {
+  ColumnVector col;
+  switch (kind) {
+    case 0:
+      col.type = ColumnType::kDecimal;
+      for (size_t i = 0; i < rows; ++i) {
+        col.ints.push_back(static_cast<int64_t>(rng.Uniform(1 << 20)) - 9);
+      }
+      break;
+    case 1: {
+      col.type = ColumnType::kDate;
+      int64_t day = 9000;
+      for (size_t i = 0; i < rows; ++i) {
+        day += static_cast<int64_t>(rng.Uniform(5));
+        col.ints.push_back(day);
+      }
+      break;
+    }
+    case 2:
+      col.type = ColumnType::kDouble;
+      for (size_t i = 0; i < rows; ++i) col.doubles.push_back(rng.NextDouble());
+      break;
+    case 3: {
+      col.type = ColumnType::kString;
+      const char* modes[] = {"AIR", "FOB", "MAIL", "RAIL", "SHIP", "TRUCK"};
+      size_t distinct = 1 + rng.Uniform(6);
+      for (size_t i = 0; i < rows; ++i) {
+        col.strings.push_back(modes[rng.Uniform(distinct)]);
+      }
+      break;
+    }
+    default:
+      col.type = ColumnType::kString;
+      for (size_t i = 0; i < rows; ++i) {
+        col.strings.push_back("comment " + std::to_string(rng.Next()));
+      }
+      break;
+  }
+  return col;
+}
+
+// Ascending, disjoint runs over [0, rows): none, the whole page, single
+// rows, or random runs.
+std::vector<PageRun> RandomRuns(Rng& rng, int shape, uint32_t rows) {
+  std::vector<PageRun> runs;
+  size_t at = 0;
+  auto add = [&](uint32_t begin, uint32_t end) {
+    runs.push_back({begin, end, at});
+    at += end - begin;
+  };
+  switch (shape) {
+    case 0:
+      break;
+    case 1:
+      add(0, rows);
+      break;
+    case 2:
+      for (uint32_t r = 0; r < rows; ++r) {
+        if (rng.Bernoulli(0.3)) add(r, r + 1);
+      }
+      break;
+    default:
+      for (uint32_t r = 0; r < rows;) {
+        uint32_t len = 1 + static_cast<uint32_t>(rng.Uniform(20));
+        uint32_t end = std::min(rows, r + len);
+        if (rng.Bernoulli(0.5)) add(r, end);
+        r = end;
+      }
+      break;
+  }
+  return runs;
+}
+
+// DecodeColumnPageInto equals DecodeColumnPageCoded followed by one
+// AppendRange per run, into plain and coded columns, at any offset.
+TEST(PageDecodeIntoTest, MatchesCodedDecodeAndAppendRange) {
+  Rng rng(2024);
+  bool seen[6] = {};  // encodings seen, by header byte
+  for (int it = 0; it < 400; ++it) {
+    const int kind = it % 5;
+    const size_t rows = rng.Uniform(300);
+    ColumnVector col = RandomPageColumn(rng, kind, rows);
+    ZoneMapEntry zone;
+    std::vector<uint8_t> page = EncodeColumnPage(col, 0, rows, &zone);
+    seen[page[kEncodingOffset]] = true;
+    Result<ColumnVector> whole = DecodeColumnPageCoded(page);
+    ASSERT_TRUE(whole.ok());
+    const uint64_t n = rows;
+    for (int shape = 0; shape < 4; ++shape) {
+      SCOPED_TRACE("iteration " + std::to_string(it) + " shape " +
+                   std::to_string(shape));
+      std::vector<PageRun> runs =
+          RandomRuns(rng, shape, static_cast<uint32_t>(rows));
+      // The reference: the runs appended after `lead` rows already there.
+      const size_t lead = rng.Uniform(3);
+      ColumnVector want = whole->EmptyLike();
+      want.Resize(lead);
+      for (const PageRun& r : runs) want.AppendRange(*whole, r.begin, r.end);
+      std::vector<PageRun> placed = runs;
+      for (PageRun& r : placed) r.at += lead;
+
+      ColumnVector plain;
+      plain.type = col.type;
+      plain.Resize(want.size());
+      ASSERT_TRUE(DecodeColumnPageInto(page, n, placed, nullptr, &plain).ok());
+      // Only the rows after the lead ones were written.
+      auto written = [lead](auto values) {
+        values.erase(values.begin(),
+                     values.begin() + std::min(lead, values.size()));
+        return values;
+      };
+      ColumnVector want_plain = want;
+      want_plain.ExpandStrings();
+      EXPECT_EQ(written(plain.ints), written(want_plain.ints));
+      EXPECT_EQ(written(plain.doubles), written(want_plain.doubles));
+      EXPECT_EQ(written(plain.strings), written(want_plain.strings));
+
+      if (whole->dict != nullptr) {
+        // Into the page's own dictionary, and through a remap into one
+        // holding the entries in reverse order.
+        ColumnVector coded = want.EmptyLike();
+        coded.Resize(want.size());
+        ASSERT_TRUE(
+            DecodeColumnPageInto(page, n, placed, nullptr, &coded).ok());
+        EXPECT_EQ(written(coded.codes), written(want.codes));
+        auto reversed = std::make_shared<StringDict>();
+        std::vector<uint32_t> remap;
+        const std::vector<std::string>& entries = whole->dict->strings;
+        for (size_t e = entries.size(); e-- > 0;) {
+          reversed->strings.push_back(entries[e]);
+          reversed->hash.push_back(HashKey(entries[e]));
+        }
+        for (size_t e = 0; e < entries.size(); ++e) {
+          remap.push_back(static_cast<uint32_t>(entries.size() - 1 - e));
+        }
+        ColumnVector remapped;
+        remapped.type = ColumnType::kString;
+        remapped.dict = reversed;
+        remapped.Resize(want.size());
+        ASSERT_TRUE(
+            DecodeColumnPageInto(page, n, placed, &remap, &remapped).ok());
+        for (const PageRun& r : placed) {
+          for (size_t k = r.at; k < r.at + (r.end - r.begin); ++k) {
+            EXPECT_EQ(remapped.StringAt(k), want.StringAt(k));
+          }
+        }
+      }
+    }
+  }
+  for (uint8_t encoding = 1; encoding <= 5; ++encoding) {
+    EXPECT_TRUE(seen[encoding]) << "encoding " << int{encoding};
+  }
+}
+
+// The whole page is checked whatever rows are asked for: an out-of-range
+// dictionary code in a row no run covers, or a page that disagrees with
+// its segment, is Corruption even with no runs at all.
+TEST(PageDecodeIntoTest, ChecksRowsItDoesNotWrite) {
+  ColumnVector flags;
+  flags.type = ColumnType::kString;
+  flags.strings = {"A", "N", "R", "A", "N", "R", "A", "N", "R", "A"};
+  ZoneMapEntry zone;
+  std::vector<uint8_t> page = EncodeColumnPage(flags, 0, 10, &zone);
+  ASSERT_EQ(page[kWidthOffset], 2);  // three entries, codes 0..2
+  page.back() = 0xff;                // the last rows' codes read 3
+  ColumnVector dst;
+  dst.type = ColumnType::kString;
+  dst.Resize(2);
+  EXPECT_TRUE(DecodeColumnPageInto(page, 10, {}, nullptr, &dst)
+                  .IsCorruption());
+  EXPECT_TRUE(DecodeColumnPageInto(page, 10, {{0, 2, 0}}, nullptr, &dst)
+                  .IsCorruption());
+  page.back() = 0;
+  EXPECT_TRUE(DecodeColumnPageInto(page, 10, {{0, 2, 0}}, nullptr, &dst).ok());
+  EXPECT_EQ(dst.strings, (std::vector<std::string>{"A", "N"}));
+  // Another row count, or another type, than the segment's.
+  EXPECT_TRUE(DecodeColumnPageInto(page, 11, {}, nullptr, &dst)
+                  .IsCorruption());
+  ColumnVector ints;
+  ints.type = ColumnType::kInt64;
+  EXPECT_TRUE(DecodeColumnPageInto(page, 10, {}, nullptr, &ints)
+                  .IsCorruption());
+}
+
+// ParseColumnPage lists a dictionary page's entries in code order, and
+// DecodeColumnPageInto takes the parsed page as it takes the bytes.
+TEST(PageDecodeIntoTest, ParsedPageListsEntriesAndDecodes) {
+  ColumnVector flags;
+  flags.type = ColumnType::kString;
+  flags.strings = {"R", "A", "N", "A"};
+  ZoneMapEntry zone;
+  std::vector<uint8_t> page = EncodeColumnPage(flags, 0, 4, &zone);
+  ParsedColumnPage parsed;
+  ASSERT_TRUE(ParseColumnPage(page, &parsed).ok());
+  EXPECT_TRUE(parsed.IsDictionary());
+  EXPECT_EQ(parsed.strings, (std::vector<std::string_view>{"A", "N", "R"}));
+  ColumnVector dst;
+  dst.type = ColumnType::kString;
+  dst.Resize(2);
+  ASSERT_TRUE(DecodeColumnPageInto(parsed, 4, {{1, 3, 0}}, nullptr, &dst).ok());
+  EXPECT_EQ(dst.strings, (std::vector<std::string>{"A", "N"}));
+
+  ColumnVector ints;
+  ints.type = ColumnType::kInt64;
+  ints.ints = {1, 2};
+  ParsedColumnPage int_page;
+  ASSERT_TRUE(
+      ParseColumnPage(EncodeColumnPage(ints, 0, 2, &zone), &int_page).ok());
+  EXPECT_FALSE(int_page.IsDictionary());
+  page.resize(page.size() - 1);
+  ParsedColumnPage truncated;
+  EXPECT_TRUE(ParseColumnPage(page, &truncated).IsCorruption());
+}
+
+// A misuse of DecodeColumnPageInto is InvalidArgument, not Corruption: a
+// remap that does not fit the page dictionary, or a coded column asked to
+// take a raw string page.
+TEST(PageDecodeIntoTest, MisuseIsInvalidArgument) {
+  ColumnVector flags;
+  flags.type = ColumnType::kString;
+  flags.strings = {"R", "A", "N", "A"};
+  ZoneMapEntry zone;
+  std::vector<uint8_t> dict_page = EncodeColumnPage(flags, 0, 4, &zone);
+  ColumnVector coded;
+  coded.type = ColumnType::kString;
+  coded.dict = std::make_shared<StringDict>();
+  coded.Resize(4);
+  const std::vector<uint32_t> short_remap = {0, 1};
+  EXPECT_TRUE(
+      DecodeColumnPageInto(dict_page, 4, {{0, 4, 0}}, &short_remap, &coded)
+          .IsInvalidArgument());
+
+  ColumnVector notes;
+  notes.type = ColumnType::kString;
+  notes.strings = {"alpha", "bravo", "charlie", "delta"};
+  std::vector<uint8_t> raw_page = EncodeColumnPage(notes, 0, 4, &zone);
+  ParsedColumnPage raw;
+  ASSERT_TRUE(ParseColumnPage(raw_page, &raw).ok());
+  ASSERT_FALSE(raw.IsDictionary());
+  EXPECT_TRUE(DecodeColumnPageInto(raw_page, 4, {{0, 4, 0}}, nullptr, &coded)
+                  .IsInvalidArgument());
 }
 
 // --- DecodeColumnPage on corrupt input: Corruption, never an abort ------

@@ -42,6 +42,11 @@ IntervalSet AllRows(const SegmentMeta& seg) {
   return rows;
 }
 
+bool IsDictionaryPage(const std::vector<uint8_t>& bytes) {
+  ParsedColumnPage page;
+  return ParseColumnPage(bytes, &page).ok() && page.IsDictionary();
+}
+
 TEST(MorselTest, EmptyRowSetMakesNoMorsels) {
   SegmentMeta seg = MakeSeg({100, 100, 50});
   std::vector<Morsel> out;
@@ -477,6 +482,27 @@ TEST_F(ExecTest, ScanRowIdsReadsOnlyRequestedRows) {
       ScanRowIds(ctx_.get(), &*sales, 0, {"id", "note"}, rows);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   EXPECT_EQ(batch->rows(), 4u);
+}
+
+// Row ids from a stored DATE or TEXT posting are only checked to be
+// canonical runs, so a corrupt one may claim rows far past the partition.
+// The scan returns the rows the partition holds and sizes nothing from
+// the claim.
+TEST_F(ExecTest, ScanRowIdsBoundsRowsPastThePartition) {
+  Result<TableReader> sales = ctx_->OpenTable(10);
+  ASSERT_TRUE(sales.ok());
+  IntervalSet claim;
+  claim.InsertRange(0, uint64_t{1} << 62);
+  std::vector<uint8_t> posting = claim.Serialize();
+  Result<IntervalSet> rows =
+      IntervalSet::Deserialize(posting.data(), posting.size());
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  Result<Batch> batch =
+      ScanRowIds(ctx_.get(), &*sales, 0, {"id", "note"}, *rows);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  const uint64_t held = sales->meta().partitions[0].row_count;
+  EXPECT_EQ(batch->rows(), held);
+  EXPECT_EQ(batch->columns[1].size(), held);
 }
 
 TEST_F(ExecTest, OperatorsRegisterDenselyWithStats) {
@@ -1737,6 +1763,174 @@ TEST_F(CodedColumnTest, ScanMergesPageDictionariesAndLeavesMixedPlain) {
         << workers;
   }
   ASSERT_TRUE(txn_mgr_->Commit(txn).ok());
+}
+
+// --- in-place scan decode ------------------------------------------------
+
+// ExecTest plus events(key, tag, note, amount, price): `key` is sorted
+// (delta pages), `tag` holds three long strings (dictionary pages, several
+// per `key` page), `note` distinct strings (raw pages), `amount` random
+// decimals (frame-of-reference pages) and `price` doubles.
+class ScanDecodeTest : public ExecTest {
+ protected:
+  static constexpr uint64_t kEventsTable = 13;
+  static constexpr int64_t kRowsPerKey = 50;
+
+  ScanDecodeTest() {
+    TableSchema schema;
+    schema.name = "events";
+    schema.table_id = kEventsTable;
+    schema.columns = {{"key", ColumnType::kInt64},
+                      {"tag", ColumnType::kString},
+                      {"note", ColumnType::kString},
+                      {"amount", ColumnType::kDecimal},
+                      {"price", ColumnType::kDouble}};
+    const char* tags[] = {"tag red, padded to a long dictionary entry",
+                          "tag green, padded to a long dictionary entry",
+                          "tag blue, padded to a long dictionary entry"};
+    Rng rng(77);
+    Batch batch;
+    for (const ColumnDef& c : schema.columns) {
+      batch.AddColumn(c.name, OfType(c.type));
+    }
+    for (int64_t i = 0; i < 4000; ++i) {
+      batch.columns[0].ints.push_back(i / kRowsPerKey);
+      batch.columns[1].strings.push_back(tags[i % 3]);
+      batch.columns[2].strings.push_back("note " + std::to_string(i * 7919));
+      batch.columns[3].ints.push_back(
+          static_cast<int64_t>(rng.Uniform(100000)));
+      batch.columns[4].doubles.push_back(rng.NextDouble());
+    }
+    events_ = testing_util::Expanded(batch);
+    Transaction* txn = txn_mgr_->Begin();
+    TableLoader loader(txn_mgr_.get(), txn, h_.cloud_space, schema);
+    EXPECT_TRUE(loader.Append(batch.columns).ok());
+    EXPECT_TRUE(loader.Finish(&h_.system).ok());
+    EXPECT_TRUE(txn_mgr_->Commit(txn).ok());
+  }
+
+  // The rows of `events_` with lo <= key <= hi, projected to `columns`.
+  Batch Expected(const std::vector<std::string>& columns, int64_t lo,
+                 int64_t hi) const {
+    Batch out;
+    for (const std::string& name : columns) {
+      out.AddColumn(name, events_.column(name).EmptyLike());
+    }
+    for (size_t r = 0; r < events_.rows(); ++r) {
+      int64_t key = events_.Int("key", r);
+      if (key < lo || key > hi) continue;
+      for (size_t c = 0; c < columns.size(); ++c) {
+        out.columns[c].AppendRange(events_.column(columns[c]), r, r + 1);
+      }
+    }
+    return out;
+  }
+
+  Batch events_;  // every row, in load order
+};
+
+// Coded, plain and range scans give the same batch at 1 and at 8 workers
+// (the same values, the same coded columns and scan dictionaries), and
+// both match the loaded rows.
+TEST_F(ScanDecodeTest, OneAndEightWorkersReturnIdenticalBatches) {
+  struct Case {
+    std::vector<std::string> columns;
+    std::optional<ScanRange> range;
+  };
+  const std::vector<Case> cases = {
+      {{"key", "tag", "note", "amount", "price"}, std::nullopt},
+      {{"tag", "note", "price"}, ScanRange{"key", 3, 40}},
+      {{"key", "amount", "tag"}, ScanRange{"key", 5, 7}},
+      {{"note", "amount"}, ScanRange{"key", 79, 1000}},
+  };
+  Transaction* txn = txn_mgr_->Begin();
+  for (const Case& c : cases) {
+    std::vector<Batch> scans;
+    for (int workers : {1, 8}) {
+      QueryContext::Options opts;
+      opts.exec_workers = workers;
+      opts.morsel_rows = 64;
+      QueryContext ctx(txn_mgr_.get(), txn, &h_.system, opts);
+      Result<TableReader> reader = ctx.OpenTable(kEventsTable);
+      ASSERT_TRUE(reader.ok());
+      Result<Batch> scan = ScanTable(&ctx, &*reader, c.columns, c.range);
+      ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+      scans.push_back(std::move(scan).value());
+    }
+    SCOPED_TRACE(c.columns.front() + (c.range ? " with a range" : ""));
+    ExpectBatchesIdentical(scans[0], scans[1]);
+    for (size_t i = 0; i < c.columns.size(); ++i) {
+      const ColumnVector& one = scans[0].columns[i];
+      const ColumnVector& eight = scans[1].columns[i];
+      EXPECT_EQ(one.codes, eight.codes) << c.columns[i];
+      EXPECT_EQ(one.dict == nullptr, eight.dict == nullptr) << c.columns[i];
+      if (one.dict != nullptr && eight.dict != nullptr) {
+        EXPECT_EQ(one.dict->strings, eight.dict->strings) << c.columns[i];
+      }
+      EXPECT_EQ(one.dict != nullptr, c.columns[i] == "tag") << c.columns[i];
+    }
+    Batch want = c.range ? Expected(c.columns, c.range->lo, c.range->hi)
+                         : Expected(c.columns, INT64_MIN, INT64_MAX);
+    ExpectBatchesIdentical(scans[0], want);
+  }
+  ASSERT_TRUE(txn_mgr_->Commit(txn).ok());
+}
+
+// A page whose rows the range filter drops entirely is still fetched, so
+// it is still checked whole: a corrupt dictionary code in it fails the
+// scan, although no value of the page would reach the result.
+TEST_F(ScanDecodeTest, RangeScanRefusesCorruptPageItsFilterEmpties) {
+  const ScanRange range{"key", 2, 2};  // rows [100, 150)
+  Transaction* reader_txn = txn_mgr_->Begin();
+  QueryContext reader_ctx(txn_mgr_.get(), reader_txn, &h_.system);
+  Result<TableReader> reader = reader_ctx.OpenTable(kEventsTable);
+  ASSERT_TRUE(reader.ok());
+  const SegmentMeta& key_seg = reader->meta().partitions[0].columns[0];
+  const SegmentMeta& tag_seg = reader->meta().partitions[0].columns[1];
+  ASSERT_GT(key_seg.page_rows[0], 150u);
+  // A `tag` page inside the first `key` page (all candidate rows) that
+  // holds none of the surviving rows.
+  size_t victim = tag_seg.page_rows.size();
+  for (size_t page = 0, first = 0; page < tag_seg.page_rows.size();
+       first += tag_seg.page_rows[page++]) {
+    size_t last = first + tag_seg.page_rows[page];
+    if (last <= key_seg.page_rows[0] && (last <= 100 || first >= 150)) {
+      victim = page;
+      break;
+    }
+  }
+  ASSERT_LT(victim, tag_seg.page_rows.size());
+  Result<Batch> before = ScanTable(&reader_ctx, &*reader, {"tag"}, range);
+  ASSERT_TRUE(before.ok());
+  EXPECT_EQ(before->rows(), 50u);
+
+  // Its last code now reads 3, past the three-entry dictionary.
+  Result<BufferManager::PageData> frame =
+      reader->FetchPage(0, 1, victim);
+  ASSERT_TRUE(frame.ok());
+  std::vector<uint8_t> bytes = **frame;
+  ASSERT_TRUE(IsDictionaryPage(bytes));
+  bytes.back() = 0xff;
+  ASSERT_TRUE(DecodeColumnPageCoded(bytes).status().IsCorruption());
+  Transaction* writer = txn_mgr_->Begin();
+  Result<StorageObject*> object =
+      txn_mgr_->OpenForWrite(writer, tag_seg.object_id);
+  ASSERT_TRUE(object.ok());
+  ASSERT_TRUE((*object)->WritePage(victim, bytes).ok());
+  ASSERT_TRUE(txn_mgr_->Commit(writer).ok());
+  ASSERT_TRUE(txn_mgr_->Commit(reader_txn).ok());
+
+  for (int workers : {1, 8}) {
+    Transaction* txn = txn_mgr_->Begin();
+    QueryContext::Options opts;
+    opts.exec_workers = workers;
+    QueryContext ctx(txn_mgr_.get(), txn, &h_.system, opts);
+    Result<TableReader> after = ctx.OpenTable(kEventsTable);
+    ASSERT_TRUE(after.ok());
+    Result<Batch> scan = ScanTable(&ctx, &*after, {"tag"}, range);
+    EXPECT_TRUE(scan.status().IsCorruption()) << scan.status().ToString();
+    ASSERT_TRUE(txn_mgr_->Commit(txn).ok());
+  }
 }
 
 }  // namespace
