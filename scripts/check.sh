@@ -226,7 +226,8 @@ determinism_pass() {
 # crossover claims (>= 5x NIC-byte reduction on the Q6-style scan, auto
 # pushes selective scans and pulls the join-heavy one, identical results
 # across modes); on top of that the --report JSON must be byte-identical
-# across double runs, and the whole sweep must be clean under ASan.
+# across double runs, and the whole sweep plus ndp_test (the server's
+# in-place page writes) must be clean under ASan.
 ndp_pass() {
   echo "=== ndp: bench_ndp crossover + determinism + ASan ==="
   cmake -B build -S . > build-configure.log 2>&1 || {
@@ -251,8 +252,9 @@ ndp_pass() {
   cmake -B build-asan -S . -DCLOUDIQ_SANITIZE=address \
     > build-asan-configure.log 2>&1 || {
       cat build-asan-configure.log; return 1; }
-  cmake --build build-asan -j "${JOBS}" --target bench_ndp
+  cmake --build build-asan -j "${JOBS}" --target bench_ndp ndp_test
   CLOUDIQ_BENCH_SF=0.005 ./build-asan/bench/bench_ndp > /dev/null
+  ./build-asan/tests/ndp_test
   echo "=== ndp: OK ==="
 }
 

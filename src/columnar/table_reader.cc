@@ -11,6 +11,31 @@ TableReader::TableReader(TransactionManager* txn_mgr, Transaction* txn,
                          TableMeta meta)
     : txn_mgr_(txn_mgr), txn_(txn), meta_(std::move(meta)) {}
 
+Result<TableReader> TableReader::Make(TransactionManager* txn_mgr,
+                                      Transaction* txn, TableMeta meta) {
+  const TableSchema& schema = meta.schema;
+  if (meta.partitions.size() > schema.partition_count()) {
+    return Status::Corruption("table " + schema.name +
+                              " has more partitions than its schema");
+  }
+  const size_t hg = schema.hg_index_columns.size();
+  const size_t date = schema.date_index_columns.size();
+  const size_t text = schema.text_index_columns.size();
+  for (const PartitionMeta& pm : meta.partitions) {
+    if (pm.columns.size() != schema.columns.size() ||
+        pm.index_objects.size() != hg || pm.index_page_ranges.size() != hg ||
+        pm.date_index_objects.size() != date ||
+        pm.date_index_ranges.size() != date ||
+        pm.text_index_objects.size() != text ||
+        pm.text_index_ranges.size() != text) {
+      return Status::Corruption("table " + schema.name +
+                                " has a partition that does not match its "
+                                "schema");
+    }
+  }
+  return TableReader(txn_mgr, txn, std::move(meta));
+}
+
 Result<TableReader> TableReader::Open(TransactionManager* txn_mgr,
                                       Transaction* txn, SystemStore* system,
                                       uint64_t table_id) {
@@ -22,7 +47,7 @@ Result<TableReader> TableReader::Open(TransactionManager* txn_mgr,
                   &done));
   clock.AdvanceTo(done);
   CLOUDIQ_ASSIGN_OR_RETURN(TableMeta meta, TableMeta::Deserialize(bytes));
-  return TableReader(txn_mgr, txn, std::move(meta));
+  return Make(txn_mgr, txn, std::move(meta));
 }
 
 Result<StorageObject*> TableReader::ObjectFor(uint64_t object_id) {
@@ -33,13 +58,6 @@ Result<StorageObject*> TableReader::ObjectFor(uint64_t object_id) {
   StorageObject* ptr = object.get();
   objects_[object_id] = std::move(object);
   return ptr;
-}
-
-Result<ColumnVector> TableReader::ReadPage(size_t partition, int column,
-                                           size_t page) {
-  CLOUDIQ_ASSIGN_OR_RETURN(BufferManager::PageData data,
-                           FetchPage(partition, column, page));
-  return DecodeColumnPage(*data);
 }
 
 Result<BufferManager::PageData> TableReader::FetchPage(size_t partition,

@@ -14,16 +14,21 @@
 
 namespace cloudiq {
 
-// Snapshot-consistent read access to a loaded table: page reads with
-// decode, zone-map pruning, parallel prefetch, and HG index probes. One
+// Snapshot-consistent read access to a loaded table: page fetches,
+// zone-map pruning, parallel prefetch, and HG index probes. One
 // TableReader per (transaction, table); storage objects are opened
 // lazily from the transaction's snapshot.
 class TableReader {
  public:
-  TableReader(TransactionManager* txn_mgr, Transaction* txn,
-              TableMeta meta);
+  // The one way to make a reader: checks that `meta` has the shape
+  // TableLoader::Finish writes, which every reader path indexes without
+  // a check — at most schema.partition_count() partitions, each with one
+  // segment per schema column and HG, DATE and TEXT index lists parallel
+  // to the schema's index columns. Corruption otherwise.
+  static Result<TableReader> Make(TransactionManager* txn_mgr,
+                                  Transaction* txn, TableMeta meta);
 
-  // Loads the table metadata blob and constructs a reader.
+  // Loads the table metadata blob and makes a reader of it.
   static Result<TableReader> Open(TransactionManager* txn_mgr,
                                   Transaction* txn, SystemStore* system,
                                   uint64_t table_id);
@@ -31,15 +36,11 @@ class TableReader {
   const TableMeta& meta() const { return meta_; }
   const TableSchema& schema() const { return meta_.schema; }
 
-  // Decodes page `page` of (partition, column).
-  Result<ColumnVector> ReadPage(size_t partition, int column, size_t page);
-
   // Fetches the *encoded* frame of page `page` without decoding it.
   // All simulated I/O and the decoded_bytes() accounting happen here, so
   // the morsel executor can fetch frames on the (deterministic)
   // coordinator and hand the pure-CPU DecodeColumnPageInto calls, which
   // decode each page's surviving rows in place, to native worker threads.
-  // ReadPage == FetchPage + DecodeColumnPage.
   Result<BufferManager::PageData> FetchPage(size_t partition, int column,
                                             size_t page);
 
@@ -129,6 +130,9 @@ class TableReader {
   uint64_t decoded_bytes() const { return decoded_bytes_; }
 
  private:
+  TableReader(TransactionManager* txn_mgr, Transaction* txn,
+              TableMeta meta);
+
   Result<StorageObject*> ObjectFor(uint64_t object_id);
 
   TransactionManager* txn_mgr_;

@@ -22,6 +22,12 @@ enum class ColumnType : uint8_t {
 
 const char* ColumnTypeName(ColumnType type);
 
+// Whether a column of `type` holds its values in ColumnVector::ints.
+inline bool IsIntFamily(ColumnType type) {
+  return type == ColumnType::kInt64 || type == ColumnType::kDate ||
+         type == ColumnType::kDecimal;
+}
+
 // The dictionary of a coded string column: distinct strings and each
 // one's HashKey (common/key_hash.h), computed once. Entries are in no
 // particular order. A dictionary is immutable once a column holds it, and

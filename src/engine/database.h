@@ -111,7 +111,7 @@ class Database {
   }
   Result<TableReader> OpenTable(Transaction* txn, uint64_t table_id) {
     CLOUDIQ_ASSIGN_OR_RETURN(TableMeta meta, TableMetaFor(table_id));
-    return TableReader(txn_mgr_.get(), txn, std::move(meta));
+    return TableReader::Make(txn_mgr_.get(), txn, std::move(meta));
   }
 
   // Table metadata, cached after the first load from the system dbspace

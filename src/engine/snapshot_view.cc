@@ -67,7 +67,7 @@ Result<TableReader> SnapshotView::OpenTable(uint64_t table_id) {
                          db_->node().clock().now(), &done));
   db_->node().clock().AdvanceTo(done);
   CLOUDIQ_ASSIGN_OR_RETURN(TableMeta meta, TableMeta::Deserialize(bytes));
-  return TableReader(&db_->txn_mgr(), txn_, std::move(meta));
+  return TableReader::Make(&db_->txn_mgr(), txn_, std::move(meta));
 }
 
 QueryContext SnapshotView::NewQueryContext() {

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "columnar/encoding.h"
+#include "columnar/range_scan.h"
 #include "costopt/cost_model.h"
 #include "exec/morsel.h"
 #include "exec/row_key_table.h"
@@ -223,85 +224,14 @@ struct ScanPage {
   ParsedColumnPage parsed;  // every other page, views into `frame`
 };
 
-// Partition rows [begin, end) that survive the scan, written to output
-// rows at, at + 1, ...
-struct OutputRun {
-  uint64_t begin = 0;
-  uint64_t end = 0;
-  size_t at = 0;
-};
-
 // One partition's share of a scan: each read column's fetched pages,
-// ascending by first_row, and the surviving runs in row order.
+// ascending by first_row, the range column's decoded values, and the
+// surviving runs in row order.
 struct ScanPartition {
   std::vector<std::vector<ScanPage>> columns;
+  std::vector<IntPageValues> range_values;
   std::vector<OutputRun> runs;
 };
-
-// The surviving runs that fall in `page`, as page-local PageRuns.
-std::vector<PageRun> RunsInPage(const std::vector<OutputRun>& runs,
-                                const ScanPage& page) {
-  const uint64_t first = page.first_row;
-  const uint64_t last = first + page.row_count;  // exclusive
-  std::vector<PageRun> out;
-  auto it = std::partition_point(
-      runs.begin(), runs.end(),
-      [first](const OutputRun& r) { return r.end <= first; });
-  for (; it != runs.end() && it->begin < last; ++it) {
-    uint64_t begin = std::max(it->begin, first);
-    uint64_t end = std::min(it->end, last);
-    out.push_back({static_cast<uint32_t>(begin - first),
-                   static_cast<uint32_t>(end - first),
-                   it->at + static_cast<size_t>(begin - it->begin)});
-  }
-  return out;
-}
-
-// The runs of a morsel's candidate rows whose range-column value lies in
-// `range`: one pass over `range_pages`, which cover every candidate row.
-// The pass has no data-dependent branch: it notes every row where the
-// in-range flag flips, and consecutive flips bound a run. Pure host CPU.
-std::vector<IntervalSet::Interval> SurvivingRuns(
-    const Morsel& morsel, const std::vector<ScanPage>& range_pages,
-    const ScanRange& range) {
-  std::vector<IntervalSet::Interval> runs;
-  if (range.lo > range.hi) return runs;
-  // v is in [lo, hi] iff v - lo, taken modulo 2^64, is at most hi - lo.
-  const auto lo = static_cast<uint64_t>(range.lo);
-  const uint64_t span = static_cast<uint64_t>(range.hi) - lo;
-  std::vector<uint64_t> flips;
-  size_t page = 0;
-  for (const IntervalSet::Interval& iv : morsel.rows.Intervals()) {
-    for (uint64_t r = iv.begin; r < iv.end;) {
-      while (r >= range_pages[page].first_row + range_pages[page].row_count) {
-        ++page;
-      }
-      const ScanPage& p = range_pages[page];
-      const uint64_t end = std::min(iv.end, p.first_row + p.row_count);
-      const int64_t* values = p.values.ints.data();
-      if (flips.size() < end - r + 1) flips.resize(end - r + 1);
-      size_t n = 0;
-      bool in = false;
-      for (uint64_t row = r; row < end; ++row) {
-        const bool keep =
-            static_cast<uint64_t>(values[row - p.first_row]) - lo <= span;
-        flips[n] = row;
-        n += keep != in ? 1 : 0;
-        in = keep;
-      }
-      if (in) flips[n++] = end;
-      for (size_t k = 0; k < n; k += 2) {
-        if (!runs.empty() && runs.back().end == flips[k]) {
-          runs.back().end = flips[k + 1];
-        } else {
-          runs.push_back({flips[k], flips[k + 1]});
-        }
-      }
-      r = end;
-    }
-  }
-  return runs;
-}
 
 // The dictionary section of one page of a coded read column.
 struct PageDict {
@@ -470,10 +400,9 @@ NdpScanPlan PlanNdpScan(QueryContext* ctx, TableReader* reader,
       }
       req.columns.push_back(std::move(col));
     }
-    uint32_t rp = static_cast<uint32_t>(range_pos);
-    req.filter = ndp::NdpExpr::And(
-        {ndp::NdpExpr::CmpInt(rp, ndp::CmpOp::kGe, range.lo),
-         ndp::NdpExpr::CmpInt(rp, ndp::CmpOp::kLe, range.hi)});
+    req.range_column = static_cast<uint32_t>(range_pos);
+    req.lo = range.lo;
+    req.hi = range.hi;
     std::vector<uint8_t> bytes = req.Serialize();
     plan.work.push_requests += 1;
     plan.work.push_request_bytes += static_cast<double>(bytes.size());
@@ -609,8 +538,7 @@ Result<Batch> ScanTable(QueryContext* ctx, TableReader* reader,
       clock.AdvanceTo(done);
       CLOUDIQ_ASSIGN_OR_RETURN(ndp::NdpResult result,
                                ndp::NdpResult::Deserialize(result_bytes));
-      if (result.is_aggregate ||
-          result.columns.size() != pushed.columns.size()) {
+      if (result.columns.size() != pushed.columns.size()) {
         return Status::Corruption("NDP result shape mismatch");
       }
       for (size_t c = 0; c < result.columns.size(); ++c) {
@@ -750,6 +678,11 @@ Result<Batch> ScanTable(QueryContext* ctx, TableReader* reader,
             nullptr, &page->values);
       });
       CLOUDIQ_RETURN_IF_ERROR(first_error(status));
+      for (ScanPartition& part : parts) {
+        for (const ScanPage& page : part.columns[range_pos]) {
+          part.range_values.push_back({page.first_row, page.values.ints});
+        }
+      }
     }
 
     // Phase C (workers, then coordinator): each morsel's surviving runs,
@@ -759,8 +692,10 @@ Result<Batch> ScanTable(QueryContext* ctx, TableReader* reader,
         range.has_value() ? morsels.size() : 0);
     if (range.has_value()) {
       pool.RunIndexed(workers, morsels.size(), [&](size_t m) {
-        survivors[m] = SurvivingRuns(
-            morsels[m], parts[morsel_part[m]].columns[range_pos], *range);
+        survivors[m] =
+            RangeRuns(morsels[m].rows.Intervals(),
+                      parts[morsel_part[m]].range_values, range->lo,
+                      range->hi);
       });
     }
     size_t total = 0;
@@ -834,7 +769,8 @@ Result<Batch> ScanTable(QueryContext* ctx, TableReader* reader,
     pool.RunIndexed(workers, page_refs.size(), [&](size_t t) {
       const PageRef& ref = page_refs[t];
       if (is_range(ref) && extra_range_col) return;
-      std::vector<PageRun> runs = RunsInPage(parts[ref.part].runs, *ref.page);
+      std::vector<PageRun> runs = RunsInPage(
+          parts[ref.part].runs, ref.page->first_row, ref.page->row_count);
       ColumnVector& dst = out.columns[ref.column];
       if (is_range(ref)) {
         const std::vector<int64_t>& from = ref.page->values.ints;

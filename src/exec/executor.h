@@ -66,7 +66,7 @@ class QueryContext {
   Result<TableReader> OpenTable(uint64_t table_id) {
     if (meta_provider_) {
       CLOUDIQ_ASSIGN_OR_RETURN(TableMeta meta, meta_provider_(table_id));
-      return TableReader(txn_mgr_, txn_, std::move(meta));
+      return TableReader::Make(txn_mgr_, txn_, std::move(meta));
     }
     return TableReader::Open(txn_mgr_, txn_, system_, table_id);
   }

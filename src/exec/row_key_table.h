@@ -11,11 +11,6 @@
 
 namespace cloudiq {
 
-inline bool IsIntFamily(ColumnType type) {
-  return type == ColumnType::kInt64 || type == ColumnType::kDate ||
-         type == ColumnType::kDecimal;
-}
-
 // Typed key equality of rows `a` and `b` of `col`. Doubles compare by
 // value (-0.0 equals 0.0) and all NaNs are one key, matching
 // HashKey(double). Coded strings compare by code: a dictionary's entries

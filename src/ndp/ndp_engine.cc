@@ -1,118 +1,14 @@
 #include "ndp/ndp_engine.h"
 
 #include <algorithm>
-#include <limits>
-#include <type_traits>
 #include <utility>
 
 #include "columnar/encoding.h"
+#include "columnar/range_scan.h"
 #include "store/page_codec.h"
 
 namespace cloudiq {
 namespace ndp {
-namespace {
-
-// One request column with its pages decoded, plus a monotone cursor so
-// row lookups across the ascending row scan stay O(1) amortized.
-struct DecodedColumn {
-  const NdpColumn* meta = nullptr;
-  std::vector<ColumnVector> pages;  // parallel to meta->pages
-  size_t cursor = 0;
-
-  // Index of the page covering `row`, or npos. Rows are probed in
-  // ascending order, so the cursor only moves forward.
-  static constexpr size_t npos = std::numeric_limits<size_t>::max();
-  size_t PageFor(uint64_t row) {
-    while (cursor < meta->pages.size() &&
-           meta->pages[cursor].first_row + meta->pages[cursor].row_count <=
-               row) {
-      ++cursor;
-    }
-    if (cursor >= meta->pages.size() ||
-        meta->pages[cursor].first_row > row) {
-      return npos;
-    }
-    return cursor;
-  }
-};
-
-// Three-way comparison of column value (col, page, offset) against the
-// literal carried by a kCmp node.
-int CompareValue(const DecodedColumn& col, size_t page, size_t offset,
-                 const NdpExpr& e) {
-  const ColumnVector& vals = col.pages[page];
-  if (vals.type == ColumnType::kString) {
-    const std::string& lhs = vals.strings[offset];
-    if (lhs < e.string_literal) return -1;
-    if (lhs > e.string_literal) return 1;
-    return 0;
-  }
-  if (vals.type == ColumnType::kDouble ||
-      e.literal_type == ColumnType::kDouble) {
-    double lhs = vals.type == ColumnType::kDouble
-                     ? vals.doubles[offset]
-                     : static_cast<double>(vals.ints[offset]);
-    double rhs = e.literal_type == ColumnType::kDouble
-                     ? e.double_literal
-                     : static_cast<double>(e.int_literal);
-    if (lhs < rhs) return -1;
-    if (lhs > rhs) return 1;
-    return 0;
-  }
-  int64_t lhs = vals.ints[offset];
-  int64_t rhs = e.int_literal;
-  if (lhs < rhs) return -1;
-  if (lhs > rhs) return 1;
-  return 0;
-}
-
-bool EvalCmp(CmpOp cmp, int c) {
-  switch (cmp) {
-    case CmpOp::kEq: return c == 0;
-    case CmpOp::kNe: return c != 0;
-    case CmpOp::kLt: return c < 0;
-    case CmpOp::kLe: return c <= 0;
-    case CmpOp::kGt: return c > 0;
-    case CmpOp::kGe: return c >= 0;
-  }
-  return false;
-}
-
-// Evaluates `e` for the row whose per-column (page, offset) coordinates
-// are in `where` (npos-free by the time we get here).
-bool EvalExpr(const NdpExpr& e, std::vector<DecodedColumn>& cols,
-              const std::vector<std::pair<size_t, size_t>>& where) {
-  switch (e.op) {
-    case ExprOp::kTrue:
-      return true;
-    case ExprOp::kCmp: {
-      const auto& [page, offset] = where[e.column];
-      return EvalCmp(e.cmp, CompareValue(cols[e.column], page, offset, e));
-    }
-    case ExprOp::kAnd:
-      for (const NdpExpr& child : e.children) {
-        if (!EvalExpr(child, cols, where)) return false;
-      }
-      return true;
-    case ExprOp::kOr:
-      for (const NdpExpr& child : e.children) {
-        if (EvalExpr(child, cols, where)) return true;
-      }
-      return false;
-    case ExprOp::kNot:
-      return !EvalExpr(e.children[0], cols, where);
-  }
-  return false;
-}
-
-// Running state for one aggregate.
-struct AggState {
-  bool seen = false;
-  int64_t count = 0;
-  ColumnVector acc;  // one value of the input column's type: sum/min/max
-};
-
-}  // namespace
 
 Result<std::vector<std::string>> NdpEngine::KeysOf(
     const std::vector<uint8_t>& request) const {
@@ -127,137 +23,97 @@ Result<std::vector<std::string>> NdpEngine::KeysOf(
 Result<NdpResult> NdpEngine::Evaluate(
     const NdpRequest& req,
     const std::vector<const std::vector<uint8_t>*>& pages) {
-  // Decode every page frame into its column vector, column-major in
-  // KeysOf order.
-  std::vector<DecodedColumn> cols(req.columns.size());
-  size_t page_index = 0;
-  for (size_t c = 0; c < req.columns.size(); ++c) {
-    cols[c].meta = &req.columns[c];
-    cols[c].pages.reserve(req.columns[c].pages.size());
-    for (const NdpPageRef& ref : req.columns[c].pages) {
-      if (page_index >= pages.size() || pages[page_index] == nullptr) {
-        return Status::InvalidArgument("NDP page payloads do not match "
-                                       "request refs");
-      }
-      CLOUDIQ_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                               DecodePage(*pages[page_index]));
-      CLOUDIQ_ASSIGN_OR_RETURN(ColumnVector vals,
-                               DecodeColumnPage(payload));
-      if (vals.size() != ref.row_count || vals.type != req.columns[c].type) {
-        return Status::InvalidArgument(
-            "NDP page shape mismatch for " + ref.key);
-      }
-      cols[c].pages.push_back(std::move(vals));
-      ++page_index;
-    }
+  if (req.range_column >= req.columns.size() ||
+      !IsIntFamily(req.columns[req.range_column].type)) {
+    return Status::InvalidArgument("NDP range column is not an int-family "
+                                   "request column");
   }
-  if (page_index != pages.size()) {
+  size_t refs = 0;
+  for (const NdpColumn& col : req.columns) refs += col.pages.size();
+  if (pages.size() != refs) {
     return Status::InvalidArgument("NDP page payloads do not match "
                                    "request refs");
   }
 
-  // Validate aggregates up front (SUM over strings has no meaning).
-  for (const NdpAggregate& agg : req.aggregates) {
-    if (agg.op == AggOp::kSum &&
-        req.columns[agg.column].type == ColumnType::kString) {
-      return Status::InvalidArgument("NDP SUM over a string column");
-    }
-  }
-
-  NdpResult result;
-  result.is_aggregate = !req.aggregates.empty();
-  std::vector<size_t> projected;
-  if (!result.is_aggregate) {
-    for (size_t c = 0; c < req.columns.size(); ++c) {
-      if (!req.columns[c].projected) continue;
-      projected.push_back(c);
-      ColumnVector out;
-      out.type = req.columns[c].type;
-      result.columns.push_back(std::move(out));
-    }
-  }
-  std::vector<AggState> agg_states(req.aggregates.size());
-  for (size_t a = 0; a < req.aggregates.size(); ++a) {
-    agg_states[a].acc.type = req.columns[req.aggregates[a].column].type;
-    agg_states[a].acc.Resize(1);
-  }
-
-  // Drive the scan by the first column's pages; a row qualifies only if
-  // every request column covers it (each cursor moves forward once per
-  // scan, so the whole pass is linear in pages + rows).
-  std::vector<std::pair<size_t, size_t>> where(req.columns.size());
-  for (const NdpPageRef& drive : req.columns[0].pages) {
-    for (uint64_t row = drive.first_row;
-         row < drive.first_row + drive.row_count; ++row) {
-      bool covered = true;
-      for (size_t c = 0; c < cols.size(); ++c) {
-        size_t page = cols[c].PageFor(row);
-        if (page == DecodedColumn::npos) {
-          covered = false;
-          break;
-        }
-        where[c] = {page, row - req.columns[c].pages[page].first_row};
+  // Open every frame and parse its column page, column-major in KeysOf
+  // order, checking each against its ref; the rows every column covers
+  // are the candidates.
+  std::vector<std::vector<uint8_t>> payloads(refs);
+  std::vector<ParsedColumnPage> parsed(refs);
+  IntervalSet candidates;
+  size_t range_first = 0;  // the range column's first page in `parsed`
+  size_t t = 0;
+  for (size_t c = 0; c < req.columns.size(); ++c) {
+    if (c == req.range_column) range_first = t;
+    IntervalSet covered;
+    for (const NdpPageRef& ref : req.columns[c].pages) {
+      if (pages[t] == nullptr) {
+        return Status::InvalidArgument("NDP page payload missing for " +
+                                       ref.key);
       }
-      if (!covered) continue;
-      if (!EvalExpr(req.filter, cols, where)) continue;
-      ++result.rows_matched;
-      if (!result.is_aggregate) {
-        for (size_t i = 0; i < projected.size(); ++i) {
-          size_t c = projected[i];
-          size_t offset = where[c].second;
-          result.columns[i].AppendRange(cols[c].pages[where[c].first],
-                                        offset, offset + 1);
-        }
+      CLOUDIQ_ASSIGN_OR_RETURN(payloads[t], DecodePage(*pages[t]));
+      CLOUDIQ_RETURN_IF_ERROR(ParseColumnPage(payloads[t], &parsed[t]));
+      if (parsed[t].count != ref.row_count ||
+          parsed[t].type != req.columns[c].type) {
+        return Status::InvalidArgument("NDP page shape mismatch for " +
+                                       ref.key);
+      }
+      covered.InsertRange(ref.first_row, ref.first_row + ref.row_count);
+      ++t;
+    }
+    candidates =
+        c == 0 ? std::move(covered) : IntervalSet::Intersect(candidates,
+                                                             covered);
+  }
+
+  // The range column's pages decode whole, as the pull path's phase B
+  // does; the shared kernel then finds the candidates' surviving runs.
+  const NdpColumn& range_col = req.columns[req.range_column];
+  std::vector<ColumnVector> range_pages(range_col.pages.size());
+  std::vector<IntPageValues> range_values;
+  for (size_t k = 0; k < range_pages.size(); ++k) {
+    const NdpPageRef& ref = range_col.pages[k];
+    range_pages[k].type = range_col.type;
+    range_pages[k].Resize(ref.row_count);
+    CLOUDIQ_RETURN_IF_ERROR(DecodeColumnPageInto(
+        parsed[range_first + k], ref.row_count,
+        {PageRun{0, ref.row_count, 0}}, nullptr, &range_pages[k]));
+    range_values.push_back({ref.first_row, range_pages[k].ints});
+  }
+  std::vector<OutputRun> runs;
+  NdpResult result;
+  for (const IntervalSet::Interval& iv :
+       RangeRuns(candidates.Intervals(), range_values, req.lo, req.hi)) {
+    runs.push_back({iv.begin, iv.end, result.rows_matched});
+    result.rows_matched += iv.end - iv.begin;
+  }
+
+  // Every other page is checked whole and writes its surviving rows, if
+  // its column is projected, straight into their slots of the result.
+  t = 0;
+  for (size_t c = 0; c < req.columns.size(); ++c) {
+    const NdpColumn& col = req.columns[c];
+    ColumnVector out;
+    out.type = col.type;
+    if (col.projected) out.Resize(result.rows_matched);
+    for (size_t k = 0; k < col.pages.size(); ++k, ++t) {
+      const NdpPageRef& ref = col.pages[k];
+      std::vector<PageRun> page_runs;
+      if (col.projected) {
+        page_runs = RunsInPage(runs, ref.first_row, ref.row_count);
+      }
+      if (c != req.range_column) {
+        CLOUDIQ_RETURN_IF_ERROR(DecodeColumnPageInto(
+            parsed[t], ref.row_count, page_runs, nullptr, &out));
         continue;
       }
-      for (size_t a = 0; a < req.aggregates.size(); ++a) {
-        const NdpAggregate& agg = req.aggregates[a];
-        AggState& st = agg_states[a];
-        ++st.count;
-        if (agg.op == AggOp::kCount) continue;
-        const ColumnVector& vals =
-            cols[agg.column].pages[where[agg.column].first];
-        size_t offset = where[agg.column].second;
-        VisitValues(st.acc, [&](auto& acc) {
-          const auto& v = ValuesLike(vals, acc)[offset];
-          if (agg.op == AggOp::kSum) {
-            // Validated above: SUM never sees a string column.
-            if constexpr (!std::is_same_v<ElementOf<decltype(acc)>,
-                                          std::string>) {
-              acc[0] += v;
-            }
-          } else if (!st.seen ||
-                     (agg.op == AggOp::kMin ? v < acc[0] : v > acc[0])) {
-            acc[0] = v;
-          }
-        });
-        st.seen = true;
+      for (const PageRun& run : page_runs) {
+        std::copy(range_pages[k].ints.begin() + run.begin,
+                  range_pages[k].ints.begin() + run.end,
+                  out.ints.begin() + static_cast<ptrdiff_t>(run.at));
       }
     }
-  }
-
-  if (result.is_aggregate) {
-    for (size_t a = 0; a < req.aggregates.size(); ++a) {
-      const NdpAggregate& agg = req.aggregates[a];
-      AggState& st = agg_states[a];
-      ColumnVector out;
-      switch (agg.op) {
-        case AggOp::kCount:
-          out.type = ColumnType::kInt64;
-          out.ints.push_back(st.count);
-          break;
-        case AggOp::kSum:
-          out = std::move(st.acc);
-          break;
-        case AggOp::kMin:
-        case AggOp::kMax:
-          out = std::move(st.acc);
-          // No matching rows: an empty (zero-row) result column.
-          if (!st.seen) out.Resize(0);
-          break;
-      }
-      result.columns.push_back(std::move(out));
-    }
+    if (col.projected) result.columns.push_back(std::move(out));
   }
   return result;
 }

@@ -20,9 +20,17 @@ namespace ndp {
 // cloudiq-ndp-layering lint rule enforces).
 //
 // Pages arrive as stored frames (EncodePage over EncodeColumnPage
-// output); an undecodable frame — e.g. a page written with
-// encrypt_pages on, which the server has no key for — fails the request
-// and the consumer falls back to pulling.
+// output) and are scanned with the pull path's own kernels: each page is
+// parsed and checked whole, the range column's pages decode whole, the
+// surviving runs come from RangeRuns (columnar/range_scan.h), and each
+// projected page decodes its survivors straight into the result with
+// DecodeColumnPageInto. A corrupt page is Corruption; a page whose type
+// or row count disagrees with its ref, or a range column that is not an
+// int-family request column, is InvalidArgument. An undecodable frame —
+// e.g. a page written with encrypt_pages on, which the server has no key
+// for — fails the request; the planner never pushes such a table
+// (TableReader::PushdownEligible), and a failure at run time is the
+// scan's error.
 class NdpEngine : public NdpServerEngine {
  public:
   NdpEngine() = default;
@@ -34,8 +42,9 @@ class NdpEngine : public NdpServerEngine {
       const std::vector<uint8_t>& request,
       const std::vector<const std::vector<uint8_t>*>& pages) const override;
 
-  // The evaluator proper, over an already-parsed request and decoded
-  // frames (exposed for unit tests; Execute wraps it with the wire
+  // The evaluator proper, over a request as NdpRequest::Deserialize
+  // returns it (page refs ascending, no overlap) and its frames in KeysOf
+  // order (exposed for unit tests; Execute wraps it with the wire
   // formats).
   static Result<NdpResult> Evaluate(
       const NdpRequest& request,

@@ -1,6 +1,5 @@
 #include "ndp/ndp_protocol.h"
 
-#include <limits>
 #include <utility>
 
 #include "columnar/encoding.h"
@@ -14,101 +13,42 @@ namespace {
 // parse, never the server.
 constexpr uint32_t kMaxColumns = 256;
 constexpr uint32_t kMaxPagesPerColumn = 1u << 20;
-constexpr uint32_t kMaxExprDepth = 64;
-constexpr uint32_t kMaxExprChildren = 256;
-constexpr uint32_t kMaxAggregates = 64;
-// Smallest encodings, so a count never allocates past what the frame can
-// hold: a page ref is a non-empty key (u32 length + 1 byte), first_row
-// and row_count; a filter node is at least its op.
+// Smallest encoding of a page ref, so a count never allocates past what
+// the frame can hold: a non-empty key (u32 length + 1 byte), first_row
+// and row_count.
 constexpr size_t kMinPageRefBytes = 4 + 1 + 8 + 4;
-constexpr size_t kMinExprBytes = 4;
+
+// The range predicate's wire words, as the filter tree wrote them: an
+// And node (op 2) of two children, each a comparison node (op 1) of an
+// INT64 literal, >= (5) for lo and <= (3) for hi.
+constexpr uint32_t kAndNode = 2;
+constexpr uint32_t kCmpNode = 1;
+constexpr uint32_t kCmpGe = 5;
+constexpr uint32_t kCmpLe = 3;
 
 bool ValidType(uint32_t t) {
   return t <= static_cast<uint32_t>(ColumnType::kDecimal);
 }
 
-void PutExpr(std::vector<uint8_t>& dst, const NdpExpr& e) {
-  PutU32(dst, static_cast<uint32_t>(e.op));
-  switch (e.op) {
-    case ExprOp::kTrue:
-      break;
-    case ExprOp::kCmp:
-      PutU32(dst, static_cast<uint32_t>(e.cmp));
-      PutU32(dst, e.column);
-      PutU32(dst, static_cast<uint32_t>(e.literal_type));
-      PutI64(dst, e.int_literal);
-      PutDouble(dst, e.double_literal);
-      PutString(dst, e.string_literal);
-      break;
-    case ExprOp::kAnd:
-    case ExprOp::kOr:
-    case ExprOp::kNot:
-      PutU32(dst, static_cast<uint32_t>(e.children.size()));
-      for (const NdpExpr& child : e.children) PutExpr(dst, child);
-      break;
-  }
+void PutBound(std::vector<uint8_t>& dst, uint32_t cmp, uint32_t column,
+              int64_t literal) {
+  PutU32(dst, kCmpNode);
+  PutU32(dst, cmp);
+  PutU32(dst, column);
+  PutU32(dst, static_cast<uint32_t>(ColumnType::kInt64));
+  PutI64(dst, literal);
+  PutDouble(dst, 0.0);  // the unused double literal
+  PutU32(dst, 0);       // the unused string literal, empty
 }
 
-Status GetExpr(ByteReader& r, uint32_t depth, NdpExpr* out) {
-  if (depth > kMaxExprDepth) {
-    return Status::InvalidArgument("NDP filter nests too deep");
-  }
-  uint32_t op = r.GetU32();
-  if (op > static_cast<uint32_t>(ExprOp::kNot)) {
-    return Status::InvalidArgument("bad NDP filter op");
-  }
-  out->op = static_cast<ExprOp>(op);
-  switch (out->op) {
-    case ExprOp::kTrue:
-      break;
-    case ExprOp::kCmp: {
-      uint32_t cmp = r.GetU32();
-      if (cmp > static_cast<uint32_t>(CmpOp::kGe)) {
-        return Status::InvalidArgument("bad NDP comparison op");
-      }
-      out->cmp = static_cast<CmpOp>(cmp);
-      out->column = r.GetU32();
-      uint32_t type = r.GetU32();
-      if (!ValidType(type)) {
-        return Status::InvalidArgument("bad NDP literal type");
-      }
-      out->literal_type = static_cast<ColumnType>(type);
-      out->int_literal = r.GetI64();
-      out->double_literal = r.GetDouble();
-      out->string_literal = r.GetString();
-      break;
-    }
-    case ExprOp::kAnd:
-    case ExprOp::kOr:
-    case ExprOp::kNot: {
-      uint32_t n = r.GetU32();
-      if (n == 0 || n > kMaxExprChildren ||
-          n > r.remaining() / kMinExprBytes ||
-          (out->op == ExprOp::kNot && n != 1)) {
-        return Status::InvalidArgument("bad NDP filter arity");
-      }
-      out->children.resize(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        CLOUDIQ_RETURN_IF_ERROR(GetExpr(r, depth + 1, &out->children[i]));
-        if (r.overflow()) {
-          return Status::InvalidArgument("truncated NDP filter");
-        }
-      }
-      break;
-    }
-  }
-  return Status::Ok();
-}
-
-// Validates that every column reference in `e` is in range.
-Status CheckColumns(const NdpExpr& e, size_t n_columns) {
-  if (e.op == ExprOp::kCmp && e.column >= n_columns) {
-    return Status::InvalidArgument("NDP filter references unknown column");
-  }
-  for (const NdpExpr& child : e.children) {
-    CLOUDIQ_RETURN_IF_ERROR(CheckColumns(child, n_columns));
-  }
-  return Status::Ok();
+// False unless the next bytes are a PutBound of `cmp`.
+bool GetBound(ByteReader& r, uint32_t cmp, uint32_t* column,
+              int64_t* literal) {
+  if (r.GetU32() != kCmpNode || r.GetU32() != cmp) return false;
+  *column = r.GetU32();
+  if (r.GetU32() != static_cast<uint32_t>(ColumnType::kInt64)) return false;
+  *literal = r.GetI64();
+  return r.GetU64() == 0 && r.GetU32() == 0;
 }
 
 }  // namespace
@@ -129,25 +69,6 @@ Result<NdpMode> ParseNdpMode(const std::string& text) {
   return Status::InvalidArgument("bad NDP mode (want on|off|auto): " + text);
 }
 
-NdpExpr NdpExpr::True() { return NdpExpr{}; }
-
-NdpExpr NdpExpr::CmpInt(uint32_t column, CmpOp cmp, int64_t literal) {
-  NdpExpr e;
-  e.op = ExprOp::kCmp;
-  e.cmp = cmp;
-  e.column = column;
-  e.literal_type = ColumnType::kInt64;
-  e.int_literal = literal;
-  return e;
-}
-
-NdpExpr NdpExpr::And(std::vector<NdpExpr> children) {
-  NdpExpr e;
-  e.op = ExprOp::kAnd;
-  e.children = std::move(children);
-  return e;
-}
-
 std::vector<uint8_t> NdpRequest::Serialize() const {
   std::vector<uint8_t> out;
   PutU32(out, static_cast<uint32_t>(columns.size()));
@@ -162,12 +83,11 @@ std::vector<uint8_t> NdpRequest::Serialize() const {
       PutU32(out, page.row_count);
     }
   }
-  PutExpr(out, filter);
-  PutU32(out, static_cast<uint32_t>(aggregates.size()));
-  for (const NdpAggregate& agg : aggregates) {
-    PutU32(out, static_cast<uint32_t>(agg.op));
-    PutU32(out, agg.column);
-  }
+  PutU32(out, kAndNode);
+  PutU32(out, 2);  // children
+  PutBound(out, kCmpGe, range_column, lo);
+  PutBound(out, kCmpLe, range_column, hi);
+  PutU32(out, 0);  // aggregates
   return out;
 }
 
@@ -209,24 +129,16 @@ Result<NdpRequest> NdpRequest::Deserialize(
       prev_end = page.first_row + page.row_count;
     }
   }
-  CLOUDIQ_RETURN_IF_ERROR(GetExpr(r, 0, &req.filter));
-  CLOUDIQ_RETURN_IF_ERROR(CheckColumns(req.filter, req.columns.size()));
-  uint32_t n_aggs = r.GetU32();
-  if (n_aggs > kMaxAggregates) {
-    return Status::InvalidArgument("bad NDP aggregate count");
+  uint32_t hi_column = 0;
+  const bool range = r.GetU32() == kAndNode && r.GetU32() == 2 &&
+                     GetBound(r, kCmpGe, &req.range_column, &req.lo) &&
+                     GetBound(r, kCmpLe, &hi_column, &req.hi) &&
+                     r.GetU32() == 0;  // aggregates
+  if (!range || hi_column != req.range_column) {
+    return Status::InvalidArgument("NDP filter is not a column range");
   }
-  req.aggregates.resize(n_aggs);
-  for (NdpAggregate& agg : req.aggregates) {
-    uint32_t op = r.GetU32();
-    if (op > static_cast<uint32_t>(AggOp::kMax)) {
-      return Status::InvalidArgument("bad NDP aggregate op");
-    }
-    agg.op = static_cast<AggOp>(op);
-    agg.column = r.GetU32();
-    if (agg.column >= req.columns.size()) {
-      return Status::InvalidArgument("NDP aggregate references unknown "
-                                     "column");
-    }
+  if (req.range_column >= req.columns.size()) {
+    return Status::InvalidArgument("NDP filter references unknown column");
   }
   if (r.overflow() || r.remaining() != 0) {
     return Status::InvalidArgument("malformed NDP request");
@@ -236,7 +148,7 @@ Result<NdpRequest> NdpRequest::Deserialize(
 
 std::vector<uint8_t> NdpResult::Serialize() const {
   std::vector<uint8_t> out;
-  PutU32(out, is_aggregate ? 1 : 0);
+  PutU32(out, 0);  // the retired aggregate flag
   PutU64(out, rows_matched);
   PutU32(out, static_cast<uint32_t>(columns.size()));
   for (const ColumnVector& col : columns) {
@@ -257,7 +169,9 @@ std::vector<uint8_t> NdpResult::Serialize() const {
 Result<NdpResult> NdpResult::Deserialize(const std::vector<uint8_t>& bytes) {
   ByteReader r(bytes);
   NdpResult res;
-  res.is_aggregate = r.GetU32() != 0;
+  if (r.GetU32() != 0) {
+    return Status::Corruption("bad NDP result flag");
+  }
   res.rows_matched = r.GetU64();
   uint32_t n_columns = r.GetU32();
   if (n_columns > kMaxColumns || r.overflow()) {
@@ -287,10 +201,8 @@ Result<NdpResult> NdpResult::Deserialize(const std::vector<uint8_t>& bytes) {
   if (r.overflow() || r.remaining() != 0) {
     return Status::Corruption("malformed NDP result");
   }
-  // A projection returns rows_matched rows in every column; an aggregate
-  // returns at most one value per column.
   for (const ColumnVector& col : res.columns) {
-    if (res.is_aggregate ? col.size() > 1 : col.size() != res.rows_matched) {
+    if (col.size() != res.rows_matched) {
       return Status::Corruption("ragged NDP result");
     }
   }

@@ -7,11 +7,13 @@
 // key generator's checkpoint (through ObjectKeyGenerator::Recover),
 // Blockmap::ParseNode, IdentityCatalog::Deserialize, the system store's
 // directory (through SystemStore::Open), the NDP request and result
-// frames, and the HG, DATE and TEXT posting pages (through the shared page
+// frames, the NDP server (NdpEngine::Evaluate over mutated stored pages),
+// and the HG, DATE and TEXT posting pages (through the shared page
 // walker and through each index's lookup). Each starts from valid bytes and is fed
 // truncations, bit flips and overwritten counts; every call must return a
-// value or Corruption (InvalidArgument for an NDP request, the store's
-// "cannot evaluate" answer), never crash, abort or allocate from a
+// value or Corruption (InvalidArgument for an NDP request, or a page
+// that disagrees with its ref: the store's "cannot evaluate" answer),
+// never crash, abort or allocate from a
 // corrupt count. The page-codec encoder is fuzzed too: on seeded and
 // mutated payloads, EncodedPageSize must equal the frame's size and the
 // frame must decode back to the payload (its RLE scanner reads words near
@@ -41,6 +43,7 @@
 #include "common/key_hash.h"
 #include "common/random.h"
 #include "keygen/object_key_generator.h"
+#include "ndp/ndp_engine.h"
 #include "ndp/ndp_protocol.h"
 #include "sim/block_volume.h"
 #include "store/page_codec.h"
@@ -810,40 +813,37 @@ TEST(CodecFuzzTest, SystemDirectoriesOpenOrReportCorruption) {
             });
 }
 
-// --- NDP wire frames ----------------------------------------------------
+// --- NDP wire frames and the NDP server ---------------------------------
 
-ndp::NdpRequest SeedRequest(bool aggregate) {
+// The one request shape the client sends (PlanNdpScan): the projected
+// columns, then the range column, filter-only when the scan does not
+// project it.
+ndp::NdpRequest SeedRequest(bool project_range) {
   ndp::NdpRequest req;
+  ndp::NdpColumn note;
+  note.name = "note";
+  note.type = ColumnType::kString;
+  note.pages = {{"data/01/1", 0, 150}};
   ndp::NdpColumn k;
   k.name = "k";
   k.type = ColumnType::kDate;
-  k.projected = false;
+  k.projected = project_range;
   k.pages = {{"data/00/1", 0, 100}, {"data/00/2", 100, 50}};
-  ndp::NdpColumn v;
-  v.name = "note";
-  v.type = ColumnType::kString;
-  v.pages = {{"data/01/1", 0, 150}};
-  req.columns = {k, v};
-  ndp::NdpExpr like;
-  like.op = ndp::ExprOp::kCmp;
-  like.cmp = ndp::CmpOp::kNe;
-  like.column = 1;
-  like.literal_type = ColumnType::kString;
-  like.string_literal = "promo";
-  ndp::NdpExpr negated;
-  negated.op = ndp::ExprOp::kNot;
-  negated.children = {like};
-  req.filter = ndp::NdpExpr::And(
-      {ndp::NdpExpr::CmpInt(0, ndp::CmpOp::kGe, 10),
-       ndp::NdpExpr::CmpInt(0, ndp::CmpOp::kLe, 90), negated});
-  if (aggregate) {
-    req.aggregates = {{ndp::AggOp::kCount, 0}, {ndp::AggOp::kMin, 1}};
-  }
+  req.columns = {note, k};
+  req.range_column = 1;
+  req.lo = 10;
+  req.hi = 90;
   return req;
 }
 
-// Offsets of a request's counts: columns, each column's pages, the
-// filter root's children and the aggregates.
+// The serialized range predicate's size: And(Cmp >= lo, Cmp <= hi) and
+// an aggregate count. Its lo and hi literals sit at these offsets in it.
+constexpr size_t kRangeBytes = 84;
+constexpr size_t kLoOffset = 8 + 16;
+constexpr size_t kHiOffset = 8 + 36 + 16;
+
+// Offsets of a request's counts (columns and each column's pages) and of
+// every word of its range predicate.
 std::vector<size_t> RequestCountFields(const ndp::NdpRequest& req) {
   std::vector<size_t> fields = {0};
   size_t at = 4;
@@ -855,15 +855,14 @@ std::vector<size_t> RequestCountFields(const ndp::NdpRequest& req) {
       at += 4 + page.key.size() + 8 + 4;
     }
   }
-  fields.push_back(at + 4);
-  fields.push_back(req.Serialize().size() - 4 - 8 * req.aggregates.size());
+  for (; at + 8 <= req.Serialize().size(); at += 8) fields.push_back(at);
   return fields;
 }
 
 TEST(CodecFuzzTest, NdpRequestsDecodeOrReject) {
   std::vector<Seed> seeds;
-  for (bool aggregate : {false, true}) {
-    ndp::NdpRequest req = SeedRequest(aggregate);
+  for (bool project_range : {false, true}) {
+    ndp::NdpRequest req = SeedRequest(project_range);
     seeds.push_back({req.Serialize(), RequestCountFields(req)});
   }
   FuzzSeeds(kSeed + 7, kIterations, seeds,
@@ -879,8 +878,34 @@ TEST(CodecFuzzTest, NdpRequestsDecodeOrReject) {
                 pages += col.pages.size();
               }
               EXPECT_LE(pages, b.size() / 17) << it;
+              EXPECT_LT(req->range_column, req->columns.size()) << it;
               return true;
             });
+}
+
+// Every byte of the range predicate but its lo and hi literals is fixed:
+// a request whose filter has any other shape (another comparison, a
+// second column, a non-INT64 literal, a double or string literal, an
+// aggregate) is InvalidArgument.
+TEST(CodecFuzzTest, NdpRequestsRejectOtherFilterShapes) {
+  const std::vector<uint8_t> good = SeedRequest(false).Serialize();
+  ASSERT_TRUE(ndp::NdpRequest::Deserialize(good).ok());
+  const size_t tail = good.size() - kRangeBytes;
+  for (size_t at = tail; at < good.size(); ++at) {
+    const size_t in_tail = at - tail;
+    const bool literal = (in_tail >= kLoOffset && in_tail < kLoOffset + 8) ||
+                         (in_tail >= kHiOffset && in_tail < kHiOffset + 8);
+    for (uint8_t flip : {0x01, 0x80}) {
+      std::vector<uint8_t> bytes = good;
+      bytes[at] ^= flip;
+      Result<ndp::NdpRequest> req = ndp::NdpRequest::Deserialize(bytes);
+      if (literal) {
+        EXPECT_TRUE(req.ok()) << "byte " << in_tail;
+      } else {
+        EXPECT_TRUE(req.status().IsInvalidArgument()) << "byte " << in_tail;
+      }
+    }
+  }
 }
 
 // Offsets of a result's counts: rows_matched, columns, and each column's
@@ -920,18 +945,21 @@ TEST(CodecFuzzTest, NdpResultsDecodeOrReportCorruption) {
     strings.strings.push_back(r % 3 ? "regular" : "promo sale");
   }
   rows.columns = {ints, doubles, strings};
-  ndp::NdpResult agg;
-  agg.is_aggregate = true;
-  agg.rows_matched = 7;
-  ColumnVector count;
-  count.type = ColumnType::kInt64;
-  count.ints = {7};
-  ColumnVector empty_min;
-  empty_min.type = ColumnType::kString;
-  agg.columns = {count, empty_min};
+  ndp::NdpResult empty;
+  ColumnVector none;
+  none.type = ColumnType::kString;
+  empty.columns = {none};
   std::vector<Seed> seeds;
-  for (const ndp::NdpResult* res : {&rows, &agg}) {
+  for (const ndp::NdpResult* res : {&rows, &empty}) {
     std::vector<uint8_t> bytes = res->Serialize();
+    ASSERT_TRUE(ndp::NdpResult::Deserialize(bytes).ok());
+    // The leading word once flagged an aggregate result; it is always 0.
+    for (uint8_t lead : {0x01, 0x80}) {
+      std::vector<uint8_t> flagged = bytes;
+      flagged[0] = lead;
+      EXPECT_TRUE(
+          ndp::NdpResult::Deserialize(flagged).status().IsCorruption());
+    }
     seeds.push_back({bytes, ResultCountFields(bytes)});
   }
   FuzzSeeds(kSeed + 9, kIterations, seeds,
@@ -942,14 +970,104 @@ TEST(CodecFuzzTest, NdpResultsDecodeOrReportCorruption) {
                 return false;
               }
               for (const ColumnVector& col : res->columns) {
-                if (res->is_aggregate) {
-                  EXPECT_LE(col.size(), 1u) << it;
-                } else {
-                  EXPECT_EQ(col.size(), res->rows_matched) << it;
-                }
+                EXPECT_EQ(col.size(), res->rows_matched) << it;
               }
               return true;
             });
+}
+
+// Mutated pages fed to the NDP server: every stored frame and every
+// column page inside one must come back as a result or as Corruption (a
+// broken page) or InvalidArgument (a page that disagrees with its ref),
+// never abort, leak or read out of bounds. Over a range column, a
+// dictionary and a raw string column and a double column whose pages
+// break at different rows.
+TEST(CodecFuzzTest, NdpEngineRejectsMutatedPages) {
+  Rng rng(kSeed + 10);
+  ColumnVector k;
+  k.type = ColumnType::kInt64;
+  ColumnVector flag;
+  flag.type = ColumnType::kString;
+  ColumnVector note;
+  note.type = ColumnType::kString;
+  ColumnVector y;
+  y.type = ColumnType::kDouble;
+  for (int r = 0; r < 150; ++r) {
+    k.ints.push_back(static_cast<int64_t>(rng.Uniform(1000)));
+    flag.strings.push_back(r % 4 ? "N" : "R");
+    note.strings.push_back("note " + std::to_string(rng.Next()));
+    y.doubles.push_back(rng.NextDouble());
+  }
+  // Column pages (unframed), column-major, and the request over them.
+  std::vector<std::vector<uint8_t>> payloads;
+  ndp::NdpRequest req;
+  auto add_column = [&](const std::string& name, const ColumnVector& values,
+                        std::vector<size_t> cuts, bool projected) {
+    ndp::NdpColumn col;
+    col.name = name;
+    col.type = values.type;
+    col.projected = projected;
+    for (size_t i = 0; i + 1 < cuts.size(); ++i) {
+      ZoneMapEntry zone;
+      payloads.push_back(EncodeColumnPage(values, cuts[i], cuts[i + 1],
+                                          &zone));
+      col.pages.push_back({name + "/" + std::to_string(i), cuts[i],
+                           static_cast<uint32_t>(cuts[i + 1] - cuts[i])});
+    }
+    req.columns.push_back(std::move(col));
+  };
+  add_column("flag", flag, {0, 70, 150}, true);
+  add_column("note", note, {0, 40, 110, 150}, true);
+  add_column("y", y, {0, 150}, true);
+  add_column("k", k, {0, 100, 150}, false);
+  req.range_column = 3;
+
+  std::vector<std::vector<uint8_t>> frames;
+  for (const std::vector<uint8_t>& payload : payloads) {
+    frames.push_back(EncodePage(payload));
+  }
+  std::vector<const std::vector<uint8_t>*> pages;
+  for (const std::vector<uint8_t>& frame : frames) pages.push_back(&frame);
+  req.lo = 0;
+  req.hi = 999;
+  Result<ndp::NdpResult> whole = ndp::NdpEngine::Evaluate(req, pages);
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  ASSERT_EQ(whole->rows_matched, 150u);
+
+  const int iterations = kIterations / 5;
+  int rejected = 0;
+  for (int it = 0; it < iterations; ++it) {
+    const size_t victim = rng.Uniform(frames.size());
+    std::vector<uint8_t> bytes;
+    if (rng.Bernoulli(0.5)) {
+      // A sound frame around a broken column page.
+      std::vector<uint8_t> payload = payloads[victim];
+      Mutate(rng, payload, {kTypeOffset, kCountOffset}, {kWidthOffset});
+      bytes = EncodePage(payload);
+    } else {
+      bytes = frames[victim];
+      Mutate(rng, bytes, {kFlagsOffset, kRawSizeOffset, kRawSizeOffset + 4},
+             {kFlagsOffset});
+    }
+    std::vector<const std::vector<uint8_t>*> mutated = pages;
+    mutated[victim] = &bytes;
+    req.lo = rng.UniformRange(-10, 1000);
+    req.hi = req.lo + rng.UniformRange(-10, 1000);
+    Result<ndp::NdpResult> res = ndp::NdpEngine::Evaluate(req, mutated);
+    if (!res.ok()) {
+      ASSERT_TRUE(res.status().IsCorruption() ||
+                  res.status().IsInvalidArgument())
+          << "iteration " << it << ": " << res.status().ToString();
+      ++rejected;
+      continue;
+    }
+    ASSERT_LE(res->rows_matched, 150u) << it;
+    ASSERT_EQ(res->columns.size(), 3u) << it;
+    for (const ColumnVector& col : res->columns) {
+      ASSERT_EQ(col.size(), res->rows_matched) << it;
+    }
+  }
+  EXPECT_GT(rejected, iterations / 4);
 }
 
 // --- index posting pages -------------------------------------------------

@@ -866,6 +866,14 @@ TEST(DecodeCorruptionTest, TruncatedPages) {
   }
 }
 
+// Page `page` of (partition, column), fetched and decoded plain.
+Result<ColumnVector> FetchDecoded(TableReader* reader, size_t partition,
+                                  int column, size_t page) {
+  CLOUDIQ_ASSIGN_OR_RETURN(BufferManager::PageData frame,
+                           reader->FetchPage(partition, column, page));
+  return DecodeColumnPage(*frame);
+}
+
 class TableStoreTest : public ::testing::Test {
  protected:
   TableStoreTest() {
@@ -943,7 +951,8 @@ TEST_F(TableStoreTest, LoadThenReadBack) {
       std::vector<std::string> strings;
       const SegmentMeta& seg = reader->meta().partitions[p].columns[column];
       for (size_t page = 0; page < seg.page_rows.size(); ++page) {
-        Result<ColumnVector> vec = reader->ReadPage(p, column, page);
+        Result<ColumnVector> vec =
+            FetchDecoded(&reader.value(), p, column, page);
         EXPECT_TRUE(vec.ok());
         ints.insert(ints.end(), vec->ints.begin(), vec->ints.end());
         strings.insert(strings.end(), vec->strings.begin(),
@@ -984,7 +993,7 @@ TEST_F(TableStoreTest, ZoneMapPruning) {
   EXPECT_LT(pages.size(), total_pages);
   int64_t found = 0;
   for (uint64_t page : pages) {
-    Result<ColumnVector> ids = reader->ReadPage(0, 0, page);
+    Result<ColumnVector> ids = FetchDecoded(&reader.value(), 0, 0, page);
     ASSERT_TRUE(ids.ok());
     for (int64_t v : ids->ints) {
       if (v >= 100 && v <= 120) ++found;

@@ -323,12 +323,44 @@ TEST_F(ExecTest, PagesDisagreeingWithTheirSegmentAreCorruption) {
   TableMeta wrong_rows = good->meta();
   wrong_rows.partitions[0].columns[0].page_rows[0] += 1;
   for (const TableMeta& meta : {wrong_type, wrong_rows}) {
-    TableReader bad(txn_mgr_.get(), txn_, meta);
-    Result<Batch> scan = ScanTable(ctx_.get(), &bad, {"id", "note"});
+    Result<TableReader> bad = TableReader::Make(txn_mgr_.get(), txn_, meta);
+    ASSERT_TRUE(bad.ok()) << bad.status().ToString();
+    Result<Batch> scan = ScanTable(ctx_.get(), &*bad, {"id", "note"});
     EXPECT_TRUE(scan.status().IsCorruption()) << scan.status().ToString();
     Result<Batch> by_id =
-        ScanRowIds(ctx_.get(), &bad, 0, {"id", "note"}, rows);
+        ScanRowIds(ctx_.get(), &*bad, 0, {"id", "note"}, rows);
     EXPECT_TRUE(by_id.status().IsCorruption()) << by_id.status().ToString();
+  }
+}
+
+// Metas that TableMeta::Deserialize accepts but that do not match their
+// schema: a partition missing a column's segment, a partition past the
+// schema's bounds, an index list the schema has no column for. Opening
+// one is Corruption, before any scan indexes the missing entries.
+TEST_F(ExecTest, TableMetaShorterThanItsSchemaIsCorruption) {
+  Result<TableReader> good = ctx_->OpenTable(10);
+  ASSERT_TRUE(good.ok());
+  TableMeta short_columns = good->meta();
+  short_columns.partitions[1].columns.pop_back();
+  TableMeta extra_partition = good->meta();
+  extra_partition.partitions.push_back(extra_partition.partitions[1]);
+  TableMeta extra_index = good->meta();
+  extra_index.partitions[0].index_objects.push_back(7);
+  extra_index.partitions[0].index_page_ranges.push_back({{0, 1}});
+  for (const TableMeta& meta : {short_columns, extra_partition, extra_index}) {
+    Result<TableMeta> stored = TableMeta::Deserialize(meta.Serialize());
+    ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+    QueryContext ctx(txn_mgr_.get(), txn_, &h_.system);
+    ctx.set_meta_provider(
+        [&stored](uint64_t) -> Result<TableMeta> { return *stored; });
+    Result<TableReader> reader = ctx.OpenTable(10);
+    if (reader.ok()) {
+      Result<Batch> scan = ScanTable(&ctx, &*reader, {"id", "note"},
+                                     ScanRange{"day", 0, 99});
+      EXPECT_FALSE(scan.ok());
+    }
+    EXPECT_TRUE(reader.status().IsCorruption())
+        << reader.status().ToString();
   }
 }
 

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "columnar/encoding.h"
 #include "columnar/table_reader.h"
 #include "columnar/text_index.h"
 #include "columnar/value.h"
@@ -51,6 +52,15 @@ class IndexTest : public ::testing::Test {
     return std::move(reader).value();
   }
 
+  // Page `page` of (partition, column), fetched and decoded plain.
+  static Result<ColumnVector> FetchDecoded(TableReader* reader,
+                                           size_t partition, int column,
+                                           size_t page) {
+    CLOUDIQ_ASSIGN_OR_RETURN(BufferManager::PageData frame,
+                             reader->FetchPage(partition, column, page));
+    return DecodeColumnPage(*frame);
+  }
+
   // Every value of one partition's column, in row order.
   static ColumnVector Scan(TableReader* reader, size_t partition,
                            int column) {
@@ -60,7 +70,7 @@ class IndexTest : public ::testing::Test {
         reader->meta().partitions[partition].columns[column];
     for (size_t page = 0; page < seg.page_rows.size(); ++page) {
       Result<ColumnVector> values =
-          reader->ReadPage(partition, column, page);
+          FetchDecoded(reader, partition, column, page);
       EXPECT_TRUE(values.ok()) << values.status().ToString();
       all.ints.insert(all.ints.end(), values->ints.begin(),
                       values->ints.end());

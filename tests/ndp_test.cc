@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "columnar/encoding.h"
 #include "columnar/table_loader.h"
+#include "common/random.h"
 #include "engine/database.h"
 #include "exec/executor.h"
 #include "ndp/ndp_engine.h"
@@ -16,13 +20,8 @@
 namespace cloudiq {
 namespace {
 
-using ndp::AggOp;
-using ndp::CmpOp;
-using ndp::ExprOp;
-using ndp::NdpAggregate;
 using ndp::NdpColumn;
 using ndp::NdpEngine;
-using ndp::NdpExpr;
 using ndp::NdpMode;
 using ndp::NdpPageRef;
 using ndp::NdpRequest;
@@ -43,27 +42,16 @@ NdpRequest TwoColumnRequest() {
   v.projected = true;
   v.pages = {{"data/01/1", 0, 150}};
   req.columns = {k, v};
-  req.filter = NdpExpr::And({NdpExpr::CmpInt(0, CmpOp::kGe, 10),
-                             NdpExpr::CmpInt(0, CmpOp::kLe, 90)});
+  req.range_column = 0;
+  req.lo = 10;
+  req.hi = 90;
   return req;
 }
 
 TEST(NdpProtocolTest, RequestRoundTrip) {
   NdpRequest req = TwoColumnRequest();
-  NdpExpr note_cmp;
-  note_cmp.op = ExprOp::kCmp;
-  note_cmp.cmp = CmpOp::kNe;
-  note_cmp.column = 1;
-  note_cmp.literal_type = ColumnType::kDouble;
-  note_cmp.double_literal = 2.5;
-  NdpExpr inner = req.filter;
-  NdpExpr negated;
-  negated.op = ExprOp::kNot;
-  negated.children = {note_cmp};
-  req.filter = NdpExpr{};
-  req.filter.op = ExprOp::kOr;
-  req.filter.children = {inner, negated};
-  req.aggregates = {{AggOp::kCount, 0}, {AggOp::kSum, 1}};
+  req.lo = std::numeric_limits<int64_t>::min();
+  req.hi = -3;
 
   Result<NdpRequest> round = NdpRequest::Deserialize(req.Serialize());
   ASSERT_TRUE(round.ok()) << round.status().ToString();
@@ -76,42 +64,33 @@ TEST(NdpProtocolTest, RequestRoundTrip) {
   EXPECT_EQ(r.columns[0].pages[1].first_row, 100u);
   EXPECT_EQ(r.columns[0].pages[1].row_count, 50u);
   EXPECT_EQ(r.columns[1].type, ColumnType::kDouble);
-  ASSERT_EQ(r.filter.op, ExprOp::kOr);
-  ASSERT_EQ(r.filter.children.size(), 2u);
-  EXPECT_EQ(r.filter.children[0].op, ExprOp::kAnd);
-  ASSERT_EQ(r.filter.children[1].op, ExprOp::kNot);
-  EXPECT_DOUBLE_EQ(r.filter.children[1].children[0].double_literal, 2.5);
-  ASSERT_EQ(r.aggregates.size(), 2u);
-  EXPECT_EQ(r.aggregates[1].op, AggOp::kSum);
-  EXPECT_EQ(r.aggregates[1].column, 1u);
+  EXPECT_EQ(r.range_column, 0u);
+  EXPECT_EQ(r.lo, std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(r.hi, -3);
 }
 
 TEST(NdpProtocolTest, RejectsMalformedRequests) {
-  // Filter referencing a column the request does not carry.
+  // A range over a column the request does not carry.
   NdpRequest req = TwoColumnRequest();
-  req.filter = NdpExpr::CmpInt(7, CmpOp::kEq, 1);
-  EXPECT_FALSE(NdpRequest::Deserialize(req.Serialize()).ok());
+  req.range_column = 7;
+  EXPECT_TRUE(NdpRequest::Deserialize(req.Serialize())
+                  .status()
+                  .IsInvalidArgument());
 
   // Page refs must ascend without overlap.
   req = TwoColumnRequest();
   req.columns[0].pages = {{"data/00/1", 0, 100}, {"data/00/2", 50, 50}};
   EXPECT_FALSE(NdpRequest::Deserialize(req.Serialize()).ok());
 
-  // Aggregate over a missing column.
-  req = TwoColumnRequest();
-  req.aggregates = {{AggOp::kSum, 9}};
-  EXPECT_FALSE(NdpRequest::Deserialize(req.Serialize()).ok());
-
   // Trailing garbage.
   req = TwoColumnRequest();
   std::vector<uint8_t> bytes = req.Serialize();
   bytes.push_back(0);
-  EXPECT_FALSE(NdpRequest::Deserialize(bytes).ok());
+  EXPECT_TRUE(NdpRequest::Deserialize(bytes).status().IsInvalidArgument());
 }
 
 TEST(NdpProtocolTest, ResultRoundTripRowMode) {
   NdpResult res;
-  res.is_aggregate = false;
   res.rows_matched = 3;
   ColumnVector ints;
   ints.type = ColumnType::kInt64;
@@ -127,7 +106,6 @@ TEST(NdpProtocolTest, ResultRoundTripRowMode) {
   Result<NdpResult> round = NdpResult::Deserialize(res.Serialize());
   ASSERT_TRUE(round.ok()) << round.status().ToString();
   const NdpResult& r = round.value();
-  EXPECT_FALSE(r.is_aggregate);
   EXPECT_EQ(r.rows_matched, 3u);
   ASSERT_EQ(r.columns.size(), 3u);
   EXPECT_EQ(r.columns[0].ints, ints.ints);
@@ -135,22 +113,20 @@ TEST(NdpProtocolTest, ResultRoundTripRowMode) {
   EXPECT_EQ(r.columns[2].strings, strings.strings);
 }
 
-TEST(NdpProtocolTest, ResultRoundTripAggregateAndEmpty) {
+TEST(NdpProtocolTest, ResultRoundTripEmpty) {
   NdpResult res;
-  res.is_aggregate = true;
   res.rows_matched = 0;
-  ColumnVector count;
-  count.type = ColumnType::kInt64;
-  count.ints = {0};
-  ColumnVector empty_min;
-  empty_min.type = ColumnType::kDouble;  // no matching rows: zero-row col
-  res.columns = {count, empty_min};
+  ColumnVector ints;
+  ints.type = ColumnType::kDate;
+  ColumnVector doubles;
+  doubles.type = ColumnType::kDouble;  // no matching rows: zero-row cols
+  res.columns = {ints, doubles};
 
   Result<NdpResult> round = NdpResult::Deserialize(res.Serialize());
   ASSERT_TRUE(round.ok()) << round.status().ToString();
-  EXPECT_TRUE(round.value().is_aggregate);
+  EXPECT_EQ(round.value().rows_matched, 0u);
   ASSERT_EQ(round.value().columns.size(), 2u);
-  EXPECT_EQ(round.value().columns[0].ints.size(), 1u);
+  EXPECT_EQ(round.value().columns[0].type, ColumnType::kDate);
   EXPECT_EQ(round.value().columns[1].type, ColumnType::kDouble);
   EXPECT_EQ(round.value().columns[1].doubles.size(), 0u);
 }
@@ -175,12 +151,6 @@ TEST(NdpProtocolTest, RejectsRaggedResults) {
   EXPECT_TRUE(NdpResult::Deserialize(res.Serialize()).status().IsCorruption());
   res.columns = {three, three};
   EXPECT_TRUE(NdpResult::Deserialize(res.Serialize()).ok());
-
-  // Aggregate mode: at most one value per column.
-  res.is_aggregate = true;
-  res.rows_matched = 2;
-  res.columns = {two};
-  EXPECT_TRUE(NdpResult::Deserialize(res.Serialize()).status().IsCorruption());
 }
 
 // --- engine ----------------------------------------------------------------
@@ -212,8 +182,9 @@ struct EngineFixture {
     req.columns[1].type = ColumnType::kDouble;
     req.columns[1].projected = true;
     req.columns[1].pages = {{"v/1", 0, 100}, {"v/2", 100, 100}};
-    req.filter = NdpExpr::And({NdpExpr::CmpInt(0, CmpOp::kGe, 90),
-                               NdpExpr::CmpInt(0, CmpOp::kLe, 109)});
+    req.range_column = 0;
+    req.lo = 90;
+    req.hi = 109;
   }
 
   std::vector<const std::vector<uint8_t>*> Pages() const {
@@ -230,7 +201,6 @@ TEST(NdpEngineTest, FilterAndProjectAcrossPages) {
   Result<NdpResult> result = NdpEngine::Evaluate(f.req, f.Pages());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const NdpResult& r = result.value();
-  EXPECT_FALSE(r.is_aggregate);
   EXPECT_EQ(r.rows_matched, 20u);  // k in [90, 109] spans the page seam
   ASSERT_EQ(r.columns.size(), 1u);
   ASSERT_EQ(r.columns[0].doubles.size(), 20u);
@@ -239,41 +209,53 @@ TEST(NdpEngineTest, FilterAndProjectAcrossPages) {
   }
 }
 
-TEST(NdpEngineTest, Aggregates) {
+TEST(NdpEngineTest, NoMatchesIsEmpty) {
   EngineFixture f;
-  f.req.aggregates = {{AggOp::kCount, 0},
-                      {AggOp::kSum, 1},
-                      {AggOp::kMin, 1},
-                      {AggOp::kMax, 1}};
-  Result<NdpResult> result = NdpEngine::Evaluate(f.req, f.Pages());
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const NdpResult& r = result.value();
-  EXPECT_TRUE(r.is_aggregate);
-  ASSERT_EQ(r.columns.size(), 4u);
-  EXPECT_EQ(r.columns[0].ints[0], 20);
-  double sum = 0;
-  for (int64_t x = 90; x <= 109; ++x) sum += x * 0.5;
-  EXPECT_DOUBLE_EQ(r.columns[1].doubles[0], sum);
-  EXPECT_DOUBLE_EQ(r.columns[2].doubles[0], 45.0);
-  EXPECT_DOUBLE_EQ(r.columns[3].doubles[0], 54.5);
-}
-
-TEST(NdpEngineTest, AggregateOverNoMatchesIsEmpty) {
-  EngineFixture f;
-  f.req.filter = NdpExpr::CmpInt(0, CmpOp::kGt, 10000);
-  f.req.aggregates = {{AggOp::kCount, 0}, {AggOp::kMin, 1}};
-  Result<NdpResult> result = NdpEngine::Evaluate(f.req, f.Pages());
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value().rows_matched, 0u);
-  EXPECT_EQ(result.value().columns[0].ints[0], 0);       // COUNT = 0
-  EXPECT_EQ(result.value().columns[1].doubles.size(), 0u);  // MIN = empty
+  for (auto [lo, hi] : {std::pair<int64_t, int64_t>{10000, 20000},
+                        {-5, -1},
+                        {109, 90}}) {
+    f.req.lo = lo;
+    f.req.hi = hi;
+    Result<NdpResult> result = NdpEngine::Evaluate(f.req, f.Pages());
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result.value().rows_matched, 0u);
+    ASSERT_EQ(result.value().columns.size(), 1u);
+    EXPECT_EQ(result.value().columns[0].type, ColumnType::kDouble);
+    EXPECT_EQ(result.value().columns[0].doubles.size(), 0u);
+  }
 }
 
 TEST(NdpEngineTest, RejectsShapeMismatchAndBadPayloads) {
   EngineFixture f;
   // A ref whose row_count disagrees with the decoded page.
   f.req.columns[0].pages[0].row_count = 99;
-  EXPECT_FALSE(NdpEngine::Evaluate(f.req, f.Pages()).ok());
+  EXPECT_TRUE(
+      NdpEngine::Evaluate(f.req, f.Pages()).status().IsInvalidArgument());
+
+  // A column whose type disagrees with its pages.
+  EngineFixture typed;
+  typed.req.columns[1].type = ColumnType::kInt64;
+  EXPECT_TRUE(NdpEngine::Evaluate(typed.req, typed.Pages())
+                  .status()
+                  .IsInvalidArgument());
+
+  // A range column out of range, or not int-family.
+  EngineFixture ranged;
+  ranged.req.range_column = 2;
+  EXPECT_TRUE(NdpEngine::Evaluate(ranged.req, ranged.Pages())
+                  .status()
+                  .IsInvalidArgument());
+  ranged.req.range_column = 1;  // v is DOUBLE
+  EXPECT_TRUE(NdpEngine::Evaluate(ranged.req, ranged.Pages())
+                  .status()
+                  .IsInvalidArgument());
+
+  // One payload short of the refs.
+  EngineFixture shy;
+  std::vector<const std::vector<uint8_t>*> three = shy.Pages();
+  three.pop_back();
+  EXPECT_TRUE(
+      NdpEngine::Evaluate(shy.req, three).status().IsInvalidArgument());
 
   // Corrupted frame bytes fail the page codec.
   EngineFixture g;
@@ -281,7 +263,27 @@ TEST(NdpEngineTest, RejectsShapeMismatchAndBadPayloads) {
   bad[bad.size() / 2] ^= 0xff;
   std::vector<const std::vector<uint8_t>*> pages = {
       &bad, &g.k_pages[1], &g.v_pages[0], &g.v_pages[1]};
-  EXPECT_FALSE(NdpEngine::Evaluate(g.req, pages).ok());
+  EXPECT_TRUE(NdpEngine::Evaluate(g.req, pages).status().IsCorruption());
+
+  // A corrupt column page in a sound frame, on a projected column the
+  // range leaves empty: the page is still checked whole.
+  EngineFixture h;
+  ColumnVector codes;
+  codes.type = ColumnType::kString;
+  for (int i = 0; i < 30; ++i) codes.strings.push_back({char('a' + i % 3)});
+  ZoneMapEntry zone;
+  std::vector<uint8_t> dict_page = EncodeColumnPage(codes, 0, 30, &zone);
+  // The last rows' 2-bit codes become 3, past the 3-entry dictionary.
+  dict_page.back() = 0xff;
+  std::vector<uint8_t> dict_frame = EncodePage(dict_page);
+  h.req.columns[1].type = ColumnType::kString;
+  h.req.columns[1].pages = {{"v/1", 0, 30}};
+  h.req.lo = 150;
+  h.req.hi = 160;
+  EXPECT_TRUE(NdpEngine::Evaluate(h.req, {&h.k_pages[0], &h.k_pages[1],
+                                          &dict_frame})
+                  .status()
+                  .IsCorruption());
 }
 
 // --- store-side Select: latency, billing, ledger == store stats -----------
@@ -510,6 +512,289 @@ TEST(NdpExecTest, MissingEngineFallsBackToPull) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().rows(), 100u);
   EXPECT_EQ(env.object_store().stats().selects, 0u);
+  ASSERT_TRUE(db.Commit(txn).ok());
+}
+
+// --- golden wire bytes -----------------------------------------------------
+
+// Serves every SELECT with the real engine and keeps each request it
+// served and each result it returned.
+class RecordingEngine : public NdpServerEngine {
+ public:
+  Result<std::vector<std::string>> KeysOf(
+      const std::vector<uint8_t>& request) const override {
+    return engine_.KeysOf(request);
+  }
+
+  Result<std::vector<uint8_t>> Execute(
+      const std::vector<uint8_t>& request,
+      const std::vector<const std::vector<uint8_t>*>& pages) const override {
+    Result<std::vector<uint8_t>> result = engine_.Execute(request, pages);
+    if (result.ok()) {
+      requests.push_back(request);
+      results.push_back(result.value());
+    }
+    return result;
+  }
+
+  mutable std::vector<std::vector<uint8_t>> requests;
+  mutable std::vector<std::vector<uint8_t>> results;
+
+ private:
+  NdpEngine engine_;
+};
+
+uint64_t Fnv1a(const std::vector<uint8_t>& bytes) {
+  uint64_t h = 14695981039346656037ull;
+  for (uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+std::string Hex(const uint8_t* data, size_t n) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (size_t i = 0; i < n; ++i) {
+    out.push_back(kDigits[data[i] >> 4]);
+    out.push_back(kDigits[data[i] & 15]);
+  }
+  return out;
+}
+
+// The request the planner sends for one pushed range scan, and the
+// result the server returns for it, byte for byte: both cross the
+// simulated NIC and are billed, so a protocol change that moves a byte
+// moves every NDP timing and bill.
+TEST(NdpGoldenTest, PushedScanWireBytesArePinned) {
+  SimEnvironment env;
+  Database db(&env, InstanceProfile::M5ad4xlarge(),
+              NdpDbOptions(NdpMode::kOn));
+  LoadWide(&db);
+  RecordingEngine recorder;
+  env.object_store().set_ndp_engine(&recorder);
+  Result<Batch> pushed = RangeScan(&db, {"v", "note"}, 1000, 1499, nullptr);
+  ASSERT_TRUE(pushed.ok()) << pushed.status().ToString();
+  ASSERT_EQ(recorder.requests.size(), 1u);
+  const std::vector<uint8_t>& request = recorder.requests[0];
+  const std::vector<uint8_t>& result = recorder.results[0];
+  ASSERT_EQ(request.size(), 338u);
+  EXPECT_EQ(Fnv1a(request), 0xb63a4537ca3af8a2ull);
+  // The range predicate: And(k >= 1000, k <= 1499) over request column 2
+  // (k, read after the projected v and note), then no aggregates.
+  const std::string kIntLiteral = "00000000";
+  const std::string kNoDouble = "0000000000000000";
+  const std::string kNoString = "00000000";
+  EXPECT_EQ(Hex(request.data() + request.size() - 84, 84),
+            "02000000" "02000000" +
+                ("01000000" "05000000" "02000000" + kIntLiteral +
+                 "e803000000000000" + kNoDouble + kNoString) +
+                ("01000000" "03000000" "02000000" + kIntLiteral +
+                 "db05000000000000" + kNoDouble + kNoString) +
+                "00000000");
+  ASSERT_EQ(result.size(), 347u);
+  EXPECT_EQ(Fnv1a(result), 0xd8acf728c9c2a3fbull);
+  // A zero leading word, then 500 rows in 2 columns.
+  EXPECT_EQ(Hex(result.data(), 16), "00000000f40100000000000002000000");
+}
+
+// --- server == pull --------------------------------------------------------
+
+constexpr uint64_t kPropertyTable = 11;
+constexpr int kPropertyRows = 9000;
+
+// Candidate range columns k (INT64, ascending by 3), d (DATE, ascending
+// with repeats) and m (DECIMAL, random), and projected columns x (INT64,
+// random and wide), y (DOUBLE), flag (a dictionary string) and note (a
+// raw string). Their encodings differ in width, so their pages break at
+// different rows.
+Batch PropertyRows() {
+  Rng rng(0x5EED);
+  Batch b;
+  b.AddColumn("k", {ColumnType::kInt64, {}, {}, {}});
+  b.AddColumn("d", {ColumnType::kDate, {}, {}, {}});
+  b.AddColumn("m", {ColumnType::kDecimal, {}, {}, {}});
+  b.AddColumn("x", {ColumnType::kInt64, {}, {}, {}});
+  b.AddColumn("y", {ColumnType::kDouble, {}, {}, {}});
+  b.AddColumn("flag", {ColumnType::kString, {}, {}, {}});
+  b.AddColumn("note", {ColumnType::kString, {}, {}, {}});
+  for (int i = 0; i < kPropertyRows; ++i) {
+    b.columns[0].ints.push_back(3 * i);
+    b.columns[1].ints.push_back(9000 + i / 7);
+    b.columns[2].ints.push_back(rng.UniformRange(-50000, 50000));
+    b.columns[3].ints.push_back(static_cast<int64_t>(rng.Next() >> 8));
+    b.columns[4].doubles.push_back(rng.NextDouble() * 1000);
+    b.columns[5].strings.push_back(
+        std::string(1, static_cast<char>('A' + rng.Uniform(20))));
+    b.columns[6].strings.push_back("note " + std::to_string(rng.Next()));
+  }
+  return b;
+}
+
+void LoadRows(Database* db, uint64_t table_id, const Batch& rows) {
+  TableSchema schema;
+  schema.name = "p";
+  schema.table_id = table_id;
+  for (size_t c = 0; c < rows.columns.size(); ++c) {
+    schema.columns.push_back({rows.names[c], rows.columns[c].type});
+  }
+  Transaction* txn = db->Begin();
+  TableLoader loader = db->NewTableLoader(txn, schema);
+  ASSERT_TRUE(loader.Append(rows.columns).ok());
+  ASSERT_TRUE(loader.Finish(db->system()).ok());
+  ASSERT_TRUE(db->Commit(txn).ok());
+}
+
+// A range over `values` (one of the candidate range columns), of one of
+// five kinds: inverted, outside the values, one value, around a page seam
+// of the column (`seams` are its pages' first rows), or random.
+std::pair<int64_t, int64_t> DrawRange(Rng& rng,
+                                      const std::vector<int64_t>& values,
+                                      const std::vector<uint64_t>& seams) {
+  auto [min_it, max_it] = std::minmax_element(values.begin(), values.end());
+  const int64_t v = values[rng.Uniform(values.size())];
+  switch (rng.Uniform(5)) {
+    case 0:
+      return {v + 1, v};
+    case 1:
+      return rng.Bernoulli(0.5) ? std::pair{*max_it + 1, *max_it + 1000}
+                                : std::pair{*min_it - 1000, *min_it - 1};
+    case 2:
+      return {v, v};
+    case 3: {
+      const auto seam = static_cast<int64_t>(seams[rng.Uniform(seams.size())]);
+      const auto width = static_cast<int64_t>(1 + rng.Uniform(20));
+      auto first = values.begin() + std::max<int64_t>(0, seam - width);
+      auto last = values.begin() +
+                  std::min<int64_t>(kPropertyRows, seam + width);
+      auto [lo, hi] = std::minmax_element(first, last);
+      return {*lo, *hi};
+    }
+    default:
+      return {v, v + rng.UniformRange(0, *max_it - *min_it)};
+  }
+}
+
+// One column of `rows` as the server sees it: cut into pages of 100 to
+// 700 rows at seeded boundaries, each framed as a stored page.
+struct ServerColumn {
+  NdpColumn column;
+  std::vector<std::vector<uint8_t>> frames;
+  std::vector<uint64_t> seams;  // every page's first row but the first
+};
+
+ServerColumn CutPages(Rng& rng, const std::string& name,
+                      const ColumnVector& values) {
+  ServerColumn out;
+  out.column.name = name;
+  out.column.type = values.type;
+  for (size_t first = 0; first < values.size();) {
+    size_t end = std::min(values.size(), first + 100 + rng.Uniform(601));
+    out.column.pages.push_back({name + "/" + std::to_string(first), first,
+                                static_cast<uint32_t>(end - first)});
+    out.frames.push_back(StoredFrame(values, first, end));
+    if (first > 0) out.seams.push_back(first);
+    first = end;
+  }
+  return out;
+}
+
+// NdpEngine::Evaluate returns, value for value, what the pull path's
+// ScanTable returns at 1 and 8 workers, for seeded ranges over INT64,
+// DATE and DECIMAL columns. The server's pages break at other rows than
+// the loader's, and at other rows in every column.
+TEST(NdpPropertyTest, ServerScanEqualsPullScan) {
+  SimEnvironment env;
+  Database::Options options = NdpDbOptions(NdpMode::kOff);
+  options.page_size = 4096;
+  Database db(&env, InstanceProfile::M5ad4xlarge(), options);
+  const Batch rows = PropertyRows();
+  LoadRows(&db, kPropertyTable, rows);
+
+  Transaction* txn = db.Begin();
+  QueryContext::Options qopts;
+  qopts.morsel_rows = 1000;
+  QueryContext serial(&db.txn_mgr(), txn, db.system(), qopts);
+  qopts.exec_workers = 8;
+  QueryContext parallel(&db.txn_mgr(), txn, db.system(), qopts);
+  Result<TableReader> reader = serial.OpenTable(kPropertyTable);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ASSERT_EQ(reader->meta().partitions.size(), 1u);
+  const PartitionMeta& pm = reader->meta().partitions[0];
+
+  Rng rng(0xD1CE);
+  std::vector<ServerColumn> server_columns;
+  for (size_t c = 0; c < rows.columns.size(); ++c) {
+    server_columns.push_back(CutPages(rng, rows.names[c], rows.columns[c]));
+    // Range draws aim at the loader's page seams as well as the server's.
+    uint64_t first = 0;
+    for (uint32_t page_rows : pm.columns[c].page_rows) {
+      if (first > 0) server_columns[c].seams.push_back(first);
+      first += page_rows;
+    }
+  }
+  // The projected strings include a dictionary and a raw column.
+  auto dictionary = [&](size_t c) {
+    Result<std::vector<uint8_t>> payload =
+        DecodePage(server_columns[c].frames[0]);
+    ParsedColumnPage parsed;
+    return payload.ok() && ParseColumnPage(*payload, &parsed).ok() &&
+           parsed.IsDictionary();
+  };
+  EXPECT_TRUE(dictionary(5));
+  EXPECT_FALSE(dictionary(6));
+
+  const std::vector<std::string> projected = {"x", "y", "flag", "note"};
+  for (int draw = 0; draw < 90; ++draw) {
+    const int range = draw % 3;
+    const auto [lo, hi] =
+        DrawRange(rng, rows.columns[range].ints, server_columns[range].seams);
+    const bool project_range = rng.Bernoulli(0.5);
+    SCOPED_TRACE("draw " + std::to_string(draw) + ": " + rows.names[range] +
+                 " in [" + std::to_string(lo) + ", " + std::to_string(hi) +
+                 "]" + (project_range ? " projected" : ""));
+
+    std::vector<std::string> names = projected;
+    NdpRequest req;
+    std::vector<const std::vector<uint8_t>*> pages;
+    for (int c : {3, 4, 5, 6, range}) {
+      req.columns.push_back(server_columns[c].column);
+      for (const std::vector<uint8_t>& frame : server_columns[c].frames) {
+        pages.push_back(&frame);
+      }
+    }
+    req.columns.back().projected = project_range;
+    req.range_column = 4;
+    req.lo = lo;
+    req.hi = hi;
+    if (project_range) names.push_back(rows.names[range]);
+    Result<NdpResult> server = NdpEngine::Evaluate(req, pages);
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    // x straight from the rows, by the predicate's definition.
+    std::vector<int64_t> want_x;
+    for (int i = 0; i < kPropertyRows; ++i) {
+      const int64_t v = rows.columns[range].ints[i];
+      if (v >= lo && v <= hi) want_x.push_back(rows.columns[3].ints[i]);
+    }
+    EXPECT_EQ(server->columns[0].ints, want_x);
+
+    for (QueryContext* ctx : {&serial, &parallel}) {
+      Result<Batch> pulled =
+          ScanTable(ctx, &reader.value(), names,
+                    ScanRange{rows.names[range], lo, hi});
+      ASSERT_TRUE(pulled.ok()) << pulled.status().ToString();
+      Batch pull = testing_util::Expanded(std::move(pulled).value());
+      ASSERT_EQ(server->rows_matched, pull.rows());
+      ASSERT_EQ(server->columns.size(), pull.columns.size());
+      for (size_t c = 0; c < pull.columns.size(); ++c) {
+        EXPECT_EQ(server->columns[c].type, pull.columns[c].type) << c;
+        EXPECT_EQ(server->columns[c].ints, pull.columns[c].ints) << c;
+        EXPECT_EQ(server->columns[c].doubles, pull.columns[c].doubles) << c;
+        EXPECT_EQ(server->columns[c].strings, pull.columns[c].strings) << c;
+      }
+    }
+  }
   ASSERT_TRUE(db.Commit(txn).ok());
 }
 
