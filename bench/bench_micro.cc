@@ -14,6 +14,7 @@
 #include "columnar/encoding.h"
 #include "columnar/text_index.h"
 #include "common/bitmap.h"
+#include "common/dense_key_index.h"
 #include "common/interval_set.h"
 #include "common/random.h"
 #include "engine/database.h"
@@ -192,11 +193,12 @@ void SetTimePerRow(benchmark::State& state, size_t rows) {
 }
 
 // `distinct` int keys, each once, in random order.
-std::vector<int64_t> ShuffledKeys(size_t distinct, uint64_t seed) {
+std::vector<int64_t> ShuffledKeys(size_t distinct, uint64_t seed,
+                                  size_t stride = 2654435761u) {
   Rng rng(seed);
   std::vector<int64_t> keys(distinct);
   for (size_t i = 0; i < distinct; ++i) {
-    keys[i] = static_cast<int64_t>(i * 2654435761u) - 7;
+    keys[i] = static_cast<int64_t>(i * stride) - 7;
   }
   for (size_t i = distinct; i > 1; --i) {
     std::swap(keys[i - 1], keys[rng.Uniform(i)]);
@@ -251,6 +253,26 @@ void BM_RowKeyProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_RowKeyProbe)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
 
+// BM_RowKeyProbe over the dense keys -7 .. n-8: DenseKeyIndex's flat
+// array in place of the hash table.
+void BM_DenseKeyProbe(benchmark::State& state) {
+  std::vector<int64_t> keys =
+      ShuffledKeys(static_cast<size_t>(state.range(0)), 11, 1);
+  DenseKeyIndex index(IntKeySpan::Of(keys));
+  for (int64_t key : keys) {
+    bool inserted = false;
+    index.FindOrInsert(key, &inserted);
+  }
+  std::vector<int64_t> probes = ShuffledKeys(keys.size(), 12, 1);
+  for (auto _ : state) {
+    uint64_t found = 0;
+    for (int64_t key : probes) found += index.Find(key);
+    benchmark::DoNotOptimize(found);
+  }
+  SetTimePerRow(state, probes.size());
+}
+BENCHMARK(BM_DenseKeyProbe)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
+
 // Groups 64K rows into 1K groups, keyed by one int column (arg 0) or by
 // two string columns (arg 1): per-column hash pass, then one table pass.
 void BM_RowKeyGroup(benchmark::State& state) {
@@ -296,6 +318,29 @@ void BM_RowKeyGroup(benchmark::State& state) {
   SetTimePerRow(state, kRows);
 }
 BENCHMARK(BM_RowKeyGroup)->ArgName("two_strings")->Arg(0)->Arg(1);
+
+// BM_RowKeyGroup's one-int-column grouping over the dense keys 0 .. 1K-1:
+// a DenseKeyIndex over the keys' range, built every iteration, in place
+// of the hash pass and the table.
+void BM_DenseKeyGroup(benchmark::State& state) {
+  constexpr size_t kRows = 1 << 16;
+  constexpr uint64_t kGroups = 1 << 10;
+  Rng rng(13);
+  std::vector<int64_t> ints(kRows);
+  for (int64_t& key : ints) key = static_cast<int64_t>(rng.Uniform(kGroups));
+  std::vector<uint32_t> group(kRows);
+  for (auto _ : state) {
+    DenseKeyIndex index(IntKeySpan::Of(ints));
+    for (size_t r = 0; r < kRows; ++r) {
+      bool inserted = false;
+      group[r] = index.FindOrInsert(ints[r], &inserted);
+    }
+    benchmark::DoNotOptimize(group.data());
+    benchmark::ClobberMemory();
+  }
+  SetTimePerRow(state, kRows);
+}
+BENCHMARK(BM_DenseKeyGroup);
 
 // --- morsel executor: multi-worker scan -----------------------------------
 // Host wall time of ScanTable at 1/2/4/8 executor workers over a wide

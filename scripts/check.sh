@@ -450,7 +450,7 @@ parallel_pass() {
   echo "--- parallel: TSan exec_test multi-worker and oracle cases"
   cmake --build build-tsan -j "${JOBS}" --target exec_test
   ./build-tsan/tests/exec_test \
-    --gtest_filter='ParallelExecTest.*:ExecOracleTest.*:RowKeyTableTest.*:CodedColumnTest.*:ScanDecodeTest.*'
+    --gtest_filter='ParallelExecTest.*:ExecOracleTest.*:RowKeyTableTest.*:DenseKeyIndexTest.*:CodedColumnTest.*:ScanDecodeTest.*'
   echo "=== parallel: OK ==="
 }
 

@@ -10,6 +10,7 @@
 
 #include "columnar/encoding.h"
 #include "columnar/range_scan.h"
+#include "common/dense_key_index.h"
 #include "costopt/cost_model.h"
 #include "exec/morsel.h"
 #include "exec/row_key_table.h"
@@ -859,37 +860,65 @@ struct JoinMatches {
   std::vector<size_t> right_rows;
 };
 
-// Int-family join keys: hash and compare the int64 cells.
-struct IntJoinKeys {
-  const std::vector<int64_t>& left;
-  const std::vector<int64_t>& right;
+// Int-family join keys, indexed by IntKeyIndex: a flat array over the
+// build keys' range when it is dense enough, else a hash table.
+class IntJoinKeys {
+ public:
+  IntJoinKeys(const std::vector<int64_t>& left,
+              const std::vector<int64_t>& right)
+      : left_(left),
+        right_(right),
+        index_(IntKeySpan::Of(right), right.size(), right.size()) {}
 
-  uint64_t LeftHash(size_t r) const { return HashKey(left[r]); }
-  uint64_t RightHash(size_t r) const { return HashKey(right[r]); }
-  bool RightEq(size_t a, size_t b) const { return right[a] == right[b]; }
-  bool Match(size_t l, size_t r) const { return left[l] == right[r]; }
+  uint32_t Insert(size_t r, bool* inserted) {
+    return index_.FindOrInsert(right_[r], inserted);
+  }
+  uint32_t Find(size_t l) const { return index_.Find(left_[l]); }
+
+ private:
+  const std::vector<int64_t>& left_;
+  const std::vector<int64_t>& right_;
+  IntKeyIndex index_;
 };
 
-// String join keys, each side plain or coded. A coded cell hashes to its
-// dictionary's stored HashKey, the plain string's own hash, so the two
-// forms join; keys under one shared dictionary compare by code.
-struct StringJoinKeys {
-  const ColumnVector& left;
-  const ColumnVector& right;
+// String join keys, each side plain or coded, in a RowKeyTable. A coded
+// cell hashes to its dictionary's stored HashKey, the plain string's own
+// hash, so the two forms join; keys under one shared dictionary compare
+// by code.
+class StringJoinKeys {
+ public:
+  StringJoinKeys(const ColumnVector& left, const ColumnVector& right)
+      : left_(left), right_(right), table_(right.size()) {}
 
+  uint32_t Insert(size_t r, bool* inserted) {
+    uint32_t id = table_.FindOrInsert(
+        Hash(right_, r),
+        [&](uint32_t k) { return CellsEqual(right_, first_row_[k], r); },
+        inserted);
+    if (*inserted) first_row_.push_back(r);
+    return id;
+  }
+  uint32_t Find(size_t l) const {
+    return table_.Find(Hash(left_, l),
+                       [&](uint32_t k) { return Match(l, first_row_[k]); });
+  }
+
+ private:
   static uint64_t Hash(const ColumnVector& col, size_t r) {
     return col.dict != nullptr ? col.dict->hash[col.codes[r]]
                                : HashKey(col.strings[r]);
   }
-  uint64_t LeftHash(size_t r) const { return Hash(left, r); }
-  uint64_t RightHash(size_t r) const { return Hash(right, r); }
-  bool RightEq(size_t a, size_t b) const { return CellsEqual(right, a, b); }
   bool Match(size_t l, size_t r) const {
-    if (left.dict != nullptr && left.dict == right.dict) {
-      return left.codes[l] == right.codes[r];
+    if (left_.dict != nullptr && left_.dict == right_.dict) {
+      return left_.codes[l] == right_.codes[r];
     }
-    return left.StringAt(l) == right.StringAt(r);
+    return left_.StringAt(l) == right_.StringAt(r);
   }
+
+  const ColumnVector& left_;
+  const ColumnVector& right_;
+  RowKeyTable table_;
+  std::vector<size_t> first_row_;  // per id
 };
 
 // HashJoin's build and probe over one key kind (IntJoinKeys or
@@ -897,18 +926,19 @@ struct StringJoinKeys {
 // the emitted right columns.
 template <typename Keys>
 void JoinOnKeys(QueryContext* ctx, const Batch& left, const Batch& right,
-                const Keys& keys, JoinType type,
+                Keys& keys, JoinType type,
                 const std::vector<int>& right_cols, Batch* out) {
   TaskPool& pool = TaskPool::Global();
   const int workers = ctx->options().exec_workers;
   auto& stats = ctx->node()->telemetry().stats();
+  const bool inner = type == JoinType::kInner;
 
-  // Build side: chunk tasks hash the right keys; the coordinator then
-  // assigns dense ids in ascending row order and lays each key's rows
-  // out as one CSR run, rows[offsets[id] .. offsets[id + 1]), so every
-  // key's rows stay ascending — exactly the serial build's match order.
-  // Sized for every right row a distinct key, so the build never rehashes.
-  RowKeyTable table(right.rows());
+  // Build side: the right keys get dense ids in ascending row order. An
+  // inner join lays each key's rows out as one CSR run,
+  // rows[offsets[id] .. offsets[id + 1]), so every key's rows stay
+  // ascending — exactly the serial build's match order. Semi and anti
+  // joins need only the ids. The build runs on the coordinator; its
+  // section charges each build chunk as a morsel.
   std::vector<size_t> offsets(1, 0);
   std::vector<size_t> rows;
   std::vector<RowChunk> build_chunks =
@@ -916,35 +946,25 @@ void JoinOnKeys(QueryContext* ctx, const Batch& left, const Batch& right,
   if (!build_chunks.empty()) {
     stats.counter("exec.parallel_sections").Add(1);
     stats.counter("exec.morsels").Add(build_chunks.size());
-    std::vector<uint64_t> hashes(right.rows());
     ScopedParallelSection section(ctx);
-    pool.RunIndexed(workers, build_chunks.size(), [&](size_t i) {
-      for (size_t r = build_chunks[i].begin; r < build_chunks[i].end;
-           ++r) {
-        hashes[r] = keys.RightHash(r);
+    bool inserted = false;
+    if (inner) {
+      std::vector<uint32_t> id_of(right.rows());
+      for (size_t r = 0; r < right.rows(); ++r) {
+        uint32_t id = keys.Insert(r, &inserted);
+        if (inserted) offsets.push_back(0);
+        id_of[r] = id;
+        ++offsets[id + 1];
       }
-    });
-    std::vector<size_t> first_row;  // per id
-    std::vector<uint32_t> id_of(right.rows());
-    for (size_t r = 0; r < right.rows(); ++r) {
-      bool inserted = false;
-      uint32_t id = table.FindOrInsert(
-          hashes[r],
-          [&](uint32_t k) { return keys.RightEq(first_row[k], r); },
-          &inserted);
-      if (inserted) {
-        first_row.push_back(r);
-        offsets.push_back(0);
+      for (size_t id = 1; id < offsets.size(); ++id) {
+        offsets[id] += offsets[id - 1];
       }
-      id_of[r] = id;
-      ++offsets[id + 1];
+      std::vector<size_t> next(offsets.begin(), offsets.end() - 1);
+      rows.resize(right.rows());
+      for (size_t r = 0; r < right.rows(); ++r) rows[next[id_of[r]]++] = r;
+    } else {
+      for (size_t r = 0; r < right.rows(); ++r) keys.Insert(r, &inserted);
     }
-    for (size_t id = 0; id < first_row.size(); ++id) {
-      offsets[id + 1] += offsets[id];
-    }
-    std::vector<size_t> next(offsets.begin(), offsets.end() - 1);
-    rows.resize(right.rows());
-    for (size_t r = 0; r < right.rows(); ++r) rows[next[id_of[r]]++] = r;
     for (const RowChunk& chunk : build_chunks) {
       ctx->ChargeMorselValues(chunk.end - chunk.begin);
     }
@@ -963,25 +983,26 @@ void JoinOnKeys(QueryContext* ctx, const Batch& left, const Batch& right,
     ScopedParallelSection section(ctx);
     pool.RunIndexed(workers, probe_chunks.size(), [&](size_t i) {
       JoinMatches& m = matches[i];
-      for (size_t r = probe_chunks[i].begin; r < probe_chunks[i].end;
-           ++r) {
-        uint32_t id = table.Find(keys.LeftHash(r), [&](uint32_t k) {
-          return keys.Match(r, rows[offsets[k]]);
-        });
-        switch (type) {
-          case JoinType::kLeftSemi:
-            if (id != RowKeyTable::kNone) m.left_rows.push_back(r);
-            break;
-          case JoinType::kLeftAnti:
-            if (id == RowKeyTable::kNone) m.left_rows.push_back(r);
-            break;
-          case JoinType::kInner:
-            if (id == RowKeyTable::kNone) break;
-            for (size_t k = offsets[id]; k < offsets[id + 1]; ++k) {
-              m.left_rows.push_back(r);
-              m.right_rows.push_back(rows[k]);
-            }
-            break;
+      const RowChunk& chunk = probe_chunks[i];
+      if (!inner) {
+        // Semi and anti joins write every row and keep it by advancing
+        // the output when the probe's hit is the wanted one.
+        const bool want = type == JoinType::kLeftSemi;
+        m.left_rows.resize(chunk.end - chunk.begin);
+        size_t n = 0;
+        for (size_t r = chunk.begin; r < chunk.end; ++r) {
+          m.left_rows[n] = r;
+          n += (keys.Find(r) != RowKeyTable::kNone) == want;
+        }
+        m.left_rows.resize(n);
+        return;
+      }
+      for (size_t r = chunk.begin; r < chunk.end; ++r) {
+        uint32_t id = keys.Find(r);
+        if (id == RowKeyTable::kNone) continue;
+        for (size_t k = offsets[id]; k < offsets[id + 1]; ++k) {
+          m.left_rows.push_back(r);
+          m.right_rows.push_back(rows[k]);
         }
       }
     });
@@ -1040,32 +1061,17 @@ Result<Batch> HashJoin(QueryContext* ctx, const Batch& left,
   }
 
   if (string_key) {
-    JoinOnKeys(ctx, left, right,
-               StringJoinKeys{left.columns[lk], right.columns[rk]}, type,
-               right_cols, &out);
+    StringJoinKeys keys(left.columns[lk], right.columns[rk]);
+    JoinOnKeys(ctx, left, right, keys, type, right_cols, &out);
   } else {
-    JoinOnKeys(ctx, left, right,
-               IntJoinKeys{left.columns[lk].ints, right.columns[rk].ints},
-               type, right_cols, &out);
+    IntJoinKeys keys(left.columns[lk].ints, right.columns[rk].ints);
+    JoinOnKeys(ctx, left, right, keys, type, right_cols, &out);
   }
   op.AddRows(out.rows());
   return out;
 }
 
 namespace {
-
-struct AggState {
-  double sum = 0;
-  int64_t isum = 0;
-  uint64_t count = 0;
-  double min = 0;
-  double max = 0;
-  int64_t imin = 0;
-  int64_t imax = 0;
-  std::string smin;
-  std::string smax;
-  bool has_value = false;
-};
 
 // Hashes the key cells of rows [chunk.begin, chunk.end) into `hashes`,
 // one typed pass per key column (a coded column reads its dictionary's
@@ -1089,102 +1095,133 @@ void HashRowKeys(const Batch& in, const std::vector<int>& key_cols,
   }
 }
 
-// Folds one input value into an aggregate state, by input type. Each
-// type fills only the fields its outputs read: doubles sum/min/max,
-// int-family values isum/imin/imax plus the double sum (for AVG), strings
-// smin/smax.
-inline void FoldValue(double v, AggState* s) {
-  ++s->count;
-  if (!s->has_value) {
-    s->min = s->max = v;
-    s->has_value = true;
-  } else {
-    s->min = std::min(s->min, v);
-    s->max = std::max(s->max, v);
-  }
-  s->sum += v;
-}
+// One aggregate's state over a set of groups, flat: one array holding the
+// value the aggregate folds per group, chosen by its op and input type.
+struct AggValues {
+  // SUM / AVG / MIN / MAX of doubles, AVG of ints; SUM and AVG of strings
+  // fold nothing and read 0.
+  std::vector<double> doubles;
+  // SUM of ints, modulo 2^64 (no signed overflow), as the int encodings
+  // do.
+  std::vector<uint64_t> int_sums;
+  std::vector<int64_t> ints;  // MIN / MAX of ints
+  // MIN / MAX of strings: views into the input batch, which outlives the
+  // aggregate.
+  std::vector<std::string_view> strings;
+};
 
-inline void FoldValue(int64_t v, AggState* s) {
-  ++s->count;
-  if (!s->has_value) {
-    s->imin = s->imax = v;
-    s->has_value = true;
-  } else {
-    s->imin = std::min(s->imin, v);
-    s->imax = std::max(s->imax, v);
-  }
-  s->sum += static_cast<double>(v);
-  s->isum += v;
-}
+// The states of every aggregate over a set of groups. Every aggregate
+// folds every row of its group, so one row count per group serves COUNT
+// and AVG alike.
+struct AggStates {
+  std::vector<uint64_t> count;
+  std::vector<AggValues> values;  // per aggregate; COUNT's stays empty
+};
 
-inline void FoldValue(const std::string& v, AggState* s) {
-  ++s->count;
-  if (!s->has_value) {
-    s->smin = s->smax = v;
-    s->has_value = true;
+// Calls `f` with MIN's or MAX's combine function.
+template <typename F>
+void WithExtreme(AggOp op, F&& f) {
+  if (op == AggOp::kMin) {
+    f([](auto s, auto v) { return std::min(s, v); });
   } else {
-    if (v < s->smin) s->smin = v;
-    if (v > s->smax) s->smax = v;
+    f([](auto s, auto v) { return std::max(s, v); });
   }
 }
 
-// Folds aggregate `a`'s input column (null: count only) over rows
-// [chunk.begin, chunk.end) into the states of their groups, `group[i]`
-// for row chunk.begin + i. One typed loop per column; each group still
-// sees its rows in row order, so sums associate exactly as in a
-// row-at-a-time pass.
-void FoldAggColumn(const ColumnVector* col, size_t a, const RowChunk& chunk,
+// Folds `value(r)` into the state of row r's group, `group[r -
+// chunk.begin]`, for every row of the chunk. Each group sees its rows in
+// row order, so sums associate exactly as in a row-at-a-time pass.
+template <typename S, typename Value, typename Combine>
+void FoldRows(const RowChunk& chunk, const std::vector<uint32_t>& group,
+              Value value, Combine combine, std::vector<S>* states) {
+  for (size_t r = chunk.begin; r < chunk.end; ++r) {
+    S& s = (*states)[group[r - chunk.begin]];
+    s = combine(s, value(r));
+  }
+}
+
+// Folds input column `col` of a SUM / AVG / MIN / MAX aggregate over one
+// chunk's rows into `out`, sized to the chunk's groups (`first_row` holds
+// each group's first row).
+void FoldAggColumn(AggOp op, const ColumnVector& col, const RowChunk& chunk,
                    const std::vector<uint32_t>& group,
-                   std::vector<std::vector<AggState>>* states) {
-  auto state = [&](size_t r) -> AggState& {
-    return (*states)[group[r - chunk.begin]][a];
+                   const std::vector<size_t>& first_row, AggValues* out) {
+  const size_t groups = first_row.size();
+  const bool sum = op == AggOp::kSum || op == AggOp::kAvg;
+  auto add = [](auto s, auto v) { return s + v; };
+  // MIN and MAX seed each group with its first row's value, which folding
+  // that row again leaves as it is.
+  auto extreme = [&](auto value, auto* states) {
+    states->resize(groups);
+    for (size_t g = 0; g < groups; ++g) (*states)[g] = value(first_row[g]);
+    WithExtreme(op, [&](auto combine) {
+      FoldRows(chunk, group, value, combine, states);
+    });
   };
-  if (col == nullptr) {
-    for (size_t r = chunk.begin; r < chunk.end; ++r) ++state(r).count;
-    return;
-  }
-  VisitValues(*col, [&](const auto& vals) {
-    for (size_t r = chunk.begin; r < chunk.end; ++r) {
-      if constexpr (std::is_same_v<ElementOf<decltype(vals)>, uint32_t>) {
-        FoldValue(col->dict->strings[vals[r]], &state(r));
+  VisitValues(col, [&](const auto& vals) {
+    using T = ElementOf<decltype(vals)>;
+    if constexpr (std::is_same_v<T, double>) {
+      auto value = [&](size_t r) { return vals[r]; };
+      if (!sum) return extreme(value, &out->doubles);
+      out->doubles.assign(groups, 0);
+      FoldRows(chunk, group, value, add, &out->doubles);
+    } else if constexpr (std::is_same_v<T, int64_t>) {
+      if (op == AggOp::kSum) {
+        out->int_sums.assign(groups, 0);
+        FoldRows(chunk, group,
+                 [&](size_t r) { return static_cast<uint64_t>(vals[r]); },
+                 add, &out->int_sums);
+      } else if (op == AggOp::kAvg) {
+        out->doubles.assign(groups, 0);
+        FoldRows(chunk, group,
+                 [&](size_t r) { return static_cast<double>(vals[r]); }, add,
+                 &out->doubles);
       } else {
-        FoldValue(vals[r], &state(r));
+        extreme([&](size_t r) { return vals[r]; }, &out->ints);
       }
+    } else {
+      if (sum) return out->doubles.assign(groups, 0);
+      extreme(
+          [&](size_t r) -> std::string_view {
+            if constexpr (std::is_same_v<T, uint32_t>) {
+              return col.dict->strings[vals[r]];
+            } else {
+              return vals[r];
+            }
+          },
+          &out->strings);
     }
   });
 }
 
-// Merges a later chunk's partial states for one group into the global
-// states. Sums reassociate (chunk partials then chunk-order folds) but
-// stay deterministic for a given morsel_rows; counts and min/max are
-// order-free.
-void MergeAggStates(const std::vector<AggState>& src,
-                    std::vector<AggState>* dst) {
-  for (size_t a = 0; a < src.size(); ++a) {
-    AggState& s = (*dst)[a];
-    const AggState& o = src[a];
-    s.count += o.count;
-    s.sum += o.sum;
-    s.isum += o.isum;
-    if (!o.has_value) continue;
-    if (!s.has_value) {
-      s.min = o.min;
-      s.max = o.max;
-      s.imin = o.imin;
-      s.imax = o.imax;
-      s.smin = o.smin;
-      s.smax = o.smax;
-      s.has_value = true;
-    } else {
-      s.min = std::min(s.min, o.min);
-      s.max = std::max(s.max, o.max);
-      s.imin = std::min(s.imin, o.imin);
-      s.imax = std::max(s.imax, o.imax);
-      if (o.smin < s.smin) s.smin = o.smin;
-      if (o.smax > s.smax) s.smax = o.smax;
-    }
+// Merges one chunk's states `src` into the global `dst`: chunk group g is
+// global group id[g]. A group's first chunk copies its state; later chunks
+// combine into it in chunk order, so a double sum folds per-chunk partial
+// sums — deterministic for a given morsel_rows.
+template <typename S, typename Combine>
+void MergeValues(const std::vector<S>& src, const std::vector<uint32_t>& id,
+                 const std::vector<uint8_t>& first, Combine combine,
+                 std::vector<S>* dst) {
+  for (size_t g = 0; g < src.size(); ++g) {
+    S& d = (*dst)[id[g]];
+    d = first[g] ? src[g] : combine(d, src[g]);
   }
+}
+
+void MergeAggValues(AggOp op, const AggValues& src,
+                    const std::vector<uint32_t>& id,
+                    const std::vector<uint8_t>& first, AggValues* dst) {
+  if (op == AggOp::kSum || op == AggOp::kAvg) {
+    auto add = [](auto s, auto v) { return s + v; };
+    MergeValues(src.doubles, id, first, add, &dst->doubles);
+    MergeValues(src.int_sums, id, first, add, &dst->int_sums);
+    return;
+  }
+  WithExtreme(op, [&](auto combine) {
+    MergeValues(src.doubles, id, first, combine, &dst->doubles);
+    MergeValues(src.ints, id, first, combine, &dst->ints);
+    MergeValues(src.strings, id, first, combine, &dst->strings);
+  });
 }
 
 }  // namespace
@@ -1213,26 +1250,34 @@ Result<Batch> HashAggregate(QueryContext* ctx, const Batch& in,
     agg_cols.push_back(c);
   }
 
-  // Group rows by typed key cells. Chunked: each chunk accumulates into
-  // a thread-local table (the agg_merge idiom), then chunks merge serially
-  // in chunk order — the first chunk containing a group also contains its
-  // globally first row, so the global group order and representative
-  // rows match a serial pass exactly.
+  // Group rows by typed key cells. Chunked: each chunk groups its rows
+  // and folds them into states of its own (the agg_merge idiom), then
+  // chunks merge serially in chunk order — the first chunk containing a
+  // group also contains its globally first row, so the global group order
+  // and representative rows match a serial pass exactly. A single
+  // int-family key goes through IntKeyIndex (a flat array when the key
+  // range is dense); other keys hash their cells into a RowKeyTable.
+  const std::vector<int64_t>* int_key =
+      key_cols.size() == 1 && IsIntFamily(in.columns[key_cols[0]].type)
+          ? &in.columns[key_cols[0]].ints
+          : nullptr;
   auto keys_equal = [&](size_t a, size_t b) {
     for (int c : key_cols) {
       if (!CellsEqual(in.columns[c], a, b)) return false;
     }
     return true;
   };
-  RowKeyTable groups;
   std::vector<size_t> group_of_first_row;  // representative row per group
-  std::vector<std::vector<AggState>> states;
+  AggStates states;
+  states.values.resize(aggs.size());
 
   struct LocalGroups {
-    RowKeyTable index;
-    std::vector<uint64_t> hash;     // key hash, insertion order
-    std::vector<size_t> first_row;  // global row ids
-    std::vector<std::vector<AggState>> states;
+    std::vector<size_t> first_row;  // global row ids, per chunk group
+    std::vector<uint64_t> hash;     // key hash per chunk group (hashed keys)
+    IntKeySpan range;               // of the chunk's int keys
+    AggStates states;
+    std::vector<uint32_t> id;     // global group id per chunk group
+    std::vector<uint8_t> first;   // whether this is the group's first chunk
   };
   std::vector<RowChunk> chunks =
       MakeRowChunks(in.rows(), ctx->options().morsel_rows);
@@ -1247,45 +1292,101 @@ Result<Batch> HashAggregate(QueryContext* ctx, const Batch& in,
     pool.RunIndexed(workers, chunks.size(), [&](size_t i) {
       LocalGroups& lg = locals[i];
       const RowChunk& chunk = chunks[i];
-      std::vector<uint64_t> hashes;
-      HashRowKeys(in, key_cols, chunk, &hashes);
       std::vector<uint32_t> group(chunk.end - chunk.begin);
-      for (size_t r = chunk.begin; r < chunk.end; ++r) {
-        uint64_t h = hashes[r - chunk.begin];
-        bool inserted = false;
-        uint32_t g = lg.index.FindOrInsert(
-            h, [&](uint32_t k) { return keys_equal(lg.first_row[k], r); },
-            &inserted);
-        if (inserted) {
-          lg.hash.push_back(h);
-          lg.first_row.push_back(r);
-          lg.states.emplace_back(aggs.size());
+      bool inserted = false;
+      if (int_key != nullptr) {
+        std::span<const int64_t> key(int_key->data() + chunk.begin,
+                                     group.size());
+        lg.range = IntKeySpan::Of(key);
+        IntKeyIndex index(lg.range, key.size());
+        for (size_t r = 0; r < key.size(); ++r) {
+          group[r] = index.FindOrInsert(key[r], &inserted);
+          if (inserted) lg.first_row.push_back(chunk.begin + r);
         }
-        group[r - chunk.begin] = g;
+      } else {
+        std::vector<uint64_t> hashes;
+        HashRowKeys(in, key_cols, chunk, &hashes);
+        RowKeyTable index;
+        for (size_t r = chunk.begin; r < chunk.end; ++r) {
+          uint64_t h = hashes[r - chunk.begin];
+          group[r - chunk.begin] = index.FindOrInsert(
+              h, [&](uint32_t k) { return keys_equal(lg.first_row[k], r); },
+              &inserted);
+          if (inserted) {
+            lg.hash.push_back(h);
+            lg.first_row.push_back(r);
+          }
+        }
       }
+      lg.states.count.assign(lg.first_row.size(), 0);
+      for (uint32_t g : group) ++lg.states.count[g];
+      lg.states.values.resize(aggs.size());
       for (size_t a = 0; a < aggs.size(); ++a) {
-        // COUNT reads no values.
-        bool count_only = aggs[a].op == AggOp::kCount || agg_cols[a] < 0;
-        FoldAggColumn(count_only ? nullptr : &in.columns[agg_cols[a]], a,
-                      chunk, group, &lg.states);
+        if (aggs[a].op == AggOp::kCount) continue;  // reads no values
+        FoldAggColumn(aggs[a].op, in.columns[agg_cols[a]], chunk, group,
+                      lg.first_row, &lg.states.values[a]);
       }
     });
-    for (size_t i = 0; i < chunks.size(); ++i) {
-      LocalGroups& lg = locals[i];
-      for (size_t g = 0; g < lg.first_row.size(); ++g) {
-        bool inserted = false;
-        uint32_t id = groups.FindOrInsert(
-            lg.hash[g],
-            [&](uint32_t k) {
-              return keys_equal(group_of_first_row[k], lg.first_row[g]);
-            },
-            &inserted);
-        if (inserted) {
-          group_of_first_row.push_back(lg.first_row[g]);
-          states.push_back(std::move(lg.states[g]));
-        } else {
-          MergeAggStates(lg.states[g], &states[id]);
+
+    // Global ids, in chunk order; each index is sized from the chunks'
+    // group counts.
+    size_t chunk_groups = 0;
+    IntKeySpan range;
+    for (const LocalGroups& lg : locals) {
+      chunk_groups += lg.first_row.size();
+      range.Add(lg.range);
+    }
+    auto assign = [&](LocalGroups* lg, size_t g, uint32_t id,
+                      bool inserted) {
+      if (inserted) group_of_first_row.push_back(lg->first_row[g]);
+      lg->id.push_back(id);
+      lg->first.push_back(inserted);
+    };
+    bool inserted = false;
+    if (int_key != nullptr) {
+      IntKeyIndex groups(range, in.rows(), chunk_groups);
+      for (LocalGroups& lg : locals) {
+        for (size_t g = 0; g < lg.first_row.size(); ++g) {
+          uint32_t id =
+              groups.FindOrInsert((*int_key)[lg.first_row[g]], &inserted);
+          assign(&lg, g, id, inserted);
         }
+      }
+    } else {
+      RowKeyTable groups(chunk_groups);
+      for (LocalGroups& lg : locals) {
+        for (size_t g = 0; g < lg.first_row.size(); ++g) {
+          uint32_t id = groups.FindOrInsert(
+              lg.hash[g],
+              [&](uint32_t k) {
+                return keys_equal(group_of_first_row[k], lg.first_row[g]);
+              },
+              &inserted);
+          assign(&lg, g, id, inserted);
+        }
+      }
+    }
+
+    // Merge the chunk states, sized once: every chunk sizes the same
+    // arrays of an aggregate.
+    const size_t groups = group_of_first_row.size();
+    states.count.assign(groups, 0);
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      const AggValues& like = locals[0].states.values[a];
+      AggValues& v = states.values[a];
+      v.doubles.resize(like.doubles.empty() ? 0 : groups);
+      v.int_sums.resize(like.int_sums.empty() ? 0 : groups);
+      v.ints.resize(like.ints.empty() ? 0 : groups);
+      v.strings.resize(like.strings.empty() ? 0 : groups);
+    }
+    for (size_t i = 0; i < chunks.size(); ++i) {
+      const LocalGroups& lg = locals[i];
+      MergeValues(lg.states.count, lg.id, lg.first,
+                  [](uint64_t s, uint64_t v) { return s + v; },
+                  &states.count);
+      for (size_t a = 0; a < aggs.size(); ++a) {
+        MergeAggValues(aggs[a].op, lg.states.values[a], lg.id, lg.first,
+                       &states.values[a]);
       }
       ctx->ChargeMorselValues((chunks[i].end - chunks[i].begin) *
                               (key_cols.size() + aggs.size()));
@@ -1320,47 +1421,42 @@ Result<Batch> HashAggregate(QueryContext* ctx, const Batch& in,
     out.AddColumn(spec.as, std::move(vec));
   }
 
+  const size_t groups = group_of_first_row.size();
   for (size_t k = 0; k < key_cols.size(); ++k) {
-    out.columns[k].Resize(states.size());
+    out.columns[k].Resize(groups);
     out.columns[k].Gather(in.columns[key_cols[k]], group_of_first_row, 0);
   }
-  for (size_t g = 0; g < states.size(); ++g) {
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      const AggState& s = states[g][a];
-      ColumnVector& dst = out.columns[key_cols.size() + a];
-      switch (aggs[a].op) {
-        case AggOp::kCount:
-          dst.ints.push_back(static_cast<int64_t>(s.count));
-          break;
-        case AggOp::kSum:
-          if (dst.type == ColumnType::kInt64) {
-            dst.ints.push_back(s.isum);
-          } else {
-            dst.doubles.push_back(s.sum);
-          }
-          break;
-        case AggOp::kAvg:
-          dst.doubles.push_back(s.count > 0 ? s.sum / s.count : 0);
-          break;
-        case AggOp::kMin:
-          if (dst.type == ColumnType::kString) {
-            dst.strings.push_back(s.smin);
-          } else if (dst.type == ColumnType::kInt64) {
-            dst.ints.push_back(s.imin);
-          } else {
-            dst.doubles.push_back(s.min);
-          }
-          break;
-        case AggOp::kMax:
-          if (dst.type == ColumnType::kString) {
-            dst.strings.push_back(s.smax);
-          } else if (dst.type == ColumnType::kInt64) {
-            dst.ints.push_back(s.imax);
-          } else {
-            dst.doubles.push_back(s.max);
-          }
-          break;
-      }
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    const std::vector<uint64_t>& count = states.count;
+    const AggValues& v = states.values[a];
+    ColumnVector& dst = out.columns[key_cols.size() + a];
+    switch (aggs[a].op) {
+      case AggOp::kCount:
+        dst.ints.assign(count.begin(), count.end());
+        break;
+      case AggOp::kSum:
+        if (dst.type == ColumnType::kInt64) {
+          dst.ints.assign(v.int_sums.begin(), v.int_sums.end());
+        } else {
+          dst.doubles = v.doubles;
+        }
+        break;
+      case AggOp::kAvg:
+        dst.doubles.resize(groups);
+        for (size_t g = 0; g < groups; ++g) {
+          dst.doubles[g] = count[g] > 0 ? v.doubles[g] / count[g] : 0;
+        }
+        break;
+      case AggOp::kMin:
+      case AggOp::kMax:
+        if (dst.type == ColumnType::kString) {
+          dst.strings.assign(v.strings.begin(), v.strings.end());
+        } else if (dst.type == ColumnType::kInt64) {
+          dst.ints = v.ints;
+        } else {
+          dst.doubles = v.doubles;
+        }
+        break;
     }
   }
   op.AddRows(out.rows());

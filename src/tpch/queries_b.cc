@@ -2,7 +2,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "exec/row_key_table.h"
+#include "common/dense_key_index.h"
 #include "tpch/queries.h"
 #include "tpch/queries_internal.h"
 
@@ -491,33 +491,20 @@ Result<Batch> Q21(QueryContext* ctx) {
   };
   const std::vector<int64_t>& item_order = items.column("l_orderkey").ints;
   const std::vector<int64_t>& item_supp = items.column("l_suppkey").ints;
-  RowKeyTable order_ids(items.rows());  // at most one order per item
-  std::vector<int64_t> order_keys;  // per id
-  std::vector<Suppliers> all;       // per id
-  auto order_id = [&](int64_t order) {
-    return order_ids.Find(HashKey(order), [&](uint32_t id) {
-      return order_keys[id] == order;
-    });
-  };
+  IntKeyIndex order_ids(IntKeySpan::Of(item_order), items.rows(),
+                        items.rows());  // at most one order per item
+  std::vector<Suppliers> all;           // per id
   for (size_t r = 0; r < items.rows(); ++r) {
-    int64_t order = item_order[r];
     bool inserted = false;
-    uint32_t id = order_ids.FindOrInsert(
-        HashKey(order), [&](uint32_t k) { return order_keys[k] == order; },
-        &inserted);
-    if (inserted) {
-      order_keys.push_back(order);
-      all.emplace_back();
-    }
+    uint32_t id = order_ids.FindOrInsert(item_order[r], &inserted);
+    if (inserted) all.emplace_back();
     all[id].Add(item_supp[r]);
   }
+  const std::vector<int64_t>& late_order = late.column("l_orderkey").ints;
+  const std::vector<int64_t>& late_supp = late.column("l_suppkey").ints;
   std::vector<Suppliers> late_supps(all.size());
-  {
-    const std::vector<int64_t>& order = late.column("l_orderkey").ints;
-    const std::vector<int64_t>& supp = late.column("l_suppkey").ints;
-    for (size_t r = 0; r < late.rows(); ++r) {
-      late_supps[order_id(order[r])].Add(supp[r]);
-    }
+  for (size_t r = 0; r < late.rows(); ++r) {
+    late_supps[order_ids.Find(late_order[r])].Add(late_supp[r]);
   }
   ctx->ChargeValues(items.rows() + late.rows());
 
@@ -525,21 +512,21 @@ Result<Batch> Q21(QueryContext* ctx) {
   // exists other supplier, not exists other late supplier.
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch ord, ScanTable(ctx, &orders, {"o_orderkey", "o_orderstatus"}));
-  std::unordered_set<int64_t> f_orders;
+  std::vector<uint8_t> f_order(all.size());  // per id: status F
+  const ColumnVector& status = ord.column("o_orderstatus");
+  const std::vector<int64_t>& order_key = ord.column("o_orderkey").ints;
   for (size_t r = 0; r < ord.rows(); ++r) {
-    if (ord.Str("o_orderstatus", r) == "F") {
-      f_orders.insert(ord.Int("o_orderkey", r));
-    }
+    if (status.StringAt(r) != "F") continue;
+    uint32_t id = order_ids.Find(order_key[r]);
+    if (id != IntKeyIndex::kNone) f_order[id] = 1;
   }
 
-  late = FilterBatch(ctx, late, [&](const Batch& b, size_t r) {
-    int64_t order = b.Int("l_orderkey", r);
-    int64_t supp = b.Int("l_suppkey", r);
-    if (f_orders.count(order) == 0) return false;
-    uint32_t id = order_id(order);
+  late = FilterBatch(ctx, late, [&](const Batch&, size_t r) {
+    uint32_t id = order_ids.Find(late_order[r]);
+    if (!f_order[id]) return false;
     const Suppliers& late_of = late_supps[id];
     return all[id].multi && late_of.any && !late_of.multi &&
-           late_of.first == supp;
+           late_of.first == late_supp[r];
   });
 
   CLOUDIQ_ASSIGN_OR_RETURN(Batch nations,

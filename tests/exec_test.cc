@@ -12,6 +12,7 @@
 
 #include "columnar/encoding.h"
 #include "columnar/table_loader.h"
+#include "common/dense_key_index.h"
 #include "common/random.h"
 #include "exec/executor.h"
 #include "exec/explain.h"
@@ -877,6 +878,86 @@ TEST(RowKeyTableTest, DoubleKeysFoldNegativeZeroAndNaN) {
   EXPECT_FALSE(CellsEqual(col, 0, 4));
 }
 
+// --- DenseKeyIndex / IntKeyIndex ------------------------------------------
+
+constexpr int64_t kInt64Min = std::numeric_limits<int64_t>::min();
+constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
+
+// The widest span DenseKeyIndex::Fits takes for `rows` keys.
+uint64_t MaxDenseSpan(size_t rows) { return 64 * rows + 65535; }
+
+TEST(DenseKeyIndexTest, FitsUpToTheSpanBoundAndNoFurther) {
+  for (size_t rows : {0u, 1u, 100u, 16384u}) {
+    SCOPED_TRACE(rows);
+    IntKeySpan under{-7, -7 + static_cast<int64_t>(MaxDenseSpan(rows))};
+    IntKeySpan over{under.min, under.max + 1};
+    EXPECT_TRUE(DenseKeyIndex::Fits(under, rows));
+    EXPECT_FALSE(DenseKeyIndex::Fits(over, rows));
+  }
+  EXPECT_FALSE(DenseKeyIndex::Fits(IntKeySpan{}, 10));  // no keys
+  EXPECT_TRUE(DenseKeyIndex::Fits(IntKeySpan{5, 5}, 1));
+}
+
+TEST(DenseKeyIndexTest, SpansPastInt64NeverFit) {
+  // max - min overflows int64 for these; in uint64 they stay huge.
+  EXPECT_FALSE(DenseKeyIndex::Fits({kInt64Min, kInt64Max}, size_t{1} << 40));
+  EXPECT_FALSE(DenseKeyIndex::Fits({-1, kInt64Max}, 1));
+  EXPECT_FALSE(DenseKeyIndex::Fits({kInt64Min, 0}, 1));
+  // Narrow spans at either end of the int64 range fit.
+  EXPECT_TRUE(DenseKeyIndex::Fits({kInt64Max - 10, kInt64Max}, 1));
+  EXPECT_TRUE(DenseKeyIndex::Fits({kInt64Min, kInt64Min + 10}, 1));
+  DenseKeyIndex top({kInt64Max - 10, kInt64Max});
+  bool inserted = false;
+  EXPECT_EQ(top.FindOrInsert(kInt64Max, &inserted), 0u);
+  EXPECT_EQ(top.Find(kInt64Max), 0u);
+  EXPECT_EQ(top.Find(kInt64Min), DenseKeyIndex::kNone);
+  EXPECT_EQ(top.Find(0), DenseKeyIndex::kNone);
+}
+
+TEST(DenseKeyIndexTest, NegativeKeysGetIdsInFirstInsertionOrder) {
+  DenseKeyIndex index({-500, -400});
+  const std::vector<int64_t> keys = {-400, -500, -450, -400, -499, -500};
+  const std::vector<uint32_t> ids = {0, 1, 2, 0, 3, 1};
+  const std::vector<bool> fresh = {true, true, true, false, true, false};
+  for (size_t i = 0; i < keys.size(); ++i) {
+    bool inserted = false;
+    EXPECT_EQ(index.FindOrInsert(keys[i], &inserted), ids[i]) << i;
+    EXPECT_EQ(inserted, fresh[i]) << i;
+  }
+  EXPECT_EQ(index.size(), 4u);
+  EXPECT_EQ(index.Find(-450), 2u);
+  EXPECT_EQ(index.Find(-451), DenseKeyIndex::kNone);  // in range, absent
+  for (int64_t outside : {int64_t{-501}, int64_t{-399}, int64_t{0},
+                          kInt64Min, kInt64Max}) {
+    EXPECT_EQ(index.Find(outside), DenseKeyIndex::kNone) << outside;
+  }
+}
+
+TEST(DenseKeyIndexTest, BothKindsOfIntKeyIndexHandOutTheSameIds) {
+  Rng rng(99);
+  std::vector<int64_t> keys;
+  for (int i = 0; i < 2000; ++i) keys.push_back(rng.UniformRange(-300, 300));
+  IntKeyIndex dense(IntKeySpan::Of(keys), keys.size());
+  // A range claimed wider than any array forces the hash kind.
+  IntKeyIndex hashed(IntKeySpan{kInt64Min, kInt64Max}, keys.size());
+  ASSERT_TRUE(dense.dense());
+  ASSERT_FALSE(hashed.dense());
+  for (int64_t k : keys) {
+    bool a = false;
+    bool b = false;
+    ASSERT_EQ(dense.FindOrInsert(k, &a), hashed.FindOrInsert(k, &b)) << k;
+    ASSERT_EQ(a, b) << k;
+  }
+  EXPECT_EQ(dense.size(), hashed.size());
+  for (int64_t k = -310; k <= 310; ++k) {
+    EXPECT_EQ(dense.Find(k), hashed.Find(k)) << k;
+  }
+  for (int64_t k : {kInt64Min, kInt64Max}) {
+    EXPECT_EQ(dense.Find(k), IntKeyIndex::kNone);
+    EXPECT_EQ(hashed.Find(k), IntKeyIndex::kNone);
+  }
+}
+
 // --- typed keys through the operators -----------------------------------
 
 TEST_F(ExecTest, JoinRejectsMismatchedKeyTypes) {
@@ -1198,6 +1279,21 @@ const std::vector<AggSpec>& OracleAggs() {
   return aggs;
 }
 
+// Appends OracleAggs' input columns, `rows` random values each.
+void AddOracleAggInputs(size_t rows, Rng* rng, Batch* in) {
+  ColumnVector qty = OfType(ColumnType::kDecimal);
+  ColumnVector price = OfType(ColumnType::kDouble);
+  ColumnVector name = OfType(ColumnType::kString);
+  for (size_t r = 0; r < rows; ++r) {
+    qty.ints.push_back(rng->UniformRange(-500, 500));
+    price.doubles.push_back(rng->NextDouble() * 100 - 50);
+    name.strings.push_back("n" + std::to_string(rng->Uniform(1000)));
+  }
+  in->AddColumn("qty", std::move(qty));
+  in->AddColumn("price", std::move(price));
+  in->AddColumn("name", std::move(name));
+}
+
 // Runs each operator at 1, 2 and 4 workers, all at one morsel size: the
 // one-worker output must equal the reference, and every multi-worker
 // output must equal the one-worker output.
@@ -1315,21 +1411,171 @@ TEST_F(ExecOracleTest, HashAggregateMatchesMapReference) {
       in.AddColumn(keys.back(),
                    RandomKeys(ac.key_types[k], ac.rows, ac.distinct, &rng));
     }
-    in.AddColumn("qty", OfType(ColumnType::kDecimal));
-    in.AddColumn("price", OfType(ColumnType::kDouble));
-    in.AddColumn("name", OfType(ColumnType::kString));
-    size_t base = ac.key_types.size();
-    for (size_t r = 0; r < ac.rows; ++r) {
-      in.columns[base].ints.push_back(rng.UniformRange(-500, 500));
-      in.columns[base + 1].doubles.push_back(rng.NextDouble() * 100 - 50);
-      in.columns[base + 2].strings.push_back(
-          "n" + std::to_string(rng.Uniform(1000)));
-    }
+    AddOracleAggInputs(ac.rows, &rng, &in);
     for (uint64_t morsel_rows : {7u, 64u, 16384u}) {
       Batch expected = ReferenceAggregate(in, key_cols, keys, morsel_rows);
       ExpectAllModes(morsel_rows, expected, [&](QueryContext* ctx) {
         return HashAggregate(ctx, in, keys, OracleAggs());
       });
+    }
+  }
+}
+
+// `rows` keys in [lo, lo + span], both ends included.
+std::vector<int64_t> SpreadKeys(size_t rows, int64_t lo, uint64_t span,
+                                Rng* rng) {
+  std::vector<int64_t> keys = {lo, lo + static_cast<int64_t>(span)};
+  while (keys.size() < rows) {
+    keys.push_back(lo + static_cast<int64_t>(rng->Uniform(span + 1)));
+  }
+  keys.resize(rows);
+  return keys;
+}
+
+ColumnVector IntColumn(ColumnType type, std::vector<int64_t> ints) {
+  ColumnVector col = OfType(type);
+  col.ints = std::move(ints);
+  return col;
+}
+
+// Int join keys on either side of DenseKeyIndex's span bound, through
+// every join type at every morsel size and worker count. Probes hit build
+// keys, miss inside the build range, and fall outside it.
+TEST_F(ExecOracleTest, IntJoinOnEitherSideOfTheDenseBoundMatchesMapReference) {
+  Rng rng(4141);
+  struct DenseJoinCase {
+    const char* name;
+    std::vector<int64_t> build;
+    bool dense;  // the build keys take the flat array
+  };
+  const std::vector<DenseJoinCase> cases = {
+      {"span just under", SpreadKeys(100, -1000, MaxDenseSpan(100), &rng),
+       true},
+      {"span just over", SpreadKeys(100, -1000, MaxDenseSpan(100) + 1, &rng),
+       false},
+      {"negative keys", SpreadKeys(80, -500, 100, &rng), true},
+      {"int64 extremes", {kInt64Min, kInt64Max, kInt64Min, 0, kInt64Max},
+       false},
+      {"empty build", {}, false},
+      {"one key", {42}, true},
+      {"all duplicates", std::vector<int64_t>(50, -3), true},
+  };
+  for (const DenseJoinCase& jc : cases) {
+    SCOPED_TRACE(jc.name);
+    EXPECT_EQ(DenseKeyIndex::Fits(IntKeySpan::Of(jc.build), jc.build.size()),
+              jc.dense);
+    std::vector<int64_t> probe = {kInt64Min, kInt64Min + 1, -1, 0, 1,
+                                  kInt64Max - 1, kInt64Max};
+    if (!jc.build.empty()) {
+      IntKeySpan span = IntKeySpan::Of(jc.build);
+      if (span.min > kInt64Min) probe.push_back(span.min - 1);
+      if (span.max < kInt64Max) probe.push_back(span.max + 1);
+      uint64_t width = static_cast<uint64_t>(span.max) -
+                       static_cast<uint64_t>(span.min);
+      while (probe.size() < 300) {
+        probe.push_back(
+            rng.Bernoulli(0.6)
+                ? jc.build[rng.Uniform(jc.build.size())]
+                : static_cast<int64_t>(static_cast<uint64_t>(span.min) +
+                                       rng.Uniform(width / 2 + 1) * 2));
+      }
+    }
+    Batch left;
+    left.AddColumn("lid", OfType(ColumnType::kInt64));
+    left.AddColumn("lkey", IntColumn(ColumnType::kInt64, probe));
+    left.AddColumn("lval", OfType(ColumnType::kDouble));
+    for (size_t r = 0; r < probe.size(); ++r) {
+      left.columns[0].ints.push_back(static_cast<int64_t>(r));
+      left.columns[2].doubles.push_back(rng.NextDouble());
+    }
+    Batch right;
+    right.AddColumn("rkey", IntColumn(ColumnType::kDate, jc.build));
+    right.AddColumn("rid", OfType(ColumnType::kInt64));
+    right.AddColumn("tag", OfType(ColumnType::kString));
+    for (size_t r = 0; r < jc.build.size(); ++r) {
+      right.columns[1].ints.push_back(static_cast<int64_t>(r));
+      right.columns[2].strings.push_back("R" + std::to_string(r));
+    }
+    for (JoinType type :
+         {JoinType::kInner, JoinType::kLeftSemi, JoinType::kLeftAnti}) {
+      Batch expected = ReferenceJoin(left, 1, right, 0, type);
+      for (uint64_t morsel_rows : {7u, 64u, 16384u}) {
+        ExpectAllModes(morsel_rows, expected, [&](QueryContext* ctx) {
+          return HashJoin(ctx, left, "lkey", right, "rkey", type);
+        });
+      }
+    }
+  }
+}
+
+// One int group key on either side of DenseKeyIndex's span bound, for the
+// whole input (`dense`) and for its chunks: a chunk may take the flat
+// array while the merge hashes, and the other way round. Double sums are
+// compared bit for bit.
+TEST_F(ExecOracleTest, IntGroupKeyOnEitherSideOfTheDenseBoundMatchesMapReference) {
+  Rng rng(5252);
+  const size_t rows = 1500;
+  std::vector<int64_t> sorted_wide;  // chunks dense, the whole input not
+  for (size_t r = 0; r < rows; ++r) {
+    sorted_wide.push_back(static_cast<int64_t>(r / 2) * 300);
+  }
+  std::vector<int64_t> extremes;
+  for (size_t r = 0; r < rows; ++r) {
+    const int64_t pick[] = {kInt64Min, kInt64Max, 0, -1, kInt64Min + 1};
+    extremes.push_back(pick[rng.Uniform(5)]);
+  }
+  struct DenseAggCase {
+    const char* name;
+    ColumnType type;
+    std::vector<int64_t> keys;
+    bool dense;
+  };
+  const std::vector<DenseAggCase> cases = {
+      {"negative keys", ColumnType::kInt64,
+       SpreadKeys(rows, -500, 60, &rng), true},
+      {"span just under", ColumnType::kDate,
+       SpreadKeys(rows, 3, MaxDenseSpan(rows), &rng), true},
+      {"span just over", ColumnType::kDecimal,
+       SpreadKeys(rows, 3, MaxDenseSpan(rows) + 1, &rng), false},
+      {"sorted wide", ColumnType::kInt64, sorted_wide, false},
+      {"int64 extremes", ColumnType::kInt64, extremes, false},
+      {"one key", ColumnType::kInt64, std::vector<int64_t>(rows, 7), true},
+  };
+  for (const DenseAggCase& ac : cases) {
+    SCOPED_TRACE(ac.name);
+    EXPECT_EQ(DenseKeyIndex::Fits(IntKeySpan::Of(ac.keys), rows), ac.dense);
+    Batch in;
+    in.AddColumn("k0", IntColumn(ac.type, ac.keys));
+    AddOracleAggInputs(rows, &rng, &in);
+    for (uint64_t morsel_rows : {7u, 64u, 16384u}) {
+      Batch expected = ReferenceAggregate(in, {0}, {"k0"}, morsel_rows);
+      ExpectAllModes(morsel_rows, expected, [&](QueryContext* ctx) {
+        return HashAggregate(ctx, in, {"k0"}, OracleAggs());
+      });
+    }
+  }
+}
+
+// Int SUM wraps modulo 2^64 rather than overflowing a signed sum, within
+// a chunk and where chunk partials merge.
+TEST_F(ExecOracleTest, IntSumWrapsModulo2To64) {
+  Batch in;
+  in.AddColumn("k", IntColumn(ColumnType::kInt64, {1, 1, 2, 2}));
+  in.AddColumn("v", IntColumn(ColumnType::kDecimal,
+                              {kInt64Max, 1, kInt64Min, -1}));
+  for (uint64_t morsel_rows : {1u, 16384u}) {
+    SCOPED_TRACE(morsel_rows);
+    for (int workers : {1, 2}) {
+      auto ctx = Context(workers, morsel_rows);
+      Result<Batch> grouped =
+          HashAggregate(ctx.get(), in, {"k"}, {{AggOp::kSum, "v", "s"}});
+      ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+      EXPECT_EQ(grouped->column("s").ints,
+                (std::vector<int64_t>{kInt64Min, kInt64Max}));
+      Result<Batch> global =
+          HashAggregate(ctx.get(), in, {}, {{AggOp::kSum, "v", "s"}});
+      ASSERT_TRUE(global.ok()) << global.status().ToString();
+      EXPECT_EQ(global->column("s").ints, (std::vector<int64_t>{-1}));
     }
   }
 }
