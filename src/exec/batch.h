@@ -30,7 +30,12 @@ struct Batch {
     return columns[i];
   }
 
-  // Convenience accessors (caller guarantees types).
+  // One cell by column name (caller guarantees types). Each call searches
+  // the columns by name, so these are for reading a few result cells:
+  // tests, examples and perfbench (whose answer oracle and filter probe
+  // call them). Engine code resolves a column once and indexes its
+  // values; the cloudiq-row-lookup lint rule keeps these calls out of
+  // src/.
   int64_t Int(const std::string& name, size_t row) const {
     return column(name).ints[row];
   }

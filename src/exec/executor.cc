@@ -824,30 +824,12 @@ Result<Batch> ScanRowIds(QueryContext* ctx, TableReader* reader,
   return out;
 }
 
-namespace {
-
-// The rows `rows` of `in`, in that order: one typed gather per column.
 Batch GatherRows(const Batch& in, const std::vector<size_t>& rows) {
   Batch out = in.EmptyLike();
   for (size_t c = 0; c < in.columns.size(); ++c) {
     out.columns[c].Resize(rows.size());
     out.columns[c].Gather(in.columns[c], rows, 0);
   }
-  return out;
-}
-
-}  // namespace
-
-Batch FilterBatch(QueryContext* ctx, const Batch& in,
-                  const std::function<bool(const Batch&, size_t)>& keep) {
-  OperatorScope op(ctx, "filter");
-  std::vector<size_t> kept;
-  for (size_t r = 0; r < in.rows(); ++r) {
-    if (keep(in, r)) kept.push_back(r);
-  }
-  Batch out = GatherRows(in, kept);
-  ctx->ChargeValues(in.rows());
-  op.AddRows(out.rows());
   return out;
 }
 
@@ -1180,7 +1162,7 @@ void FoldAggColumn(AggOp op, const ColumnVector& col, const RowChunk& chunk,
         extreme([&](size_t r) { return vals[r]; }, &out->ints);
       }
     } else {
-      if (sum) return out->doubles.assign(groups, 0);
+      // Strings: MIN and MAX only (HashAggregate refuses SUM and AVG).
       extreme(
           [&](size_t r) -> std::string_view {
             if constexpr (std::is_same_v<T, uint32_t>) {
@@ -1246,6 +1228,11 @@ Result<Batch> HashAggregate(QueryContext* ctx, const Batch& in,
                 : in.Col(spec.column);
     if (c < 0 && !(spec.op == AggOp::kCount && spec.column.empty())) {
       return Status::InvalidArgument("unknown agg column " + spec.column);
+    }
+    if ((spec.op == AggOp::kSum || spec.op == AggOp::kAvg) &&
+        in.columns[c].type == ColumnType::kString) {
+      return Status::InvalidArgument("SUM/AVG over string column " +
+                                     spec.column);
     }
     agg_cols.push_back(c);
   }
@@ -1477,6 +1464,7 @@ Batch SortBatch(QueryContext* ctx, Batch in,
     int c = in.Col(key.column);
     if (c >= 0) keys.emplace_back(&in.columns[c], key.ascending);
   }
+  // <0, 0 or >0 as row a sorts before, with or after row b.
   auto compare = [&](size_t a, size_t b) {
     for (const auto& [col, ascending] : keys) {
       int cmp = VisitValues(*col, [&](const auto& vals) {
@@ -1490,12 +1478,23 @@ Batch SortBatch(QueryContext* ctx, Batch in,
           return vals[a] < vals[b] ? -1 : (vals[a] > vals[b] ? 1 : 0);
         }
       });
-      if (cmp != 0) return ascending ? cmp < 0 : cmp > 0;
+      if (cmp != 0) return ascending ? cmp : -cmp;
     }
-    return false;
+    return 0;
   };
-  std::stable_sort(order.begin(), order.end(), compare);
-  if (limit > 0 && order.size() > limit) order.resize(limit);
+  if (limit > 0 && limit < order.size()) {
+    // The first `limit` rows of the stable order: ties go by row index.
+    std::partial_sort(order.begin(), order.begin() + limit, order.end(),
+                      [&](size_t a, size_t b) {
+                        int c = compare(a, b);
+                        return c != 0 ? c < 0 : a < b;
+                      });
+    order.resize(limit);
+  } else {
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return compare(a, b) < 0;
+    });
+  }
 
   Batch out = GatherRows(in, order);
   // n log n comparisons, each touching the sort-key values.
@@ -1504,20 +1503,6 @@ Batch SortBatch(QueryContext* ctx, Batch in,
       n * (n > 1 ? std::log2(n) : 1) * sort_keys.size()));
   op.AddRows(out.rows());
   return out;
-}
-
-Batch WithComputedColumn(
-    QueryContext* ctx, Batch in, const std::string& name, ColumnType type,
-    const std::function<void(const Batch&, size_t, ColumnVector*)>& emit) {
-  OperatorScope op(ctx, "computed column " + name);
-  ColumnVector vec;
-  vec.type = type;
-  vec.reserve(in.rows());
-  for (size_t r = 0; r < in.rows(); ++r) emit(in, r, &vec);
-  ctx->ChargeValues(in.rows());
-  in.AddColumn(name, std::move(vec));
-  op.AddRows(in.rows());
-  return in;
 }
 
 }  // namespace cloudiq

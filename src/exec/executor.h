@@ -1,9 +1,11 @@
 #ifndef CLOUDIQ_EXEC_EXECUTOR_H_
 #define CLOUDIQ_EXEC_EXECUTOR_H_
 
+#include <cassert>
 #include <functional>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "columnar/table_reader.h"
@@ -270,9 +272,30 @@ Result<Batch> ScanRowIds(QueryContext* ctx, TableReader* reader,
                          const std::vector<std::string>& columns,
                          const IntervalSet& row_ids);
 
-// Row-wise filter.
-Batch FilterBatch(QueryContext* ctx, const Batch& in,
-                  const std::function<bool(const Batch&, size_t)>& keep);
+// The rows `rows` of `in`, in that order: one typed gather per column.
+Batch GatherRows(const Batch& in, const std::vector<size_t>& rows);
+
+// The rows r of `in` for which keep(in, r) holds, in order. `keep` is a
+// template argument, so its body is inlined into the one loop over the
+// rows: resolve the columns it reads once, before the call, and capture
+// them (a per-row lookup by name would cost more than the test itself).
+// Charges in.rows() values.
+template <typename Keep>
+Batch FilterBatch(QueryContext* ctx, const Batch& in, Keep&& keep) {
+  OperatorScope op(ctx, "filter");
+  const size_t n = in.rows();
+  std::vector<size_t> kept(n);
+  size_t k = 0;
+  for (size_t r = 0; r < n; ++r) {
+    kept[k] = r;  // written always, kept only when `keep` holds
+    k += keep(in, r) ? 1 : 0;
+  }
+  kept.resize(k);
+  Batch out = GatherRows(in, kept);
+  ctx->ChargeValues(n);
+  op.AddRows(out.rows());
+  return out;
+}
 
 enum class JoinType { kInner, kLeftSemi, kLeftAnti };
 
@@ -310,10 +333,40 @@ struct SortKey {
 Batch SortBatch(QueryContext* ctx, Batch in,
                 const std::vector<SortKey>& sort_keys, size_t limit = 0);
 
-// Appends a computed column.
-Batch WithComputedColumn(
-    QueryContext* ctx, Batch in, const std::string& name, ColumnType type,
-    const std::function<void(const Batch&, size_t, ColumnVector*)>& emit);
+// Appends column `name` of `type` whose row r is value(in, r). The value's
+// C++ type picks the vector it fills: double for kDouble, std::string for
+// a plain kString, an integer for the int family. As in FilterBatch,
+// `value` is inlined into one loop over an output sized once; resolve its
+// input columns before the call. (Capturing a column of the batch passed
+// as `in` by reference is safe: moving a Batch keeps its columns where
+// they are.) Charges in.rows() values.
+template <typename Value>
+Batch WithComputedColumn(QueryContext* ctx, Batch in, const std::string& name,
+                         ColumnType type, Value&& value) {
+  using T = std::decay_t<decltype(value(in, size_t{0}))>;
+  OperatorScope op(ctx, "computed column " + name);
+  ColumnVector vec;
+  vec.type = type;
+  auto& out = [&vec]() -> auto& {
+    if constexpr (std::is_same_v<T, double>) {
+      return vec.doubles;
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      return vec.strings;
+    } else {
+      static_assert(std::is_integral_v<T>, "value must be numeric or text");
+      return vec.ints;
+    }
+  }();
+  assert((std::is_same_v<T, double>) == (type == ColumnType::kDouble) &&
+         (std::is_same_v<T, std::string>) == (type == ColumnType::kString));
+  const size_t n = in.rows();
+  out.resize(n);
+  for (size_t r = 0; r < n; ++r) out[r] = value(in, r);
+  ctx->ChargeValues(n);
+  in.AddColumn(name, std::move(vec));
+  op.AddRows(in.rows());
+  return in;
+}
 
 }  // namespace cloudiq
 

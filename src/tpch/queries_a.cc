@@ -6,11 +6,12 @@ namespace tpch_internal {
 
 Batch WithRevenue(QueryContext* ctx, Batch in, const std::string& ext,
                   const std::string& disc, const std::string& as) {
+  const std::vector<int64_t>& price = in.column(ext).ints;
+  const std::vector<int64_t>& discount = in.column(disc).ints;
   return WithComputedColumn(
       ctx, std::move(in), as, ColumnType::kDouble,
-      [ext, disc](const Batch& b, size_t r, ColumnVector* out) {
-        out->doubles.push_back(DecimalToDouble(b.Int(ext, r)) *
-                               (1.0 - b.Int(disc, r) / 100.0));
+      [&](const Batch&, size_t r) {
+        return DecimalToDouble(price[r]) * (1.0 - discount[r] / 100.0);
       });
 }
 
@@ -55,11 +56,12 @@ Result<Batch> Q1(QueryContext* ctx) {
                 range));
   rows = WithRevenue(ctx, std::move(rows), "l_extendedprice", "l_discount",
                      "disc_price");
+  const std::vector<double>& disc_price = rows.column("disc_price").doubles;
+  const std::vector<int64_t>& tax = rows.column("l_tax").ints;
   rows = WithComputedColumn(
       ctx, std::move(rows), "charge", ColumnType::kDouble,
-      [](const Batch& b, size_t r, ColumnVector* out) {
-        out->doubles.push_back(b.Double("disc_price", r) *
-                               (1.0 + b.Int("l_tax", r) / 100.0));
+      [&](const Batch&, size_t r) {
+        return disc_price[r] * (1.0 + tax[r] / 100.0);
       });
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch agg,
@@ -88,15 +90,17 @@ Result<Batch> Q2(QueryContext* ctx) {
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch parts,
       ScanTable(ctx, &part, {"p_partkey", "p_mfgr", "p_size", "p_type"}));
-  parts = FilterBatch(ctx, parts, [](const Batch& b, size_t r) {
-    return b.Int("p_size", r) == 15 && EndsWith(b.Str("p_type", r), "BRASS");
+  const std::vector<int64_t>& size = parts.column("p_size").ints;
+  std::vector<uint8_t> brass = StringMask(
+      parts.column("p_type"),
+      [](const std::string& t) { return EndsWith(t, "BRASS"); });
+  parts = FilterBatch(ctx, parts, [&](const Batch&, size_t r) {
+    return size[r] == 15 && brass[r];
   });
 
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch regions, ScanTable(ctx, &region, {"r_regionkey", "r_name"}));
-  regions = FilterBatch(ctx, regions, [](const Batch& b, size_t r) {
-    return b.Str("r_name", r) == "EUROPE";
-  });
+  regions = FilterEquals(ctx, regions, "r_name", "EUROPE");
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch nations,
       ScanTable(ctx, &nation, {"n_nationkey", "n_regionkey", "n_name"}));
@@ -130,8 +134,10 @@ Result<Batch> Q2(QueryContext* ctx) {
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch joined, HashJoin(ctx, ps, "ps_partkey", mins, "ps_partkey",
                              JoinType::kInner));
-  joined = FilterBatch(ctx, joined, [](const Batch& b, size_t r) {
-    return b.Int("ps_supplycost", r) == b.Int("min_cost", r);
+  const std::vector<int64_t>& cost = joined.column("ps_supplycost").ints;
+  const std::vector<int64_t>& min_cost = joined.column("min_cost").ints;
+  joined = FilterBatch(ctx, joined, [&](const Batch&, size_t r) {
+    return cost[r] == min_cost[r];
   });
   return SortBatch(ctx, std::move(joined),
                    {{"s_acctbal", false},
@@ -152,16 +158,15 @@ Result<Batch> Q3(QueryContext* ctx) {
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch customers,
       ScanTable(ctx, &customer, {"c_custkey", "c_mktsegment"}));
-  customers = FilterBatch(ctx, customers, [](const Batch& b, size_t r) {
-    return b.Str("c_mktsegment", r) == "BUILDING";
-  });
+  customers = FilterEquals(ctx, customers, "c_mktsegment", "BUILDING");
 
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch ord, ScanTable(ctx, &orders,
                            {"o_orderkey", "o_custkey", "o_orderdate",
                             "o_shippriority"}));
-  ord = FilterBatch(ctx, ord, [cutoff](const Batch& b, size_t r) {
-    return b.Int("o_orderdate", r) < cutoff;
+  const std::vector<int64_t>& orderdate = ord.column("o_orderdate").ints;
+  ord = FilterBatch(ctx, ord, [&](const Batch&, size_t r) {
+    return orderdate[r] < cutoff;
   });
   CLOUDIQ_ASSIGN_OR_RETURN(ord,
                            HashJoin(ctx, ord, "o_custkey", customers,
@@ -199,17 +204,19 @@ Result<Batch> Q4(QueryContext* ctx) {
                 {"o_orderkey", "o_orderdate", "o_orderpriority"}));
   int64_t lo = D(1993, 7, 1);
   int64_t hi = D(1993, 10, 1) - 1;
-  ord = FilterBatch(ctx, ord, [lo, hi](const Batch& b, size_t r) {
-    int64_t d = b.Int("o_orderdate", r);
-    return d >= lo && d <= hi;
+  const std::vector<int64_t>& orderdate = ord.column("o_orderdate").ints;
+  ord = FilterBatch(ctx, ord, [&](const Batch&, size_t r) {
+    return orderdate[r] >= lo && orderdate[r] <= hi;
   });
 
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch items,
       ScanTable(ctx, &lineitem,
                 {"l_orderkey", "l_commitdate", "l_receiptdate"}));
-  items = FilterBatch(ctx, items, [](const Batch& b, size_t r) {
-    return b.Int("l_commitdate", r) < b.Int("l_receiptdate", r);
+  const std::vector<int64_t>& commit = items.column("l_commitdate").ints;
+  const std::vector<int64_t>& receipt = items.column("l_receiptdate").ints;
+  items = FilterBatch(ctx, items, [&](const Batch&, size_t r) {
+    return commit[r] < receipt[r];
   });
   CLOUDIQ_ASSIGN_OR_RETURN(ord,
                            HashJoin(ctx, ord, "o_orderkey", items,
@@ -232,9 +239,7 @@ Result<Batch> Q5(QueryContext* ctx) {
   CLOUDIQ_ASSIGN_OR_RETURN(Batch regions,
                            ScanTable(ctx, &region,
                                      {"r_regionkey", "r_name"}));
-  regions = FilterBatch(ctx, regions, [](const Batch& b, size_t r) {
-    return b.Str("r_name", r) == "ASIA";
-  });
+  regions = FilterEquals(ctx, regions, "r_name", "ASIA");
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch nations,
       ScanTable(ctx, &nation, {"n_nationkey", "n_regionkey", "n_name"}));
@@ -258,9 +263,9 @@ Result<Batch> Q5(QueryContext* ctx) {
       ScanTable(ctx, &orders, {"o_orderkey", "o_custkey", "o_orderdate"}));
   int64_t lo = D(1994, 1, 1);
   int64_t hi = D(1995, 1, 1) - 1;
-  ord = FilterBatch(ctx, ord, [lo, hi](const Batch& b, size_t r) {
-    int64_t d = b.Int("o_orderdate", r);
-    return d >= lo && d <= hi;
+  const std::vector<int64_t>& orderdate = ord.column("o_orderdate").ints;
+  ord = FilterBatch(ctx, ord, [&](const Batch&, size_t r) {
+    return orderdate[r] >= lo && orderdate[r] <= hi;
   });
   CLOUDIQ_ASSIGN_OR_RETURN(ord, HashJoin(ctx, ord, "o_custkey", customers,
                                          "c_custkey", JoinType::kInner));
@@ -276,8 +281,10 @@ Result<Batch> Q5(QueryContext* ctx) {
                            HashJoin(ctx, items, "l_suppkey", suppliers,
                                     "s_suppkey", JoinType::kInner));
   // "Local" volume: customer and supplier from the same nation.
-  items = FilterBatch(ctx, items, [](const Batch& b, size_t r) {
-    return b.Int("c_nationkey", r) == b.Int("s_nationkey", r);
+  const std::vector<int64_t>& cust_nation = items.column("c_nationkey").ints;
+  const std::vector<int64_t>& supp_nation = items.column("s_nationkey").ints;
+  items = FilterBatch(ctx, items, [&](const Batch&, size_t r) {
+    return cust_nation[r] == supp_nation[r];
   });
   items = WithRevenue(ctx, std::move(items), "l_extendedprice",
                       "l_discount", "revenue");
@@ -299,15 +306,17 @@ Result<Batch> Q6(QueryContext* ctx) {
                 {"l_shipdate", "l_discount", "l_quantity",
                  "l_extendedprice"},
                 ScanRange{"l_shipdate", lo, hi}));
-  items = FilterBatch(ctx, items, [](const Batch& b, size_t r) {
-    int64_t disc = b.Int("l_discount", r);
-    return disc >= 5 && disc <= 7 && b.Int("l_quantity", r) < 24;
+  const std::vector<int64_t>& disc = items.column("l_discount").ints;
+  const std::vector<int64_t>& qty = items.column("l_quantity").ints;
+  items = FilterBatch(ctx, items, [&](const Batch&, size_t r) {
+    return disc[r] >= 5 && disc[r] <= 7 && qty[r] < 24;
   });
+  const std::vector<int64_t>& price = items.column("l_extendedprice").ints;
+  const std::vector<int64_t>& kept_disc = items.column("l_discount").ints;
   items = WithComputedColumn(
       ctx, std::move(items), "revenue", ColumnType::kDouble,
-      [](const Batch& b, size_t r, ColumnVector* out) {
-        out->doubles.push_back(DecimalToDouble(b.Int("l_extendedprice", r)) *
-                               (b.Int("l_discount", r) / 100.0));
+      [&](const Batch&, size_t r) {
+        return DecimalToDouble(price[r]) * (kept_disc[r] / 100.0);
       });
   return HashAggregate(ctx, items, {},
                        {{AggOp::kSum, "revenue", "revenue"}});
@@ -323,8 +332,8 @@ Result<Batch> Q7(QueryContext* ctx) {
 
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch nations, ScanTable(ctx, &nation, {"n_nationkey", "n_name"}));
-  nations = FilterBatch(ctx, nations, [](const Batch& b, size_t r) {
-    return b.Str("n_name", r) == "FRANCE" || b.Str("n_name", r) == "GERMANY";
+  nations = FilterStrings(ctx, nations, "n_name", [](const std::string& n) {
+    return n == "FRANCE" || n == "GERMANY";
   });
 
   CLOUDIQ_ASSIGN_OR_RETURN(
@@ -365,19 +374,19 @@ Result<Batch> Q7(QueryContext* ctx) {
   CLOUDIQ_ASSIGN_OR_RETURN(items,
                            HashJoin(ctx, items, "l_suppkey", supp_tagged,
                                     "s_suppkey", JoinType::kInner));
-  items = FilterBatch(ctx, items, [](const Batch& b, size_t r) {
-    const std::string& s = b.Str("supp_nation", r);
-    const std::string& c = b.Str("cust_nation", r);
-    return (s == "FRANCE" && c == "GERMANY") ||
-           (s == "GERMANY" && c == "FRANCE");
+  std::vector<uint8_t> s_fr = EqualsMask(items, "supp_nation", "FRANCE");
+  std::vector<uint8_t> s_de = EqualsMask(items, "supp_nation", "GERMANY");
+  std::vector<uint8_t> c_fr = EqualsMask(items, "cust_nation", "FRANCE");
+  std::vector<uint8_t> c_de = EqualsMask(items, "cust_nation", "GERMANY");
+  items = FilterBatch(ctx, items, [&](const Batch&, size_t r) {
+    return (s_fr[r] && c_de[r]) || (s_de[r] && c_fr[r]);
   });
   items = WithRevenue(ctx, std::move(items), "l_extendedprice",
                       "l_discount", "volume");
+  const std::vector<int64_t>& shipdate = items.column("l_shipdate").ints;
   items = WithComputedColumn(
       ctx, std::move(items), "l_year", ColumnType::kInt64,
-      [](const Batch& b, size_t r, ColumnVector* out) {
-        out->ints.push_back(YearOf(b.Int("l_shipdate", r)));
-      });
+      [&](const Batch&, size_t r) { return YearOf(shipdate[r]); });
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch agg,
       HashAggregate(ctx, items, {"supp_nation", "cust_nation", "l_year"},
@@ -400,16 +409,12 @@ Result<Batch> Q8(QueryContext* ctx) {
 
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch parts, ScanTable(ctx, &part, {"p_partkey", "p_type"}));
-  parts = FilterBatch(ctx, parts, [](const Batch& b, size_t r) {
-    return b.Str("p_type", r) == "ECONOMY ANODIZED STEEL";
-  });
+  parts = FilterEquals(ctx, parts, "p_type", "ECONOMY ANODIZED STEEL");
 
   CLOUDIQ_ASSIGN_OR_RETURN(Batch regions,
                            ScanTable(ctx, &region,
                                      {"r_regionkey", "r_name"}));
-  regions = FilterBatch(ctx, regions, [](const Batch& b, size_t r) {
-    return b.Str("r_name", r) == "AMERICA";
-  });
+  regions = FilterEquals(ctx, regions, "r_name", "AMERICA");
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch nations,
       ScanTable(ctx, &nation, {"n_nationkey", "n_regionkey", "n_name"}));
@@ -431,9 +436,9 @@ Result<Batch> Q8(QueryContext* ctx) {
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch ord,
       ScanTable(ctx, &orders, {"o_orderkey", "o_custkey", "o_orderdate"}));
-  ord = FilterBatch(ctx, ord, [lo, hi](const Batch& b, size_t r) {
-    int64_t d = b.Int("o_orderdate", r);
-    return d >= lo && d <= hi;
+  const std::vector<int64_t>& orderdate = ord.column("o_orderdate").ints;
+  ord = FilterBatch(ctx, ord, [&](const Batch&, size_t r) {
+    return orderdate[r] >= lo && orderdate[r] <= hi;
   });
   CLOUDIQ_ASSIGN_OR_RETURN(ord, HashJoin(ctx, ord, "o_custkey", customers,
                                          "c_custkey", JoinType::kLeftSemi));
@@ -461,28 +466,26 @@ Result<Batch> Q8(QueryContext* ctx) {
 
   items = WithRevenue(ctx, std::move(items), "l_extendedprice",
                       "l_discount", "volume");
+  const std::vector<int64_t>& item_date = items.column("o_orderdate").ints;
   items = WithComputedColumn(
       ctx, std::move(items), "o_year", ColumnType::kInt64,
-      [](const Batch& b, size_t r, ColumnVector* out) {
-        out->ints.push_back(YearOf(b.Int("o_orderdate", r)));
-      });
+      [&](const Batch&, size_t r) { return YearOf(item_date[r]); });
+  std::vector<uint8_t> brazil = EqualsMask(items, "n_name", "BRAZIL");
+  const std::vector<double>& volume = items.column("volume").doubles;
   items = WithComputedColumn(
       ctx, std::move(items), "brazil_volume", ColumnType::kDouble,
-      [](const Batch& b, size_t r, ColumnVector* out) {
-        out->doubles.push_back(
-            b.Str("n_name", r) == "BRAZIL" ? b.Double("volume", r) : 0.0);
-      });
+      [&](const Batch&, size_t r) { return brazil[r] ? volume[r] : 0.0; });
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch agg,
       HashAggregate(ctx, items, {"o_year"},
                     {{AggOp::kSum, "brazil_volume", "brazil"},
                      {AggOp::kSum, "volume", "total"}}));
+  const std::vector<double>& brazil_sum = agg.column("brazil").doubles;
+  const std::vector<double>& total = agg.column("total").doubles;
   agg = WithComputedColumn(
       ctx, std::move(agg), "mkt_share", ColumnType::kDouble,
-      [](const Batch& b, size_t r, ColumnVector* out) {
-        double total = b.Double("total", r);
-        out->doubles.push_back(total > 0 ? b.Double("brazil", r) / total
-                                         : 0.0);
+      [&](const Batch&, size_t r) {
+        return total[r] > 0 ? brazil_sum[r] / total[r] : 0.0;
       });
   return SortBatch(ctx, std::move(agg), {{"o_year", true}});
 }
@@ -498,8 +501,8 @@ Result<Batch> Q9(QueryContext* ctx) {
 
   CLOUDIQ_ASSIGN_OR_RETURN(Batch parts,
                            ScanTable(ctx, &part, {"p_partkey", "p_name"}));
-  parts = FilterBatch(ctx, parts, [](const Batch& b, size_t r) {
-    return Contains(b.Str("p_name", r), "furiously");  // the "green" stand-in
+  parts = FilterStrings(ctx, parts, "p_name", [](const std::string& n) {
+    return Contains(n, "furiously");  // the "green" stand-in
   });
 
   CLOUDIQ_ASSIGN_OR_RETURN(
@@ -517,8 +520,10 @@ Result<Batch> Q9(QueryContext* ctx) {
                           {"ps_partkey", "ps_suppkey", "ps_supplycost"}));
   CLOUDIQ_ASSIGN_OR_RETURN(items, HashJoin(ctx, items, "l_partkey", ps,
                                            "ps_partkey", JoinType::kInner));
-  items = FilterBatch(ctx, items, [](const Batch& b, size_t r) {
-    return b.Int("l_suppkey", r) == b.Int("ps_suppkey", r);
+  const std::vector<int64_t>& l_supp = items.column("l_suppkey").ints;
+  const std::vector<int64_t>& ps_supp = items.column("ps_suppkey").ints;
+  items = FilterBatch(ctx, items, [&](const Batch&, size_t r) {
+    return l_supp[r] == ps_supp[r];
   });
 
   CLOUDIQ_ASSIGN_OR_RETURN(
@@ -539,20 +544,21 @@ Result<Batch> Q9(QueryContext* ctx) {
                            HashJoin(ctx, items, "l_suppkey", suppliers,
                                     "s_suppkey", JoinType::kInner));
 
+  const std::vector<int64_t>& price = items.column("l_extendedprice").ints;
+  const std::vector<int64_t>& disc = items.column("l_discount").ints;
+  const std::vector<int64_t>& supplycost = items.column("ps_supplycost").ints;
+  const std::vector<int64_t>& qty = items.column("l_quantity").ints;
   items = WithComputedColumn(
       ctx, std::move(items), "amount", ColumnType::kDouble,
-      [](const Batch& b, size_t r, ColumnVector* out) {
-        double revenue = DecimalToDouble(b.Int("l_extendedprice", r)) *
-                         (1.0 - b.Int("l_discount", r) / 100.0);
-        double cost = DecimalToDouble(b.Int("ps_supplycost", r)) *
-                      b.Int("l_quantity", r);
-        out->doubles.push_back(revenue - cost);
+      [&](const Batch&, size_t r) {
+        double revenue = DecimalToDouble(price[r]) * (1.0 - disc[r] / 100.0);
+        double cost = DecimalToDouble(supplycost[r]) * qty[r];
+        return revenue - cost;
       });
+  const std::vector<int64_t>& orderdate = items.column("o_orderdate").ints;
   items = WithComputedColumn(
       ctx, std::move(items), "o_year", ColumnType::kInt64,
-      [](const Batch& b, size_t r, ColumnVector* out) {
-        out->ints.push_back(YearOf(b.Int("o_orderdate", r)));
-      });
+      [&](const Batch&, size_t r) { return YearOf(orderdate[r]); });
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch agg, HashAggregate(ctx, items, {"n_name", "o_year"},
                                {{AggOp::kSum, "amount", "sum_profit"}}));
@@ -572,9 +578,9 @@ Result<Batch> Q10(QueryContext* ctx) {
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch ord,
       ScanTable(ctx, &orders, {"o_orderkey", "o_custkey", "o_orderdate"}));
-  ord = FilterBatch(ctx, ord, [lo, hi](const Batch& b, size_t r) {
-    int64_t d = b.Int("o_orderdate", r);
-    return d >= lo && d <= hi;
+  const std::vector<int64_t>& orderdate = ord.column("o_orderdate").ints;
+  ord = FilterBatch(ctx, ord, [&](const Batch&, size_t r) {
+    return orderdate[r] >= lo && orderdate[r] <= hi;
   });
 
   CLOUDIQ_ASSIGN_OR_RETURN(
@@ -582,9 +588,7 @@ Result<Batch> Q10(QueryContext* ctx) {
       ScanTable(ctx, &lineitem,
                 {"l_orderkey", "l_returnflag", "l_extendedprice",
                  "l_discount"}));
-  items = FilterBatch(ctx, items, [](const Batch& b, size_t r) {
-    return b.Str("l_returnflag", r) == "R";
-  });
+  items = FilterEquals(ctx, items, "l_returnflag", "R");
   CLOUDIQ_ASSIGN_OR_RETURN(items, HashJoin(ctx, items, "l_orderkey", ord,
                                            "o_orderkey", JoinType::kInner));
   items = WithRevenue(ctx, std::move(items), "l_extendedprice",
@@ -619,9 +623,7 @@ Result<Batch> Q11(QueryContext* ctx) {
   CLOUDIQ_ASSIGN_OR_RETURN(Batch nations,
                            ScanTable(ctx, &nation,
                                      {"n_nationkey", "n_name"}));
-  nations = FilterBatch(ctx, nations, [](const Batch& b, size_t r) {
-    return b.Str("n_name", r) == "GERMANY";
-  });
+  nations = FilterEquals(ctx, nations, "n_name", "GERMANY");
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch suppliers,
       ScanTable(ctx, &supplier, {"s_suppkey", "s_nationkey"}));
@@ -636,23 +638,25 @@ Result<Batch> Q11(QueryContext* ctx) {
                  "ps_supplycost"}));
   CLOUDIQ_ASSIGN_OR_RETURN(ps, HashJoin(ctx, ps, "ps_suppkey", suppliers,
                                         "s_suppkey", JoinType::kLeftSemi));
+  const std::vector<int64_t>& supplycost = ps.column("ps_supplycost").ints;
+  const std::vector<int64_t>& availqty = ps.column("ps_availqty").ints;
   ps = WithComputedColumn(
       ctx, std::move(ps), "value", ColumnType::kDouble,
-      [](const Batch& b, size_t r, ColumnVector* out) {
-        out->doubles.push_back(DecimalToDouble(b.Int("ps_supplycost", r)) *
-                               b.Int("ps_availqty", r));
+      [&](const Batch&, size_t r) {
+        return DecimalToDouble(supplycost[r]) * availqty[r];
       });
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch total_batch,
       HashAggregate(ctx, ps, {}, {{AggOp::kSum, "value", "total"}}));
   double threshold = total_batch.rows() > 0
-                         ? total_batch.Double("total", 0) * 0.0001
+                         ? total_batch.column("total").doubles[0] * 0.0001
                          : 0.0;
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch agg, HashAggregate(ctx, ps, {"ps_partkey"},
                                {{AggOp::kSum, "value", "value"}}));
-  agg = FilterBatch(ctx, agg, [threshold](const Batch& b, size_t r) {
-    return b.Double("value", r) > threshold;
+  const std::vector<double>& value = agg.column("value").doubles;
+  agg = FilterBatch(ctx, agg, [&](const Batch&, size_t r) {
+    return value[r] > threshold;
   });
   return SortBatch(ctx, std::move(agg), {{"value", false}});
 }

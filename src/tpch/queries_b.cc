@@ -26,27 +26,27 @@ Result<Batch> Q12(QueryContext* ctx) {
       StringMask(items.column("l_shipmode"), [](const std::string& mode) {
         return mode == "MAIL" || mode == "SHIP";
       });
-  items = FilterBatch(ctx, items, [&](const Batch& b, size_t r) {
-    return mail_or_ship[r] &&
-           b.Int("l_commitdate", r) < b.Int("l_receiptdate", r) &&
-           b.Int("l_shipdate", r) < b.Int("l_commitdate", r);
+  const std::vector<int64_t>& commit = items.column("l_commitdate").ints;
+  const std::vector<int64_t>& receipt = items.column("l_receiptdate").ints;
+  const std::vector<int64_t>& ship = items.column("l_shipdate").ints;
+  items = FilterBatch(ctx, items, [&](const Batch&, size_t r) {
+    return mail_or_ship[r] && commit[r] < receipt[r] && ship[r] < commit[r];
   });
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch ord,
       ScanTable(ctx, &orders, {"o_orderkey", "o_orderpriority"}));
   CLOUDIQ_ASSIGN_OR_RETURN(items, HashJoin(ctx, items, "l_orderkey", ord,
                                            "o_orderkey", JoinType::kInner));
+  std::vector<uint8_t> urgent =
+      StringMask(items.column("o_orderpriority"), [](const std::string& p) {
+        return p == "1-URGENT" || p == "2-HIGH";
+      });
   items = WithComputedColumn(
       ctx, std::move(items), "high_line", ColumnType::kInt64,
-      [](const Batch& b, size_t r, ColumnVector* out) {
-        const std::string& p = b.Str("o_orderpriority", r);
-        out->ints.push_back(p == "1-URGENT" || p == "2-HIGH" ? 1 : 0);
-      });
+      [&](const Batch&, size_t r) { return int64_t{urgent[r]}; });
   items = WithComputedColumn(
       ctx, std::move(items), "low_line", ColumnType::kInt64,
-      [](const Batch& b, size_t r, ColumnVector* out) {
-        out->ints.push_back(1 - b.Int("high_line", r));
-      });
+      [&](const Batch&, size_t r) { return int64_t{1} - urgent[r]; });
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch agg,
       HashAggregate(ctx, items, {"l_shipmode"},
@@ -76,12 +76,14 @@ Result<Batch> Q13(QueryContext* ctx) {
     CLOUDIQ_ASSIGN_OR_RETURN(
         Batch rows, ScanRowIds(ctx, &orders, p,
                                {"o_orderkey", "o_comment"}, candidates));
+    const std::vector<int64_t>& orderkey = rows.column("o_orderkey").ints;
+    const ColumnVector& comment = rows.column("o_comment");
     for (size_t r = 0; r < rows.rows(); ++r) {
-      const std::string& c = rows.Str("o_comment", r);
+      const std::string& c = comment.StringAt(r);
       size_t pos = c.find("special");
       if (pos != std::string::npos &&
           c.find("requests", pos) != std::string::npos) {
-        excluded.columns[0].ints.push_back(rows.Int("o_orderkey", r));
+        excluded.columns[0].ints.push_back(orderkey[r]);
       }
     }
   }
@@ -100,11 +102,9 @@ Result<Batch> Q13(QueryContext* ctx) {
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch zero, HashJoin(ctx, customers, "c_custkey", counts,
                            "o_custkey", JoinType::kLeftAnti));
-  zero = WithComputedColumn(
-      ctx, std::move(zero), "c_count", ColumnType::kInt64,
-      [](const Batch&, size_t, ColumnVector* out) {
-        out->ints.push_back(0);
-      });
+  zero = WithComputedColumn(ctx, std::move(zero), "c_count",
+                            ColumnType::kInt64,
+                            [](const Batch&, size_t) { return int64_t{0}; });
 
   // Histogram over both populations.
   Batch combined;
@@ -139,23 +139,24 @@ Result<Batch> Q14(QueryContext* ctx) {
                                            "p_partkey", JoinType::kInner));
   items = WithRevenue(ctx, std::move(items), "l_extendedprice",
                       "l_discount", "revenue");
+  std::vector<uint8_t> promo =
+      StringMask(items.column("p_type"), [](const std::string& t) {
+        return StartsWith(t, "PROMO");
+      });
+  const std::vector<double>& revenue = items.column("revenue").doubles;
   items = WithComputedColumn(
       ctx, std::move(items), "promo_revenue", ColumnType::kDouble,
-      [](const Batch& b, size_t r, ColumnVector* out) {
-        out->doubles.push_back(StartsWith(b.Str("p_type", r), "PROMO")
-                                   ? b.Double("revenue", r)
-                                   : 0.0);
-      });
+      [&](const Batch&, size_t r) { return promo[r] ? revenue[r] : 0.0; });
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch agg, HashAggregate(ctx, items, {},
                                {{AggOp::kSum, "promo_revenue", "promo"},
                                 {AggOp::kSum, "revenue", "total"}}));
+  const std::vector<double>& promo_sum = agg.column("promo").doubles;
+  const std::vector<double>& total = agg.column("total").doubles;
   return WithComputedColumn(
       ctx, std::move(agg), "promo_pct", ColumnType::kDouble,
-      [](const Batch& b, size_t r, ColumnVector* out) {
-        double total = b.Double("total", r);
-        out->doubles.push_back(
-            total > 0 ? 100.0 * b.Double("promo", r) / total : 0.0);
+      [&](const Batch&, size_t r) {
+        return total[r] > 0 ? 100.0 * promo_sum[r] / total[r] : 0.0;
       });
 }
 
@@ -181,11 +182,11 @@ Result<Batch> Q15(QueryContext* ctx) {
   for (double v : by_supp.column("total_revenue").doubles) {
     max_revenue = std::max(max_revenue, v);
   }
-  by_supp = FilterBatch(ctx, by_supp,
-                        [max_revenue](const Batch& b, size_t r) {
-                          return b.Double("total_revenue", r) >=
-                                 max_revenue - 1e-9;
-                        });
+  const std::vector<double>& total_revenue =
+      by_supp.column("total_revenue").doubles;
+  by_supp = FilterBatch(ctx, by_supp, [&](const Batch&, size_t r) {
+    return total_revenue[r] >= max_revenue - 1e-9;
+  });
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch suppliers,
       ScanTable(ctx, &supplier,
@@ -207,21 +208,25 @@ Result<Batch> Q16(QueryContext* ctx) {
       Batch parts, ScanTable(ctx, &part,
                              {"p_partkey", "p_brand", "p_type", "p_size"}));
   const std::set<int64_t> kSizes{1, 14, 23, 45, 19, 3, 36, 9};
-  parts = FilterBatch(ctx, parts, [&kSizes](const Batch& b, size_t r) {
-    return b.Str("p_brand", r) != "Brand#45" &&
-           !StartsWith(b.Str("p_type", r), "MEDIUM POLISHED") &&
-           kSizes.count(b.Int("p_size", r)) > 0;
+  std::vector<uint8_t> brand45 = EqualsMask(parts, "p_brand", "Brand#45");
+  std::vector<uint8_t> polished =
+      StringMask(parts.column("p_type"), [](const std::string& t) {
+        return StartsWith(t, "MEDIUM POLISHED");
+      });
+  const std::vector<int64_t>& size = parts.column("p_size").ints;
+  parts = FilterBatch(ctx, parts, [&](const Batch&, size_t r) {
+    return !brand45[r] && !polished[r] && kSizes.count(size[r]) > 0;
   });
 
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch complainers,
       ScanTable(ctx, &supplier, {"s_suppkey", "s_comment"}));
-  complainers = FilterBatch(ctx, complainers, [](const Batch& b, size_t r) {
-    const std::string& c = b.Str("s_comment", r);
-    size_t p = c.find("Customer");
-    return p != std::string::npos &&
-           c.find("Complaints", p) != std::string::npos;
-  });
+  complainers = FilterStrings(
+      ctx, complainers, "s_comment", [](const std::string& c) {
+        size_t p = c.find("Customer");
+        return p != std::string::npos &&
+               c.find("Complaints", p) != std::string::npos;
+      });
 
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch ps, ScanTable(ctx, &partsupp, {"ps_partkey", "ps_suppkey"}));
@@ -233,10 +238,14 @@ Result<Batch> Q16(QueryContext* ctx) {
   // Distinct suppliers per group.
   std::unordered_map<std::string, std::unordered_set<int64_t>> distinct;
   std::unordered_map<std::string, size_t> rep_row;
+  const ColumnVector& brand = ps.column("p_brand");
+  const ColumnVector& type = ps.column("p_type");
+  const std::vector<int64_t>& ps_size = ps.column("p_size").ints;
+  const std::vector<int64_t>& supp = ps.column("ps_suppkey").ints;
   for (size_t r = 0; r < ps.rows(); ++r) {
-    std::string key = ps.Str("p_brand", r) + '\x1f' + ps.Str("p_type", r) +
-                      '\x1f' + std::to_string(ps.Int("p_size", r));
-    distinct[key].insert(ps.Int("ps_suppkey", r));
+    std::string key = brand.StringAt(r) + '\x1f' + type.StringAt(r) + '\x1f' +
+                      std::to_string(ps_size[r]);
+    distinct[key].insert(supp[r]);
     rep_row.emplace(key, r);
   }
   ctx->ChargeValues(ps.rows() * 2);
@@ -248,9 +257,9 @@ Result<Batch> Q16(QueryContext* ctx) {
   out.AddColumn("supplier_cnt", ColumnVector{ColumnType::kInt64, {}, {}, {}});
   for (const auto& [key, supps] : distinct) {
     size_t r = rep_row[key];
-    out.columns[0].strings.push_back(ps.Str("p_brand", r));
-    out.columns[1].strings.push_back(ps.Str("p_type", r));
-    out.columns[2].ints.push_back(ps.Int("p_size", r));
+    out.columns[0].strings.push_back(brand.StringAt(r));
+    out.columns[1].strings.push_back(type.StringAt(r));
+    out.columns[2].ints.push_back(ps_size[r]);
     out.columns[3].ints.push_back(static_cast<int64_t>(supps.size()));
   }
   return SortBatch(ctx, std::move(out),
@@ -267,9 +276,10 @@ Result<Batch> Q17(QueryContext* ctx) {
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch parts, ScanTable(ctx, &part,
                              {"p_partkey", "p_brand", "p_container"}));
-  parts = FilterBatch(ctx, parts, [](const Batch& b, size_t r) {
-    return b.Str("p_brand", r) == "Brand#23" &&
-           b.Str("p_container", r) == "MED BOX";
+  std::vector<uint8_t> brand23 = EqualsMask(parts, "p_brand", "Brand#23");
+  std::vector<uint8_t> med_box = EqualsMask(parts, "p_container", "MED BOX");
+  parts = FilterBatch(ctx, parts, [&](const Batch&, size_t r) {
+    return brand23[r] && med_box[r];
   });
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch items,
@@ -284,23 +294,22 @@ Result<Batch> Q17(QueryContext* ctx) {
   CLOUDIQ_ASSIGN_OR_RETURN(items,
                            HashJoin(ctx, items, "l_partkey", avg_qty,
                                     "l_partkey", JoinType::kInner));
-  items = FilterBatch(ctx, items, [](const Batch& b, size_t r) {
-    return b.Int("l_quantity", r) < 0.2 * b.Double("avg_quantity", r);
+  const std::vector<int64_t>& qty = items.column("l_quantity").ints;
+  const std::vector<double>& avg = items.column("avg_quantity").doubles;
+  items = FilterBatch(ctx, items, [&](const Batch&, size_t r) {
+    return qty[r] < 0.2 * avg[r];
   });
+  const std::vector<int64_t>& price = items.column("l_extendedprice").ints;
   items = WithComputedColumn(
       ctx, std::move(items), "price", ColumnType::kDouble,
-      [](const Batch& b, size_t r, ColumnVector* out) {
-        out->doubles.push_back(
-            DecimalToDouble(b.Int("l_extendedprice", r)));
-      });
+      [&](const Batch&, size_t r) { return DecimalToDouble(price[r]); });
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch agg,
       HashAggregate(ctx, items, {}, {{AggOp::kSum, "price", "sum_price"}}));
+  const std::vector<double>& sum_price = agg.column("sum_price").doubles;
   return WithComputedColumn(
       ctx, std::move(agg), "avg_yearly", ColumnType::kDouble,
-      [](const Batch& b, size_t r, ColumnVector* out) {
-        out->doubles.push_back(b.Double("sum_price", r) / 7.0);
-      });
+      [&](const Batch&, size_t r) { return sum_price[r] / 7.0; });
 }
 
 // Q18: large-volume customers. (Threshold rescaled from the spec's 300
@@ -316,9 +325,9 @@ Result<Batch> Q18(QueryContext* ctx) {
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch qty, HashAggregate(ctx, items, {"l_orderkey"},
                                {{AggOp::kSum, "l_quantity", "sum_qty"}}));
-  qty = FilterBatch(ctx, qty, [](const Batch& b, size_t r) {
-    return b.Int("sum_qty", r) > 150;
-  });
+  const std::vector<int64_t>& sum_qty = qty.column("sum_qty").ints;
+  qty = FilterBatch(ctx, qty,
+                    [&](const Batch&, size_t r) { return sum_qty[r] > 150; });
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch ord,
       ScanTable(ctx, &orders,
@@ -343,17 +352,25 @@ Result<Batch> Q19(QueryContext* ctx) {
       Batch parts,
       ScanTable(ctx, &part,
                 {"p_partkey", "p_brand", "p_container", "p_size"}));
-  parts = FilterBatch(ctx, parts, [](const Batch& b, size_t r) {
-    const std::string& brand = b.Str("p_brand", r);
-    const std::string& cont = b.Str("p_container", r);
-    int64_t size = b.Int("p_size", r);
-    bool b1 = brand == "Brand#12" &&
-              (StartsWith(cont, "SM")) && size >= 1 && size <= 5;
-    bool b2 = brand == "Brand#23" &&
-              (StartsWith(cont, "MED")) && size >= 1 && size <= 10;
-    bool b3 = brand == "Brand#34" &&
-              (StartsWith(cont, "LG")) && size >= 1 && size <= 15;
-    return b1 || b2 || b3;
+  std::vector<uint8_t> b12 = EqualsMask(parts, "p_brand", "Brand#12");
+  std::vector<uint8_t> b23 = EqualsMask(parts, "p_brand", "Brand#23");
+  std::vector<uint8_t> b34 = EqualsMask(parts, "p_brand", "Brand#34");
+  auto starts = [&](const char* prefix) {
+    return StringMask(parts.column("p_container"),
+                      [prefix](const std::string& c) {
+                        return StartsWith(c, prefix);
+                      });
+  };
+  std::vector<uint8_t> sm = starts("SM");
+  std::vector<uint8_t> med = starts("MED");
+  std::vector<uint8_t> lg = starts("LG");
+  const std::vector<int64_t>& size = parts.column("p_size").ints;
+  parts = FilterBatch(ctx, parts, [&](const Batch&, size_t r) {
+    int64_t s = size[r];
+    bool in1 = b12[r] && sm[r] && s >= 1 && s <= 5;
+    bool in2 = b23[r] && med[r] && s >= 1 && s <= 10;
+    bool in3 = b34[r] && lg[r] && s >= 1 && s <= 15;
+    return in1 || in2 || in3;
   });
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch items,
@@ -364,20 +381,20 @@ Result<Batch> Q19(QueryContext* ctx) {
       StringMask(items.column("l_shipmode"), [](const std::string& mode) {
         return mode == "AIR" || mode == "REG AIR";
       });
-  std::vector<uint8_t> in_person = StringMask(
-      items.column("l_shipinstruct"), [](const std::string& instruct) {
-        return instruct == "DELIVER IN PERSON";
-      });
+  std::vector<uint8_t> in_person =
+      EqualsMask(items, "l_shipinstruct", "DELIVER IN PERSON");
   items = FilterBatch(ctx, items, [&](const Batch&, size_t r) {
     return by_air[r] && in_person[r];
   });
   CLOUDIQ_ASSIGN_OR_RETURN(items, HashJoin(ctx, items, "l_partkey", parts,
                                            "p_partkey", JoinType::kInner));
-  items = FilterBatch(ctx, items, [](const Batch& b, size_t r) {
-    const std::string& brand = b.Str("p_brand", r);
-    int64_t q = b.Int("l_quantity", r);
-    if (brand == "Brand#12") return q >= 1 && q <= 11;
-    if (brand == "Brand#23") return q >= 10 && q <= 20;
+  std::vector<uint8_t> item_b12 = EqualsMask(items, "p_brand", "Brand#12");
+  std::vector<uint8_t> item_b23 = EqualsMask(items, "p_brand", "Brand#23");
+  const std::vector<int64_t>& qty = items.column("l_quantity").ints;
+  items = FilterBatch(ctx, items, [&](const Batch&, size_t r) {
+    int64_t q = qty[r];
+    if (item_b12[r]) return q >= 1 && q <= 11;
+    if (item_b23[r]) return q >= 10 && q <= 20;
     return q >= 20 && q <= 30;
   });
   items = WithRevenue(ctx, std::move(items), "l_extendedprice",
@@ -397,8 +414,8 @@ Result<Batch> Q20(QueryContext* ctx) {
 
   CLOUDIQ_ASSIGN_OR_RETURN(Batch parts,
                            ScanTable(ctx, &part, {"p_partkey", "p_name"}));
-  parts = FilterBatch(ctx, parts, [](const Batch& b, size_t r) {
-    return StartsWith(b.Str("p_name", r), "f");  // 'forest%' stand-in
+  parts = FilterStrings(ctx, parts, "p_name", [](const std::string& n) {
+    return StartsWith(n, "f");  // 'forest%' stand-in
   });
 
   int64_t lo = D(1994, 1, 1);
@@ -408,12 +425,11 @@ Result<Batch> Q20(QueryContext* ctx) {
       ScanTable(ctx, &lineitem,
                 {"l_partkey", "l_suppkey", "l_quantity", "l_shipdate"},
                 ScanRange{"l_shipdate", lo, hi}));
+  const std::vector<int64_t>& l_part = items.column("l_partkey").ints;
+  const std::vector<int64_t>& l_supp = items.column("l_suppkey").ints;
   items = WithComputedColumn(
       ctx, std::move(items), "ps_pair", ColumnType::kInt64,
-      [](const Batch& b, size_t r, ColumnVector* out) {
-        out->ints.push_back(b.Int("l_partkey", r) * 100000 +
-                            b.Int("l_suppkey", r));
-      });
+      [&](const Batch&, size_t r) { return l_part[r] * 100000 + l_supp[r]; });
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch shipped, HashAggregate(ctx, items, {"ps_pair"},
                                    {{AggOp::kSum, "l_quantity",
@@ -424,24 +440,23 @@ Result<Batch> Q20(QueryContext* ctx) {
                           {"ps_partkey", "ps_suppkey", "ps_availqty"}));
   CLOUDIQ_ASSIGN_OR_RETURN(ps, HashJoin(ctx, ps, "ps_partkey", parts,
                                         "p_partkey", JoinType::kLeftSemi));
+  const std::vector<int64_t>& ps_part = ps.column("ps_partkey").ints;
+  const std::vector<int64_t>& ps_supp = ps.column("ps_suppkey").ints;
   ps = WithComputedColumn(
       ctx, std::move(ps), "pair", ColumnType::kInt64,
-      [](const Batch& b, size_t r, ColumnVector* out) {
-        out->ints.push_back(b.Int("ps_partkey", r) * 100000 +
-                            b.Int("ps_suppkey", r));
-      });
+      [&](const Batch&, size_t r) { return ps_part[r] * 100000 + ps_supp[r]; });
   CLOUDIQ_ASSIGN_OR_RETURN(ps, HashJoin(ctx, ps, "pair", shipped, "ps_pair",
                                         JoinType::kInner));
-  ps = FilterBatch(ctx, ps, [](const Batch& b, size_t r) {
-    return b.Int("ps_availqty", r) > b.Int("shipped_qty", r) / 2;
+  const std::vector<int64_t>& availqty = ps.column("ps_availqty").ints;
+  const std::vector<int64_t>& shipped_qty = ps.column("shipped_qty").ints;
+  ps = FilterBatch(ctx, ps, [&](const Batch&, size_t r) {
+    return availqty[r] > shipped_qty[r] / 2;
   });
 
   CLOUDIQ_ASSIGN_OR_RETURN(Batch nations,
                            ScanTable(ctx, &nation,
                                      {"n_nationkey", "n_name"}));
-  nations = FilterBatch(ctx, nations, [](const Batch& b, size_t r) {
-    return b.Str("n_name", r) == "CANADA";
-  });
+  nations = FilterEquals(ctx, nations, "n_name", "CANADA");
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch suppliers,
       ScanTable(ctx, &supplier,
@@ -469,8 +484,10 @@ Result<Batch> Q21(QueryContext* ctx) {
                 {"l_orderkey", "l_suppkey", "l_commitdate",
                  "l_receiptdate"}));
   // Late lines: receipt after commit.
-  Batch late = FilterBatch(ctx, items, [](const Batch& b, size_t r) {
-    return b.Int("l_receiptdate", r) > b.Int("l_commitdate", r);
+  const std::vector<int64_t>& receipt = items.column("l_receiptdate").ints;
+  const std::vector<int64_t>& commit = items.column("l_commitdate").ints;
+  Batch late = FilterBatch(ctx, items, [&](const Batch&, size_t r) {
+    return receipt[r] > commit[r];
   });
 
   // Per order: its first supplier, and whether a second, distinct one
@@ -513,10 +530,10 @@ Result<Batch> Q21(QueryContext* ctx) {
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch ord, ScanTable(ctx, &orders, {"o_orderkey", "o_orderstatus"}));
   std::vector<uint8_t> f_order(all.size());  // per id: status F
-  const ColumnVector& status = ord.column("o_orderstatus");
+  std::vector<uint8_t> status_f = EqualsMask(ord, "o_orderstatus", "F");
   const std::vector<int64_t>& order_key = ord.column("o_orderkey").ints;
   for (size_t r = 0; r < ord.rows(); ++r) {
-    if (status.StringAt(r) != "F") continue;
+    if (!status_f[r]) continue;
     uint32_t id = order_ids.Find(order_key[r]);
     if (id != IntKeyIndex::kNone) f_order[id] = 1;
   }
@@ -532,9 +549,7 @@ Result<Batch> Q21(QueryContext* ctx) {
   CLOUDIQ_ASSIGN_OR_RETURN(Batch nations,
                            ScanTable(ctx, &nation,
                                      {"n_nationkey", "n_name"}));
-  nations = FilterBatch(ctx, nations, [](const Batch& b, size_t r) {
-    return b.Str("n_name", r) == "SAUDI ARABIA";
-  });
+  nations = FilterEquals(ctx, nations, "n_name", "SAUDI ARABIA");
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch suppliers,
       ScanTable(ctx, &supplier, {"s_suppkey", "s_name", "s_nationkey"}));
@@ -561,39 +576,38 @@ Result<Batch> Q22(QueryContext* ctx) {
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch customers,
       ScanTable(ctx, &customer, {"c_custkey", "c_phone", "c_acctbal"}));
-  customers = FilterBatch(ctx, customers, [&](const Batch& b, size_t r) {
-    return kCodes.count(b.Str("c_phone", r).substr(0, 2)) > 0;
-  });
+  customers = FilterStrings(
+      ctx, customers, "c_phone", [&](const std::string& phone) {
+        return kCodes.count(phone.substr(0, 2)) > 0;
+      });
 
   // Average positive balance of the candidate population.
-  Batch positive = FilterBatch(ctx, customers, [](const Batch& b, size_t r) {
-    return b.Int("c_acctbal", r) > 0;
+  const std::vector<int64_t>& acctbal = customers.column("c_acctbal").ints;
+  Batch positive = FilterBatch(ctx, customers, [&](const Batch&, size_t r) {
+    return acctbal[r] > 0;
   });
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch avg, HashAggregate(ctx, positive, {},
                                {{AggOp::kAvg, "c_acctbal", "avg_bal"}}));
-  double avg_bal = avg.rows() > 0 ? avg.Double("avg_bal", 0) : 0;
+  double avg_bal = avg.rows() > 0 ? avg.column("avg_bal").doubles[0] : 0;
 
-  customers = FilterBatch(ctx, customers,
-                          [avg_bal](const Batch& b, size_t r) {
-                            return b.Int("c_acctbal", r) > avg_bal;
-                          });
+  customers = FilterBatch(ctx, customers, [&](const Batch&, size_t r) {
+    return acctbal[r] > avg_bal;
+  });
 
   CLOUDIQ_ASSIGN_OR_RETURN(Batch ord,
                            ScanTable(ctx, &orders, {"o_custkey"}));
   CLOUDIQ_ASSIGN_OR_RETURN(customers,
                            HashJoin(ctx, customers, "c_custkey", ord,
                                     "o_custkey", JoinType::kLeftAnti));
+  const ColumnVector& phone = customers.column("c_phone");
   customers = WithComputedColumn(
       ctx, std::move(customers), "cntrycode", ColumnType::kString,
-      [](const Batch& b, size_t r, ColumnVector* out) {
-        out->strings.push_back(b.Str("c_phone", r).substr(0, 2));
-      });
+      [&](const Batch&, size_t r) { return phone.StringAt(r).substr(0, 2); });
+  const std::vector<int64_t>& balance = customers.column("c_acctbal").ints;
   customers = WithComputedColumn(
       ctx, std::move(customers), "acctbal", ColumnType::kDouble,
-      [](const Batch& b, size_t r, ColumnVector* out) {
-        out->doubles.push_back(DecimalToDouble(b.Int("c_acctbal", r)));
-      });
+      [&](const Batch&, size_t r) { return DecimalToDouble(balance[r]); });
   CLOUDIQ_ASSIGN_OR_RETURN(
       Batch agg,
       HashAggregate(ctx, customers, {"cntrycode"},

@@ -2,6 +2,8 @@
 #define CLOUDIQ_TPCH_QUERIES_INTERNAL_H_
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "columnar/value.h"
 #include "common/result.h"
@@ -31,6 +33,29 @@ inline bool EndsWith(const std::string& s, const std::string& suffix) {
 
 inline bool StartsWith(const std::string& s, const std::string& prefix) {
   return s.compare(0, prefix.size(), prefix) == 0;
+}
+
+// Per-row flags: string column `name` of `b` equals `value` (a
+// StringMask, so one compare per dictionary entry on a coded column).
+inline std::vector<uint8_t> EqualsMask(const Batch& b, const std::string& name,
+                                       const std::string& value) {
+  return StringMask(b.column(name),
+                    [&value](const std::string& s) { return s == value; });
+}
+
+// FilterBatch keeping the rows whose string column `name` satisfies
+// `pred`, evaluated as one StringMask before the filter's loop.
+template <typename Pred>
+Batch FilterStrings(QueryContext* ctx, const Batch& in,
+                    const std::string& name, Pred&& pred) {
+  std::vector<uint8_t> keep =
+      StringMask(in.column(name), std::forward<Pred>(pred));
+  return FilterBatch(ctx, in, [&](const Batch&, size_t r) { return keep[r]; });
+}
+inline Batch FilterEquals(QueryContext* ctx, const Batch& in,
+                          const std::string& name, const std::string& value) {
+  return FilterStrings(ctx, in, name,
+                       [&value](const std::string& s) { return s == value; });
 }
 
 // revenue = l_extendedprice * (1 - l_discount), as a double column.

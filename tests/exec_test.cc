@@ -496,11 +496,12 @@ TEST_F(ExecTest, ComputedColumn) {
   ASSERT_TRUE(sales.ok());
   Result<Batch> s = ScanTable(ctx_.get(), &*sales, {"amount"});
   ASSERT_TRUE(s.ok());
+  const std::vector<int64_t>& amount = s->column("amount").ints;
   Batch with = WithComputedColumn(
       ctx_.get(), *s, "dollars", ColumnType::kDouble,
-      [](const Batch& b, size_t r, ColumnVector* out) {
-        out->doubles.push_back(DecimalToDouble(b.Int("amount", r)));
-      });
+      [&](const Batch&, size_t r) { return DecimalToDouble(amount[r]); });
+  ASSERT_EQ(with.rows(), s->rows());
+  EXPECT_EQ(with.column("dollars").size(), s->rows());
   EXPECT_DOUBLE_EQ(with.Double("dollars", 0),
                    with.Int("amount", 0) / 100.0);
 }
@@ -1582,6 +1583,8 @@ TEST_F(ExecOracleTest, IntSumWrapsModulo2To64) {
 
 // --- FilterBatch / SortBatch / aggregate keys over every column type ----
 
+Batch CodedCopy(const Batch& b);
+
 // 240 rows of every ColumnType, with repeats so sort keys tie and
 // aggregate keys group; the doubles include -0.0 next to 0.0.
 Batch AllTypesBatch() {
@@ -1634,6 +1637,79 @@ TEST_F(ExecTest, FilterBatchMatchesRowwiseOverEveryType) {
   ExpectBatchesBitwise(
       in.EmptyLike(),
       FilterBatch(ctx_.get(), in, [](const Batch&, size_t) { return false; }));
+
+  // The form the query bodies use: columns resolved once and captured,
+  // a string predicate evaluated into a StringMask, on both string forms.
+  for (const Batch& b : {in, CodedCopy(in)}) {
+    const std::vector<int64_t>& ints = b.column("i").ints;
+    const std::vector<double>& doubles = b.column("d").doubles;
+    const std::vector<int64_t>& days = b.column("day").ints;
+    std::vector<uint8_t> long_string = StringMask(
+        b.column("s"), [](const std::string& v) { return v.size() > 1; });
+    auto spans = [&](const Batch&, size_t r) {
+      return (ints[r] < 0 || doubles[r] > 0.25) && long_string[r] &&
+             days[r] == 9000;
+    };
+    std::vector<size_t> span_rows;
+    for (size_t r = 0; r < b.rows(); ++r) {
+      const std::string& v = b.columns[2].StringAt(r);
+      if ((b.columns[0].ints[r] < 0 || b.columns[1].doubles[r] > 0.25) &&
+          v.size() > 1 && b.columns[3].ints[r] == 9000) {
+        span_rows.push_back(r);
+      }
+    }
+    ASSERT_GT(span_rows.size(), 0u);
+    ASSERT_LT(span_rows.size(), b.rows());
+    Batch got = FilterBatch(ctx_.get(), b, spans);
+    EXPECT_EQ(got.columns[2].dict, b.columns[2].dict);
+    ExpectBatchesBitwise(ReferenceRows(testing_util::Expanded(b), span_rows),
+                         got);
+  }
+}
+
+// WithComputedColumn against a row loop, bit for bit, for each kind of
+// output vector: int (from a date), double (decimal arithmetic, in the
+// order the query bodies use), string (Q22's country-code prefix, over a
+// plain and a coded column) and an empty input.
+TEST_F(ExecTest, ComputedColumnMatchesRowLoopOverEveryOutputType) {
+  Batch in = AllTypesBatch();
+  for (const Batch& b : {in, CodedCopy(in), in.EmptyLike()}) {
+    SCOPED_TRACE("rows " + std::to_string(b.rows()));
+    const std::vector<int64_t>& days = b.column("day").ints;
+    const std::vector<int64_t>& dec = b.column("dec").ints;
+    const std::vector<double>& d = b.column("d").doubles;
+    const ColumnVector& s = b.column("s");
+
+    Batch want = b;
+    ColumnVector year = OfType(ColumnType::kInt64);
+    ColumnVector price = OfType(ColumnType::kDouble);
+    ColumnVector prefix = OfType(ColumnType::kString);
+    for (size_t r = 0; r < b.rows(); ++r) {
+      year.ints.push_back(b.columns[3].ints[r] / 365 + 1970);
+      price.doubles.push_back(DecimalToDouble(b.columns[4].ints[r]) *
+                              (1.0 - b.columns[1].doubles[r] / 100.0));
+      prefix.strings.push_back(b.columns[2].StringAt(r).substr(0, 2));
+    }
+    want.AddColumn("year", year);
+    want.AddColumn("price", price);
+    want.AddColumn("prefix", prefix);
+
+    Batch got = WithComputedColumn(
+        ctx_.get(), b, "year", ColumnType::kInt64,
+        [&](const Batch&, size_t r) { return days[r] / 365 + 1970; });
+    got = WithComputedColumn(
+        ctx_.get(), std::move(got), "price", ColumnType::kDouble,
+        [&](const Batch&, size_t r) {
+          return DecimalToDouble(dec[r]) * (1.0 - d[r] / 100.0);
+        });
+    got = WithComputedColumn(
+        ctx_.get(), std::move(got), "prefix", ColumnType::kString,
+        [&](const Batch&, size_t r) { return s.StringAt(r).substr(0, 2); });
+    for (const ColumnVector& col : got.columns) {
+      EXPECT_EQ(col.size(), b.rows());
+    }
+    ExpectBatchesBitwise(want, got);
+  }
 }
 
 TEST_F(ExecTest, SortBatchMatchesRowwiseOverEveryType) {
@@ -1662,9 +1738,16 @@ TEST_F(ExecTest, SortBatchMatchesRowwiseOverEveryType) {
     });
     ExpectBatchesBitwise(ReferenceRows(in, rows),
                          SortBatch(ctx_.get(), in, keys));
-    rows.resize(17);
-    ExpectBatchesBitwise(ReferenceRows(in, rows),
-                         SortBatch(ctx_.get(), in, keys, 17));
+    // A limit keeps the first rows of the stable order: the keys repeat,
+    // so ties at the cut must fall to the earlier row.
+    for (size_t limit : {size_t{1}, size_t{3}, size_t{17}, in.rows() - 1,
+                         in.rows(), in.rows() + 1}) {
+      SCOPED_TRACE("limit " + std::to_string(limit));
+      std::vector<size_t> top(rows.begin(),
+                              rows.begin() + std::min(limit, rows.size()));
+      ExpectBatchesBitwise(ReferenceRows(in, top),
+                           SortBatch(ctx_.get(), in, keys, limit));
+    }
   }
 }
 
@@ -1822,6 +1905,31 @@ TEST_F(CodedColumnTest, AggregateOnStringKeysMatchesPlain) {
         EXPECT_EQ(got->columns[k].dict, coded.column(keys[k]).dict);
       }
       ExpectBatchesIdentical(*want, *got);
+    }
+  }
+}
+
+// SUM and AVG have no meaning over strings: refused before any work is
+// charged, on either string form, grouped or not.
+TEST_F(CodedColumnTest, SumAndAvgOverStringsAreInvalid) {
+  Batch plain;
+  plain.AddColumn("k", OfType(ColumnType::kInt64));
+  plain.AddColumn("s", OfType(ColumnType::kString));
+  plain.columns[0].ints = {1, 1, 2};
+  plain.columns[1].strings = {"a", "b", "c"};
+  Batch coded = CodedCopy(plain);
+  for (QueryContext* ctx : {ctx_.get(), par_ctx_.get()}) {
+    for (const Batch* in : {&plain, &coded}) {
+      for (AggOp op : {AggOp::kSum, AggOp::kAvg}) {
+        for (const std::vector<std::string>& keys :
+             {std::vector<std::string>{"k"}, std::vector<std::string>{}}) {
+          const SimTime before = ctx->node()->clock().now();
+          Result<Batch> agg = HashAggregate(ctx, *in, keys, {{op, "s", "x"}});
+          EXPECT_TRUE(agg.status().IsInvalidArgument())
+              << agg.status().ToString();
+          EXPECT_EQ(ctx->node()->clock().now(), before);
+        }
+      }
     }
   }
 }

@@ -69,6 +69,14 @@ level. Rules:
                           is one more case there, not one per operator.
                           A label that is not a value copy (a per-type
                           planner weight) justifies a NOLINT.
+  cloudiq-row-lookup      No by-name row accessor call (`.Int(`,
+                          `.Double(`, `.Str(` on a Batch) under src/.
+                          Each call finds its column by a linear search
+                          with string compares, so inside a per-row loop
+                          it costs more than the row's work. Resolve the
+                          column once (`batch.column(name).ints`) and
+                          index it. Tests, examples and benchmarks, which
+                          read a few result cells, may still use them.
 
 Escape hatch: `// NOLINT(cloudiq-<rule>): <justification>` on the
 offending line (or the line above) suppresses that rule there. The
@@ -143,6 +151,8 @@ COSTOPT_EVIDENCE_RE = re.compile(
 COSTOPT_EVIDENCE_WINDOW = 10
 
 COLUMN_SWITCH_RE = re.compile(r"\bcase\s+ColumnType\s*::")
+
+ROW_LOOKUP_RE = re.compile(r"(\.|->)\s*(Int|Double|Str)\s*\(")
 
 
 class Violation:
@@ -278,6 +288,11 @@ def costopt_evidence_applies(path):
 def column_switch_applies(path):
     p = norm(path)
     return p.startswith("src/exec/") or "/src/exec/" in p
+
+
+def row_lookup_applies(path):
+    p = norm(path)
+    return p.startswith("src/") or "/src/" in p
 
 
 def unordered_names(stripped_text):
@@ -497,6 +512,17 @@ def check_column_switch(ctx, report):
                    "switch")
 
 
+def check_row_lookup(ctx, report):
+    for idx, line in enumerate(ctx.stripped_lines):
+        m = ROW_LOOKUP_RE.search(line)
+        if m:
+            report(idx, "row-lookup",
+                   f"by-name `{m.group(2)}(name, row)` searches the "
+                   "batch's columns on every call; resolve the column "
+                   "once (batch.column(name).ints / .doubles / "
+                   "StringAt) before the loop")
+
+
 def check_direct_put(ctx, report):
     names = store_var_names(ctx.stripped_text)
     sib = sibling_path(ctx.path)
@@ -540,6 +566,7 @@ RULES = [
     Rule("direct-put", lambda p: not direct_put_exempt(p),
          check_direct_put),
     Rule("column-switch", column_switch_applies, check_column_switch),
+    Rule("row-lookup", row_lookup_applies, check_row_lookup),
 ]
 
 

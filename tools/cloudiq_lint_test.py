@@ -240,6 +240,44 @@ class LintFixtureTest(unittest.TestCase):
         self.assertEqual(self.rules(violations), ["column-switch"])
         self.assertEqual(violations[0].line, 4)
 
+    # --- cloudiq-row-lookup -------------------------------------------------
+
+    def test_row_lookup_flagged_under_src(self):
+        code = (
+            "bool keep = b.Int(\"l_quantity\", r) < 24;\n"
+            "double v = batch->Double(\"total\", 0);\n"
+            "const std::string& s = b . Str (\"n_name\", r);\n"
+        )
+        for path in ("src/tpch/queries_a.cc", "src/exec/executor.h"):
+            violations = self.lint(path, code)
+            self.assertEqual(self.rules(violations), ["row-lookup"] * 3, path)
+            self.assertEqual([v.line for v in violations], [1, 2, 3])
+
+    def test_row_lookup_allows_resolved_columns_and_other_trees(self):
+        clean = (
+            "const std::vector<int64_t>& q = Ints(b, \"l_quantity\");\n"
+            "const std::vector<double>& t = b.column(\"total\").doubles;\n"
+            "int64_t Int(const std::string& name, size_t row) const;\n"
+            "// b.Int(\"l_quantity\", r) resolved per row, as before\n"
+            "const char* doc = \"b.Str(name, r)\";\n"
+            "auto s = col.StringAt(r);\n"
+        )
+        self.assertEqual(self.lint("src/tpch/queries_b.cc", clean), [])
+        lookup = "EXPECT_EQ(sorted.Int(\"id\", 0), 9);\n"
+        for path in ("tests/exec_test.cc", "examples/tpch_power_run.cc",
+                     "bench/bench_micro.cc", "perfbench/perfbench.cc"):
+            self.assertEqual(self.lint(path, lookup), [], path)
+
+    def test_row_lookup_nolint_with_justification(self):
+        code = (
+            "// NOLINT(cloudiq-row-lookup): one cell of a one-row result.\n"
+            "double avg = agg.Double(\"avg\", 0);\n"
+            "double bad = agg.Double(\"avg\", 0);\n"
+        )
+        violations = self.lint("src/tpch/queries_b.cc", code)
+        self.assertEqual(self.rules(violations), ["row-lookup"])
+        self.assertEqual(violations[0].line, 3)
+
     # --- cloudiq-stall-report -----------------------------------------------
 
     def test_unreported_wait_and_backoff_flagged(self):
