@@ -173,7 +173,7 @@ Status LoadEtlTable(Database* db) {
   Batch batch;
   batch.AddColumn("k", {ColumnType::kInt64, {}, {}, {}});
   for (int64_t i = 0; i < kEtlRows; ++i) {
-    // Scrambled values: keeps the column from delta/RLE-encoding down to
+    // Scrambled values: keeps the column from delta/n-bit encoding down to
     // a buffer-sized object, so every rescan really re-fetches pages.
     batch.columns[0].ints.push_back((i * 1103515245 + 12345) % 2147483647);
   }

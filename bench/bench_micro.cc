@@ -1,5 +1,5 @@
 // Micro-benchmarks (google-benchmark) for CloudIQ's hot primitives:
-// n-bit packing, column-page encode/decode, RLE page compression, the
+// n-bit packing, column-page encode/decode, page framing, the
 // morsel executor's scan (full and under a range predicate), object
 // key generation, bitmap and interval-set operations, the executor's
 // row-key hash table, and the load path's page encode, TEXT index and
@@ -138,18 +138,19 @@ void BM_DecodeDictStringPage(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeDictStringPage);
 
-void BM_PageCodecRle(benchmark::State& state) {
-  std::vector<uint8_t> payload(512 * 1024, 0);
+// One 512 KB page framed and unframed: the payload copies plus the
+// byte-serial FNV-1a checksum on each side.
+void BM_PageFrame(benchmark::State& state) {
+  std::vector<uint8_t> payload(512 * 1024);
   Rng rng(3);
-  for (int i = 0; i < 2000; ++i) {
-    payload[rng.Uniform(payload.size())] = static_cast<uint8_t>(rng.Next());
-  }
+  for (uint8_t& b : payload) b = static_cast<uint8_t>(rng.Next());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(EncodePage(payload));
+    std::vector<uint8_t> frame = EncodePage(payload);
+    benchmark::DoNotOptimize(DecodePage(frame));
   }
   state.SetBytesProcessed(state.iterations() * payload.size());
 }
-BENCHMARK(BM_PageCodecRle);
+BENCHMARK(BM_PageFrame);
 
 void BM_KeyGeneration(benchmark::State& state) {
   ObjectKeyGenerator gen;
@@ -481,18 +482,6 @@ void BM_EncodeRawStringPage(benchmark::State& state) {
   EncodePageOf(state, OnePage(kLineitem, 15));
 }
 BENCHMARK(BM_EncodeRawStringPage);
-
-// The stored frame size of an l_comment page, as the loader records it.
-void BM_EncodedPageSize(benchmark::State& state) {
-  ColumnVector col = OnePage(kLineitem, 15);
-  ZoneMapEntry zone;
-  std::vector<uint8_t> payload = EncodeColumnPage(col, 0, col.size(), &zone);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(EncodedPageSize(payload));
-  }
-  SetTimePer(state, "time_per_value", col.size());
-}
-BENCHMARK(BM_EncodedPageSize);
 
 // o_comment rows into a fresh TEXT index builder.
 void BM_TextIndexAdd(benchmark::State& state) {

@@ -469,8 +469,8 @@ parallel_pass() {
 # the coded result expands to the plain one and the in-place decode
 # writes exactly the asked-for rows of it. It also feeds seeded and
 # mutated payloads to the page encoder: EncodedPageSize must equal the
-# frame's size and the frame must decode back to the payload, while ASan
-# watches the RLE scanner's word loads near the buffer's end. ASan catches
+# frame's size and the frame must decode back to the payload, and a page
+# frame with any flags bit set must be Corruption. ASan catches
 # overreads and oversized allocations, UBSan (halting on the first
 # report) catches shifts by a corrupt width.
 fuzz_pass() {

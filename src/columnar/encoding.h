@@ -18,8 +18,8 @@ namespace cloudiq {
 // width. String pages build a page-local dictionary and n-bit-pack the
 // codes, falling back to raw length-prefixed strings when the dictionary
 // would not pay for itself (high-cardinality columns like comments).
-// Doubles are stored raw. Every page additionally passes through the
-// generic page codec (store/page_codec.h) for page-level compression.
+// Doubles are stored raw. Every page is then framed, with its size and
+// checksum, by the page codec (store/page_codec.h).
 
 // Packs the low `bit_width` (1..64) bits of each of `values`, little-
 // endian bit order.

@@ -182,9 +182,8 @@ Result<SegmentMeta> SegmentMeta::Deserialize(ByteReader& reader) {
   meta.page_bytes.resize(n_bytes);
   for (uint32_t& bytes : meta.page_bytes) bytes = reader.GetU32();
   if (reader.overflow()) return Status::Corruption("segment truncated");
-  // One zone and one row count per page, and one frame size per page
-  // unless the segment predates them.
-  if (n_pages != n_zones || (n_bytes != 0 && n_bytes != n_zones)) {
+  // One zone, one row count and one frame size per page.
+  if (n_pages != n_zones || n_bytes != n_zones) {
     return Status::Corruption("segment page counts differ");
   }
   uint64_t rows = 0;

@@ -64,7 +64,7 @@ struct SegmentMeta {
   // Stored frame bytes per page (EncodePage output; encryption is
   // size-preserving). This is the size S3 SELECT bills as "scanned", so
   // the cost model can price pushdown against real billing instead of a
-  // decoded-width guess. Empty for segments written before this field.
+  // decoded-width guess.
   std::vector<uint32_t> page_bytes;
 
   std::vector<uint8_t> Serialize() const;

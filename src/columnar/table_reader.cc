@@ -32,6 +32,13 @@ Result<TableReader> TableReader::Make(TransactionManager* txn_mgr,
                                 " has a partition that does not match its "
                                 "schema");
     }
+    for (const SegmentMeta& seg : pm.columns) {
+      if (seg.page_rows.size() != seg.zones.size() ||
+          seg.page_bytes.size() != seg.zones.size()) {
+        return Status::Corruption("table " + schema.name +
+                                  " has a segment whose page counts differ");
+      }
+    }
   }
   return TableReader(txn_mgr, txn, std::move(meta));
 }

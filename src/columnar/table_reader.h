@@ -23,8 +23,9 @@ class TableReader {
   // The one way to make a reader: checks that `meta` has the shape
   // TableLoader::Finish writes, which every reader path indexes without
   // a check — at most schema.partition_count() partitions, each with one
-  // segment per schema column and HG, DATE and TEXT index lists parallel
-  // to the schema's index columns. Corruption otherwise.
+  // segment per schema column, one zone, row count and frame size per
+  // page of each segment, and HG, DATE and TEXT index lists parallel to
+  // the schema's index columns. Corruption otherwise.
   static Result<TableReader> Make(TransactionManager* txn_mgr,
                                   Transaction* txn, TableMeta meta);
 

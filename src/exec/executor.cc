@@ -57,7 +57,11 @@ AttributionContext OperatorAttribution(QueryContext* ctx, int op_id,
 }  // namespace
 
 OperatorScope::OperatorScope(QueryContext* ctx, std::string name)
-    : ctx_(ctx),
+    : span_(&ctx->node()->telemetry().tracer(), &ctx->node()->clock(),
+            ctx->node()->trace_pid(), kTrackExec, "exec",
+            ctx->node()->telemetry().tracer().enabled() ? name
+                                                        : std::string()),
+      ctx_(ctx),
       op_id_(ctx->RegisterOperator(name)),
       start_(ctx->node()->clock().now()),
       scope_(&ctx->ledger(), OperatorAttribution(ctx, op_id_, name)),
@@ -374,19 +378,9 @@ NdpScanPlan PlanNdpScan(QueryContext* ctx, TableReader* reader,
       }
       double seg_bytes = pull_rows * EncodedWidth(col.type);
       // SELECT bills the stored frame bytes it scans, so price the push
-      // from the loader-recorded per-page sizes when available; the
-      // decoded-width product stays as the fallback for segments written
-      // before page_bytes existed (and for the pull-side NIC heuristic,
-      // whose crossover only depends on the ratio between columns).
+      // from the loader-recorded per-page sizes.
       double stored_bytes = 0;
-      if (!seg.page_bytes.empty()) {
-        for (uint64_t page : pages) {
-          stored_bytes +=
-              page < seg.page_bytes.size() ? seg.page_bytes[page] : 0;
-        }
-      } else {
-        stored_bytes = seg_bytes;
-      }
+      for (uint64_t page : pages) stored_bytes += seg.page_bytes[page];
       // Plan-time residency: how many of these pages a pull would find
       // already in RAM or on the OCM's SSD. The store-side engine scans
       // them all either way.
@@ -508,12 +502,8 @@ Result<Batch> ScanTable(QueryContext* ctx, TableReader* reader,
                        range_col, range_pos, *range);
   }
 
-  std::string op_name = "scan " + schema.name + (plan.use ? " [ndp]" : "");
-  Tracer& tracer = ctx->node()->telemetry().tracer();
-  ScopedSpan span(&tracer, &ctx->node()->clock(), ctx->node()->trace_pid(),
-                  kTrackExec, "exec",
-                  tracer.enabled() ? op_name : std::string());
-  OperatorScope op(ctx, op_name);
+  OperatorScope op(ctx,
+                   "scan " + schema.name + (plan.use ? " [ndp]" : ""));
   auto& stats = ctx->node()->telemetry().stats();
 
   if (plan.use) {
@@ -1015,9 +1005,6 @@ void JoinOnKeys(QueryContext* ctx, const Batch& left, const Batch& right,
 Result<Batch> HashJoin(QueryContext* ctx, const Batch& left,
                        const std::string& left_key, const Batch& right,
                        const std::string& right_key, JoinType type) {
-  ScopedSpan span(&ctx->node()->telemetry().tracer(), &ctx->node()->clock(),
-                  ctx->node()->trace_pid(), kTrackExec, "exec",
-                  "hash join");
   OperatorScope op(ctx, "hash join");
   int lk = left.Col(left_key);
   int rk = right.Col(right_key);
@@ -1211,9 +1198,6 @@ void MergeAggValues(AggOp op, const AggValues& src,
 Result<Batch> HashAggregate(QueryContext* ctx, const Batch& in,
                             const std::vector<std::string>& keys,
                             const std::vector<AggSpec>& aggs) {
-  ScopedSpan span(&ctx->node()->telemetry().tracer(), &ctx->node()->clock(),
-                  ctx->node()->trace_pid(), kTrackExec, "exec",
-                  "hash aggregate");
   OperatorScope op(ctx, "hash aggregate");
   std::vector<int> key_cols;
   for (const std::string& k : keys) {
@@ -1452,8 +1436,6 @@ Result<Batch> HashAggregate(QueryContext* ctx, const Batch& in,
 
 Batch SortBatch(QueryContext* ctx, Batch in,
                 const std::vector<SortKey>& sort_keys, size_t limit) {
-  ScopedSpan span(&ctx->node()->telemetry().tracer(), &ctx->node()->clock(),
-                  ctx->node()->trace_pid(), kTrackExec, "exec", "sort");
   OperatorScope op(ctx, "sort");
   std::vector<size_t> order(in.rows());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;

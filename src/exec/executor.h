@@ -15,6 +15,7 @@
 #include "exec/batch.h"
 #include "ndp/ndp_protocol.h"
 #include "sim/environment.h"
+#include "telemetry/tracer.h"
 #include "txn/transaction_manager.h"
 
 namespace cloudiq {
@@ -183,10 +184,11 @@ class ScopedQueryAttribution {
   ScopedAttribution scope_;
 };
 
-// One operator invocation: registers itself with the QueryContext,
-// narrows the ledger attribution to its operator id, and on destruction
-// records the operator's sim-time (the clock advances inside via charged
-// CPU work and storage I/O). Operators report output rows via AddRows.
+// One operator invocation: opens its trace span on the executor track,
+// registers itself with the QueryContext, narrows the ledger attribution
+// to its operator id, and on destruction records the operator's sim-time
+// (the clock advances inside via charged CPU work and storage I/O).
+// Operators report output rows via AddRows.
 // Also opens a stall-profiler scope pinned to the operator's attribution:
 // I/O and wait charges inside land on the operator's stall entry under
 // their own wait classes, and the unclaimed remainder (charged CPU work)
@@ -201,6 +203,9 @@ class OperatorScope {
   void AddRows(uint64_t rows) { ctx_->operator_stats(op_id_).rows += rows; }
 
  private:
+  // Declared first: opens before the operator registers and closes after
+  // everything else, so the span covers the whole operator.
+  ScopedSpan span_;
   QueryContext* ctx_;
   int op_id_;
   SimTime start_;

@@ -14,7 +14,7 @@ inline constexpr uint64_t kCloudKeyBase = uint64_t{1} << 63;
 inline constexpr uint64_t kMaxBlockNumber = (uint64_t{1} << 48) - 1;
 
 // Maximum blocks per page: a page is stored as 1–16 contiguous blocks
-// (block size = page size / 16), depending on how well it compressed.
+// (block size = page size / 16), depending on its stored frame size.
 inline constexpr uint32_t kBlocksPerPage = 16;
 
 // Physical address of a stored page: either a (first block, block count)

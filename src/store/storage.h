@@ -102,7 +102,7 @@ class StorageSubsystem {
     std::shared_ptr<Status> status;
   };
 
-  // Encodes (compresses/checksums/encrypts) `payload` and prepares its
+  // Frames (checksums/encrypts) `payload` and prepares its
   // write. `mode` selects the OCM path for cloud pages; `txn_id`
   // associates queued background work with a transaction.
   Result<PreparedWrite> PrepareWrite(DbSpace* space,
@@ -147,9 +147,9 @@ class StorageSubsystem {
     uint64_t pages_written = 0;
     uint64_t pages_read = 0;
     uint64_t pages_deleted = 0;
-    uint64_t bytes_written = 0;  // post-compression frame bytes
+    uint64_t bytes_written = 0;  // frame bytes (header + payload)
     uint64_t bytes_read = 0;
-    uint64_t raw_bytes_written = 0;  // pre-compression
+    uint64_t raw_bytes_written = 0;  // payload bytes
   };
   const Stats& stats() const { return stats_; }
 

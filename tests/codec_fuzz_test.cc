@@ -16,9 +16,8 @@
 // never crash, abort or allocate from a
 // corrupt count. The page-codec encoder is fuzzed too: on seeded and
 // mutated payloads, EncodedPageSize must equal the frame's size and the
-// frame must decode back to the payload (its RLE scanner reads words near
-// the buffer's end). scripts/check.sh fuzz runs this binary under ASan and
-// UBSan.
+// frame must decode back to the payload. scripts/check.sh fuzz runs this
+// binary under ASan and UBSan.
 
 #include <cstring>
 #include <limits>
@@ -386,11 +385,22 @@ TEST(CodecFuzzTest, PageFramesDecodeOrReportCorruption) {
   for (const std::vector<uint8_t>& page : SeedPages()) {
     frames.push_back(EncodePage(page));
   }
-  // A mostly-zero payload so the RLE body path is among the seeds.
+  // A mostly-zero payload, framed raw like every other.
   std::vector<uint8_t> sparse(4096, 0);
   sparse[100] = 7;
   sparse[3000] = 9;
   frames.push_back(EncodePage(sparse));
+  // Every seed with each flags bit set is Corruption before its body is
+  // looked at. These stay out of the mutation pool, where they would
+  // outnumber the column-page seeds four to one.
+  for (const std::vector<uint8_t>& frame : frames) {
+    for (int bit = 0; bit < 32; ++bit) {
+      std::vector<uint8_t> flagged = frame;
+      PutU32At(flagged, kFlagsOffset, 1u << bit);
+      ASSERT_TRUE(DecodePage(flagged).status().IsCorruption())
+          << "bit " << bit;
+    }
+  }
   Rng rng(kSeed + 1);
   int corrupt = 0;
   for (int it = 0; it < kIterations; ++it) {
@@ -413,7 +423,7 @@ TEST(CodecFuzzTest, PageFramesDecodeOrReportCorruption) {
   EXPECT_GT(corrupt, kIterations / 4);
 }
 
-// Payloads the RLE scanner sees every branch of: runs of 1..9 bytes of a
+// Payloads of every shape the loader frames: runs of 1..9 bytes of a
 // small alphabet, noise, zero pages with a few marks, and column pages.
 TEST(CodecFuzzTest, EncodedPageSizeMatchesAndFramesRoundTrip) {
   std::vector<std::vector<uint8_t>> payloads = SeedPages();

@@ -1233,6 +1233,7 @@ TEST_F(TableStoreTest, SchemaSerializationRoundTrip) {
   zone.row_count = 7;
   seg.zones.push_back(zone);
   seg.page_rows.push_back(7);
+  seg.page_bytes.push_back(80);
   pm.columns.push_back(seg);
   pm.index_objects.push_back(456);
   pm.index_page_ranges.push_back({{1, 9}, {10, 20}});
@@ -1354,7 +1355,7 @@ TEST(TableMetaDecodeTest, InconsistentSegmentIsCorruption) {
   EXPECT_TRUE(with_segment(seg).ok());
   SegmentMeta unrecorded_frames = seg;
   unrecorded_frames.page_bytes.clear();
-  EXPECT_TRUE(with_segment(unrecorded_frames).ok());
+  EXPECT_TRUE(with_segment(unrecorded_frames).status().IsCorruption());
 
   SegmentMeta extra_zone = seg;
   extra_zone.zones.resize(3);

@@ -365,6 +365,26 @@ TEST_F(ExecTest, TableMetaShorterThanItsSchemaIsCorruption) {
   }
 }
 
+// An in-memory meta whose segment has a frame size, a zone or a row
+// count too few: TableReader::Make refuses it, so no scan or NDP plan
+// indexes a page past one of the three lists.
+TEST_F(ExecTest, SegmentPageCountsThatDifferAreCorruption) {
+  Result<TableReader> good = ctx_->OpenTable(10);
+  ASSERT_TRUE(good.ok());
+  for (std::vector<uint32_t> SegmentMeta::*list :
+       {&SegmentMeta::page_bytes, &SegmentMeta::page_rows}) {
+    TableMeta meta = good->meta();
+    (meta.partitions[0].columns[0].*list).pop_back();
+    Result<TableReader> bad = TableReader::Make(txn_mgr_.get(), txn_, meta);
+    EXPECT_TRUE(bad.status().IsCorruption()) << bad.status().ToString();
+  }
+  TableMeta missing_zone = good->meta();
+  missing_zone.partitions[0].columns[0].zones.pop_back();
+  Result<TableReader> bad =
+      TableReader::Make(txn_mgr_.get(), txn_, missing_zone);
+  EXPECT_TRUE(bad.status().IsCorruption()) << bad.status().ToString();
+}
+
 TEST_F(ExecTest, FilterBatchRowwise) {
   Result<TableReader> reader = ctx_->OpenTable(10);
   ASSERT_TRUE(reader.ok());

@@ -43,11 +43,11 @@ TEST(PhysicalLocTest, MaxBlockNumberDoesNotCollideWithCloudRange) {
   EXPECT_EQ(loc.first_block(), kMaxBlockNumber);
 }
 
-TEST(PageCodecTest, RoundTripCompressible) {
+TEST(PageCodecTest, RoundTripSparse) {
   std::vector<uint8_t> payload(10000, 0);
   for (int i = 0; i < 100; ++i) payload[i * 97] = static_cast<uint8_t>(i);
   std::vector<uint8_t> frame = EncodePage(payload);
-  EXPECT_LT(frame.size(), payload.size() / 2);  // zeros compress
+  EXPECT_EQ(frame.size(), 24 + payload.size());  // framed raw
   Result<std::vector<uint8_t>> back = DecodePage(frame);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value(), payload);
@@ -83,76 +83,32 @@ TEST(PageCodecTest, DetectsCorruption) {
   EXPECT_TRUE(DecodePage(bad_magic).status().IsCorruption());
 }
 
-TEST(RleTest, RunsAndLiterals) {
-  std::vector<uint8_t> in = {1, 1, 1, 1, 1, 2, 3, 4, 5, 5, 5, 5, 9};
-  std::vector<uint8_t> compressed = RleCompress(in);
-  Result<std::vector<uint8_t>> back = RleDecompress(compressed, in.size());
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back.value(), in);
-}
-
-// The byte-at-a-time tokenizer RleCompress had before its word-at-a-time
-// scan, kept as the reference the scanner must reproduce token for token.
-std::vector<uint8_t> ReferenceRleCompress(const std::vector<uint8_t>& in) {
-  std::vector<uint8_t> out;
-  size_t i = 0;
-  while (i < in.size()) {
-    size_t run = 1;
-    while (i + run < in.size() && in[i + run] == in[i] && run < 0xffffffff) {
-      ++run;
-    }
-    if (run >= 4) {
-      out.push_back(0x00);
-      out.push_back(in[i]);
-      PutU32(out, static_cast<uint32_t>(run));
-      i += run;
-    } else {
-      size_t lit_start = i;
-      while (i < in.size()) {
-        size_t r = 1;
-        while (i + r < in.size() && in[i + r] == in[i] && r < 4) ++r;
-        if (r >= 4 && i + 3 < in.size() && in[i + 3] == in[i]) break;
-        i += 1;
-      }
-      out.push_back(0x01);
-      PutU32(out, static_cast<uint32_t>(i - lit_start));
-      out.insert(out.end(), in.begin() + lit_start, in.begin() + i);
-    }
+// A frame is raw or nothing: any flags bit is Corruption, even over a
+// body that bit once meant something, under the payload's checksum.
+TEST(PageCodecTest, NonzeroFlagsAreCorruption) {
+  std::vector<uint8_t> payload(64, 0);
+  payload[10] = 3;
+  std::vector<uint8_t> raw = EncodePage(payload);
+  for (int bit = 0; bit < 32; ++bit) {
+    std::vector<uint8_t> frame = raw;
+    frame[4 + bit / 8] |= static_cast<uint8_t>(1u << (bit % 8));  // flags
+    EXPECT_TRUE(DecodePage(frame).status().IsCorruption()) << "bit " << bit;
   }
-  return out;
+  // The same payload as the run-length body flag bit 0 once announced:
+  // [run of 10 × 0x00][literal 0x03][run of 53 × 0x00].
+  std::vector<uint8_t> runs;
+  PutU32(runs, 0x49515047);  // "IQPG"
+  PutU32(runs, 1);
+  PutU64(runs, payload.size());
+  PutU64(runs, Checksum64(payload.data(), payload.size()));
+  runs.insert(runs.end(), {0x00, 0x00, 10, 0, 0, 0});
+  runs.insert(runs.end(), {0x01, 1, 0, 0, 0, 0x03});
+  runs.insert(runs.end(), {0x00, 0x00, 53, 0, 0, 0});
+  EXPECT_TRUE(DecodePage(runs).status().IsCorruption());
 }
 
-// Runs of 1..9 equal bytes drawn from `alphabet` values, `runs` of them.
-std::vector<uint8_t> RunPayload(Rng& rng, size_t runs, uint64_t alphabet) {
-  std::vector<uint8_t> out;
-  for (size_t r = 0; r < runs; ++r) {
-    size_t len = 1 + rng.Uniform(9);
-    out.insert(out.end(), len, static_cast<uint8_t>(rng.Uniform(alphabet)));
-  }
-  return out;
-}
-
-// Seeded run payloads over small and full alphabets, and every prefix and
-// suffix of the short ones, so runs of every length sit at both buffer
-// ends and across every word alignment.
-TEST(RleOracleTest, MatchesByteAtATimeReference) {
-  Rng rng(2021);
-  for (int it = 0; it < 3000; ++it) {
-    uint64_t alphabet = it % 3 == 0 ? 256 : 1 + it % 4;
-    std::vector<uint8_t> in = RunPayload(rng, rng.Uniform(40), alphabet);
-    ASSERT_EQ(RleCompress(in), ReferenceRleCompress(in)) << "payload " << it;
-    if (in.size() > 48) continue;
-    for (size_t n = 0; n <= in.size(); ++n) {
-      std::vector<uint8_t> prefix(in.begin(), in.begin() + n);
-      std::vector<uint8_t> suffix(in.end() - n, in.end());
-      ASSERT_EQ(RleCompress(prefix), ReferenceRleCompress(prefix));
-      ASSERT_EQ(RleCompress(suffix), ReferenceRleCompress(suffix));
-    }
-  }
-}
-
-// Pins the frames of an RLE-winning, an RLE-losing, an empty and an
-// all-equal payload: header, body choice, tokens and checksum.
+// Pins the frames of a sparse, a noise, an empty and an all-equal
+// payload: header and checksum.
 TEST(PageCodecGoldenTest, FrameBytesArePinned) {
   auto digest = [](const std::vector<uint8_t>& payload) {
     std::vector<uint8_t> frame = EncodePage(payload);
@@ -168,38 +124,24 @@ TEST(PageCodecGoldenTest, FrameBytesArePinned) {
   }
   std::vector<uint8_t> noise(3000);
   for (uint8_t& b : noise) b = static_cast<uint8_t>(rng.Next());
-  ASSERT_LT(EncodePage(sparse).size(), sparse.size());
   ASSERT_GT(EncodePage(noise).size(), noise.size());
-  EXPECT_EQ(digest(sparse), 0xf108c3149424e6a4ull);
+  EXPECT_EQ(digest(sparse), 0xeb7b106bc8afa106ull);
   EXPECT_EQ(digest(noise), 0xb6a7f90aabb2a67dull);
   EXPECT_EQ(digest({}), 0x99ee1dc43c5f3491ull);
-  EXPECT_EQ(digest(std::vector<uint8_t>(5000, 0x5a)), 0xbfdbd0f34f76fa44ull);
+  EXPECT_EQ(digest(std::vector<uint8_t>(5000, 0x5a)), 0x16f20fb40b4be6d5ull);
 }
 
 // The loader records EncodedPageSize as each page's stored frame size, so
-// it must equal the size of the frame EncodePage builds, on either side
-// of the RLE-or-raw choice.
+// it must equal the size of the frame EncodePage builds: the 24-byte
+// header plus the payload.
 TEST(PageCodecTest, EncodedPageSizeIsTheFrameSize) {
   Rng rng(99);
   for (int it = 0; it < 2000; ++it) {
-    std::vector<uint8_t> payload;
-    switch (it % 3) {
-      case 0:
-        payload = RunPayload(rng, rng.Uniform(300), 1 + rng.Uniform(6));
-        break;
-      case 1:
-        payload.resize(rng.Uniform(2000));
-        for (uint8_t& b : payload) b = static_cast<uint8_t>(rng.Next());
-        break;
-      default:
-        payload.assign(rng.Uniform(2000), 0);
-        for (int n = 0; n < 8 && !payload.empty(); ++n) {
-          payload[rng.Uniform(payload.size())] = 1;
-        }
-        break;
-    }
+    std::vector<uint8_t> payload(rng.Uniform(2000));
+    for (uint8_t& b : payload) b = static_cast<uint8_t>(rng.Uniform(3));
     ASSERT_EQ(EncodedPageSize(payload), EncodePage(payload).size())
         << "payload " << it << " of " << payload.size() << " bytes";
+    ASSERT_EQ(EncodedPageSize(payload), 24 + payload.size());
   }
 }
 

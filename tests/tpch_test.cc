@@ -155,7 +155,7 @@ TEST_F(TpchTest, LoadedAllTables) {
                 gen_->RowCount(kOrders) + gen_->RowCount(kLineitem));
   EXPECT_GT(load_result_.seconds, 0.0);
   EXPECT_GT(load_result_.bytes_at_rest, 0u);
-  // Columnar encodings + page compression beat the raw text size.
+  // Columnar encodings beat the raw text size.
   EXPECT_LT(load_result_.bytes_at_rest, load_result_.input_bytes);
 }
 
