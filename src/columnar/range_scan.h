@@ -3,48 +3,73 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "columnar/encoding.h"
+#include "columnar/value.h"
 #include "common/interval_set.h"
+#include "common/result.h"
 
 namespace cloudiq {
 
-// The range-scan kernels that both sides of the wire run: the executor's
-// pull path (ScanTable) and the object store's NDP engine find the rows
-// of a range predicate and place them with these, so a pushed scan and a
-// pulled one select and order rows by the same code.
+// The page-scan pipeline: the one path from fetched column pages to a
+// scan's output columns, which the pull scan (ScanTable), the row-id scan
+// (ScanRowIds) and the object store's NDP server (NdpEngine) all run. It
+// is pure host CPU and touches no simulator, ledger, profiler or stats
+// state; each caller keeps its own fetches, charges and counters.
 
-// The decoded values of one page of an int-family column, covering rows
-// [first_row, first_row + values.size()).
-struct IntPageValues {
+// One page of a read column. The pipeline parses `bytes`, the column
+// page; when they are null, `parsed` is the page as ParseColumnPage
+// checked it. Either way the bytes outlive the call.
+struct ScanPage {
+  size_t partition = 0;  // the scan's own partition index
   uint64_t first_row = 0;
-  std::span<const int64_t> values;
+  uint64_t row_count = 0;
+  const std::vector<uint8_t>* bytes = nullptr;
+  ParsedColumnPage parsed;
 };
 
-// The runs of `rows` whose value lies in [lo, hi], ascending and
-// coalesced: one pass over `pages`, which ascend by first_row and cover
-// every row of `rows` (ascending, disjoint runs). The pass has no
-// data-dependent branch: it notes every row where the in-range flag
-// flips, and consecutive flips bound a run. lo > hi selects nothing.
-std::vector<IntervalSet::Interval> RangeRuns(
-    std::span<const IntervalSet::Interval> rows,
-    std::span<const IntPageValues> pages, int64_t lo, int64_t hi);
-
-// Rows [begin, end) that a scan keeps, written to output rows at,
-// at + 1, ...
-struct OutputRun {
-  uint64_t begin = 0;
-  uint64_t end = 0;
-  size_t at = 0;
+// A read column: pages partition by partition, each partition's ascending
+// and disjoint and holding every candidate row. A column that is not
+// written (only the filter reads it) is checked and comes back empty.
+struct ScanColumn {
+  ColumnType type = ColumnType::kInt64;
+  bool write = true;
+  std::vector<ScanPage> pages;
 };
 
-// The rows of `runs` (ascending, disjoint) that fall in the page holding
-// rows [first_row, first_row + row_count), as page-local PageRuns for
-// DecodeColumnPageInto.
-std::vector<PageRun> RunsInPage(std::span<const OutputRun> runs,
-                                uint64_t first_row, uint64_t row_count);
+// One unit of scan work: ascending, disjoint candidate runs.
+struct ScanMorsel {
+  size_t partition = 0;
+  std::span<const IntervalSet::Interval> rows;
+};
+
+struct PageScan {
+  std::vector<ScanColumn> columns;
+  std::vector<ScanMorsel> morsels;  // in output (partition, row) order
+  // The optional predicate lo <= columns[*range_column] <= hi on an
+  // int-family column; without it every candidate row survives.
+  std::optional<size_t> range_column;
+  int64_t lo = 0;
+  int64_t hi = 0;
+  int workers = 1;  // for TaskPool::RunIndexed
+};
+
+struct ScannedRows {
+  size_t rows = 0;  // the survivors, the written columns' length
+  std::vector<ColumnVector> columns;  // one per read column
+};
+
+// Checks every page whole, even one the filter empties; decodes the range
+// column's pages whole; finds each morsel's surviving runs and places
+// them by a prefix sum in morsel order; keeps a written string column
+// dictionary-coded iff every page of it is a dictionary page, merging the
+// page dictionaries in page order; and writes every survivor into its
+// slot of the presized output. A defective page is Corruption; a range
+// column that is not an int-family read column is InvalidArgument.
+Result<ScannedRows> ScanPages(const PageScan& scan);
 
 }  // namespace cloudiq
 

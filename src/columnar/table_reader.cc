@@ -32,11 +32,15 @@ Result<TableReader> TableReader::Make(TransactionManager* txn_mgr,
                                 " has a partition that does not match its "
                                 "schema");
     }
+    // A scan reads every row of the partition from each segment's pages.
     for (const SegmentMeta& seg : pm.columns) {
+      uint64_t held = 0;
+      for (uint32_t rows : seg.page_rows) held += rows;
       if (seg.page_rows.size() != seg.zones.size() ||
-          seg.page_bytes.size() != seg.zones.size()) {
+          seg.page_bytes.size() != seg.zones.size() || held < pm.row_count) {
         return Status::Corruption("table " + schema.name +
-                                  " has a segment whose page counts differ");
+                                  " has a segment whose pages do not match "
+                                  "its partition");
       }
     }
   }

@@ -1,4 +1,4 @@
-#include "exec/task_pool.h"
+#include "common/task_pool.h"
 
 #include <algorithm>
 

@@ -1,5 +1,5 @@
-#ifndef CLOUDIQ_EXEC_TASK_POOL_H_
-#define CLOUDIQ_EXEC_TASK_POOL_H_
+#ifndef CLOUDIQ_COMMON_TASK_POOL_H_
+#define CLOUDIQ_COMMON_TASK_POOL_H_
 
 #include <atomic>
 #include <cstddef>
@@ -13,7 +13,8 @@
 
 namespace cloudiq {
 
-// Worker pool for the morsel-driven executor's multi-worker sections.
+// Worker pool for the morsel-driven executor's multi-worker sections and
+// the page-scan pipeline (columnar/range_scan.h) they run.
 //
 // Design constraints, in order:
 //  1. Sim determinism is untouchable: with one worker (or one index)
@@ -90,4 +91,4 @@ class TaskPool {
 
 }  // namespace cloudiq
 
-#endif  // CLOUDIQ_EXEC_TASK_POOL_H_
+#endif  // CLOUDIQ_COMMON_TASK_POOL_H_

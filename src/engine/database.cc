@@ -31,10 +31,8 @@ Database::Database(SimEnvironment* env, const InstanceProfile& profile,
   }
 
   // User dbspace backing.
-  StorageSubsystem::Options storage_options = options_.storage;
-  storage_options.encrypt_pages = options_.encrypt_pages;
   storage_ = std::make_unique<StorageSubsystem>(node_, &env->object_store(),
-                                                storage_options);
+                                                options_.storage);
   switch (options_.user_storage) {
     case UserStorage::kObjectStore:
       user_space_ =

@@ -53,7 +53,6 @@ class Database {
   struct Options {
     UserStorage user_storage = UserStorage::kObjectStore;
     bool enable_ocm = true;
-    bool encrypt_pages = false;
     uint64_t page_size = 512 * 1024;
     // Fraction of instance RAM given to the buffer manager (the paper
     // reserves 1/2 of RAM).
@@ -67,6 +66,8 @@ class Database {
     double snapshot_retention_seconds = 7 * 24 * 3600;
     uint32_t blockmap_fanout = 256;
     NodeId node_id = 0;
+    // Storage subsystem settings, page encryption (encrypt_pages) among
+    // them.
     StorageSubsystem::Options storage;
     // Key-generation tuning (ablations sweep these).
     ObjectKeyGenerator::Options keygen;

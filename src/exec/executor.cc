@@ -11,10 +11,10 @@
 #include "columnar/encoding.h"
 #include "columnar/range_scan.h"
 #include "common/dense_key_index.h"
+#include "common/task_pool.h"
 #include "costopt/cost_model.h"
 #include "exec/morsel.h"
 #include "exec/row_key_table.h"
-#include "exec/task_pool.h"
 
 namespace cloudiq {
 
@@ -121,67 +121,32 @@ std::vector<uint64_t> PagesForRows(const SegmentMeta& seg,
   return pages;
 }
 
-// Appends the values of `col_ids` for the ascending row ids in `rows` of
-// one partition to `out`. Column segments page independently (each column
-// fills its pages to capacity), so each column walks its own page
-// boundaries, merging them with the runs, and decodes each page's share
-// of them straight into its next output rows, which keeps the output
-// columns row-aligned. String columns come out plain.
-Status ReadRowSet(QueryContext* ctx, TableReader* reader, size_t partition,
-                  const std::vector<int>& col_ids, const IntervalSet& rows,
-                  Batch* out) {
-  if (rows.empty()) return Status::Ok();
-  // Parallel prefetch of every column's needed pages first.
+// Prefetches, then fetches column by column in page order, the pages of
+// partition `p` that hold `rows`, as pipeline pages of the scan's
+// partition `part`; `frames` keeps their bytes alive.
+Status FetchScanPages(TableReader* reader, size_t p,
+                      const std::vector<int>& col_ids, const IntervalSet& rows,
+                      size_t part, std::vector<BufferManager::PageData>* frames,
+                      PageScan* scan) {
+  const PartitionMeta& pm = reader->meta().partitions[p];
   std::vector<std::vector<uint64_t>> pages(col_ids.size());
   for (size_t i = 0; i < col_ids.size(); ++i) {
-    const SegmentMeta& seg =
-        reader->meta().partitions[partition].columns[col_ids[i]];
-    pages[i] = PagesForRows(seg, rows);
-    CLOUDIQ_RETURN_IF_ERROR(
-        reader->Prefetch(partition, col_ids[i], pages[i]));
+    pages[i] = PagesForRows(pm.columns[col_ids[i]], rows);
+    CLOUDIQ_RETURN_IF_ERROR(reader->Prefetch(p, col_ids[i], pages[i]));
   }
-  const std::vector<IntervalSet::Interval>& runs = rows.Intervals();
-  uint64_t values = 0;
   for (size_t i = 0; i < col_ids.size(); ++i) {
-    const SegmentMeta& seg =
-        reader->meta().partitions[partition].columns[col_ids[i]];
-    ColumnVector& dst = out->columns[i];
-    // Each page's share of the runs, clipped to the page first: `rows`
-    // may come from a stored posting that claims rows past the
-    // partition, so `dst` grows only by the rows its pages hold.
-    std::vector<std::vector<PageRun>> page_runs(pages[i].size());
-    size_t at = dst.size();  // the next output row
-    size_t run = 0;          // first run ending past `page_first`
-    size_t next_page = 0;    // the page that starts at `page_first`
-    uint64_t page_first = 0;
-    for (size_t k = 0; k < pages[i].size(); ++k) {
-      const uint64_t page = pages[i][k];
-      for (; next_page < page; ++next_page) {
-        page_first += seg.page_rows[next_page];
-      }
-      uint64_t page_end = page_first + seg.page_rows[page];
-      while (run < runs.size() && runs[run].end <= page_first) ++run;
-      for (size_t r = run; r < runs.size() && runs[r].begin < page_end;
-           ++r) {
-        auto begin = static_cast<uint32_t>(
-            std::max(runs[r].begin, page_first) - page_first);
-        auto end = static_cast<uint32_t>(
-            std::min(runs[r].end, page_end) - page_first);
-        page_runs[k].push_back({begin, end, at});
-        at += end - begin;
-      }
-    }
-    values += at - dst.size();
-    dst.Resize(at);
-    for (size_t k = 0; k < pages[i].size(); ++k) {
+    const SegmentMeta& seg = pm.columns[col_ids[i]];
+    uint64_t first_row = 0;
+    size_t next = 0;  // the page that starts at `first_row`
+    for (uint64_t page : pages[i]) {
+      for (; next < page; ++next) first_row += seg.page_rows[next];
       CLOUDIQ_ASSIGN_OR_RETURN(BufferManager::PageData frame,
-                               reader->FetchPage(partition, col_ids[i],
-                                                 pages[i][k]));
-      CLOUDIQ_RETURN_IF_ERROR(DecodeColumnPageInto(
-          *frame, seg.page_rows[pages[i][k]], page_runs[k], nullptr, &dst));
+                               reader->FetchPage(p, col_ids[i], page));
+      scan->columns[i].pages.push_back(
+          {part, first_row, seg.page_rows[page], frame.get(), {}});
+      frames->push_back(std::move(frame));
     }
   }
-  ctx->ChargeValues(values);
   return Status::Ok();
 }
 
@@ -215,62 +180,6 @@ Batch MakeOutputShape(const TableSchema& schema,
 //     same indices, in order, whatever the worker count.
 // The AddCpuWork / profiler call sequence is therefore identical across
 // worker counts — which is the whole determinism contract (DESIGN.md §5j).
-
-// One fetched page of a read column: the encoded frame, fetched in phase
-// A on the coordinator (all simulated I/O happens there), then checked
-// and decoded once by a worker. Only the range column's pages keep their
-// values, which the exact filter reads; every other page is parsed once
-// and decodes straight into its rows of the scan's output.
-struct ScanPage {
-  BufferManager::PageData frame;
-  uint64_t first_row = 0;
-  uint64_t row_count = 0;
-  ColumnVector values;      // the range column's pages only, decoded whole
-  ParsedColumnPage parsed;  // every other page, views into `frame`
-};
-
-// One partition's share of a scan: each read column's fetched pages,
-// ascending by first_row, the range column's decoded values, and the
-// surviving runs in row order.
-struct ScanPartition {
-  std::vector<std::vector<ScanPage>> columns;
-  std::vector<IntPageValues> range_values;
-  std::vector<OutputRun> runs;
-};
-
-// The dictionary section of one page of a coded read column.
-struct PageDict {
-  // The parsed page's entries, views into the page's frame.
-  const std::vector<std::string_view>* entries = nullptr;
-  std::vector<uint64_t> hash;   // HashKey of each entry
-  std::vector<uint32_t> remap;  // page code -> scan dictionary code
-};
-
-// Merges the page dictionaries of one coded read column, in page order,
-// into one scan dictionary, and fills each page's remap. A string already
-// in the scan dictionary is found by its hash; the page dictionaries'
-// entries are distinct, so the merged ones are too.
-std::shared_ptr<const StringDict> MergePageDictionaries(
-    std::span<PageDict> pages) {
-  auto merged = std::make_shared<StringDict>();
-  RowKeyTable index;
-  for (PageDict& page : pages) {
-    const std::vector<std::string_view>& entries = *page.entries;
-    page.remap.resize(entries.size());
-    for (size_t j = 0; j < entries.size(); ++j) {
-      bool inserted = false;
-      page.remap[j] = index.FindOrInsert(
-          page.hash[j],
-          [&](uint32_t e) { return merged->strings[e] == entries[j]; },
-          &inserted);
-      if (inserted) {
-        merged->strings.emplace_back(entries[j]);
-        merged->hash.push_back(page.hash[j]);
-      }
-    }
-  }
-  return merged;
-}
 
 // --- near-data processing --------------------------------------------------
 
@@ -566,8 +475,14 @@ Result<Batch> ScanTable(QueryContext* ctx, TableReader* reader,
   // order, whatever the worker count.
   uint64_t decoded_before = reader->decoded_bytes();
   std::vector<Morsel> morsels;
-  std::vector<size_t> morsel_part;  // morsel -> index into `parts`
-  std::vector<ScanPartition> parts;
+  std::vector<size_t> morsel_part;  // morsel -> the scan's partition index
+  size_t parts = 0;
+  PageScan scan;
+  for (const ColumnVector& col : out.columns) {
+    scan.columns.push_back({col.type, true, {}});
+  }
+  if (extra_range_col) scan.columns[range_pos].write = false;
+  std::vector<BufferManager::PageData> frames;
   for (size_t p = 0;
        !col_ids.empty() && p < reader->meta().partitions.size(); ++p) {
     const PartitionMeta& pm = reader->meta().partitions[p];
@@ -592,191 +507,32 @@ Result<Batch> ScanTable(QueryContext* ctx, TableReader* reader,
     AppendMorsels(pm.columns[col_ids[0]], p, rows,
                   ctx->options().morsel_rows, &morsels);
     if (morsels.size() == morsels_before) continue;
-    morsel_part.resize(morsels.size(), parts.size());
-
-    std::vector<std::vector<uint64_t>> pages(col_ids.size());
-    for (size_t i = 0; i < col_ids.size(); ++i) {
-      const SegmentMeta& seg = pm.columns[col_ids[i]];
-      pages[i] = PagesForRows(seg, rows);
-      CLOUDIQ_RETURN_IF_ERROR(
-          reader->Prefetch(p, col_ids[i], pages[i]));
-    }
-    ScanPartition part;
-    part.columns.resize(col_ids.size());
-    for (size_t i = 0; i < col_ids.size(); ++i) {
-      const SegmentMeta& seg = pm.columns[col_ids[i]];
-      for (uint64_t page : pages[i]) {
-        ScanPage sp;
-        CLOUDIQ_ASSIGN_OR_RETURN(
-            sp.frame, reader->FetchPage(p, col_ids[i], page));
-        sp.first_row = reader->PageFirstRow(p, col_ids[i], page);
-        sp.row_count = seg.page_rows[page];
-        part.columns[i].push_back(std::move(sp));
-      }
-    }
-    parts.push_back(std::move(part));
+    morsel_part.resize(morsels.size(), parts);
+    CLOUDIQ_RETURN_IF_ERROR(
+        FetchScanPages(reader, p, col_ids, rows, parts++, &frames, &scan));
   }
   // Every fetched frame is decoded exactly once below; charge the decode
   // CPU up front so the parallel section carries only per-morsel values.
   ctx->ChargeDecodedBytes(reader->decoded_bytes() - decoded_before);
 
   if (!morsels.empty()) {
-    TaskPool& pool = TaskPool::Global();
-    const int workers = ctx->options().exec_workers;
     stats.counter("exec.parallel_sections").Add(1);
     stats.counter("exec.morsels").Add(morsels.size());
 
     ScopedParallelSection section(ctx);
-    // Each (read column, fetched page), column by column, then partition
-    // by partition in page order: the order of the decode tasks and of
-    // their errors.
-    struct PageRef {
-      size_t column;
-      size_t part;
-      ScanPage* page;
-    };
-    std::vector<PageRef> page_refs;
-    for (size_t i = 0; i < col_ids.size(); ++i) {
-      for (size_t k = 0; k < parts.size(); ++k) {
-        for (ScanPage& page : parts[k].columns[i]) {
-          page_refs.push_back({i, k, &page});
-        }
-      }
-    }
-    auto first_error = [](const std::vector<Status>& statuses) {
-      for (const Status& st : statuses) {
-        if (!st.ok()) return st;
-      }
-      return Status::Ok();
-    };
-
-    // Phase B (workers, host CPU): decode the range column's pages whole,
-    // for the exact filter. This is the only column decoded before the
-    // surviving rows are known.
-    if (range.has_value()) {
-      std::vector<ScanPage*> range_pages;
-      for (const PageRef& ref : page_refs) {
-        if (ref.column == range_pos) range_pages.push_back(ref.page);
-      }
-      std::vector<Status> status(range_pages.size());
-      pool.RunIndexed(workers, range_pages.size(), [&](size_t t) {
-        ScanPage* page = range_pages[t];
-        page->values.type = out.columns[range_pos].type;
-        page->values.Resize(page->row_count);
-        status[t] = DecodeColumnPageInto(
-            *page->frame, page->row_count,
-            {PageRun{0, static_cast<uint32_t>(page->row_count), 0}},
-            nullptr, &page->values);
-      });
-      CLOUDIQ_RETURN_IF_ERROR(first_error(status));
-      for (ScanPartition& part : parts) {
-        for (const ScanPage& page : part.columns[range_pos]) {
-          part.range_values.push_back({page.first_row, page.values.ints});
-        }
-      }
-    }
-
-    // Phase C (workers, then coordinator): each morsel's surviving runs,
-    // then a prefix sum over their lengths, in morsel order, places every
-    // run's rows in `out`.
-    std::vector<std::vector<IntervalSet::Interval>> survivors(
-        range.has_value() ? morsels.size() : 0);
-    if (range.has_value()) {
-      pool.RunIndexed(workers, morsels.size(), [&](size_t m) {
-        survivors[m] =
-            RangeRuns(morsels[m].rows.Intervals(),
-                      parts[morsel_part[m]].range_values, range->lo,
-                      range->hi);
-      });
-    }
-    size_t total = 0;
+    // The page-scan pipeline (workers, host CPU; DESIGN.md §5p) checks
+    // and decodes the fetched pages and writes the survivors into `out`.
     for (size_t m = 0; m < morsels.size(); ++m) {
-      std::vector<OutputRun>& runs = parts[morsel_part[m]].runs;
-      for (const IntervalSet::Interval& iv :
-           range.has_value() ? survivors[m] : morsels[m].rows.Intervals()) {
-        runs.push_back({iv.begin, iv.end, total});
-        total += static_cast<size_t>(iv.end - iv.begin);
-      }
+      scan.morsels.push_back({morsel_part[m], morsels[m].rows.Intervals()});
     }
-
-    // Phase D (workers, then coordinator): workers parse every page that
-    // phase E decodes, once, checking all but its dictionary codes, and
-    // hash a dictionary page's entries. A read column stays
-    // dictionary-coded iff every fetched page of it is a dictionary page,
-    // and then gets one scan dictionary, which the coordinator merges
-    // from the page dictionaries in page order. `out` takes it before any
-    // code is written, so every operator downstream moves 4-byte codes.
-    auto is_range = [&](const PageRef& ref) {
-      return range.has_value() && ref.column == range_pos;
-    };
-    std::vector<PageDict> dicts(page_refs.size());
-    std::vector<Status> parse_status(page_refs.size());
-    pool.RunIndexed(workers, page_refs.size(), [&](size_t t) {
-      const PageRef& ref = page_refs[t];
-      if (is_range(ref)) return;
-      ParsedColumnPage& parsed = ref.page->parsed;
-      parse_status[t] = ParseColumnPage(*ref.page->frame, &parsed);
-      if (!parse_status[t].ok() || !parsed.IsDictionary()) return;
-      dicts[t].entries = &parsed.strings;
-      dicts[t].hash.reserve(parsed.strings.size());
-      for (std::string_view e : parsed.strings) {
-        dicts[t].hash.push_back(HashKey(e));
-      }
-    });
-    CLOUDIQ_RETURN_IF_ERROR(first_error(parse_status));
-    std::vector<bool> coded(col_ids.size(), true);
-    for (const PageRef& ref : page_refs) {
-      if (is_range(ref) || !ref.page->parsed.IsDictionary()) {
-        coded[ref.column] = false;
-      }
+    if (range.has_value()) {
+      scan.range_column = range_pos;
+      scan.lo = range->lo;
+      scan.hi = range->hi;
     }
-    // remap_of[t]: page_refs[t]'s code remap, for coded columns. Each
-    // column's pages are consecutive in page_refs.
-    std::vector<const std::vector<uint32_t>*> remap_of(page_refs.size(),
-                                                       nullptr);
-    for (size_t t = 0; t < page_refs.size();) {
-      const size_t column = page_refs[t].column;
-      size_t end = t;
-      while (end < page_refs.size() && page_refs[end].column == column) {
-        ++end;
-      }
-      if (!coded[column]) {
-        t = end;
-        continue;
-      }
-      out.columns[column].dict = MergePageDictionaries(
-          std::span<PageDict>(dicts).subspan(t, end - t));
-      for (; t < end; ++t) remap_of[t] = &dicts[t].remap;
-    }
-    for (size_t i = 0; i < col_ids.size(); ++i) {
-      if (!(extra_range_col && i == range_pos)) out.columns[i].Resize(total);
-    }
-
-    // Phase E (workers, host CPU): one task per (column, page) checks the
-    // whole page, even one the filter empties, and writes its surviving
-    // rows into their final slots of `out`: disjoint rows, so tasks never
-    // share one. The range column copies them from its decoded values.
-    std::vector<Status> decode_status(page_refs.size());
-    pool.RunIndexed(workers, page_refs.size(), [&](size_t t) {
-      const PageRef& ref = page_refs[t];
-      if (is_range(ref) && extra_range_col) return;
-      std::vector<PageRun> runs = RunsInPage(
-          parts[ref.part].runs, ref.page->first_row, ref.page->row_count);
-      ColumnVector& dst = out.columns[ref.column];
-      if (is_range(ref)) {
-        const std::vector<int64_t>& from = ref.page->values.ints;
-        for (const PageRun& run : runs) {
-          std::copy(from.begin() + run.begin, from.begin() + run.end,
-                    dst.ints.begin() + static_cast<ptrdiff_t>(run.at));
-        }
-        return;
-      }
-      decode_status[t] = DecodeColumnPageInto(
-          ref.page->parsed, ref.page->row_count, runs, remap_of[t], &dst);
-      ref.page->parsed = {};
-      ref.page->frame.reset();
-    });
-    CLOUDIQ_RETURN_IF_ERROR(first_error(decode_status));
+    scan.workers = ctx->options().exec_workers;
+    CLOUDIQ_ASSIGN_OR_RETURN(ScannedRows scanned, ScanPages(scan));
+    out.columns = std::move(scanned.columns);
     // The coordinator's fixed charge loop: each candidate row costs one
     // touch per read column plus (with a predicate) the exact filter
     // touch — the same totals the serial executor charged, attributed
@@ -808,8 +564,24 @@ Result<Batch> ScanRowIds(QueryContext* ctx, TableReader* reader,
                               &shape_status);
   CLOUDIQ_RETURN_IF_ERROR(shape_status);
   if (row_ids.empty()) return out;
+  // Row ids from a stored posting are checked only to be canonical runs,
+  // so they are clipped to the partition before anything is sized from
+  // them.
+  IntervalSet held;
+  held.InsertRange(0, reader->meta().partitions[partition].row_count);
+  const IntervalSet rows = IntervalSet::Intersect(row_ids, held);
+  PageScan scan;
+  for (const ColumnVector& col : out.columns) {
+    scan.columns.push_back({col.type, true, {}});
+  }
+  std::vector<BufferManager::PageData> frames;
   CLOUDIQ_RETURN_IF_ERROR(
-      ReadRowSet(ctx, reader, partition, col_ids, row_ids, &out));
+      FetchScanPages(reader, partition, col_ids, rows, 0, &frames, &scan));
+  scan.morsels.push_back({0, rows.Intervals()});
+  scan.workers = ctx->options().exec_workers;
+  CLOUDIQ_ASSIGN_OR_RETURN(ScannedRows scanned, ScanPages(scan));
+  out.columns = std::move(scanned.columns);
+  ctx->ChargeValues(scanned.rows * col_ids.size());
   op.AddRows(out.rows());
   return out;
 }

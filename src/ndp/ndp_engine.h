@@ -20,15 +20,15 @@ namespace ndp {
 // cloudiq-ndp-layering lint rule enforces).
 //
 // Pages arrive as stored frames (EncodePage over EncodeColumnPage
-// output) and are scanned with the pull path's own kernels: each page is
-// parsed and checked whole, the range column's pages decode whole, the
-// surviving runs come from RangeRuns (columnar/range_scan.h), and each
-// projected page decodes its survivors straight into the result with
-// DecodeColumnPageInto. A corrupt page is Corruption; a page whose type
-// or row count disagrees with its ref, or a range column that is not an
-// int-family request column, is InvalidArgument. An undecodable frame —
-// e.g. a page written with encrypt_pages on, which the server has no key
-// for — fails the request; the planner never pushes such a table
+// output); each is opened, parsed and checked against its ref, then the
+// pull path's own page-scan pipeline (ScanPages, columnar/range_scan.h)
+// checks every page whole and writes the survivors into the result,
+// whose coded columns expand to plain strings for the wire. A corrupt
+// page is Corruption; a page whose type or row count disagrees with its
+// ref, or a range column that is not an int-family request column, is
+// InvalidArgument. An undecodable frame — e.g. a page written with
+// storage.encrypt_pages on, which the server has no key for — fails the
+// request; the planner never pushes such a table
 // (TableReader::PushdownEligible), and a failure at run time is the
 // scan's error.
 class NdpEngine : public NdpServerEngine {

@@ -84,8 +84,10 @@ std::vector<uint8_t> StorageSubsystem::MaybeEncrypt(
 Result<StorageSubsystem::PreparedWrite> StorageSubsystem::PrepareWrite(
     DbSpace* space, const std::vector<uint8_t>& payload,
     CloudCache::WriteMode mode, uint64_t txn_id) {
-  if (payload.size() > space->page_size) {
-    return Status::InvalidArgument("payload exceeds page size");
+  // The frame is what a page holds, so it must fit the page: on a block
+  // dbspace a larger one would need more blocks than a location counts.
+  if (EncodedPageSize(payload) > space->page_size) {
+    return Status::InvalidArgument("framed payload exceeds page size");
   }
   std::vector<uint8_t> frame = EncodePage(payload);
 
@@ -129,7 +131,6 @@ Result<StorageSubsystem::PreparedWrite> StorageSubsystem::PrepareWrite(
     uint32_t block_count = static_cast<uint32_t>(
         (frame.size() + space->block_size() - 1) / space->block_size());
     if (block_count == 0) block_count = 1;
-    assert(block_count <= kBlocksPerPage);
     uint64_t first_block = space->freelist.AllocateRun(block_count);
     prepared.loc = PhysicalLoc::ForBlocks(first_block, block_count);
 

@@ -8,6 +8,7 @@
 // Blockmap::ParseNode, IdentityCatalog::Deserialize, the system store's
 // directory (through SystemStore::Open), the NDP request and result
 // frames, the NDP server (NdpEngine::Evaluate over mutated stored pages),
+// the page-scan pipeline (ScanPages, in each of its callers' shapes),
 // and the HG, DATE and TEXT posting pages (through the shared page
 // walker and through each index's lookup). Each starts from valid bytes and is fed
 // truncations, bit flips and overwritten counts; every call must return a
@@ -33,6 +34,7 @@
 #include "columnar/encoding.h"
 #include "columnar/hg_index.h"
 #include "columnar/posting_page.h"
+#include "columnar/range_scan.h"
 #include "columnar/schema.h"
 #include "columnar/text_index.h"
 #include "columnar/value.h"
@@ -1075,6 +1077,158 @@ TEST(CodecFuzzTest, NdpEngineRejectsMutatedPages) {
     ASSERT_EQ(res->columns.size(), 3u) << it;
     for (const ColumnVector& col : res->columns) {
       ASSERT_EQ(col.size(), res->rows_matched) << it;
+    }
+  }
+  EXPECT_GT(rejected, iterations / 4);
+}
+
+// --- the page-scan pipeline ---------------------------------------------
+
+// ScanPages over mutated column pages, in each caller's shape: a range
+// with a projection over pages the caller parsed or did not (NdpEngine,
+// ScanTable), a row-id set with no range (ScanRowIds), and a range whose
+// column, and one more, only the filter reads. Every page is checked
+// whole, so a call is Corruption exactly when some page fails a plain
+// decode or disagrees with its column's type or row count, also when the
+// filter empties that page; otherwise it returns the rows that the plain
+// decode of every page selects.
+TEST(CodecFuzzTest, PageScanPipelineRejectsMutatedPages) {
+  Rng rng(kSeed + 11);
+  constexpr uint64_t kRows = 150;
+  std::vector<ColumnVector> values(4);  // k (the range column), flag, note, y
+  values[0].type = ColumnType::kInt64;
+  values[1].type = ColumnType::kString;
+  values[2].type = ColumnType::kString;
+  values[3].type = ColumnType::kDouble;
+  for (uint64_t r = 0; r < kRows; ++r) {
+    values[0].ints.push_back(static_cast<int64_t>(rng.Uniform(1000)));
+    values[1].strings.push_back(r % 4 ? "N" : "R");
+    values[2].strings.push_back("note " + std::to_string(rng.Next()));
+    values[3].doubles.push_back(rng.NextDouble());
+  }
+  // Each column's pages break at other rows.
+  const std::vector<std::vector<uint64_t>> cuts = {
+      {0, 100, 150}, {0, 70, 150}, {0, 40, 110, 150}, {0, 150}};
+  std::vector<std::vector<std::vector<uint8_t>>> payloads(values.size());
+  for (size_t c = 0; c < values.size(); ++c) {
+    for (size_t k = 0; k + 1 < cuts[c].size(); ++k) {
+      ZoneMapEntry zone;
+      payloads[c].push_back(
+          EncodeColumnPage(values[c], cuts[c][k], cuts[c][k + 1], &zone));
+    }
+  }
+
+  const int iterations = kIterations / 5;
+  int rejected = 0;
+  for (int it = 0; it < iterations; ++it) {
+    std::vector<std::vector<std::vector<uint8_t>>> pages = payloads;
+    std::vector<std::vector<uint8_t>>& column = pages[rng.Uniform(4)];
+    Mutate(rng, column[rng.Uniform(column.size())],
+           {kTypeOffset, kCountOffset}, {kWidthOffset});
+    enum Shape { kProjection, kRowIds, kFilterOnly };
+    const auto shape = static_cast<Shape>(it % 3);
+    const bool preparsed = shape == kProjection && (it / 3) % 2 == 0;
+
+    // The oracle: every page decoded plainly, or a defect found.
+    bool valid = true;
+    std::vector<ColumnVector> whole(values.size());
+    for (size_t c = 0; c < values.size(); ++c) {
+      whole[c].type = values[c].type;
+      for (size_t k = 0; k < pages[c].size(); ++k) {
+        Result<ColumnVector> page = DecodeColumnPage(pages[c][k]);
+        if (!page.ok() || page->type != values[c].type ||
+            page->size() != cuts[c][k + 1] - cuts[c][k]) {
+          valid = false;
+          break;
+        }
+        whole[c].AppendRange(*page, 0, page->size());
+      }
+    }
+
+    PageScan scan;
+    bool parsed_all = true;
+    for (size_t c = 0; c < values.size(); ++c) {
+      ScanColumn col;
+      col.type = values[c].type;
+      col.write = shape != kFilterOnly || (c != 0 && c != 2);
+      for (size_t k = 0; k < pages[c].size(); ++k) {
+        ScanPage page;
+        page.first_row = cuts[c][k];
+        page.row_count = cuts[c][k + 1] - cuts[c][k];
+        if (preparsed) {
+          // The caller parses first, and reports a failure itself.
+          parsed_all =
+              parsed_all && ParseColumnPage(pages[c][k], &page.parsed).ok();
+        } else {
+          page.bytes = &pages[c][k];
+        }
+        col.pages.push_back(std::move(page));
+      }
+      scan.columns.push_back(std::move(col));
+    }
+    if (!parsed_all) {
+      ASSERT_FALSE(valid) << "iteration " << it;
+      ++rejected;
+      continue;
+    }
+    IntervalSet candidates;
+    std::vector<IntervalSet> morsels(2);
+    if (shape == kRowIds) {
+      for (uint64_t r = 0; r < kRows; r += 1 + rng.Uniform(20)) {
+        candidates.InsertRange(r, std::min(kRows, r + 1 + rng.Uniform(15)));
+      }
+      scan.morsels.push_back({0, candidates.Intervals()});
+    } else {
+      candidates.InsertRange(0, kRows);
+      morsels[0].InsertRange(0, 75);
+      morsels[1].InsertRange(75, kRows);
+      for (const IntervalSet& m : morsels) {
+        scan.morsels.push_back({0, m.Intervals()});
+      }
+      scan.range_column = 0;
+      scan.lo = rng.UniformRange(-10, 1000);
+      scan.hi = scan.lo + rng.UniformRange(-10, 1000);
+    }
+
+    Result<ScannedRows> res = ScanPages(scan);
+    if (!valid) {
+      ASSERT_TRUE(res.status().IsCorruption())
+          << "iteration " << it << ": " << res.status().ToString();
+      ++rejected;
+      continue;
+    }
+    ASSERT_TRUE(res.ok()) << "iteration " << it << ": "
+                          << res.status().ToString();
+    std::vector<size_t> keep;
+    for (const IntervalSet::Interval& iv : candidates.Intervals()) {
+      for (uint64_t r = iv.begin; r < iv.end; ++r) {
+        const int64_t v = whole[0].ints[r];
+        if (shape == kRowIds || (v >= scan.lo && v <= scan.hi)) {
+          keep.push_back(static_cast<size_t>(r));
+        }
+      }
+    }
+    ASSERT_EQ(res->rows, keep.size()) << "iteration " << it;
+    for (size_t c = 0; c < values.size(); ++c) {
+      ColumnVector got = std::move(res->columns[c]);
+      if (!scan.columns[c].write) {
+        ASSERT_EQ(got.size(), 0u) << "iteration " << it;
+        continue;
+      }
+      got.ExpandStrings();
+      ColumnVector want = whole[c].EmptyLike();
+      want.Resize(keep.size());
+      want.Gather(whole[c], keep, 0);
+      ASSERT_EQ(got.ints, want.ints) << "iteration " << it;
+      ASSERT_EQ(got.strings, want.strings) << "iteration " << it;
+      // Bitwise: a mutated double may be a NaN.
+      ASSERT_EQ(got.doubles.size(), want.doubles.size());
+      if (!want.doubles.empty()) {
+        ASSERT_EQ(std::memcmp(got.doubles.data(), want.doubles.data(),
+                              8 * want.doubles.size()),
+                  0)
+            << "iteration " << it;
+      }
     }
   }
   EXPECT_GT(rejected, iterations / 4);

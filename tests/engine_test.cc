@@ -125,7 +125,7 @@ TEST(DatabaseTest, OcmDisabledStillCorrect) {
 TEST(DatabaseTest, EncryptionTransparentEndToEnd) {
   SimEnvironment env;
   Database::Options options = SmallOptions(UserStorage::kObjectStore);
-  options.encrypt_pages = true;
+  options.storage.encrypt_pages = true;
   Database db(&env, InstanceProfile::M5ad4xlarge(), options);
   LoadSmallTable(&db, 1000);
   EXPECT_EQ(CountRows(&db), 1000);

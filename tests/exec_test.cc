@@ -14,11 +14,11 @@
 #include "columnar/table_loader.h"
 #include "common/dense_key_index.h"
 #include "common/random.h"
+#include "common/task_pool.h"
 #include "exec/executor.h"
 #include "exec/explain.h"
 #include "exec/morsel.h"
 #include "exec/row_key_table.h"
-#include "exec/task_pool.h"
 #include "tests/test_util.h"
 
 namespace cloudiq {
@@ -385,6 +385,18 @@ TEST_F(ExecTest, SegmentPageCountsThatDifferAreCorruption) {
   EXPECT_TRUE(bad.status().IsCorruption()) << bad.status().ToString();
 }
 
+// Every scan reads each row of a partition from every read column's
+// pages, so a segment whose pages hold fewer rows than its partition is
+// Corruption when the table opens, before a scan leaves rows unread.
+TEST_F(ExecTest, SegmentShorterThanItsPartitionIsCorruption) {
+  Result<TableReader> good = ctx_->OpenTable(10);
+  ASSERT_TRUE(good.ok());
+  TableMeta meta = good->meta();
+  meta.partitions[1].columns[4].page_rows.back() -= 1;
+  Result<TableReader> bad = TableReader::Make(txn_mgr_.get(), txn_, meta);
+  EXPECT_TRUE(bad.status().IsCorruption()) << bad.status().ToString();
+}
+
 TEST_F(ExecTest, FilterBatchRowwise) {
   Result<TableReader> reader = ctx_->OpenTable(10);
   ASSERT_TRUE(reader.ok());
@@ -557,6 +569,81 @@ TEST_F(ExecTest, ScanRowIdsBoundsRowsPastThePartition) {
   const uint64_t held = sales->meta().partitions[0].row_count;
   EXPECT_EQ(batch->rows(), held);
   EXPECT_EQ(batch->columns[1].size(), held);
+}
+
+// A row-id scan keeps a string column dictionary-coded iff every page it
+// reads of the column is a dictionary page, as the pull scan does, and
+// either way reads the strings a plain scan would. `flag` pages are all
+// dictionary pages, `note` pages all raw; `mixed` has dictionary pages
+// in its first half and raw ones in its second.
+TEST_F(ExecTest, ScanRowIdsKeepsCodesIffEveryPageIsADictionary) {
+  TableSchema schema;
+  schema.name = "labels";
+  schema.table_id = 12;
+  schema.columns = {{"id", ColumnType::kInt64},
+                    {"flag", ColumnType::kString},
+                    {"note", ColumnType::kString},
+                    {"mixed", ColumnType::kString}};
+  Batch batch;
+  batch.AddColumn("id", {ColumnType::kInt64, {}, {}, {}});
+  batch.AddColumn("flag", {ColumnType::kString, {}, {}, {}});
+  batch.AddColumn("note", {ColumnType::kString, {}, {}, {}});
+  batch.AddColumn("mixed", {ColumnType::kString, {}, {}, {}});
+  constexpr int64_t kRows = 2000;
+  for (int64_t i = 0; i < kRows; ++i) {
+    batch.columns[0].ints.push_back(i);
+    batch.columns[1].strings.push_back(i % 3 == 0 ? "R" : "N");
+    batch.columns[2].strings.push_back("note " + std::to_string(i * 7919));
+    batch.columns[3].strings.push_back(
+        i < kRows / 2 ? "m" + std::to_string(i % 3)
+                      : "mixed " + std::to_string(i * 104729));
+  }
+  Transaction* txn = txn_mgr_->Begin();
+  TableLoader loader(txn_mgr_.get(), txn, h_.cloud_space, schema);
+  ASSERT_TRUE(loader.Append(batch.columns).ok());
+  ASSERT_TRUE(loader.Finish(&h_.system).ok());
+  ASSERT_TRUE(txn_mgr_->Commit(txn).ok());
+  // A transaction begun after the load sees the table.
+  Transaction* read_txn = txn_mgr_->Begin();
+  QueryContext ctx(txn_mgr_.get(), read_txn, &h_.system);
+  Result<TableReader> reader = ctx.OpenTable(12);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  // `mixed`'s first page holds first-half rows only.
+  const uint64_t first_page_rows =
+      reader->meta().partitions[0].columns[3].page_rows[0];
+  ASSERT_LE(first_page_rows, static_cast<uint64_t>(kRows / 2));
+  ASSERT_GT(first_page_rows, 200u);
+
+  const std::vector<std::string> names = {"id", "flag", "note", "mixed"};
+  auto check = [&](const IntervalSet& rows, bool mixed_coded) {
+    Result<Batch> got = ScanRowIds(&ctx, &*reader, 0, names, rows);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_EQ(got->rows(), rows.Count());
+    EXPECT_NE(got->column("flag").dict, nullptr);
+    EXPECT_EQ(got->column("note").dict, nullptr);
+    EXPECT_EQ(got->column("mixed").dict != nullptr, mixed_coded);
+    size_t r = 0;
+    for (const IntervalSet::Interval& iv : rows.Intervals()) {
+      for (uint64_t row = iv.begin; row < iv.end; ++row, ++r) {
+        EXPECT_EQ(got->column("id").ints[r], static_cast<int64_t>(row));
+        for (size_t c = 1; c < names.size(); ++c) {
+          EXPECT_EQ(got->columns[c].StringAt(r),
+                    batch.columns[c].strings[row])
+              << names[c] << " row " << row;
+        }
+      }
+    }
+  };
+  IntervalSet first_half;
+  first_half.InsertRange(3, 40);
+  first_half.Insert(100);
+  first_half.InsertRange(first_page_rows / 2, first_page_rows);
+  check(first_half, /*mixed_coded=*/true);
+  IntervalSet both_halves = first_half;
+  both_halves.InsertRange(990, 1010);
+  both_halves.InsertRange(1990, kRows);
+  check(both_halves, /*mixed_coded=*/false);
+  EXPECT_TRUE(txn_mgr_->Commit(read_txn).ok());
 }
 
 TEST_F(ExecTest, OperatorsRegisterDenselyWithStats) {

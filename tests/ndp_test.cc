@@ -482,12 +482,47 @@ TEST(NdpExecTest, AutoModePicksSidesByBytesMoved) {
 TEST(NdpExecTest, EncryptedPagesFallBackToPull) {
   SimEnvironment env;
   Database::Options options = NdpDbOptions(NdpMode::kOn);
-  options.encrypt_pages = true;  // the store has no key: not eligible
+  options.storage.encrypt_pages = true;  // the store has no key
   Database db(&env, InstanceProfile::M5ad4xlarge(), options);
   LoadWide(&db);
   Result<Batch> result = RangeScan(&db, {"v"}, 100, 199, nullptr);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().rows(), 100u);
+  EXPECT_EQ(env.telemetry().stats().counter("ndp.pushdown_scans").value(),
+            0u);
+  EXPECT_EQ(env.object_store().stats().selects, 0u);
+}
+
+// Page encryption is set in one place, the storage subsystem's options:
+// a Database built with storage.encrypt_pages stores no column page in
+// plaintext, and never pushes a scan to a store that has no key for it.
+TEST(NdpExecTest, StorageEncryptionHidesPagesAndKeepsScansPulled) {
+  SimEnvironment env;
+  Database::Options options = NdpDbOptions(NdpMode::kOn);
+  options.storage.encrypt_pages = true;
+  Database db(&env, InstanceProfile::M5ad4xlarge(), options);
+  LoadWide(&db);
+  // Every `note` page is a dictionary page holding "promo" and "reg".
+  size_t objects = 0;
+  for (const std::string& key : env.object_store().LiveKeys()) {
+    SimTime done = 0;
+    Result<std::vector<uint8_t>> stored = env.object_store().Get(
+        key, db.node().clock().now() + 100, &done);
+    ASSERT_TRUE(stored.ok()) << key << ": " << stored.status().ToString();
+    const std::string bytes(stored->begin(), stored->end());
+    EXPECT_EQ(bytes.find("promo"), std::string::npos) << key;
+    ++objects;
+  }
+  EXPECT_GT(objects, 0u);
+
+  Result<Batch> result = RangeScan(&db, {"k", "note"}, 100, 199, nullptr);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->rows(), 100u);
+  const ColumnVector& note = result->column("note");
+  for (size_t r = 0; r < result->rows(); ++r) {
+    EXPECT_EQ(note.StringAt(r),
+              result->column("k").ints[r] % 3 == 0 ? "promo" : "reg");
+  }
   EXPECT_EQ(env.telemetry().stats().counter("ndp.pushdown_scans").value(),
             0u);
   EXPECT_EQ(env.object_store().stats().selects, 0u);
@@ -701,7 +736,8 @@ ServerColumn CutPages(Rng& rng, const std::string& name,
 }
 
 // NdpEngine::Evaluate returns, value for value, what the pull path's
-// ScanTable returns at 1 and 8 workers, for seeded ranges over INT64,
+// ScanTable returns at 1 and 8 workers, and what ScanRowIds returns for
+// the rows the range selects, for seeded ranges over INT64,
 // DATE and DECIMAL columns. The server's pages break at other rows than
 // the loader's, and at other rows in every column.
 TEST(NdpPropertyTest, ServerScanEqualsPullScan) {
@@ -779,12 +815,9 @@ TEST(NdpPropertyTest, ServerScanEqualsPullScan) {
     }
     EXPECT_EQ(server->columns[0].ints, want_x);
 
-    for (QueryContext* ctx : {&serial, &parallel}) {
-      Result<Batch> pulled =
-          ScanTable(ctx, &reader.value(), names,
-                    ScanRange{rows.names[range], lo, hi});
-      ASSERT_TRUE(pulled.ok()) << pulled.status().ToString();
-      Batch pull = testing_util::Expanded(std::move(pulled).value());
+    auto expect_server_result = [&](Result<Batch> scanned) {
+      ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+      Batch pull = testing_util::Expanded(std::move(scanned).value());
       ASSERT_EQ(server->rows_matched, pull.rows());
       ASSERT_EQ(server->columns.size(), pull.columns.size());
       for (size_t c = 0; c < pull.columns.size(); ++c) {
@@ -793,6 +826,19 @@ TEST(NdpPropertyTest, ServerScanEqualsPullScan) {
         EXPECT_EQ(server->columns[c].doubles, pull.columns[c].doubles) << c;
         EXPECT_EQ(server->columns[c].strings, pull.columns[c].strings) << c;
       }
+    };
+    // The row-id scan over the rows the range selects reads them too.
+    IntervalSet selected;
+    for (int i = 0; i < kPropertyRows; ++i) {
+      const int64_t v = rows.columns[range].ints[i];
+      if (v >= lo && v <= hi) selected.Insert(static_cast<uint64_t>(i));
+    }
+    for (QueryContext* ctx : {&serial, &parallel}) {
+      SCOPED_TRACE(ctx == &serial ? "1 worker" : "8 workers");
+      expect_server_result(ScanTable(ctx, &reader.value(), names,
+                                     ScanRange{rows.names[range], lo, hi}));
+      expect_server_result(
+          ScanRowIds(ctx, &reader.value(), 0, names, selected));
     }
   }
   ASSERT_TRUE(db.Commit(txn).ok());

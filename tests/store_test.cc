@@ -398,6 +398,34 @@ TEST(StorageSubsystemTest, PayloadTooLargeRejected) {
   EXPECT_TRUE(st.IsInvalidArgument());
 }
 
+// What a page holds is the payload's frame, 24 bytes longer. On a 4 KB
+// block dbspace (256-byte blocks) a 4,072-byte payload frames to exactly
+// the 16 blocks a location can count, and freeing it returns all 16; one
+// byte more would need a 17th block, so it is refused, on either kind of
+// dbspace.
+TEST(StorageSubsystemTest, FramedPayloadMustFitThePage) {
+  SingleNodeHarness h;
+  Result<PhysicalLoc> loc =
+      h.storage->WritePage(h.block_space, h.MakePayload(4072, 6),
+                           CloudCache::WriteMode::kWriteThrough, 1);
+  ASSERT_TRUE(loc.ok()) << loc.status().ToString();
+  EXPECT_EQ(loc->block_count(), kBlocksPerPage);
+  const uint64_t used = h.block_space->freelist.UsedBlocks();
+  ASSERT_TRUE(h.storage->DeletePage(h.block_space, *loc).ok());
+  EXPECT_EQ(h.block_space->freelist.UsedBlocks(), used - kBlocksPerPage);
+
+  for (size_t size : {4073, 4088, 4096}) {
+    for (DbSpace* space : {h.block_space, h.cloud_space}) {
+      Result<PhysicalLoc> big =
+          h.storage->WritePage(space, h.MakePayload(size, 7),
+                               CloudCache::WriteMode::kWriteThrough, 1);
+      EXPECT_TRUE(big.status().IsInvalidArgument())
+          << size << " bytes: " << big.status().ToString();
+    }
+  }
+  EXPECT_EQ(h.block_space->freelist.UsedBlocks(), used - kBlocksPerPage);
+}
+
 TEST(StorageSubsystemTest, ParallelWritesFasterThanSerial) {
   SingleNodeHarness serial_h, parallel_h;
   std::vector<uint8_t> payload = serial_h.MakePayload(4000, 5);

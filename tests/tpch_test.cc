@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <string>
+#include <utility>
 
 #include "engine/database.h"
 #include "tpch/queries.h"
+#include "tpch/queries_internal.h"
 #include "tpch/tpch_gen.h"
 #include "tpch/tpch_loader.h"
 
@@ -255,6 +259,54 @@ TEST_F(TpchTest, Q14MatchesDirectComputation) {
   double expected_pct = total > 0 ? 100.0 * promo / total : 0.0;
   EXPECT_NEAR(result->Double("promo_pct", 0), expected_pct, 1e-6);
   EXPECT_NEAR(result->Double("total", 0), total, std::abs(total) * 1e-9);
+}
+
+// The DATE-index month scan fetches each partition's rows by id
+// (ScanRowIds) and appends the partitions' batches, whose string columns
+// may each come back coded with their own dictionary or plain. The
+// month's rows span every lineitem partition; the scan returns exactly
+// the generator's rows and strings for it.
+TEST_F(TpchTest, ScanByMonthReadsEveryPartitionsRows) {
+  Transaction* txn = db_->Begin();
+  QueryContext ctx(&db_->txn_mgr(), txn, db_->system());
+  Result<TableReader> lineitem = ctx.OpenTable(kLineitem);
+  ASSERT_TRUE(lineitem.ok()) << lineitem.status().ToString();
+  const int shipdate = lineitem->schema().ColumnIndex("l_shipdate");
+  size_t partitions_hit = 0;
+  for (size_t p = 0; p < lineitem->meta().partitions.size(); ++p) {
+    Result<IntervalSet> rows = lineitem->DateIndexMonth(p, shipdate, 1995, 9);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    if (!rows->empty()) ++partitions_hit;
+  }
+  EXPECT_GT(partitions_hit, 1u);
+
+  Result<Batch> got = tpch_internal::ScanByMonth(
+      &ctx, &*lineitem, shipdate, 1995, 9,
+      {"l_orderkey", "l_linenumber", "l_shipmode", "l_comment"});
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  Batch items = gen_->GenerateBatch(kLineitem, 0, gen_->RowCount(kLineitem));
+  std::map<std::pair<int64_t, int64_t>, std::pair<std::string, std::string>>
+      want;
+  for (size_t r = 0; r < items.rows(); ++r) {
+    int y, m, d;
+    CivilFromDays(items.Int("l_shipdate", r), &y, &m, &d);
+    if (y != 1995 || m != 9) continue;
+    want[{items.Int("l_orderkey", r), items.Int("l_linenumber", r)}] = {
+        items.Str("l_shipmode", r), items.Str("l_comment", r)};
+  }
+  ASSERT_GT(want.size(), 0u);
+  ASSERT_EQ(got->rows(), want.size());
+  const ColumnVector& shipmode = got->column("l_shipmode");
+  const ColumnVector& comment = got->column("l_comment");
+  for (size_t r = 0; r < got->rows(); ++r) {
+    auto it = want.find({got->column("l_orderkey").ints[r],
+                         got->column("l_linenumber").ints[r]});
+    ASSERT_NE(it, want.end()) << r;
+    EXPECT_EQ(shipmode.StringAt(r), it->second.first) << r;
+    EXPECT_EQ(comment.StringAt(r), it->second.second) << r;
+    want.erase(it);  // each row once
+  }
+  EXPECT_TRUE(db_->Commit(txn).ok());
 }
 
 TEST_F(TpchTest, Q4MatchesDirectComputation) {

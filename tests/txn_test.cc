@@ -15,6 +15,9 @@ namespace {
 
 using testing_util::SingleNodeHarness;
 
+// The largest payload a 4 KB page holds: its frame adds a 24-byte header.
+constexpr size_t kFullPagePayload = 4096 - 24;
+
 // Harness with a TransactionManager wired to the single-node setup:
 // commit notifications flow to the local key generator, exactly as on a
 // coordinator node.
@@ -295,7 +298,8 @@ TEST_F(TxnTest, RollbackDeletesAllocationsImmediately) {
   // Enough volume to overflow the 1 MB buffer: churn flushes upload real
   // objects before the rollback.
   for (int i = 0; i < 400; ++i) {
-    ASSERT_TRUE((*obj)->AppendPage(h_.MakePayload(4096, 1)).ok());
+    ASSERT_TRUE(
+        (*obj)->AppendPage(h_.MakePayload(kFullPagePayload, 1)).ok());
   }
   EXPECT_GT(h_.env.object_store().LiveObjectCount(), 0u);
   ASSERT_TRUE(txn_mgr_->Rollback(txn).ok());
@@ -351,7 +355,8 @@ TEST_F(TxnTest, ChurnEvictionUnderSmallBufferStillCommitsCorrectly) {
   for (int i = 0; i < kPages; ++i) {
     ASSERT_TRUE(
         (*obj)
-            ->AppendPage(h_.MakePayload(4096, static_cast<uint8_t>(i)))
+            ->AppendPage(
+                h_.MakePayload(kFullPagePayload, static_cast<uint8_t>(i)))
             .ok());
   }
   EXPECT_GT(txn_mgr_->buffer().stats().churn_flushes, 0u);
@@ -364,7 +369,8 @@ TEST_F(TxnTest, ChurnEvictionUnderSmallBufferStillCommitsCorrectly) {
   for (int i = 0; i < kPages; i += 97) {
     Result<BufferManager::PageData> page = (*robj)->ReadPage(i);
     ASSERT_TRUE(page.ok()) << "page " << i;
-    EXPECT_EQ(**page, h_.MakePayload(4096, static_cast<uint8_t>(i)));
+    EXPECT_EQ(**page,
+              h_.MakePayload(kFullPagePayload, static_cast<uint8_t>(i)));
   }
   ASSERT_TRUE(txn_mgr_->Commit(reader).ok());
 }
@@ -488,7 +494,8 @@ TEST_F(TxnTest, CrashRecoveryThenKeygenPollingCleansOrphans) {
   // Enough pages to overflow the 1 MB buffer -> churn flushes upload
   // orphan objects.
   for (int i = 0; i < 600; ++i) {
-    ASSERT_TRUE((*dobj)->AppendPage(h_.MakePayload(4096, 1)).ok());
+    ASSERT_TRUE(
+        (*dobj)->AppendPage(h_.MakePayload(kFullPagePayload, 1)).ok());
   }
   EXPECT_GT(h_.env.object_store().LiveObjectCount(), live_committed);
 

@@ -77,6 +77,16 @@ level. Rules:
                           column once (`batch.column(name).ints`) and
                           index it. Tests, examples and benchmarks, which
                           read a few result cells, may still use them.
+  cloudiq-scan-pipeline   No call to the page-scan kernels
+                          (DecodeColumnPageInto, RangeRuns, RunsInPage)
+                          under src/ outside their defining files and the
+                          page-scan pipeline's (src/columnar/encoding.*,
+                          src/columnar/range_scan.*). The pull scan, the
+                          row-id scan and the NDP server all run the one
+                          pipeline (ScanPages); a call elsewhere is a
+                          copy of it that checks, selects or places rows
+                          its own way. Tests and benchmarks may call the
+                          kernels directly.
 
 Escape hatch: `// NOLINT(cloudiq-<rule>): <justification>` on the
 offending line (or the line above) suppresses that rule there. The
@@ -153,6 +163,12 @@ COSTOPT_EVIDENCE_WINDOW = 10
 COLUMN_SWITCH_RE = re.compile(r"\bcase\s+ColumnType\s*::")
 
 ROW_LOOKUP_RE = re.compile(r"(\.|->)\s*(Int|Double|Str)\s*\(")
+
+SCAN_KERNEL_RE = re.compile(
+    r"\b(DecodeColumnPageInto|RangeRuns|RunsInPage)\s*\(")
+# The kernels' defining files and the pipeline's, relative to src/.
+SCAN_PIPELINE_FILES = ("columnar/encoding.h", "columnar/encoding.cc",
+                       "columnar/range_scan.h", "columnar/range_scan.cc")
 
 
 class Violation:
@@ -293,6 +309,13 @@ def column_switch_applies(path):
 def row_lookup_applies(path):
     p = norm(path)
     return p.startswith("src/") or "/src/" in p
+
+
+def scan_pipeline_applies(path):
+    p = norm(path)
+    if not (p.startswith("src/") or "/src/" in p):
+        return False
+    return p[p.rfind("src/") + len("src/"):] not in SCAN_PIPELINE_FILES
 
 
 def unordered_names(stripped_text):
@@ -523,6 +546,17 @@ def check_row_lookup(ctx, report):
                    "StringAt) before the loop")
 
 
+def check_scan_pipeline(ctx, report):
+    for idx, line in enumerate(ctx.stripped_lines):
+        m = SCAN_KERNEL_RE.search(line)
+        if m:
+            report(idx, "scan-pipeline",
+                   f"`{m.group(1)}` called outside the page-scan "
+                   "pipeline; fetch the pages and run ScanPages "
+                   "(columnar/range_scan.h) instead of another copy of "
+                   "its check/select/place loop")
+
+
 def check_direct_put(ctx, report):
     names = store_var_names(ctx.stripped_text)
     sib = sibling_path(ctx.path)
@@ -567,6 +601,7 @@ RULES = [
          check_direct_put),
     Rule("column-switch", column_switch_applies, check_column_switch),
     Rule("row-lookup", row_lookup_applies, check_row_lookup),
+    Rule("scan-pipeline", scan_pipeline_applies, check_scan_pipeline),
 ]
 
 

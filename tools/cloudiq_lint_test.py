@@ -278,6 +278,50 @@ class LintFixtureTest(unittest.TestCase):
         self.assertEqual(self.rules(violations), ["row-lookup"])
         self.assertEqual(violations[0].line, 3)
 
+    # --- cloudiq-scan-pipeline ----------------------------------------------
+
+    def test_scan_kernel_calls_flagged_outside_the_pipeline(self):
+        code = (
+            "Status st = DecodeColumnPageInto(pg, rows, runs, nullptr, &d);\n"
+            "auto runs = RangeRuns(rows, values, lo, hi);\n"
+            "std::vector<PageRun> r = RunsInPage (runs, first, count);\n"
+        )
+        for path in ("src/exec/executor.cc", "src/ndp/ndp_engine.cc",
+                     "src/columnar/table_reader.h"):
+            violations = self.lint(path, code)
+            self.assertEqual(self.rules(violations), ["scan-pipeline"] * 3,
+                             path)
+            self.assertEqual([v.line for v in violations], [1, 2, 3])
+
+    def test_scan_kernels_allowed_in_pipeline_files_and_other_trees(self):
+        calls = (
+            "Status st = DecodeColumnPageInto(pg, rows, runs, nullptr, &d);\n"
+            "auto runs = RangeRuns(rows, values, lo, hi);\n"
+            "std::vector<PageRun> r = RunsInPage(runs, first, count);\n"
+        )
+        for path in ("src/columnar/encoding.cc", "src/columnar/encoding.h",
+                     "src/columnar/range_scan.cc",
+                     "src/columnar/range_scan.h",
+                     "tests/codec_fuzz_test.cc", "bench/bench_micro.cc"):
+            self.assertEqual(self.lint(path, calls), [], path)
+        clean = (
+            "// DecodeColumnPageInto(page, rows, runs) per page, as before\n"
+            "const char* doc = \"RangeRuns(rows, pages, lo, hi)\";\n"
+            "Result<ScannedRows> out = ScanPages(scan);\n"
+            "Status DecodeColumnPageIntoAll(int x);\n"
+        )
+        self.assertEqual(self.lint("src/exec/executor.cc", clean), [])
+
+    def test_scan_pipeline_nolint_with_justification(self):
+        code = (
+            "// NOLINT(cloudiq-scan-pipeline): a one-page probe.\n"
+            "Status a = DecodeColumnPageInto(pg, rows, runs, nullptr, &d);\n"
+            "Status b = DecodeColumnPageInto(pg, rows, runs, nullptr, &d);\n"
+        )
+        violations = self.lint("src/exec/executor.cc", code)
+        self.assertEqual(self.rules(violations), ["scan-pipeline"])
+        self.assertEqual(violations[0].line, 3)
+
     # --- cloudiq-stall-report -----------------------------------------------
 
     def test_unreported_wait_and_backoff_flagged(self):
