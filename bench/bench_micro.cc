@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for CloudIQ's hot primitives:
-// n-bit packing, column-page encode/decode, page framing, the
-// morsel executor's scan (full and under a range predicate), object
-// key generation, bitmap and interval-set operations, the executor's
+// n-bit packing, column-page encode/decode, page framing, the device
+// models' channel pick, the morsel executor's scan (full and under a
+// range predicate), object key generation, bitmap and interval-set operations, the executor's
 // row-key hash table, and the load path's page encode, TEXT index and
 // generator. These measure real CPU time (not simulated time) and guard
 // against regressions in the encode/decode paths that the simulated
@@ -21,6 +21,7 @@
 #include "exec/row_key_table.h"
 #include "keygen/object_key_generator.h"
 #include "store/page_codec.h"
+#include "sim/device.h"
 #include "store/physical_loc.h"
 #include "tpch/tpch_gen.h"
 
@@ -139,7 +140,7 @@ void BM_DecodeDictStringPage(benchmark::State& state) {
 BENCHMARK(BM_DecodeDictStringPage);
 
 // One 512 KB page framed and unframed: the payload copies plus the
-// byte-serial FNV-1a checksum on each side.
+// word-at-a-time HashBytes checksum on each side.
 void BM_PageFrame(benchmark::State& state) {
   std::vector<uint8_t> payload(512 * 1024);
   Rng rng(3);
@@ -151,6 +152,22 @@ void BM_PageFrame(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * payload.size());
 }
 BENCHMARK(BM_PageFrame);
+
+// One request through a pool of `channels` servers (an SSD's queues at 8,
+// the object store's streams at 4,096) kept near saturation, so the
+// earliest-free channel changes on every submit.
+void BM_ChannelQueueSubmit(benchmark::State& state) {
+  const int channels = static_cast<int>(state.range(0));
+  ChannelQueue queue(channels);
+  constexpr double kOccupancy = 1e-3;
+  SimTime arrival = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(queue.Submit(arrival, kOccupancy, 0.0));
+    arrival += kOccupancy / channels;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ChannelQueueSubmit)->Arg(8)->Arg(4096);
 
 void BM_KeyGeneration(benchmark::State& state) {
   ObjectKeyGenerator gen;

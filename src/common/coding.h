@@ -128,16 +128,6 @@ class ByteReader {
   bool overflow_ = false;
 };
 
-// FNV-1a checksum used in page headers to detect torn or corrupt reads.
-inline uint64_t Checksum64(const uint8_t* data, size_t n) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 }  // namespace cloudiq
 
 #endif  // CLOUDIQ_COMMON_CODING_H_

@@ -2,6 +2,7 @@
 #define CLOUDIQ_COMMON_KEY_HASH_H_
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -41,10 +42,16 @@ inline uint64_t HashKey(double v) {
   return MixHash(bits);
 }
 
-inline uint64_t HashKey(std::string_view s) {
+// Hashes `n` bytes a 64-bit word at a time: each word is xored into the
+// state, multiplied by an odd constant and xor-shifted, then the last
+// 0..7 bytes and a murmur3 finish. Every step is a bijection of the
+// state, so two inputs of one length that differ only inside one of
+// their aligned 8-byte words (or only in the tail) never share a hash.
+// String keys hash with it, and so does each page frame's payload
+// (store/page_codec.h).
+inline uint64_t HashBytes(const void* data, size_t n) {
   constexpr uint64_t kMul = 0x9e3779b97f4a7c15ULL;
-  const char* p = s.data();
-  size_t n = s.size();
+  const char* p = static_cast<const char*>(data);
   uint64_t h = n * kMul;
   for (; n >= 8; p += 8, n -= 8) {
     uint64_t w = 0;
@@ -68,6 +75,10 @@ inline uint64_t HashKey(std::string_view s) {
            uint64_t{static_cast<uint8_t>(p[n - 1])} << 16;
   }
   return MixHash(h ^ tail);
+}
+
+inline uint64_t HashKey(std::string_view s) {
+  return HashBytes(s.data(), s.size());
 }
 
 inline uint64_t HashKey(const std::string& s) {

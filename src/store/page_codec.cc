@@ -1,6 +1,7 @@
 #include "store/page_codec.h"
 
 #include "common/coding.h"
+#include "common/key_hash.h"
 
 namespace cloudiq {
 namespace {
@@ -20,7 +21,7 @@ std::vector<uint8_t> EncodePage(const std::vector<uint8_t>& payload) {
   PutU32(frame, kPageMagic);
   PutU32(frame, 0);  // flags
   PutU64(frame, payload.size());
-  PutU64(frame, Checksum64(payload.data(), payload.size()));
+  PutU64(frame, HashBytes(payload.data(), payload.size()));
   PutBytes(frame, payload.data(), payload.size());
   return frame;
 }
@@ -41,7 +42,7 @@ Result<std::vector<uint8_t>> DecodePage(const std::vector<uint8_t>& frame) {
   if (raw_size != frame.size() - kHeaderSize) {
     return Status::Corruption("page size mismatch");
   }
-  if (Checksum64(frame.data() + kHeaderSize, raw_size) != checksum) {
+  if (HashBytes(frame.data() + kHeaderSize, raw_size) != checksum) {
     return Status::Corruption("page checksum mismatch");
   }
   return std::vector<uint8_t>(frame.begin() + kHeaderSize, frame.end());

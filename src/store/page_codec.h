@@ -11,7 +11,9 @@ namespace cloudiq {
 
 // Page framing and integrity only. The codec wraps a page payload as:
 //   [magic u32][flags u32][raw_size u64][checksum u64][payload...]
-// with flags always 0. Column payloads are already dictionary/n-bit
+// with flags always 0 and checksum = HashBytes(payload) (common/
+// key_hash.h), a word-at-a-time hash over every payload byte: a change
+// confined to one aligned 8-byte word of the payload always changes it. Column payloads are already dictionary/n-bit
 // encoded upstream (columnar/encoding.h), which is where the bytes are
 // saved. The paper's page-level compression (§1) is not implemented; a
 // compressor would claim a flags bit of its own.

@@ -406,7 +406,8 @@ TEST(CodecFuzzTest, PageFramesDecodeOrReportCorruption) {
   Rng rng(kSeed + 1);
   int corrupt = 0;
   for (int it = 0; it < kIterations; ++it) {
-    std::vector<uint8_t> bytes = frames[rng.Uniform(frames.size())];
+    const std::vector<uint8_t>& seed = frames[rng.Uniform(frames.size())];
+    std::vector<uint8_t> bytes = seed;
     Mutate(rng, bytes, {kFlagsOffset, kRawSizeOffset, kRawSizeOffset + 4},
            {kFlagsOffset});
     Result<std::vector<uint8_t>> payload = DecodePage(bytes);
@@ -415,6 +416,10 @@ TEST(CodecFuzzTest, PageFramesDecodeOrReportCorruption) {
       ++corrupt;
       continue;
     }
+    // Only a mutation that left the frame as it was may still verify (a
+    // cut to the full length, a flip undone by a second one, a field
+    // rewritten with its own value).
+    ASSERT_EQ(bytes, seed) << "iteration " << it;
     // A frame that still verifies carries a payload the column decoder
     // must also survive.
     Result<ColumnVector> column = DecodeColumnPage(*payload);

@@ -469,7 +469,7 @@ TEST(EncodingGoldenTest, PageBytesArePinned) {
     ZoneMapEntry zone;
     std::vector<uint8_t> page = EncodeColumnPage(col, 0, col.size(), &zone);
     EXPECT_EQ(page[kEncodingOffset], encoding);
-    return Checksum64(page.data(), page.size());
+    return testing_util::Fnv1a(page);
   };
   Rng rng(2021);
   ColumnVector for_col;

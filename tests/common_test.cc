@@ -7,6 +7,7 @@
 #include "common/bitmap.h"
 #include "common/coding.h"
 #include "common/interval_set.h"
+#include "common/key_hash.h"
 #include "common/random.h"
 #include "common/result.h"
 #include "common/status.h"
@@ -337,7 +338,7 @@ TEST(CodingTest, OverflowLatches) {
 TEST(CodingTest, ChecksumDiffers) {
   std::vector<uint8_t> a{1, 2, 3};
   std::vector<uint8_t> b{1, 2, 4};
-  EXPECT_NE(Checksum64(a.data(), a.size()), Checksum64(b.data(), b.size()));
+  EXPECT_NE(HashBytes(a.data(), a.size()), HashBytes(b.data(), b.size()));
 }
 
 }  // namespace

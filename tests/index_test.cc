@@ -19,6 +19,7 @@
 #include "engine/database.h"
 #include "tpch/tpch_gen.h"
 #include "tpch/tpch_loader.h"
+#include "tests/test_util.h"
 
 namespace cloudiq {
 namespace {
@@ -134,7 +135,7 @@ TEST_F(IndexTest, IndexPagesAndTableMetaAreGolden) {
   // to header + payload on the earlier build give this checksum.
   EXPECT_EQ(index_pages, 70u);
   EXPECT_EQ(all.size(), 749842u);
-  EXPECT_EQ(Checksum64(all.data(), all.size()), 0x460b17727f612126ull);
+  EXPECT_EQ(testing_util::Fnv1a(all), 0x460b17727f612126ull);
 }
 
 // Every column-page payload of all eight tables, in (table, partition,
@@ -166,7 +167,7 @@ TEST_F(LoadGoldenTest, ColumnPagePayloadsArePinned) {
   }
   EXPECT_EQ(pages, 317u);
   EXPECT_EQ(all.size(), 1353902u);
-  EXPECT_EQ(Checksum64(all.data(), all.size()), 0x4e7b92c087fc2ad8ull);
+  EXPECT_EQ(testing_util::Fnv1a(all), 0x4e7b92c087fc2ad8ull);
 }
 
 TEST_F(IndexTest, HgLookupsMatchColumnScan) {

@@ -579,15 +579,6 @@ class RecordingEngine : public NdpServerEngine {
   NdpEngine engine_;
 };
 
-uint64_t Fnv1a(const std::vector<uint8_t>& bytes) {
-  uint64_t h = 14695981039346656037ull;
-  for (uint8_t b : bytes) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 std::string Hex(const uint8_t* data, size_t n) {
   static const char kDigits[] = "0123456789abcdef";
   std::string out;
@@ -615,7 +606,7 @@ TEST(NdpGoldenTest, PushedScanWireBytesArePinned) {
   const std::vector<uint8_t>& request = recorder.requests[0];
   const std::vector<uint8_t>& result = recorder.results[0];
   ASSERT_EQ(request.size(), 338u);
-  EXPECT_EQ(Fnv1a(request), 0xb63a4537ca3af8a2ull);
+  EXPECT_EQ(testing_util::Fnv1a(request), 0xb63a4537ca3af8a2ull);
   // The range predicate: And(k >= 1000, k <= 1499) over request column 2
   // (k, read after the projected v and note), then no aggregates.
   const std::string kIntLiteral = "00000000";
@@ -629,7 +620,7 @@ TEST(NdpGoldenTest, PushedScanWireBytesArePinned) {
                  "db05000000000000" + kNoDouble + kNoString) +
                 "00000000");
   ASSERT_EQ(result.size(), 347u);
-  EXPECT_EQ(Fnv1a(result), 0xd8acf728c9c2a3fbull);
+  EXPECT_EQ(testing_util::Fnv1a(result), 0xd8acf728c9c2a3fbull);
   // A zero leading word, then 500 rows in 2 columns.
   EXPECT_EQ(Hex(result.data(), 16), "00000000f40100000000000002000000");
 }

@@ -1,5 +1,11 @@
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "sim/block_volume.h"
 #include "sim/environment.h"
 #include "sim/instance_profile.h"
@@ -53,6 +59,85 @@ TEST(ChannelQueueTest, ParallelChannelsOverlap) {
   // A third queues behind the earliest-free channel.
   SimTime c = q.Submit(0.0, 1.0, 0.0);
   EXPECT_DOUBLE_EQ(c, 2.0);
+}
+
+// The channel pick ChannelQueue made before its winner tree, kept as the
+// reference: a linear scan for the first earliest-free channel.
+class LinearChannels {
+ public:
+  explicit LinearChannels(int channels) : next_free_(channels, 0.0) {}
+
+  SimTime Submit(SimTime arrival, double occupancy, double extra_latency) {
+    size_t best = 0;
+    for (size_t i = 1; i < next_free_.size(); ++i) {
+      if (next_free_[i] < next_free_[best]) best = i;
+    }
+    SimTime start = std::max(arrival, next_free_[best]);
+    next_free_[best] = start + occupancy;
+    return start + occupancy + extra_latency;
+  }
+
+  SimTime EarliestStart() const {
+    SimTime t = next_free_[0];
+    for (SimTime v : next_free_) t = std::min(t, v);
+    return t;
+  }
+
+  double BusyFraction(SimTime t) const {
+    size_t busy = 0;
+    for (SimTime v : next_free_) {
+      if (v > t) ++busy;
+    }
+    return static_cast<double>(busy) / static_cast<double>(next_free_.size());
+  }
+
+  double Backlog(SimTime t) const {
+    double sum = 0;
+    for (SimTime v : next_free_) sum += std::max(0.0, v - t);
+    return sum;
+  }
+
+ private:
+  std::vector<SimTime> next_free_;
+};
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// Random submits on a coarse time grid, so that many channels tie for
+// earliest-free, through both the winner tree and the linear scan: every
+// completion and every query of the queue's state is bitwise the same.
+// The channels are interchangeable, so a tie broken toward another
+// channel shows only as a permutation of their free times; the
+// occupancies are not dyadic, so Backlog's sum in channel order rounds
+// differently under one.
+TEST(ChannelQueueTest, MatchesLinearScan) {
+  const double kOccupancies[] = {0.0, 0.1, 0.3, 0.7, 1.0, 2.9};
+  for (int channels : {1, 2, 3, 7, 64, 4096}) {
+    ChannelQueue tree(channels);
+    LinearChannels linear(channels);
+    Rng rng(static_cast<uint64_t>(channels));
+    SimTime arrival = 0;
+    for (int i = 0; i < 20000; ++i) {
+      // Arrivals outpace the channels, with an idle gap now and then.
+      if (rng.Uniform(static_cast<uint64_t>(channels)) == 0) {
+        arrival += 0.25 * static_cast<double>(rng.Uniform(4));
+      }
+      if (rng.Uniform(256 * static_cast<uint64_t>(channels)) == 0) {
+        arrival += 200;
+      }
+      double occupancy = kOccupancies[rng.Uniform(6)];
+      double extra = rng.Bernoulli(0.5) ? 0.0 : 0.125;
+      ASSERT_EQ(Bits(tree.Submit(arrival, occupancy, extra)),
+                Bits(linear.Submit(arrival, occupancy, extra)))
+          << channels << " channels, submit " << i;
+      ASSERT_EQ(Bits(tree.EarliestStart()), Bits(linear.EarliestStart()));
+      if (channels < 64 || i % 64 == 0) {
+        ASSERT_EQ(Bits(tree.BusyFraction(arrival)),
+                  Bits(linear.BusyFraction(arrival)));
+        ASSERT_EQ(Bits(tree.Backlog(arrival)), Bits(linear.Backlog(arrival)));
+      }
+    }
+  }
 }
 
 TEST(RatePacerTest, EnforcesRate) {

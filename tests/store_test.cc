@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/coding.h"
+#include "common/key_hash.h"
 #include "common/random.h"
 #include "store/freelist.h"
 #include "store/object_store_io.h"
@@ -100,22 +101,39 @@ TEST(PageCodecTest, NonzeroFlagsAreCorruption) {
   PutU32(runs, 0x49515047);  // "IQPG"
   PutU32(runs, 1);
   PutU64(runs, payload.size());
-  PutU64(runs, Checksum64(payload.data(), payload.size()));
+  PutU64(runs, HashBytes(payload.data(), payload.size()));
   runs.insert(runs.end(), {0x00, 0x00, 10, 0, 0, 0});
   runs.insert(runs.end(), {0x01, 1, 0, 0, 0, 0x03});
   runs.insert(runs.end(), {0x00, 0x00, 53, 0, 0, 0});
   EXPECT_TRUE(DecodePage(runs).status().IsCorruption());
 }
 
+// Byte offset of a frame's checksum field: [magic u32][flags u32]
+// [raw_size u64][checksum u64][payload...].
+constexpr size_t kChecksumOffset = 16;
+
+uint64_t FrameChecksum(const std::vector<uint8_t>& frame) {
+  ByteReader reader(frame.data() + kChecksumOffset, 8);
+  return reader.GetU64();
+}
+
 // Pins the frames of a sparse, a noise, an empty and an all-equal
-// payload: header and checksum.
+// payload in two parts: a digest of every byte but the checksum field
+// (the header and the payload, unchanged since the frames became raw),
+// and the checksum field itself, HashBytes of the payload (0 for the
+// empty payload: MixHash(0) is 0).
 TEST(PageCodecGoldenTest, FrameBytesArePinned) {
   auto digest = [](const std::vector<uint8_t>& payload) {
     std::vector<uint8_t> frame = EncodePage(payload);
     std::vector<uint8_t> sized;
     PutU64(sized, frame.size());
-    PutBytes(sized, frame.data(), frame.size());
-    return Checksum64(sized.data(), sized.size());
+    PutBytes(sized, frame.data(), kChecksumOffset);
+    PutBytes(sized, frame.data() + kChecksumOffset + 8,
+             frame.size() - kChecksumOffset - 8);
+    return testing_util::Fnv1a(sized);
+  };
+  auto checksum = [](const std::vector<uint8_t>& payload) {
+    return FrameChecksum(EncodePage(payload));
   };
   Rng rng(7);
   std::vector<uint8_t> sparse(6000, 0);
@@ -124,11 +142,53 @@ TEST(PageCodecGoldenTest, FrameBytesArePinned) {
   }
   std::vector<uint8_t> noise(3000);
   for (uint8_t& b : noise) b = static_cast<uint8_t>(rng.Next());
+  std::vector<uint8_t> equal(5000, 0x5a);
   ASSERT_GT(EncodePage(noise).size(), noise.size());
-  EXPECT_EQ(digest(sparse), 0xeb7b106bc8afa106ull);
-  EXPECT_EQ(digest(noise), 0xb6a7f90aabb2a67dull);
-  EXPECT_EQ(digest({}), 0x99ee1dc43c5f3491ull);
-  EXPECT_EQ(digest(std::vector<uint8_t>(5000, 0x5a)), 0x16f20fb40b4be6d5ull);
+  EXPECT_EQ(digest(sparse), 0x1a0ab221bfae6371ull);
+  EXPECT_EQ(digest(noise), 0xa66168607acc720bull);
+  EXPECT_EQ(digest({}), 0x46a91ac0224e1e28ull);
+  EXPECT_EQ(digest(equal), 0x12486e25b836732cull);
+  EXPECT_EQ(checksum(sparse), 0x8ec08bb587434587ull);
+  EXPECT_EQ(checksum(noise), 0x130da5a07725f343ull);
+  EXPECT_EQ(checksum({}), 0x0ull);
+  EXPECT_EQ(checksum(equal), 0xacd14e6bea84ac5dull);
+}
+
+// Every single-bit flip anywhere in a 4 KB frame is Corruption: in the
+// header a field check fails, in the checksum field or the payload the
+// checksum does. So is any change confined to one aligned 8-byte word of
+// the payload (each step of HashBytes is a bijection of its state), and
+// a frame one byte short or one byte long.
+TEST(PageCodecTest, EveryBitFlipAndOneByteCutIsCorruption) {
+  Rng rng(4096);
+  std::vector<uint8_t> payload(4096 - 24);
+  for (uint8_t& b : payload) b = static_cast<uint8_t>(rng.Next());
+  const std::vector<uint8_t> frame = EncodePage(payload);
+  ASSERT_EQ(frame.size(), 4096u);
+  std::vector<uint8_t> flipped = frame;
+  for (size_t bit = 0; bit < 8 * frame.size(); ++bit) {
+    uint8_t mask = static_cast<uint8_t>(1u << (bit % 8));
+    flipped[bit / 8] ^= mask;
+    ASSERT_TRUE(DecodePage(flipped).status().IsCorruption()) << "bit " << bit;
+    flipped[bit / 8] ^= mask;
+  }
+  for (int it = 0; it < 2000; ++it) {
+    size_t word = kChecksumOffset + 8 + 8 * rng.Uniform(payload.size() / 8);
+    uint64_t delta = 0;
+    while (delta == 0) delta = rng.Next();
+    for (size_t i = 0; i < 8; ++i) {
+      flipped[word + i] ^= static_cast<uint8_t>(delta >> (8 * i));
+    }
+    ASSERT_TRUE(DecodePage(flipped).status().IsCorruption()) << "word "
+                                                             << word;
+    flipped = frame;
+  }
+  std::vector<uint8_t> cut(frame.begin(), frame.end() - 1);
+  EXPECT_TRUE(DecodePage(cut).status().IsCorruption());
+  std::vector<uint8_t> longer = frame;
+  longer.push_back(0);
+  EXPECT_TRUE(DecodePage(longer).status().IsCorruption());
+  ASSERT_TRUE(DecodePage(frame).ok());
 }
 
 // The loader records EncodedPageSize as each page's stored frame size, so

@@ -16,6 +16,18 @@
 namespace cloudiq {
 namespace testing_util {
 
+// 64-bit FNV-1a of `bytes`: the digest the golden tests pin payloads
+// with. It is independent of the page checksum (HashBytes), so a pinned
+// payload digest stays put when the frame's checksum changes.
+inline uint64_t Fnv1a(const std::vector<uint8_t>& bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
 // `b` with every dictionary-coded string column expanded to plain, so
 // operator outputs compare by value through their `strings`.
 inline Batch Expanded(Batch b) {
