@@ -1,8 +1,8 @@
-// Cost-intelligent planning: cost-aware vs. cost-blind across two tenant
-// mixes.
+// Cost-intelligent planning and admission across two tenant mixes.
 //
 //   warm_rescan — twelve Q6-style month scans over a lineitem whose pages
-//   were warmed by a prior full scan. Always pushing (--ndp=on) sends
+//   were warmed by a prior full scan, with NDP off (always pull), on
+//   (always push) and auto (the cost model picks). Always pushing sends
 //   these scans into the store at a loss (paying SELECT request +
 //   scanned-GB money to avoid a transfer that would have been a buffer
 //   hit); the cost-aware chooser probes residency and keeps them local.
@@ -10,7 +10,7 @@
 //   dominance, not a trade.
 //
 //   budget_guard — six identical ETL scans against a tight tenant budget.
-//   Cost-blind admission only looks at money already spent, so it admits
+//   Reactive admission only looks at money already spent, so it admits
 //   the job that blows the budget and finds out after the fact;
 //   predictive admission prices the job first, defers it, and sheds it
 //   cleanly once completions prove the budget truly has no headroom.
@@ -45,18 +45,16 @@ constexpr double kSloSeconds = 2.0;
 struct WarmMode {
   const char* name;
   ndp::NdpMode ndp_mode;
-  costopt::PlanPolicy policy;
 };
 
 std::vector<WarmMode> WarmModes() {
   return {
       // The comparator: every eligible scan goes server-side.
-      {"always_push", ndp::NdpMode::kOn, costopt::PlanPolicy::kCostBlind},
-      // The byte rule: residency-aware NIC bytes, nothing priced.
-      {"cost_blind", ndp::NdpMode::kAuto, costopt::PlanPolicy::kCostBlind},
+      {"always_push", ndp::NdpMode::kOn},
+      // No pushdown at all: every scan reads its pages.
+      {"always_pull", ndp::NdpMode::kOff},
       // The cost model end to end: cheapest candidate under the SLO.
-      {"cost_aware", ndp::NdpMode::kAuto,
-       costopt::PlanPolicy::kMinCostUnderSlo},
+      {"cost_aware", ndp::NdpMode::kAuto},
   };
 }
 
@@ -81,7 +79,6 @@ Result<WarmRun> RunWarmMode(const WarmMode& mode, double scale) {
   options.user_storage = UserStorage::kObjectStore;
   options.enable_ocm = false;  // buffer alone holds the working set
   options.ndp_mode = mode.ndp_mode;
-  options.cost_policy = mode.policy;
   options.cost_slo_seconds = kSloSeconds;
   run.db = std::make_unique<Database>(run.env.get(),
                                       InstanceProfile::M5ad4xlarge(),
@@ -252,7 +249,7 @@ Result<BudgetRun> RunBudgetMode(bool predictive, double budget_usd,
 int Main() {
   double scale = BenchScale(0.01);
   Telemetry().scale_factor = scale;
-  std::printf("=== Cost-intelligent planning: cost-aware vs. cost-blind "
+  std::printf("=== Cost-intelligent planning and admission "
               "(SF=%g, m5ad.4xlarge) ===\n\n", scale);
 
   // --- warm_rescan ---
@@ -282,7 +279,7 @@ int Main() {
   // --- budget_guard ---
   // Calibrate one ETL scan (cost + duration) with an unlimited budget,
   // then give the tenant budget for ~3.2 scans and submit 6, spaced so
-  // they run serially. Cost-blind admission overshoots by most of a
+  // they run serially. Reactive admission overshoots by most of a
   // scan; predictive admission defers the fourth and sheds cleanly.
   Result<BudgetRun> cal = RunBudgetMode(false, 0, 0, 0, 1);
   if (!cal.ok()) {
@@ -296,17 +293,17 @@ int Main() {
   double spacing = 2.0 * scan_seconds;
   std::printf("-- mix budget_guard: 6 ETL scans ($%.6f each), budget "
               "$%.6f --\n", scan_usd, budget);
-  Result<BudgetRun> blind = RunBudgetMode(false, budget, 0, spacing, 6);
-  Result<BudgetRun> aware =
+  Result<BudgetRun> reactive = RunBudgetMode(false, budget, 0, spacing, 6);
+  Result<BudgetRun> predictive =
       RunBudgetMode(true, budget, scan_usd, spacing, 6);
-  if (!blind.ok() || !aware.ok()) {
+  if (!reactive.ok() || !predictive.ok()) {
     std::printf("budget_guard failed: %s\n",
-                (!blind.ok() ? blind.status() : aware.status())
+                (!reactive.ok() ? reactive.status() : predictive.status())
                     .ToString().c_str());
     return 1;
   }
   struct { const char* name; const BudgetRun* run; } budget_rows[] = {
-      {"cost_blind", &blind.value()}, {"cost_aware", &aware.value()}};
+      {"reactive", &reactive.value()}, {"predictive", &predictive.value()}};
   std::printf("%-12s %6s %6s %6s %6s %12s %12s\n", "mode", "done",
               "shed", "defer", "dshed", "spent_usd", "overshoot");
   for (const auto& row : budget_rows) {
@@ -329,8 +326,8 @@ int Main() {
                         cost_aware.p95_seconds <= always_push.p95_seconds;
   bool keeps_local = cost_aware.pushed_scans == 0;
   bool budget_guarded =
-      aware.value().overshoot_usd < blind.value().overshoot_usd &&
-      aware.value().completed > 0;
+      predictive.value().overshoot_usd < reactive.value().overshoot_usd &&
+      predictive.value().completed > 0;
   std::printf("\ncost_aware dominates always_push on warm_rescan "
               "($%.6f < $%.6f, p95 %.5fs <= %.5fs): %s\n",
               cost_aware.usd, always_push.usd, cost_aware.p95_seconds,
@@ -338,12 +335,13 @@ int Main() {
   std::printf("cost_aware keeps every warm scan local: %s\n",
               keeps_local ? "YES" : "NO");
   std::printf("predictive admission cuts budget overshoot ($%.6f -> "
-              "$%.6f): %s\n", blind.value().overshoot_usd,
-              aware.value().overshoot_usd, budget_guarded ? "YES" : "NO");
+              "$%.6f): %s\n", reactive.value().overshoot_usd,
+              predictive.value().overshoot_usd,
+              budget_guarded ? "YES" : "NO");
 
   // Report gauges live on the last surviving environment (the predictive
   // budget run); all values are sim-derived, so double runs byte-compare.
-  auto& stats = aware.value().env->telemetry().stats();
+  auto& stats = predictive.value().env->telemetry().stats();
   for (size_t m = 0; m < warm_modes.size(); ++m) {
     const WarmResult& r = warm_runs[m].result;
     std::string p =
@@ -369,9 +367,9 @@ int Main() {
         .Set(static_cast<double>(row.run->deferred_shed));
   }
   stats.gauge("costopt.bench.budget_guard.budget_usd").Set(budget);
-  MaybeWriteTrace(aware.value().env.get());
-  MaybeWriteReport(aware.value().env.get(),
-                   aware.value().db->node().clock().now());
+  MaybeWriteTrace(predictive.value().env.get());
+  MaybeWriteReport(predictive.value().env.get(),
+                   predictive.value().db->node().clock().now());
   return warm_dominates && keeps_local && budget_guarded ? 0 : 1;
 }
 

@@ -15,17 +15,20 @@
 #                               # (skips with a notice if clang is absent)
 #   scripts/check.sh determinism # run tpch_power_run --report twice with
 #                               # the fixed seed and byte-compare the JSON
-#   scripts/check.sh ndp        # bench_ndp smoke: crossover checks pass,
-#                               # double-run --report byte-identical, and
-#                               # a run under ASan
+#   scripts/check.sh ndp        # bench_ndp smoke: >= 5x NIC cut, auto's
+#                               # request USD no more than the cheaper of
+#                               # off and on, identical results, double-run
+#                               # --report byte-identical, and a run
+#                               # under ASan
 #   scripts/check.sh profile    # stall-profiler gate: conservation
 #                               # invariant on the report JSON (single-
 #                               # node and multi-tenant), double-run
 #                               # byte-compare with stalls included, and
 #                               # a --profile run under ASan
 #   scripts/check.sh costopt    # bench_costopt smoke: cost-aware planning
-#                               # dominates always-push, predictive
-#                               # admission holds the budget, double-run
+#                               # dominates always-push and keeps warm
+#                               # scans local, predictive admission cuts
+#                               # reactive admission's overshoot, double-run
 #                               # --report byte-identical, and a run
 #                               # under ASan
 #   scripts/check.sh locks      # lock-order gate: cloudiq_locks.py
@@ -223,9 +226,9 @@ determinism_pass() {
 }
 
 # Near-data processing smoke: bench_ndp's own exit status enforces the
-# crossover claims (>= 5x NIC-byte reduction on the Q6-style scan, auto
-# pushes selective scans and pulls the join-heavy one, identical results
-# across modes); on top of that the --report JSON must be byte-identical
+# crossover claims (>= 5x NIC-byte reduction on the Q6-style scan, auto's
+# request USD no more than the cheaper of the off and on runs' on every case,
+# identical results across modes); on top of that the --report JSON must be byte-identical
 # across double runs, and the whole sweep plus ndp_test (the server's
 # in-place page writes) must be clean under ASan.
 ndp_pass() {
@@ -310,10 +313,11 @@ profile_pass() {
 # Cost-intelligent planning smoke: bench_costopt's own exit status
 # enforces the headline claims (cost-aware strictly dominates always-push
 # on the warm-rescan mix and keeps every warm scan local, predictive
-# admission defers instead of overshooting the budget); on top of that
-# the --report JSON — which carries the costopt.prediction_error gauge
-# and the whole decision trail — must be byte-identical across double
-# runs, and the bench must be clean under ASan.
+# admission defers where reactive admission overshoots the budget); on
+# top of that the --report JSON — which carries the
+# costopt.prediction_error gauge and the whole decision trail — must be
+# byte-identical across double runs, and the bench must be clean under
+# ASan.
 costopt_pass() {
   echo "=== costopt: bench_costopt dominance + determinism + ASan ==="
   cmake -B build -S . > build-configure.log 2>&1 || {

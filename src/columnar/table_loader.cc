@@ -27,13 +27,11 @@ void MoveRange(ColumnVector& src, size_t begin, size_t end,
 }  // namespace
 
 TableLoader::TableLoader(TransactionManager* txn_mgr, Transaction* txn,
-                         DbSpace* space, TableSchema schema,
-                         Options options)
+                         DbSpace* space, TableSchema schema)
     : txn_mgr_(txn_mgr),
       txn_(txn),
       space_(space),
-      schema_(std::move(schema)),
-      options_(options) {
+      schema_(std::move(schema)) {
   partitions_.resize(schema_.partition_count());
   for (size_t p = 0; p < partitions_.size(); ++p) {
     PartitionState& part = partitions_[p];
@@ -91,7 +89,7 @@ Status TableLoader::Append(std::vector<ColumnVector> batch) {
     }
   };
   uint64_t page_threshold = static_cast<uint64_t>(
-      space_->page_size * options_.target_page_fill);
+      space_->page_size * kTargetPageFill);
   for (size_t i = 0; i < rows; ++i) {
     size_t p = 0;
     if (schema_.partition_column >= 0) {
@@ -122,7 +120,7 @@ Status TableLoader::Append(std::vector<ColumnVector> batch) {
     // order.
     for (size_t c = 0; c < batch.size(); ++c) {
       uint64_t bytes = ValueBytes(batch[c], i);
-      cpu_seconds_ += options_.encode_cpu_per_byte * bytes;
+      cpu_seconds_ += kEncodeCpuPerByte * bytes;
       part.staged_col_bytes[c] += bytes;
       if (part.staged_col_bytes[c] >= page_threshold) {
         MoveRange(batch[c], moved[c], i + 1, &part.staging[c]);
@@ -147,7 +145,7 @@ Status TableLoader::EmitColumnPage(PartitionState* part, size_t c) {
   ZoneMapEntry zone;
   std::vector<uint8_t> payload =
       EncodeColumnPage(part->staging[c], 0, rows, &zone);
-  cpu_seconds_ += options_.encode_cpu_per_byte * payload.size();
+  cpu_seconds_ += kEncodeCpuPerByte * payload.size();
   // Record the stored frame size before the payload moves: the flush
   // pipeline wraps it in EncodePage (encryption is size-preserving), so
   // this is exactly what an S3 SELECT over the page bills as scanned. The
@@ -170,7 +168,7 @@ Result<TableMeta> TableLoader::Finish(SystemStore* system) {
   meta.schema = schema_;
   meta.partitions.resize(partitions_.size());
   uint64_t index_page_target = static_cast<uint64_t>(
-      space_->page_size * options_.target_page_fill);
+      space_->page_size * kTargetPageFill);
 
   for (size_t p = 0; p < partitions_.size(); ++p) {
     PartitionState& part = partitions_[p];

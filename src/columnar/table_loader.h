@@ -29,16 +29,8 @@ namespace cloudiq {
 // node's parallelism, which is how loads scale with vCPUs (Figure 7).
 class TableLoader {
  public:
-  struct Options {
-    double target_page_fill = 0.85;  // of the dbspace page size
-    double encode_cpu_per_byte = 18e-9;
-  };
-
   TableLoader(TransactionManager* txn_mgr, Transaction* txn, DbSpace* space,
-              TableSchema schema)
-      : TableLoader(txn_mgr, txn, space, std::move(schema), Options()) {}
-  TableLoader(TransactionManager* txn_mgr, Transaction* txn, DbSpace* space,
-              TableSchema schema, Options options);
+              TableSchema schema);
 
   // Appends a columnar batch: plain columns of the schema's types, in its
   // column order, all the same length; InvalidArgument otherwise. The
@@ -67,6 +59,12 @@ class TableLoader {
   }
 
  private:
+  // A column cuts a page once its staged bytes reach this fraction of
+  // the dbspace page size.
+  static constexpr double kTargetPageFill = 0.85;
+  // Parse/encode CPU, in seconds of one core per staged or encoded byte.
+  static constexpr double kEncodeCpuPerByte = 18e-9;
+
   struct PartitionState {
     std::vector<ColumnVector> staging;       // one per column
     std::vector<StorageObject*> objects;     // one per column
@@ -86,7 +84,6 @@ class TableLoader {
   Transaction* txn_;
   DbSpace* space_;
   TableSchema schema_;
-  Options options_;
   std::vector<PartitionState> partitions_;
   double cpu_seconds_ = 0;
   uint64_t rows_appended_ = 0;

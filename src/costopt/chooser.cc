@@ -47,7 +47,6 @@ int FastestOf(const std::vector<PlanEstimate>& candidates,
 
 const char* PolicyName(PlanPolicy policy) {
   switch (policy) {
-    case PlanPolicy::kCostBlind: return "cost_blind";
     case PlanPolicy::kMinCostUnderSlo: return "min_cost_under_slo";
     case PlanPolicy::kMinLatencyUnderBudget:
       return "min_latency_under_budget";
@@ -65,23 +64,6 @@ PlanChoice ChoosePlan(const std::vector<PlanEstimate>& candidates,
     all.push_back(i);
   }
   switch (policy) {
-    case PlanPolicy::kCostBlind: {
-      // Bytes moved over the NIC, nothing priced: push iff its request +
-      // result bytes undercut the cold pull bytes by the threshold, whose
-      // margin covers the per-request surcharge and estimate error.
-      const PlanEstimate& pull = candidates[0];
-      const PlanEstimate& push = candidates[1];
-      choice.index =
-          push.nic_bytes < kCostBlindPushThreshold * pull.nic_bytes ? 1 : 0;
-      char buf[160];
-      std::snprintf(buf, sizeof(buf),
-                    "cost_blind: est push %.6g B vs cold pull %.6g B "
-                    "(threshold %.3g, %s)",
-                    push.nic_bytes, pull.nic_bytes, kCostBlindPushThreshold,
-                    pull.detail.c_str());
-      choice.reason = buf;
-      return choice;
-    }
     case PlanPolicy::kMinCostUnderSlo: {
       std::vector<int> fits;
       for (int i : all) {

@@ -13,12 +13,9 @@ namespace costopt {
 // WorkloadEngine tenant config through QueryContext into the scan
 // planner.
 enum class PlanPolicy {
-  // The pre-costopt behaviour: bytes moved pick the shape (push iff the
-  // push's NIC bytes < kCostBlindPushThreshold x the pull's); predicted
-  // USD is recorded but never consulted.
-  kCostBlind,
-  // Cheapest candidate whose predicted latency meets the tenant's SLO;
-  // if none does, the fastest candidate (latency is the tie-breaker).
+  // Cheapest candidate whose predicted latency meets the tenant's SLO
+  // (with no SLO, the cheapest of all); if none does, the fastest
+  // candidate. Latency breaks cost ties. The default.
   kMinCostUnderSlo,
   // Fastest candidate whose predicted request USD fits the tenant's
   // remaining budget; if none fits, the cheapest candidate.
@@ -35,12 +32,7 @@ struct PlanChoice {
   std::string reason;
 };
 
-// kCostBlind pushes only when the push moves less than this fraction of
-// the pull's cold bytes.
-inline constexpr double kCostBlindPushThreshold = 0.5;
-
-// Picks among `candidates` (never empty; kCostBlind needs the pull at
-// index 0 and the push at index 1) under `policy`. `slo_seconds`
+// Picks among `candidates` (never empty) under `policy`. `slo_seconds`
 // <= 0 means no SLO (every candidate qualifies); `budget_left_usd` < 0
 // means unlimited budget. Deterministic: ties break toward the lower
 // index, so candidate order (pull first, push second) is part of the

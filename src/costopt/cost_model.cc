@@ -62,7 +62,7 @@ PlanEstimate CostModel::PricePull(const ScanWork& work,
     est.ocm_fetch_seconds += ocm_bytes / node.ssd_read_bandwidth;
   }
   // Decode every pulled byte (buffer hits still decode).
-  est.cpu_seconds = work.pull_bytes * node.cpu_per_decoded_byte /
+  est.cpu_seconds = work.pull_bytes * kCpuPerDecodedByte /
                     std::max(1, node.vcpus);
   est.latency_seconds =
       est.network_seconds + est.ocm_fetch_seconds + est.cpu_seconds;
@@ -92,7 +92,7 @@ PlanEstimate CostModel::PricePush(const ScanWork& work,
   if (down_bw > 0) {
     est.network_seconds = work.push_return_bytes / down_bw;
   }
-  est.cpu_seconds = work.push_return_bytes * node.cpu_per_decoded_byte /
+  est.cpu_seconds = work.push_return_bytes * kCpuPerDecodedByte /
                     std::max(1, node.vcpus);
   est.latency_seconds =
       est.ndp_select_seconds + est.network_seconds + est.cpu_seconds;

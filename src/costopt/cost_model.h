@@ -10,6 +10,11 @@
 namespace cloudiq {
 namespace costopt {
 
+// Executor CPU rates, in seconds of one core: QueryContext charges them,
+// and the cost model predicts decode time with the same numbers.
+inline constexpr double kCpuPerValue = 1.2e-9;        // per value touched
+inline constexpr double kCpuPerDecodedByte = 2e-9;    // decode/decompress
+
 // The execution resources a candidate plan would run against, reduced to
 // plain numbers so the cost model sits below exec/sim in the layering.
 // Callers (the executor, benches) fill one from a NodeContext +
@@ -28,8 +33,6 @@ struct NodeResources {
   // Local SSD (OCM) service model (LocalSsdOptions).
   double ssd_base_latency = 0.00012;
   double ssd_read_bandwidth = 2.4e9;  // devices * per-device read bw
-  // Executor CPU rates (QueryContext::Options).
-  double cpu_per_decoded_byte = 2e-9;
 };
 
 // What one scan would do, measured at plan time from sim-visible state

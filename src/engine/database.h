@@ -79,11 +79,10 @@ class Database {
     // stamps query contexts with the mode, so eligible range scans can be
     // evaluated server-side (kAuto: ChoosePlan picks per scan).
     ndp::NdpMode ndp_mode = ndp::NdpMode::kOff;
-    // Cost-intelligent planning defaults stamped onto every query context
-    // (src/costopt/): the plan-choice policy and a node-wide latency SLO
-    // for kMinCostUnderSlo. The workload engine overrides these per
-    // tenant at dispatch time via QueryContext::SetCostConstraints.
-    costopt::PlanPolicy cost_policy = costopt::PlanPolicy::kCostBlind;
+    // Cost-intelligent planning (src/costopt/): a node-wide latency SLO
+    // stamped onto every query context, which plans under
+    // QueryContext::Options' policy. The workload engine overrides both
+    // per tenant at dispatch time via QueryContext::SetCostConstraints.
     double cost_slo_seconds = 0;
     // Morsel-driven executor default stamped onto every query context
     // (src/exec/morsel.h): one worker runs morsels inline in order, more
@@ -129,7 +128,6 @@ class Database {
                                const std::string& tag = std::string()) {
     QueryContext::Options qopts;
     qopts.ndp_mode = options_.ndp_mode;
-    qopts.cost_policy = options_.cost_policy;
     qopts.slo_seconds = options_.cost_slo_seconds;
     qopts.exec_workers = options_.exec_workers;
     QueryContext ctx(txn_mgr_.get(), txn, &system_, qopts);

@@ -19,13 +19,13 @@
 namespace cloudiq {
 
 void QueryContext::ChargeValues(uint64_t values) {
-  node()->io().AddCpuWork(values * options_.cpu_per_value,
+  node()->io().AddCpuWork(values * costopt::kCpuPerValue,
                           node()->profile().vcpus);
   CheckStep("charge_values");
 }
 
 void QueryContext::ChargeDecodedBytes(uint64_t bytes) {
-  node()->io().AddCpuWork(bytes * options_.cpu_per_decoded_byte,
+  node()->io().AddCpuWork(bytes * costopt::kCpuPerDecodedByte,
                           node()->profile().vcpus);
   CheckStep("charge_decoded");
 }
@@ -33,7 +33,7 @@ void QueryContext::ChargeDecodedBytes(uint64_t bytes) {
 void QueryContext::ChargeMorselValues(uint64_t values) {
   SimClock& clock = node()->clock();
   double start = clock.now();
-  node()->io().AddCpuWork(values * options_.cpu_per_value,
+  node()->io().AddCpuWork(values * costopt::kCpuPerValue,
                           node()->profile().vcpus);
   // Profiled explicitly as a lane of the enclosing parallel section:
   // consecutive morsel windows are disjoint and telescope to the
@@ -206,8 +206,7 @@ struct NdpScanPlan {
 
 // Reduces one node + the cluster's object-store service model to the
 // plain numbers the cost model prices against.
-costopt::NodeResources ResourcesFor(NodeContext* node,
-                                    double cpu_per_decoded_byte) {
+costopt::NodeResources ResourcesFor(NodeContext* node) {
   const ObjectStoreOptions& store = node->env().object_store().options();
   const LocalSsdOptions& ssd = node->ssd().options();
   costopt::NodeResources r;
@@ -222,7 +221,6 @@ costopt::NodeResources ResourcesFor(NodeContext* node,
   r.ssd_base_latency = ssd.base_latency;
   r.ssd_read_bandwidth =
       ssd.device_read_bandwidth * std::max(1, ssd.devices);
-  r.cpu_per_decoded_byte = cpu_per_decoded_byte;
   return r;
 }
 
@@ -321,8 +319,7 @@ NdpScanPlan PlanNdpScan(QueryContext* ctx, TableReader* reader,
   // Price both shapes with the ledger's own tables — the prediction that
   // EXPLAIN WHATIF shows and that the run report scores against billing.
   costopt::CostModel model(ctx->ledger().prices());
-  costopt::NodeResources local =
-      ResourcesFor(ctx->node(), ctx->options().cpu_per_decoded_byte);
+  costopt::NodeResources local = ResourcesFor(ctx->node());
   std::vector<costopt::PlanEstimate> candidates;
   candidates.push_back(model.PricePull(plan.work, local));
   candidates.push_back(model.PricePush(plan.work, local));
@@ -354,8 +351,7 @@ NdpScanPlan PlanNdpScan(QueryContext* ctx, TableReader* reader,
   // node in the environment with compute-time USD at its hourly rate.
   SimEnvironment& env = ctx->node()->env();
   for (size_t n = 0; n < env.node_count(); ++n) {
-    costopt::NodeResources remote = ResourcesFor(
-        &env.node(n), ctx->options().cpu_per_decoded_byte);
+    costopt::NodeResources remote = ResourcesFor(&env.node(n));
     record.placement.push_back(model.PricePlacement(
         plan.work, remote, plan.use,
         candidates[chosen].name + "@" + env.node(n).profile().name));

@@ -22,22 +22,19 @@ namespace cloudiq {
 
 // Execution context for one query: tracks the transaction, opens table
 // readers, and accounts CPU work onto the node's simulated clock with the
-// node's intra-query parallelism. Operators charge a per-value cost; scans
-// additionally charge per decoded byte.
+// node's intra-query parallelism. Operators charge kCpuPerValue per value;
+// scans additionally charge kCpuPerDecodedByte (costopt/cost_model.h).
 class QueryContext {
  public:
   struct Options {
-    double cpu_per_value = 1.2e-9;       // seconds per value touched
-    double cpu_per_decoded_byte = 2e-9;  // decode/decompress cost
     // Near-data processing: whether range scans may be evaluated inside
     // the object store (kOn always pushes; kAuto lets ChoosePlan pick per
     // scan under cost_policy; see PlanNdpScan in executor.cc).
     ndp::NdpMode ndp_mode = ndp::NdpMode::kOff;
-    // Cost-intelligent planning (src/costopt/). kCostBlind keeps the
-    // bytes-moved rule in charge; the other policies hand the
-    // pushdown-vs-pull decision to the cost model's USD/latency
-    // estimates under the SLO / budget below.
-    costopt::PlanPolicy cost_policy = costopt::PlanPolicy::kCostBlind;
+    // Cost-intelligent planning (src/costopt/): the policy under which
+    // the cost model's USD/latency estimates decide pushdown vs pull,
+    // with the SLO / budget below.
+    costopt::PlanPolicy cost_policy = costopt::PlanPolicy::kMinCostUnderSlo;
     double slo_seconds = 0;       // <= 0: no latency SLO
     double budget_left_usd = -1;  // < 0: unlimited remaining budget
     // Morsel-driven parallelism (src/exec/morsel.h): worker threads per

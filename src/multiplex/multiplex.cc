@@ -92,7 +92,7 @@ void Multiplex::RpcHop(NodeContext* from, NodeContext* to) {
     ++rpc_count_;
   }
   SimTime t = std::max(from->clock().now(), to->clock().now()) +
-              options_.rpc_latency;
+              kRpcLatency;
   from->clock().AdvanceTo(t);
   to->clock().AdvanceTo(t);
 }

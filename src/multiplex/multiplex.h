@@ -28,7 +28,6 @@ class Multiplex {
     Database::Options db;
     InstanceProfile coordinator_profile = InstanceProfile::R5Large();
     InstanceProfile secondary_profile = InstanceProfile::M5ad4xlarge();
-    double rpc_latency = 0.0005;  // seconds, one way
     // The first `writer_count` secondaries are writers; the rest are
     // reader nodes that cannot modify data (§2). -1 = all writers.
     int writer_count = -1;
@@ -61,8 +60,11 @@ class Multiplex {
   }
 
  private:
+  // One-way latency of an RPC between nodes, in seconds.
+  static constexpr double kRpcLatency = 0.0005;
+
   // Models one RPC hop: both clocks advance to a common point plus
-  // latency.
+  // kRpcLatency.
   void RpcHop(NodeContext* from, NodeContext* to) EXCLUDES(mu_);
 
   SimEnvironment* env_;

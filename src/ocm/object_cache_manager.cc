@@ -123,7 +123,7 @@ void ObjectCacheManager::ScheduleCacheFill(uint64_t key,
   std::weak_ptr<ObjectCacheManager*> alive = liveness_;
   AttributionContext attr = ledger_->current();
   node_->executor().Schedule(
-      at + options_.background_delay,
+      at + kBackgroundDelay,
       [alive, node, key, at, attr = std::move(attr),
        data = std::move(data)](SimTime run_at) mutable {
         auto token = alive.lock();
@@ -204,7 +204,7 @@ Status ObjectCacheManager::Write(uint64_t key, std::vector<uint8_t> data,
   // Kick the background pump.
   std::weak_ptr<ObjectCacheManager*> alive = liveness_;
   node_->executor().Schedule(
-      *completion + options_.background_delay, [alive](SimTime run_at) {
+      *completion + kBackgroundDelay, [alive](SimTime run_at) {
         if (auto token = alive.lock()) (*token)->PumpOne(run_at);
       });
   return Status::Ok();

@@ -48,9 +48,6 @@ class ObjectCacheManager : public CloudCache {
   struct Options {
     // Fraction of the node's SSD capacity the cache may use.
     double capacity_fraction = 1.0;
-    // Delay before a queued background upload starts (models the
-    // background writer picking work up).
-    double background_delay = 0.002;
     // The paper's proposed brown-out mitigation (§6 future work):
     // monitor the SSD's backlog and serve cache *hits* from the object
     // store instead when a read would queue behind more than
@@ -110,6 +107,10 @@ class ObjectCacheManager : public CloudCache {
   }
 
  private:
+  // Delay before a queued background upload or cache fill starts
+  // (models the background writer picking work up), in seconds.
+  static constexpr double kBackgroundDelay = 0.002;
+
   struct PendingWrite {
     uint64_t key;
     uint64_t txn_id;

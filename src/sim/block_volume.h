@@ -70,7 +70,6 @@ class SimBlockVolume {
   }
 
   const DeviceStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = DeviceStats(); }
 
   const BlockVolumeOptions& options() const { return options_; }
 

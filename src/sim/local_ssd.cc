@@ -5,13 +5,13 @@ namespace cloudiq {
 SimLocalSsd::SimLocalSsd(LocalSsdOptions options)
     : options_(options),
       rng_(options.seed),
-      channels_(options.devices * options.channels_per_device) {}
+      channels_(options.devices * kChannelsPerDevice) {}
 
 SimTime SimLocalSsd::Service(uint64_t bytes, SimTime arrival,
                              bool is_write) {
   double device_bw = is_write ? options_.device_write_bandwidth
                               : options_.device_read_bandwidth;
-  double per_channel_bw = device_bw / options_.channels_per_device;
+  double per_channel_bw = device_bw / kChannelsPerDevice;
   double transfer = static_cast<double>(bytes) / per_channel_bw;
   return channels_.Submit(arrival, transfer, options_.base_latency);
 }

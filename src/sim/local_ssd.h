@@ -24,7 +24,6 @@ namespace cloudiq {
 // analyzes in Figure 6.
 struct LocalSsdOptions {
   int devices = 2;               // NVMe devices in the RAID 0 set
-  int channels_per_device = 4;
   double base_latency = 0.00012;      // seconds
   double device_read_bandwidth = 1.2e9;   // bytes/sec per device
   // Sustained write bandwidth is far below read bandwidth on instance
@@ -57,7 +56,6 @@ class SimLocalSsd {
   double BacklogSeconds(SimTime now) const { return channels_.Backlog(now); }
 
   const DeviceStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = DeviceStats(); }
 
   // Fault injection (tests): probability that a Write fails.
   void set_write_error_rate(double rate) { options_.write_error_rate = rate; }
@@ -65,6 +63,10 @@ class SimLocalSsd {
   const LocalSsdOptions& options() const { return options_; }
 
  private:
+  // Parallel channels per NVMe device; each serves an equal share of the
+  // device's bandwidth.
+  static constexpr int kChannelsPerDevice = 4;
+
   SimTime Service(uint64_t bytes, SimTime arrival, bool is_write);
 
   LocalSsdOptions options_;

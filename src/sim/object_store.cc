@@ -5,7 +5,7 @@
 namespace cloudiq {
 
 SimObjectStore::SimObjectStore(ObjectStoreOptions options)
-    : options_(options), rng_(options.seed), streams_(options.streams) {}
+    : options_(options), rng_(options.seed), streams_(kStreams) {}
 
 void SimObjectStore::set_telemetry(Telemetry* telemetry) {
   MutexLock lock(&mu_);

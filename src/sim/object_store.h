@@ -50,7 +50,6 @@ struct ObjectStoreOptions {
   double get_base_latency = 0.012;   // seconds to first byte
   double put_base_latency = 0.020;
   double stream_bandwidth = 90e6;    // bytes/sec per connection
-  int streams = 4096;                // aggregate parallel connections
   double per_prefix_put_rate = 3500;
   double per_prefix_get_rate = 5500;
 
@@ -185,10 +184,6 @@ class SimObjectStore {
     MutexLock lock(&mu_);
     return stats_;
   }
-  void ResetStats() EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    stats_ = Stats();
-  }
 
   // Wires telemetry: request latencies land in the "s3.get"/"s3.put"/
   // "s3.delete"/"s3.select" histograms; throttle events and visibility
@@ -243,6 +238,9 @@ class SimObjectStore {
                       SimTime arrival) REQUIRES(mu_);
 
   static std::string PrefixOf(const std::string& key);
+
+  // Aggregate parallel connections the store serves at once.
+  static constexpr int kStreams = 4096;
 
   ObjectStoreOptions options_;  // set at construction, read-only after
 

@@ -72,7 +72,7 @@ Result<std::vector<uint8_t>> ObjectStoreIo::Get(uint64_t key, SimTime start,
                                                 SimTime* completion) {
   std::string store_key = StoreKey(key);
   SimTime t = start;
-  double backoff = options_.not_found_backoff;
+  double backoff = kNotFoundBackoff;
   int not_found = 0;
   int transient = 0;
   for (;;) {
@@ -98,7 +98,7 @@ Result<std::vector<uint8_t>> ObjectStoreIo::Get(uint64_t key, SimTime start,
       // simply not be visible yet. Back off and retry (§3: "we have
       // modified the storage subsystem to retry until the object is
       // found, up to a configurable number of retries").
-      if (++not_found > options_.max_not_found_retries) return r.status();
+      if (++not_found > kMaxNotFoundRetries) return r.status();
       ++stats_.not_found_retries;
       if (ledger_ != nullptr) ledger_->RecordRetry(/*not_found=*/true);
       if (telemetry_ != nullptr && telemetry_->tracer().enabled()) {
@@ -125,7 +125,7 @@ Result<std::vector<uint8_t>> ObjectStoreIo::Select(
     uint64_t* bytes_scanned) {
   if (bytes_scanned != nullptr) *bytes_scanned = 0;
   SimTime t = start;
-  double backoff = options_.not_found_backoff;
+  double backoff = kNotFoundBackoff;
   int not_found = 0;
   int transient = 0;
   for (;;) {
@@ -161,7 +161,7 @@ Result<std::vector<uint8_t>> ObjectStoreIo::Select(
     if (r.status().IsNotFound()) {
       // A referenced page lost the §3 visibility race; back off and let
       // it become visible, exactly like a Get.
-      if (++not_found > options_.max_not_found_retries) return r.status();
+      if (++not_found > kMaxNotFoundRetries) return r.status();
       ++stats_.not_found_retries;
       if (ledger_ != nullptr) ledger_->RecordRetry(/*not_found=*/true);
       if (telemetry_ != nullptr && telemetry_->tracer().enabled()) {

@@ -18,14 +18,12 @@ namespace cloudiq {
 // node's NIC, maps 64-bit object keys to full store keys (hashed prefix +
 // key, §3.1), and implements the retry policies of §3/§4:
 //   - GET NOT_FOUND (eventual-consistency race on a never-rewritten key)
-//     is retried with backoff up to a configurable limit;
+//     is retried with backoff up to a fixed limit;
 //   - transient PUT/GET failures are retried a fixed number of times, after
 //     which the caller rolls the transaction back.
 class ObjectStoreIo {
  public:
   struct Options {
-    int max_not_found_retries = 14;
-    double not_found_backoff = 0.02;  // seconds, doubled each retry
     int max_transient_retries = 5;
     // Ablation knob: disable prefix hashing so that all keys share one
     // rate-limit bucket (bench_ablation_prefixing).
@@ -91,6 +89,11 @@ class ObjectStoreIo {
   void set_telemetry(Telemetry* telemetry, uint32_t trace_pid);
 
  private:
+  // NOT_FOUND retry budget: 14 retries, the first after 0.02 s, each
+  // backoff double the last (about 5.5 minutes in all).
+  static constexpr int kMaxNotFoundRetries = 14;
+  static constexpr double kNotFoundBackoff = 0.02;  // seconds
+
   SimObjectStore* store_;
   Nic* nic_;
   Options options_;

@@ -3,6 +3,12 @@
 #include <utility>
 
 namespace cloudiq {
+namespace {
+
+// Rows generated and appended per loader batch.
+constexpr uint64_t kBatchRows = 16384;
+
+}  // namespace
 
 Result<TableMeta> LoadTpchTable(Database* db, TpchGenerator* gen,
                                 TpchTable table, TpchLoadOptions options) {
@@ -13,8 +19,8 @@ Result<TableMeta> LoadTpchTable(Database* db, TpchGenerator* gen,
   NodeContext& node = db->node();
   uint64_t rows = gen->RowCount(table);
   uint64_t row_bytes = TpchGenerator::RawRowBytes(table);
-  for (uint64_t first = 0; first < rows; first += options.batch_rows) {
-    uint64_t count = std::min<uint64_t>(options.batch_rows, rows - first);
+  for (uint64_t first = 0; first < rows; first += kBatchRows) {
+    uint64_t count = std::min<uint64_t>(kBatchRows, rows - first);
     // Stream the batch's share of the input files from the S3 input
     // bucket through the NIC (shared with the dbspace writes, which is
     // why load saturates the NIC — Figure 8). Input fetches are

@@ -9,7 +9,6 @@ namespace cloudiq {
 
 struct TpchLoadOptions {
   size_t partitions = 8;
-  uint64_t batch_rows = 16384;
 };
 
 struct TpchLoadResult {

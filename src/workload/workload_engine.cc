@@ -304,12 +304,8 @@ void WorkloadEngine::RunJobBody(Job* job) {
   Database* db = job->db;
   Transaction* txn = db->Begin();
   QueryContext ctx = job->session->NewQuery(txn, job->tag);
-  // A tenant with a cost-aware policy overrides the database defaults;
-  // kCostBlind tenants leave whatever Database::Options configured.
-  if (job->cost_policy != costopt::PlanPolicy::kCostBlind) {
-    ctx.SetCostConstraints(job->cost_policy, job->slo_seconds,
-                           job->budget_left_usd);
-  }
+  ctx.SetCostConstraints(job->cost_policy, job->slo_seconds,
+                         job->budget_left_usd);
   job->query_attr = ctx.attribution();
   StepFiber* fiber = job->fiber.get();
   // Executor parallel sections (ScopedParallelSection) defer this hook

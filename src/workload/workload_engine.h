@@ -61,11 +61,10 @@ class WorkloadEngine {
     double burst = 4;            // token bucket capacity
     double cost_budget_usd = 0;  // ledger spend cap; <= 0 unlimited
     double slo_seconds = 0;      // end-to-end target; <= 0 no SLO
-    // Plan-choice policy handed to this tenant's query contexts at
-    // dispatch (src/costopt/). kCostBlind leaves whatever the Database's
-    // own options say untouched; the other policies override with the
-    // tenant's SLO and remaining budget.
-    costopt::PlanPolicy cost_policy = costopt::PlanPolicy::kCostBlind;
+    // Plan-choice policy stamped onto this tenant's query contexts at
+    // dispatch (src/costopt/), with the tenant's SLO and remaining
+    // budget; it replaces the Database's own cost options.
+    costopt::PlanPolicy cost_policy = costopt::PlanPolicy::kMinCostUnderSlo;
   };
 
   struct Options {
@@ -218,7 +217,7 @@ class WorkloadEngine {
     // (reserved against the tenant's budget while in flight), and the
     // tenant constraints stamped onto the query context at dispatch.
     double predicted_usd = 0;
-    costopt::PlanPolicy cost_policy = costopt::PlanPolicy::kCostBlind;
+    costopt::PlanPolicy cost_policy = costopt::PlanPolicy::kMinCostUnderSlo;
     double slo_seconds = 0;
     double budget_left_usd = -1;
   };

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <map>
 #include <memory>
 #include <string>
@@ -168,54 +167,6 @@ TEST(ChooserTest, MinLatencyUnderBudgetFiltersThenTakesFastest) {
             std::string::npos);
 }
 
-// Pull first, push second, differing only in NIC bytes.
-std::vector<PlanEstimate> ByteCandidates(double pull_bytes,
-                                         double push_bytes) {
-  PlanEstimate pull;
-  pull.name = "pull";
-  pull.nic_bytes = pull_bytes;
-  pull.detail = "0/4 pages warm (buffer 0, ocm 0)";
-  PlanEstimate push;
-  push.name = "push";
-  push.nic_bytes = push_bytes;
-  return {pull, push};
-}
-
-TEST(ChooserTest, CostBlindPushesOnlyBelowHalfThePullBytes) {
-  struct Case {
-    double pull_bytes;
-    double push_bytes;
-    int want;
-    const char* cites_push;
-    const char* cites_pull;
-  };
-  const Case cases[] = {
-      // Just under the threshold: push.
-      {1000, std::nextafter(500.0, 0.0), 1, "est push 500 B",
-       "cold pull 1000 B"},
-      {1000, 499, 1, "est push 499 B", "cold pull 1000 B"},
-      // Exactly the threshold is not below it: pull.
-      {1000, 500, 0, "est push 500 B", "cold pull 1000 B"},
-      // A fully warm pull moves nothing; no push can undercut it.
-      {0, 0, 0, "est push 0 B", "cold pull 0 B"},
-      {0, 10, 0, "est push 10 B", "cold pull 0 B"},
-  };
-  ASSERT_EQ(costopt::kCostBlindPushThreshold, 0.5);
-  for (const Case& c : cases) {
-    PlanChoice blind =
-        ChoosePlan(ByteCandidates(c.pull_bytes, c.push_bytes),
-                   PlanPolicy::kCostBlind, 0, -1);
-    EXPECT_EQ(blind.index, c.want) << blind.reason;
-    EXPECT_EQ(blind.reason.rfind("cost_blind: ", 0), 0u) << blind.reason;
-    EXPECT_NE(blind.reason.find(c.cites_push), std::string::npos)
-        << blind.reason;
-    EXPECT_NE(blind.reason.find(c.cites_pull), std::string::npos)
-        << blind.reason;
-    EXPECT_NE(blind.reason.find("0/4 pages warm"), std::string::npos)
-        << blind.reason;
-  }
-}
-
 // --- spend predictor ----------------------------------------------------
 
 TEST(SpendPredictorTest, MeansWithTenantAndPriorFallback) {
@@ -371,9 +322,8 @@ TEST(CostOptExecTest, WarmScanNotPushedRegression) {
 
 TEST(CostOptExecTest, PolicyChoosesCheapestAndExplainCitesIt) {
   SimEnvironment env;
-  Database::Options options = CostOptDbOptions();
-  options.cost_policy = PlanPolicy::kMinCostUnderSlo;  // no SLO: cheapest
-  Database db(&env, InstanceProfile::M5ad4xlarge(), options);
+  // The default policy with no SLO: the cheapest candidate.
+  Database db(&env, InstanceProfile::M5ad4xlarge(), CostOptDbOptions());
   LoadNarrow(&db);
 
   Transaction* txn = db.Begin();
@@ -417,7 +367,6 @@ TEST(CostOptTpchTest, PowerRunPredictionErrorWithinBound) {
   // real GET money, so the error bound is exercised, not vacuous.
   options.buffer_capacity_override = 4 << 20;
   options.ndp_mode = ndp::NdpMode::kAuto;
-  options.cost_policy = PlanPolicy::kMinCostUnderSlo;
   Database db(&env, InstanceProfile::M5ad4xlarge(), options);
   TpchGenerator gen(0.005);
   TpchLoadOptions load;

@@ -455,28 +455,48 @@ TEST(NdpExecTest, PushdownMatchesPullExactly) {
   testing_util::ExpectLedgerMatchesStoreStats(&env_on);
 }
 
-TEST(NdpExecTest, AutoModePicksSidesByBytesMoved) {
+// Request USD the store bills for one range scan run cold on a freshly
+// loaded database under `mode`; `*pushed` says whether it went
+// server-side.
+double ScanRequestUsd(NdpMode mode, std::vector<std::string> columns,
+                      int64_t lo, int64_t hi, bool* pushed) {
   SimEnvironment env;
-  Database db(&env, InstanceProfile::M5ad4xlarge(),
-              NdpDbOptions(NdpMode::kAuto));
+  Database db(&env, InstanceProfile::M5ad4xlarge(), NdpDbOptions(mode));
   LoadWide(&db);
-  auto& stats = env.telemetry().stats();
+  QueryContext ctx(nullptr, nullptr, nullptr);
+  Result<Batch> out = RangeScan(&db, std::move(columns), lo, hi, &ctx);
+  EXPECT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out.ok() ? out->rows() : 0u, static_cast<size_t>(hi - lo + 1));
+  *pushed = env.telemetry().stats().counter("ndp.pushdown_scans").value() > 0;
+  CostLedger& ledger = env.telemetry().ledger();
+  return ledger.QueryTotal(ctx.attribution().query_id)
+      .RequestUsd(ledger.prices());
+}
 
-  // Selective narrow scan: pushdown wins.
-  Result<Batch> narrow = RangeScan(&db, {"v"}, 100, 199, nullptr);
-  ASSERT_TRUE(narrow.ok());
-  EXPECT_EQ(narrow.value().rows(), 100u);
-  EXPECT_EQ(stats.counter("ndp.pushdown_scans").value(), 1u);
-  EXPECT_EQ(stats.counter("ndp.pull_scans").value(), 0u);
-
-  // Near-full wide scan: the result would be nearly as large as the
-  // pages, so auto keeps the pull path.
-  Result<Batch> wide =
-      RangeScan(&db, {"k", "v", "note"}, 0, 19999, nullptr);
-  ASSERT_TRUE(wide.ok());
-  EXPECT_EQ(wide.value().rows(), 20000u);
-  EXPECT_EQ(stats.counter("ndp.pushdown_scans").value(), 1u);
-  EXPECT_EQ(stats.counter("ndp.pull_scans").value(), 1u);
+// Auto runs whichever side the cost model prices cheaper, so it bills
+// exactly what the cheaper of the forced pull and the forced push bills:
+// for a selective narrow scan and for a near-full wide one.
+TEST(NdpExecTest, AutoModeBillsTheCheaperSide) {
+  struct Case {
+    std::vector<std::string> columns;
+    int64_t lo, hi;
+  };
+  const Case cases[] = {{{"v"}, 100, 199}, {{"k", "v", "note"}, 0, 19999}};
+  for (const Case& c : cases) {
+    bool off_pushed = true, on_pushed = false, auto_pushed = false;
+    double pull = ScanRequestUsd(NdpMode::kOff, c.columns, c.lo, c.hi,
+                                 &off_pushed);
+    double push = ScanRequestUsd(NdpMode::kOn, c.columns, c.lo, c.hi,
+                                 &on_pushed);
+    double chosen = ScanRequestUsd(NdpMode::kAuto, c.columns, c.lo, c.hi,
+                                   &auto_pushed);
+    EXPECT_FALSE(off_pushed);
+    EXPECT_TRUE(on_pushed);
+    EXPECT_NE(pull, push) << c.columns.size() << " columns";
+    EXPECT_EQ(auto_pushed, push < pull) << c.columns.size() << " columns";
+    EXPECT_EQ(chosen, std::min(pull, push)) << c.columns.size()
+                                            << " columns";
+  }
 }
 
 TEST(NdpExecTest, EncryptedPagesFallBackToPull) {
