@@ -38,6 +38,10 @@
 #                               # with the observer force-enabled, and a
 #                               # double-run byte-compare proving the
 #                               # tripwire never perturbs the simulation
+#   scripts/check.sh benches    # every bench_* but bench_micro at a
+#                               # small scale factor (and the page-size
+#                               # ablation at its own): any nonzero exit
+#                               # fails
 #   scripts/check.sh fuzz       # seeded mutation fuzz of the persisted-
 #                               # and wire-byte decoders (column pages,
 #                               # page-codec frames, table metadata,
@@ -61,6 +65,9 @@
 #                               # parallel-executor and hash-table
 #                               # oracle tests and the coded-vs-
 #                               # plain column tests under TSan
+#
+# Several passes may be named in one call (scripts/check.sh ndp benches);
+# they run in the order given.
 #
 # Each pass uses its own build tree (build/, build-asan/, build-ubsan/,
 # build-tsan/) so the sweeps never poison the primary build's cache.
@@ -493,42 +500,76 @@ fuzz_pass() {
   echo "=== fuzz: OK ==="
 }
 
-what="${1:-all}"
-case "${what}" in
-  plain)  run_pass "plain" build "" ;;
-  asan)   run_pass "ASan"  build-asan address ;;
-  ubsan)  run_pass "UBSan" build-ubsan undefined ;;
-  tsan)   run_pass "TSan"  build-tsan thread ;;
-  report) report_smoke ;;
-  stress) stress_smoke ;;
-  lint)   lint_pass ;;
-  tidy)   tidy_pass ;;
-  determinism) determinism_pass ;;
-  ndp) ndp_pass ;;
-  profile) profile_pass ;;
-  costopt) costopt_pass ;;
-  locks) locks_pass ;;
-  parallel) parallel_pass ;;
-  fuzz) fuzz_pass ;;
-  all)
-    lint_pass
-    locks_pass
-    run_pass "plain" build ""
-    report_smoke
-    determinism_pass
-    ndp_pass
-    profile_pass
-    costopt_pass
-    parallel_pass
-    fuzz_pass
-    tidy_pass
-    run_pass "ASan"  build-asan address
-    run_pass "UBSan" build-ubsan undefined
-    run_pass "TSan"  build-tsan thread
-    stress_smoke
-    ;;
-  *)
-    echo "usage: $0 [all|plain|asan|ubsan|tsan|report|stress|lint|tidy|determinism|ndp|profile|costopt|locks|parallel|fuzz]" >&2
-    exit 2
-    ;;
-esac
+# Every bench binary except bench_micro (google-benchmark, host timing
+# only), each at CLOUDIQ_BENCH_SF=0.005. A bench exits nonzero when one of
+# its own checks fails or a sweep point cannot load, and any such exit
+# fails the pass. bench_ablation_page_size also runs at its default SF
+# 0.1: index postings grow with the scale, and at 0.005 none of them
+# comes near filling one of its 64 KB pages.
+benches_pass() {
+  echo "=== benches: every bench_* but bench_micro ==="
+  cmake -B build -S . > build-configure.log 2>&1 || {
+    cat build-configure.log; return 1; }
+  local benches bench
+  benches="$(sed -n 's/^cloudiq_bench(\(bench_[a-z0-9_]*\))$/\1/p' \
+    bench/CMakeLists.txt)"
+  # shellcheck disable=SC2086
+  cmake --build build -j "${JOBS}" --target ${benches}
+  for bench in ${benches}; do
+    echo "--- benches: ${bench} (SF 0.005)"
+    CLOUDIQ_BENCH_SF=0.005 "./build/bench/${bench}" > /dev/null || {
+      echo "benches FAILED: ${bench} exited $?" >&2; return 1; }
+  done
+  echo "--- benches: bench_ablation_page_size (its default SF)"
+  env -u CLOUDIQ_BENCH_SF ./build/bench/bench_ablation_page_size \
+    > /dev/null || {
+      echo "benches FAILED: bench_ablation_page_size exited $?" >&2
+      return 1; }
+  echo "=== benches: OK ==="
+}
+
+run_named() {
+  case "$1" in
+    plain)  run_pass "plain" build "" ;;
+    asan)   run_pass "ASan"  build-asan address ;;
+    ubsan)  run_pass "UBSan" build-ubsan undefined ;;
+    tsan)   run_pass "TSan"  build-tsan thread ;;
+    report) report_smoke ;;
+    stress) stress_smoke ;;
+    lint)   lint_pass ;;
+    tidy)   tidy_pass ;;
+    determinism) determinism_pass ;;
+    ndp) ndp_pass ;;
+    profile) profile_pass ;;
+    costopt) costopt_pass ;;
+    locks) locks_pass ;;
+    parallel) parallel_pass ;;
+    fuzz) fuzz_pass ;;
+    benches) benches_pass ;;
+    all)
+      lint_pass
+      locks_pass
+      run_pass "plain" build ""
+      report_smoke
+      determinism_pass
+      ndp_pass
+      profile_pass
+      costopt_pass
+      benches_pass
+      parallel_pass
+      fuzz_pass
+      tidy_pass
+      run_pass "ASan"  build-asan address
+      run_pass "UBSan" build-ubsan undefined
+      run_pass "TSan"  build-tsan thread
+      stress_smoke
+      ;;
+    *)
+      echo "usage: $0 [all|plain|asan|ubsan|tsan|report|stress|lint|tidy|determinism|ndp|profile|costopt|locks|parallel|fuzz|benches]..." >&2
+      exit 2
+      ;;
+  esac
+}
+
+if [ "$#" -eq 0 ]; then set -- all; fi
+for what in "$@"; do run_named "${what}"; done

@@ -116,6 +116,14 @@ class BufferManager {
     MutexLock lock(&mu_);
     return dirty_bytes_;
   }
+  // Bytes the clean cache can hold without evicting: capacity less the
+  // dirty pages' bytes.
+  uint64_t clean_room() const EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    return options_.capacity_bytes > dirty_bytes_
+               ? options_.capacity_bytes - dirty_bytes_
+               : 0;
+  }
 
   struct Stats {
     uint64_t hits = 0;

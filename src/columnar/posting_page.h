@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -95,7 +96,9 @@ class PostingBuilder {
 
 // Packs postings, added in ascending key order, into pages of `object`
 // of at most `page_target` bytes by the entry estimate, and records each
-// page's [first, last] key.
+// page's [first, last] key. A key whose runs overflow an empty page is
+// split into entries on consecutive pages, each page with [key, key] in
+// its range; LookupPostings reads every such page and unions the parts.
 template <typename Key>
 class PostingPageWriter {
  public:
@@ -103,22 +106,32 @@ class PostingPageWriter {
       : object_(object), page_target_(page_target) {}
 
   Status Add(const Key& key, const IntervalSet& rows) {
-    uint64_t entry_bytes =
-        PostingKey<Key>::EntryBytes(key) + 16 * rows.IntervalCount();
-    if (count_ > 0 && pending_bytes_ + entry_bytes > page_target_) {
-      CLOUDIQ_RETURN_IF_ERROR(Flush());
-    }
-    if (count_ == 0) {
-      PutU32(page_, 0);  // count, patched at flush
-      first_ = key;
-    }
-    last_ = key;
-    PostingKey<Key>::Put(page_, key);
-    std::vector<uint8_t> bytes = rows.Serialize();
-    PutU64(page_, bytes.size());
-    PutBytes(page_, bytes.data(), bytes.size());
-    ++count_;
-    pending_bytes_ += entry_bytes;
+    const std::vector<IntervalSet::Interval>& runs = rows.Intervals();
+    const uint64_t key_bytes = PostingKey<Key>::EntryBytes(key);
+    // Runs one page holds beside the key (at least one).
+    const size_t page_runs = static_cast<size_t>(std::max<uint64_t>(
+        1, page_target_ > key_bytes ? (page_target_ - key_bytes) / 16 : 0));
+    size_t begin = 0;
+    do {
+      size_t n = std::min(runs.size() - begin, page_runs);
+      uint64_t entry_bytes = key_bytes + 16 * n;
+      if (count_ > 0 && pending_bytes_ + entry_bytes > page_target_) {
+        CLOUDIQ_RETURN_IF_ERROR(Flush());
+      }
+      if (count_ == 0) {
+        PutU32(page_, 0);  // count, patched at flush
+        first_ = key;
+      }
+      last_ = key;
+      PostingKey<Key>::Put(page_, key);
+      std::vector<uint8_t> bytes =
+          IntervalSet::SerializeRuns(std::span(runs).subspan(begin, n));
+      PutU64(page_, bytes.size());
+      PutBytes(page_, bytes.data(), bytes.size());
+      ++count_;
+      pending_bytes_ += entry_bytes;
+      begin += n;
+    } while (begin < runs.size());
     return Status::Ok();
   }
 

@@ -86,12 +86,56 @@ Result<BufferManager::PageData> TableReader::FetchPage(size_t partition,
   return data;
 }
 
-Status TableReader::Prefetch(size_t partition, int column,
-                             const std::vector<uint64_t>& pages) {
-  const SegmentMeta& seg = meta_.partitions[partition].columns[column];
-  CLOUDIQ_ASSIGN_OR_RETURN(StorageObject * object,
-                           ObjectFor(seg.object_id));
-  return object->Prefetch(pages);
+Status TableReader::FetchPages(std::span<const SegmentPages> segments,
+                               std::vector<BufferManager::PageData>* frames) {
+  // The round being gathered: a page range of each segment it reaches, as
+  // read-ahead sets, beside the segments they come from.
+  std::vector<TransactionManager::PrefetchSet> sets;
+  std::vector<const SegmentPages*> owners;
+  uint64_t bytes = 0;  // stored bytes of the round's pages
+  auto run_round = [&]() -> Status {
+    CLOUDIQ_RETURN_IF_ERROR(txn_mgr_->Prefetch(sets));
+    for (size_t i = 0; i < sets.size(); ++i) {
+      for (uint64_t page : sets[i].pages) {
+        CLOUDIQ_ASSIGN_OR_RETURN(
+            BufferManager::PageData frame,
+            FetchPage(owners[i]->partition, owners[i]->column, page));
+        frames->push_back(std::move(frame));
+      }
+    }
+    sets.clear();
+    owners.clear();
+    bytes = 0;
+    return Status::Ok();
+  };
+  const uint64_t room = txn_mgr_->buffer().clean_room();
+  for (const SegmentPages& sp : segments) {
+    const SegmentMeta& seg = meta_.partitions[sp.partition].columns[sp.column];
+    CLOUDIQ_ASSIGN_OR_RETURN(StorageObject * object,
+                             ObjectFor(seg.object_id));
+    const std::span<const uint64_t> pages(sp.pages);
+    size_t begin = 0;  // the segment's first page not yet in a round
+    for (size_t i = 0; i < pages.size(); ++i) {
+      if (pages[i] >= seg.page_bytes.size()) {
+        return Status::InvalidArgument("page out of range");
+      }
+      const uint64_t page_bytes = seg.page_bytes[pages[i]];
+      if (bytes > 0 && bytes + page_bytes > room) {
+        if (i > begin) {
+          sets.push_back({object, pages.subspan(begin, i - begin)});
+          owners.push_back(&sp);
+        }
+        CLOUDIQ_RETURN_IF_ERROR(run_round());
+        begin = i;
+      }
+      bytes += page_bytes;
+    }
+    if (begin < pages.size()) {
+      sets.push_back({object, pages.subspan(begin)});
+      owners.push_back(&sp);
+    }
+  }
+  return run_round();
 }
 
 std::vector<uint64_t> TableReader::PrunePagesInt(size_t partition,

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "columnar/schema.h"
@@ -15,7 +16,7 @@
 namespace cloudiq {
 
 // Snapshot-consistent read access to a loaded table: page fetches,
-// zone-map pruning, parallel prefetch, and HG index probes. One
+// zone-map pruning, batched parallel read-ahead, and index probes. One
 // TableReader per (transaction, table); storage objects are opened
 // lazily from the transaction's snapshot.
 class TableReader {
@@ -45,9 +46,21 @@ class TableReader {
   Result<BufferManager::PageData> FetchPage(size_t partition, int column,
                                             size_t page);
 
-  // Parallel read-ahead of the listed pages of one column segment.
-  Status Prefetch(size_t partition, int column,
-                  const std::vector<uint64_t>& pages);
+  // Some pages of one column segment, ascending.
+  struct SegmentPages {
+    size_t partition = 0;
+    int column = 0;
+    std::vector<uint64_t> pages;
+  };
+
+  // Fetches the frames of every listed page, segment by segment and page
+  // by page, appending them to `frames` in that order. The reads overlap
+  // across segments: each round prefetches the next pages, in order, whose
+  // stored bytes (SegmentMeta::page_bytes) fit the buffer's clean room in
+  // one parallel round set, then fetches them, so no page read ahead is
+  // evicted before it is fetched. A round holds at least one page.
+  Status FetchPages(std::span<const SegmentPages> segments,
+                    std::vector<BufferManager::PageData>* frames);
 
   // Pages of (partition, column) whose zone map intersects [lo, hi]
   // (int-family columns).

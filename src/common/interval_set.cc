@@ -140,12 +140,13 @@ IntervalSet IntervalSet::Union(std::vector<IntervalSet> sets) {
   return out;
 }
 
-std::vector<uint8_t> IntervalSet::Serialize() const {
-  uint64_t count = runs_.size();
+std::vector<uint8_t> IntervalSet::SerializeRuns(
+    std::span<const Interval> runs) {
+  uint64_t count = runs.size();
   std::vector<uint8_t> out(sizeof(uint64_t) + sizeof(Interval) * count);
   std::memcpy(out.data(), &count, sizeof(uint64_t));
   if (count > 0) {
-    std::memcpy(out.data() + sizeof(uint64_t), runs_.data(),
+    std::memcpy(out.data() + sizeof(uint64_t), runs.data(),
                 sizeof(Interval) * count);
   }
   return out;

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/result.h"
@@ -71,7 +72,11 @@ class IntervalSet {
   static IntervalSet Union(std::vector<IntervalSet> sets);
 
   // Flat serialization: [count][begin,end]... little-endian u64s.
-  std::vector<uint8_t> Serialize() const;
+  std::vector<uint8_t> Serialize() const { return SerializeRuns(runs_); }
+
+  // The same bytes for a slice of a canonical set's runs (a posting page
+  // that splits one key's runs serializes each part alone).
+  static std::vector<uint8_t> SerializeRuns(std::span<const Interval> runs);
 
   // Reads a serialized set in place. Corruption unless `size` is exactly
   // 8 + 16 * count and the runs are canonical (each non-empty, each

@@ -121,30 +121,38 @@ std::vector<uint64_t> PagesForRows(const SegmentMeta& seg,
   return pages;
 }
 
-// Prefetches, then fetches column by column in page order, the pages of
-// partition `p` that hold `rows`, as pipeline pages of the scan's
-// partition `part`; `frames` keeps their bytes alive.
-Status FetchScanPages(TableReader* reader, size_t p,
-                      const std::vector<int>& col_ids, const IntervalSet& rows,
-                      size_t part, std::vector<BufferManager::PageData>* frames,
-                      PageScan* scan) {
-  const PartitionMeta& pm = reader->meta().partitions[p];
-  std::vector<std::vector<uint64_t>> pages(col_ids.size());
-  for (size_t i = 0; i < col_ids.size(); ++i) {
-    pages[i] = PagesForRows(pm.columns[col_ids[i]], rows);
-    CLOUDIQ_RETURN_IF_ERROR(reader->Prefetch(p, col_ids[i], pages[i]));
+// Appends to `segments`, one list per read column, the pages of
+// partition `p` that hold `rows`.
+void AddScanSegments(const TableReader& reader, size_t p,
+                     const std::vector<int>& col_ids, const IntervalSet& rows,
+                     std::vector<TableReader::SegmentPages>* segments) {
+  const PartitionMeta& pm = reader.meta().partitions[p];
+  for (int column : col_ids) {
+    segments->push_back({p, column, PagesForRows(pm.columns[column], rows)});
   }
-  for (size_t i = 0; i < col_ids.size(); ++i) {
-    const SegmentMeta& seg = pm.columns[col_ids[i]];
+}
+
+// Fetches the pages of `segments` (one list per read column for each of
+// the scan's partitions, in order) with one batched read-ahead and hands
+// them to `scan` as pipeline pages; `frames` keeps their bytes alive.
+Status FetchScanPages(TableReader* reader,
+                      const std::vector<TableReader::SegmentPages>& segments,
+                      std::vector<BufferManager::PageData>* frames,
+                      PageScan* scan) {
+  size_t next_frame = frames->size();
+  CLOUDIQ_RETURN_IF_ERROR(reader->FetchPages(segments, frames));
+  const size_t columns = scan->columns.size();
+  for (size_t s = 0; s < segments.size(); ++s) {
+    const TableReader::SegmentPages& sp = segments[s];
+    const SegmentMeta& seg =
+        reader->meta().partitions[sp.partition].columns[sp.column];
     uint64_t first_row = 0;
     size_t next = 0;  // the page that starts at `first_row`
-    for (uint64_t page : pages[i]) {
+    for (uint64_t page : sp.pages) {
       for (; next < page; ++next) first_row += seg.page_rows[next];
-      CLOUDIQ_ASSIGN_OR_RETURN(BufferManager::PageData frame,
-                               reader->FetchPage(p, col_ids[i], page));
-      scan->columns[i].pages.push_back(
-          {part, first_row, seg.page_rows[page], frame.get(), {}});
-      frames->push_back(std::move(frame));
+      scan->columns[s % columns].pages.push_back(
+          {s / columns, first_row, seg.page_rows[page],
+           (*frames)[next_frame++].get(), {}});
     }
   }
   return Status::Ok();
@@ -466,9 +474,10 @@ Result<Batch> ScanTable(QueryContext* ctx, TableReader* reader,
   // Phase A (coordinator, simulated): per partition, compute the
   // candidate row set (zone-map survivors under a range predicate, the
   // whole partition otherwise), plan page-aligned morsels on the leading
-  // read column, prefetch, and fetch every needed page's *encoded*
-  // frame. All simulated I/O happens here, in partition/column/page
-  // order, whatever the worker count.
+  // read column and list the pages each read column needs; then read
+  // every listed page ahead in rounds that overlap across partitions and
+  // columns, and fetch each *encoded* frame. All simulated I/O happens
+  // here, in partition/column/page order, whatever the worker count.
   uint64_t decoded_before = reader->decoded_bytes();
   std::vector<Morsel> morsels;
   std::vector<size_t> morsel_part;  // morsel -> the scan's partition index
@@ -478,7 +487,7 @@ Result<Batch> ScanTable(QueryContext* ctx, TableReader* reader,
     scan.columns.push_back({col.type, true, {}});
   }
   if (extra_range_col) scan.columns[range_pos].write = false;
-  std::vector<BufferManager::PageData> frames;
+  std::vector<TableReader::SegmentPages> segments;
   for (size_t p = 0;
        !col_ids.empty() && p < reader->meta().partitions.size(); ++p) {
     const PartitionMeta& pm = reader->meta().partitions[p];
@@ -503,10 +512,11 @@ Result<Batch> ScanTable(QueryContext* ctx, TableReader* reader,
     AppendMorsels(pm.columns[col_ids[0]], p, rows,
                   ctx->options().morsel_rows, &morsels);
     if (morsels.size() == morsels_before) continue;
-    morsel_part.resize(morsels.size(), parts);
-    CLOUDIQ_RETURN_IF_ERROR(
-        FetchScanPages(reader, p, col_ids, rows, parts++, &frames, &scan));
+    morsel_part.resize(morsels.size(), parts++);
+    AddScanSegments(*reader, p, col_ids, rows, &segments);
   }
+  std::vector<BufferManager::PageData> frames;
+  CLOUDIQ_RETURN_IF_ERROR(FetchScanPages(reader, segments, &frames, &scan));
   // Every fetched frame is decoded exactly once below; charge the decode
   // CPU up front so the parallel section carries only per-morsel values.
   ctx->ChargeDecodedBytes(reader->decoded_bytes() - decoded_before);
@@ -570,9 +580,10 @@ Result<Batch> ScanRowIds(QueryContext* ctx, TableReader* reader,
   for (const ColumnVector& col : out.columns) {
     scan.columns.push_back({col.type, true, {}});
   }
+  std::vector<TableReader::SegmentPages> segments;
+  AddScanSegments(*reader, partition, col_ids, rows, &segments);
   std::vector<BufferManager::PageData> frames;
-  CLOUDIQ_RETURN_IF_ERROR(
-      FetchScanPages(reader, partition, col_ids, rows, 0, &frames, &scan));
+  CLOUDIQ_RETURN_IF_ERROR(FetchScanPages(reader, segments, &frames, &scan));
   scan.morsels.push_back({0, rows.Intervals()});
   scan.workers = ctx->options().exec_workers;
   CLOUDIQ_ASSIGN_OR_RETURN(ScannedRows scanned, ScanPages(scan));

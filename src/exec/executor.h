@@ -261,7 +261,8 @@ struct ScanRange {
   int64_t hi;
 };
 
-// Scans `columns` of the table, prefetching pages in parallel. When
+// Scans `columns` of the table, reading the pages of every partition and
+// column ahead in parallel rounds (TableReader::FetchPages). When
 // `range` is given, partitions and pages are pruned with partition bounds
 // and zone maps, and rows outside the range are filtered out.
 Result<Batch> ScanTable(QueryContext* ctx, TableReader* reader,

@@ -81,35 +81,9 @@ Result<BufferManager::PageData> StorageObject::ReadPage(uint64_t page) {
   });
 }
 
-Status StorageObject::Prefetch(const std::vector<uint64_t>& pages) {
-  std::vector<IoScheduler::Op> ops;
-  std::vector<std::shared_ptr<StorageSubsystem::ReadSlot>> slots;
-  std::vector<PhysicalLoc> locs;
-  for (uint64_t page : pages) {
-    if (writable_ && txn_ != nullptr &&
-        txn_mgr_->buffer().GetDirty(txn_->id, object_id_, page).ok()) {
-      continue;
-    }
-    CLOUDIQ_ASSIGN_OR_RETURN(PhysicalLoc loc, blockmap_.Lookup(page));
-    if (!loc.valid() || txn_mgr_->buffer().Cached(space_->id, loc)) continue;
-    auto slot = std::make_shared<StorageSubsystem::ReadSlot>();
-    ops.push_back(txn_mgr_->storage().MakeReadOp(space_, loc, slot));
-    slots.push_back(std::move(slot));
-    locs.push_back(loc);
-  }
-  if (ops.empty()) return Status::Ok();
-  NodeContext* node = txn_mgr_->storage().node();
-  node->io().RunParallel(ops, node->IoWidth());
-  Status first_error;
-  for (size_t i = 0; i < slots.size(); ++i) {
-    if (!slots[i]->status.ok()) {
-      if (first_error.ok()) first_error = slots[i]->status;
-      continue;
-    }
-    txn_mgr_->buffer().Insert(space_->id, locs[i],
-                              std::move(slots[i]->payload));
-  }
-  return first_error;
+Status StorageObject::Prefetch(std::span<const uint64_t> pages) {
+  const TransactionManager::PrefetchSet set{this, pages};
+  return txn_mgr_->Prefetch(std::span(&set, 1));
 }
 
 Status StorageObject::PrefetchAll() {
@@ -214,6 +188,46 @@ Result<std::unique_ptr<StorageObject>> TransactionManager::OpenForRead(
       Blockmap::Open(storage_, space, options_.blockmap_fanout,
                      identity.root, identity.page_count, buffer_.get()),
       /*writable=*/false);
+}
+
+Status TransactionManager::Prefetch(std::span<const PrefetchSet> sets) {
+  std::vector<IoScheduler::Op> ops;
+  std::vector<std::shared_ptr<StorageSubsystem::ReadSlot>> slots;
+  struct Target {
+    uint32_t space_id;
+    PhysicalLoc loc;
+  };
+  std::vector<Target> targets;
+  for (const PrefetchSet& set : sets) {
+    StorageObject* object = set.object;
+    for (uint64_t page : set.pages) {
+      if (object->writable_ && object->txn_ != nullptr &&
+          buffer_->GetDirty(object->txn_->id, object->object_id_, page)
+              .ok()) {
+        continue;
+      }
+      CLOUDIQ_ASSIGN_OR_RETURN(PhysicalLoc loc,
+                               object->blockmap_.Lookup(page));
+      if (!loc.valid() || buffer_->Cached(object->space_->id, loc)) continue;
+      auto slot = std::make_shared<StorageSubsystem::ReadSlot>();
+      ops.push_back(storage_->MakeReadOp(object->space_, loc, slot));
+      slots.push_back(std::move(slot));
+      targets.push_back({object->space_->id, loc});
+    }
+  }
+  if (ops.empty()) return Status::Ok();
+  NodeContext* node = storage_->node();
+  node->io().RunParallel(ops, node->IoWidth());
+  Status first_error;
+  for (size_t i = 0; i < slots.size(); ++i) {
+    if (!slots[i]->status.ok()) {
+      if (first_error.ok()) first_error = slots[i]->status;
+      continue;
+    }
+    buffer_->Insert(targets[i].space_id, targets[i].loc,
+                    std::move(slots[i]->payload));
+  }
+  return first_error;
 }
 
 Status TransactionManager::DropObject(Transaction* txn, uint64_t object_id) {

@@ -6,6 +6,7 @@
 #include <list>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "blockmap/blockmap.h"
@@ -79,8 +80,9 @@ class StorageObject {
   // buffer cache, else storage (through the OCM for cloud dbspaces).
   Result<BufferManager::PageData> ReadPage(uint64_t page);
 
-  // Parallel read-ahead of the given logical pages into the buffer cache.
-  Status Prefetch(const std::vector<uint64_t>& pages);
+  // Parallel read-ahead of the given logical pages into the buffer cache:
+  // the one-object case of TransactionManager::Prefetch.
+  Status Prefetch(std::span<const uint64_t> pages);
   Status PrefetchAll();
 
  private:
@@ -161,6 +163,18 @@ class TransactionManager {
                                                      uint64_t object_id);
   // Drops the object: every reachable page joins the RF set at commit.
   Status DropObject(Transaction* txn, uint64_t object_id);
+
+  // Some logical pages of one storage object, one part of a read-ahead.
+  struct PrefetchSet {
+    StorageObject* object;
+    std::span<const uint64_t> pages;
+  };
+  // Parallel read-ahead into the buffer cache of every listed page that is
+  // neither dirty in its transaction nor cached: the reads of all the sets
+  // go to one IoScheduler::RunParallel at the node's I/O width, so they
+  // overlap across objects, and each page read is then inserted. The
+  // caller bounds the bytes so that no page read evicts another.
+  Status Prefetch(std::span<const PrefetchSet> sets);
 
   // --- garbage collection ---------------------------------------------------
   // Deletes the pages of committed transactions that are no longer

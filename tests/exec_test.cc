@@ -2426,5 +2426,181 @@ TEST_F(ScanDecodeTest, RangeScanRefusesCorruptPageItsFilterEmpties) {
   }
 }
 
+
+// --- batched read-ahead ------------------------------------------------------
+
+// A four-partition table read after a crash, so its pages come from the
+// object store. The store has no visibility lag, so every page read is one
+// GET; each test reads the blockmaps first, so the timed scan's GETs are
+// data pages only.
+struct ColdTable {
+  static constexpr uint64_t kTable = 20;
+  static constexpr int64_t kRows = 2000;
+
+  static ObjectStoreOptions NoLag() {
+    ObjectStoreOptions options;
+    options.lag_probability = 0;
+    return options;
+  }
+
+  ColdTable() : h_(4096, NoLag()) {}
+
+  ~ColdTable() {
+    if (txn_ != nullptr) (void)txn_mgr_->Commit(txn_);
+  }
+
+  // Loads the table under a buffer of `buffer_bytes`, then drops every
+  // cached page and opens a reader in a fresh transaction.
+  void LoadThenCrash(uint64_t buffer_bytes) {
+    TransactionManager::Options opts;
+    opts.blockmap_fanout = 16;
+    opts.buffer_capacity_bytes = buffer_bytes;
+    txn_mgr_ = std::make_unique<TransactionManager>(h_.storage.get(),
+                                                    &h_.system, opts);
+    txn_mgr_->set_commit_listener(
+        [this](NodeId node, const IntervalSet& keys) {
+          h_.keygen.OnTransactionCommitted(node, keys);
+        });
+    TableSchema schema;
+    schema.name = "items";
+    schema.table_id = kTable;
+    schema.columns = {{"id", ColumnType::kInt64},
+                      {"qty", ColumnType::kInt64},
+                      {"note", ColumnType::kString}};
+    schema.partition_column = 0;
+    schema.partition_bounds = {kRows / 4, kRows / 2, 3 * kRows / 4};
+    for (const ColumnDef& c : schema.columns) {
+      rows_.AddColumn(c.name, OfType(c.type));
+    }
+    for (int64_t i = 0; i < kRows; ++i) {
+      rows_.columns[0].ints.push_back(i);
+      rows_.columns[1].ints.push_back(i * 37 % 1000);
+      rows_.columns[2].strings.push_back("item " + std::to_string(i));
+    }
+    Transaction* txn = txn_mgr_->Begin();
+    TableLoader loader(txn_mgr_.get(), txn, h_.cloud_space, schema);
+    ASSERT_TRUE(loader.Append(rows_.columns).ok());
+    ASSERT_TRUE(loader.Finish(&h_.system).ok());
+    ASSERT_TRUE(txn_mgr_->Commit(txn).ok());
+
+    txn_mgr_->SimulateCrash();
+    ASSERT_TRUE(txn_mgr_->RecoverAfterCrash().ok());
+    txn_ = txn_mgr_->Begin();
+    ctx_ = std::make_unique<QueryContext>(txn_mgr_.get(), txn_, &h_.system);
+    Result<TableReader> reader = ctx_->OpenTable(kTable);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    reader_ = std::make_unique<TableReader>(std::move(reader).value());
+  }
+
+  // Reads the blockmaps of `partitions` (every column) and returns how
+  // many data pages they hold.
+  uint64_t WarmBlockmaps(const std::vector<size_t>& partitions) {
+    uint64_t pages = 0;
+    for (size_t p : partitions) {
+      const PartitionMeta& pm = reader_->meta().partitions[p];
+      for (size_t c = 0; c < pm.columns.size(); ++c) {
+        std::vector<uint64_t> all(pm.columns[c].page_rows.size());
+        for (size_t i = 0; i < all.size(); ++i) all[i] = i;
+        reader_->ProbeResidency(p, static_cast<int>(c), all);
+        pages += all.size();
+      }
+    }
+    return pages;
+  }
+
+  // One GET of a full page at the store's base latency.
+  double GetLatency() {
+    const ObjectStoreOptions& store = h_.env.object_store().options();
+    return store.get_base_latency + 4096.0 / store.stream_bandwidth;
+  }
+
+  uint64_t Gets() { return h_.env.object_store().stats().gets; }
+
+  SingleNodeHarness h_;
+  std::unique_ptr<TransactionManager> txn_mgr_;
+  Transaction* txn_ = nullptr;
+  std::unique_ptr<QueryContext> ctx_;
+  std::unique_ptr<TableReader> reader_;
+  Batch rows_;  // every row, in load order
+};
+
+// The GETs of every partition and column overlap: the scan takes about
+// one GET latency per I/O-width of pages, not one per partition.
+TEST(ColdScanTest, ScanTableOverlapsGetsAcrossPartitions) {
+  ColdTable t;
+  t.LoadThenCrash(8 << 20);
+  ASSERT_EQ(t.reader_->meta().partitions.size(), 4u);
+  const uint64_t pages = t.WarmBlockmaps({0, 1, 2, 3});
+  const int width = t.ctx_->node()->IoWidth();
+  const uint64_t gets = t.Gets();
+  const double start = t.ctx_->node()->clock().now();
+  Result<Batch> batch =
+      ScanTable(t.ctx_.get(), t.reader_.get(), {"id", "qty", "note"});
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  const double elapsed = t.ctx_->node()->clock().now() - start;
+  EXPECT_EQ(t.Gets() - gets, pages);
+  const uint64_t rounds = (pages + width - 1) / width;
+  EXPECT_LE(elapsed, static_cast<double>(rounds + 1) * t.GetLatency())
+      << pages << " pages at I/O width " << width;
+  ExpectBatchesBitwise(t.rows_, *batch);
+}
+
+// A row-id scan reads the pages of all its columns in one round.
+TEST(ColdScanTest, ScanRowIdsReadsEveryColumnInOneRound) {
+  ColdTable t;
+  t.LoadThenCrash(8 << 20);
+  const uint64_t pages = t.WarmBlockmaps({1});
+  ASSERT_GE(pages, 3u);
+  ASSERT_LE(pages, static_cast<uint64_t>(t.ctx_->node()->IoWidth()));
+  IntervalSet rows;
+  rows.InsertRange(0, t.reader_->meta().partitions[1].row_count);
+  const uint64_t gets = t.Gets();
+  const double start = t.ctx_->node()->clock().now();
+  Result<Batch> batch = ScanRowIds(t.ctx_.get(), t.reader_.get(), 1,
+                                   {"id", "qty", "note"}, rows);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  const double elapsed = t.ctx_->node()->clock().now() - start;
+  EXPECT_EQ(t.Gets() - gets, pages);
+  EXPECT_LE(elapsed, 2 * t.GetLatency());
+  EXPECT_EQ(batch->rows(), rows.Count());
+  EXPECT_EQ(batch->Int("id", 0), ColdTable::kRows / 4);
+}
+
+// A scan larger than the buffer reads ahead in rounds that fit it: every
+// page still comes from storage exactly once, and the rows are the same as
+// a warm scan's.
+TEST(ColdScanTest, ScanLargerThanTheBufferReadsEachPageOnce) {
+  constexpr uint64_t kBuffer = 8 << 10;
+  ColdTable t;
+  t.LoadThenCrash(kBuffer);
+  const uint64_t pages = t.WarmBlockmaps({0, 1, 2, 3});
+  uint64_t scan_bytes = 0;
+  for (const PartitionMeta& pm : t.reader_->meta().partitions) {
+    for (const SegmentMeta& seg : pm.columns) {
+      for (uint32_t b : seg.page_bytes) scan_bytes += b;
+    }
+  }
+  ASSERT_GT(scan_bytes, 2 * kBuffer);
+  const uint64_t gets = t.Gets();
+  const uint64_t misses = t.txn_mgr_->buffer().stats().misses;
+  Result<Batch> cold =
+      ScanTable(t.ctx_.get(), t.reader_.get(), {"id", "qty", "note"});
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(t.Gets() - gets, pages);
+  EXPECT_EQ(t.txn_mgr_->buffer().stats().misses - misses, 0u);
+  ExpectBatchesBitwise(t.rows_, *cold);
+
+  // The same scan under a buffer that holds the whole table, read twice.
+  ColdTable big;
+  big.LoadThenCrash(8 << 20);
+  ASSERT_TRUE(
+      ScanTable(big.ctx_.get(), big.reader_.get(), {"id", "qty", "note"})
+          .ok());
+  Result<Batch> warm =
+      ScanTable(big.ctx_.get(), big.reader_.get(), {"id", "qty", "note"});
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  ExpectBatchesBitwise(*warm, *cold);
+}
+
 }  // namespace
 }  // namespace cloudiq

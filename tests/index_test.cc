@@ -3,6 +3,7 @@
 // output is at-rest bytes, so it must not drift), and every lookup kind
 // checked against a brute-force scan of the loaded column.
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -86,6 +87,39 @@ class IndexTest : public ::testing::Test {
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(got->Values(),
               std::vector<uint64_t>(want.begin(), want.end()));
+  }
+
+  // TEXT-index probes on o_comment, each against a scan of the column.
+  static void ExpectTextProbesMatchScan(TableReader* reader) {
+    int column = reader->schema().text_index_columns.at(0);
+    const std::vector<std::vector<std::string>> probes = {
+        {"special"},
+        {"requests"},
+        {"special", "requests"},
+        {"requests", "special"},
+        {"furiously", "ironic", "deposits"},
+        {"the"},
+        {"zebra"},
+        {"special", "zebra"},
+        {},
+    };
+    for (size_t p = 0; p < reader->meta().partitions.size(); ++p) {
+      ColumnVector comments = Scan(reader, p, column);
+      std::vector<std::set<std::string>> tokens;
+      for (const std::string& c : comments.strings) {
+        std::vector<std::string> t = TextIndex::Tokenize(c);
+        tokens.emplace_back(t.begin(), t.end());
+      }
+      for (const std::vector<std::string>& words : probes) {
+        std::set<uint64_t> want;
+        for (size_t r = 0; r < tokens.size() && !words.empty(); ++r) {
+          bool all = true;
+          for (const std::string& w : words) all = all && tokens[r].count(w);
+          if (all) want.insert(r);
+        }
+        ExpectRows(reader->TextIndexAllWords(p, column, words), want);
+      }
+    }
   }
 
   static SimEnvironment* env_;
@@ -240,34 +274,70 @@ TEST_F(IndexTest, DateLookupsMatchColumnScan) {
 
 TEST_F(IndexTest, TextAllWordsMatchesColumnScan) {
   TableReader reader = Open(kOrders);
-  int column = reader.schema().text_index_columns.at(0);
-  const std::vector<std::vector<std::string>> probes = {
-      {"special"},
-      {"requests"},
-      {"special", "requests"},
-      {"requests", "special"},
-      {"furiously", "ironic", "deposits"},
-      {"the"},
-      {"zebra"},
-      {"special", "zebra"},
-      {},
-  };
-  for (size_t p = 0; p < reader.meta().partitions.size(); ++p) {
-    ColumnVector comments = Scan(&reader, p, column);
-    std::vector<std::set<std::string>> tokens;
-    for (const std::string& c : comments.strings) {
-      std::vector<std::string> t = TextIndex::Tokenize(c);
-      tokens.emplace_back(t.begin(), t.end());
+  ExpectTextProbesMatchScan(&reader);
+}
+
+// TPC-H loaded into 4 KB pages with one partition: the most frequent
+// o_comment words then hold more row runs than one posting page fits.
+class SmallPageIndexTest : public IndexTest {
+ protected:
+  static void SetUpTestSuite() {
+    if (small_db_ != nullptr) return;
+    small_env_ = new SimEnvironment();
+    Database::Options options;
+    options.user_storage = UserStorage::kObjectStore;
+    options.page_size = 4 * 1024;
+    small_db_ =
+        new Database(small_env_, InstanceProfile::M5ad4xlarge(), options);
+    small_gen_ = new TpchGenerator(kScale);
+    TpchLoadOptions load;
+    load.partitions = 1;
+    Result<TpchLoadResult> result = LoadTpch(small_db_, small_gen_, load);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+  }
+
+  void SetUp() override {
+    ASSERT_NE(small_db_, nullptr);
+    txn_ = small_db_->Begin();
+  }
+  void TearDown() override {
+    if (txn_ != nullptr) {
+      EXPECT_TRUE(small_db_->Commit(txn_).ok());
     }
-    for (const std::vector<std::string>& words : probes) {
-      std::set<uint64_t> want;
-      for (size_t r = 0; r < tokens.size() && !words.empty(); ++r) {
-        bool all = true;
-        for (const std::string& w : words) all = all && tokens[r].count(w);
-        if (all) want.insert(r);
-      }
-      ExpectRows(reader.TextIndexAllWords(p, column, words), want);
+  }
+
+  static SimEnvironment* small_env_;
+  static Database* small_db_;
+  static TpchGenerator* small_gen_;
+};
+
+SimEnvironment* SmallPageIndexTest::small_env_ = nullptr;
+Database* SmallPageIndexTest::small_db_ = nullptr;
+TpchGenerator* SmallPageIndexTest::small_gen_ = nullptr;
+
+// A key whose runs overflow a page is split across consecutive pages
+// (each with [key, key] in its range), and probes still match a scan.
+TEST_F(SmallPageIndexTest, KeyLongerThanAPageSpansPages) {
+  Result<TableReader> reader = TableReader::Open(
+      &small_db_->txn_mgr(), txn_, small_db_->system(), kOrders);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  const std::vector<std::pair<std::string, std::string>>& ranges =
+      reader->meta().partitions[0].text_index_ranges.at(0);
+  std::set<std::string> split;
+  for (size_t p = 1; p < ranges.size(); ++p) {
+    if (ranges[p].first == ranges[p - 1].second) split.insert(ranges[p].first);
+  }
+  ASSERT_FALSE(split.empty());
+  ExpectTextProbesMatchScan(&*reader);
+  int column = reader->schema().text_index_columns.at(0);
+  ColumnVector comments = Scan(&*reader, 0, column);
+  for (const std::string& word : split) {
+    std::set<uint64_t> want;
+    for (size_t r = 0; r < comments.strings.size(); ++r) {
+      std::vector<std::string> t = TextIndex::Tokenize(comments.strings[r]);
+      if (std::find(t.begin(), t.end(), word) != t.end()) want.insert(r);
     }
+    ExpectRows(reader->TextIndexAllWords(0, column, {word}), want);
   }
 }
 
